@@ -15,9 +15,18 @@
 let big = ref false
 
 (* --jobs N / MINJIE_JOBS: worker-process count for the pooled
-   fan-outs (campaign cells, sampled simulations, best-of-N reps) *)
+   fan-outs (campaign cells, sampled simulations, best-of-N reps).
+   Resolved with --retries and --resume once, after argument parsing. *)
 let jobs_opt : int option ref = ref None
-let effective_jobs () = Minjie.Pool.resolve_jobs ?jobs:!jobs_opt ()
+let run_config = ref { Minjie.Run_config.jobs = 1; retries = 0; resume = false }
+let effective_jobs () = !run_config.Minjie.Run_config.jobs
+
+(* a malformed MINJIE_* value stops the run before any section starts *)
+let or_exit f =
+  try f ()
+  with Invalid_argument msg ->
+    prerr_endline msg;
+    exit 2
 
 (* ---------------------------------------------------------------- *)
 (* machine-readable output: --json <file> collects one flat record   *)
@@ -530,7 +539,8 @@ let bench_checkpoints () =
         "  checkpoint @interval %-4d weight %.2f -> restored, ipc %.3f\n"
         r.sr_index r.sr_weight r.sr_ipc)
     (Checkpoint.Sampled.simulate_all ~warmup:2_000 ~measure:4_000
-       ~jobs:(effective_jobs ()) Xiangshan.Config.yqh cks)
+       ~jobs:(effective_jobs ()) ~retries:!run_config.Minjie.Run_config.retries
+       Xiangshan.Config.yqh cks)
 
 (* ---------------------------------------------------------------- *)
 (* Table II: micro-architecture parameters                           *)
@@ -842,14 +852,9 @@ let campaign_journal : string option ref = ref None
 let campaign_resume = ref false
 let campaign_retries : int option ref = ref None
 
-let effective_resume () = !campaign_resume || Minjie.Journal.env_resume ()
-
-let effective_journal () =
-  match !campaign_journal with
-  | Some p -> Some p
-  | None ->
-      (* --resume without --journal still needs a stable path *)
-      if effective_resume () then Some "minjie-campaign.journal" else None
+(* --resume without --journal still needs a stable path *)
+let journal_at default =
+  Minjie.Run_config.journal !run_config ~default !campaign_journal
 
 (* faults whose cells resolve in a few thousand cycles; enough for CI
    to validate the whole detect->replay->report pipeline *)
@@ -870,16 +875,20 @@ let bench_campaign () =
     if !campaign_smoke then [ !campaign_seed ]
     else [ !campaign_seed; !campaign_seed + 1 ]
   in
+  (* MINJIE_CHAOS arms a host-chaos plan here exactly as it does for
+     `minjie campaign` *)
+  or_exit (fun () -> Minjie.Run_config.arm_chaos []);
+  let rc = !run_config in
   let s =
     Minjie.Campaign.run ?faults ~seeds ?ref_kind:!campaign_ref
-      ~perf:!campaign_perf
-      ~jobs:(effective_jobs ())
-      ?journal:(effective_journal ())
-      ~resume:(effective_resume ()) ?retries:!campaign_retries
+      ~perf:!campaign_perf ~jobs:rc.jobs
+      ?journal:(journal_at "minjie-campaign.journal")
+      ~resume:rc.resume ~retries:rc.retries
       ~progress:(fun c ->
         Printf.printf "  %s\n%!" (Minjie.Campaign.string_of_cell c))
       ()
   in
+  Minjie.Host_chaos.disarm ();
   (* stdout only: the JSON must stay byte-identical between a clean
      run and an interrupted-then-resumed one *)
   if s.Minjie.Campaign.resumed > 0 || s.Minjie.Campaign.retried > 0 then
@@ -947,11 +956,6 @@ let bench_campaign () =
 (* microarchitectural coverage                                       *)
 (* ---------------------------------------------------------------- *)
 
-let fuzz_journal () =
-  match !campaign_journal with
-  | Some p -> Some p
-  | None -> if effective_resume () then Some "minjie-fuzz.journal" else None
-
 let bench_fuzz () =
   section "Coverage-guided fuzz campaign: chase new microarchitectural states";
   let p =
@@ -967,11 +971,11 @@ let bench_fuzz () =
     (String.concat "/" p.Fuzz.fz_configs)
     (String.concat "+" (List.map Minjie.Ref_model.kind_name p.Fuzz.fz_refs))
     p.Fuzz.fz_seed;
+  let rc = !run_config in
   let s =
-    Fuzz.run ~p
-      ~jobs:(effective_jobs ())
-      ?journal:(fuzz_journal ())
-      ~resume:(effective_resume ()) ?retries:!campaign_retries
+    Fuzz.run ~p ~jobs:rc.jobs
+      ?journal:(journal_at "minjie-fuzz.journal")
+      ~resume:rc.resume ~retries:rc.retries
       ~progress:(fun e -> Printf.printf "  %s\n%!" (Fuzz.string_of_exec e))
       ()
   in
@@ -2118,6 +2122,11 @@ let () =
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] args in
+  run_config :=
+    or_exit (fun () ->
+        Minjie.Run_config.resolve ?jobs:!jobs_opt ?retries:!campaign_retries
+          ?resume:(if !campaign_resume then Some true else None)
+          ());
   let selected =
     match args with
     | [] ->

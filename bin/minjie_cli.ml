@@ -48,6 +48,69 @@ let max_cycles_arg =
     value & opt int 200_000_000
     & info [ "max-cycles" ] ~docv:"N" ~doc:"Cycle budget.")
 
+(* ---- harness knobs --------------------------------------------------- *)
+
+(* --jobs, --retries, --journal and --resume, defined once for every
+   grid command: a flag beats its MINJIE_* variable, and both resolve
+   through Minjie.Run_config *)
+
+let jobs_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "jobs"; "j" ] ~docv:"N"
+        ~doc:"Forked pool workers (default: MINJIE_JOBS, else 1).")
+
+let resolved f =
+  match f () with v -> `Ok v | exception Invalid_argument msg -> `Error (false, msg)
+
+let run_config_term =
+  Term.(
+    ret
+      (const (fun jobs -> resolved (fun () -> Minjie.Run_config.resolve ?jobs ()))
+      $ jobs_arg))
+
+(* the resolved knobs plus the journal path: --resume without
+   --journal journals to [default_journal] *)
+let harness_term ~default_journal =
+  let retries =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "retries" ] ~docv:"N"
+          ~doc:
+            "Supervised retry budget per failed job (default: \
+             MINJIE_RETRIES, else 0).")
+  in
+  let journal =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "journal" ] ~docv:"FILE"
+          ~doc:
+            "Journal completed jobs to $(docv) (checksummed, fsynced \
+             append-only log).")
+  in
+  let resume =
+    Arg.(
+      value & flag
+      & info [ "resume" ]
+          ~doc:
+            "Replay a matching journal and run only the missing jobs; \
+             output is byte-identical to an uninterrupted run (default: \
+             MINJIE_RESUME).")
+  in
+  let resolve jobs retries journal resume =
+    resolved (fun () ->
+        let rc =
+          Minjie.Run_config.resolve ?jobs ?retries
+            ?resume:(if resume then Some true else None)
+            ()
+        in
+        (rc, Minjie.Run_config.journal rc ~default:default_journal journal))
+  in
+  Term.(ret (const resolve $ jobs_arg $ retries $ journal $ resume))
+
 (* ---- list ------------------------------------------------------------ *)
 
 let list_cmd =
@@ -211,12 +274,13 @@ let engines_cmd =
 (* ---- checkpoint --------------------------------------------------------- *)
 
 let checkpoint_cmd =
-  let run name scale cfg interval k jobs =
+  let run name scale cfg interval k (rc : Minjie.Run_config.t) =
     let w = find_workload name in
     let scale = Option.value scale ~default:w.Workloads.Wl_common.small in
     let prog = w.Workloads.Wl_common.program ~scale in
     let ipc, results, stats =
-      Checkpoint.Sampled.estimate ~interval ~max_k:k ?jobs cfg prog
+      Checkpoint.Sampled.estimate ~interval ~max_k:k ~jobs:rc.jobs
+        ~retries:rc.retries cfg prog
     in
     Printf.printf
       "%d instructions profiled, %d intervals, %d checkpoints (%.1f MIPS)\n"
@@ -234,62 +298,30 @@ let checkpoint_cmd =
     Arg.(value & opt int 50_000 & info [ "interval" ] ~docv:"N")
   in
   let k = Arg.(value & opt int 8 & info [ "clusters"; "k" ] ~docv:"K") in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Simulate samples across $(docv) forked pool workers (default: \
-             MINJIE_JOBS, else 1).")
-  in
   Cmd.v
     (Cmd.info "checkpoint"
        ~doc:"Sampled performance evaluation with NEMU + SimPoint (§III-D3).")
     Term.(
-      const run $ workload_arg $ scale_arg $ config_arg $ interval $ k $ jobs)
+      const run $ workload_arg $ scale_arg $ config_arg $ interval $ k
+      $ run_config_term)
 
 (* ---- campaign (crash-safe fault-injection runs) -------------------------- *)
 
 let campaign_cmd =
-  let run seed smoke jobs ref_kind journal resume retries chaos chaos_seed =
+  let run seed smoke ((rc : Minjie.Run_config.t), journal) ref_kind chaos
+      chaos_seed =
     let smoke_faults =
       [ "csr-mtvec-corrupt"; "rob-commit-reorder"; "lsu-sb-drop" ]
     in
     let faults = if smoke then Some smoke_faults else None in
     let seeds = if smoke then [ seed ] else [ seed; seed + 1 ] in
-    let resume = resume || Minjie.Journal.env_resume () in
-    let journal =
-      match journal with
-      | Some _ as j -> j
-      | None -> if resume then Some "minjie-campaign.journal" else None
-    in
-    (match chaos with
-    | [] -> (
-        (* MINJIE_CHAOS can arm a plan even without the flag *)
-        match Minjie.Host_chaos.env_plan () with
-        | Some (s, classes) -> Minjie.Host_chaos.arm ~seed:s classes
-        | None -> ())
-    | names ->
-        let classes =
-          List.concat_map
-            (fun n ->
-              if n = "all" then Minjie.Host_chaos.all_classes
-              else
-                match Minjie.Host_chaos.class_of_string n with
-                | Some c -> [ c ]
-                | None ->
-                    Printf.eprintf
-                      "unknown chaos class %s (worker-kill | eintr | \
-                       short-write | slow-worker | journal-enospc | all)\n"
-                      n;
-                    exit 2)
-            names
-        in
-        Minjie.Host_chaos.arm ~seed:chaos_seed classes);
+    (try Minjie.Run_config.arm_chaos ~seed:chaos_seed chaos
+     with Invalid_argument msg ->
+       prerr_endline msg;
+       exit 2);
     let s =
-      Minjie.Campaign.run ?faults ~seeds ?ref_kind ?jobs ?journal ~resume
-        ?retries
+      Minjie.Campaign.run ?faults ~seeds ?ref_kind ~jobs:rc.jobs ?journal
+        ~resume:rc.resume ~retries:rc.retries
         ~progress:(fun c ->
           Printf.printf "  %s\n%!" (Minjie.Campaign.string_of_cell c))
         ()
@@ -322,15 +354,6 @@ let campaign_cmd =
       value & flag
       & info [ "smoke" ] ~doc:"3-fault subset, one seed (CI-sized grid).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Run cells across $(docv) forked pool workers (default: \
-             MINJIE_JOBS, else 1).")
-  in
   let ref_kind =
     let ref_conv =
       Arg.enum [ ("iss", Minjie.Ref_model.Iss); ("nemu", Minjie.Ref_model.Nemu) ]
@@ -340,33 +363,6 @@ let campaign_cmd =
       & opt (some ref_conv) None
       & info [ "ref" ] ~docv:"REF"
           ~doc:"REF backend (default: MINJIE_REF, else iss).")
-  in
-  let journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:
-            "Journal completed cells to $(docv) (checksummed, fsynced \
-             append-only log).")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Replay a matching journal and recompute only the missing \
-             cells; output is byte-identical to an uninterrupted run \
-             (default: MINJIE_RESUME).")
-  in
-  let retries =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Supervised retry budget per failed cell (default: \
-             MINJIE_RETRIES, else 0).")
   in
   let chaos =
     Arg.(
@@ -388,20 +384,15 @@ let campaign_cmd =
          "Run the fault-injection campaign with crash-safe journaling, \
           resume, supervised retries, and optional host-chaos injection.")
     Term.(
-      const run $ seed $ smoke $ jobs $ ref_kind $ journal $ resume $ retries
-      $ chaos $ chaos_seed)
+      const run $ seed $ smoke
+      $ harness_term ~default_journal:"minjie-campaign.journal"
+      $ ref_kind $ chaos $ chaos_seed)
 
 (* ---- fuzz (coverage-guided campaign) ------------------------------------ *)
 
 let fuzz_cmd =
-  let run seed rounds cands smoke jobs ref_kind journal resume retries corpus
-      fault =
-    let resume = resume || Minjie.Journal.env_resume () in
-    let journal =
-      match journal with
-      | Some _ as j -> j
-      | None -> if resume then Some "minjie-fuzz.journal" else None
-    in
+  let run seed rounds cands smoke ((rc : Minjie.Run_config.t), journal)
+      ref_kind corpus fault =
     let base = if smoke then Fuzz.smoke else Fuzz.default in
     let p =
       {
@@ -417,7 +408,8 @@ let fuzz_cmd =
       }
     in
     let s =
-      Fuzz.run ~p ?jobs ?journal ~resume ?retries ?corpus_path:corpus
+      Fuzz.run ~p ~jobs:rc.jobs ?journal ~resume:rc.resume ~retries:rc.retries
+        ?corpus_path:corpus
         ~progress:(fun e -> Printf.printf "  %s\n%!" (Fuzz.string_of_exec e))
         ()
     in
@@ -466,15 +458,6 @@ let fuzz_cmd =
       & info [ "smoke" ]
           ~doc:"CI-sized campaign: 2 rounds x 3 candidates on YQH + NH.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Run candidates across $(docv) forked pool workers (default: \
-             MINJIE_JOBS, else 1).")
-  in
   let ref_kind =
     let ref_conv =
       Arg.enum [ ("iss", Minjie.Ref_model.Iss); ("nemu", Minjie.Ref_model.Nemu) ]
@@ -484,31 +467,6 @@ let fuzz_cmd =
       & opt (some ref_conv) None
       & info [ "ref" ] ~docv:"REF"
           ~doc:"Restrict to one REF backend (default: both).")
-  in
-  let journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:"Journal completed candidate executions to $(docv).")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Replay a matching journal and run only the missing candidates; \
-             output is byte-identical to an uninterrupted run (default: \
-             MINJIE_RESUME).")
-  in
-  let retries =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Supervised retry budget per failed candidate (default: \
-             MINJIE_RETRIES, else 0).")
   in
   let corpus =
     Arg.(
@@ -533,8 +491,9 @@ let fuzz_cmd =
           coverage-merge, corpus-update over both REF backends and \
           1/2/4-hart configs, with crash-safe journaling and resume.")
     Term.(
-      const run $ seed $ rounds $ cands $ smoke $ jobs $ ref_kind $ journal
-      $ resume $ retries $ corpus $ fault)
+      const run $ seed $ rounds $ cands $ smoke
+      $ harness_term ~default_journal:"minjie-fuzz.journal"
+      $ ref_kind $ corpus $ fault)
 
 (* ---- debug (the §IV-C workflow) ----------------------------------------- *)
 

@@ -135,7 +135,10 @@ dune exec bench/main.exe -- fuzz --smoke --seed 1 --json ci_fuzz_b.json >/dev/nu
 # coverage buckets, corpus ranking and mutation planning are all
 # seed-derived: two same-seed runs must agree byte for byte
 diff ci_fuzz_a.json ci_fuzz_b.json
-rm -f ci_fuzz_a.json ci_fuzz_b.json
+# the pooled grid path must agree with the in-process one byte for byte
+dune exec bench/main.exe -- fuzz --smoke --seed 1 --jobs 2 --json ci_fuzz_par.json >/dev/null
+diff ci_fuzz_a.json ci_fuzz_par.json
+rm -f ci_fuzz_a.json ci_fuzz_b.json ci_fuzz_par.json
 # the CLI front-end shares the determinism contract
 ./_build/default/bin/minjie_cli.exe fuzz --smoke --seed 1 > ci_fuzz_cli_a.txt
 ./_build/default/bin/minjie_cli.exe fuzz --smoke --seed 1 > ci_fuzz_cli_b.txt

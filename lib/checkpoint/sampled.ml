@@ -116,56 +116,25 @@ let simulate_checkpoint ?(warmup = 20_000) ?(measure = 20_000)
   }
 
 (* Simulate every checkpoint -- the paper's "hours of parallel RTL
-   simulation": the samples are independent, so with jobs > 1 each one
-   runs in a forked pool worker.  Results come back in submission
-   order either way; a crashed or timed-out worker drops its sample
-   (with a warning) exactly like a checkpoint that measured nothing,
-   rather than poisoning the weighted estimate. *)
+   simulation": the samples are independent, so each one is a grid
+   job.  Results come back in submission order; a sample whose job
+   raised, crashed or timed out is dropped (with a warning) exactly
+   like a checkpoint that measured nothing, rather than poisoning the
+   weighted estimate. *)
 let simulate_all ?(warmup = 20_000) ?(measure = 20_000) ?jobs ?retries
     (cfg : Xiangshan.Config.t) (cks : sampled_checkpoint list) :
     sample_result list =
-  let jobs = Minjie.Pool.resolve_jobs ?jobs () in
-  let retries =
-    match retries with
-    | Some n -> max 0 n
-    | None -> Option.value (Minjie.Supervisor.env_retries ()) ~default:0
-  in
-  if jobs <= 1 && retries = 0 then
-    List.map (fun sc -> simulate_checkpoint ~warmup ~measure cfg sc) cks
-  else begin
-    let pool_jobs =
-      List.map
-        (fun sc ->
-          {
-            Minjie.Pool.j_label = Printf.sprintf "sample@%d" sc.sc_index;
-            (* every sample costs warmup+measure; the weight is the
-               only static hint of how long its region really runs *)
-            j_cost = sc.sc_weight;
-            j_run = (fun () -> simulate_checkpoint ~warmup ~measure cfg sc);
-          })
-        cks
-    in
-    let policy =
-      { Minjie.Supervisor.default_policy with sp_retries = retries }
-    in
-    let results, _stats, _report =
-      Minjie.Supervisor.map ~jobs ~policy pool_jobs
-    in
-    List.filter_map
-      (fun (r : sample_result Minjie.Pool.result) ->
-        match r.Minjie.Pool.r_outcome with
-        | Minjie.Pool.Done s -> Some s
-        | Minjie.Pool.Job_error msg | Minjie.Pool.Crashed msg ->
-            Printf.eprintf "Sampled.simulate_all: dropping %s: %s\n%!"
-              r.Minjie.Pool.r_label msg;
-            None
-        | Minjie.Pool.Timed_out secs ->
-            Printf.eprintf
-              "Sampled.simulate_all: dropping %s: timed out after %.1fs\n%!"
-              r.Minjie.Pool.r_label secs;
-            None)
-      results
-  end
+  let label sc = Printf.sprintf "sample@%d" sc.sc_index in
+  Minjie.Grid.map ?jobs ?retries ~label
+    (* every sample costs warmup+measure; the weight is the only
+       static hint of how long its region really runs *)
+    ~cost:(fun sc -> sc.sc_weight)
+    ~of_failure:(fun sc msg ->
+      Printf.eprintf "Sampled.simulate_all: dropping %s: %s\n%!" (label sc) msg;
+      None)
+    (fun sc -> Some (simulate_checkpoint ~warmup ~measure cfg sc))
+    cks
+  |> List.filter_map Fun.id
 
 (* Weighted IPC estimate across all sampled checkpoints. *)
 let weighted_ipc (results : sample_result list) : float =

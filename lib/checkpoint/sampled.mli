@@ -55,14 +55,12 @@ val simulate_all :
   sampled_checkpoint list ->
   sample_result list
 (** Simulate every checkpoint -- the paper's "parallel RTL
-    simulation" analogue.  [jobs] defaults to
-    {!Minjie.Pool.resolve_jobs} ([MINJIE_JOBS], else 1); with
-    [jobs = 1] and no retry budget this is exactly
-    [List.map simulate_checkpoint].  Otherwise samples run under
-    {!Minjie.Supervisor} supervision ([retries] defaults to
-    [MINJIE_RETRIES], else 0): a transient worker crash or timeout is
-    retried with backoff before its sample is dropped with a warning
-    on stderr.  Results keep submission order. *)
+    simulation" analogue -- as one {!Minjie.Grid} job per sample, at
+    [jobs] workers (default 1, in-process) with [retries] supervised
+    re-runs per failed sample (default 0).  A sample whose job raises,
+    crashes or times out is dropped with a warning on stderr, at
+    [jobs = 1] exactly as at [jobs = N].  Results keep submission
+    order. *)
 
 val weighted_ipc : sample_result list -> float
 

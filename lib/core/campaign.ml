@@ -76,34 +76,36 @@ let config_of = function
   | Fault.Yqh -> Xiangshan.Config.yqh
   | Fault.Nh -> Xiangshan.Config.nh
 
+(* an undetected, unverified cell: the shape every verdict starts from *)
+let blank_cell (fault : Fault.t) seed =
+  {
+    c_fault = fault.Fault.f_name;
+    c_layer = fault.Fault.f_layer;
+    c_workload = fault.Fault.f_workload;
+    c_config = (config_of fault.Fault.f_config).Xiangshan.Config.cfg_name;
+    c_seed = seed;
+    c_trigger = fault.Fault.f_trigger;
+    c_detected = false;
+    c_rule = "";
+    c_rule_expected = false;
+    c_failure_cycle = -1;
+    c_latency_cycles = -1;
+    c_commits = -1;
+    c_msg = "";
+    c_replayed = false;
+    c_replay_rule = "";
+    c_replay_window = -1;
+    c_replay_within = false;
+    c_ok = false;
+  }
+
 let run_cell ?(snapshot_interval = 1_500) ?(max_cycles = 400_000) ?ref_kind
     ?perf ~(fault : Fault.t) ~seed () : cell =
   let w = find_workload fault.Fault.f_workload in
   let prog = w.Workloads.Wl_common.program ~scale:w.Workloads.Wl_common.small in
   let cfg = config_of fault.Fault.f_config in
   let trigger = fault.Fault.f_trigger in
-  let base =
-    {
-      c_fault = fault.Fault.f_name;
-      c_layer = fault.Fault.f_layer;
-      c_workload = fault.Fault.f_workload;
-      c_config = cfg.Xiangshan.Config.cfg_name;
-      c_seed = seed;
-      c_trigger = trigger;
-      c_detected = false;
-      c_rule = "";
-      c_rule_expected = false;
-      c_failure_cycle = -1;
-      c_latency_cycles = -1;
-      c_commits = -1;
-      c_msg = "";
-      c_replayed = false;
-      c_replay_rule = "";
-      c_replay_window = -1;
-      c_replay_within = false;
-      c_ok = false;
-    }
-  in
+  let base = blank_cell fault seed in
   match
     Workflow.run_verified ~snapshot_interval ~max_cycles ?ref_kind ?perf
       ~inject:(fun soc -> fault.Fault.f_install ~seed ~trigger soc)
@@ -144,30 +146,11 @@ let run_cell ?(snapshot_interval = 1_500) ?(max_cycles = 400_000) ?ref_kind
         c_ok = rule_expected && within;
       }
 
-(* A pool failure (worker crash, timeout) means we cannot prove the
-   fault was detected, so it reports as an escape-shaped cell: c_ok
-   false, c_detected false, the pool's message in c_msg. *)
-let cell_of_pool_failure ~(fault : Fault.t) ~seed msg : cell =
-  {
-    c_fault = fault.Fault.f_name;
-    c_layer = fault.Fault.f_layer;
-    c_workload = fault.Fault.f_workload;
-    c_config = (config_of fault.Fault.f_config).Xiangshan.Config.cfg_name;
-    c_seed = seed;
-    c_trigger = fault.Fault.f_trigger;
-    c_detected = false;
-    c_rule = "";
-    c_rule_expected = false;
-    c_failure_cycle = -1;
-    c_latency_cycles = -1;
-    c_commits = -1;
-    c_msg = "POOL: " ^ msg;
-    c_replayed = false;
-    c_replay_rule = "";
-    c_replay_window = -1;
-    c_replay_within = false;
-    c_ok = false;
-  }
+(* A job failure (exception, worker crash, timeout) means we cannot
+   prove the fault was detected, so it reports as an escape-shaped
+   cell: c_ok false, c_detected false, the failure message in c_msg. *)
+let cell_of_failure (fault, seed) msg =
+  { (blank_cell fault seed) with c_msg = "POOL: " ^ msg }
 
 (* The journal key encodes the run's identity: resuming against a
    journal written by a different grid, REF backend or interval set
@@ -193,125 +176,25 @@ let run ?faults ?(seeds = [ 1; 2 ]) ?(snapshot_interval = 1_500)
     List.concat_map (fun fault -> List.map (fun seed -> (fault, seed)) seeds)
       faults
   in
-  let jobs = Pool.resolve_jobs ?jobs () in
-  let retries =
-    match retries with
-    | Some n -> max 0 n
-    | None -> Option.value (Supervisor.env_retries ()) ~default:0
+  let g =
+    Grid.create ?journal ~resume
+      ~key:(journal_key ~faults ~seeds ~ref_kind ~snapshot_interval ~max_cycles)
+      (fun c -> (c.c_fault, c.c_seed))
   in
-  (* journal replay: completed (fault, seed) cells are not recomputed.
-     Only Done cells were ever appended, so a resumed run re-attempts
-     every cell the interrupted run failed or never reached. *)
-  let done_tbl : (string * int, cell) Hashtbl.t = Hashtbl.create 64 in
-  let jnl =
-    match journal with
-    | None -> None
-    | Some path ->
-        let key =
-          journal_key ~faults ~seeds ~ref_kind ~snapshot_interval ~max_cycles
-        in
-        if not resume then (try Sys.remove path with Sys_error _ -> ());
-        let j, (replayed : cell list) = Journal.open_ ~path ~key in
-        List.iter (fun c -> Hashtbl.replace done_tbl (c.c_fault, c.c_seed) c)
-          replayed;
-        Supervisor.at_shutdown (fun () -> Journal.close j);
-        Some j
-  in
-  let resumed = Hashtbl.length done_tbl in
-  List.iter
-    (fun (fault, seed) ->
-      match Hashtbl.find_opt done_tbl (fault.Fault.f_name, seed) with
-      | Some c -> progress c
-      | None -> ())
-    grid;
-  let todo =
-    List.filter
-      (fun (fault, seed) ->
-        not (Hashtbl.mem done_tbl (fault.Fault.f_name, seed)))
-      grid
-  in
-  let record c =
-    (match jnl with Some j -> Journal.append j c | None -> ());
-    progress c
-  in
-  let fresh_cells, retried, recovered =
-    if todo = [] then ([], 0, 0)
-    else if jobs <= 1 && retries = 0 then
-      (* the original in-process path, unchanged *)
-      ( List.map
-          (fun (fault, seed) ->
-            let c =
-              run_cell ~snapshot_interval ~max_cycles ?ref_kind ?perf ~fault
-                ~seed ()
-            in
-            record c;
-            c)
-          todo,
-        0,
-        0 )
-    else begin
-      (* one pool job per cell, under supervision.  The injection
-         trigger cycle is the best static proxy for cell cost: later
-         triggers mean more fast-mode cycles before detection can even
-         start. *)
-      let pool_jobs =
-        List.map
-          (fun (fault, seed) ->
-            {
-              Pool.j_label =
-                Printf.sprintf "%s#%d" fault.Fault.f_name seed;
-              j_cost = float_of_int fault.Fault.f_trigger;
-              j_run =
-                (fun () ->
-                  run_cell ~snapshot_interval ~max_cycles ?ref_kind ?perf
-                    ~fault ~seed ());
-            })
-          todo
-      in
-      let todo_arr = Array.of_list todo in
-      let policy = { Supervisor.default_policy with sp_retries = retries } in
-      let cell_of (r : cell Pool.result) =
-        let fault, seed = todo_arr.(r.Pool.r_index) in
-        match r.Pool.r_outcome with
-        | Pool.Done c -> c
-        | Pool.Job_error msg | Pool.Crashed msg ->
-            cell_of_pool_failure ~fault ~seed msg
-        | Pool.Timed_out secs ->
-            cell_of_pool_failure ~fault ~seed
-              (Printf.sprintf "timed out after %.1fs" secs)
-      in
-      let results, _stats, rep =
-        Supervisor.map ~jobs ?timeout ~policy
-          ~progress:(fun (r : cell Pool.result) ->
-            (* fires once per job, on its final outcome; only real
-               verdicts reach the journal *)
-            match r.Pool.r_outcome with
-            | Pool.Done c -> record c
-            | _ -> progress (cell_of r))
-          pool_jobs
-      in
-      ( List.map cell_of results,
-        rep.Supervisor.sup_retried,
-        rep.Supervisor.sup_recovered )
-    end
-  in
-  (match jnl with Some j -> Journal.close j | None -> ());
-  let fresh_tbl : (string * int, cell) Hashtbl.t = Hashtbl.create 64 in
-  List.iter2
-    (fun (fault, seed) c ->
-      Hashtbl.replace fresh_tbl (fault.Fault.f_name, seed) c)
-    todo fresh_cells;
-  (* merge in grid order, wherever each cell came from: the summary is
-     byte-identical whether the run was interrupted and resumed or ran
-     straight through *)
+  (* one pool job per cell.  The injection trigger cycle is the best
+     static proxy for cell cost: later triggers mean more fast-mode
+     cycles before detection can even start. *)
   let cells =
-    List.map
+    Grid.run g ?jobs ?retries ?timeout ~progress
+      ~key:(fun (fault, seed) -> (fault.Fault.f_name, seed))
+      ~label:(fun (fault, seed) -> Printf.sprintf "%s#%d" fault.Fault.f_name seed)
+      ~cost:(fun (fault, _) -> float_of_int fault.Fault.f_trigger)
+      ~of_failure:cell_of_failure
       (fun (fault, seed) ->
-        match Hashtbl.find_opt done_tbl (fault.Fault.f_name, seed) with
-        | Some c -> c
-        | None -> Hashtbl.find fresh_tbl (fault.Fault.f_name, seed))
+        run_cell ~snapshot_interval ~max_cycles ?ref_kind ?perf ~fault ~seed ())
       grid
   in
+  Grid.close g;
   let count p = List.length (List.filter p cells) in
   {
     cells;
@@ -322,9 +205,9 @@ let run ?faults ?(seeds = [ 1; 2 ]) ?(snapshot_interval = 1_500)
     replay_misses =
       count (fun c -> c.c_detected && not (c.c_replayed && c.c_replay_within));
     snapshot_interval;
-    resumed;
-    retried;
-    recovered;
+    resumed = Grid.resumed g;
+    retried = Grid.retried g;
+    recovered = Grid.recovered g;
   }
 
 let string_of_cell (c : cell) : string =

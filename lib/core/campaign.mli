@@ -82,18 +82,18 @@ val run :
   unit ->
   summary
 (** Run the campaign grid.  [faults] defaults to the full registry,
-    [seeds] to [[1; 2]], [ref_kind] to {!Ref_model.kind_of_env},
-    [jobs] to {!Pool.resolve_jobs} (i.e. [MINJIE_JOBS], else 1).
+    [seeds] to [[1; 2]], [ref_kind] to {!Ref_model.kind_of_env}.
 
-    With [jobs = 1] and no retry budget cells run in-process on the
-    original sequential path.  Otherwise each cell is one {!Pool} job
-    under {!Supervisor} supervision; cells are deterministic, so the
-    parallel summary is identical to the sequential one, cell for
-    cell.  A worker crash or timeout that survives the retry budget
-    turns into an escape-shaped cell ([c_ok = false], the pool message
-    in [c_msg]) rather than aborting the grid.  [progress] is called
-    once per cell with its final verdict -- in completion order when
-    parallel.
+    Each cell is one {!Grid} job: in-process at [jobs = 1] (the
+    default), else across [jobs] forked workers under {!Supervisor}
+    supervision.  Cells are deterministic, so the summary is identical
+    at every width, cell for cell.  A cell whose job raises, crashes or
+    times out after its [retries] budget (default 0) becomes an
+    escape-shaped cell ([c_ok = false], the failure message in
+    [c_msg]) rather than aborting the grid -- at [jobs = 1] exactly as
+    at [jobs = N].  [timeout] is the per-cell pool timeout in seconds.
+    [progress] is called once per cell with its final verdict -- in
+    completion order when parallel.
 
     [journal] names a {!Journal} file: every completed cell is
     appended (checksummed, fsynced) as it lands.  With
@@ -102,11 +102,8 @@ val run :
     merged summary is byte-identical to an uninterrupted run's,
     because cells are deterministic and merging is in grid order.
     Without [resume] an existing journal at that path is discarded.
-
-    [retries] (default [MINJIE_RETRIES], else 0) is the supervised
-    retry budget per failed cell; [timeout] is the per-cell pool
-    timeout in seconds.  Failed cells are never journaled, so a resume
-    also re-attempts them.
+    Failed cells are never journaled, so a resume also re-attempts
+    them.
 
     [perf] threads through to {!Workflow.run_verified}: pipeline
     tracers are attached but cells are pure verdict data, so the

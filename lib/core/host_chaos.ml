@@ -25,8 +25,20 @@ let class_name = function
   | Slow_worker -> "slow-worker"
   | Journal_enospc -> "journal-enospc"
 
-let class_of_string s =
-  List.find_opt (fun c -> class_name c = s) all_classes
+let classes_of_names names =
+  List.concat_map
+    (fun n ->
+      if n = "all" then all_classes
+      else
+        match List.find_opt (fun c -> class_name c = n) all_classes with
+        | Some c -> [ c ]
+        | None ->
+            invalid_arg
+              (Printf.sprintf
+                 "unknown chaos class %S (worker-kill | eintr | short-write \
+                  | slow-worker | journal-enospc | all)"
+                 n))
+    names
 
 type plan = {
   seed : int;
@@ -74,19 +86,14 @@ let env_plan () =
                 invalid_arg
                   (Printf.sprintf "MINJIE_CHAOS_SEED=%S (want an integer)" v))
       in
-      let classes =
+      let names =
         String.split_on_char ',' s
         |> List.map String.trim
         |> List.filter (fun c -> c <> "")
-        |> List.concat_map (fun c ->
-               if c = "all" then all_classes
-               else
-                 match class_of_string c with
-                 | Some cl -> [ cl ]
-                 | None ->
-                     invalid_arg
-                       (Printf.sprintf
-                          "MINJIE_CHAOS=%S: unknown fault class %S" s c))
+      in
+      let classes =
+        try classes_of_names names
+        with Invalid_argument msg -> invalid_arg ("MINJIE_CHAOS: " ^ msg)
       in
       Some (seed, classes)
 

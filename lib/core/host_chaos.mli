@@ -36,7 +36,9 @@ val class_name : fault_class -> string
 (** "worker-kill", "eintr", "short-write", "slow-worker",
     "journal-enospc". *)
 
-val class_of_string : string -> fault_class option
+val classes_of_names : string list -> fault_class list
+(** Class names as {!class_name} prints them, ["all"] for every class.
+    @raise Invalid_argument on an unknown name. *)
 
 val arm : ?slow_delay:float -> seed:int -> fault_class list -> unit
 (** Install a chaos plan (replacing any previous one) and zero the

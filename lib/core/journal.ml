@@ -215,11 +215,6 @@ let close t =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       t.j_fd <- None
 
-let env_resume () =
-  match Sys.getenv_opt "MINJIE_RESUME" with
-  | None | Some "" | Some "0" | Some "false" -> false
-  | Some _ -> true
-
 (* ---- whole-file atomic writes ------------------------------------ *)
 
 let atomic_write_file ~path (contents : string) =

@@ -54,10 +54,6 @@ val scan : path:string -> string option * 'a list
     missing/foreign) and the valid record prefix.  Never raises on a
     torn or corrupt file and never modifies it. *)
 
-val env_resume : unit -> bool
-(** [MINJIE_RESUME]: unset, empty, ["0"] or ["false"] mean no resume;
-    anything else opts in. *)
-
 val atomic_write_file : path:string -> string -> unit
 (** Write a whole file atomically: sibling temp file, fsync, rename
     over [path].  A crash mid-write leaves the old file (or no file),

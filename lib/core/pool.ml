@@ -41,21 +41,6 @@ type stats = {
   p_timed_out : int;
 }
 
-let env_jobs () =
-  match Sys.getenv_opt "MINJIE_JOBS" with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "MINJIE_JOBS=%S (want a positive integer)" s))
-
-let resolve_jobs ?jobs () =
-  match jobs with
-  | Some n -> max 1 n
-  | None -> ( match env_jobs () with Some n -> n | None -> 1)
-
 let host_cores () =
   try
     let ic = open_in "/proc/cpuinfo" in
@@ -325,10 +310,10 @@ let decode_result (a : 'r active) status : 'r outcome =
     | Unix.WSTOPPED s ->
         Crashed (Printf.sprintf "worker for %S stopped by signal %d" a.a_label s)
 
-let map ?jobs ?timeout ?(kill_grace = 2.0) ?(attempt = 0) ?mem_limit_mb
+let map ?(jobs = 1) ?timeout ?(kill_grace = 2.0) ?(attempt = 0) ?mem_limit_mb
     ?(isolate = false) ?(dispatch = `Longest_first) ?(progress = fun _ -> ())
     (jobs_list : 'r job list) : 'r result list * stats =
-  let workers = resolve_jobs ?jobs () in
+  let workers = max 1 jobs in
   if workers <= 1 && not isolate then map_sequential ~progress jobs_list
   else begin
     let t0 = now () in

@@ -67,14 +67,6 @@ type stats = {
   p_timed_out : int;
 }
 
-val env_jobs : unit -> int option
-(** [MINJIE_JOBS], the process-wide default worker count.
-    @raise Invalid_argument on a non-positive or non-integer value. *)
-
-val resolve_jobs : ?jobs:int -> unit -> int
-(** The effective worker count: [jobs] if given (clamped to >= 1),
-    else [MINJIE_JOBS], else 1. *)
-
 val host_cores : unit -> int
 (** Online CPUs on this host (from /proc/cpuinfo; 1 if unreadable).
     Scaling beyond this is bookkeeping, not speedup. *)

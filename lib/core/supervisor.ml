@@ -17,16 +17,6 @@ let default_policy =
     sp_shrink_after = 3;
   }
 
-let env_retries () =
-  match Sys.getenv_opt "MINJIE_RETRIES" with
-  | None | Some "" -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> Some n
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "MINJIE_RETRIES=%S (want an integer >= 0)" s))
-
 type report = {
   sup_rounds : int;
   sup_retried : int;
@@ -62,7 +52,7 @@ let crashes_in results =
          match r.Pool.r_outcome with Pool.Crashed _ -> true | _ -> false)
        results)
 
-let map ?jobs ?timeout ?(policy = default_policy) ?(progress = fun _ -> ())
+let map ?(jobs = 1) ?timeout ?(policy = default_policy) ?(progress = fun _ -> ())
     (job_list : 'r Pool.job list) : 'r Pool.result list * Pool.stats * report
     =
   let n = List.length job_list in
@@ -70,7 +60,7 @@ let map ?jobs ?timeout ?(policy = default_policy) ?(progress = fun _ -> ())
   let final : 'r Pool.result option array = Array.make n None in
   let sigs = Array.make n "" in
   let isolate_flags = Array.make n false in
-  let workers = ref (Pool.resolve_jobs ?jobs ()) in
+  let workers = ref (max 1 jobs) in
   let retried = ref 0
   and recovered = ref 0
   and deterministic = ref 0

@@ -38,10 +38,6 @@ val default_policy : policy
 (** 1 retry, 50ms base backoff capped at 2s, no memory ceiling,
     shrink after 3 crashes in a round. *)
 
-val env_retries : unit -> int option
-(** [MINJIE_RETRIES], the process-wide default retry budget.
-    @raise Invalid_argument on a negative or non-integer value. *)
-
 type report = {
   sup_rounds : int;  (** retry rounds actually executed *)
   sup_retried : int;  (** job re-runs across all rounds *)
@@ -61,10 +57,11 @@ val map :
   ?progress:('r Pool.result -> unit) ->
   'r Pool.job list ->
   'r Pool.result list * Pool.stats * report
-(** {!Pool.map} under supervision.  Results come back in submission
-    order; each job's result is its {e final} outcome after retries.
-    [progress] fires exactly once per job, when its outcome is final.
-    [stats] are from the first (full-width) round. *)
+(** {!Pool.map} under supervision, at [jobs] workers (default 1).
+    Results come back in submission order; each job's result is its
+    {e final} outcome after retries.  [progress] fires exactly once
+    per job, when its outcome is final.  [stats] are from the first
+    (full-width) round. *)
 
 (** {1 Clean shutdown}
 

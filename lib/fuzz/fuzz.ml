@@ -1,9 +1,9 @@
 (* Coverage-guided fuzz campaign driver (see fuzz.mli).
 
-   Rounds of mutate -> run -> merge -> rank, shaped like Campaign.run:
-   the same journaled-pool pattern (only Done results reach the
-   journal; resumed cells replay in grid order), so a SIGKILLed
-   campaign resumed with --resume produces byte-identical output.
+   Rounds of mutate -> run -> merge -> rank, each round one batch of
+   the campaign's Minjie.Grid (only Done results reach the journal;
+   resumed execs replay in grid order), so a SIGKILLed campaign
+   resumed with --resume produces byte-identical output.
 
    Determinism inventory: every candidate derives its own rng from
    (campaign seed, round, candidate) through an avalanche mix (the
@@ -136,6 +136,26 @@ type cand_plan = {
   p_ref : Minjie.Ref_model.kind;
 }
 
+(* an exec that has not run: the shape every result starts from *)
+let blank_exec (c : cand_plan) =
+  {
+    x_round = c.p_round;
+    x_cand = c.p_cand;
+    x_parent = c.p_parent;
+    x_seed = c.p_seed;
+    x_ops = Mutate.ops_to_string c.p_ops;
+    x_cfg = (config_of_name c.p_cfg).Xiangshan.Config.cfg_name;
+    x_ref = Minjie.Ref_model.kind_name c.p_ref;
+    x_verified = false;
+    x_exit = -1;
+    x_cycles = 0;
+    x_rule = "";
+    x_replayed = false;
+    x_replay_rule = "";
+    x_msg = "";
+    x_counters = [];
+  }
+
 let run_exec (p : params) (c : cand_plan) : exec =
   let cfg = config_of_name c.p_cfg in
   let ir =
@@ -164,25 +184,7 @@ let run_exec (p : params) (c : cand_plan) : exec =
     Option.value (List.assoc_opt "core.cycles" counters)
       ~default:p.fz_max_cycles
   in
-  let base =
-    {
-      x_round = c.p_round;
-      x_cand = c.p_cand;
-      x_parent = c.p_parent;
-      x_seed = c.p_seed;
-      x_ops = Mutate.ops_to_string c.p_ops;
-      x_cfg = cfg.Xiangshan.Config.cfg_name;
-      x_ref = Minjie.Ref_model.kind_name c.p_ref;
-      x_verified = false;
-      x_exit = -1;
-      x_cycles = cycles;
-      x_rule = "";
-      x_replayed = false;
-      x_replay_rule = "";
-      x_msg = "";
-      x_counters = counters;
-    }
-  in
+  let base = { (blank_exec c) with x_cycles = cycles; x_counters = counters } in
   match outcome with
   | Minjie.Workflow.Verified code -> { base with x_verified = true; x_exit = code }
   | Minjie.Workflow.Debugged r ->
@@ -198,24 +200,7 @@ let run_exec (p : params) (c : cand_plan) : exec =
         x_msg = Minjie.Rule.string_of_failure f;
       }
 
-let exec_of_pool_failure (c : cand_plan) msg : exec =
-  {
-    x_round = c.p_round;
-    x_cand = c.p_cand;
-    x_parent = c.p_parent;
-    x_seed = c.p_seed;
-    x_ops = Mutate.ops_to_string c.p_ops;
-    x_cfg = (config_of_name c.p_cfg).Xiangshan.Config.cfg_name;
-    x_ref = Minjie.Ref_model.kind_name c.p_ref;
-    x_verified = false;
-    x_exit = -2;
-    x_cycles = 0;
-    x_rule = "";
-    x_replayed = false;
-    x_replay_rule = "";
-    x_msg = "POOL: " ^ msg;
-    x_counters = [];
-  }
+let exec_of_failure c msg = { (blank_exec c) with x_exit = -2; x_msg = "POOL: " ^ msg }
 
 (* The journal key encodes the campaign's identity: a journal written
    by a different seed, grid, budget or fault set never splices in. *)
@@ -238,37 +223,14 @@ let run ?(p = default) ?jobs ?journal ?(resume = false) ?retries ?timeout
   let grid_cell idx =
     (List.nth p.fz_configs (idx mod ncfg), List.nth p.fz_refs (idx / ncfg mod nref))
   in
-  let jobs = Minjie.Pool.resolve_jobs ?jobs () in
-  let retries =
-    match retries with
-    | Some n -> max 0 n
-    | None -> Option.value (Minjie.Supervisor.env_retries ()) ~default:0
-  in
-  (* journal replay: completed (round, cand) execs are not re-run; a
-     resumed campaign re-attempts everything else *)
-  let done_tbl : (int * int, exec) Hashtbl.t = Hashtbl.create 64 in
-  let jnl =
-    match journal with
-    | None -> None
-    | Some path ->
-        if not resume then (try Sys.remove path with Sys_error _ -> ());
-        let j, (replayed : exec list) =
-          Minjie.Journal.open_ ~path ~key:(journal_key p)
-        in
-        List.iter
-          (fun e -> Hashtbl.replace done_tbl (e.x_round, e.x_cand) e)
-          replayed;
-        Minjie.Supervisor.at_shutdown (fun () -> Minjie.Journal.close j);
-        Some j
-  in
-  let resumed = Hashtbl.length done_tbl in
-  let record e =
-    (match jnl with Some j -> Minjie.Journal.append j e | None -> ());
-    progress e
+  (* completed (round, cand) execs replay from the journal; a resumed
+     campaign re-attempts everything else *)
+  let g =
+    Minjie.Grid.create ?journal ~resume ~key:(journal_key p) (fun e ->
+        (e.x_round, e.x_cand))
   in
   let cov = Coverage.create () in
   let corpus = Corpus.create ~cap:p.fz_corpus_cap in
-  let retried = ref 0 and recovered = ref 0 in
   let all_execs = ref [] and round_stats = ref [] in
   (* merge one exec into global coverage + corpus; new-coverage credit
      depends on fold order, which is always grid order *)
@@ -288,8 +250,9 @@ let run ?(p = default) ?jobs ?journal ?(resume = false) ?retries ?timeout
   in
   for round = 0 to p.fz_rounds - 1 do
     (* plan every candidate against the pre-round corpus state (a
-       resume plans pending candidates against the same state the
-       interrupted run saw, because folding happens after the round) *)
+       resume sees the same state the interrupted run saw, because
+       folding happens after the round; planning is pure, so planning
+       a candidate the journal replays changes nothing) *)
     let plan_cand cand : cand_plan =
       let idx = (round * p.fz_cands) + cand in
       let r = Testgen.rng_of_seed (derive p.fz_seed ~round ~cand) in
@@ -322,85 +285,19 @@ let run ?(p = default) ?jobs ?journal ?(resume = false) ?retries ?timeout
         p_ref = refk;
       }
     in
-    let slots =
-      List.init p.fz_cands (fun cand ->
-          match Hashtbl.find_opt done_tbl (round, cand) with
-          | Some e ->
-              progress e;
-              (cand, `Done e)
-          | None -> (cand, `Todo (plan_cand cand)))
-    in
-    let todo =
-      List.filter_map
-        (fun (_, s) -> match s with `Todo c -> Some c | `Done _ -> None)
-        slots
-    in
-    let fresh_execs =
-      if todo = [] then []
-      else if jobs <= 1 && retries = 0 then
-        List.map
-          (fun c ->
-            let e = run_exec p c in
-            record e;
-            e)
-          todo
-      else begin
-        (* one pool job per candidate; a candidate's max-cycle budget
-           is the only static cost proxy, so weight SMP configs by
-           their hart count *)
-        let pool_jobs =
-          List.map
-            (fun c ->
-              {
-                Minjie.Pool.j_label =
-                  Printf.sprintf "r%d.c%d@%s" c.p_round c.p_cand c.p_cfg;
-                j_cost =
-                  float_of_int
-                    ((config_of_name c.p_cfg).Xiangshan.Config.n_cores
-                    * p.fz_max_cycles);
-                j_run = (fun () -> run_exec p c);
-              })
-            todo
-        in
-        let todo_arr = Array.of_list todo in
-        let policy =
-          { Minjie.Supervisor.default_policy with sp_retries = retries }
-        in
-        let exec_of (r : exec Minjie.Pool.result) =
-          let c = todo_arr.(r.Minjie.Pool.r_index) in
-          match r.Minjie.Pool.r_outcome with
-          | Minjie.Pool.Done e -> e
-          | Minjie.Pool.Job_error msg | Minjie.Pool.Crashed msg ->
-              exec_of_pool_failure c msg
-          | Minjie.Pool.Timed_out secs ->
-              exec_of_pool_failure c
-                (Printf.sprintf "timed out after %.1fs" secs)
-        in
-        let results, _stats, rep =
-          Minjie.Supervisor.map ~jobs ?timeout ~policy
-            ~progress:(fun (r : exec Minjie.Pool.result) ->
-              match r.Minjie.Pool.r_outcome with
-              | Minjie.Pool.Done e -> record e
-              | _ -> progress (exec_of r))
-            pool_jobs
-        in
-        retried := !retried + rep.Minjie.Supervisor.sup_retried;
-        recovered := !recovered + rep.Minjie.Supervisor.sup_recovered;
-        List.map exec_of results
-      end
-    in
-    let fresh_tbl : (int, exec) Hashtbl.t = Hashtbl.create 16 in
-    List.iter2
-      (fun c e -> Hashtbl.replace fresh_tbl c.p_cand e)
-      todo fresh_execs;
-    (* fold in candidate order, wherever each exec came from *)
+    (* one grid job per candidate; a candidate's max-cycle budget is
+       the only static cost proxy, so weight SMP configs by their hart
+       count.  Results fold in candidate order, wherever each exec
+       came from. *)
     let round_execs =
-      List.map
-        (fun (cand, s) ->
-          match s with
-          | `Done e -> e
-          | `Todo _ -> Hashtbl.find fresh_tbl cand)
-        slots
+      Minjie.Grid.run g ?jobs ?retries ?timeout ~progress
+        ~key:(fun c -> (c.p_round, c.p_cand))
+        ~label:(fun c -> Printf.sprintf "r%d.c%d@%s" c.p_round c.p_cand c.p_cfg)
+        ~cost:(fun c ->
+          float_of_int
+            ((config_of_name c.p_cfg).Xiangshan.Config.n_cores * p.fz_max_cycles))
+        ~of_failure:exec_of_failure (run_exec p)
+        (List.init p.fz_cands plan_cand)
     in
     let points_before = Coverage.points cov in
     List.iter fold_exec round_execs;
@@ -418,7 +315,7 @@ let run ?(p = default) ?jobs ?journal ?(resume = false) ?retries ?timeout
       }
       :: !round_stats
   done;
-  (match jnl with Some j -> Minjie.Journal.close j | None -> ());
+  Minjie.Grid.close g;
   (match corpus_path with
   | Some path -> Corpus.save corpus ~path
   | None -> ());
@@ -431,9 +328,9 @@ let run ?(p = default) ?jobs ?journal ?(resume = false) ?retries ?timeout
     fz_corpus = Corpus.size corpus;
     fz_mismatches = List.length (List.filter is_mismatch execs);
     fz_coverage = Coverage.to_alist cov;
-    fz_resumed = resumed;
-    fz_retried = !retried;
-    fz_recovered = !recovered;
+    fz_resumed = Minjie.Grid.resumed g;
+    fz_retried = Minjie.Grid.retried g;
+    fz_recovered = Minjie.Grid.recovered g;
   }
 
 let string_of_exec (e : exec) : string =

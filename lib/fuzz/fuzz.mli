@@ -108,13 +108,15 @@ val run :
   ?progress:(exec -> unit) ->
   unit ->
   summary
-(** Run the campaign.  [jobs]/[retries]/[timeout] drive
-    {!Minjie.Supervisor.map} exactly as in {!Minjie.Campaign.run}
-    (defaulting through [MINJIE_JOBS]/[MINJIE_RETRIES]); [journal]
-    with [resume:true] continues a killed campaign without re-running
-    journaled execs; [corpus_path] persists the final corpus via
-    {!Corpus.save}.  [progress] fires once per exec (journal replays
-    included). *)
+(** Run the campaign: each round is one {!Minjie.Grid.run} batch over
+    one journal.  [jobs] (default 1), [retries] (default 0) and
+    [timeout] drive the grid exactly as in {!Minjie.Campaign.run}; a
+    candidate whose job raises, crashes or times out becomes an
+    [x_exit = -2] exec, at [jobs = 1] exactly as at [jobs = N].
+    [journal] with [resume:true] continues a killed campaign without
+    re-running journaled execs; [corpus_path] persists the final corpus
+    via {!Corpus.save}.  [progress] fires once per exec (journal
+    replays included). *)
 
 (** A planned candidate: everything {!run_exec} needs, no rng. *)
 type cand_plan = {

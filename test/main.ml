@@ -15,6 +15,7 @@ let () =
       ("ref-model", Test_ref_model.tests);
       ("fault", Test_fault.tests);
       ("pool", Test_pool.tests);
+      ("grid", Test_grid.tests);
       ("journal", Test_journal.tests);
       ("supervisor", Test_supervisor.tests);
       ("chaos", Test_chaos.tests);

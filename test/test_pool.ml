@@ -173,10 +173,74 @@ let test_parallel_equals_sequential_payloads () =
         (payload_of b.Minjie.Pool.r_outcome))
     seq par
 
-let test_resolve_jobs () =
-  Alcotest.(check int) "explicit wins" 4 (Minjie.Pool.resolve_jobs ~jobs:4 ());
-  Alcotest.(check int) "clamped to 1" 1 (Minjie.Pool.resolve_jobs ~jobs:0 ());
-  Alcotest.(check int) "default 1" 1 (Minjie.Pool.resolve_jobs ())
+(* set [vars] for the duration of [f], then restore what was there
+   (an empty value reads as unset) *)
+let with_env vars f =
+  let saved = List.map (fun (k, _) -> (k, Sys.getenv_opt k)) vars in
+  List.iter (fun (k, v) -> Unix.putenv k v) vars;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (k, v) -> Unix.putenv k (Option.value v ~default:""))
+        saved)
+    f
+
+let knobs = [ "MINJIE_JOBS"; "MINJIE_RETRIES"; "MINJIE_RESUME" ]
+
+let test_run_config_precedence () =
+  let module R = Minjie.Run_config in
+  with_env (List.map (fun k -> (k, "")) knobs) (fun () ->
+      let d = R.resolve () in
+      Alcotest.(check int) "default 1" 1 d.R.jobs;
+      Alcotest.(check int) "default 0 retries" 0 d.R.retries;
+      Alcotest.(check bool) "default no resume" false d.R.resume;
+      Alcotest.(check (option string)) "no journal unless resuming" None
+        (R.journal d ~default:"d.journal" None));
+  with_env
+    [ ("MINJIE_JOBS", "3"); ("MINJIE_RETRIES", "2"); ("MINJIE_RESUME", "yes") ]
+    (fun () ->
+      let e = R.resolve () in
+      Alcotest.(check int) "env jobs" 3 e.R.jobs;
+      Alcotest.(check int) "env retries" 2 e.R.retries;
+      Alcotest.(check bool) "env resume" true e.R.resume;
+      Alcotest.(check (option string)) "resume implies the default journal"
+        (Some "d.journal")
+        (R.journal e ~default:"d.journal" None);
+      Alcotest.(check (option string)) "explicit journal wins" (Some "x")
+        (R.journal e ~default:"d.journal" (Some "x"));
+      let x = R.resolve ~jobs:4 ~retries:0 ~resume:false () in
+      Alcotest.(check int) "explicit wins" 4 x.R.jobs;
+      Alcotest.(check int) "explicit retries win" 0 x.R.retries;
+      Alcotest.(check bool) "explicit resume wins" false x.R.resume;
+      Alcotest.(check int) "clamped to 1" 1 (R.resolve ~jobs:0 ()).R.jobs);
+  List.iter
+    (fun (var, v) ->
+      with_env [ (var, v) ] (fun () ->
+          match R.resolve () with
+          | _ -> Alcotest.failf "%s=%s accepted" var v
+          | exception Invalid_argument msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s=%s rejected naming the variable" var v)
+                true
+                (String.starts_with ~prefix:var msg)))
+    [
+      ("MINJIE_JOBS", "0");
+      ("MINJIE_JOBS", "two");
+      ("MINJIE_RETRIES", "-1");
+      ("MINJIE_RETRIES", "x");
+      ("MINJIE_RESUME", "maybe");
+    ]
+
+let test_resume_env_values () =
+  List.iter
+    (fun (v, want) ->
+      with_env [ ("MINJIE_RESUME", v) ] (fun () ->
+          Alcotest.(check bool) ("MINJIE_RESUME=" ^ v) want
+            (Minjie.Run_config.resolve ()).Minjie.Run_config.resume))
+    [
+      ("0", false); ("false", false); ("off", false); ("no", false);
+      ("1", true); ("true", true); ("on", true); ("yes", true);
+    ]
 
 (* The campaign smoke: a --jobs 2 grid over fast faults must
    reproduce the sequential cells field for field (the guarantee the
@@ -226,9 +290,12 @@ let tests =
       test_jobs1_is_sequential;
     Alcotest.test_case "parallel payloads == sequential" `Quick
       test_parallel_equals_sequential_payloads;
-    Alcotest.test_case "resolve_jobs precedence" `Quick test_resolve_jobs;
+    Alcotest.test_case "run-config precedence" `Quick
+      test_run_config_precedence;
     Alcotest.test_case "campaign --jobs 2 == sequential cells" `Slow
       test_campaign_jobs2_equals_sequential;
     Alcotest.test_case "sampled --jobs 2 == sequential results" `Slow
       test_sampled_jobs2_equals_sequential;
+    Alcotest.test_case "MINJIE_RESUME off/no do not resume" `Quick
+      test_resume_env_values;
   ]
