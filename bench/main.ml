@@ -255,6 +255,7 @@ let bench_table1 () =
       ("group", Json.Str "snapshot-cost");
       ("lightsss_ms", Json.Num (1000. *. light_t));
       ("lightsss_image_kb", Json.Int (snap.Lightsss.image_bytes / 1024));
+      ("lightsss_image_objects", Json.Int (Lightsss.image_objects snap));
       ("livesim_full_mem_ms", Json.Num (1000. *. sss_mem_t));
       ("livesim_image_kb", Json.Int (sss_mem_bytes / 1024));
       ("sss_to_file_ms", Json.Num (1000. *. sss_file_t));
@@ -263,12 +264,13 @@ let bench_table1 () =
   Printf.printf
     "\n\
      snapshot cost (paper: fork 535us vs SSS 3.671s):\n\
-     \  LightSSS (page tables + metadata) : %8.3f ms (image %d KB)\n\
+     \  LightSSS (page tables + metadata) : %8.3f ms (image %d KB, %d objects)\n\
      \  LiveSim-like (full in-memory)     : %8.3f ms (image %d KB)\n\
      \  SSS (full image through a file)   : %8.3f ms\n\
      \  LightSSS vs SSS-to-file speedup   : %8.1fx\n"
     (1000. *. light_t)
     (snap.Lightsss.image_bytes / 1024)
+    (Lightsss.image_objects snap)
     (1000. *. sss_mem_t) (sss_mem_bytes / 1024) (1000. *. sss_file_t)
     (sss_file_t /. max 1e-9 light_t)
 

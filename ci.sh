@@ -34,6 +34,13 @@ grep '"insns"' ci_bench_nomb.json > ci_insns_off.txt
 diff ci_insns_on.txt ci_insns_off.txt
 rm -f ci_bench.json ci_bench_nomb.json ci_insns_on.txt ci_insns_off.txt
 
+echo "== LightSSS smoke (Table I snapshot cost, with the image's object count) =="
+dune exec bench/main.exe -- table1 --json ci_table1.json
+test -s ci_table1.json
+grep -q '"experiment": "table1"' ci_table1.json
+grep -q '"lightsss_image_objects"' ci_table1.json
+rm -f ci_table1.json
+
 echo "== pool tests (fork pool: ordering, crash isolation, timeouts) =="
 dune exec test/main.exe -- test pool
 

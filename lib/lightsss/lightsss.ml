@@ -61,9 +61,12 @@ let reattach_pages (m : Riscv.Memory.t) p =
   m.Riscv.Memory.pages <- p;
   Riscv.Memory.invalidate_caches m
 
-(* Take a lightweight snapshot at [cycle]. *)
+(* Take a lightweight snapshot at [cycle].  The page snapshots are
+   taken only once the image exists: nothing runs in between, so the
+   result is the same, and a Marshal failure (a root reaching a
+   channel, say) leaves no page refcount bumped -- otherwise every
+   later write to those pages would pay a spurious COW copy. *)
 let snapshot (s : 'a subject) ~cycle : snapshot =
-  let mem_snaps = List.map Riscv.Memory.snapshot s.memories in
   let saved = List.map detach_pages s.memories in
   s.detach_heavy ();
   let image =
@@ -73,7 +76,19 @@ let snapshot (s : 'a subject) ~cycle : snapshot =
         List.iter2 reattach_pages s.memories saved)
       (fun () -> Marshal.to_bytes s.roots [ Marshal.Closures ])
   in
+  let mem_snaps = List.map Riscv.Memory.snapshot s.memories in
   { snap_cycle = cycle; mem_snaps; image; image_bytes = Bytes.length image }
+
+(* Object count from the Marshal header: a 32-bit field at offset 8
+   of the small (20-byte) header, a 64-bit one at offset 16 of the big
+   (32-byte) header, both big-endian.  Marshal pays per object, so
+   this is the deterministic proxy for snapshot cost. *)
+let image_objects (snap : snapshot) : int =
+  match Bytes.get_int32_be snap.image 0 with
+  | 0x8495A6BEl ->
+      Int32.to_int (Bytes.get_int32_be snap.image 8) land 0xFFFF_FFFF
+  | 0x8495A6BFl -> Int64.to_int (Bytes.get_int64_be snap.image 16)
+  | m -> invalid_arg (Printf.sprintf "Lightsss.image_objects: magic 0x%lx" m)
 
 (* Restore with an explicit memory enumeration function applied to the
    fresh roots. *)

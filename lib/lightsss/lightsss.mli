@@ -35,7 +35,13 @@ type 'a subject = {
 val plain_subject : memories:Riscv.Memory.t list -> roots:'a -> 'a subject
 
 val snapshot : 'a subject -> cycle:int -> snapshot
-(** O(page tables + metadata). *)
+(** O(page tables + metadata).  If marshalling the roots raises, the
+    exception propagates and no page snapshot is left behind. *)
+
+val image_objects : snapshot -> int
+(** Heap blocks in the marshalled image, read from its header (small
+    and big formats).  Marshal's cost is per block, so this is the
+    deterministic proxy for snapshot time. *)
 
 val restore_with : snapshot -> memories_of:('a -> Riscv.Memory.t list) -> 'a
 (** Unmarshal a fresh copy of the roots and repopulate its memories

@@ -17,15 +17,6 @@
    which keeps several transactions in flight (MSHR-style) with
    independent completion times. *)
 
-type line = {
-  mutable tag : int64; (* line index (addr >> line_shift); -1L invalid *)
-  mutable perm : Perm.t;
-  mutable sharers : int; (* bitmask of children holding >= Branch *)
-  mutable owner : int; (* child holding Trunk, -1 if none *)
-  mutable last_use : int;
-  mutable inflight_until : int; (* fill outstanding until this cycle *)
-}
-
 type parent = Dram of Dram.t | Cache of t
 
 and t = {
@@ -34,7 +25,16 @@ and t = {
   ways : int;
   line_shift : int;
   hit_latency : int;
-  lines : line array; (* sets * ways, row-major by set *)
+  (* Line metadata, struct-of-arrays over [sets * ways] slots,
+     row-major by set.  A LightSSS snapshot marshals the whole graph
+     and Marshal pays per heap block, so these stay six flat arrays
+     rather than one record (and one boxed tag) per line. *)
+  tags : int array; (* line index (addr >> line_shift); -1 invalid *)
+  perms : Perm.t array;
+  sharers : int array; (* bitmask of children holding >= Branch *)
+  owners : int array; (* child holding Trunk, -1 if none *)
+  last_use : int array;
+  inflight_until : int array; (* fill outstanding until this cycle *)
   mutable parent : parent;
   mutable children : t array;
   mutable child_id : int; (* index of this node among parent's children *)
@@ -71,22 +71,19 @@ let base_of_la t la = Int64.shift_left la t.line_shift
 let create ~name ~size_bytes ~ways ~line_shift ~hit_latency ~backing () =
   let line_b = 1 lsl line_shift in
   let sets = max 1 (size_bytes / line_b / ways) in
+  let n = sets * ways in
   {
     name;
     sets;
     ways;
     line_shift;
     hit_latency;
-    lines =
-      Array.init (sets * ways) (fun _ ->
-          {
-            tag = -1L;
-            perm = Perm.Nothing;
-            sharers = 0;
-            owner = -1;
-            last_use = 0;
-            inflight_until = 0;
-          });
+    tags = Array.make n (-1);
+    perms = Array.make n Perm.Nothing;
+    sharers = Array.make n 0;
+    owners = Array.make n (-1);
+    last_use = Array.make n 0;
+    inflight_until = Array.make n 0;
     parent = Dram (Dram.create (Dram.Fixed_amat 100));
     children = [||];
     child_id = 0;
@@ -122,32 +119,32 @@ let rec iter_tree node f =
 let emit t xact ~child ~la =
   t.sink { Event.cycle = t.now; node = t.name; child; xact; addr = base_of_la t la }
 
-let set_index t la = Int64.to_int (Int64.rem la (Int64.of_int t.sets))
+(* A line index always fits in an [int]: it is a 64-bit address
+   shifted right by [line_shift] >= 1. *)
+let set_index t la = Int64.to_int la mod t.sets
 
-let lookup t la : line option =
-  let s = set_index t la in
-  let rec go w =
-    if w >= t.ways then None
-    else
-      let l = t.lines.((s * t.ways) + w) in
-      if l.tag = la && l.perm <> Perm.Nothing then Some l else go (w + 1)
-  in
-  go 0
+(* The slot holding [la], or -1.  Loops over local refs rather than a
+   local recursive function, which would allocate a closure per call. *)
+let lookup t la : int =
+  let tag = Int64.to_int la in
+  let i = ref (set_index t la * t.ways) in
+  let stop = !i + t.ways in
+  while !i < stop && not (t.tags.(!i) = tag && t.perms.(!i) <> Perm.Nothing) do
+    incr i
+  done;
+  if !i < stop then !i else -1
 
-let victim t la : line =
-  let s = set_index t la in
-  let best = ref t.lines.(s * t.ways) in
-  (try
-     for w = 0 to t.ways - 1 do
-       let l = t.lines.((s * t.ways) + w) in
-       if l.perm = Perm.Nothing then begin
-         best := l;
-         raise Exit
-       end;
-       if l.last_use < !best.last_use then best := l
-     done
-   with Exit -> ());
-  !best
+(* The slot to refill for [la]: the first invalid way of its set, else
+   the least recently used one. *)
+let victim t la : int =
+  let base = set_index t la * t.ways in
+  let stop = base + t.ways in
+  let i = ref base and best = ref base in
+  while !i < stop && t.perms.(!i) <> Perm.Nothing do
+    if t.last_use.(!i) < t.last_use.(!best) then best := !i;
+    incr i
+  done;
+  if !i < stop then !i else !best
 
 (* Fault injection: corrupt the data image of up to [max] valid lines
    in this node, as if a Grant delivered bit-flipped payload.  Uses
@@ -156,23 +153,24 @@ let victim t la : line =
    of lines corrupted. *)
 let corrupt_lines (t : t) ~max : int =
   let n = ref 0 in
-  Array.iter
-    (fun (l : line) ->
-      if !n < max && l.tag >= 0L && l.perm <> Perm.Nothing
-         && not (Hashtbl.mem t.poisoned l.tag)
+  Array.iteri
+    (fun slot tag ->
+      let la = Int64.of_int tag in
+      if !n < max && tag >= 0 && t.perms.(slot) <> Perm.Nothing
+         && not (Hashtbl.mem t.poisoned la)
       then begin
         let buf = Bytes.create (line_bytes t) in
-        let base = base_of_la t l.tag in
+        let base = base_of_la t la in
         for i = 0 to line_bytes t - 1 do
           Bytes.set buf i
             (Char.chr
                (Riscv.Memory.read_u8 t.backing (Int64.add base (Int64.of_int i))
                lxor 0xA5))
         done;
-        Hashtbl.replace t.poisoned l.tag buf;
+        Hashtbl.replace t.poisoned la buf;
         incr n
       end)
-    t.lines;
+    t.tags;
   !n
 
 (* Downgrade [t]'s copy (and its whole subtree) to [to_perm].
@@ -180,56 +178,58 @@ let corrupt_lines (t : t) ~max : int =
 let rec probe (t : t) ~la ~(to_perm : Perm.t) : int =
   t.s_probes <- t.s_probes + 1;
   emit t (Perm.Probe to_perm) ~child:(-1) ~la;
-  match lookup t la with
-  | None ->
-      emit t (Perm.Probe_ack to_perm) ~child:(-1) ~la;
-      1
-  | Some line ->
-      (* forward to children first (inclusive hierarchy) *)
-      let child_lat = ref 0 in
-      Array.iteri
-        (fun i c ->
-          if line.sharers land (1 lsl i) <> 0 then
-            child_lat := max !child_lat (probe c ~la ~to_perm))
-        t.children;
-      (* the injected L2 MSHR arbitration bug: a Probe overlapping an
-         in-flight Acquire on the same block captures the pre-write
-         data image, which later Grants serve upward *)
-      if t.bug_probe_race && line.inflight_until > t.now then begin
-        let buf = Bytes.create (line_bytes t) in
-        let base = base_of_la t la in
-        for i = 0 to line_bytes t - 1 do
-          Bytes.set buf i
-            (Char.chr
-               (Riscv.Memory.read_u8 t.backing (Int64.add base (Int64.of_int i))))
-        done;
-        Hashtbl.replace t.poisoned la buf
-      end;
-      (match to_perm with
-      | Perm.Nothing ->
-          line.tag <- -1L;
-          line.perm <- Perm.Nothing;
-          line.sharers <- 0;
-          line.owner <- -1
-      | Perm.Branch ->
-          if Perm.rank line.perm > Perm.rank Perm.Branch then
-            line.perm <- Perm.Branch;
-          line.owner <- -1
-      | Perm.Trunk -> invalid_arg "probe to Trunk");
-      emit t (Perm.Probe_ack to_perm) ~child:(-1) ~la;
-      !child_lat + 1
+  let line = lookup t la in
+  if line < 0 then begin
+    emit t (Perm.Probe_ack to_perm) ~child:(-1) ~la;
+    1
+  end
+  else begin
+    (* forward to children first (inclusive hierarchy) *)
+    let child_lat = ref 0 in
+    Array.iteri
+      (fun i c ->
+        if t.sharers.(line) land (1 lsl i) <> 0 then
+          child_lat := max !child_lat (probe c ~la ~to_perm))
+      t.children;
+    (* the injected L2 MSHR arbitration bug: a Probe overlapping an
+       in-flight Acquire on the same block captures the pre-write
+       data image, which later Grants serve upward *)
+    if t.bug_probe_race && t.inflight_until.(line) > t.now then begin
+      let buf = Bytes.create (line_bytes t) in
+      let base = base_of_la t la in
+      for i = 0 to line_bytes t - 1 do
+        Bytes.set buf i
+          (Char.chr
+             (Riscv.Memory.read_u8 t.backing (Int64.add base (Int64.of_int i))))
+      done;
+      Hashtbl.replace t.poisoned la buf
+    end;
+    (match to_perm with
+    | Perm.Nothing ->
+        t.tags.(line) <- -1;
+        t.perms.(line) <- Perm.Nothing;
+        t.sharers.(line) <- 0;
+        t.owners.(line) <- -1
+    | Perm.Branch ->
+        if Perm.rank t.perms.(line) > Perm.rank Perm.Branch then
+          t.perms.(line) <- Perm.Branch;
+        t.owners.(line) <- -1
+    | Perm.Trunk -> invalid_arg "probe to Trunk");
+    emit t (Perm.Probe_ack to_perm) ~child:(-1) ~la;
+    !child_lat + 1
+  end
 
 (* Notify the parent that [t] no longer holds [la] (eviction). *)
 let release_to_parent (t : t) ~la =
   emit t Perm.Release ~child:(-1) ~la;
   match t.parent with
   | Dram _ -> ()
-  | Cache p -> (
-      match lookup p la with
-      | Some pl ->
-          pl.sharers <- pl.sharers land lnot (1 lsl t.child_id);
-          if pl.owner = t.child_id then pl.owner <- -1
-      | None -> ())
+  | Cache p ->
+      let pl = lookup p la in
+      if pl >= 0 then begin
+        p.sharers.(pl) <- p.sharers.(pl) land lnot (1 lsl t.child_id);
+        if p.owners.(pl) = t.child_id then p.owners.(pl) <- -1
+      end
 
 (* One more outstanding fill, completing at [until]: misses landing
    inside a window where fills are still in flight model MSHR
@@ -249,42 +249,46 @@ let note_fill (t : t) ~until =
    Returns latency. *)
 let rec ensure (t : t) ~la ~(want : Perm.t) : int =
   t.s_accesses <- t.s_accesses + 1;
-  match lookup t la with
-  | Some line when Perm.at_least line.perm want ->
-      line.last_use <- t.now;
-      t.hit_latency
-  | Some line ->
-      (* permission upgrade: a miss, but no line install (refill) *)
-      t.s_misses <- t.s_misses + 1;
-      let pl = acquire_from_parent t ~la ~want in
-      line.perm <- want;
-      line.last_use <- t.now;
-      line.inflight_until <- t.now + t.hit_latency + pl;
-      note_fill t ~until:line.inflight_until;
-      t.hit_latency + pl
-  | None ->
-      t.s_misses <- t.s_misses + 1;
-      t.s_refills <- t.s_refills + 1;
-      let v = victim t la in
-      if v.perm <> Perm.Nothing then begin
-        t.s_evictions <- t.s_evictions + 1;
-        (* inclusive eviction: purge the subtree, tell the parent *)
-        Array.iteri
-          (fun i c ->
-            if v.sharers land (1 lsl i) <> 0 then
-              ignore (probe c ~la:v.tag ~to_perm:Perm.Nothing))
-          t.children;
-        release_to_parent t ~la:v.tag
-      end;
-      let pl = acquire_from_parent t ~la ~want in
-      v.tag <- la;
-      v.perm <- want;
-      v.sharers <- 0;
-      v.owner <- -1;
-      v.last_use <- t.now;
-      v.inflight_until <- t.now + t.hit_latency + pl;
-      note_fill t ~until:v.inflight_until;
-      t.hit_latency + pl
+  let line = lookup t la in
+  if line >= 0 && Perm.at_least t.perms.(line) want then begin
+    t.last_use.(line) <- t.now;
+    t.hit_latency
+  end
+  else if line >= 0 then begin
+    (* permission upgrade: a miss, but no line install (refill) *)
+    t.s_misses <- t.s_misses + 1;
+    let pl = acquire_from_parent t ~la ~want in
+    t.perms.(line) <- want;
+    t.last_use.(line) <- t.now;
+    t.inflight_until.(line) <- t.now + t.hit_latency + pl;
+    note_fill t ~until:t.inflight_until.(line);
+    t.hit_latency + pl
+  end
+  else begin
+    t.s_misses <- t.s_misses + 1;
+    t.s_refills <- t.s_refills + 1;
+    let v = victim t la in
+    if t.perms.(v) <> Perm.Nothing then begin
+      t.s_evictions <- t.s_evictions + 1;
+      let old = Int64.of_int t.tags.(v) in
+      (* inclusive eviction: purge the subtree, tell the parent *)
+      Array.iteri
+        (fun i c ->
+          if t.sharers.(v) land (1 lsl i) <> 0 then
+            ignore (probe c ~la:old ~to_perm:Perm.Nothing))
+        t.children;
+      release_to_parent t ~la:old
+    end;
+    let pl = acquire_from_parent t ~la ~want in
+    t.tags.(v) <- Int64.to_int la;
+    t.perms.(v) <- want;
+    t.sharers.(v) <- 0;
+    t.owners.(v) <- -1;
+    t.last_use.(v) <- t.now;
+    t.inflight_until.(v) <- t.now + t.hit_latency + pl;
+    note_fill t ~until:t.inflight_until.(v);
+    t.hit_latency + pl
+  end
 
 and acquire_from_parent (t : t) ~la ~want : int =
   emit t (Perm.Acquire want) ~child:(-1) ~la;
@@ -296,30 +300,28 @@ and acquire_from_parent (t : t) ~la ~want : int =
 and acquire (p : t) ~la ~want ~child : int =
   let self_lat = ensure p ~la ~want in
   let probe_lat = ref 0 in
-  (match lookup p la with
-  | None -> assert false (* ensure just installed it *)
-  | Some line ->
-      (match want with
-      | Perm.Trunk ->
-          if not p.bug_skip_probe then
-            Array.iteri
-              (fun i c ->
-                if i <> child && line.sharers land (1 lsl i) <> 0 then begin
-                  probe_lat :=
-                    max !probe_lat (probe c ~la ~to_perm:Perm.Nothing);
-                  line.sharers <- line.sharers land lnot (1 lsl i)
-                end)
-              p.children;
-          line.owner <- child
-      | Perm.Branch ->
-          if line.owner >= 0 && line.owner <> child then begin
-            probe_lat :=
-              max !probe_lat
-                (probe p.children.(line.owner) ~la ~to_perm:Perm.Branch);
-            line.owner <- -1
-          end
-      | Perm.Nothing -> ());
-      line.sharers <- line.sharers lor (1 lsl child));
+  let line = lookup p la in
+  assert (line >= 0) (* ensure just installed it *);
+  (match want with
+  | Perm.Trunk ->
+      if not p.bug_skip_probe then
+        Array.iteri
+          (fun i c ->
+            if i <> child && p.sharers.(line) land (1 lsl i) <> 0 then begin
+              probe_lat := max !probe_lat (probe c ~la ~to_perm:Perm.Nothing);
+              p.sharers.(line) <- p.sharers.(line) land lnot (1 lsl i)
+            end)
+          p.children;
+      p.owners.(line) <- child
+  | Perm.Branch ->
+      let owner = p.owners.(line) in
+      if owner >= 0 && owner <> child then begin
+        probe_lat :=
+          max !probe_lat (probe p.children.(owner) ~la ~to_perm:Perm.Branch);
+        p.owners.(line) <- -1
+      end
+  | Perm.Nothing -> ());
+  p.sharers.(line) <- p.sharers.(line) lor (1 lsl child);
   emit p (Perm.Grant want) ~child ~la;
   (* the buggy grant path: serve poisoned data to the child *)
   (if Hashtbl.mem p.poisoned la then
@@ -374,13 +376,11 @@ let fetch (t : t) ~addr : int =
 
 let invalidate_all (t : t) =
   iter_tree t (fun n ->
-      Array.iter
-        (fun l ->
-          l.tag <- -1L;
-          l.perm <- Perm.Nothing;
-          l.sharers <- 0;
-          l.owner <- -1)
-        n.lines;
+      let len = Array.length n.tags in
+      Array.fill n.tags 0 len (-1);
+      Array.fill n.perms 0 len Perm.Nothing;
+      Array.fill n.sharers 0 len 0;
+      Array.fill n.owners 0 len (-1);
       Hashtbl.reset n.poisoned)
 
 let tick (t : t) = t.now <- t.now + 1

@@ -15,15 +15,6 @@
     Concurrency across misses is modelled by the LSU keeping several
     transactions in flight with independent completion times. *)
 
-type line = {
-  mutable tag : int64;
-  mutable perm : Perm.t;
-  mutable sharers : int;
-  mutable owner : int;
-  mutable last_use : int;
-  mutable inflight_until : int;
-}
-
 type parent = Dram of Dram.t | Cache of t
 
 and t = {
@@ -32,7 +23,14 @@ and t = {
   ways : int;
   line_shift : int;
   hit_latency : int;
-  lines : line array;
+  tags : int array;
+      (** line metadata, one slot per [sets * ways] line, row-major by
+          set: the line index ([addr lsr line_shift]), -1 if invalid *)
+  perms : Perm.t array;
+  sharers : int array;  (** bitmask of children holding >= Branch *)
+  owners : int array;  (** child holding Trunk, -1 if none *)
+  last_use : int array;
+  inflight_until : int array;  (** fill outstanding until this cycle *)
   mutable parent : parent;
   mutable children : t array;
   mutable child_id : int;

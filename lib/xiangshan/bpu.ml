@@ -6,24 +6,43 @@
    used by the PUBS issue policy (§IV-D): a branch is "unconfident"
    until it has accumulated a run of correct predictions. *)
 
-type btb_entry = { mutable b_tag : int64; mutable b_target : int64 }
+(* The predictor tables are flat: a LightSSS snapshot marshals the
+   whole simulator graph and Marshal pays per heap block, so a table
+   is one block, never one record per entry.  BTB-like tables keep
+   exact 64-bit pcs and targets (wrong-path targets are arbitrary
+   64-bit values), [entry_bytes] per entry: tag at +0, target at +8,
+   little-endian; a tag of -1 marks an empty entry. *)
+let entry_bytes = 16
 
-type tage_entry = {
-  mutable t_tag : int;
-  mutable t_ctr : int; (* signed, -4..3; >= 0 predicts taken *)
-  mutable t_useful : int;
-}
+let empty_entries n =
+  let b = Bytes.create (n * entry_bytes) in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le b (i * entry_bytes) (-1L);
+    Bytes.set_int64_le b ((i * entry_bytes) + 8) 0L
+  done;
+  b
+
+let tag_of b i = Bytes.get_int64_le b (i * entry_bytes)
+
+let target_of b i = Bytes.get_int64_le b ((i * entry_bytes) + 8)
+
+let set_entry b i ~tag ~target =
+  Bytes.set_int64_le b (i * entry_bytes) tag;
+  Bytes.set_int64_le b ((i * entry_bytes) + 8) target
 
 type t = {
   (* BTB: direct-mapped over sets, 2-way *)
-  btb : btb_entry array;
+  btb : Bytes.t;
   btb_sets : int;
-  ubtb : btb_entry array;
+  ubtb : Bytes.t;
   ubtb_size : int;
   (* TAGE *)
   bimodal : int array; (* 2-bit counters *)
   bimodal_size : int;
-  tage : tage_entry array array; (* 4 tables *)
+  (* 4 tagged tables, entry [i] of table [k] at [k * tage_size + i] *)
+  tage_tags : int array;
+  tage_ctrs : int array; (* signed, -4..3; >= 0 predicts taken *)
+  tage_useful : int array;
   tage_size : int;
   hist_lens : int array;
   mutable ghist : int64; (* global history, newest bit at LSB *)
@@ -33,7 +52,7 @@ type t = {
   ras_size : int;
   mutable ras_depth : int; (* live entries, saturating at ras_size *)
   (* ITTAGE-lite *)
-  ittage : btb_entry array;
+  ittage : Bytes.t;
   ittage_size : int;
   use_ittage : bool;
   (* PUBS confidence *)
@@ -62,17 +81,15 @@ let create (cfg : Config.t) : t =
   let btb_sets = max 16 (cfg.btb_entries / 2) in
   let tage_size = max 64 cfg.tage_entries in
   {
-    btb =
-      Array.init (btb_sets * 2) (fun _ -> { b_tag = -1L; b_target = 0L });
+    btb = empty_entries (btb_sets * 2);
     btb_sets;
-    ubtb = Array.init cfg.ubtb_entries (fun _ -> { b_tag = -1L; b_target = 0L });
+    ubtb = empty_entries cfg.ubtb_entries;
     ubtb_size = cfg.ubtb_entries;
     bimodal = Array.make 4096 1;
     bimodal_size = 4096;
-    tage =
-      Array.init 4 (fun _ ->
-          Array.init tage_size (fun _ ->
-              { t_tag = -1; t_ctr = 0; t_useful = 0 }));
+    tage_tags = Array.make (4 * tage_size) (-1);
+    tage_ctrs = Array.make (4 * tage_size) 0;
+    tage_useful = Array.make (4 * tage_size) 0;
     tage_size;
     hist_lens = [| 8; 16; 32; 60 |];
     ghist = 0L;
@@ -80,9 +97,7 @@ let create (cfg : Config.t) : t =
     ras_top = 0;
     ras_size = cfg.ras_size;
     ras_depth = 0;
-    ittage =
-      Array.init (max 16 (cfg.btb_entries / 4)) (fun _ ->
-          { b_tag = -1L; b_target = 0L });
+    ittage = empty_entries (max 16 (cfg.btb_entries / 4));
     ittage_size = max 16 (cfg.btb_entries / 4);
     use_ittage = cfg.ittage;
     conf = Array.make 1024 0;
@@ -109,9 +124,11 @@ let hist_fold t len =
   let h = Int64.to_int (Int64.logand t.ghist (Int64.sub (Int64.shift_left 1L (min len 62)) 1L)) in
   (h lxor (h lsr 12) lxor (h lsr 24) lxor (h lsr 36) lxor (h lsr 48)) land 0xFFF
 
+(* Flat index of [pc]'s entry in tagged table [table]. *)
 let tage_index t table pc =
-  (pc_bits pc lxor hist_fold t t.hist_lens.(table) lxor (table * 0x9E37))
-  land (t.tage_size - 1)
+  (table * t.tage_size)
+  + ((pc_bits pc lxor hist_fold t t.hist_lens.(table) lxor (table * 0x9E37))
+    land (t.tage_size - 1))
 
 let tage_tag t table pc =
   (pc_bits pc lxor (hist_fold t t.hist_lens.(table) * 3) lxor (table * 0x61C))
@@ -123,42 +140,37 @@ let predict_direction t pc : bool * int =
   let provider = ref (-1) in
   let pred = ref (t.bimodal.(pc_bits pc land (t.bimodal_size - 1)) >= 2) in
   for table = 0 to 3 do
-    let e = t.tage.(table).(tage_index t table pc) in
-    if e.t_tag = tage_tag t table pc then begin
+    let e = tage_index t table pc in
+    if t.tage_tags.(e) = tage_tag t table pc then begin
       provider := table;
-      pred := e.t_ctr >= 0
+      pred := t.tage_ctrs.(e) >= 0
     end
   done;
   (!pred, !provider)
 
 let btb_lookup t pc : int64 option =
   (* micro-BTB first *)
-  let u = t.ubtb.(pc_bits pc land (t.ubtb_size - 1)) in
-  if u.b_tag = pc then Some u.b_target
+  let u = pc_bits pc land (t.ubtb_size - 1) in
+  if tag_of t.ubtb u = pc then Some (target_of t.ubtb u)
   else
-    let set = pc_bits pc land (t.btb_sets - 1) in
-    let e0 = t.btb.(set * 2) and e1 = t.btb.((set * 2) + 1) in
-    if e0.b_tag = pc then Some e0.b_target
-    else if e1.b_tag = pc then Some e1.b_target
+    let e0 = (pc_bits pc land (t.btb_sets - 1)) * 2 in
+    let e1 = e0 + 1 in
+    if tag_of t.btb e0 = pc then Some (target_of t.btb e0)
+    else if tag_of t.btb e1 = pc then Some (target_of t.btb e1)
     else None
 
 let btb_update t pc target =
-  let u = t.ubtb.(pc_bits pc land (t.ubtb_size - 1)) in
-  u.b_tag <- pc;
-  u.b_target <- target;
-  let set = pc_bits pc land (t.btb_sets - 1) in
-  let e0 = t.btb.(set * 2) and e1 = t.btb.((set * 2) + 1) in
-  if e0.b_tag = pc then e0.b_target <- target
-  else if e1.b_tag = pc then e1.b_target <- target
-  else if e0.b_tag = -1L then begin
-    e0.b_tag <- pc;
-    e0.b_target <- target
-  end
+  set_entry t.ubtb (pc_bits pc land (t.ubtb_size - 1)) ~tag:pc ~target;
+  let b = t.btb in
+  let e0 = (pc_bits pc land (t.btb_sets - 1)) * 2 in
+  let e1 = e0 + 1 in
+  if tag_of b e0 = pc then set_entry b e0 ~tag:pc ~target
+  else if tag_of b e1 = pc then set_entry b e1 ~tag:pc ~target
   else begin
-    e1.b_tag <- e0.b_tag;
-    e1.b_target <- e0.b_target;
-    e0.b_tag <- pc;
-    e0.b_target <- target
+    (* fill the empty way 0, else demote way 0 to way 1 *)
+    if tag_of b e0 <> -1L then
+      set_entry b e1 ~tag:(tag_of b e0) ~target:(target_of b e0);
+    set_entry b e0 ~tag:pc ~target
   end
 
 (* The stack is circular and never refuses a push: on overflow the
@@ -223,8 +235,8 @@ let predict (t : t) ~(pc : int64) ~(insn : Riscv.Insn.t) : prediction =
             let idx =
               (pc_bits pc lxor hist_fold t 24) land (t.ittage_size - 1)
             in
-            let e = t.ittage.(idx) in
-            if e.b_tag = pc then Some e.b_target else btb_lookup t pc
+            if tag_of t.ittage idx = pc then Some (target_of t.ittage idx)
+            else btb_lookup t pc
           end
           else btb_lookup t pc
         in
@@ -265,23 +277,24 @@ let update (t : t) ~(pc : int64) ~(insn : Riscv.Insn.t) ~(taken : bool)
       (* tage provider update + allocation on mispredict *)
       let _, provider = predict_direction t pc in
       if provider >= 0 then begin
-        let e = t.tage.(provider).(tage_index t provider pc) in
-        e.t_ctr <-
-          (if taken then min 3 (e.t_ctr + 1) else max (-4) (e.t_ctr - 1));
-        if not mispredicted then e.t_useful <- min 3 (e.t_useful + 1)
+        let e = tage_index t provider pc in
+        let c = t.tage_ctrs.(e) in
+        t.tage_ctrs.(e) <- (if taken then min 3 (c + 1) else max (-4) (c - 1));
+        if not mispredicted then
+          t.tage_useful.(e) <- min 3 (t.tage_useful.(e) + 1)
       end;
       if mispredicted then begin
         (* allocate in a longer-history table *)
         let start = provider + 1 in
         (try
            for table = start to 3 do
-             let e = t.tage.(table).(tage_index t table pc) in
-             if e.t_useful = 0 then begin
-               e.t_tag <- tage_tag t table pc;
-               e.t_ctr <- (if taken then 0 else -1);
+             let e = tage_index t table pc in
+             if t.tage_useful.(e) = 0 then begin
+               t.tage_tags.(e) <- tage_tag t table pc;
+               t.tage_ctrs.(e) <- (if taken then 0 else -1);
                raise Exit
              end
-             else e.t_useful <- e.t_useful - 1
+             else t.tage_useful.(e) <- t.tage_useful.(e) - 1
            done
          with Exit -> ())
       end;
@@ -296,9 +309,7 @@ let update (t : t) ~(pc : int64) ~(insn : Riscv.Insn.t) ~(taken : bool)
         btb_update t pc target;
         if t.use_ittage then begin
           let idx = (pc_bits pc lxor hist_fold t 24) land (t.ittage_size - 1) in
-          let e = t.ittage.(idx) in
-          e.b_tag <- pc;
-          e.b_target <- target
+          set_entry t.ittage idx ~tag:pc ~target
         end
       end
   | Lui _ | Auipc _ | Load _ | Store _ | Op_imm _ | Op_imm_w _ | Op _
@@ -320,15 +331,18 @@ let update (t : t) ~(pc : int64) ~(insn : Riscv.Insn.t) ~(taken : bool)
    commits.  Returns the number of entries corrupted. *)
 let corrupt_targets (t : t) : int =
   let n = ref 0 in
-  let corrupt (e : btb_entry) =
-    if e.b_tag <> -1L then begin
-      e.b_target <- Int64.logxor e.b_target 8L;
-      incr n
-    end
+  let corrupt b =
+    for i = 0 to (Bytes.length b / entry_bytes) - 1 do
+      if tag_of b i <> -1L then begin
+        set_entry b i ~tag:(tag_of b i)
+          ~target:(Int64.logxor (target_of b i) 8L);
+        incr n
+      end
+    done
   in
-  Array.iter corrupt t.btb;
-  Array.iter corrupt t.ubtb;
-  Array.iter corrupt t.ittage;
+  corrupt t.btb;
+  corrupt t.ubtb;
+  corrupt t.ittage;
   !n
 
 (* Low-confidence query for PUBS: a branch is unconfident until it has

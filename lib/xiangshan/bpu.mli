@@ -4,13 +4,19 @@
     by the PUBS issue policy (paper §IV-D). *)
 
 type t = {
-  btb : btb_entry array;
+  btb : Bytes.t;
+      (** BTB-like tables (BTB, uBTB, ITTAGE) are flat: 16 bytes per
+          entry, exact 64-bit tag at +0 and target at +8,
+          little-endian; tag -1 marks an empty entry *)
   btb_sets : int;
-  ubtb : btb_entry array;
+  ubtb : Bytes.t;
   ubtb_size : int;
   bimodal : int array;
   bimodal_size : int;
-  tage : tage_entry array array;
+  tage_tags : int array;
+      (** TAGE tables, flat: entry [i] of table [k] at [k * tage_size + i] *)
+  tage_ctrs : int array;
+  tage_useful : int array;
   tage_size : int;
   hist_lens : int array;
   mutable ghist : int64;
@@ -18,7 +24,7 @@ type t = {
   mutable ras_top : int;
   ras_size : int;
   mutable ras_depth : int;
-  ittage : btb_entry array;
+  ittage : Bytes.t;
   ittage_size : int;
   use_ittage : bool;
   conf : int array;
@@ -36,14 +42,6 @@ type t = {
   mutable ras_pops : int;
   mutable ras_overflows : int;
   mutable ras_underflows : int;
-}
-
-and btb_entry = { mutable b_tag : int64; mutable b_target : int64 }
-
-and tage_entry = {
-  mutable t_tag : int;
-  mutable t_ctr : int;
-  mutable t_useful : int;
 }
 
 val create : Config.t -> t

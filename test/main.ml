@@ -26,6 +26,7 @@ let () =
       ("tlb", Test_tlb.tests);
       ("backend", Test_backend.tests);
       ("determinism", Test_determinism.tests);
+      ("golden", Test_golden.tests);
       ("fuzz", Test_fuzz.tests);
       ("fuzz-cov", Test_fuzz_cov.tests);
       ("workloads", Test_workloads.tests);

@@ -1,10 +1,10 @@
 (* LightSSS: snapshot/replay determinism, cost characteristics
    (fork-like vs full-image), and the two-slot manager policy. *)
 
-let make_difftest prog cfg =
+let make_difftest ?ref_kind prog cfg =
   let soc = Xiangshan.Soc.create cfg in
   Xiangshan.Soc.load_program soc prog;
-  Minjie.Difftest.create ~prog soc
+  Minjie.Difftest.create ?ref_kind ~prog soc
 
 let test_replay_determinism () =
   (* run to cycle A, snapshot, run to B; restore and re-run: the
@@ -38,6 +38,99 @@ let test_replay_determinism () =
   | Minjie.Difftest.Failed f -> Alcotest.failf "original failed: %s" f.f_msg
   | _ -> ());
   Lightsss.release snap
+
+let test_replay_microarch_dual_core () =
+  (* dual-core NH: snapshot at A, run the original on to B, restore and
+     replay to B.  Both harts must agree on architectural state *and*
+     on every cache, BPU and top-down counter, so a predictor or cache
+     table dropped from the image, or shared between the instances,
+     shows up as a counter drift *)
+  let prog = Workloads.Smp.lrsc_contend ~scale:4 in
+  let dt = make_difftest prog Xiangshan.Config.nh in
+  let subject = Minjie.Workflow.subject_of dt in
+  let a = 2500 and b = 5000 in
+  for _ = 1 to a do
+    Minjie.Difftest.tick dt
+  done;
+  let snap = Lightsss.snapshot subject ~cycle:a in
+  for _ = a + 1 to b do
+    Minjie.Difftest.tick dt
+  done;
+  let soc = Minjie.Difftest.soc dt in
+  let harts = Array.length soc.Xiangshan.Soc.cores in
+  Alcotest.(check int) "dual-core" 2 harts;
+  let view soc =
+    List.init harts (fun h ->
+        ( Xiangshan.Soc.counter_snapshot soc ~hartid:h,
+          Riscv.Arch_state.copy soc.Xiangshan.Soc.cores.(h).Xiangshan.Core.arch
+        ))
+  in
+  let original = view soc in
+  let dt' = Minjie.Workflow.restore_shared dt snap in
+  for _ = a + 1 to b do
+    Minjie.Difftest.tick dt'
+  done;
+  let replayed = view (Minjie.Difftest.soc dt') in
+  List.iteri
+    (fun h ((c, st), (c', st')) ->
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "hart %d counters" h)
+        c c';
+      match Riscv.Arch_state.diff st st' with
+      | None -> ()
+      | Some msg -> Alcotest.failf "hart %d replay diverged: %s" h msg)
+    (List.combine original replayed);
+  Lightsss.release snap
+
+let test_failed_snapshot_leaks_nothing () =
+  (* a root that Marshal cannot serialise makes the snapshot raise; no
+     page may be left shared with a half-built snapshot, or the next
+     write to it pays a spurious COW copy *)
+  let base = 0x8000_0000L in
+  let m = Riscv.Memory.create ~base ~size:(1 lsl 20) () in
+  Riscv.Memory.write_u64 m base 1L;
+  let subject = Lightsss.plain_subject ~memories:[ m ] ~roots:(m, stdout) in
+  (match Lightsss.snapshot subject ~cycle:0 with
+  | _ -> Alcotest.fail "marshalling a channel must raise"
+  | exception Invalid_argument _ -> ());
+  Riscv.Memory.reset_stats m;
+  Riscv.Memory.write_u64 m base 2L;
+  Alcotest.(check int) "no COW fault after a failed snapshot" 0
+    (Riscv.Memory.stats m).Riscv.Memory.cow_faults;
+  Alcotest.(check int64) "memory still attached" 2L
+    (Riscv.Memory.read_u64 m base)
+
+(* Marshal pays per heap block, so the image's object count is the
+   deterministic proxy for snapshot cost: config-sized tables (cache
+   lines, predictor entries) must be flat arrays, not one record per
+   entry. *)
+let object_budget = 10_000
+
+let test_image_object_budget () =
+  List.iter
+    (fun (name, prog, cfg, ref_kind) ->
+      let dt = make_difftest ~ref_kind prog cfg in
+      for _ = 1 to 20_000 do
+        Minjie.Difftest.tick dt
+      done;
+      let snap =
+        Lightsss.snapshot (Minjie.Workflow.subject_of dt) ~cycle:20_000
+      in
+      let n = Lightsss.image_objects snap in
+      Lightsss.release snap;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d objects <= %d" name n object_budget)
+        true (n <= object_budget))
+    [
+      ( "NH smp_lrsc, ISS REF",
+        Workloads.Smp.lrsc_contend ~scale:20,
+        Xiangshan.Config.nh,
+        Minjie.Ref_model.Iss );
+      ( "YQH mcf_like, NEMU REF",
+        (Workloads.Suite.find "mcf_like").program ~scale:1,
+        Xiangshan.Config.yqh,
+        Minjie.Ref_model.Nemu );
+    ]
 
 let test_snapshot_is_lightweight () =
   (* fork-like: the image excludes the memory pages, so its size is
@@ -186,8 +279,13 @@ let tests =
   [
     Alcotest.test_case "snapshot/replay determinism" `Slow
       test_replay_determinism;
+    Alcotest.test_case "dual-core micro-architectural replay" `Slow
+      test_replay_microarch_dual_core;
     Alcotest.test_case "snapshot is fork-like lightweight" `Quick
       test_snapshot_is_lightweight;
+    Alcotest.test_case "failed snapshot leaks no page share" `Quick
+      test_failed_snapshot_leaks_nothing;
+    Alcotest.test_case "image object budget" `Quick test_image_object_budget;
     Alcotest.test_case "two-slot manager policy" `Quick test_two_slot_manager;
     Alcotest.test_case "replay-point edge cases" `Quick test_replay_point_edges;
     Alcotest.test_case "failure inside the first interval" `Slow
