@@ -106,7 +106,7 @@ let json_file : string option ref = ref None
 let json_records : Json.t list ref = ref []
 let record r = json_records := Json.Obj r :: !json_records
 
-let record_engine_run ~experiment ~group ~workload ~engine ~megablocks
+let record_engine_run ~experiment ~group ~workload ~engine
     (s : Nemu.Engine.stats) =
   record
     [
@@ -114,7 +114,6 @@ let record_engine_run ~experiment ~group ~workload ~engine ~megablocks
       ("group", Json.Str group);
       ("workload", Json.Str workload);
       ("engine", Json.Str engine);
-      ("megablocks", Json.Bool megablocks);
       ("insns", Json.Int s.Nemu.Engine.insns);
       ("seconds", Json.Num s.Nemu.Engine.seconds);
       ("mips", Json.Num (Nemu.Engine.mips s.Nemu.Engine.insns s.Nemu.Engine.seconds));
@@ -123,13 +122,6 @@ let record_engine_run ~experiment ~group ~workload ~engine ~megablocks
       ("uop_compiled", Json.Int s.Nemu.Engine.compiled);
       ("uop_evictions", Json.Int s.Nemu.Engine.evictions);
       ("uop_recompiles", Json.Int s.Nemu.Engine.recompiles);
-      ("megablocks_built", Json.Int s.Nemu.Engine.megablocks);
-      ("mega_exits", Json.Int s.Nemu.Engine.mega_exits);
-      ("ic_hits", Json.Int s.Nemu.Engine.ic_hits);
-      ("ic_misses", Json.Int s.Nemu.Engine.ic_misses);
-      ("branch_folds", Json.Int s.Nemu.Engine.branch_folds);
-      ("tlb_dedups", Json.Int s.Nemu.Engine.tlb_dedups);
-      ("addr_fuses", Json.Int s.Nemu.Engine.addr_fuses);
     ]
 
 (* Fixed-size cycle-model calibration for the --json host header:
@@ -357,35 +349,21 @@ let bench_fig8 () =
      noise only ever subtracts from it, so each cell is the best of
      [reps] runs (every engine gets the same treatment) *)
   let reps = 3 in
-  (* the NEMU column honours MINJIE_MEGABLOCKS (on unless disabled);
-     NEMU-nomb pins trace megablocks off, giving an A/B pair in every
-     fig8 table and JSON *)
-  let cols =
-    [
-      ("NEMU", Nemu.Engine.Nemu, None);
-      ("NEMU-nomb", Nemu.Engine.Nemu, Some false);
-      ("Spike-like", Nemu.Engine.Spike_like, None);
-      ("QEMU-TCI-like", Nemu.Engine.Qemu_tci_like, None);
-      ("Dromajo-like", Nemu.Engine.Dromajo_like, None);
-    ]
-  in
   let header =
-    Printf.sprintf "%-15s %12s %12s %12s %14s %14s" "workload" "NEMU"
-      "NEMU-nomb" "Spike-like" "QEMU-TCI-like" "Dromajo-like"
+    Printf.sprintf "%-15s %12s %12s %14s %14s" "workload" "NEMU" "Spike-like"
+      "QEMU-TCI-like" "Dromajo-like"
   in
   (* each rep is one pool job (fork-isolated when --jobs > 1); the
      best-of merge below is order-independent, and with jobs=1 the
      pool degenerates to the original in-process rep loop *)
-  let run_reps label kind mb wl_name prog =
+  let run_reps label kind wl_name prog =
     let rep_jobs =
       List.init reps (fun r ->
           {
             Minjie.Pool.j_label = Printf.sprintf "%s/%s#%d" wl_name label r;
             j_cost = 1.0;
             j_run =
-              (fun () ->
-                Nemu.Engine.run_program_stats ~max_insns ?megablocks:mb kind
-                  prog);
+              (fun () -> Nemu.Engine.run_program_stats ~max_insns kind prog);
           })
     in
     let results, _ = Minjie.Pool.map ~jobs:(effective_jobs ()) rep_jobs in
@@ -406,7 +384,8 @@ let bench_fig8 () =
   let run_row group_name per_engine (wl_name : string) prog =
     let mips =
       List.map
-        (fun (label, kind, mb) ->
+        (fun kind ->
+          let label = Nemu.Engine.name kind in
           let best = ref None in
           List.iter
             (fun s ->
@@ -416,35 +395,28 @@ let bench_fig8 () =
               match !best with
               | Some (bm, _) when bm >= m -> ()
               | _ -> best := Some (m, s))
-            (run_reps label kind mb wl_name prog);
+            (run_reps label kind wl_name prog);
           let m, s = Option.get !best in
-          let megablocks =
-            match mb with
-            | Some b -> b
-            | None -> kind = Nemu.Engine.Nemu && Nemu.Fast.megablocks_default ()
-          in
           record_engine_run ~experiment:"fig8" ~group:group_name
-            ~workload:wl_name ~engine:label ~megablocks s;
+            ~workload:wl_name ~engine:label s;
           let prev =
             Option.value (Hashtbl.find_opt per_engine label) ~default:[]
           in
           Hashtbl.replace per_engine label (m :: prev);
           m)
-        cols
+        Nemu.Engine.all
     in
     match mips with
-    | [ a; b; c; d; e ] ->
-        Printf.printf "%-15s %12.1f %12.1f %12.1f %14.1f %14.1f\n" wl_name a b
-          c d e
+    | [ a; b; c; d ] ->
+        Printf.printf "%-15s %12.1f %12.1f %14.1f %14.1f\n" wl_name a b c d
     | _ -> ()
   in
   let finish_group group_name per_engine =
     let g label =
       geomean (Option.value (Hashtbl.find_opt per_engine label) ~default:[])
     in
-    let nemu = g "NEMU" and nomb = g "NEMU-nomb" and spike = g "Spike-like" in
-    Printf.printf "%-15s %12.1f %12.1f %12.1f %14.1f %14.1f\n" "geomean" nemu
-      nomb spike
+    let nemu = g "NEMU" and spike = g "Spike-like" in
+    Printf.printf "%-15s %12.1f %12.1f %14.1f %14.1f\n" "geomean" nemu spike
       (g "QEMU-TCI-like")
       (g "Dromajo-like");
     record
@@ -453,16 +425,12 @@ let bench_fig8 () =
         ("group", Json.Str group_name);
         ("workload", Json.Str "geomean");
         ("nemu_mips", Json.Num nemu);
-        ("nemu_nomb_mips", Json.Num nomb);
         ("spike_like_mips", Json.Num spike);
         ("qemu_tci_like_mips", Json.Num (g "QEMU-TCI-like"));
         ("dromajo_like_mips", Json.Num (g "Dromajo-like"));
         ("nemu_vs_spike", Json.Num (nemu /. max 1e-9 spike));
-        ("nemu_megablock_speedup", Json.Num (nemu /. max 1e-9 nomb));
       ];
-    Printf.printf "NEMU / Spike-like ratio: %.2fx   megablock speedup: %.2fx\n\n"
-      (nemu /. spike)
-      (nemu /. max 1e-9 nomb)
+    Printf.printf "NEMU / Spike-like ratio: %.2fx\n\n" (nemu /. spike)
   in
   (* MIPS is a steady-state measure: grow the workload scale until the
      run is long enough that compile/startup costs are amortised, so

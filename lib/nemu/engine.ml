@@ -20,19 +20,11 @@ type stats = {
   compiled : int;
   evictions : int;
   recompiles : int;
-  (* NEMU trace-megablock counters; zero elsewhere *)
-  megablocks : int;
-  mega_exits : int;
-  ic_hits : int;
-  ic_misses : int;
-  branch_folds : int;
-  tlb_dedups : int;
-  addr_fuses : int;
 }
 
 (* Run [prog] on a fresh machine; returns run statistics. *)
 let run_program_stats ?(max_insns = 2_000_000_000)
-    ?(dram_size = 64 * 1024 * 1024) ?megablocks (kind : kind)
+    ?(dram_size = 64 * 1024 * 1024) (kind : kind)
     (prog : Riscv.Asm.program) : stats =
   let m = Mach.create ~dram_size () in
   Mach.load_program m prog;
@@ -40,7 +32,7 @@ let run_program_stats ?(max_insns = 2_000_000_000)
   let n, counters =
     match kind with
     | Nemu ->
-        let t = Fast.create ?megablocks m in
+        let t = Fast.create m in
         let n = Fast.run t ~max_insns in
         (n, Some t)
     | Spike_like -> (Spike_like.run m ~max_insns, None)
@@ -58,13 +50,6 @@ let run_program_stats ?(max_insns = 2_000_000_000)
         compiled = t.Fast.compiled;
         evictions = t.Fast.evictions;
         recompiles = t.Fast.recompiles;
-        megablocks = t.Fast.megablocks;
-        mega_exits = t.Fast.mega_exits;
-        ic_hits = t.Fast.ic_hits;
-        ic_misses = t.Fast.ic_misses;
-        branch_folds = t.Fast.branch_folds;
-        tlb_dedups = t.Fast.tlb_dedups;
-        addr_fuses = t.Fast.addr_fuses;
       }
   | None ->
       {
@@ -75,17 +60,10 @@ let run_program_stats ?(max_insns = 2_000_000_000)
         compiled = 0;
         evictions = 0;
         recompiles = 0;
-        megablocks = 0;
-        mega_exits = 0;
-        ic_hits = 0;
-        ic_misses = 0;
-        branch_folds = 0;
-        tlb_dedups = 0;
-        addr_fuses = 0;
       }
 
-let run_program ?max_insns ?dram_size ?megablocks kind prog =
-  let s = run_program_stats ?max_insns ?dram_size ?megablocks kind prog in
+let run_program ?max_insns ?dram_size kind prog =
+  let s = run_program_stats ?max_insns ?dram_size kind prog in
   (s.insns, s.seconds)
 
 let mips n secs = if secs <= 0.0 then 0.0 else float_of_int n /. secs /. 1e6
@@ -93,7 +71,7 @@ let mips n secs = if secs <= 0.0 then 0.0 else float_of_int n /. secs /. 1e6
 (* --- warm (resident) NEMU engine -------------------------------------- *)
 
 (* A machine + Fast engine kept alive across runs of one program so
-   the decoded superblock/megablock caches amortise.  Between runs the
+   the decoded superblock caches amortise.  Between runs the
    *architectural* state is rolled back to the post-load reset point:
    guest memory via a COW snapshot, the CSR file via a pristine copy,
    registers/pc/devices by hand.  Compiled code is kept only when the
@@ -113,13 +91,13 @@ type warm = {
   mutable w_runs : int;
 }
 
-let warm_create ?(dram_size = 64 * 1024 * 1024) ?megablocks
-    (prog : Riscv.Asm.program) : warm =
+let warm_create ?(dram_size = 64 * 1024 * 1024) (prog : Riscv.Asm.program) :
+    warm =
   let m = Mach.create ~dram_size () in
   Mach.load_program m prog;
   let mem0 = Riscv.Memory.snapshot m.Mach.plat.Riscv.Platform.mem in
   let csr0 = Riscv.Csr.copy m.Mach.csr in
-  let t = Fast.create ?megablocks m in
+  let t = Fast.create m in
   {
     w_mach = m;
     w_fast = t;

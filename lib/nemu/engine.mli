@@ -24,33 +24,22 @@ type stats = {
   compiled : int;  (** NEMU superblocks compiled *)
   evictions : int;  (** NEMU entries demoted by capacity eviction *)
   recompiles : int;  (** NEMU evicted entries rebuilt via stale chains *)
-  megablocks : int;  (** NEMU entries promoted to trace megablocks *)
-  mega_exits : int;  (** NEMU trace side exits (guard mispredicts) *)
-  ic_hits : int;  (** NEMU indirect jumps resolved by an inline cache *)
-  ic_misses : int;  (** NEMU inline-cache misses (hash-list fallback) *)
-  branch_folds : int;  (** NEMU trace branches folded to constants *)
-  tlb_dedups : int;  (** NEMU memory-access pairs sharing one check *)
-  addr_fuses : int;  (** NEMU address ALU ops fused into memory slots *)
 }
-(** Per-run statistics.  The uop-cache and megablock counters are zero
-    for every engine but [Nemu]. *)
+(** Per-run statistics.  The uop-cache counters are zero for every
+    engine but [Nemu]. *)
 
 val run_program_stats :
   ?max_insns:int ->
   ?dram_size:int ->
-  ?megablocks:bool ->
   kind ->
   Riscv.Asm.program ->
   stats
 (** [run_program_stats kind prog] runs [prog] to completion (or the
-    budget) on a fresh machine and reports full statistics.
-    [megablocks] (NEMU only; default {!Fast.megablocks_default})
-    enables trace-megablock promotion. *)
+    budget) on a fresh machine and reports full statistics. *)
 
 val run_program :
   ?max_insns:int ->
   ?dram_size:int ->
-  ?megablocks:bool ->
   kind ->
   Riscv.Asm.program ->
   int * float
@@ -62,7 +51,7 @@ val mips : int -> float -> float
 
 type warm
 (** A resident NEMU instance for one program: the machine and its
-    decoded superblock/megablock caches stay alive across runs, and
+    decoded superblock caches stay alive across runs, and
     each {!warm_run} first rolls the architectural state back to the
     post-load reset point (guest memory via a COW snapshot, CSRs via a
     pristine copy, registers/pc/CLINT/console by hand).  Compiled code
@@ -71,8 +60,7 @@ type warm
     are conservatively dropped, so results are architecturally
     identical to a cold run regardless of warmth. *)
 
-val warm_create :
-  ?dram_size:int -> ?megablocks:bool -> Riscv.Asm.program -> warm
+val warm_create : ?dram_size:int -> Riscv.Asm.program -> warm
 
 val warm_run : warm -> max_insns:int -> int
 (** Run the program from reset; returns instructions retired.  The

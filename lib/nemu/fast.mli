@@ -59,39 +59,11 @@ type entry = {
   mutable exec : exec_fn;
   mutable seq : entry option;
   mutable tgt : entry option;
-  mutable hot : int;
-      (** dispatch count; at the promotion threshold the entry is
-          recompiled as a trace megablock *)
 }
 
 and exec_fn = entry -> entry option
 
-type site = { sx_pc : int64; mutable sx_e : entry option }
-(** A side exit from a trace megablock: the resume pc plus a memoized
-    link to its entry, patched lazily like seq/tgt chain slots. *)
-
-type ic = {
-  mutable ic_pc0 : int64;
-  mutable ic_e0 : entry option;
-  mutable ic_pc1 : int64;
-  mutable ic_e1 : entry option;
-}
-(** A 2-way inline cache for an indirect jump site: the last two
-    (target pc -> entry) pairs, most recent in way 0. *)
-
-type patch_slot = Patch_seq | Patch_tgt | Patch_site of site | Patch_none
-
-type bias_info = {
-  mutable b_pred : int;  (** 0 = follow not-taken, 1 = taken, 2 = nofollow *)
-  mutable b_last : int;  (** instret at the previous exit *)
-  mutable b_gap : int;  (** EWMA gap between exits; max_int = no sample *)
-  mutable b_cnt : int;  (** exits since the last decision *)
-  mutable b_flips : int;  (** direction changes so far *)
-}
-(** Exit-bias feedback for one trace-internal branch: guards whose
-    exits arrive within a few trace lengths were predicted in the
-    wrong direction -- the first offence flips the followed direction
-    and re-traces, the second stops the trace before the branch. *)
+type patch_slot = Patch_seq | Patch_tgt | Patch_none
 
 type t = {
   m : Mach.t;
@@ -108,21 +80,6 @@ type t = {
   mutable compiled : int;
   mutable evictions : int; (** entries demoted by capacity eviction *)
   mutable recompiles : int; (** evicted entries rebuilt via stale chains *)
-  mega_enabled : bool; (** trace megablocks allowed in this engine *)
-  hot_threshold : int; (** dispatch count that triggers promotion *)
-  mutable stop_at : int; (** the active run's instret budget limit *)
-  mutable megablocks : int; (** entries promoted to trace megablocks *)
-  mutable mega_exits : int; (** trace side exits (guard mispredicts) *)
-  mutable ic_hits : int; (** indirect jumps resolved by an inline cache *)
-  mutable ic_misses : int; (** inline-cache misses (hash-list fallback) *)
-  mutable branch_folds : int; (** trace branches folded to constants *)
-  mutable tlb_dedups : int; (** memory-access pairs sharing one check *)
-  mutable addr_fuses : int;
-      (** address-forming ALU ops fused into their memory access *)
-  bias : (int64, bias_info) Hashtbl.t;
-      (** per-branch exit-bias feedback, keyed by branch pc *)
-  retraces : (int64, int) Hashtbl.t;
-      (** bias-driven re-traces per head pc (capped) *)
   mutable prof_on : bool;
   mutable prof_edge : int64 -> int64 -> unit;
       (** BBV profiling hook: called with (source pc, target pc) of
@@ -137,23 +94,15 @@ val compile_straight : Mach.t -> Riscv.Insn.t -> (unit -> unit) option
     non-autonomous REF mode ({!Ref_core}), which reuses the routines
     for its pure register operations. *)
 
-val megablocks_default : unit -> bool
-(** Whether trace megablocks are enabled by default: true unless the
-    [MINJIE_MEGABLOCKS] environment variable is "0" / "false" / "off"
-    (the CI A/B smoke uses this). *)
-
-val create : ?capacity:int -> ?megablocks:bool -> ?hot_threshold:int ->
-  Mach.t -> t
+val create : ?capacity:int -> Mach.t -> t
 (** [capacity] defaults to 16384 entries, the size the paper selects
-    for both Spike's cache and NEMU's uop cache.  [megablocks]
-    (default {!megablocks_default}) enables trace-megablock promotion
-    of entries dispatched [hot_threshold] (default 32) times. *)
+    for both Spike's cache and NEMU's uop cache. *)
 
 val flush : t -> unit
 
 val rewind : t -> unit
 (** Re-arm the engine for another run of the same program image while
-    keeping all compiled superblocks/megablocks: re-selects the cache
+    keeping all compiled superblocks: re-selects the cache
     table for the machine's current privilege and clears any pending
     chain patch.  Only sound when guest code is unchanged since the
     blocks were compiled; callers that restored memory must [flush]

@@ -36,34 +36,18 @@ type forced = Force_exception of Trap.exc * int64 | Force_interrupt of Trap.irq
    [O_slow] is the instrumented path (memory, CSRs, system). *)
 type op =
   | O_straight of (unit -> unit) (* pure register op; next pc = pc+4 *)
-  | O_jump of (int64 -> int64) * jic
-    (* control flow; returns the next pc.  The inline cache memoizes
-       the blocks this site jumped to, so a taken branch links
-       block-to-block without a cache lookup -- the REF-mode analogue
-       of the autonomous engine's trace chaining. *)
+  | O_jump of (int64 -> int64) (* control flow; returns the next pc *)
   | O_slow
 
-and jic = { mutable j_b0 : block; mutable j_b1 : block }
-(* 2-way inline cache at a jump site: the last two target blocks,
-   most recent in way 0.  A way hits only if the target pc matches
-   AND the block's generation is current (see [gen] below). *)
-
-and block = {
+type block = {
   b_pc : int64; (* virtual start pc *)
-  b_gen : int; (* the cache generation the block was compiled in *)
   b_insns : Insn.t array;
   b_ops : op array;
   b_pages : int64 array; (* physical 4 KiB code pages fetched from *)
 }
 
 let no_block =
-  {
-    b_pc = Int64.min_int;
-    b_gen = -1;
-    b_insns = [||];
-    b_ops = [||];
-    b_pages = [||];
-  }
+  { b_pc = Int64.min_int; b_insns = [||]; b_ops = [||]; b_pages = [||] }
 
 type t = {
   m : Mach.t;
@@ -77,19 +61,11 @@ type t = {
   mutable forced : forced option;
   mutable force_sc_fail : bool;
   mutable instret : int64;
-  mega : bool; (* jump-site inline caches enabled *)
-  mutable gen : int;
-      (* cache generation: bumped by every flush and every
-         physical-page invalidation, so an inline-cache way can prove
-         its memoized block untouched with one integer compare --
-         page-write safety without re-walking the page index *)
   (* stats *)
   mutable compiled : int;
   mutable flushes : int;
   mutable invalidations : int;
   mutable slow_lookups : int;
-  mutable ic_hits : int;
-  mutable ic_misses : int;
 }
 
 let max_block_len = 32
@@ -107,7 +83,7 @@ let page_index_cap = 16384
 let priv_ix (csr : Csr.t) =
   match csr.Csr.priv with Csr.U -> 0 | Csr.S -> 1 | Csr.M -> 2
 
-let create ?dram_size ?(hartid = 0) ?megablocks () =
+let create ?dram_size ?(hartid = 0) () =
   {
     m = Mach.create ?dram_size ~hartid ();
     caches = Array.init 3 (fun _ -> Array.make cache_slots no_block);
@@ -118,17 +94,10 @@ let create ?dram_size ?(hartid = 0) ?megablocks () =
     forced = None;
     force_sc_fail = false;
     instret = 0L;
-    mega =
-      (match megablocks with
-      | Some b -> b
-      | None -> Fast.megablocks_default ());
-    gen = 0;
     compiled = 0;
     flushes = 0;
     invalidations = 0;
     slow_lookups = 0;
-    ic_hits = 0;
-    ic_misses = 0;
   }
 
 let load_program t prog = Mach.load_program t.m prog
@@ -172,7 +141,6 @@ let flush_blocks t =
   t.cur <- no_block;
   t.cur_ix <- 0;
   t.cur_pc <- Int64.min_int;
-  t.gen <- t.gen + 1;
   t.flushes <- t.flushes + 1
 
 let page_of pa = Int64.logand pa (Int64.lognot 0xFFFL)
@@ -188,9 +156,6 @@ let index_block t ix slot (b : block) =
    every block compiled from the written page so the next step
    recompiles against the patched bytes. *)
 let invalidate_paddr t ~paddr ~size =
-  (* retire the generation so every inline-cache way memoizing a
-     possibly-stale block misses from now on *)
-  t.gen <- t.gen + 1;
   let invalidate_page page =
     (match Hashtbl.find_opt t.page_index page with
     | Some entries ->
@@ -268,7 +233,6 @@ let specialise (m : Mach.t) vpc (insn : Insn.t) : op =
   let regs = m.Mach.regs in
   let g r = Bigarray.Array1.unsafe_get regs r in
   let rdx rd = if rd = 0 then Mach.sink else rd in
-  let jump f = O_jump (f, { j_b0 = no_block; j_b1 = no_block }) in
   match insn with
   | Insn.Load _ | Insn.Store _ | Insn.Lr _ | Insn.Sc _ | Insn.Amo _
   | Insn.Fld _ | Insn.Fsd _ | Insn.Csr _ | Insn.Sfence_vma _ | Insn.Fence_i
@@ -276,13 +240,13 @@ let specialise (m : Mach.t) vpc (insn : Insn.t) : op =
       O_slow
   | Insn.Jal (rd, off) ->
       let rd = rdx rd in
-      jump
+      O_jump
         (fun pc ->
           Bigarray.Array1.unsafe_set regs rd (Int64.add pc 4L);
           Int64.add pc off)
   | Insn.Jalr (rd, rs1, imm) ->
       let rd = rdx rd in
-      jump
+      O_jump
         (fun pc ->
           let target =
             Int64.logand (Int64.add (g rs1) imm) (Int64.lognot 1L)
@@ -290,7 +254,7 @@ let specialise (m : Mach.t) vpc (insn : Insn.t) : op =
           Bigarray.Array1.unsafe_set regs rd (Int64.add pc 4L);
           target)
   | Insn.Branch (op, rs1, rs2, off) ->
-      jump
+      O_jump
         (match op with
         | Insn.BEQ ->
             fun pc ->
@@ -356,9 +320,7 @@ let compile t vpc : block =
       (fun i insn -> specialise m (Int64.add vpc (Int64.of_int (4 * i))) insn)
       b_insns
   in
-  let b =
-    { b_pc = vpc; b_gen = t.gen; b_insns; b_ops; b_pages = Array.of_list !pages }
-  in
+  let b = { b_pc = vpc; b_insns; b_ops; b_pages = Array.of_list !pages } in
   t.compiled <- t.compiled + 1;
   b
 
@@ -617,48 +579,6 @@ let invalidate_cursor t =
   t.cur_ix <- 0;
   t.cur_pc <- Int64.min_int
 
-(* A taken jump at an [O_jump] site: resolve the target block through
-   the site's inline cache and leave the cursor on it, so the next
-   step starts inside the target with no hash/slot lookup -- REF-mode
-   block-to-block linking.  A way hits only if its block is from the
-   current generation, i.e. no flush and no physical-page write has
-   happened since the block was compiled; jump sites never change
-   privilege (mret/sret are [O_slow] terminals), so a memoized block
-   is always from the jumping block's own privilege partition.  On a
-   double miss the target resolves through the normal lookup and is
-   promoted to way 0.  A first-fetch fault during resolution leaves
-   the cursor invalid: the fault belongs to the *next* commit and is
-   raised there by the normal path. *)
-let link_jump t (ic : jic) target =
-  let set b =
-    t.cur <- b;
-    t.cur_ix <- 0;
-    t.cur_pc <- target
-  in
-  let b0 = ic.j_b0 in
-  if Int64.equal b0.b_pc target && b0.b_gen = t.gen then begin
-    t.ic_hits <- t.ic_hits + 1;
-    set b0
-  end
-  else begin
-    let b1 = ic.j_b1 in
-    if Int64.equal b1.b_pc target && b1.b_gen = t.gen then begin
-      t.ic_hits <- t.ic_hits + 1;
-      ic.j_b1 <- b0;
-      ic.j_b0 <- b1;
-      set b1
-    end
-    else begin
-      t.ic_misses <- t.ic_misses + 1;
-      match lookup_or_compile t target with
-      | b ->
-          ic.j_b1 <- ic.j_b0;
-          ic.j_b0 <- b;
-          set b
-      | exception Trap.Exception _ -> invalidate_cursor t
-    end
-  end
-
 let finish t (c : Iss.Interp.commit) : Iss.Interp.step_result =
   t.instret <- Int64.add t.instret 1L;
   t.m.Mach.csr.Csr.reg_minstret <-
@@ -719,12 +639,11 @@ let step (t : t) : Iss.Interp.step_result =
                 m.Mach.pc <- straight;
                 advance ();
                 commit_plain insn pc straight
-            | O_jump (g, ic) ->
+            | O_jump g ->
                 let next = g pc in
                 m.Mach.pc <- next;
-                (if Int64.equal next straight then advance ()
-                 else if t.mega then link_jump t ic next
-                 else invalidate_cursor t);
+                if Int64.equal next straight then advance ()
+                else invalidate_cursor t;
                 commit_plain insn pc next
             | O_slow ->
                 let c = exec_commit t pc insn in

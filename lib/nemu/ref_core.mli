@@ -27,24 +27,14 @@ type t = {
   mutable forced : forced option;
   mutable force_sc_fail : bool;
   mutable instret : int64;
-  mega : bool;  (** jump-site inline caches enabled *)
-  mutable gen : int;
-      (** cache generation, bumped by every flush and physical-page
-          invalidation: an inline-cache way proves its memoized block
-          untouched with one integer compare *)
   mutable compiled : int;
   mutable flushes : int;
   mutable invalidations : int;
   mutable slow_lookups : int;
-  mutable ic_hits : int;
-      (** taken jumps resolved by a jump-site inline cache *)
-  mutable ic_misses : int;
-      (** taken jumps resolved through the block-cache lookup *)
 }
 
 and block = {
   b_pc : int64;
-  b_gen : int;  (** the cache generation the block was compiled in *)
   b_insns : Insn.t array;
   b_ops : op array;
   b_pages : int64 array;
@@ -55,22 +45,15 @@ and op =
   | O_straight of (unit -> unit)
       (** pure register op (a {!Fast.compile_straight} routine);
           next pc = pc+4 *)
-  | O_jump of (int64 -> int64) * jic
-      (** control flow; returns the next pc.  The inline cache links
-          taken jumps block-to-block, the REF-mode analogue of the
-          autonomous engine's trace chaining. *)
+  | O_jump of (int64 -> int64)
+      (** control flow; returns the next pc.  A taken jump drops the
+          cursor, so the next step looks its target up in the block
+          cache. *)
   | O_slow  (** instrumented path: memory / CSR / system *)
-
-and jic = { mutable j_b0 : block; mutable j_b1 : block }
-(** 2-way inline cache at a jump site: last two target blocks, most
-    recent in way 0; a way hits only if its block's generation is
-    current (no flush or page write since it was compiled). *)
 
 and forced = Force_exception of Trap.exc * int64 | Force_interrupt of Trap.irq
 
-val create : ?dram_size:int -> ?hartid:int -> ?megablocks:bool -> unit -> t
-(** [megablocks] (default {!Fast.megablocks_default}) enables the
-    jump-site inline caches (REF-mode block linking). *)
+val create : ?dram_size:int -> ?hartid:int -> unit -> t
 
 val load_program : t -> Asm.program -> unit
 

@@ -1,5 +1,5 @@
 (** The server-resident warm state: assembled program images, live
-    NEMU engines with their decoded superblock/megablock caches, and
+    NEMU engines with their decoded superblock caches, and
     generated SimPoint checkpoint sets, keyed by the strings
     {!Proto.warm_key} derives from job specs.
 

@@ -103,15 +103,24 @@ type ids = {
    permutation mode exists purely to enforce that property. *)
 type phase_order = Default_order | Shuffle of int
 
+(* A value outside the accepted forms is refused rather than read as
+   the default: a typo must not turn a shuffled run into a plain one. *)
 let phase_order_of_env () =
   match Sys.getenv_opt "MINJIE_PHASE_ORDER" with
+  | None | Some ("" | "default") -> Default_order
   | Some "shuffle" -> Shuffle 1
-  | Some s
-    when String.length s > 8 && String.sub s 0 8 = "shuffle:" -> (
-      match int_of_string_opt (String.sub s 8 (String.length s - 8)) with
+  | Some s -> (
+      let seed =
+        if String.starts_with ~prefix:"shuffle:" s then
+          int_of_string_opt (String.sub s 8 (String.length s - 8))
+        else None
+      in
+      match seed with
       | Some seed -> Shuffle seed
-      | None -> Default_order)
-  | _ -> Default_order
+      | None ->
+          invalid_arg
+            (Printf.sprintf
+               "MINJIE_PHASE_ORDER=%S (want default, shuffle or shuffle:SEED)" s))
 
 type t = {
   cfg : Config.t;

@@ -58,7 +58,8 @@ type ids
     every observable (DiffTest verdicts, ArchDB, counter snapshots) --
     the shuffle mode exists purely to enforce phase-1 purity.
     Initialised from MINJIE_PHASE_ORDER ("default" | "shuffle" |
-    "shuffle:SEED") at [create]. *)
+    "shuffle:SEED") at [create]; any other non-empty value raises
+    [Invalid_argument] naming the variable. *)
 type phase_order = Default_order | Shuffle of int
 
 type t = {

@@ -82,16 +82,20 @@ let test_uop_cache_eviction_on_capacity () =
    traps (page faults and misaligned accesses that fire from inside a
    fused body) and cache eviction. *)
 
-let step_reference ?(max_insns = 50_000_000) prog =
-  let m = Nemu.Mach.create () in
-  Nemu.Mach.load_program m prog;
+(* advance [m] by up to [n] instructions of generic stepping *)
+let step_on m n =
   let steps = ref 0 in
-  while m.Nemu.Mach.running && !steps < max_insns do
+  while m.Nemu.Mach.running && !steps < n do
     Nemu.Exec_generic.step Nemu.Exec_generic.host_fp m;
     incr steps;
     if !steps land 0xFF = 0 then Nemu.Mach.check_running m
   done;
-  Nemu.Mach.check_running m;
+  Nemu.Mach.check_running m
+
+let step_reference ?(max_insns = 50_000_000) prog =
+  let m = Nemu.Mach.create () in
+  Nemu.Mach.load_program m prog;
+  step_on m max_insns;
   m
 
 let nemu_superblock ?capacity ?(max_insns = 50_000_000) prog =
@@ -216,78 +220,12 @@ let test_superblock_vs_step_midblock_traps () =
    sampling relies on this) *)
 let test_exact_budget_stops () =
   let prog = (Workloads.Suite.find "coremark_like").program ~scale:1 in
-  List.iter
-    (fun budget ->
-      let m = Nemu.Mach.create () in
-      Nemu.Mach.load_program m prog;
-      let t = Nemu.Fast.create m in
-      let n = Nemu.Fast.run t ~max_insns:budget in
-      Alcotest.(check int)
-        (Printf.sprintf "retired exactly %d" budget)
-        budget n;
-      Alcotest.(check int)
-        (Printf.sprintf "instret at %d" budget)
-        budget m.Nemu.Mach.instret;
-      (* resume and compare against an uninterrupted reference run *)
-      let rest = Nemu.Fast.run t ~max_insns:50_000_000 in
-      let ref_m = step_reference prog in
-      Alcotest.(check int) "total instret" ref_m.Nemu.Mach.instret (budget + rest))
-    [ 1; 2; 3; 7; 50; 1234; 9_999 ]
-
-(* --- trace megablocks --------------------------------------------------
-
-   The trace compiler must be architecturally invisible: megablocks-on
-   vs -off vs generic stepping agree on all state, traps from inside a
-   trace retire a precise count and epc, budget stops inside a trace
-   are exact, and fence.i / sfence.vma / self-modifying stores
-   invalidate trace members.  hot_threshold:1 promotes every block on
-   its first re-dispatch so even short tests run almost entirely
-   inside traces. *)
-
-let nemu_mega ?megablocks ?(hot_threshold = 1) ?(max_insns = 50_000_000) prog =
-  let m = Nemu.Mach.create () in
-  Nemu.Mach.load_program m prog;
-  let t = Nemu.Fast.create ?megablocks ~hot_threshold m in
-  let _ = Nemu.Fast.run t ~max_insns in
-  (m, t)
-
-let test_megablock_vs_step_fuzz () =
-  for seed = 1 to 12 do
-    let prog = Workloads.Testgen.program ~seed () in
-    let ref_m = step_reference prog in
-    let m_on, _ = nemu_mega ~megablocks:true prog in
-    check_same_arch (Printf.sprintf "testgen seed %d (mega on)" seed) ref_m m_on;
-    let m_off, _ = nemu_mega ~megablocks:false prog in
-    check_same_arch
-      (Printf.sprintf "testgen seed %d (mega off)" seed)
-      ref_m m_off
-  done
-
-let test_megablock_paging () =
-  List.iter
-    (fun (name, prog) ->
-      let ref_m = step_reference prog in
-      let m, _ = nemu_mega ~megablocks:true prog in
-      check_same_arch (name ^ " (mega)") ref_m m)
-    [
-      ("vm_kernel", Workloads.Vm_kernel.program ~rounds:3 ~scale:2 ());
-      ("user_mode", Workloads.User_mode.program ~scale:2 ());
-    ]
-
-let test_megablock_midtrace_traps () =
-  let ref_m = step_reference trap_torture_program in
-  let m, t = nemu_mega ~megablocks:true trap_torture_program in
-  Alcotest.(check bool) "traces were built" true (t.Nemu.Fast.megablocks > 0);
-  check_same_arch "mega trap torture" ref_m m
-
-let test_megablock_exact_budget_stops () =
-  let prog = (Workloads.Suite.find "coremark_like").program ~scale:1 in
   let ref_m = step_reference prog in
   List.iter
     (fun budget ->
       let m = Nemu.Mach.create () in
       Nemu.Mach.load_program m prog;
-      let t = Nemu.Fast.create ~megablocks:true ~hot_threshold:1 m in
+      let t = Nemu.Fast.create m in
       let n = Nemu.Fast.run t ~max_insns:budget in
       Alcotest.(check int)
         (Printf.sprintf "retired exactly %d" budget)
@@ -302,12 +240,12 @@ let test_megablock_exact_budget_stops () =
       check_same_arch (Printf.sprintf "resumed after %d" budget) ref_m m)
     [ 1; 2; 3; 7; 50; 1234; 9_999; 14_000 ]
 
-(* Self-modifying code: a hot loop is promoted to a trace, then the
-   program overwrites an instruction inside the trace and issues
-   fence.i -- the second pass must execute the patched instruction.
-   Pass 1 adds 1 per iteration, the patch turns the addi into +5, so
-   the exit code separates stale-trace execution from correct
-   invalidation. *)
+(* Self-modifying code: a loop runs from compiled superblocks, then
+   the program overwrites an instruction inside the loop body and
+   issues fence.i -- the second pass must execute the patched
+   instruction.  Pass 1 adds 1 per iteration, the patch turns the addi
+   into +5, so the exit code separates stale-block execution from
+   correct invalidation. *)
 let selfmod_fencei_program =
   let open Riscv in
   let open Workloads.Wl_common.Ops in
@@ -333,20 +271,17 @@ let selfmod_fencei_program =
      ]
     @ Workloads.Wl_common.exit_with Asm.a0)
 
-let test_megablock_selfmod_fencei () =
+let test_selfmod_fencei () =
   let ref_m = step_reference selfmod_fencei_program in
   Alcotest.(check (option int))
     "reference executes the patched code" (Some 120)
     (Nemu.Mach.exit_code ref_m);
-  let m, t = nemu_mega ~megablocks:true selfmod_fencei_program in
-  Alcotest.(check bool) "traces were built" true (t.Nemu.Fast.megablocks > 0);
-  check_same_arch "self-modifying store + fence.i" ref_m m;
-  let m_off, _ = nemu_mega ~megablocks:false selfmod_fencei_program in
-  check_same_arch "self-modifying (mega off)" ref_m m_off
+  check_same_arch "self-modifying store + fence.i" ref_m
+    (nemu_superblock selfmod_fencei_program)
 
 (* Indirect jumps: a call site alternating between two callees through
-   a register, so the jalr terminal's 2-way inline cache sees both
-   targets (and the callees' rets return through their own ICs). *)
+   a register, so the jalr terminal and the callees' rets resolve a
+   changing target through the hash list on every call. *)
 let indirect_call_program =
   let open Riscv in
   let open Workloads.Wl_common.Ops in
@@ -374,39 +309,110 @@ let indirect_call_program =
      ]
     @ Workloads.Wl_common.exit_with Asm.a0)
 
-let test_megablock_indirect_ic () =
+let test_indirect_calls () =
   let ref_m = step_reference indirect_call_program in
   Alcotest.(check (option int))
     "reference exit" (Some 120)
     (Nemu.Mach.exit_code ref_m);
-  let m, t = nemu_mega ~megablocks:true indirect_call_program in
-  check_same_arch "indirect calls" ref_m m;
-  Alcotest.(check bool)
-    (Printf.sprintf "inline cache hits (%d hits / %d misses)"
-       t.Nemu.Fast.ic_hits t.Nemu.Fast.ic_misses)
-    true
-    (t.Nemu.Fast.ic_hits > t.Nemu.Fast.ic_misses);
-  let m_off, _ = nemu_mega ~megablocks:false indirect_call_program in
-  check_same_arch "indirect calls (mega off)" ref_m m_off
+  check_same_arch "indirect calls" ref_m (nemu_superblock indirect_call_program)
 
-(* Acceptance gate: megablocks-on vs -off identical architectural
-   state across the full workload suite (exact budget stops make the
-   two runs comparable even when a workload doesn't exit). *)
-let test_megablock_suite_identity () =
-  let built = ref 0 in
+(* The whole workload suite against generic stepping under one exact
+   instruction budget, so workloads that do not exit within it still
+   compare state at the same retirement point. *)
+let test_suite_vs_step () =
   List.iter
     (fun (w : Workloads.Wl_common.t) ->
       let prog = w.program ~scale:w.small in
-      let m_on, t_on =
-        nemu_mega ~megablocks:true ~hot_threshold:8 ~max_insns:3_000_000 prog
-      in
-      let m_off, _ =
-        nemu_mega ~megablocks:false ~max_insns:3_000_000 prog
-      in
-      built := !built + t_on.Nemu.Fast.megablocks;
-      check_same_arch (w.wl_name ^ " mega on/off") m_off m_on)
-    (Workloads.Suite.all @ Workloads.Suite.llc_stress);
-  Alcotest.(check bool) "suite exercised the trace compiler" true (!built > 0)
+      check_same_arch w.wl_name
+        (step_reference ~max_insns:3_000_000 prog)
+        (nemu_superblock ~max_insns:3_000_000 prog))
+    (Workloads.Suite.all @ Workloads.Suite.llc_stress)
+
+(* --- stop-and-resume cases ---------------------------------------------
+
+   These four cases keep the names they had under the former trace
+   megablock tier, whose long chained runs they targeted.  They now
+   drive the superblock engine through budget stops at arbitrary
+   points of chained code, and compare the full state at the stops
+   themselves rather than only at exit. *)
+
+(* run to exit in [chunk]-instruction slices: every slice but the last
+   must retire exactly [chunk] *)
+let nemu_chunked ~chunk prog =
+  let m = Nemu.Mach.create () in
+  Nemu.Mach.load_program m prog;
+  let t = Nemu.Fast.create m in
+  let slices = ref 0 in
+  while m.Nemu.Mach.running && !slices < 1_000_000 do
+    let n = Nemu.Fast.run t ~max_insns:chunk in
+    if m.Nemu.Mach.running then
+      Alcotest.(check int) "slice retires exactly its budget" chunk n;
+    incr slices
+  done;
+  m
+
+(* fresh testgen seeds (the superblock fuzz test covers 1-12), each in
+   one run and again sliced into 97-instruction budgets *)
+let test_megablock_vs_step_fuzz () =
+  for seed = 13 to 24 do
+    let prog = Workloads.Testgen.program ~seed () in
+    let name = Printf.sprintf "testgen seed %d" seed in
+    let ref_m = step_reference prog in
+    check_same_arch name ref_m (nemu_superblock prog);
+    check_same_arch (name ^ " (sliced)") ref_m (nemu_chunked ~chunk:97 prog)
+  done
+
+(* budget stops that fall across privilege switches, page-table walks
+   and sfence.vma flushes *)
+let test_megablock_paging () =
+  List.iter
+    (fun (name, prog) ->
+      let ref_m = step_reference prog in
+      check_same_arch (name ^ " (sliced)") ref_m (nemu_chunked ~chunk:61 prog))
+    [
+      ("vm_kernel", Workloads.Vm_kernel.program ~rounds:3 ~scale:2 ());
+      ("user_mode", Workloads.User_mode.program ~scale:2 ());
+    ]
+
+(* precision at every retirement point of the trap torture program: a
+   fresh engine run for exactly k instructions must match generic
+   stepping after k, for every k up to exit -- so each mid-block trap
+   is seen from both sides of its boundary *)
+let test_megablock_midtrace_traps () =
+  let prog = trap_torture_program in
+  let total = (step_reference prog).Nemu.Mach.instret in
+  let ref_m = Nemu.Mach.create () in
+  Nemu.Mach.load_program ref_m prog;
+  for k = 1 to total do
+    step_on ref_m 1;
+    check_same_arch
+      (Printf.sprintf "after %d" k)
+      ref_m
+      (nemu_superblock ~max_insns:k prog)
+  done
+
+(* exact stops in warm, chained code: after a warm-up run, each budget
+   stop is compared with generic stepping at the same retirement point
+   before the run resumes *)
+let test_megablock_exact_budget_stops () =
+  let prog = (Workloads.Suite.find "coremark_like").program ~scale:1 in
+  let ref_m = Nemu.Mach.create () in
+  Nemu.Mach.load_program ref_m prog;
+  let m = Nemu.Mach.create () in
+  Nemu.Mach.load_program m prog;
+  let t = Nemu.Fast.create m in
+  List.iter
+    (fun budget ->
+      let n = Nemu.Fast.run t ~max_insns:budget in
+      Alcotest.(check int)
+        (Printf.sprintf "retired exactly %d" budget)
+        budget n;
+      step_on ref_m budget;
+      check_same_arch (Printf.sprintf "stop after +%d" budget) ref_m m)
+    [ 5_000; 1; 2; 3; 7; 50; 1234; 7_777 ];
+  let _ = Nemu.Fast.run t ~max_insns:50_000_000 in
+  step_on ref_m 50_000_000;
+  check_same_arch "resumed to exit" ref_m m
 
 let test_spike_decode_cache_conflicts () =
   let prog = (Workloads.Suite.find "sort_like").program ~scale:1 in
@@ -473,6 +479,12 @@ let tests =
         test_superblock_vs_step_midblock_traps;
       Alcotest.test_case "superblock: exact budget stops" `Quick
         test_exact_budget_stops;
+      Alcotest.test_case "superblock: self-modifying store + fence.i" `Quick
+        test_selfmod_fencei;
+      Alcotest.test_case "superblock: indirect calls" `Quick
+        test_indirect_calls;
+      Alcotest.test_case "superblock vs step: suite at an exact budget" `Slow
+        test_suite_vs_step;
       Alcotest.test_case "megablocks vs step: testgen fuzz (on and off)" `Quick
         test_megablock_vs_step_fuzz;
       Alcotest.test_case "megablocks vs step: paging workloads" `Quick
@@ -481,12 +493,6 @@ let tests =
         test_megablock_midtrace_traps;
       Alcotest.test_case "megablocks: exact budget stops inside traces" `Quick
         test_megablock_exact_budget_stops;
-      Alcotest.test_case "megablocks: self-modifying store + fence.i" `Quick
-        test_megablock_selfmod_fencei;
-      Alcotest.test_case "megablocks: indirect-jump inline cache" `Quick
-        test_megablock_indirect_ic;
-      Alcotest.test_case "megablocks: on/off architectural identity (suite)"
-        `Slow test_megablock_suite_identity;
       Alcotest.test_case "spike-like decode cache conflicts" `Quick
         test_spike_decode_cache_conflicts;
       Alcotest.test_case "engine performance ordering (Figure 8 shape)" `Slow

@@ -177,39 +177,19 @@ let test_patch_mem_code () =
         (r.Minjie.Ref_model.get_reg 31))
     both
 
-(* --- REF-mode jump-site inline caches ---------------------------------
+(* --- block-cache invalidation on control flow -------------------------
 
-   The NEMU REF links taken jumps block-to-block through per-site
-   inline caches (the REF analogue of trace chaining).  The linking
-   must be commit-stream invisible, actually exercised on indirect
-   calls, disabled cleanly, and safely invalidated by patch_mem
-   (generation bump), including for blocks reachable only through an
-   inline cache. *)
+   Taken jumps drop the NEMU REF's cursor, so their targets resolve
+   through the block cache on the next step.  Indirect calls and
+   self-modifying code must keep the commit stream identical to the
+   ISS, and a patch_mem to a callee that is already compiled must be
+   seen on its next call. *)
 
-let test_ref_ic_lockstep () =
+let test_ref_jump_lockstep () =
   lockstep "indirect calls" Test_engines.indirect_call_program;
   lockstep "self-modifying + fence.i" Test_engines.selfmod_fencei_program
 
-let test_ref_ic_counters () =
-  let run mega =
-    let r = Nemu.Ref_core.create ~megablocks:mega () in
-    Nemu.Ref_core.load_program r Test_engines.indirect_call_program;
-    let _ = Nemu.Ref_core.run r in
-    Alcotest.(check (option int))
-      (Printf.sprintf "exit (ic %b)" mega)
-      (Some 120) (Nemu.Ref_core.exit_code r);
-    r
-  in
-  let r = run true in
-  Alcotest.(check bool)
-    (Printf.sprintf "ic hits %d > misses %d" r.Nemu.Ref_core.ic_hits
-       r.Nemu.Ref_core.ic_misses)
-    true
-    (r.Nemu.Ref_core.ic_hits > r.Nemu.Ref_core.ic_misses);
-  let r0 = run false in
-  Alcotest.(check int) "ic off: no hits" 0 r0.Nemu.Ref_core.ic_hits
-
-let test_ref_ic_patch_mem () =
+let test_ref_patch_callee () =
   let prog = Test_engines.indirect_call_program in
   let a = make Minjie.Ref_model.Iss prog
   and b = make Minjie.Ref_model.Nemu prog in
@@ -223,14 +203,13 @@ let test_ref_ic_patch_mem () =
     | Minjie.Ref_model.Exited, Minjie.Ref_model.Exited -> false
     | _ -> Alcotest.failf "%s: one REF exited early" what
   in
-  (* enough steps that the call-site inline caches are linked to both
-     callees *)
+  (* enough steps that both callees are compiled *)
   for _ = 1 to 40 do
     ignore (step_both "warm-up")
   done;
   (* patch f1's first instruction (addi a0,a0,1 -> addi a0,a0,5)
      through the DRAV write path: the NEMU REF must not execute the
-     stale linked block *)
+     stale compiled block *)
   let f1 = Riscv.Asm.label_addr prog "f1" in
   List.iter
     (fun (r : Minjie.Ref_model.t) ->
@@ -240,7 +219,7 @@ let test_ref_ic_patch_mem () =
     ()
   done;
   Alcotest.(check (option int))
-    "exit codes agree after patching a linked callee"
+    "exit codes agree after patching a compiled callee"
     (a.Minjie.Ref_model.exit_code ())
     (b.Minjie.Ref_model.exit_code ())
 
@@ -303,12 +282,10 @@ let tests =
     Alcotest.test_case "control-plane parity" `Quick test_control_plane;
     Alcotest.test_case "patch_mem invalidates compiled code" `Quick
       test_patch_mem_code;
-    Alcotest.test_case "REF inline caches: lockstep on indirect calls" `Quick
-      test_ref_ic_lockstep;
-    Alcotest.test_case "REF inline caches: hit counters and clean disable"
-      `Quick test_ref_ic_counters;
-    Alcotest.test_case "REF inline caches: patch_mem invalidates linked blocks"
-      `Quick test_ref_ic_patch_mem;
+    Alcotest.test_case "lockstep on indirect calls and self-modifying code"
+      `Quick test_ref_jump_lockstep;
+    Alcotest.test_case "patch_mem invalidates a compiled callee" `Quick
+      test_ref_patch_callee;
     Alcotest.test_case "difftest verdicts and rule fires agree" `Slow
       test_difftest_equivalence;
     Alcotest.test_case "campaign smoke subset under both REFs" `Slow

@@ -254,7 +254,16 @@ let test_phase_order_env () =
   Alcotest.(check bool) "empty" true (order_of "" = Core.Default_order);
   Alcotest.(check bool) "shuffle" true (order_of "shuffle" = Core.Shuffle 1);
   Alcotest.(check bool) "shuffle:9" true (order_of "shuffle:9" = Core.Shuffle 9);
-  Alcotest.(check bool) "garbage" true (order_of "shuffle:x" = Core.Default_order)
+  List.iter
+    (fun bad ->
+      match order_of bad with
+      | _ -> Alcotest.failf "MINJIE_PHASE_ORDER=%s was accepted" bad
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (bad ^ ": the error names the variable")
+            true
+            (String.starts_with ~prefix:"MINJIE_PHASE_ORDER=" msg))
+    [ "shuffle:x"; "shufle" ]
 
 let tests =
   [
