@@ -207,6 +207,24 @@ let geomean = function
         (List.fold_left (fun a x -> a +. log (max 1e-9 x)) 0.0 xs
         /. float_of_int (List.length xs))
 
+(* Copy-on-write activity since the stats were last reset: memory
+   faults on the DUT memory, faults summed over the tables, and the
+   table pages still shared with a retained snapshot. *)
+type cow_counts = {
+  cow_faults : int;
+  table_cow_faults : int;
+  table_pages_shared : int;
+}
+
+let cow_counts mem tables =
+  let sum f = List.fold_left (fun n t -> n + f t) 0 tables in
+  {
+    cow_faults = (Riscv.Memory.stats mem).Riscv.Memory.cow_faults;
+    table_cow_faults =
+      sum (fun t -> (Riscv.Cow.stats t).Riscv.Cow.cow_faults);
+    table_pages_shared = sum Riscv.Cow.shared_pages;
+  }
+
 (* ---------------------------------------------------------------- *)
 (* Table I + §III-C4: snapshot schemes and their costs               *)
 (* ---------------------------------------------------------------- *)
@@ -240,6 +258,14 @@ let bench_table1 () =
   let _, sss_file_t =
     time (fun () -> Lightsss.full_image_snapshot ~to_file:true subject)
   in
+  (* the lazy side of the snapshot: COW faults over the next interval *)
+  let mem = soc.Xiangshan.Soc.plat.Riscv.Platform.mem in
+  Riscv.Memory.reset_stats mem;
+  List.iter Riscv.Cow.reset_stats subject.Lightsss.tables;
+  for _ = 1 to 2_000 do
+    Minjie.Difftest.tick dt
+  done;
+  let cow = cow_counts mem subject.Lightsss.tables in
   Lightsss.release snap;
   record
     [
@@ -248,6 +274,9 @@ let bench_table1 () =
       ("lightsss_ms", Json.Num (1000. *. light_t));
       ("lightsss_image_kb", Json.Int (snap.Lightsss.image_bytes / 1024));
       ("lightsss_image_objects", Json.Int (Lightsss.image_objects snap));
+      ("cow_faults", Json.Int cow.cow_faults);
+      ("table_cow_faults", Json.Int cow.table_cow_faults);
+      ("table_pages_shared", Json.Int cow.table_pages_shared);
       ("livesim_full_mem_ms", Json.Num (1000. *. sss_mem_t));
       ("livesim_image_kb", Json.Int (sss_mem_bytes / 1024));
       ("sss_to_file_ms", Json.Num (1000. *. sss_file_t));
@@ -257,12 +286,15 @@ let bench_table1 () =
     "\n\
      snapshot cost (paper: fork 535us vs SSS 3.671s):\n\
      \  LightSSS (page tables + metadata) : %8.3f ms (image %d KB, %d objects)\n\
+     \    next 2000 cycles: COW faults %d memory + %d table, %d table pages \
+     still shared\n\
      \  LiveSim-like (full in-memory)     : %8.3f ms (image %d KB)\n\
      \  SSS (full image through a file)   : %8.3f ms\n\
      \  LightSSS vs SSS-to-file speedup   : %8.1fx\n"
     (1000. *. light_t)
     (snap.Lightsss.image_bytes / 1024)
     (Lightsss.image_objects snap)
+    cow.cow_faults cow.table_cow_faults cow.table_pages_shared
     (1000. *. sss_mem_t) (sss_mem_bytes / 1024) (1000. *. sss_file_t)
     (sss_file_t /. max 1e-9 light_t)
 
@@ -293,11 +325,10 @@ let run_with_interval cfg prog interval =
           Minjie.Difftest.tick dt
         done)
   in
-  let mem = soc.Xiangshan.Soc.plat.Riscv.Platform.mem in
-  let st = Riscv.Memory.stats mem in
   ( secs,
     Option.map (fun m -> m.Lightsss.snapshots_taken) mgr,
-    st.Riscv.Memory.cow_faults )
+    cow_counts soc.Xiangshan.Soc.plat.Riscv.Platform.mem
+      (Minjie.Workflow.tables_of dt) )
 
 let bench_fig6 () =
   section
@@ -323,14 +354,28 @@ let bench_fig6 () =
       List.iter
         (fun interval ->
           let secs, snaps, cow = run_with_interval cfg prog interval in
+          record
+            [
+              ("experiment", Json.Str "fig6");
+              ("case", Json.Str name);
+              (* 0 = snapshots off *)
+              ("interval", Json.Int (Option.value interval ~default:0));
+              ("seconds", Json.Num secs);
+              ( "snapshots",
+                Json.Int (Option.value snaps ~default:0) );
+              ("cow_faults", Json.Int cow.cow_faults);
+              ("table_cow_faults", Json.Int cow.table_cow_faults);
+              ("table_pages_shared", Json.Int cow.table_pages_shared);
+            ];
           Printf.printf
-            "  interval %-9s : %7.2f s   (snapshots %-4s cow-faults %d)\n"
+            "  interval %-9s : %7.2f s   (snapshots %-4s cow-faults %d \
+             memory + %d table, %d table pages shared)\n"
             (match interval with
             | None -> "off"
             | Some i -> string_of_int i ^ "cyc")
             secs
             (match snaps with None -> "-" | Some n -> string_of_int n)
-            cow)
+            cow.cow_faults cow.table_cow_faults cow.table_pages_shared)
         intervals;
       print_newline ())
     cases

@@ -34,12 +34,7 @@ let restorable_csrs =
 
 let capture_memory (mem : Memory.t) =
   let pages = ref [] in
-  Array.iteri
-    (fun i p ->
-      match p with
-      | Some pg -> pages := (i, Bytes.copy pg.Memory.data) :: !pages
-      | None -> ())
-    mem.Memory.pages;
+  Memory.iter_pages mem (fun i data -> pages := (i, Bytes.copy data) :: !pages);
   List.rev !pages
 
 let restore_memory (t : t) (mem : Memory.t) =

@@ -63,6 +63,7 @@ type t = {
   (* observation *)
   diff_against : Riscv.Arch_state.t -> string option;
   memories : unit -> Riscv.Memory.t list;
+  detach_derived : unit -> unit -> unit; (* LightSSS: unhook, re-hook *)
   exited : unit -> bool;
   exit_code : unit -> int option;
 }
@@ -105,6 +106,7 @@ let of_iss (r : Iss.Interp.t) : t =
     set_mip_bit = Iss.Interp.set_mip_bit r;
     diff_against = (fun dut -> Riscv.Arch_state.diff dut r.Iss.Interp.st);
     memories = (fun () -> [ r.Iss.Interp.plat.Riscv.Platform.mem ]);
+    detach_derived = (fun () () -> ());
     exited = (fun () -> Iss.Interp.exited r);
     exit_code = (fun () -> Iss.Interp.exit_code r);
   }
@@ -129,6 +131,7 @@ let of_nemu (r : Nemu.Ref_core.t) : t =
     set_mip_bit = Nemu.Ref_core.set_mip_bit r;
     diff_against = Nemu.Ref_core.diff_against r;
     memories = (fun () -> Nemu.Ref_core.memories r);
+    detach_derived = (fun () -> Nemu.Ref_core.detach_blocks r);
     exited = (fun () -> Nemu.Ref_core.exited r);
     exit_code = (fun () -> Nemu.Ref_core.exit_code r);
   }

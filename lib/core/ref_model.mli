@@ -60,6 +60,10 @@ type t = {
           the {!Riscv.Arch_state.diff} message format *)
   memories : unit -> Riscv.Memory.t list;
       (** the COW memories this REF owns (LightSSS snapshots these) *)
+  detach_derived : unit -> unit -> unit;
+      (** unhook state derived from memory (NEMU's block cache) so a
+          LightSSS image leaves it out; returns the re-hook.  A copy
+          restored from that image rebuilds it lazily. *)
   exited : unit -> bool;
   exit_code : unit -> int option;
 }

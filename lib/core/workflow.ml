@@ -34,21 +34,34 @@ let memories_of (dt : Difftest.t) : Riscv.Memory.t list =
        (fun (r : Ref_model.t) -> r.Ref_model.memories ())
        (Array.to_list (Difftest.refs dt))
 
+let tables_of (dt : Difftest.t) : Riscv.Cow.t list =
+  Xiangshan.Soc.tables (Difftest.soc dt)
+
 (* The Global Memory grows with the stored footprint; like fork-shared
    pages it is shared with the replayed instance instead of being
-   copied into every snapshot image. *)
+   copied into every snapshot image.  The REFs' derived state (NEMU's
+   block cache) is left out altogether: the replayed REFs rebuild it
+   from their restored memories. *)
 let subject_of (dt : Difftest.t) : Difftest.t Lightsss.subject =
   let gm = Difftest.global_mem dt in
-  let stash = ref None in
+  let stash = ref None and rehooks = ref [] in
   {
     Lightsss.memories = memories_of dt;
+    tables = tables_of dt;
     roots = dt;
     detach_heavy =
       (fun () ->
         stash := Some gm.Global_memory.words;
-        gm.Global_memory.words <- Hashtbl.create 1);
+        gm.Global_memory.words <- Hashtbl.create 1;
+        rehooks :=
+          Array.to_list
+            (Array.map
+               (fun (r : Ref_model.t) -> r.Ref_model.detach_derived ())
+               (Difftest.refs dt)));
     reattach_heavy =
       (fun () ->
+        List.iter (fun rehook -> rehook ()) !rehooks;
+        rehooks := [];
         match !stash with
         | Some w ->
             gm.Global_memory.words <- w;
@@ -60,7 +73,7 @@ let subject_of (dt : Difftest.t) : Difftest.t Lightsss.subject =
    superset of its state at snapshot time, which only makes the legal
    set larger in the replayed window). *)
 let restore_shared (dt : Difftest.t) (snap : Lightsss.snapshot) : Difftest.t =
-  let dt' : Difftest.t = Lightsss.restore_with snap ~memories_of in
+  let dt' : Difftest.t = Lightsss.restore_with snap ~memories_of ~tables_of in
   (Difftest.global_mem dt').Global_memory.words <-
     (Difftest.global_mem dt).Global_memory.words;
   dt'

@@ -32,10 +32,16 @@ val memories_of : Difftest.t -> Riscv.Memory.t list
 (** Every COW memory a DiffTest instance owns (DUT + all REFs), in a
     stable order -- the enumeration LightSSS snapshots and restores. *)
 
+val tables_of : Difftest.t -> Riscv.Cow.t list
+(** Every COW micro-architectural table of the DUT (cache metadata,
+    predictors, TLBs; {!Xiangshan.Soc.tables}), in a stable order. *)
+
 val subject_of : Difftest.t -> Difftest.t Lightsss.subject
-(** The standard snapshot subject: COW memories plus the simulator
-    graph, with the Global Memory detached (it is shared with the
-    replay like fork-shared pages rather than copied per snapshot). *)
+(** The standard snapshot subject: COW memories and tables plus the
+    simulator graph, with the Global Memory detached (it is shared
+    with the replay like fork-shared pages rather than copied per
+    snapshot) and the REFs' derived block caches left out (a restored
+    REF recompiles lazily). *)
 
 val restore_shared : Difftest.t -> Lightsss.snapshot -> Difftest.t
 (** Restore a snapshot of [dt] into a fresh instance sharing the live

@@ -4,15 +4,17 @@
    lets the kernel's copy-on-write give an in-memory, incremental,
    circuit-agnostic snapshot.  The OCaml analogue implemented here:
 
-   - the big state (every simulated physical memory) lives in
-     Riscv.Memory's paged COW store: a snapshot copies only the page
-     table, exactly like fork duplicating page tables, and later
-     writes pay lazy per-page copies (the COW faults measured in
-     Figure 6);
-   - the remaining simulator state (cores, caches, reference models)
-     is captured with Marshal including closures -- the analogue of
-     the fork'd process image -- after detaching the page arrays so
-     the marshalled image stays O(metadata), not O(memory).
+   - the big state -- every simulated physical memory and every
+     micro-architectural table (cache metadata, predictors, TLBs) --
+     lives in Riscv.Cow's paged COW stores: a snapshot copies only
+     each store's directory of written pages, exactly like fork
+     duplicating page tables, and later writes pay lazy per-page
+     copies (the COW faults measured in Figure 6);
+   - the remaining simulator state (pipeline structures, small
+     records, reference models) is captured with Marshal including
+     closures -- the analogue of the fork'd process image -- after
+     detaching the stores' pages, so the image stays O(small
+     metadata), neither O(memory) nor O(table size).
 
    The manager keeps only the two most recent snapshots (paper
    §III-C3): when the verification layer reports an error, the older
@@ -20,64 +22,64 @@
    mode.
 
    The SSS and LiveSim baselines of Table I are provided for
-   comparison: both copy the full image (memory included); SSS
-   additionally round-trips it through a file. *)
+   comparison: both copy the full image (memory and tables included);
+   SSS additionally round-trips it through a file. *)
 
 type snapshot = {
   snap_cycle : int;
-  mem_snaps : Riscv.Memory.snapshot list;
-  image : bytes; (* marshalled simulator graph, memories detached *)
+  store_snaps : Riscv.Cow.snapshot list; (* memories, then tables *)
+  image : bytes; (* marshalled simulator graph, stores detached *)
   image_bytes : int;
 }
 
-(* A subject couples the COW-able memories with the root of the
-   mutable object graph to capture.  [detach_heavy]/[reattach_heavy]
-   bracket the marshalling step: verification state that is shared
-   with the replayed instance rather than copied (the analogue of
-   fork-shared pages, e.g. DiffTest's Global Memory) is unhooked there
-   so the image stays O(simulator metadata). *)
+(* A subject couples the COW stores -- the memories, then the tables
+   -- with the root of the mutable object graph to capture.
+   [detach_heavy]/[reattach_heavy] bracket the marshalling step: state
+   that is shared with the replayed instance rather than copied (the
+   analogue of fork-shared pages, e.g. DiffTest's Global Memory) or
+   derived and rebuilt lazily (the NEMU REF's block cache) is unhooked
+   there so the image stays O(simulator metadata). *)
 type 'a subject = {
   memories : Riscv.Memory.t list;
+  tables : Riscv.Cow.t list;
   roots : 'a;
   detach_heavy : unit -> unit;
   reattach_heavy : unit -> unit;
 }
 
-let plain_subject ~memories ~roots =
+let plain_subject ~memories ?(tables = []) ~roots () =
   {
     memories;
+    tables;
     roots;
     detach_heavy = (fun () -> ());
     reattach_heavy = (fun () -> ());
   }
 
-let detach_pages (m : Riscv.Memory.t) =
-  let p = m.Riscv.Memory.pages in
-  m.Riscv.Memory.pages <- [||];
-  Riscv.Memory.invalidate_caches m;
-  p
+let stores ~memories ~tables = List.map Riscv.Memory.store memories @ tables
 
-let reattach_pages (m : Riscv.Memory.t) p =
-  m.Riscv.Memory.pages <- p;
-  Riscv.Memory.invalidate_caches m
-
-(* Take a lightweight snapshot at [cycle].  The page snapshots are
+(* Take a lightweight snapshot at [cycle].  The store snapshots are
    taken only once the image exists: nothing runs in between, so the
    result is the same, and a Marshal failure (a root reaching a
    channel, say) leaves no page refcount bumped -- otherwise every
-   later write to those pages would pay a spurious COW copy. *)
+   later write to those pages would pay a spurious COW copy.  The
+   memories' last-page caches are dropped first, so they neither
+   smuggle page bytes into the image nor keep writing to a page the
+   snapshot now shares. *)
 let snapshot (s : 'a subject) ~cycle : snapshot =
-  let saved = List.map detach_pages s.memories in
+  List.iter Riscv.Memory.invalidate_caches s.memories;
+  let stores = stores ~memories:s.memories ~tables:s.tables in
+  let saved = List.map Riscv.Cow.detach stores in
   s.detach_heavy ();
   let image =
     Fun.protect
       ~finally:(fun () ->
         s.reattach_heavy ();
-        List.iter2 reattach_pages s.memories saved)
+        List.iter2 Riscv.Cow.reattach stores saved)
       (fun () -> Marshal.to_bytes s.roots [ Marshal.Closures ])
   in
-  let mem_snaps = List.map Riscv.Memory.snapshot s.memories in
-  { snap_cycle = cycle; mem_snaps; image; image_bytes = Bytes.length image }
+  let store_snaps = List.map Riscv.Cow.snapshot stores in
+  { snap_cycle = cycle; store_snaps; image; image_bytes = Bytes.length image }
 
 (* Object count from the Marshal header: a 32-bit field at offset 8
    of the small (20-byte) header, a 64-bit one at offset 16 of the big
@@ -90,19 +92,19 @@ let image_objects (snap : snapshot) : int =
   | 0x8495A6BFl -> Int64.to_int (Bytes.get_int64_be snap.image 16)
   | m -> invalid_arg (Printf.sprintf "Lightsss.image_objects: magic 0x%lx" m)
 
-(* Restore with an explicit memory enumeration function applied to the
-   fresh roots. *)
-let restore_with (snap : snapshot) ~(memories_of : 'a -> Riscv.Memory.t list) :
-    'a =
+(* Unmarshal a fresh graph and re-link its stores, by position, to
+   the snapshot's pages. *)
+let restore_with (snap : snapshot) ~(memories_of : 'a -> Riscv.Memory.t list)
+    ~(tables_of : 'a -> Riscv.Cow.t list) : 'a =
   let roots : 'a = Marshal.from_bytes snap.image 0 in
-  let mems = memories_of roots in
-  List.iter2
-    (fun m ms -> Riscv.Memory.restore m ms)
-    mems snap.mem_snaps;
+  let memories = memories_of roots in
+  List.iter Riscv.Memory.invalidate_caches memories;
+  List.iter2 Riscv.Cow.restore
+    (stores ~memories ~tables:(tables_of roots))
+    snap.store_snaps;
   roots
 
-let release (snap : snapshot) =
-  List.iter Riscv.Memory.release_snapshot snap.mem_snaps
+let release (snap : snapshot) = List.iter Riscv.Cow.release snap.store_snaps
 
 (* ---- the two-slot snapshot manager ---------------------------------- *)
 
@@ -150,7 +152,7 @@ let replay_point (m : 'a manager) : snapshot option =
 (* ---- SSS / LiveSim baselines (Table I) ------------------------------- *)
 
 (* Full-image snapshot: marshals everything *including* the memory
-   pages -- O(simulated memory).  [to_file] additionally round-trips
+   and table pages -- O(simulated memory).  [to_file] additionally round-trips
    through the filesystem, like the Verilator save/restore flow. *)
 let full_image_snapshot ?(to_file = false) (s : 'a subject) : int =
   let image = Marshal.to_bytes s.roots [ Marshal.Closures ] in

@@ -3,11 +3,13 @@
     The paper forks the RTL-simulation process and lets the kernel's
     copy-on-write provide an in-memory, incremental, circuit-agnostic
     snapshot.  The OCaml analogue: every simulated physical memory
-    lives in {!Riscv.Memory}'s paged COW store, whose snapshot copies
-    only the page table (like [fork] copying page tables); the rest of
-    the simulator graph is captured with [Marshal] (closures included)
-    after detaching the page arrays and any shared verification state,
-    so the image stays O(metadata).
+    and every micro-architectural table (cache metadata, predictors,
+    TLBs) lives in a {!Riscv.Cow} paged COW store, whose snapshot
+    copies only the directory of written pages (like [fork] copying
+    page tables); the rest of the simulator graph is captured with
+    [Marshal] (closures included) after detaching the stores' pages
+    and any shared or derived state, so the image stays O(small
+    metadata).
 
     The manager keeps the most recent two snapshots (§III-C3): on an
     error, the older one is restored and at most two intervals are
@@ -15,40 +17,54 @@
 
 type snapshot = {
   snap_cycle : int;
-  mem_snaps : Riscv.Memory.snapshot list;
+  store_snaps : Riscv.Cow.snapshot list;
+      (** the subject's memories' stores, then its tables *)
   image : bytes;
   image_bytes : int;
 }
 
-(** What to snapshot: the COW-able memories plus the root of the
-    object graph.  [detach_heavy]/[reattach_heavy] bracket the
-    marshalling step for state shared with the replay rather than
-    copied (the fork-shared-pages analogue; see
+(** What to snapshot: the COW stores (memories and tables) plus the
+    root of the object graph.  [detach_heavy]/[reattach_heavy]
+    bracket the marshalling step for state shared with the replay
+    rather than copied (the fork-shared-pages analogue) or derived
+    and rebuilt lazily after a restore (see
     {!Minjie.Workflow.subject_of}). *)
 type 'a subject = {
   memories : Riscv.Memory.t list;
+  tables : Riscv.Cow.t list;
   roots : 'a;
   detach_heavy : unit -> unit;
   reattach_heavy : unit -> unit;
 }
 
-val plain_subject : memories:Riscv.Memory.t list -> roots:'a -> 'a subject
+val plain_subject :
+  memories:Riscv.Memory.t list ->
+  ?tables:Riscv.Cow.t list ->
+  roots:'a ->
+  unit ->
+  'a subject
 
 val snapshot : 'a subject -> cycle:int -> snapshot
-(** O(page tables + metadata).  If marshalling the roots raises, the
-    exception propagates and no page snapshot is left behind. *)
+(** O(written pages + metadata).  If marshalling the roots raises,
+    the exception propagates and no page of any store is left
+    shared. *)
 
 val image_objects : snapshot -> int
 (** Heap blocks in the marshalled image, read from its header (small
     and big formats).  Marshal's cost is per block, so this is the
     deterministic proxy for snapshot time. *)
 
-val restore_with : snapshot -> memories_of:('a -> Riscv.Memory.t list) -> 'a
-(** Unmarshal a fresh copy of the roots and repopulate its memories
-    from the COW snapshots.  [memories_of] must enumerate the fresh
-    graph's memories in the same order the subject listed them.  The
-    caller re-installs whatever sinks it wants on the replayed
-    instance (that is where debug mode gets switched on). *)
+val restore_with :
+  snapshot ->
+  memories_of:('a -> Riscv.Memory.t list) ->
+  tables_of:('a -> Riscv.Cow.t list) ->
+  'a
+(** Unmarshal a fresh copy of the roots and re-link its stores, by
+    position, to the snapshot's pages.  [memories_of]/[tables_of]
+    must enumerate the fresh graph's stores in the order the subject
+    listed them.  The caller re-installs whatever sinks it wants on
+    the replayed instance (that is where debug mode gets switched
+    on). *)
 
 val release : snapshot -> unit
 

@@ -51,8 +51,9 @@ let no_block =
 
 type t = {
   m : Mach.t;
-  caches : block array array; (* U / S / M partitions, direct-mapped *)
-  page_index : (int64, (int * int) list) Hashtbl.t;
+  caches : block array array;
+      (* U / S / M partitions, direct-mapped; [||] until first used *)
+  mutable page_index : (int64, (int * int) list) Hashtbl.t;
       (* physical code page -> cache slots (partition, slot) compiled
          from it *)
   mutable cur : block;
@@ -86,7 +87,7 @@ let priv_ix (csr : Csr.t) =
 let create ?dram_size ?(hartid = 0) () =
   {
     m = Mach.create ?dram_size ~hartid ();
-    caches = Array.init 3 (fun _ -> Array.make cache_slots no_block);
+    caches = Array.make 3 [||];
     page_index = Hashtbl.create 256;
     cur = no_block;
     cur_ix = 0;
@@ -136,7 +137,7 @@ let memories t = [ t.m.Mach.plat.Platform.mem ]
 (* --- block-cache maintenance ------------------------------------------ *)
 
 let flush_blocks t =
-  Array.iter (fun c -> Array.fill c 0 cache_slots no_block) t.caches;
+  Array.iter (fun c -> Array.fill c 0 (Array.length c) no_block) t.caches;
   Hashtbl.reset t.page_index;
   t.cur <- no_block;
   t.cur_ix <- 0;
@@ -328,13 +329,17 @@ let lookup_or_compile t vpc : block =
   let ix = priv_ix t.m.Mach.csr in
   let cache = t.caches.(ix) in
   let slot = slot_of vpc in
-  let b = Array.unsafe_get cache slot in
-  if Int64.equal b.b_pc vpc then b
+  if
+    Array.length cache > 0
+    && Int64.equal (Array.unsafe_get cache slot).b_pc vpc
+  then Array.unsafe_get cache slot
   else begin
     t.slow_lookups <- t.slow_lookups + 1;
     if Hashtbl.length t.page_index >= page_index_cap then flush_blocks t;
     let b = compile t vpc in
-    cache.(slot) <- b;
+    if Array.length t.caches.(ix) = 0 then
+      t.caches.(ix) <- Array.make cache_slots no_block;
+    t.caches.(ix).(slot) <- b;
     index_block t ix slot b;
     b
   end
@@ -578,6 +583,25 @@ let invalidate_cursor t =
   t.cur <- no_block;
   t.cur_ix <- 0;
   t.cur_pc <- Int64.min_int
+
+(* The block cache, its page index and the cursor are derived from
+   memory: LightSSS leaves them out of its image (a restored REF
+   starts empty and recompiles lazily).  Returns the re-hook. *)
+let detach_blocks t =
+  let caches = Array.copy t.caches
+  and page_index = t.page_index
+  and cur = t.cur
+  and cur_ix = t.cur_ix
+  and cur_pc = t.cur_pc in
+  Array.fill t.caches 0 (Array.length caches) [||];
+  t.page_index <- Hashtbl.create 1;
+  invalidate_cursor t;
+  fun () ->
+    Array.blit caches 0 t.caches 0 (Array.length caches);
+    t.page_index <- page_index;
+    t.cur <- cur;
+    t.cur_ix <- cur_ix;
+    t.cur_pc <- cur_pc
 
 let finish t (c : Iss.Interp.commit) : Iss.Interp.step_result =
   t.instret <- Int64.add t.instret 1L;

@@ -19,8 +19,9 @@ open Riscv
 
 type t = {
   m : Mach.t;
-  caches : block array array;  (** U / S / M partitions, direct-mapped *)
-  page_index : (int64, (int * int) list) Hashtbl.t;
+  caches : block array array;
+      (** U / S / M partitions, direct-mapped; [[||]] until first used *)
+  mutable page_index : (int64, (int * int) list) Hashtbl.t;
   mutable cur : block;
   mutable cur_ix : int;
   mutable cur_pc : int64;
@@ -78,6 +79,12 @@ val get_reg : t -> int -> int64
 val patch_mem : t -> paddr:int64 -> size:int -> value:int64 -> unit
 (** Invalidate any block compiled from the written page(s), then
     write physical memory. *)
+
+val detach_blocks : t -> unit -> unit
+(** Unhook the block cache, its page index and the cursor -- state
+    derived from memory -- so a marshalled image leaves them out, and
+    return the re-hook.  A copy marshalled while detached starts with
+    an empty block cache and recompiles lazily. *)
 
 val set_counters : t -> cycle:int64 -> instret:int64 -> unit
 

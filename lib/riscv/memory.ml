@@ -1,66 +1,58 @@
 (* Paged physical memory with copy-on-write snapshots.
 
-   This is the software analogue of a Linux process address space: a
-   snapshot copies only the page table (like [fork] copying the PCB and
-   page tables) and marks every page shared; the first write to a
-   shared page copies it (a COW fault).  LightSSS builds its
-   fork()-style snapshots on top of this module, and the SSS baseline
-   deliberately bypasses it with a full image copy.
+   The pages live in a [Cow] store, the copy-on-write scheme shared
+   with the simulator's micro-architectural tables: a snapshot copies
+   only the directory of written pages (like [fork] copying page
+   tables) and marks them shared; the first write to a shared page
+   copies it (a COW fault).  LightSSS builds its fork()-style
+   snapshots on top of this, and the SSS baseline deliberately
+   bypasses it with a full image copy.
 
    Pages are allocated lazily: a page that has never been written reads
-   as zero and costs nothing to snapshot.
+   as the store's shared zero page and costs nothing to snapshot.
 
    The access paths are the interpreter engines' memory fast path: the
    common widths go through [Bytes.get/set_int64_le]-family primitives
    rather than byte-at-a-time assembly, and a one-entry last-page cache
    (separate for reads and writes) skips the page-table indexing on
-   sequential access.  The caches are invalidated whenever the page
-   array or a page's backing store changes (COW, snapshot restore). *)
-
-type page = { mutable data : Bytes.t; mutable rc : int }
+   sequential access.  The caches are invalidated whenever the
+   directory changes under them (snapshot, restore, detach). *)
 
 type t = {
   base : int64; (* physical base address *)
   page_bits : int;
-  n_pages : int;
-  mutable pages : page option array;
-  zero : Bytes.t; (* shared read view of never-written pages *)
+  store : Cow.t; (* never-written pages read as the zero page *)
   (* last-page caches: [cache_*_idx] = -1 when invalid *)
   mutable cache_r_idx : int;
   mutable cache_r_data : Bytes.t;
   mutable cache_w_idx : int;
   mutable cache_w_data : Bytes.t;
-  (* statistics *)
-  mutable stat_cow_faults : int;
-  mutable stat_pages_allocated : int;
-  mutable stat_snapshots : int;
 }
 
-type snapshot = { snap_pages : page option array }
+type snapshot = Cow.snapshot
 
 let page_size t = 1 lsl t.page_bits
 
 let create ?(page_bits = 12) ~base ~size () =
   let psz = 1 lsl page_bits in
-  let n_pages = (size + psz - 1) / psz in
   {
     base;
     page_bits;
-    n_pages;
-    pages = Array.make n_pages None;
-    zero = Bytes.make psz '\000';
+    store =
+      Cow.create ~page_bits
+        ~n_pages:((size + psz - 1) / psz)
+        ~init:(Bytes.make psz '\000');
     cache_r_idx = -1;
     cache_r_data = Bytes.empty;
     cache_w_idx = -1;
     cache_w_data = Bytes.empty;
-    stat_cow_faults = 0;
-    stat_pages_allocated = 0;
-    stat_snapshots = 0;
   }
 
-let size t = t.n_pages * page_size t
+let size t = Cow.n_pages t.store * page_size t
 
 let base t = t.base
+
+let store t = t.store
 
 let in_range t addr =
   let off = Int64.sub addr t.base in
@@ -81,45 +73,27 @@ let offset_exn t addr =
       (Printf.sprintf "Memory: physical address 0x%Lx out of range" addr);
   off
 
-(* Read path: never allocates.  Unallocated pages read from the shared
-   zero page (which is never cached nor written). *)
+(* Read path: never allocates.  An unwritten page reads (and caches)
+   the store's shared zero page. *)
 let read_page t idx =
   if idx = t.cache_r_idx then t.cache_r_data
-  else
-    match Array.unsafe_get t.pages idx with
-    | Some p ->
-        t.cache_r_idx <- idx;
-        t.cache_r_data <- p.data;
-        p.data
-    | None -> t.zero
+  else begin
+    let d = Cow.read_page t.store idx in
+    t.cache_r_idx <- idx;
+    t.cache_r_data <- d;
+    d
+  end
 
-(* Write path: allocate on demand and resolve COW sharing. *)
-let page_rw t idx =
-  match t.pages.(idx) with
-  | None ->
-      let p = { data = Bytes.make (page_size t) '\000'; rc = 1 } in
-      t.pages.(idx) <- Some p;
-      t.stat_pages_allocated <- t.stat_pages_allocated + 1;
-      p
-  | Some p ->
-      if p.rc > 1 then begin
-        let fresh = { data = Bytes.copy p.data; rc = 1 } in
-        p.rc <- p.rc - 1;
-        t.pages.(idx) <- Some fresh;
-        t.stat_cow_faults <- t.stat_cow_faults + 1;
-        (* the old bytes stop receiving writes: drop any cached view *)
-        if t.cache_r_idx = idx then t.cache_r_idx <- -1;
-        fresh
-      end
-      else p
-
+(* Write path: the store allocates or resolves COW sharing; a read
+   cache on the same page follows the page to its writable copy. *)
 let write_page t idx =
   if idx = t.cache_w_idx then t.cache_w_data
   else begin
-    let p = page_rw t idx in
+    let d = Cow.write_page t.store idx in
     t.cache_w_idx <- idx;
-    t.cache_w_data <- p.data;
-    p.data
+    t.cache_w_data <- d;
+    if t.cache_r_idx = idx then t.cache_r_data <- d;
+    d
   end
 
 let read_u8 t addr =
@@ -235,51 +209,38 @@ let load_program t ~addr (words : int32 array) =
 (* --- Snapshots ------------------------------------------------------ *)
 
 let snapshot t =
-  Array.iter (function Some p -> p.rc <- p.rc + 1 | None -> ()) t.pages;
-  t.stat_snapshots <- t.stat_snapshots + 1;
   (* shared pages must COW on the next write *)
   t.cache_w_idx <- -1;
-  { snap_pages = Array.copy t.pages }
+  t.cache_w_data <- Bytes.empty;
+  Cow.snapshot t.store
 
-let release_snapshot (s : snapshot) =
-  Array.iter (function Some p -> p.rc <- p.rc - 1 | None -> ()) s.snap_pages
+let release_snapshot = Cow.release
 
 let restore t (s : snapshot) =
-  (* The snapshot keeps its reference so it can be restored again. *)
-  Array.iter (function Some p -> p.rc <- p.rc - 1 | None -> ()) t.pages;
-  Array.iter (function Some p -> p.rc <- p.rc + 1 | None -> ()) s.snap_pages;
-  t.pages <- Array.copy s.snap_pages;
+  Cow.restore t.store s;
   invalidate_caches t
 
 (* Full deep copy: the SSS baseline. O(memory) rather than O(page table). *)
 let deep_copy t =
   {
     t with
-    pages =
-      Array.map
-        (function
-          | None -> None
-          | Some p -> Some { data = Bytes.copy p.data; rc = 1 })
-        t.pages;
+    store = Cow.deep_copy t.store;
     cache_r_idx = -1;
     cache_r_data = Bytes.empty;
     cache_w_idx = -1;
     cache_w_data = Bytes.empty;
   }
 
-let allocated_pages t =
-  Array.fold_left (fun n p -> match p with Some _ -> n + 1 | None -> n) 0 t.pages
+let iter_pages t f = Cow.iter_pages t.store f
 
-type stats = { cow_faults : int; pages_allocated : int; snapshots : int }
+let allocated_pages t = Cow.allocated_pages t.store
 
-let stats t =
-  {
-    cow_faults = t.stat_cow_faults;
-    pages_allocated = t.stat_pages_allocated;
-    snapshots = t.stat_snapshots;
-  }
+type stats = Cow.stats = {
+  cow_faults : int;
+  pages_allocated : int;
+  snapshots : int;
+}
 
-let reset_stats t =
-  t.stat_cow_faults <- 0;
-  t.stat_pages_allocated <- 0;
-  t.stat_snapshots <- 0
+let stats t = Cow.stats t.store
+
+let reset_stats t = Cow.reset_stats t.store

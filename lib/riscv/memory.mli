@@ -1,8 +1,10 @@
 (** Paged physical memory with copy-on-write snapshots.
 
-    The software analogue of a Linux process address space: a snapshot
-    copies only the page table (like [fork] copying the PCB and page
-    tables) and marks every page shared; the first write to a shared
+    The pages live in a {!Cow} store, the copy-on-write scheme shared
+    with the simulator's micro-architectural tables.  It is the
+    software analogue of a Linux process address space: a snapshot
+    copies only the directory of written pages (like [fork] copying
+    page tables) and marks them shared; the first write to a shared
     page performs a lazy copy (a COW fault, counted in {!stats}).
     LightSSS builds its fork-style snapshots on this module; the SSS
     baseline deliberately deep-copies instead.
@@ -15,28 +17,21 @@
     store, with a one-entry last-page cache (separate read/write) that
     skips page-table indexing on sequential access.
 
-    The representation is exposed because LightSSS detaches/reattaches
-    the page array around marshalling; treat the fields as read-only
+    The representation is exposed so interpreter fast paths can probe
+    the last-page caches inline; treat the fields as read-only
     elsewhere. *)
-
-type page = { mutable data : Bytes.t; mutable rc : int }
 
 type t = {
   base : int64;
   page_bits : int;
-  n_pages : int;
-  mutable pages : page option array;
-  zero : Bytes.t;
+  store : Cow.t;
   mutable cache_r_idx : int;
   mutable cache_r_data : Bytes.t;
   mutable cache_w_idx : int;
   mutable cache_w_data : Bytes.t;
-  mutable stat_cow_faults : int;
-  mutable stat_pages_allocated : int;
-  mutable stat_snapshots : int;
 }
 
-type snapshot
+type snapshot = Cow.snapshot
 
 val create : ?page_bits:int -> base:int64 -> size:int -> unit -> t
 (** [page_bits] defaults to 12 (4 KiB pages). *)
@@ -49,9 +44,11 @@ val in_range : t -> int64 -> bool
 
 val page_size : t -> int
 
+val store : t -> Cow.t
+
 val invalidate_caches : t -> unit
-(** Drop the last-page caches.  Required after mutating [pages] or a
-    page's [data] field directly (LightSSS detach/reattach). *)
+(** Drop the last-page caches.  Required before the store is detached
+    or restored behind this module's back (LightSSS). *)
 
 (** {1 Access}
 
@@ -69,7 +66,7 @@ val write_u64 : t -> int64 -> int64 -> unit
 
 val read_page : t -> int -> Bytes.t
 (** [read_page t idx] is page [idx]'s backing store for reading (the
-    shared zero page if unallocated), refreshing the read cache.
+    store's shared zero page if unwritten), refreshing the read cache.
     Exported so interpreter fast paths can probe
     [cache_r_idx]/[cache_r_data] inline and only call out on a miss. *)
 
@@ -88,7 +85,7 @@ val load_program : t -> addr:int64 -> int32 array -> unit
 (** {1 Snapshots} *)
 
 val snapshot : t -> snapshot
-(** O(page-table): copies the page array and bumps refcounts. *)
+(** O(written pages): records them and bumps their refcounts. *)
 
 val restore : t -> snapshot -> unit
 (** Point [t] back at the snapshot's pages.  The snapshot remains
@@ -100,11 +97,18 @@ val release_snapshot : snapshot -> unit
 val deep_copy : t -> t
 (** O(memory): the SSS baseline. *)
 
+val iter_pages : t -> (int -> Bytes.t -> unit) -> unit
+(** The written pages in index order. *)
+
 (** {1 Statistics} *)
 
 val allocated_pages : t -> int
 
-type stats = { cow_faults : int; pages_allocated : int; snapshots : int }
+type stats = Cow.stats = {
+  cow_faults : int;
+  pages_allocated : int;
+  snapshots : int;
+}
 
 val stats : t -> stats
 

@@ -26,15 +26,16 @@ and t = {
   line_shift : int;
   hit_latency : int;
   (* Line metadata, struct-of-arrays over [sets * ways] slots,
-     row-major by set.  A LightSSS snapshot marshals the whole graph
-     and Marshal pays per heap block, so these stay six flat arrays
-     rather than one record (and one boxed tag) per line. *)
-  tags : int array; (* line index (addr >> line_shift); -1 invalid *)
-  perms : Perm.t array;
-  sharers : int array; (* bitmask of children holding >= Branch *)
-  owners : int array; (* child holding Trunk, -1 if none *)
-  last_use : int array;
-  inflight_until : int array; (* fill outstanding until this cycle *)
+     row-major by set, in copy-on-write tables: a LightSSS snapshot
+     shares their pages instead of marshalling them, and a table that
+     was never written is one shared page, so a large LLC costs
+     nothing to create. *)
+  tags : Riscv.Cow.t; (* line index (addr >> line_shift); -1 invalid *)
+  perms : Riscv.Cow.t; (* Perm.rank *)
+  sharers : Riscv.Cow.t; (* bitmask of children holding >= Branch *)
+  owners : Riscv.Cow.t; (* child holding Trunk, -1 if none *)
+  last_use : Riscv.Cow.t;
+  inflight_until : Riscv.Cow.t; (* fill outstanding until this cycle *)
   mutable parent : parent;
   mutable children : t array;
   mutable child_id : int; (* index of this node among parent's children *)
@@ -62,6 +63,12 @@ and t = {
   mutable s_mshr_sat : int;
 }
 
+module Cow = Riscv.Cow
+
+let nothing = Perm.rank Perm.Nothing
+
+let branch = Perm.rank Perm.Branch
+
 let line_bytes t = 1 lsl t.line_shift
 
 let line_addr t addr = Int64.shift_right_logical addr t.line_shift
@@ -78,12 +85,12 @@ let create ~name ~size_bytes ~ways ~line_shift ~hit_latency ~backing () =
     ways;
     line_shift;
     hit_latency;
-    tags = Array.make n (-1);
-    perms = Array.make n Perm.Nothing;
-    sharers = Array.make n 0;
-    owners = Array.make n (-1);
-    last_use = Array.make n 0;
-    inflight_until = Array.make n 0;
+    tags = Cow.table ~slots:n ~init:(-1);
+    perms = Cow.table ~slots:n ~init:nothing;
+    sharers = Cow.table ~slots:n ~init:0;
+    owners = Cow.table ~slots:n ~init:(-1);
+    last_use = Cow.table ~slots:n ~init:0;
+    inflight_until = Cow.table ~slots:n ~init:0;
     parent = Dram (Dram.create (Dram.Fixed_amat 100));
     children = [||];
     child_id = 0;
@@ -129,7 +136,9 @@ let lookup t la : int =
   let tag = Int64.to_int la in
   let i = ref (set_index t la * t.ways) in
   let stop = !i + t.ways in
-  while !i < stop && not (t.tags.(!i) = tag && t.perms.(!i) <> Perm.Nothing) do
+  while
+    !i < stop && not (Cow.get t.tags !i = tag && Cow.get t.perms !i <> nothing)
+  do
     incr i
   done;
   if !i < stop then !i else -1
@@ -140,8 +149,8 @@ let victim t la : int =
   let base = set_index t la * t.ways in
   let stop = base + t.ways in
   let i = ref base and best = ref base in
-  while !i < stop && t.perms.(!i) <> Perm.Nothing do
-    if t.last_use.(!i) < t.last_use.(!best) then best := !i;
+  while !i < stop && Cow.get t.perms !i <> nothing do
+    if Cow.get t.last_use !i < Cow.get t.last_use !best then best := !i;
     incr i
   done;
   if !i < stop then !i else !best
@@ -153,24 +162,24 @@ let victim t la : int =
    of lines corrupted. *)
 let corrupt_lines (t : t) ~max : int =
   let n = ref 0 in
-  Array.iteri
-    (fun slot tag ->
-      let la = Int64.of_int tag in
-      if !n < max && tag >= 0 && t.perms.(slot) <> Perm.Nothing
-         && not (Hashtbl.mem t.poisoned la)
-      then begin
-        let buf = Bytes.create (line_bytes t) in
-        let base = base_of_la t la in
-        for i = 0 to line_bytes t - 1 do
-          Bytes.set buf i
-            (Char.chr
-               (Riscv.Memory.read_u8 t.backing (Int64.add base (Int64.of_int i))
-               lxor 0xA5))
-        done;
-        Hashtbl.replace t.poisoned la buf;
-        incr n
-      end)
-    t.tags;
+  for slot = 0 to (t.sets * t.ways) - 1 do
+    let tag = Cow.get t.tags slot in
+    let la = Int64.of_int tag in
+    if !n < max && tag >= 0 && Cow.get t.perms slot <> nothing
+       && not (Hashtbl.mem t.poisoned la)
+    then begin
+      let buf = Bytes.create (line_bytes t) in
+      let base = base_of_la t la in
+      for i = 0 to line_bytes t - 1 do
+        Bytes.set buf i
+          (Char.chr
+             (Riscv.Memory.read_u8 t.backing (Int64.add base (Int64.of_int i))
+             lxor 0xA5))
+      done;
+      Hashtbl.replace t.poisoned la buf;
+      incr n
+    end
+  done;
   !n
 
 (* Downgrade [t]'s copy (and its whole subtree) to [to_perm].
@@ -188,13 +197,13 @@ let rec probe (t : t) ~la ~(to_perm : Perm.t) : int =
     let child_lat = ref 0 in
     Array.iteri
       (fun i c ->
-        if t.sharers.(line) land (1 lsl i) <> 0 then
+        if Cow.get t.sharers line land (1 lsl i) <> 0 then
           child_lat := max !child_lat (probe c ~la ~to_perm))
       t.children;
     (* the injected L2 MSHR arbitration bug: a Probe overlapping an
        in-flight Acquire on the same block captures the pre-write
        data image, which later Grants serve upward *)
-    if t.bug_probe_race && t.inflight_until.(line) > t.now then begin
+    if t.bug_probe_race && Cow.get t.inflight_until line > t.now then begin
       let buf = Bytes.create (line_bytes t) in
       let base = base_of_la t la in
       for i = 0 to line_bytes t - 1 do
@@ -206,14 +215,13 @@ let rec probe (t : t) ~la ~(to_perm : Perm.t) : int =
     end;
     (match to_perm with
     | Perm.Nothing ->
-        t.tags.(line) <- -1;
-        t.perms.(line) <- Perm.Nothing;
-        t.sharers.(line) <- 0;
-        t.owners.(line) <- -1
+        Cow.set t.tags line (-1);
+        Cow.set t.perms line nothing;
+        Cow.set t.sharers line 0;
+        Cow.set t.owners line (-1)
     | Perm.Branch ->
-        if Perm.rank t.perms.(line) > Perm.rank Perm.Branch then
-          t.perms.(line) <- Perm.Branch;
-        t.owners.(line) <- -1
+        if Cow.get t.perms line > branch then Cow.set t.perms line branch;
+        Cow.set t.owners line (-1)
     | Perm.Trunk -> invalid_arg "probe to Trunk");
     emit t (Perm.Probe_ack to_perm) ~child:(-1) ~la;
     !child_lat + 1
@@ -227,8 +235,9 @@ let release_to_parent (t : t) ~la =
   | Cache p ->
       let pl = lookup p la in
       if pl >= 0 then begin
-        p.sharers.(pl) <- p.sharers.(pl) land lnot (1 lsl t.child_id);
-        if p.owners.(pl) = t.child_id then p.owners.(pl) <- -1
+        Cow.set p.sharers pl
+          (Cow.get p.sharers pl land lnot (1 lsl t.child_id));
+        if Cow.get p.owners pl = t.child_id then Cow.set p.owners pl (-1)
       end
 
 (* One more outstanding fill, completing at [until]: misses landing
@@ -250,43 +259,45 @@ let note_fill (t : t) ~until =
 let rec ensure (t : t) ~la ~(want : Perm.t) : int =
   t.s_accesses <- t.s_accesses + 1;
   let line = lookup t la in
-  if line >= 0 && Perm.at_least t.perms.(line) want then begin
-    t.last_use.(line) <- t.now;
+  if line >= 0 && Cow.get t.perms line >= Perm.rank want then begin
+    Cow.set t.last_use line t.now;
     t.hit_latency
   end
   else if line >= 0 then begin
     (* permission upgrade: a miss, but no line install (refill) *)
     t.s_misses <- t.s_misses + 1;
     let pl = acquire_from_parent t ~la ~want in
-    t.perms.(line) <- want;
-    t.last_use.(line) <- t.now;
-    t.inflight_until.(line) <- t.now + t.hit_latency + pl;
-    note_fill t ~until:t.inflight_until.(line);
+    let until = t.now + t.hit_latency + pl in
+    Cow.set t.perms line (Perm.rank want);
+    Cow.set t.last_use line t.now;
+    Cow.set t.inflight_until line until;
+    note_fill t ~until;
     t.hit_latency + pl
   end
   else begin
     t.s_misses <- t.s_misses + 1;
     t.s_refills <- t.s_refills + 1;
     let v = victim t la in
-    if t.perms.(v) <> Perm.Nothing then begin
+    if Cow.get t.perms v <> nothing then begin
       t.s_evictions <- t.s_evictions + 1;
-      let old = Int64.of_int t.tags.(v) in
+      let old = Int64.of_int (Cow.get t.tags v) in
       (* inclusive eviction: purge the subtree, tell the parent *)
       Array.iteri
         (fun i c ->
-          if t.sharers.(v) land (1 lsl i) <> 0 then
+          if Cow.get t.sharers v land (1 lsl i) <> 0 then
             ignore (probe c ~la:old ~to_perm:Perm.Nothing))
         t.children;
       release_to_parent t ~la:old
     end;
     let pl = acquire_from_parent t ~la ~want in
-    t.tags.(v) <- Int64.to_int la;
-    t.perms.(v) <- want;
-    t.sharers.(v) <- 0;
-    t.owners.(v) <- -1;
-    t.last_use.(v) <- t.now;
-    t.inflight_until.(v) <- t.now + t.hit_latency + pl;
-    note_fill t ~until:t.inflight_until.(v);
+    let until = t.now + t.hit_latency + pl in
+    Cow.set t.tags v (Int64.to_int la);
+    Cow.set t.perms v (Perm.rank want);
+    Cow.set t.sharers v 0;
+    Cow.set t.owners v (-1);
+    Cow.set t.last_use v t.now;
+    Cow.set t.inflight_until v until;
+    note_fill t ~until;
     t.hit_latency + pl
   end
 
@@ -307,21 +318,23 @@ and acquire (p : t) ~la ~want ~child : int =
       if not p.bug_skip_probe then
         Array.iteri
           (fun i c ->
-            if i <> child && p.sharers.(line) land (1 lsl i) <> 0 then begin
+            if i <> child && Cow.get p.sharers line land (1 lsl i) <> 0
+            then begin
               probe_lat := max !probe_lat (probe c ~la ~to_perm:Perm.Nothing);
-              p.sharers.(line) <- p.sharers.(line) land lnot (1 lsl i)
+              Cow.set p.sharers line
+                (Cow.get p.sharers line land lnot (1 lsl i))
             end)
           p.children;
-      p.owners.(line) <- child
+      Cow.set p.owners line child
   | Perm.Branch ->
-      let owner = p.owners.(line) in
+      let owner = Cow.get p.owners line in
       if owner >= 0 && owner <> child then begin
         probe_lat :=
           max !probe_lat (probe p.children.(owner) ~la ~to_perm:Perm.Branch);
-        p.owners.(line) <- -1
+        Cow.set p.owners line (-1)
       end
   | Perm.Nothing -> ());
-  p.sharers.(line) <- p.sharers.(line) lor (1 lsl child);
+  Cow.set p.sharers line (Cow.get p.sharers line lor (1 lsl child));
   emit p (Perm.Grant want) ~child ~la;
   (* the buggy grant path: serve poisoned data to the child *)
   (if Hashtbl.mem p.poisoned la then
@@ -374,14 +387,23 @@ let fetch (t : t) ~addr : int =
   let la = line_addr t addr in
   ensure t ~la ~want:Perm.Branch
 
+(* Tags, perms, sharers and owners go back to their initial values;
+   LRU and fill timing are kept. *)
 let invalidate_all (t : t) =
   iter_tree t (fun n ->
-      let len = Array.length n.tags in
-      Array.fill n.tags 0 len (-1);
-      Array.fill n.perms 0 len Perm.Nothing;
-      Array.fill n.sharers 0 len 0;
-      Array.fill n.owners 0 len (-1);
+      Cow.clear n.tags;
+      Cow.clear n.perms;
+      Cow.clear n.sharers;
+      Cow.clear n.owners;
       Hashtbl.reset n.poisoned)
+
+let tables (t : t) =
+  let acc = ref [] in
+  iter_tree t (fun n ->
+      acc :=
+        n.inflight_until :: n.last_use :: n.owners :: n.sharers :: n.perms
+        :: n.tags :: !acc);
+  List.rev !acc
 
 let tick (t : t) = t.now <- t.now + 1
 

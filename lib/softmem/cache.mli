@@ -23,14 +23,15 @@ and t = {
   ways : int;
   line_shift : int;
   hit_latency : int;
-  tags : int array;
-      (** line metadata, one slot per [sets * ways] line, row-major by
-          set: the line index ([addr lsr line_shift]), -1 if invalid *)
-  perms : Perm.t array;
-  sharers : int array;  (** bitmask of children holding >= Branch *)
-  owners : int array;  (** child holding Trunk, -1 if none *)
-  last_use : int array;
-  inflight_until : int array;  (** fill outstanding until this cycle *)
+  tags : Riscv.Cow.t;
+      (** line metadata, copy-on-write tables with one slot per
+          [sets * ways] line, row-major by set: the line index
+          ([addr lsr line_shift]), -1 if invalid *)
+  perms : Riscv.Cow.t;  (** {!Perm.rank} *)
+  sharers : Riscv.Cow.t;  (** bitmask of children holding >= Branch *)
+  owners : Riscv.Cow.t;  (** child holding Trunk, -1 if none *)
+  last_use : Riscv.Cow.t;
+  inflight_until : Riscv.Cow.t;  (** fill outstanding until this cycle *)
   mutable parent : parent;
   mutable children : t array;
   mutable child_id : int;
@@ -72,6 +73,10 @@ val set_parent : t -> t -> unit
 val set_dram : t -> Dram.t -> unit
 
 val iter_tree : t -> (t -> unit) -> unit
+
+val tables : t -> Riscv.Cow.t list
+(** Every metadata table of the subtree, node by node in
+    {!iter_tree} order (LightSSS snapshots these). *)
 
 (** {1 Core-facing interface (called on an L1 node)} *)
 

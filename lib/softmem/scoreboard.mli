@@ -21,6 +21,11 @@ val observe : t -> Event.t -> unit
 (** Feed one coherence event (wire the whole SoC stream here; events
     from unrelated nodes are ignored). *)
 
+val blocks_tracked : t -> int
+(** Blocks some child currently holds a permission on: a block every
+    child has given up is forgotten, so this tracks the live
+    footprint, not the run's. *)
+
 val violations : t -> violation list
 (** In detection order. *)
 

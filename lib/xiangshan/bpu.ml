@@ -6,43 +6,53 @@
    used by the PUBS issue policy (§IV-D): a branch is "unconfident"
    until it has accumulated a run of correct predictions. *)
 
-(* The predictor tables are flat: a LightSSS snapshot marshals the
-   whole simulator graph and Marshal pays per heap block, so a table
-   is one block, never one record per entry.  BTB-like tables keep
-   exact 64-bit pcs and targets (wrong-path targets are arbitrary
-   64-bit values), [entry_bytes] per entry: tag at +0, target at +8,
-   little-endian; a tag of -1 marks an empty entry. *)
+module Cow = Riscv.Cow
+
+(* The predictor tables are flat copy-on-write tables: a LightSSS
+   snapshot shares their pages instead of marshalling them.  BTB-like
+   tables keep exact 64-bit pcs and targets (wrong-path targets are
+   arbitrary 64-bit values), [entry_bytes] per entry: tag at +0,
+   target at +8, little-endian; a tag of -1 marks an empty entry.  An
+   entry never straddles a page, and its accessors read the page's
+   bytes in place, so comparing a tag allocates nothing. *)
 let entry_bytes = 16
 
 let empty_entries n =
-  let b = Bytes.create (n * entry_bytes) in
-  for i = 0 to n - 1 do
-    Bytes.set_int64_le b (i * entry_bytes) (-1L);
-    Bytes.set_int64_le b ((i * entry_bytes) + 8) 0L
-  done;
-  b
+  Cow.sized ~bytes:(n * entry_bytes) ~fill:(fun page ->
+      for i = 0 to (Bytes.length page / entry_bytes) - 1 do
+        Bytes.set_int64_le page (i * entry_bytes) (-1L);
+        Bytes.set_int64_le page ((i * entry_bytes) + 8) 0L
+      done)
 
-let tag_of b i = Bytes.get_int64_le b (i * entry_bytes)
+let[@inline] page_of b i = (i * entry_bytes) lsr Cow.page_bits b
 
-let target_of b i = Bytes.get_int64_le b ((i * entry_bytes) + 8)
+let[@inline] offset_of b i =
+  (i * entry_bytes) land ((1 lsl Cow.page_bits b) - 1)
+
+let[@inline] tag_of b i =
+  Bytes.get_int64_le (Cow.read_page b (page_of b i)) (offset_of b i)
+
+let[@inline] target_of b i =
+  Bytes.get_int64_le (Cow.read_page b (page_of b i)) (offset_of b i + 8)
 
 let set_entry b i ~tag ~target =
-  Bytes.set_int64_le b (i * entry_bytes) tag;
-  Bytes.set_int64_le b ((i * entry_bytes) + 8) target
+  let page = Cow.write_page b (page_of b i) and off = offset_of b i in
+  Bytes.set_int64_le page off tag;
+  Bytes.set_int64_le page (off + 8) target
 
 type t = {
   (* BTB: direct-mapped over sets, 2-way *)
-  btb : Bytes.t;
+  btb : Cow.t;
   btb_sets : int;
-  ubtb : Bytes.t;
+  ubtb : Cow.t;
   ubtb_size : int;
   (* TAGE *)
-  bimodal : int array; (* 2-bit counters *)
+  bimodal : Cow.t; (* 2-bit counters *)
   bimodal_size : int;
   (* 4 tagged tables, entry [i] of table [k] at [k * tage_size + i] *)
-  tage_tags : int array;
-  tage_ctrs : int array; (* signed, -4..3; >= 0 predicts taken *)
-  tage_useful : int array;
+  tage_tags : Cow.t;
+  tage_ctrs : Cow.t; (* signed, -4..3; >= 0 predicts taken *)
+  tage_useful : Cow.t;
   tage_size : int;
   hist_lens : int array;
   mutable ghist : int64; (* global history, newest bit at LSB *)
@@ -52,11 +62,11 @@ type t = {
   ras_size : int;
   mutable ras_depth : int; (* live entries, saturating at ras_size *)
   (* ITTAGE-lite *)
-  ittage : Bytes.t;
+  ittage : Cow.t;
   ittage_size : int;
   use_ittage : bool;
   (* PUBS confidence *)
-  conf : int array; (* per-pc run counters *)
+  conf : Cow.t; (* per-pc run counters *)
   conf_size : int;
   (* stats *)
   mutable lookups : int;
@@ -85,11 +95,11 @@ let create (cfg : Config.t) : t =
     btb_sets;
     ubtb = empty_entries cfg.ubtb_entries;
     ubtb_size = cfg.ubtb_entries;
-    bimodal = Array.make 4096 1;
+    bimodal = Cow.table ~slots:4096 ~init:1;
     bimodal_size = 4096;
-    tage_tags = Array.make (4 * tage_size) (-1);
-    tage_ctrs = Array.make (4 * tage_size) 0;
-    tage_useful = Array.make (4 * tage_size) 0;
+    tage_tags = Cow.table ~slots:(4 * tage_size) ~init:(-1);
+    tage_ctrs = Cow.table ~slots:(4 * tage_size) ~init:0;
+    tage_useful = Cow.table ~slots:(4 * tage_size) ~init:0;
     tage_size;
     hist_lens = [| 8; 16; 32; 60 |];
     ghist = 0L;
@@ -100,7 +110,7 @@ let create (cfg : Config.t) : t =
     ittage = empty_entries (max 16 (cfg.btb_entries / 4));
     ittage_size = max 16 (cfg.btb_entries / 4);
     use_ittage = cfg.ittage;
-    conf = Array.make 1024 0;
+    conf = Cow.table ~slots:1024 ~init:0;
     conf_size = 1024;
     lookups = 0;
     cond_branches = 0;
@@ -138,12 +148,14 @@ let tage_tag t table pc =
    tagged table wins, else the bimodal base predictor. *)
 let predict_direction t pc : bool * int =
   let provider = ref (-1) in
-  let pred = ref (t.bimodal.(pc_bits pc land (t.bimodal_size - 1)) >= 2) in
+  let pred =
+    ref (Cow.get t.bimodal (pc_bits pc land (t.bimodal_size - 1)) >= 2)
+  in
   for table = 0 to 3 do
     let e = tage_index t table pc in
-    if t.tage_tags.(e) = tage_tag t table pc then begin
+    if Cow.get t.tage_tags e = tage_tag t table pc then begin
       provider := table;
-      pred := t.tage_ctrs.(e) >= 0
+      pred := Cow.get t.tage_ctrs e >= 0
     end
   done;
   (!pred, !provider)
@@ -265,23 +277,26 @@ let update (t : t) ~(pc : int64) ~(insn : Riscv.Insn.t) ~(taken : bool)
   end;
   (* confidence table for PUBS *)
   let ci = pc_bits pc land (t.conf_size - 1) in
-  if mispredicted then t.conf.(ci) <- 0
-  else if t.conf.(ci) < 64 then t.conf.(ci) <- t.conf.(ci) + 1;
+  if mispredicted then Cow.set t.conf ci 0
+  else begin
+    let c = Cow.get t.conf ci in
+    if c < 64 then Cow.set t.conf ci (c + 1)
+  end;
   (match insn with
   | Branch _ ->
       (* bimodal *)
       let bi = pc_bits pc land (t.bimodal_size - 1) in
-      let c = t.bimodal.(bi) in
-      t.bimodal.(bi) <-
-        (if taken then min 3 (c + 1) else max 0 (c - 1));
+      let c = Cow.get t.bimodal bi in
+      Cow.set t.bimodal bi (if taken then min 3 (c + 1) else max 0 (c - 1));
       (* tage provider update + allocation on mispredict *)
       let _, provider = predict_direction t pc in
       if provider >= 0 then begin
         let e = tage_index t provider pc in
-        let c = t.tage_ctrs.(e) in
-        t.tage_ctrs.(e) <- (if taken then min 3 (c + 1) else max (-4) (c - 1));
+        let c = Cow.get t.tage_ctrs e in
+        Cow.set t.tage_ctrs e
+          (if taken then min 3 (c + 1) else max (-4) (c - 1));
         if not mispredicted then
-          t.tage_useful.(e) <- min 3 (t.tage_useful.(e) + 1)
+          Cow.set t.tage_useful e (min 3 (Cow.get t.tage_useful e + 1))
       end;
       if mispredicted then begin
         (* allocate in a longer-history table *)
@@ -289,12 +304,13 @@ let update (t : t) ~(pc : int64) ~(insn : Riscv.Insn.t) ~(taken : bool)
         (try
            for table = start to 3 do
              let e = tage_index t table pc in
-             if t.tage_useful.(e) = 0 then begin
-               t.tage_tags.(e) <- tage_tag t table pc;
-               t.tage_ctrs.(e) <- (if taken then 0 else -1);
+             let u = Cow.get t.tage_useful e in
+             if u = 0 then begin
+               Cow.set t.tage_tags e (tage_tag t table pc);
+               Cow.set t.tage_ctrs e (if taken then 0 else -1);
                raise Exit
              end
-             else t.tage_useful.(e) <- t.tage_useful.(e) - 1
+             else Cow.set t.tage_useful e (u - 1)
            done
          with Exit -> ())
       end;
@@ -331,8 +347,8 @@ let update (t : t) ~(pc : int64) ~(insn : Riscv.Insn.t) ~(taken : bool)
    commits.  Returns the number of entries corrupted. *)
 let corrupt_targets (t : t) : int =
   let n = ref 0 in
-  let corrupt b =
-    for i = 0 to (Bytes.length b / entry_bytes) - 1 do
+  let corrupt b n_entries =
+    for i = 0 to n_entries - 1 do
       if tag_of b i <> -1L then begin
         set_entry b i ~tag:(tag_of b i)
           ~target:(Int64.logxor (target_of b i) 8L);
@@ -340,15 +356,22 @@ let corrupt_targets (t : t) : int =
       end
     done
   in
-  corrupt t.btb;
-  corrupt t.ubtb;
-  corrupt t.ittage;
+  corrupt t.btb (2 * t.btb_sets);
+  corrupt t.ubtb t.ubtb_size;
+  corrupt t.ittage t.ittage_size;
   !n
 
 (* Low-confidence query for PUBS: a branch is unconfident until it has
    a run of >= 4 correct predictions (paper: ~5.9% of instructions end
    up high-priority on sjeng). *)
-let unconfident (t : t) ~pc = t.conf.(pc_bits pc land (t.conf_size - 1)) < 4
+let unconfident (t : t) ~pc =
+  Cow.get t.conf (pc_bits pc land (t.conf_size - 1)) < 4
+
+let tables (t : t) =
+  [
+    t.btb; t.ubtb; t.bimodal; t.tage_tags; t.tage_ctrs; t.tage_useful;
+    t.ittage; t.conf;
+  ]
 
 let mpki t ~instructions =
   if instructions = 0 then 0.0

@@ -4,19 +4,20 @@
     by the PUBS issue policy (paper §IV-D). *)
 
 type t = {
-  btb : Bytes.t;
-      (** BTB-like tables (BTB, uBTB, ITTAGE) are flat: 16 bytes per
-          entry, exact 64-bit tag at +0 and target at +8,
-          little-endian; tag -1 marks an empty entry *)
+  btb : Riscv.Cow.t;
+      (** every table is copy-on-write (LightSSS shares its pages).
+          BTB-like tables (BTB, uBTB, ITTAGE): 16 bytes per entry,
+          exact 64-bit tag at +0 and target at +8, little-endian; tag
+          -1 marks an empty entry *)
   btb_sets : int;
-  ubtb : Bytes.t;
+  ubtb : Riscv.Cow.t;
   ubtb_size : int;
-  bimodal : int array;
+  bimodal : Riscv.Cow.t;
   bimodal_size : int;
-  tage_tags : int array;
+  tage_tags : Riscv.Cow.t;
       (** TAGE tables, flat: entry [i] of table [k] at [k * tage_size + i] *)
-  tage_ctrs : int array;
-  tage_useful : int array;
+  tage_ctrs : Riscv.Cow.t;
+  tage_useful : Riscv.Cow.t;
   tage_size : int;
   hist_lens : int array;
   mutable ghist : int64;
@@ -24,10 +25,10 @@ type t = {
   mutable ras_top : int;
   ras_size : int;
   mutable ras_depth : int;
-  ittage : Bytes.t;
+  ittage : Riscv.Cow.t;
   ittage_size : int;
   use_ittage : bool;
-  conf : int array;
+  conf : Riscv.Cow.t;
   conf_size : int;
   mutable lookups : int;
   mutable cond_branches : int;
@@ -76,6 +77,10 @@ val unconfident : t -> pc:int64 -> bool
 val mpki : t -> instructions:int -> float
 (** Mispredictions per kilo-instruction (the paper's PUBS selection
     criterion is MPKI > 3). *)
+
+val tables : t -> Riscv.Cow.t list
+(** Every predictor table, in a fixed order (LightSSS snapshots
+    these). *)
 
 val is_call : Riscv.Insn.t -> bool
 

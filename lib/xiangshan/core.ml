@@ -474,7 +474,10 @@ let fetch_start_bundle t =
         let i = ref 0 in
         let block = Int64.div pc0 (Int64.of_int fetch_block_bytes) in
         while (not !stop) && !i < t.cfg.fetch_width do
-          let pc = Int64.add pc0 (Int64.of_int (4 * !i)) in
+          (* past the first slot the pc is the previous slot's
+             not-taken prediction: reuse its box (one boxed pc per
+             in-flight instruction in a LightSSS image, not two) *)
+          let pc = match !items with it :: _ -> it.fi_pred_next | [] -> pc0 in
           if Int64.div pc (Int64.of_int fetch_block_bytes) <> block then
             stop := true
           else begin
@@ -733,6 +736,11 @@ let step_dispatch t : dispatch_eff =
     { dp_plans = List.rev !plans; dp_stall = !stall }
   end
 
+(* [psrc_fp] of a uop with [n] integer sources and no FP one: shared,
+   never written, so in-flight uops (and a LightSSS image) hold one
+   array per source count instead of one per uop. *)
+let int_only_srcs = Array.init 4 (fun n -> Array.make n false)
+
 (* Phase 2: execute the dispatch plan -- rename, allocate, push into
    ROB/IQ/LSU.  A flush earlier in this cycle's application (commit
    trap/serialise/interrupt or an issue redirect) cancels the whole
@@ -775,9 +783,13 @@ let apply_dispatch t (eff : dispatch_eff) =
                 @ List.map (fun r -> Rename.lookup t.rename ~is_fp:true r) fp_srcs)
             in
             let psrc_fp =
-              Array.of_list
-                (List.map (fun _ -> false) int_srcs
-                @ List.map (fun _ -> true) fp_srcs)
+              let n = List.length int_srcs in
+              if fp_srcs = [] && n < Array.length int_only_srcs then
+                int_only_srcs.(n)
+              else
+                Array.of_list
+                  (List.map (fun _ -> false) int_srcs
+                  @ List.map (fun _ -> true) fp_srcs)
             in
             u.Uop.psrc <- psrc;
             u.Uop.psrc_fp <- psrc_fp;

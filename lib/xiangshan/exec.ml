@@ -6,12 +6,19 @@
 
 open Riscv [@@warning "-33"]
 
+(* A correctly predicted next pc keeps the prediction's box, so the
+   in-flight uops a LightSSS image carries hold one boxed pc, not two
+   equal ones. *)
+let set_next_pc (u : Uop.t) next =
+  u.Uop.next_pc <-
+    (if Int64.equal next u.Uop.pred_next then u.Uop.pred_next else next)
+
 (* Execute [u] given its source register values (in psrc order).
    Sets result / next_pc / mispredicted. *)
 let execute (u : Uop.t) (srcs : int64 array) : unit =
   let pc = u.Uop.pc in
   let seq_next = Int64.add pc (Int64.of_int (4 * u.Uop.n_insns)) in
-  u.Uop.next_pc <- seq_next;
+  set_next_pc u seq_next;
   (match u.Uop.fusion with
   | Some (Uop.Fused_lui_addi c) -> u.Uop.result <- c
   | Some Uop.Fused_zext_w ->
@@ -24,14 +31,14 @@ let execute (u : Uop.t) (srcs : int64 array) : unit =
       | Auipc (_, imm) -> u.Uop.result <- Int64.add pc imm
       | Jal (_, off) ->
           u.Uop.result <- seq_next;
-          u.Uop.next_pc <- Int64.add pc off
+          set_next_pc u (Int64.add pc off)
       | Jalr (_, _, imm) ->
           u.Uop.result <- seq_next;
-          u.Uop.next_pc <-
-            Int64.logand (Int64.add srcs.(0) imm) (Int64.lognot 1L)
+          set_next_pc u
+            (Int64.logand (Int64.add srcs.(0) imm) (Int64.lognot 1L))
       | Branch (op, _, _, off) ->
           if Iss.Alu.eval_branch op srcs.(0) srcs.(1) then
-            u.Uop.next_pc <- Int64.add pc off
+            set_next_pc u (Int64.add pc off)
       | Op_imm (op, _, _, imm) ->
           u.Uop.result <- Iss.Alu.eval_alu op srcs.(0) imm
       | Op_imm_w (op, _, _, imm) ->

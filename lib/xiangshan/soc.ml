@@ -97,6 +97,15 @@ let set_event_sink (t : t) (sink : Softmem.Event.sink) =
   let install node = Softmem.Cache.iter_tree node (fun n -> n.Softmem.Cache.sink <- sink) in
   (match t.l3 with Some l3 -> install l3 | None -> Array.iter install t.l2s)
 
+(* Every copy-on-write table of the SoC in a fixed order: the cache
+   tree node by node, then each core's predictor and TLB tables. *)
+let tables (t : t) =
+  let roots = match t.l3 with Some l3 -> [ l3 ] | None -> Array.to_list t.l2s in
+  List.concat_map Softmem.Cache.tables roots
+  @ List.concat_map
+      (fun (c : Core.t) -> Bpu.tables c.Core.bpu @ Tlb.tables c.Core.tlb)
+      (Array.to_list t.cores)
+
 let load_program (t : t) (p : Asm.program) =
   Asm.load p t.plat.Platform.mem;
   Array.iter (fun c -> Core.set_boot_pc c p.Asm.entry) t.cores

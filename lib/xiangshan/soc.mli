@@ -25,6 +25,12 @@ val create : ?dram_size:int -> Config.t -> t
 val set_event_sink : t -> Softmem.Event.sink -> unit
 (** Install a coherence-event sink on every cache node. *)
 
+val tables : t -> Riscv.Cow.t list
+(** Every copy-on-write micro-architectural table -- the cache tree's
+    metadata, then each core's predictor and TLB tables -- in a fixed
+    order, so a restored copy's tables line up by position (LightSSS
+    snapshots these). *)
+
 val load_program : t -> Riscv.Asm.program -> unit
 (** Load the image and point every hart's boot pc at the entry. *)
 

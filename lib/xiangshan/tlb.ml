@@ -17,46 +17,65 @@ type mapping = {
   pte_flags : int64; (* leaf PTE bits for permission checks *)
 }
 
-type entry = {
-  mutable e_vpn : int64; (* -1 invalid *)
-  mutable e_res : (mapping, unit) result; (* Error () = cached fault *)
-  mutable e_lru : int;
+module Cow = Riscv.Cow
+
+(* One TLB level, flat: slot [i] across four copy-on-write tables, so
+   a LightSSS snapshot shares their pages instead of marshalling one
+   record per entry, and a lookup allocates nothing. *)
+type tlb_array = {
+  size : int;
+  vpn : Cow.t; (* -1 invalid *)
+  ppn : Cow.t; (* 4K-granular physical page number, or [fault] *)
+  flags : Cow.t; (* the leaf PTE's flag bits, for permission checks *)
+  lru : Cow.t;
+  mutable clock : int;
 }
 
-type tlb_array = { entries : entry array; mutable clock : int }
+(* A failed walk, cached until the next sfence.vma (Figure 3). *)
+let fault = -1
 
 let make_array n =
   {
-    entries = Array.init n (fun _ -> { e_vpn = -1L; e_res = Error (); e_lru = 0 });
+    size = n;
+    vpn = Cow.table ~slots:n ~init:(-1);
+    ppn = Cow.table ~slots:n ~init:fault;
+    flags = Cow.table ~slots:n ~init:0;
+    lru = Cow.table ~slots:n ~init:0;
     clock = 0;
   }
 
-let arr_lookup (a : tlb_array) vpn =
-  let found = ref None in
-  Array.iter
-    (fun e ->
-      if e.e_vpn = vpn then begin
-        a.clock <- a.clock + 1;
-        e.e_lru <- a.clock;
-        found := Some e.e_res
-      end)
-    a.entries;
-  !found
+(* Bump every slot holding [vpn] from [from] on to most recently used;
+   the last one's slot, or [found]. *)
+let rec bump (a : tlb_array) vpn ~from found =
+  let i = Cow.find a.vpn ~from ~until:a.size vpn in
+  if i < 0 then found
+  else begin
+    a.clock <- a.clock + 1;
+    Cow.set a.lru i a.clock;
+    bump a vpn ~from:(i + 1) i
+  end
 
-let arr_insert (a : tlb_array) vpn res =
+(* The slot of the last entry holding [vpn], or -1; every match
+   becomes the most recently used. *)
+let arr_lookup (a : tlb_array) vpn = bump a vpn ~from:0 (-1)
+
+(* Refill the first least recently used slot; returns it. *)
+let arr_insert (a : tlb_array) vpn ~ppn ~flags =
   a.clock <- a.clock + 1;
-  let victim = ref a.entries.(0) in
-  Array.iter (fun e -> if e.e_lru < !victim.e_lru then victim := e) a.entries;
-  !victim.e_vpn <- vpn;
-  !victim.e_res <- res;
-  !victim.e_lru <- a.clock
+  let v = Cow.argmin a.lru ~until:a.size in
+  Cow.set a.vpn v vpn;
+  Cow.set a.ppn v ppn;
+  Cow.set a.flags v flags;
+  Cow.set a.lru v a.clock;
+  v
 
+(* Drops every translation, faults included; the LRU order stays. *)
 let arr_flush (a : tlb_array) =
-  Array.iter
-    (fun e ->
-      e.e_vpn <- -1L;
-      e.e_res <- Error ())
-    a.entries
+  Cow.clear a.vpn;
+  Cow.clear a.ppn;
+  Cow.clear a.flags
+
+let arr_tables (a : tlb_array) = [ a.vpn; a.ppn; a.flags; a.lru ]
 
 type t = {
   itlb : tlb_array;
@@ -98,19 +117,19 @@ let flush t =
 let corrupt_data_ppn (t : t) : int =
   let n = ref 0 in
   let corrupt (a : tlb_array) =
-    Array.iter
-      (fun e ->
-        if e.e_vpn >= 0L then
-          match e.e_res with
-          | Ok m when Int64.logand m.ppn 1L = 0L ->
-              e.e_res <- Ok { m with ppn = Int64.logor m.ppn 1L };
-              incr n
-          | Ok _ | Error () -> ())
-      a.entries
+    for i = 0 to a.size - 1 do
+      let ppn = Cow.get a.ppn i in
+      if Cow.get a.vpn i >= 0 && ppn <> fault && ppn land 1 = 0 then begin
+        Cow.set a.ppn i (ppn lor 1);
+        incr n
+      end
+    done
   in
   corrupt t.dtlb;
   corrupt t.stlb;
   !n
+
+let tables (t : t) = arr_tables t.itlb @ arr_tables t.dtlb @ arr_tables t.stlb
 
 type access = Fetch | Load | Store
 
@@ -162,57 +181,74 @@ let walk (t : t) (csr : Csr.t) (va : int64) : (mapping, unit) result * int =
     (r, !lat)
   end
 
-let check_perms (csr : Csr.t) (m : mapping) (access : access) : bool =
-  let pte = m.pte_flags in
+let[@inline] has flags bit = flags land (1 lsl bit) <> 0
+
+let check_perms (csr : Csr.t) flags (access : access) : bool =
   let sum = Csr.get_bit csr.Csr.reg_mstatus Csr.st_sum in
   let mxr = Csr.get_bit csr.Csr.reg_mstatus Csr.st_mxr in
   let type_ok =
     match access with
-    | Fetch -> Pte.executable pte
-    | Load -> Pte.readable pte || (mxr && Pte.executable pte)
-    | Store -> Pte.writable pte
+    | Fetch -> has flags Pte.x
+    | Load -> has flags Pte.r || (mxr && has flags Pte.x)
+    | Store -> has flags Pte.w
   in
   let priv_ok =
     match csr.Csr.priv with
-    | Csr.U -> Pte.user pte
-    | Csr.S -> (not (Pte.user pte)) || (sum && access <> Fetch)
+    | Csr.U -> has flags Pte.u
+    | Csr.S -> (not (has flags Pte.u)) || (sum && access <> Fetch)
     | Csr.M -> true
   in
   type_ok && priv_ok
 
-(* Translate [va]; returns the outcome and the latency in cycles. *)
+(* Translate [va]; returns the outcome and the latency in cycles.  A
+   miss always refills the L1 TLB, so the translation is read from
+   the L1 slot either way. *)
 let translate (t : t) (csr : Csr.t) (va : int64) (access : access) :
     outcome * int =
   let active = csr.Csr.priv <> Csr.M && Pte.satp_mode csr.Csr.reg_satp = 8 in
   if not active then (Translated va, 0)
   else begin
-    let vpn = Int64.shift_right_logical va 12 in
+    let vpn = Int64.to_int (Int64.shift_right_logical va 12) in
     let l1 = match access with Fetch -> t.itlb | Load | Store -> t.dtlb in
-    let res, lat =
-      match arr_lookup l1 vpn with
-      | Some r -> (r, 0)
-      | None -> (
-          (match access with
-          | Fetch -> t.itlb_misses <- t.itlb_misses + 1
-          | Load | Store -> t.dtlb_misses <- t.dtlb_misses + 1);
-          match arr_lookup t.stlb vpn with
-          | Some r ->
-              t.stlb_hits <- t.stlb_hits + 1;
-              arr_insert l1 vpn r;
-              (r, 2)
-          | None ->
-              let r, wl = walk t csr va in
-              (* invalid PTEs are allowed to be cached (Figure 3) *)
-              arr_insert t.stlb vpn r;
-              arr_insert l1 vpn r;
-              (r, 2 + wl))
+    let lat = ref 0 in
+    let slot = arr_lookup l1 vpn in
+    let slot =
+      if slot >= 0 then slot
+      else begin
+        (match access with
+        | Fetch -> t.itlb_misses <- t.itlb_misses + 1
+        | Load | Store -> t.dtlb_misses <- t.dtlb_misses + 1);
+        let s = arr_lookup t.stlb vpn in
+        if s >= 0 then begin
+          t.stlb_hits <- t.stlb_hits + 1;
+          lat := 2;
+          arr_insert l1 vpn ~ppn:(Cow.get t.stlb.ppn s)
+            ~flags:(Cow.get t.stlb.flags s)
+        end
+        else begin
+          let r, wl = walk t csr va in
+          (* invalid PTEs are allowed to be cached (Figure 3) *)
+          let ppn, flags =
+            match r with
+            | Ok m -> (Int64.to_int m.ppn, Int64.to_int m.pte_flags land 0xFF)
+            | Error () -> (fault, 0)
+          in
+          ignore (arr_insert t.stlb vpn ~ppn ~flags);
+          lat := 2 + wl;
+          arr_insert l1 vpn ~ppn ~flags
+        end
+      end
     in
-    match res with
-    | Error () ->
-        t.cached_fault_hits <- t.cached_fault_hits + 1;
-        (Page_fault (fault_of access, va), lat)
-    | Ok m ->
-        if check_perms csr m access then
-          (Translated (Int64.logor (Pte.pa_of_ppn m.ppn) (Int64.logand va 0xFFFL)), lat)
-        else (Page_fault (fault_of access, va), lat)
+    let ppn = Cow.get l1.ppn slot in
+    if ppn = fault then begin
+      t.cached_fault_hits <- t.cached_fault_hits + 1;
+      (Page_fault (fault_of access, va), !lat)
+    end
+    else if check_perms csr (Cow.get l1.flags slot) access then
+      ( Translated
+          (Int64.logor
+             (Pte.pa_of_ppn (Int64.of_int ppn))
+             (Int64.logand va 0xFFFL)),
+        !lat )
+    else (Page_fault (fault_of access, va), !lat)
   end

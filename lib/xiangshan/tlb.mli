@@ -9,13 +9,15 @@
 
 type mapping = { ppn : int64; pte_flags : int64 }
 
-type entry = {
-  mutable e_vpn : int64;
-  mutable e_res : (mapping, unit) result; (** [Error ()] = cached fault *)
-  mutable e_lru : int;
+(** One TLB level, flat: slot [i] across four copy-on-write tables. *)
+type tlb_array = {
+  size : int;
+  vpn : Riscv.Cow.t;  (** -1 invalid *)
+  ppn : Riscv.Cow.t;  (** 4K-granular ppn, or -1 for a cached fault *)
+  flags : Riscv.Cow.t;  (** the leaf PTE's flag bits *)
+  lru : Riscv.Cow.t;
+  mutable clock : int;
 }
-
-type tlb_array = { entries : entry array; mutable clock : int }
 
 type t = {
   itlb : tlb_array;
@@ -30,6 +32,9 @@ type t = {
 }
 
 val create : Config.t -> ptw_port:Softmem.Cache.t -> t
+
+val tables : t -> Riscv.Cow.t list
+(** Every TLB table, in a fixed order (LightSSS snapshots these). *)
 
 val flush : t -> unit
 (** sfence.vma: drop every cached translation, including faults. *)

@@ -4,6 +4,7 @@ let () =
     [
       ("insn", Test_insn.tests);
       ("memory", Test_memory.tests);
+      ("cow", Test_cow.tests);
       ("softfloat", Test_softfloat.tests);
       ("alu", Test_alu.tests);
       ("csr-trap", Test_csr_trap.tests);

@@ -107,15 +107,9 @@ let nemu_superblock ?capacity ?(max_insns = 50_000_000) prog =
 
 let mem_digest (mem : Riscv.Memory.t) =
   let buf = Buffer.create 256 in
-  Array.iteri
-    (fun i p ->
-      match p with
-      | Some pg ->
-          Buffer.add_string buf (string_of_int i);
-          Buffer.add_string buf
-            (Digest.to_hex (Digest.bytes pg.Riscv.Memory.data))
-      | None -> ())
-    mem.Riscv.Memory.pages;
+  Riscv.Memory.iter_pages mem (fun i data ->
+      Buffer.add_string buf (string_of_int i);
+      Buffer.add_string buf (Digest.to_hex (Digest.bytes data)));
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let check_same_arch name (ref_m : Nemu.Mach.t) (m : Nemu.Mach.t) =

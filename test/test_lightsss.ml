@@ -84,27 +84,92 @@ let test_replay_microarch_dual_core () =
 
 let test_failed_snapshot_leaks_nothing () =
   (* a root that Marshal cannot serialise makes the snapshot raise; no
-     page may be left shared with a half-built snapshot, or the next
-     write to it pays a spurious COW copy *)
+     page of a memory or a table may be left shared with a half-built
+     snapshot, or the next write to it pays a spurious COW copy *)
   let base = 0x8000_0000L in
   let m = Riscv.Memory.create ~base ~size:(1 lsl 20) () in
+  let table = Riscv.Cow.table ~slots:4096 ~init:(-1) in
   Riscv.Memory.write_u64 m base 1L;
-  let subject = Lightsss.plain_subject ~memories:[ m ] ~roots:(m, stdout) in
+  Riscv.Cow.set table 7 1;
+  let subject =
+    Lightsss.plain_subject ~memories:[ m ] ~tables:[ table ]
+      ~roots:(m, table, stdout) ()
+  in
   (match Lightsss.snapshot subject ~cycle:0 with
   | _ -> Alcotest.fail "marshalling a channel must raise"
   | exception Invalid_argument _ -> ());
   Riscv.Memory.reset_stats m;
+  Riscv.Cow.reset_stats table;
   Riscv.Memory.write_u64 m base 2L;
-  Alcotest.(check int) "no COW fault after a failed snapshot" 0
+  Riscv.Cow.set table 7 2;
+  Alcotest.(check int) "no memory COW fault after a failed snapshot" 0
     (Riscv.Memory.stats m).Riscv.Memory.cow_faults;
+  Alcotest.(check int) "no table COW fault after a failed snapshot" 0
+    (Riscv.Cow.stats table).Riscv.Cow.cow_faults;
+  Alcotest.(check int) "no table page shared" 0 (Riscv.Cow.shared_pages table);
   Alcotest.(check int64) "memory still attached" 2L
-    (Riscv.Memory.read_u64 m base)
+    (Riscv.Memory.read_u64 m base);
+  Alcotest.(check int) "table still attached" 2 (Riscv.Cow.get table 7)
+
+(* Every slot of every micro-architectural table, in enumeration
+   order. *)
+let tables_digest dt =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun t ->
+      for i = 0 to Riscv.Cow.slots t - 1 do
+        Buffer.add_string b (string_of_int (Riscv.Cow.get t i));
+        Buffer.add_char b ','
+      done;
+      Buffer.add_char b '|')
+    (Minjie.Workflow.tables_of dt);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_restore_exact_tables () =
+  (* snapshot, run 5k more cycles, then restore twice (running the
+     first restored copy in between): each restored copy's cache, BPU
+     and TLB tables equal the tables at snapshot time *)
+  List.iter
+    (fun (name, prog, cfg) ->
+      let dt = make_difftest prog cfg in
+      for _ = 1 to 3000 do
+        Minjie.Difftest.tick dt
+      done;
+      let at_snapshot = tables_digest dt in
+      let snap =
+        Lightsss.snapshot (Minjie.Workflow.subject_of dt) ~cycle:3000
+      in
+      for _ = 1 to 5000 do
+        Minjie.Difftest.tick dt
+      done;
+      Alcotest.(check bool)
+        (name ^ ": the run moved the tables")
+        false
+        (tables_digest dt = at_snapshot);
+      let first = Minjie.Workflow.restore_shared dt snap in
+      Alcotest.(check string) (name ^ ": first restore") at_snapshot
+        (tables_digest first);
+      for _ = 1 to 2000 do
+        Minjie.Difftest.tick first
+      done;
+      let second = Minjie.Workflow.restore_shared dt snap in
+      Alcotest.(check string) (name ^ ": second restore") at_snapshot
+        (tables_digest second);
+      Lightsss.release snap)
+    [
+      ( "YQH coremark_like",
+        (Workloads.Suite.find "coremark_like").program ~scale:1,
+        Xiangshan.Config.yqh );
+      ( "dual-core NH smp_lrsc",
+        Workloads.Smp.lrsc_contend ~scale:4,
+        Xiangshan.Config.nh );
+    ]
 
 (* Marshal pays per heap block, so the image's object count is the
    deterministic proxy for snapshot cost: config-sized tables (cache
-   lines, predictor entries) must be flat arrays, not one record per
-   entry. *)
-let object_budget = 10_000
+   lines, predictor and TLB entries) must be copy-on-write stores kept
+   out of the image, and what is left is the in-flight pipeline. *)
+let object_budget = 2_000
 
 let test_image_object_budget () =
   List.iter
@@ -131,6 +196,30 @@ let test_image_object_budget () =
         Xiangshan.Config.yqh,
         Minjie.Ref_model.Nemu );
     ]
+
+let test_image_does_not_grow () =
+  (* the image holds live state only: verification state that tracks
+     the run's footprint (the permission scoreboard) must forget what
+     no cache holds any more *)
+  let prog = (Workloads.Suite.find "mcf_like").program ~scale:1 in
+  let dt =
+    make_difftest ~ref_kind:Minjie.Ref_model.Nemu prog Xiangshan.Config.yqh
+  in
+  let objects_at cycle =
+    while (Minjie.Difftest.soc dt).Xiangshan.Soc.now < cycle do
+      Minjie.Difftest.tick dt
+    done;
+    let snap = Lightsss.snapshot (Minjie.Workflow.subject_of dt) ~cycle in
+    let n = Lightsss.image_objects snap in
+    Lightsss.release snap;
+    n
+  in
+  let early = objects_at 20_000 in
+  let late = objects_at 400_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d objects at 400k <= %d at 20k + 500" late early)
+    true
+    (late <= early + 500)
 
 let test_snapshot_is_lightweight () =
   (* fork-like: the image excludes the memory pages, so its size is
@@ -286,6 +375,10 @@ let tests =
     Alcotest.test_case "failed snapshot leaks no page share" `Quick
       test_failed_snapshot_leaks_nothing;
     Alcotest.test_case "image object budget" `Quick test_image_object_budget;
+    Alcotest.test_case "image does not grow with run length" `Slow
+      test_image_does_not_grow;
+    Alcotest.test_case "restored tables equal the snapshot's" `Slow
+      test_restore_exact_tables;
     Alcotest.test_case "two-slot manager policy" `Quick test_two_slot_manager;
     Alcotest.test_case "replay-point edge cases" `Quick test_replay_point_edges;
     Alcotest.test_case "failure inside the first interval" `Slow

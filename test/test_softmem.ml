@@ -90,6 +90,87 @@ let test_scoreboard_clean_and_buggy () =
   Alcotest.(check bool) "skip-probe bug flagged" false
     (Scoreboard.ok (run ~bug:true))
 
+(* The scoreboard against a plain model (a table of per-child
+   permission arrays that never forgets a block): random event streams
+   must raise the same violations, and the scoreboard must track
+   exactly the blocks some child still holds. *)
+let prop_scoreboard_model =
+  let children = [| "l1.a"; "l1.b"; "l1.c" |] in
+  let child_of name =
+    if name = "l1.a" then 0 else if name = "l1.b" then 1 else 2
+  in
+  let gen_event =
+    QCheck2.Gen.(
+      map3
+        (fun who block kind ->
+          let addr = Int64.of_int (0x8000_0000 + (64 * block)) in
+          let perm = [| Perm.Nothing; Perm.Branch; Perm.Trunk |].(kind mod 3) in
+          if who = 3 then
+            {
+              Event.cycle = 0;
+              node = "l2";
+              child = kind mod 3;
+              xact = Perm.Grant perm;
+              addr;
+            }
+          else
+            {
+              Event.cycle = 0;
+              node = children.(who);
+              child = -1;
+              xact = (if kind >= 3 then Perm.Release else Perm.Probe_ack perm);
+              addr;
+            })
+        (int_bound 3) (int_bound 600) (int_bound 4))
+  in
+  QCheck2.Test.make ~count:200 ~name:"scoreboard vs model"
+    QCheck2.Gen.(list_size (int_range 1 2000) gen_event)
+    (fun evs ->
+      let sb = Scoreboard.create ~node:"l2" ~children in
+      let model : (int64, Perm.t array) Hashtbl.t = Hashtbl.create 64 in
+      let entry a =
+        match Hashtbl.find_opt model a with
+        | Some e -> e
+        | None ->
+            let e = Array.make 3 Perm.Nothing in
+            Hashtbl.replace model a e;
+            e
+      in
+      let expected = ref 0 in
+      List.iteri
+        (fun cycle (ev : Event.t) ->
+          let ev = { ev with Event.cycle } in
+          Scoreboard.observe sb ev;
+          match ev.xact with
+          | Perm.Grant want ->
+              let e = entry ev.addr in
+              e.(ev.child) <- want;
+              let count f =
+                Array.fold_left (fun n p -> if f p then n + 1 else n) 0 e
+              in
+              let trunks = count (( = ) Perm.Trunk)
+              and holders = count (( <> ) Perm.Nothing) in
+              if trunks > 1 then incr expected;
+              if trunks = 1 && holders > 1 then incr expected
+          | Perm.Probe_ack to_perm -> (
+              let e = entry ev.addr and child = child_of ev.node in
+              match to_perm with
+              | Perm.Nothing -> e.(child) <- Perm.Nothing
+              | Perm.Branch ->
+                  if e.(child) = Perm.Trunk then e.(child) <- Perm.Branch
+              | Perm.Trunk -> ())
+          | Perm.Release -> (entry ev.addr).(child_of ev.node) <- Perm.Nothing
+          | Perm.Acquire _ | Perm.Probe _ -> ())
+        evs;
+      let held =
+        Hashtbl.fold
+          (fun _ e n ->
+            if Array.exists (( <> ) Perm.Nothing) e then n + 1 else n)
+          model 0
+      in
+      List.length (Scoreboard.violations sb) = !expected
+      && Scoreboard.blocks_tracked sb = held)
+
 let test_poison_injection () =
   (* the probed node captures the stale image: in a 2-level tree the
      probed node is the sibling L1 (in the full SoC it is the private
@@ -139,6 +220,7 @@ let tests =
     Alcotest.test_case "capacity eviction" `Quick test_capacity_eviction;
     Alcotest.test_case "permission scoreboard" `Quick
       test_scoreboard_clean_and_buggy;
+    QCheck_alcotest.to_alcotest prop_scoreboard_model;
     Alcotest.test_case "stale-grant fault injection" `Quick test_poison_injection;
     Alcotest.test_case "dram models" `Quick test_dram_models;
   ]
