@@ -84,7 +84,7 @@ echo "== campaign smoke under MINJIE_PHASE_ORDER=shuffle: phase-1 order cannot m
 MINJIE_PHASE_ORDER=shuffle:13 dune exec bench/main.exe -- campaign --smoke --json ci_campaign_perm.json
 test -s ci_campaign_perm.json
 diff ci_campaign.json ci_campaign_perm.json
-rm -f ci_campaign.json ci_campaign_par.json ci_campaign_perf.json ci_campaign_perm.json
+rm -f ci_campaign_par.json ci_campaign_perf.json ci_campaign_perm.json
 
 echo "== phase-order permutation smoke (two-phase purity: shuffled planners byte-identical) =="
 dune exec bin/minjie_cli.exe -- run coremark_like --perf > ci_perm_default.txt
@@ -107,12 +107,14 @@ if grep -q '_match_sequential": false' ci_parallel.json; then
 fi
 rm -f ci_parallel.json
 
-echo "== campaign smoke with the NEMU REF backend =="
+echo "== campaign smoke with the NEMU REF backend: byte-identical to the ISS REF's =="
 MINJIE_REF=nemu dune exec bench/main.exe -- campaign --smoke --json ci_campaign_nemu.json
 test -s ci_campaign_nemu.json
 grep -q '"escapes": 0' ci_campaign_nemu.json
-
-rm -f ci_campaign_nemu.json
+# both REFs share one mismatch-message builder and must reach the same
+# verdicts, failure cycles and replay windows
+diff ci_campaign.json ci_campaign_nemu.json
+rm -f ci_campaign.json ci_campaign_nemu.json
 
 echo "== chaos smoke (host-fault injection: every schedule recovers the clean verdict) =="
 dune exec bench/main.exe -- chaos --smoke --json ci_chaos.json

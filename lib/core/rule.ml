@@ -101,5 +101,8 @@ let bump_force_guard ctx ~hart ~(probe : Xiangshan.Probe.commit) ~rule =
       (Printf.sprintf "event forced %d times at the same pc (livelock?)"
          (n + 1))
 
+(* Runs on every commit that does not trap; with nothing forced there
+   is nothing to clear, so skip building and hashing the key. *)
 let clear_force_guard ctx ~hart ~(probe : Xiangshan.Probe.commit) =
-  Hashtbl.remove ctx.forced_history (hart, probe.Xiangshan.Probe.p_pc)
+  if Hashtbl.length ctx.forced_history > 0 then
+    Hashtbl.remove ctx.forced_history (hart, probe.Xiangshan.Probe.p_pc)

@@ -44,29 +44,23 @@ let tables_of (dt : Difftest.t) : Riscv.Cow.t list =
    from their restored memories. *)
 let subject_of (dt : Difftest.t) : Difftest.t Lightsss.subject =
   let gm = Difftest.global_mem dt in
-  let stash = ref None and rehooks = ref [] in
+  let rehooks = ref [] in
   {
     Lightsss.memories = memories_of dt;
     tables = tables_of dt;
     roots = dt;
     detach_heavy =
       (fun () ->
-        stash := Some gm.Global_memory.words;
-        gm.Global_memory.words <- Hashtbl.create 1;
         rehooks :=
-          Array.to_list
-            (Array.map
-               (fun (r : Ref_model.t) -> r.Ref_model.detach_derived ())
-               (Difftest.refs dt)));
+          Global_memory.detach gm
+          :: Array.to_list
+               (Array.map
+                  (fun (r : Ref_model.t) -> r.Ref_model.detach_derived ())
+                  (Difftest.refs dt)));
     reattach_heavy =
       (fun () ->
         List.iter (fun rehook -> rehook ()) !rehooks;
-        rehooks := [];
-        match !stash with
-        | Some w ->
-            gm.Global_memory.words <- w;
-            stash := None
-        | None -> ());
+        rehooks := []);
   }
 
 (* Restore a snapshot of [dt], sharing the live Global Memory (a
@@ -74,8 +68,7 @@ let subject_of (dt : Difftest.t) : Difftest.t Lightsss.subject =
    set larger in the replayed window). *)
 let restore_shared (dt : Difftest.t) (snap : Lightsss.snapshot) : Difftest.t =
   let dt' : Difftest.t = Lightsss.restore_with snap ~memories_of ~tables_of in
-  (Difftest.global_mem dt').Global_memory.words <-
-    (Difftest.global_mem dt).Global_memory.words;
+  Global_memory.share (Difftest.global_mem dt') ~from:(Difftest.global_mem dt);
   dt'
 
 (* Per-hart counter snapshots merged by name (summed across harts) and

@@ -695,37 +695,32 @@ let step (t : t) : Iss.Interp.step_result =
 
 (* --- architectural-state diff ------------------------------------------ *)
 
-(* DUT-vs-REF comparison in exactly the [Riscv.Arch_state.diff]
-   message format, so failures read the same whichever REF is
-   active. *)
+(* DUT-vs-REF comparison.  The equality pass reads the Bigarray
+   register files in place and allocates nothing (top-level loops, so
+   no closure either); only a mismatch goes to [Arch_state.report],
+   the message builder the ISS REF uses too. *)
+let rec regs_match (dut : Arch_state.t) (m : Mach.t) i =
+  i > 31
+  || dut.Arch_state.regs.(i) = Bigarray.Array1.get m.Mach.regs i
+     && regs_match dut m (i + 1)
+
+let rec fregs_match (dut : Arch_state.t) (m : Mach.t) i =
+  i > 31
+  || dut.Arch_state.fregs.(i) = Bigarray.Array1.get m.Mach.fregs i
+     && fregs_match dut m (i + 1)
+
 let diff_against t (dut : Arch_state.t) : string option =
   let m = t.m in
-  let buf = ref None in
-  let note msg = if !buf = None then buf := Some msg in
-  if dut.Arch_state.pc <> m.Mach.pc then
-    note (Printf.sprintf "pc: 0x%Lx vs 0x%Lx" dut.Arch_state.pc m.Mach.pc);
-  for i = 1 to 31 do
-    let rv = Bigarray.Array1.get m.Mach.regs i in
-    if !buf = None && dut.Arch_state.regs.(i) <> rv then
-      note
-        (Printf.sprintf "x%d(%s): 0x%Lx vs 0x%Lx" i (Insn.reg_name i)
-           dut.Arch_state.regs.(i) rv)
-  done;
-  for i = 0 to 31 do
-    let fv = Bigarray.Array1.get m.Mach.fregs i in
-    if !buf = None && dut.Arch_state.fregs.(i) <> fv then
-      note (Printf.sprintf "f%d: 0x%Lx vs 0x%Lx" i dut.Arch_state.fregs.(i) fv)
-  done;
-  if !buf = None then begin
-    let da = Csr.compare_digest dut.Arch_state.csr
-    and db = Csr.compare_digest m.Mach.csr in
-    List.iter2
-      (fun (name, va) (_, vb) ->
-        if !buf = None && va <> vb then
-          note (Printf.sprintf "csr %s: 0x%Lx vs 0x%Lx" name va vb))
-      da db
-  end;
-  !buf
+  if
+    dut.Arch_state.pc = m.Mach.pc
+    && regs_match dut m 1 && fregs_match dut m 0
+    && Csr.digest_equal dut.Arch_state.csr m.Mach.csr
+  then None
+  else
+    Arch_state.report dut ~pc:m.Mach.pc
+      ~reg:(Bigarray.Array1.get m.Mach.regs)
+      ~freg:(Bigarray.Array1.get m.Mach.fregs)
+      ~csr:m.Mach.csr
 
 (* Standalone run loop (bench + conformance tests): retire up to
    [max_insns] instructions, returning how many actually retired. *)

@@ -67,29 +67,57 @@ let restore_from t ~src =
   c.reg_fflags <- s.reg_fflags;
   c.reg_frm <- s.reg_frm
 
+(* The DiffTest report: the first difference between the DUT state [a]
+   and a REF state given field by field, in the order pc, x1..x31,
+   f0..f31, then the CSR digest.  Both REF backends render their
+   mismatches here, so a failure reads the same whichever is active.
+   Only called once a mismatch is known, so it may allocate. *)
+let report a ~pc ~(reg : int -> int64) ~(freg : int -> int64) ~(csr : Csr.t) :
+    string option =
+  let rec xregs i =
+    if i > 31 then fregs 0
+    else
+      let v = reg i in
+      if a.regs.(i) <> v then
+        Some
+          (Printf.sprintf "x%d(%s): 0x%Lx vs 0x%Lx" i (Insn.reg_name i)
+             a.regs.(i) v)
+      else xregs (i + 1)
+  and fregs i =
+    if i > 31 then csrs (Csr.compare_digest a.csr) (Csr.compare_digest csr)
+    else
+      let v = freg i in
+      if a.fregs.(i) <> v then
+        Some (Printf.sprintf "f%d: 0x%Lx vs 0x%Lx" i a.fregs.(i) v)
+      else fregs (i + 1)
+  and csrs da db =
+    match (da, db) with
+    | (name, va) :: da, (_, vb) :: db ->
+        if va <> vb then
+          Some (Printf.sprintf "csr %s: 0x%Lx vs 0x%Lx" name va vb)
+        else csrs da db
+    | _ -> None
+  in
+  if a.pc <> pc then Some (Printf.sprintf "pc: 0x%Lx vs 0x%Lx" a.pc pc)
+  else xregs 1
+
+(* Top-level loops: a local recursive function would close over the
+   two states, and that closure is itself an allocation. *)
+let rec regs_equal a b i =
+  i > 31 || (a.regs.(i) = b.regs.(i) && regs_equal a b (i + 1))
+
+let rec fregs_equal a b i =
+  i > 31 || (a.fregs.(i) = b.fregs.(i) && fregs_equal a b (i + 1))
+
+(* Everything [report] compares, compared in place: allocates nothing,
+   so the per-cycle check is free when the states agree. *)
+let equal a b =
+  a.pc = b.pc && regs_equal a b 1 && fregs_equal a b 0
+  && Csr.digest_equal a.csr b.csr
+
 (* First difference between two states, for DiffTest reports. *)
 let diff a b : string option =
-  let buf = ref None in
-  let note msg = if !buf = None then buf := Some msg in
-  if a.pc <> b.pc then note (Printf.sprintf "pc: 0x%Lx vs 0x%Lx" a.pc b.pc);
-  for i = 1 to 31 do
-    if !buf = None && a.regs.(i) <> b.regs.(i) then
-      note
-        (Printf.sprintf "x%d(%s): 0x%Lx vs 0x%Lx" i (Insn.reg_name i)
-           a.regs.(i) b.regs.(i))
-  done;
-  for i = 0 to 31 do
-    if !buf = None && a.fregs.(i) <> b.fregs.(i) then
-      note (Printf.sprintf "f%d: 0x%Lx vs 0x%Lx" i a.fregs.(i) b.fregs.(i))
-  done;
-  if !buf = None then begin
-    let da = Csr.compare_digest a.csr and db = Csr.compare_digest b.csr in
-    List.iter2
-      (fun (name, va) (_, vb) ->
-        if !buf = None && va <> vb then
-          note (Printf.sprintf "csr %s: 0x%Lx vs 0x%Lx" name va vb))
-      da db
-  end;
-  !buf
-
-let equal a b = diff a b = None
+  if equal a b then None
+  else
+    report a ~pc:b.pc ~reg:(Array.get b.regs) ~freg:(Array.get b.fregs)
+      ~csr:b.csr

@@ -34,3 +34,15 @@ val diff : t -> t -> string option
     [None] if architecturally equal. *)
 
 val equal : t -> t -> bool
+(** [diff a b = None], decided without allocating. *)
+
+val report :
+  t ->
+  pc:int64 ->
+  reg:(int -> int64) ->
+  freg:(int -> int64) ->
+  csr:Csr.t ->
+  string option
+(** The {!diff} message for a DUT state against a REF state given
+    field by field (registers by index), for REFs that do not keep an
+    [Arch_state.t].  Meant for the mismatch path only: it allocates. *)

@@ -273,6 +273,137 @@ let test_campaign_smoke_both_refs () =
         both)
     [ "csr-mtvec-corrupt"; "rob-commit-reorder"; "lsu-sb-drop" ]
 
+(* --- the state compare: one message, and no allocation on agreement -- *)
+
+(* Distinct non-zero values for every compared field. *)
+let pc0 = 0x80004000L
+let x0 i = Int64.of_int ((i * 0x10001) + 7)
+let f0 i = Int64.logor 0x4000000000000000L (Int64.of_int (i + 3))
+
+(* The digest CSRs after priv, in digest order, with their setters. *)
+let digest_csrs : (string * (Csr.t -> int64 -> unit)) list =
+  [
+    ("mstatus", fun c v -> c.Csr.reg_mstatus <- v);
+    ("mepc", fun c v -> c.Csr.reg_mepc <- v);
+    ("mcause", fun c v -> c.Csr.reg_mcause <- v);
+    ("mtval", fun c v -> c.Csr.reg_mtval <- v);
+    ("mtvec", fun c v -> c.Csr.reg_mtvec <- v);
+    ("mscratch", fun c v -> c.Csr.reg_mscratch <- v);
+    ("medeleg", fun c v -> c.Csr.reg_medeleg <- v);
+    ("mideleg", fun c v -> c.Csr.reg_mideleg <- v);
+    ("mie", fun c v -> c.Csr.reg_mie <- v);
+    ("sepc", fun c v -> c.Csr.reg_sepc <- v);
+    ("scause", fun c v -> c.Csr.reg_scause <- v);
+    ("stval", fun c v -> c.Csr.reg_stval <- v);
+    ("stvec", fun c v -> c.Csr.reg_stvec <- v);
+    ("sscratch", fun c v -> c.Csr.reg_sscratch <- v);
+    ("satp", fun c v -> c.Csr.reg_satp <- v);
+  ]
+
+let fill_csr (c : Csr.t) =
+  c.Csr.priv <- Csr.S;
+  List.iteri (fun k (_, set) -> set c (Int64.of_int (0x1000 + k))) digest_csrs
+
+let fill_state (a : Arch_state.t) =
+  a.Arch_state.pc <- pc0;
+  for i = 1 to 31 do Arch_state.set_reg a i (x0 i) done;
+  for i = 0 to 31 do Arch_state.set_freg a i (f0 i) done;
+  fill_csr a.Arch_state.csr
+
+(* Both REF backends holding the filled state. *)
+let filled_refs () =
+  let iss = Iss.Interp.create ~hartid:0 () in
+  fill_state iss.Iss.Interp.st;
+  let nemu = Nemu.Ref_core.create ~hartid:0 () in
+  let m = nemu.Nemu.Ref_core.m in
+  m.Nemu.Mach.pc <- pc0;
+  for i = 1 to 31 do Nemu.Mach.set_reg m i (x0 i) done;
+  for i = 0 to 31 do Bigarray.Array1.set m.Nemu.Mach.fregs i (f0 i) done;
+  fill_csr m.Nemu.Mach.csr;
+  [ Minjie.Ref_model.of_iss iss; Minjie.Ref_model.of_nemu nemu ]
+
+(* Every compared field: how to perturb it in the DUT, and the message
+   DiffTest reports for it, spelled out in the report format. *)
+let perturbations : (string * (Arch_state.t -> unit) * string) list =
+  let bump v = Int64.logxor v 0x100L in
+  (( "pc",
+     (fun a -> a.Arch_state.pc <- bump pc0),
+     Printf.sprintf "pc: 0x%Lx vs 0x%Lx" (bump pc0) pc0 )
+  :: List.init 31 (fun k ->
+         let i = k + 1 in
+         ( Printf.sprintf "x%d" i,
+           (fun a -> Arch_state.set_reg a i (bump (x0 i))),
+           Printf.sprintf "x%d(%s): 0x%Lx vs 0x%Lx" i (Insn.reg_name i)
+             (bump (x0 i)) (x0 i) )))
+  @ List.init 32 (fun i ->
+        ( Printf.sprintf "f%d" i,
+          (fun a -> Arch_state.set_freg a i (bump (f0 i))),
+          Printf.sprintf "f%d: 0x%Lx vs 0x%Lx" i (bump (f0 i)) (f0 i) ))
+  @ ( "priv",
+      (fun a -> a.Arch_state.csr.Csr.priv <- Csr.M),
+      "csr priv: 0x3 vs 0x1" )
+    :: List.mapi
+         (fun k (name, set) ->
+           let v = Int64.of_int (0x1000 + k) in
+           ( name,
+             (fun a -> set a.Arch_state.csr (bump v)),
+             Printf.sprintf "csr %s: 0x%Lx vs 0x%Lx" name (bump v) v ))
+         digest_csrs
+
+let test_state_compare_messages () =
+  let refs = filled_refs () in
+  let dut = Arch_state.create ~hartid:0 () in
+  fill_state dut;
+  List.iter
+    (fun (r : Minjie.Ref_model.t) ->
+      Alcotest.(check (option string))
+        (Minjie.Ref_model.kind_name r.kind ^ " agrees")
+        None (r.diff_against dut))
+    refs;
+  Alcotest.(check int) "every field perturbed" (1 + 31 + 32 + 1 + 15)
+    (List.length perturbations);
+  List.iter
+    (fun (field, perturb, expected) ->
+      let dut = Arch_state.create ~hartid:0 () in
+      fill_state dut;
+      perturb dut;
+      List.iter
+        (fun (r : Minjie.Ref_model.t) ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s: %s" (Minjie.Ref_model.kind_name r.kind) field)
+            (Some expected) (r.diff_against dut))
+        refs;
+      (* an ISS-style state-to-state diff reads the same *)
+      let ref_st = Arch_state.create ~hartid:0 () in
+      fill_state ref_st;
+      Alcotest.(check (option string)) ("Arch_state.diff: " ^ field)
+        (Some expected) (Arch_state.diff dut ref_st))
+    perturbations
+
+(* The compare runs on every hart every cycle: on agreement it must
+   allocate nothing under either REF. *)
+let test_state_compare_allocates_nothing () =
+  let dut = Arch_state.create ~hartid:0 () in
+  fill_state dut;
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let empty = words (fun () -> ()) in
+  List.iter
+    (fun (r : Minjie.Ref_model.t) ->
+      let w =
+        words (fun () ->
+            for _ = 1 to 1000 do
+              ignore (Sys.opaque_identity (r.diff_against dut))
+            done)
+      in
+      Alcotest.(check (float 0.))
+        (Minjie.Ref_model.kind_name r.kind ^ " minor words for 1000 compares")
+        0. (w -. empty))
+    (filled_refs ())
+
 let tests =
   [
     Alcotest.test_case "commit-stream lockstep over fuzz programs" `Slow
@@ -290,4 +421,8 @@ let tests =
       test_difftest_equivalence;
     Alcotest.test_case "campaign smoke subset under both REFs" `Slow
       test_campaign_smoke_both_refs;
+    Alcotest.test_case "state compare: one message format, both REFs" `Quick
+      test_state_compare_messages;
+    Alcotest.test_case "state compare allocates nothing on agreement" `Quick
+      test_state_compare_allocates_nothing;
   ]
