@@ -12,21 +12,20 @@
    orderings, ratios, crossovers -- is the reproduction target, and
    each section prints the paper's number next to the measured one. *)
 
-let big = ref false
+(* The command line, parsed once by Cmdliner at the end of this file
+   and handed to every experiment. *)
+type opts = {
+  big : bool; (* full workload scales (slow) *)
+  smoke : bool; (* CI-sized grids *)
+  seed : int; (* campaign, fuzz and chaos base seed *)
+  perf : bool; (* campaign: attach pipeline tracers *)
+  rc : Minjie.Run_config.t;
+  journal : string option; (* --journal, before its per-experiment default *)
+  json : string option;
+}
 
-(* --jobs N / MINJIE_JOBS: worker-process count for the pooled
-   fan-outs (campaign cells, sampled simulations, best-of-N reps).
-   Resolved with --retries and --resume once, after argument parsing. *)
-let jobs_opt : int option ref = ref None
-let run_config = ref { Minjie.Run_config.jobs = 1; retries = 0; resume = false }
-let effective_jobs () = !run_config.Minjie.Run_config.jobs
-
-(* a malformed MINJIE_* value stops the run before any section starts *)
-let or_exit f =
-  try f ()
-  with Invalid_argument msg ->
-    prerr_endline msg;
-    exit 2
+(* set by an experiment whose verdict failed: the run exits 1 *)
+let failed = ref false
 
 (* ---------------------------------------------------------------- *)
 (* machine-readable output: --json <file> collects one flat record   *)
@@ -102,7 +101,6 @@ module Json = struct
     Buffer.contents buf
 end
 
-let json_file : string option ref = ref None
 let json_records : Json.t list ref = ref []
 let record r = json_records := Json.Obj r :: !json_records
 
@@ -124,24 +122,6 @@ let record_engine_run ~experiment ~group ~workload ~engine
       ("uop_recompiles", Json.Int s.Nemu.Engine.recompiles);
     ]
 
-(* Fixed-size cycle-model calibration for the --json host header:
-   coremark_like at scale 1 under a bounded cycle budget, so committed
-   BENCH files expose DUT-throughput regressions even when the
-   experiment itself measures something else.  Forced only by the
-   simspeed experiment; other experiments' JSON stays free of host
-   timing so the CI byte-diff contracts (parallel/perf/resume runs
-   identical to sequential) keep holding. *)
-let simspeed_calibration =
-  lazy
-    (let w = Workloads.Suite.find "coremark_like" in
-     let prog = w.Workloads.Wl_common.program ~scale:1 in
-     let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
-     Xiangshan.Soc.load_program soc prog;
-     let t0 = Unix.gettimeofday () in
-     let cycles = Xiangshan.Soc.run ~max_cycles:120_000 soc in
-     let secs = Unix.gettimeofday () -. t0 in
-     float_of_int cycles /. 1000.0 /. Float.max 1e-9 secs)
-
 (* Every emitter that wants host context uses this one helper, so the
    top-level header and any per-experiment host record carry the same
    fields -- static per host, never wall-clock, so the CI byte-diff
@@ -154,33 +134,19 @@ let host_fields () =
     ("word_size", Json.Int Sys.word_size);
   ]
 
-let write_json () =
-  match !json_file with
+let write_json o =
+  match o.json with
   | None -> ()
   | Some path ->
       let doc =
         Json.Obj
           [
             ("schema", Json.Str "minjie-bench-v1");
-            ("big", Json.Bool !big);
+            ("big", Json.Bool o.big);
             (* re-runs are only comparable on a known substrate: a
                1-core host serialises the pooled fan-outs, and a
                different compiler changes absolute MIPS *)
-            ( "host",
-              Json.Obj
-                (host_fields ()
-                 (* kilocycles of Soc.tick per wall-second on the
-                   calibration run; present only when the simspeed
-                   experiment forced it (wall clock is volatile, and
-                   every other experiment's JSON must stay
-                   byte-reproducible) *)
-                @
-                if Lazy.is_val simspeed_calibration then
-                  [
-                    ( "simspeed_kcps",
-                      Json.Num (Lazy.force simspeed_calibration) );
-                  ]
-                else []) );
+            ("host", Json.Obj (host_fields ()));
             ("experiments", Json.Arr (List.rev !json_records));
           ]
       in
@@ -193,7 +159,7 @@ let write_json () =
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
-let wl_scale (w : Workloads.Wl_common.t) = if !big then w.big else w.small
+let wl_scale o (w : Workloads.Wl_common.t) = if o.big then w.big else w.small
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -229,7 +195,7 @@ let cow_counts mem tables =
 (* Table I + §III-C4: snapshot schemes and their costs               *)
 (* ---------------------------------------------------------------- *)
 
-let bench_table1 () =
+let bench_table1 o =
   section "Table I: snapshot schemes for software RTL-simulation";
   Printf.printf "%-30s %-10s %-12s %-16s\n" "scheme" "in-memory" "incremental"
     "circuit-agnostic";
@@ -245,8 +211,8 @@ let bench_table1 () =
   let prog = (Workloads.Suite.find "mcf_like").program ~scale:1 in
   let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
   Xiangshan.Soc.load_program soc prog;
-  let dt = Minjie.Difftest.create ~prog soc in
-  let warm = if !big then 500_000 else 150_000 in
+  let dt = Minjie.Difftest.create ?ref_kind:o.rc.ref_kind ~prog soc in
+  let warm = if o.big then 500_000 else 150_000 in
   for _ = 1 to warm do
     Minjie.Difftest.tick dt
   done;
@@ -302,10 +268,10 @@ let bench_table1 () =
 (* Figure 6: simulation time vs LightSSS snapshot interval           *)
 (* ---------------------------------------------------------------- *)
 
-let run_with_interval cfg prog interval =
+let run_with_interval o cfg prog interval =
   let soc = Xiangshan.Soc.create cfg in
   Xiangshan.Soc.load_program soc prog;
-  let dt = Minjie.Difftest.create ~prog soc in
+  let dt = Minjie.Difftest.create ?ref_kind:o.rc.ref_kind ~prog soc in
   let mgr =
     Option.map
       (fun i -> Lightsss.manager ~interval:i (Minjie.Workflow.subject_of dt))
@@ -330,7 +296,7 @@ let run_with_interval cfg prog interval =
     cow_counts soc.Xiangshan.Soc.plat.Riscv.Platform.mem
       (Minjie.Workflow.tables_of dt) )
 
-let bench_fig6 () =
+let bench_fig6 o =
   section
     "Figure 6: simulation time with LightSSS at different snapshot intervals";
   Printf.printf
@@ -341,10 +307,10 @@ let bench_fig6 () =
       ( "single-core (coremark_like, YQH)",
         Xiangshan.Config.yqh,
         (Workloads.Suite.find "coremark_like").program
-          ~scale:(if !big then 8 else 2) );
+          ~scale:(if o.big then 8 else 2) );
       ( "dual-core (smp_spinlock, NH)",
         Xiangshan.Config.nh,
-        Workloads.Smp.spinlock ~scale:(if !big then 16 else 4) );
+        Workloads.Smp.spinlock ~scale:(if o.big then 16 else 4) );
     ]
   in
   let intervals = [ None; Some 2_000; Some 10_000; Some 40_000 ] in
@@ -353,7 +319,7 @@ let bench_fig6 () =
       Printf.printf "%s:\n" name;
       List.iter
         (fun interval ->
-          let secs, snaps, cow = run_with_interval cfg prog interval in
+          let secs, snaps, cow = run_with_interval o cfg prog interval in
           record
             [
               ("experiment", Json.Str "fig6");
@@ -384,12 +350,12 @@ let bench_fig6 () =
 (* Figure 8: interpreter performance (MIPS)                          *)
 (* ---------------------------------------------------------------- *)
 
-let bench_fig8 () =
+let bench_fig8 o =
   section "Figure 8: interpreter performance (MIPS)";
   Printf.printf
     "(paper: NEMU 733 MIPS vs Spike 142 on SPECint = 5.16x; 7.71x on SPECfp \
      where Spike pays SoftFloat)\n\n";
-  let max_insns = if !big then 400_000_000 else 40_000_000 in
+  let max_insns = if o.big then 400_000_000 else 40_000_000 in
   (* MIPS is a pure-throughput measure and host scheduler / frequency
      noise only ever subtracts from it, so each cell is the best of
      [reps] runs (every engine gets the same treatment) *)
@@ -411,7 +377,7 @@ let bench_fig8 () =
               (fun () -> Nemu.Engine.run_program_stats ~max_insns kind prog);
           })
     in
-    let results, _ = Minjie.Pool.map ~jobs:(effective_jobs ()) rep_jobs in
+    let results, _ = Minjie.Pool.map ~jobs:(o.rc.jobs) rep_jobs in
     List.filter_map
       (fun (r : Nemu.Engine.stats Minjie.Pool.result) ->
         match r.Minjie.Pool.r_outcome with
@@ -480,7 +446,7 @@ let bench_fig8 () =
   (* MIPS is a steady-state measure: grow the workload scale until the
      run is long enough that compile/startup costs are amortised, so
      tiny kernels don't report warm-up throughput *)
-  let min_insns = if !big then 20_000_000 else 2_000_000 in
+  let min_insns = if o.big then 20_000_000 else 2_000_000 in
   let calibrate (w : Workloads.Wl_common.t) =
     let rec go scale tries =
       let prog = w.program ~scale in
@@ -488,7 +454,7 @@ let bench_fig8 () =
       if s.Nemu.Engine.insns >= min_insns || tries = 0 then prog
       else go (scale * 4) (tries - 1)
     in
-    go (wl_scale w) 6
+    go (wl_scale o w) 6
   in
   let run_group name group =
     Printf.printf "%s\n%s\n" name header;
@@ -508,11 +474,11 @@ let bench_fig8 () =
   let per_engine = Hashtbl.create 8 in
   run_row "paging" per_engine "vm_kernel"
     (Workloads.Vm_kernel.program
-       ~rounds:(if !big then 20_000 else 2_000)
+       ~rounds:(if o.big then 20_000 else 2_000)
        ~scale:16 ());
   run_row "paging" per_engine "user_mode"
     (Workloads.User_mode.program
-       ~rounds:(if !big then 500_000 else 100_000)
+       ~rounds:(if o.big then 500_000 else 100_000)
        ~scale:8 ());
   finish_group "paging" per_engine
 
@@ -520,17 +486,17 @@ let bench_fig8 () =
 (* §III-D3: checkpoint generation and restore                        *)
 (* ---------------------------------------------------------------- *)
 
-let bench_checkpoints () =
+let bench_checkpoints o =
   section "§III-D3: RISC-V checkpoint generation with NEMU + SimPoint";
   Printf.printf
     "(paper: checkpoints generated at >300 MIPS; 8 CoreMark-PRO checkpoints \
      generated and restored correctly)\n\n";
   let w = Workloads.Suite.find "coremark_like" in
-  let prog = w.program ~scale:(if !big then 20 else 4) in
-  let interval = if !big then 100_000 else 10_000 in
+  let prog = w.program ~scale:(if o.big then 20 else 4) in
+  let interval = if o.big then 100_000 else 10_000 in
   let cks, stats = Checkpoint.Sampled.generate ~interval ~max_k:8 prog in
   (* raw NEMU speed on a long enough run to amortise compilation *)
-  let raw_prog = w.program ~scale:(if !big then 60 else 20) in
+  let raw_prog = w.program ~scale:(if o.big then 60 else 20) in
   let raw_n, raw_secs =
     Nemu.Engine.run_program ~max_insns:200_000_000 Nemu.Engine.Nemu raw_prog
   in
@@ -554,14 +520,14 @@ let bench_checkpoints () =
         "  checkpoint @interval %-4d weight %.2f -> restored, ipc %.3f\n"
         r.sr_index r.sr_weight r.sr_ipc)
     (Checkpoint.Sampled.simulate_all ~warmup:2_000 ~measure:4_000
-       ~jobs:(effective_jobs ()) ~retries:!run_config.Minjie.Run_config.retries
+       ~jobs:(o.rc.jobs) ~retries:o.rc.retries
        Xiangshan.Config.yqh cks)
 
 (* ---------------------------------------------------------------- *)
 (* Table II: micro-architecture parameters                           *)
 (* ---------------------------------------------------------------- *)
 
-let bench_table2 () =
+let bench_table2 _ =
   section "Table II: tape-out micro-architecture parameters (YQH vs NH)";
   print_endline (Xiangshan.Config.table2 ())
 
@@ -569,14 +535,14 @@ let bench_table2 () =
 (* Figure 12: SPEC-like scores across platforms                      *)
 (* ---------------------------------------------------------------- *)
 
-let run_score cfg (w : Workloads.Wl_common.t) =
-  let prog = w.program ~scale:(wl_scale w) in
+let run_score o cfg (w : Workloads.Wl_common.t) =
+  let prog = w.program ~scale:(wl_scale o w) in
   let soc = Xiangshan.Soc.create cfg in
   Xiangshan.Soc.load_program soc prog;
   let _ = Xiangshan.Soc.run ~max_cycles:400_000_000 soc in
   Xiangshan.Core.ipc soc.Xiangshan.Soc.cores.(0)
 
-let bench_fig12 () =
+let bench_fig12 o =
   section "Figure 12: SPEC-like scores (score/GHz, proportional to IPC)";
   Printf.printf
     "(paper: YQH ~7/GHz; NH ~10/GHz; 4MB LLC beats 2MB LLC by +8.9%% int / \
@@ -600,8 +566,8 @@ let bench_fig12 () =
   let results =
     List.map
       (fun cfg ->
-        let int_ipcs = List.map (run_score cfg) int_suite in
-        let fp_ipcs = List.map (run_score cfg) fp_suite in
+        let int_ipcs = List.map (run_score o cfg) int_suite in
+        let fp_ipcs = List.map (run_score o cfg) fp_suite in
         (cfg, geomean int_ipcs, geomean fp_ipcs))
       configs
   in
@@ -623,7 +589,7 @@ let bench_fig12 () =
     (fun (w : Workloads.Wl_common.t) ->
       Printf.printf "  %-10s" w.wl_name;
       List.iter
-        (fun cfg -> Printf.printf " %s=%.3f" cfg.Xiangshan.Config.cfg_name (run_score cfg w))
+        (fun cfg -> Printf.printf " %s=%.3f" cfg.Xiangshan.Config.cfg_name (run_score o cfg w))
         [ Xiangshan.Config.yqh; Xiangshan.Config.nh_single;
           Xiangshan.Config.nh_fpga_250c_4mb; Xiangshan.Config.nh_fpga_250c_2mb ];
       print_newline ())
@@ -647,15 +613,15 @@ let bench_fig12 () =
 (* Figure 14: PUBS IPC difference on sjeng checkpoints               *)
 (* ---------------------------------------------------------------- *)
 
-let bench_fig14 () =
+let bench_fig14 o =
   section "Figure 14: IPC difference with PUBS on sjeng checkpoints";
   Printf.printf
     "(paper: no visible deviation on XiangShan, vs +6.5%% reported by the \
      original PUBS paper on SimpleScalar)\n\n";
   let prog =
-    (Workloads.Suite.find "sjeng_like").program ~scale:(if !big then 30 else 8)
+    (Workloads.Suite.find "sjeng_like").program ~scale:(if o.big then 30 else 8)
   in
-  let interval = if !big then 40_000 else 8_000 in
+  let interval = if o.big then 40_000 else 8_000 in
   let cks, _ = Checkpoint.Sampled.generate ~interval ~max_k:10 prog in
   let age_cfg = Xiangshan.Config.yqh in
   let pubs_cfg =
@@ -670,8 +636,8 @@ let bench_fig14 () =
   let deltas =
     List.filter_map
       (fun (sc : Checkpoint.Sampled.sampled_checkpoint) ->
-        let warmup = if !big then 20_000 else 4_000 in
-        let measure = if !big then 20_000 else 8_000 in
+        let warmup = if o.big then 20_000 else 4_000 in
+        let measure = if o.big then 20_000 else 8_000 in
         let a =
           Checkpoint.Sampled.simulate_checkpoint ~warmup ~measure age_cfg sc
         in
@@ -699,13 +665,13 @@ let bench_fig14 () =
 (* Figure 15: ready-instruction distribution                         *)
 (* ---------------------------------------------------------------- *)
 
-let bench_fig15 () =
+let bench_fig15 o =
   section "Figure 15: fraction of cycles by number of ready instructions";
   Printf.printf
     "(paper, sjeng on XiangShan: >2 ready instructions in ~12.8%% of cycles; \
      ~5.9%% of instructions are high-priority)\n\n";
   let prog =
-    (Workloads.Suite.find "sjeng_like").program ~scale:(if !big then 20 else 4)
+    (Workloads.Suite.find "sjeng_like").program ~scale:(if o.big then 20 else 4)
   in
   let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
   Xiangshan.Soc.load_program soc prog;
@@ -745,12 +711,12 @@ let bench_fig15 () =
 (* Ablations: the design choices DESIGN.md calls out                 *)
 (* ---------------------------------------------------------------- *)
 
-let bench_ablation () =
+let bench_ablation o =
   section "Ablations: NH feature knobs and verification-relevant parameters";
   let base = Xiangshan.Config.nh_single in
   let score cfg w =
     let prog = (Workloads.Suite.find w).Workloads.Wl_common.program
-        ~scale:(wl_scale (Workloads.Suite.find w)) in
+        ~scale:(wl_scale o (Workloads.Suite.find w)) in
     let soc = Xiangshan.Soc.create cfg in
     Xiangshan.Soc.load_program soc prog;
     let _ = Xiangshan.Soc.run ~max_cycles:400_000_000 soc in
@@ -798,7 +764,7 @@ let bench_ablation () =
       let prog = Workloads.Vm_kernel.program ~scale:2 () in
       let soc = Xiangshan.Soc.create cfg in
       Xiangshan.Soc.load_program soc prog;
-      let dt = Minjie.Difftest.create ~prog soc in
+      let dt = Minjie.Difftest.create ?ref_kind:o.rc.ref_kind ~prog soc in
       match Minjie.Difftest.run ~max_cycles:50_000_000 dt with
       | Minjie.Difftest.Finished code ->
           let fires =
@@ -827,7 +793,7 @@ let bench_ablation () =
       in
       let prog =
         (Workloads.Suite.find "sjeng_like").Workloads.Wl_common.program
-          ~scale:(if !big then 20 else 4)
+          ~scale:(if o.big then 20 else 4)
       in
       let soc = Xiangshan.Soc.create cfg in
       Xiangshan.Soc.load_program soc prog;
@@ -844,61 +810,28 @@ let bench_ablation () =
 (* workload, detection + replay asserted per cell                    *)
 (* ---------------------------------------------------------------- *)
 
-let campaign_seed = ref 1
-let campaign_smoke = ref false
-let campaign_failed = ref false
+(* --journal without a path of its own still needs a stable one *)
+let journal_at o default = Minjie.Run_config.journal o.rc ~default o.journal
 
-(* --ref iss|nemu: REF backend for the campaign bench (default: the
-   MINJIE_REF environment variable, then the ISS) *)
-let campaign_ref : Minjie.Ref_model.kind option ref = ref None
-
-(* --perf: attach pipeline tracers in campaign cells.  Counters and
-   tracers are pure observation, so the campaign output must be
-   byte-identical with or without this flag (ci.sh asserts it). *)
-let campaign_perf = ref false
-
-(* --journal FILE / --resume / --retries N: crash-safe campaign
-   running.  With a journal every completed cell is persisted as it
-   lands; --resume replays a matching journal and recomputes only the
-   rest, producing byte-identical output (ci.sh SIGKILLs a run mid-
-   campaign and asserts exactly that).  Defaults honour MINJIE_RESUME
-   and MINJIE_RETRIES. *)
-let campaign_journal : string option ref = ref None
-let campaign_resume = ref false
-let campaign_retries : int option ref = ref None
-
-(* --resume without --journal still needs a stable path *)
-let journal_at default =
-  Minjie.Run_config.journal !run_config ~default !campaign_journal
-
-(* faults whose cells resolve in a few thousand cycles; enough for CI
-   to validate the whole detect->replay->report pipeline *)
-let smoke_faults = [ "csr-mtvec-corrupt"; "rob-commit-reorder"; "lsu-sb-drop" ]
-
-let bench_campaign () =
+let bench_campaign o =
   section "Fault-injection campaign: prove DRAV catches what we break";
+  let faults, seeds = Minjie.Campaign.grid_spec ~smoke:o.smoke ~seed:o.seed in
   Printf.printf
-    "grid: %s faults x %s seed(s), base seed %d; every cell must be \
+    "grid: %d faults x %d seed(s), base seed %d; every cell must be \
      detected by an expected diff-rule and reproduce in the LightSSS \
      replay\n\n"
-    (if !campaign_smoke then string_of_int (List.length smoke_faults)
-     else string_of_int (List.length Minjie.Fault.all))
-    (if !campaign_smoke then "1" else "2")
-    !campaign_seed;
-  let faults = if !campaign_smoke then Some smoke_faults else None in
-  let seeds =
-    if !campaign_smoke then [ !campaign_seed ]
-    else [ !campaign_seed; !campaign_seed + 1 ]
-  in
+    (match faults with
+    | Some names -> List.length names
+    | None -> List.length Minjie.Fault.all)
+    (List.length seeds) o.seed;
   (* MINJIE_CHAOS arms a host-chaos plan here exactly as it does for
      `minjie campaign` *)
-  or_exit (fun () -> Minjie.Run_config.arm_chaos []);
-  let rc = !run_config in
+  Minjie.Run_config.arm_chaos o.rc;
   let s =
-    Minjie.Campaign.run ?faults ~seeds ?ref_kind:!campaign_ref
-      ~perf:!campaign_perf ~jobs:rc.jobs
-      ?journal:(journal_at "minjie-campaign.journal")
-      ~resume:rc.resume ~retries:rc.retries
+    Minjie.Campaign.run ?faults ~seeds ?ref_kind:o.rc.ref_kind
+      ~phase_order:o.rc.phase_order ~perf:o.perf ~jobs:o.rc.jobs
+      ?journal:(journal_at o "minjie-campaign.journal")
+      ~resume:o.rc.resume ~retries:o.rc.retries
       ~progress:(fun c ->
         Printf.printf "  %s\n%!" (Minjie.Campaign.string_of_cell c))
       ()
@@ -955,12 +888,8 @@ let bench_campaign () =
     s.Minjie.Campaign.total s.Minjie.Campaign.detected
     s.Minjie.Campaign.escapes s.Minjie.Campaign.rule_mismatches
     s.Minjie.Campaign.replay_misses;
-  if
-    s.Minjie.Campaign.escapes > 0
-    || s.Minjie.Campaign.rule_mismatches > 0
-    || s.Minjie.Campaign.replay_misses > 0
-  then begin
-    campaign_failed := true;
+  if Minjie.Campaign.failed s then begin
+    failed := true;
     Printf.printf "CAMPAIGN FAILED: the verification stack missed a fault\n"
   end
   else Printf.printf "zero escapes: every injected fault was caught\n"
@@ -971,12 +900,12 @@ let bench_campaign () =
 (* microarchitectural coverage                                       *)
 (* ---------------------------------------------------------------- *)
 
-let bench_fuzz () =
+let bench_fuzz o =
   section "Coverage-guided fuzz campaign: chase new microarchitectural states";
   let p =
-    let base = if !campaign_smoke then Fuzz.smoke else Fuzz.default in
-    let base = { base with Fuzz.fz_seed = !campaign_seed } in
-    match !campaign_ref with
+    let base = if o.smoke then Fuzz.smoke else Fuzz.default in
+    let base = { base with Fuzz.fz_seed = o.seed } in
+    match o.rc.ref_kind with
     | Some k -> { base with Fuzz.fz_refs = [ k ] }
     | None -> base
   in
@@ -986,11 +915,10 @@ let bench_fuzz () =
     (String.concat "/" p.Fuzz.fz_configs)
     (String.concat "+" (List.map Minjie.Ref_model.kind_name p.Fuzz.fz_refs))
     p.Fuzz.fz_seed;
-  let rc = !run_config in
   let s =
-    Fuzz.run ~p ~jobs:rc.jobs
-      ?journal:(journal_at "minjie-fuzz.journal")
-      ~resume:rc.resume ~retries:rc.retries
+    Fuzz.run ~p ~jobs:o.rc.jobs
+      ?journal:(journal_at o "minjie-fuzz.journal")
+      ~resume:o.rc.resume ~retries:o.rc.retries
       ~progress:(fun e -> Printf.printf "  %s\n%!" (Fuzz.string_of_exec e))
       ()
   in
@@ -1055,14 +983,8 @@ let bench_fuzz () =
      corpus %d, %d mismatch(es)\n"
     (List.length s.Fuzz.fz_execs)
     s.Fuzz.fz_points s.Fuzz.fz_cells s.Fuzz.fz_corpus s.Fuzz.fz_mismatches;
-  let bad =
-    List.exists
-      (fun (e : Fuzz.exec) ->
-        e.Fuzz.x_exit = -2 || (Fuzz.is_mismatch e && not e.Fuzz.x_replayed))
-      s.Fuzz.fz_execs
-  in
-  if bad then begin
-    campaign_failed := true;
+  if Fuzz.failed s then begin
+    failed := true;
     Printf.printf
       "FUZZ FAILED: a pool failure or a mismatch that did not reproduce in \
        replay\n"
@@ -1075,15 +997,11 @@ let bench_fuzz () =
 (* every schedule                                                    *)
 (* ---------------------------------------------------------------- *)
 
-let bench_chaos () =
+let bench_chaos o =
   section "Host-chaos suite: the harness survives the host";
-  let faults = if !campaign_smoke then Some smoke_faults else None in
-  let seeds =
-    if !campaign_smoke then [ !campaign_seed ]
-    else [ !campaign_seed; !campaign_seed + 1 ]
-  in
-  let jobs = max 2 (effective_jobs ()) in
-  let chaos_seed = !campaign_seed in
+  let faults, seeds = Minjie.Campaign.grid_spec ~smoke:o.smoke ~seed:o.seed in
+  let jobs = max 2 o.rc.jobs in
+  let chaos_seed = o.seed in
   Printf.printf
     "(every schedule below is a deterministic function of seed %d; the \
      campaign runs at\n\
@@ -1106,7 +1024,7 @@ let bench_chaos () =
   (* clean baseline: no chaos, sequential *)
   let clean, clean_secs =
     time (fun () ->
-        Minjie.Campaign.run ?faults ~seeds ?ref_kind:!campaign_ref ~jobs:1 ())
+        Minjie.Campaign.run ?faults ~seeds ?ref_kind:o.rc.ref_kind ~jobs:1 ())
   in
   Printf.printf "clean baseline: %d cells, %d escapes, %.2f s\n\n"
     clean.Minjie.Campaign.total clean.Minjie.Campaign.escapes clean_secs;
@@ -1133,7 +1051,7 @@ let bench_chaos () =
       in
       let s, secs =
         time (fun () ->
-            Minjie.Campaign.run ?faults ~seeds ?ref_kind:!campaign_ref ~jobs
+            Minjie.Campaign.run ?faults ~seeds ?ref_kind:o.rc.ref_kind ~jobs
               ~retries:2 ?timeout ?journal ())
       in
       let parent_fired =
@@ -1172,7 +1090,7 @@ let bench_chaos () =
           ("verdict_identical", Json.Bool identical);
         ];
       if not identical then begin
-        campaign_failed := true;
+        failed := true;
         Printf.printf "CHAOS FAILED: %s diverged from the clean verdict\n" name
       end)
     Minjie.Host_chaos.all_classes;
@@ -1181,12 +1099,12 @@ let bench_chaos () =
   let jpath = Filename.temp_file "minjie-resume" ".journal" in
   let _first, first_secs =
     time (fun () ->
-        Minjie.Campaign.run ?faults ~seeds ?ref_kind:!campaign_ref ~jobs:1
+        Minjie.Campaign.run ?faults ~seeds ?ref_kind:o.rc.ref_kind ~jobs:1
           ~journal:jpath ())
   in
   let resumed, resumed_secs =
     time (fun () ->
-        Minjie.Campaign.run ?faults ~seeds ?ref_kind:!campaign_ref ~jobs:1
+        Minjie.Campaign.run ?faults ~seeds ?ref_kind:o.rc.ref_kind ~jobs:1
           ~journal:jpath ~resume:true ())
   in
   (try Sys.remove jpath with Sys_error _ -> ());
@@ -1211,7 +1129,7 @@ let bench_chaos () =
       ("verdict_identical", Json.Bool resume_identical);
     ];
   if not resume_identical then begin
-    campaign_failed := true;
+    failed := true;
     Printf.printf "CHAOS FAILED: full-journal resume diverged\n"
   end;
   record
@@ -1241,8 +1159,8 @@ let cosim_workloads = [ "coremark_like"; "mcf_like"; "vm_kernel" ]
    with the DUT out of the picture.  One warm-up run, then repeated
    runs until the sample is big enough for a stable rate (small-scale
    programs finish in a millisecond or two). *)
-let cosim_ref_only kind prog =
-  let cap = if !big then 200_000_000 else 50_000_000 in
+let cosim_ref_only o kind prog =
+  let cap = if o.big then 200_000_000 else 50_000_000 in
   let run_once () =
     let r = Minjie.Ref_model.create ~kind ~hartid:0 ~prog () in
     let n = ref 0 in
@@ -1271,18 +1189,8 @@ let cosim_e2e kind prog =
   let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
   Xiangshan.Soc.load_program soc prog;
   let dt = Minjie.Difftest.create ~ref_kind:kind ~prog soc in
-  let (), secs =
-    time (fun () ->
-        let running () =
-          match Minjie.Difftest.status dt with
-          | Minjie.Difftest.Running -> true
-          | Minjie.Difftest.Finished _ | Minjie.Difftest.Failed _ -> false
-        in
-        while running () do
-          Minjie.Difftest.tick dt
-        done)
-  in
-  (match Minjie.Difftest.status dt with
+  let status, secs = time (fun () -> Minjie.Difftest.run dt) in
+  (match status with
   | Minjie.Difftest.Failed f ->
       Printf.printf "  !! difftest FAILED under %s REF: %s\n"
         (Minjie.Ref_model.kind_name kind)
@@ -1292,7 +1200,7 @@ let cosim_e2e kind prog =
     Minjie.Difftest.commits_checked dt,
     secs )
 
-let bench_cosim () =
+let bench_cosim o =
   section "Co-simulation throughput: ISS REF vs NEMU REF";
   Printf.printf
     "(the REF is pluggable behind Ref_model; NEMU's block-compiled \
@@ -1304,13 +1212,13 @@ let bench_cosim () =
   List.iter
     (fun wname ->
       let w = Minjie.Campaign.find_workload wname in
-      let prog = w.Workloads.Wl_common.program ~scale:(wl_scale w) in
+      let prog = w.Workloads.Wl_common.program ~scale:(wl_scale o w) in
       Printf.printf "%s:\n" wname;
       let results =
         List.map
           (fun kind ->
             let cycles, commits, e2e_secs = cosim_e2e kind prog in
-            let ref_insns, ref_secs = cosim_ref_only kind prog in
+            let ref_insns, ref_secs = cosim_ref_only o kind prog in
             let kcps = float_of_int cycles /. max 1e-9 e2e_secs /. 1e3 in
             let cps = float_of_int commits /. max 1e-9 e2e_secs in
             let rps = float_of_int ref_insns /. max 1e-9 ref_secs in
@@ -1369,258 +1277,6 @@ let bench_cosim () =
     "\ngeomean nemu/iss speedup: %.2fx end-to-end, %.2fx REF-side\n" ge gr
 
 (* ---------------------------------------------------------------- *)
-(* Parallel simulation pool: the scaling curve for the two big       *)
-(* fan-outs (campaign cells, sampled simulations) at 1/2/4/8         *)
-(* workers, with verdict identity asserted against the sequential    *)
-(* run at every worker count                                         *)
-(* ---------------------------------------------------------------- *)
-
-let bench_parallel () =
-  section "Parallel pool: campaign + sampled-simulation scaling";
-  let host = Minjie.Pool.host_cores () in
-  let worker_counts = if !campaign_smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  Printf.printf
-    "(each cell/sample is one forked pool worker; wall-clock speedup \
-     saturates\n\
-    \ at the host's %d online core(s) -- verdict identity and crash \
-     isolation\n\
-    \ are asserted at every worker count regardless)\n\n"
-    host;
-  record
-    [
-      ("experiment", Json.Str "parallel");
-      ("group", Json.Str "host");
-      ("host", Json.Obj (host_fields ()));
-    ];
-  (* campaign scaling, both REF backends *)
-  let faults = if !campaign_smoke then Some smoke_faults else None in
-  let seeds =
-    if !campaign_smoke then [ !campaign_seed ]
-    else [ !campaign_seed; !campaign_seed + 1 ]
-  in
-  List.iter
-    (fun kind ->
-      Printf.printf "campaign (--ref %s):\n" (Minjie.Ref_model.kind_name kind);
-      let base_secs = ref 0.0 in
-      let base_cells = ref [] in
-      List.iter
-        (fun j ->
-          let s, secs =
-            time (fun () ->
-                Minjie.Campaign.run ?faults ~seeds ~ref_kind:kind ~jobs:j ())
-          in
-          if j = 1 then begin
-            base_secs := secs;
-            base_cells := s.Minjie.Campaign.cells
-          end;
-          (* cells are deterministic records: the parallel grid must
-             reproduce the sequential one field for field *)
-          let matches = s.Minjie.Campaign.cells = !base_cells in
-          let speedup = !base_secs /. max 1e-9 secs in
-          Printf.printf
-            "  jobs=%d : %6.2f s  speedup %5.2fx  cells %d  escapes %d  \
-             verdicts %s\n\
-             %!"
-            j secs speedup s.Minjie.Campaign.total s.Minjie.Campaign.escapes
-            (if matches then "== sequential" else "DIVERGED");
-          record
-            [
-              ("experiment", Json.Str "parallel");
-              ("group", Json.Str "campaign");
-              ("ref", Json.Str (Minjie.Ref_model.kind_name kind));
-              ("workers", Json.Int j);
-              ("seconds", Json.Num secs);
-              ("speedup_vs_jobs1", Json.Num speedup);
-              ("cells", Json.Int s.Minjie.Campaign.total);
-              ("detected", Json.Int s.Minjie.Campaign.detected);
-              ("escapes", Json.Int s.Minjie.Campaign.escapes);
-              ("verdicts_match_sequential", Json.Bool matches);
-            ];
-          if (not matches) || s.Minjie.Campaign.escapes > 0 then begin
-            campaign_failed := true;
-            Printf.printf
-              "PARALLEL CAMPAIGN FAILED at jobs=%d (escapes or verdict \
-               divergence)\n"
-              j
-          end)
-        worker_counts)
-    [ Minjie.Ref_model.Iss; Minjie.Ref_model.Nemu ];
-  (* sampled-simulation sweep: the paper's parallel-RTL-simulation
-     analogue -- SimPoint samples of one workload across the pool *)
-  let w = Workloads.Suite.find "coremark_like" in
-  let prog = w.Workloads.Wl_common.program ~scale:(if !big then 20 else 8) in
-  let interval = if !big then 100_000 else 10_000 in
-  let cks, _ = Checkpoint.Sampled.generate ~interval ~max_k:8 prog in
-  let warmup = if !big then 20_000 else 8_000 in
-  let measure = if !big then 20_000 else 12_000 in
-  Printf.printf "\nsampled simulation (coremark_like, %d checkpoints):\n"
-    (List.length cks);
-  let base_secs = ref 0.0 in
-  let base_results = ref [] in
-  List.iter
-    (fun j ->
-      let rs, secs =
-        time (fun () ->
-            Checkpoint.Sampled.simulate_all ~warmup ~measure ~jobs:j
-              Xiangshan.Config.yqh cks)
-      in
-      let ipc = Checkpoint.Sampled.weighted_ipc rs in
-      if j = 1 then begin
-        base_secs := secs;
-        base_results := rs
-      end;
-      let matches = rs = !base_results in
-      let speedup = !base_secs /. max 1e-9 secs in
-      Printf.printf
-        "  jobs=%d : %6.2f s  speedup %5.2fx  samples %d  weighted ipc %.3f  \
-         results %s\n\
-         %!"
-        j secs speedup (List.length rs) ipc
-        (if matches then "== sequential" else "DIVERGED");
-      record
-        [
-          ("experiment", Json.Str "parallel");
-          ("group", Json.Str "sampled");
-          ("workload", Json.Str "coremark_like");
-          ("workers", Json.Int j);
-          ("seconds", Json.Num secs);
-          ("speedup_vs_jobs1", Json.Num speedup);
-          ("samples", Json.Int (List.length rs));
-          ("weighted_ipc", Json.Num ipc);
-          ("results_match_sequential", Json.Bool matches);
-        ];
-      if not matches then begin
-        campaign_failed := true;
-        Printf.printf "PARALLEL SAMPLED SWEEP DIVERGED at jobs=%d\n" j
-      end)
-    worker_counts;
-  (* dispatch policy A/B: the same heterogeneous job mix (one full
-     cycle-model run per workload -- runtimes span more than an order
-     of magnitude across the suite) under longest-first vs FIFO
-     ordering.  Pass 1 at jobs=1 doubles as the cost oracle: each
-     job's observed r_seconds becomes its j_cost for the scheduled
-     passes, the same observed-runtime feedback the serve daemon's
-     EWMA provides. *)
-  let dispatch_workloads =
-    if !campaign_smoke then
-      List.map Minjie.Campaign.find_workload
-        [ "coremark_like"; "sjeng_like"; "mcf_like" ]
-    else Workloads.Suite.all
-  in
-  let dispatch_counts =
-    if !campaign_smoke then [ 1; 2 ] else [ 1; 2; 4; 8; 16 ]
-  in
-  let mk_job cost (w : Workloads.Wl_common.t) =
-    {
-      Minjie.Pool.j_label = w.Workloads.Wl_common.wl_name;
-      j_cost = cost w.Workloads.Wl_common.wl_name;
-      j_run =
-        (fun () ->
-          let prog = w.Workloads.Wl_common.program ~scale:(wl_scale w) in
-          let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
-          Xiangshan.Soc.load_program soc prog;
-          Xiangshan.Soc.run ~max_cycles:400_000_000 soc);
-    }
-  in
-  Printf.printf "\ndispatch policy A/B (%d-job heterogeneous mix):\n"
-    (List.length dispatch_workloads);
-  let (base_results, _), base_secs =
-    time (fun () ->
-        Minjie.Pool.map ~jobs:1 ~dispatch:`Fifo
-          (List.map (mk_job (fun _ -> 1.0)) dispatch_workloads))
-  in
-  let observed =
-    List.map
-      (fun (r : int Minjie.Pool.result) ->
-        (r.Minjie.Pool.r_label, r.Minjie.Pool.r_seconds))
-      base_results
-  in
-  let cost_of label = try List.assoc label observed with Not_found -> 1.0 in
-  let base_cycles =
-    List.map
-      (fun (r : int Minjie.Pool.result) ->
-        ( r.Minjie.Pool.r_label,
-          match r.Minjie.Pool.r_outcome with
-          | Minjie.Pool.Done c -> c
-          | _ -> -1 ))
-      base_results
-  in
-  Printf.printf "  jobs=1 baseline: %6.2f s (per-job runtimes observed)\n%!"
-    base_secs;
-  let best_lf = ref infinity in
-  let lf_times = ref [] in
-  List.iter
-    (fun dispatch ->
-      let dname =
-        match dispatch with `Fifo -> "fifo" | `Longest_first -> "longest-first"
-      in
-      List.iter
-        (fun j ->
-          let (results, _), secs =
-            time (fun () ->
-                Minjie.Pool.map ~jobs:j ~dispatch
-                  (List.map (mk_job cost_of) dispatch_workloads))
-          in
-          let cycles =
-            List.map
-              (fun (r : int Minjie.Pool.result) ->
-                ( r.Minjie.Pool.r_label,
-                  match r.Minjie.Pool.r_outcome with
-                  | Minjie.Pool.Done c -> c
-                  | _ -> -2 ))
-              results
-          in
-          let matches =
-            List.sort compare cycles = List.sort compare base_cycles
-          in
-          let speedup = base_secs /. max 1e-9 secs in
-          if dispatch = `Longest_first then begin
-            best_lf := Float.min !best_lf secs;
-            lf_times := (j, secs) :: !lf_times
-          end;
-          Printf.printf
-            "  %-13s jobs=%2d : %6.2f s  speedup %5.2fx  results %s\n%!" dname
-            j secs speedup
-            (if matches then "== sequential" else "DIVERGED");
-          record
-            [
-              ("experiment", Json.Str "parallel");
-              ("group", Json.Str "dispatch");
-              ("policy", Json.Str dname);
-              ("workers", Json.Int j);
-              ("mix_jobs", Json.Int (List.length dispatch_workloads));
-              ("seconds", Json.Num secs);
-              ("speedup_vs_jobs1", Json.Num speedup);
-              ("results_match_sequential", Json.Bool matches);
-            ];
-          if not matches then begin
-            campaign_failed := true;
-            Printf.printf "DISPATCH A/B DIVERGED (%s, jobs=%d)\n" dname j
-          end)
-        dispatch_counts)
-    [ `Fifo; `Longest_first ];
-  (* the saturation knee: the smallest worker count whose wall clock
-     is within 5%% of the best longest-first time.  On a 1-core host
-     every count serialises onto the same core, so the knee lands at
-     1 -- the record keeps that honest rather than hiding it *)
-  let knee =
-    List.fold_left
-      (fun acc (j, secs) ->
-        if secs <= !best_lf *. 1.05 then min acc j else acc)
-      max_int !lf_times
-  in
-  Printf.printf
-    "  saturation knee: %d worker(s) (host has %d online core(s))\n" knee host;
-  record
-    [
-      ("experiment", Json.Str "parallel");
-      ("group", Json.Str "dispatch_summary");
-      ("knee_workers", Json.Int knee);
-      ("host", Json.Obj (host_fields ()));
-      ("baseline_seconds", Json.Num base_secs);
-    ]
-
-(* ---------------------------------------------------------------- *)
 (* Top-down CPI stacks: every workload's cycles folded into the      *)
 (* L1/L2 cycle-accounting stack, with the invariant (buckets sum     *)
 (* exactly to measured cycles) asserted on every run                 *)
@@ -1630,7 +1286,7 @@ let bench_parallel () =
    mispredict-bound and memory-bound *)
 let topdown_smoke_workloads = [ "coremark_like"; "sjeng_like"; "mcf_like" ]
 
-let bench_topdown () =
+let bench_topdown o =
   section "Top-down CPI stacks: where every cycle went";
   Printf.printf
     "(each cycle of each run lands in exactly one of 9 leaf buckets; \
@@ -1638,7 +1294,7 @@ let bench_topdown () =
     \ rejected outright if the buckets do not sum to the measured \
      cycle count)\n\n";
   let workloads =
-    if !campaign_smoke then
+    if o.smoke then
       List.map Minjie.Campaign.find_workload topdown_smoke_workloads
     else Workloads.Suite.all
   in
@@ -1649,10 +1305,10 @@ let bench_topdown () =
       (fun (w : Workloads.Wl_common.t) ->
         {
           Minjie.Pool.j_label = w.Workloads.Wl_common.wl_name;
-          j_cost = float_of_int (wl_scale w);
+          j_cost = float_of_int (wl_scale o w);
           j_run =
             (fun () ->
-              let prog = w.Workloads.Wl_common.program ~scale:(wl_scale w) in
+              let prog = w.Workloads.Wl_common.program ~scale:(wl_scale o w) in
               let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
               Xiangshan.Soc.load_program soc prog;
               let _ = Xiangshan.Soc.run ~max_cycles:400_000_000 soc in
@@ -1660,7 +1316,7 @@ let bench_topdown () =
         })
       workloads
   in
-  let results, _ = Minjie.Pool.map ~jobs:(effective_jobs ()) pool_jobs in
+  let results, _ = Minjie.Pool.map ~jobs:(o.rc.jobs) pool_jobs in
   let stacks =
     List.filter_map
       (fun (r : (string * int) list Minjie.Pool.result) ->
@@ -1668,11 +1324,11 @@ let bench_topdown () =
         | Minjie.Pool.Done counters ->
             Some (r.Minjie.Pool.r_label, counters)
         | Minjie.Pool.Job_error msg | Minjie.Pool.Crashed msg ->
-            campaign_failed := true;
+            failed := true;
             Printf.printf "TOPDOWN FAILED: %s: %s\n" r.Minjie.Pool.r_label msg;
             None
         | Minjie.Pool.Timed_out secs ->
-            campaign_failed := true;
+            failed := true;
             Printf.printf "TOPDOWN FAILED: %s timed out after %.1fs\n"
               r.Minjie.Pool.r_label secs;
             None)
@@ -1683,12 +1339,12 @@ let bench_topdown () =
     (fun (wname, counters) ->
       match Perf.Topdown.of_counters counters with
       | Error msg ->
-          campaign_failed := true;
+          failed := true;
           Printf.printf "TOPDOWN FAILED: %s: %s\n" wname msg
       | Ok stack -> (
           match Perf.Topdown.check stack with
           | Error msg ->
-              campaign_failed := true;
+              failed := true;
               Printf.printf "TOPDOWN INVARIANT VIOLATED: %s: %s\n" wname msg
           | Ok () ->
               incr ok;
@@ -1728,65 +1384,13 @@ let bench_topdown () =
       !ok
 
 (* ---------------------------------------------------------------- *)
-(* Cycle-model throughput: kilocycles of Soc.tick per wall-second.   *)
-(* The A/B instrument for DUT-stepping refactors (EXPERIMENTS.md).   *)
-(* ---------------------------------------------------------------- *)
-
-let bench_simspeed () =
-  section "Cycle-model throughput (kilocycles of Soc.tick per wall-second)";
-  (* force the host-header calibration so --json carries simspeed_kcps *)
-  ignore (Lazy.force simspeed_calibration : float);
-  let workloads =
-    if !campaign_smoke then
-      List.map Minjie.Campaign.find_workload topdown_smoke_workloads
-    else Workloads.Suite.all
-  in
-  (* sequential and in-process on purpose: per-run wall clock IS the
-     measurement, so fork/pipe scheduling noise must stay out of it *)
-  Printf.printf "%-16s %12s %9s %12s\n" "workload" "cycles" "seconds"
-    "kcycles/s";
-  let kcps_all =
-    List.map
-      (fun (w : Workloads.Wl_common.t) ->
-        let prog = w.Workloads.Wl_common.program ~scale:(wl_scale w) in
-        let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
-        Xiangshan.Soc.load_program soc prog;
-        let cycles, secs =
-          time (fun () -> Xiangshan.Soc.run ~max_cycles:400_000_000 soc)
-        in
-        let kcps = float_of_int cycles /. 1000.0 /. Float.max 1e-9 secs in
-        Printf.printf "%-16s %12d %9.3f %12.1f\n" w.Workloads.Wl_common.wl_name
-          cycles secs kcps;
-        record
-          [
-            ("experiment", Json.Str "simspeed");
-            ("group", Json.Str "run");
-            ("workload", Json.Str w.Workloads.Wl_common.wl_name);
-            ("cycles", Json.Int cycles);
-            ("seconds", Json.Num secs);
-            ("kcps", Json.Num kcps);
-          ];
-        kcps)
-      workloads
-  in
-  let g = geomean kcps_all in
-  Printf.printf "%-16s %12s %9s %12.1f  (geomean)\n" "geomean" "" "" g;
-  record
-    [
-      ("experiment", Json.Str "simspeed");
-      ("group", Json.Str "summary");
-      ("workloads", Json.Int (List.length workloads));
-      ("geomean_kcps", Json.Num g);
-    ]
-
-(* ---------------------------------------------------------------- *)
 (* Serve: the persistent warm-state service.  Cold-vs-warm latency   *)
 (* per job class -- with every served reply asserted byte-identical  *)
 (* to the cold-start execution path -- and sustained jobs/sec under  *)
 (* a two-client mixed load.                                          *)
 (* ---------------------------------------------------------------- *)
 
-let bench_serve () =
+let bench_serve o =
   section "Serve: warm-state service latency and throughput";
   let sock =
     Printf.sprintf "%s/minjie_bench_serve_%d.sock"
@@ -1804,7 +1408,7 @@ let bench_serve () =
     let cfg =
       {
         (Serve.Server.default_config ~socket_path:sock) with
-        jobs = effective_jobs ();
+        jobs = o.rc.jobs;
         queue_depth = 512;
         batch_max = 8;
         quiet = true;
@@ -1819,14 +1423,14 @@ let bench_serve () =
       try Sys.remove sock with Sys_error _ -> ())
   @@ fun () ->
   if not (Serve.Client.wait_ready ~timeout:30.0 sock) then begin
-    campaign_failed := true;
+    failed := true;
     Printf.printf "SERVE FAILED: server never answered a ping\n"
   end
   else begin
     (* one spec per job class; distinct workloads so each class's
        first submit is genuinely cold at the server (run and topdown
        share a warm key ("prog:<wl>") when given the same workload) *)
-    let blocks = if !big then 120_000 else 30_000 in
+    let blocks = if o.big then 120_000 else 30_000 in
     let classes =
       [
         ( "engine",
@@ -1916,12 +1520,12 @@ let bench_serve () =
             ("warm_2x_required", Json.Bool must_2x);
           ];
         if not identical then begin
-          campaign_failed := true;
+          failed := true;
           Printf.printf "SERVE FAILED: %s served result diverged from cold\n"
             name
         end;
         if must_2x && speedup < 2.0 then begin
-          campaign_failed := true;
+          failed := true;
           Printf.printf
             "SERVE FAILED: %s warm speedup %.2fx below the 2x floor\n" name
             speedup
@@ -1929,7 +1533,7 @@ let bench_serve () =
       classes;
     (* sustained throughput: two clients flood a mixed engine+run
        load without waiting, then drain all replies *)
-    let per_client = if !campaign_smoke then 4 else 10 in
+    let per_client = if o.smoke then 4 else 10 in
     let tiny_engine =
       Serve.Proto.Engine
         { en_workload = "testgen:7:400:12"; en_max_insns = 1_000_000 }
@@ -1977,7 +1581,7 @@ let bench_serve () =
     (match Serve.Client.request c Serve.Proto.Shutdown with
     | Serve.Proto.Shutting_down -> ()
     | _ ->
-        campaign_failed := true;
+        failed := true;
         Printf.printf "SERVE FAILED: shutdown not acknowledged\n");
     Serve.Client.close c
   end
@@ -2009,160 +1613,76 @@ let all_benches =
       "host-chaos suite: campaign verdict identity under injected host \
        faults" );
     ("cosim", bench_cosim, "co-simulation throughput, ISS REF vs NEMU REF");
-    ( "parallel",
-      bench_parallel,
-      "pool scaling: campaign + sampled simulation + dispatch A/B" );
     ( "serve",
       bench_serve,
       "warm-state service: cold-vs-warm latency per job class, jobs/sec" );
     ( "topdown",
       bench_topdown,
       "top-down CPI stacks per workload (honours --smoke/--jobs)" );
-    ( "simspeed",
-      bench_simspeed,
-      "cycle-model throughput in kilocycles/s (honours --smoke)" );
   ]
 
-let usage oc =
-  output_string oc
-    "usage: bench/main.exe <experiment>... [flags]\n\nexperiments:\n";
-  List.iter
-    (fun (n, _, descr) -> Printf.fprintf oc "  %-12s %s\n" n descr)
-    all_benches;
-  output_string oc "  all          every experiment above, in order\n";
-  output_string oc
-    "\n\
-     flags:\n\
-    \  --big         full workload scales (slow; default: scaled down)\n\
-    \  --json FILE   write one machine-readable record per measurement \
-     (atomic)\n\
-    \  --jobs N      worker processes for pooled fan-outs (default: \
-     MINJIE_JOBS, else 1)\n\
-    \  --seed N      campaign base seed (default 1)\n\
-    \  --smoke       campaign/parallel: 3-fault subset, 1 seed, fewer \
-     worker counts\n\
-    \  --ref REF     campaign REF backend: iss|nemu (default: MINJIE_REF, \
-     else iss)\n\
-    \  --perf        campaign: attach pipeline tracers (verdicts must be \
-     identical)\n\
-    \  --journal F   campaign: journal completed cells to F (checksummed, \
-     fsynced)\n\
-    \  --resume      campaign: replay a matching journal, recompute only \
-     the rest\n\
-    \                (default: MINJIE_RESUME; implies --journal at a \
-     default path)\n\
-    \  --retries N   supervised retry budget per failed cell (default: \
-     MINJIE_RETRIES, else 0)\n\
-    \  --help        this listing\n"
+(* --json FILE: refused at parse time unless FILE's directory exists
+   and is writable, so a bad path cannot waste a whole run *)
+let json_arg =
+  let parse path =
+    let dir = Filename.dirname path in
+    match Unix.access dir [ Unix.W_OK; Unix.X_OK ] with
+    | () when Sys.is_directory dir -> Ok path
+    | () | (exception Unix.Unix_error _) ->
+        Error (`Msg (Printf.sprintf "%s: %s is not a writable directory" path dir))
+  in
+  Cmdliner.Arg.(
+    value
+    & opt (some (conv (parse, Format.pp_print_string))) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:"Write one machine-readable record per measurement to $(docv) (atomic).")
 
 let () =
-  (* SIGINT/SIGTERM: kill and reap every pool worker, run registered
-     cleanups (journal close), exit 130/143 -- no orphans, no torn
-     files *)
-  Minjie.Supervisor.install_signal_handlers ();
-  let args = List.tl (Array.to_list Sys.argv) in
-  let rec parse acc = function
-    | [] -> List.rev acc
-    | ("--help" | "-h") :: _ ->
-        usage stdout;
-        exit 0
-    | "--big" :: rest ->
-        big := true;
-        parse acc rest
-    | "--json" :: file :: rest ->
-        json_file := Some file;
-        parse acc rest
-    | [ "--json" ] ->
-        Printf.eprintf "--json requires a file argument\n";
-        exit 2
-    | "--jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            jobs_opt := Some n;
-            parse acc rest
-        | _ ->
-            Printf.eprintf "--jobs requires a positive integer argument\n";
-            exit 2)
-    | [ "--jobs" ] ->
-        Printf.eprintf "--jobs requires a positive integer argument\n";
-        exit 2
-    | "--seed" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n ->
-            campaign_seed := n;
-            parse acc rest
-        | None ->
-            Printf.eprintf "--seed requires an integer argument\n";
-            exit 2)
-    | [ "--seed" ] ->
-        Printf.eprintf "--seed requires an integer argument\n";
-        exit 2
-    | "--smoke" :: rest ->
-        campaign_smoke := true;
-        parse acc rest
-    | "--resume" :: rest ->
-        campaign_resume := true;
-        parse acc rest
-    | "--journal" :: file :: rest ->
-        campaign_journal := Some file;
-        parse acc rest
-    | [ "--journal" ] ->
-        Printf.eprintf "--journal requires a file argument\n";
-        exit 2
-    | "--retries" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 0 ->
-            campaign_retries := Some n;
-            parse acc rest
-        | _ ->
-            Printf.eprintf "--retries requires a non-negative integer\n";
-            exit 2)
-    | [ "--retries" ] ->
-        Printf.eprintf "--retries requires a non-negative integer\n";
-        exit 2
-    | "--perf" :: rest ->
-        campaign_perf := true;
-        parse acc rest
-    | "--ref" :: k :: rest -> (
-        match Minjie.Ref_model.kind_of_string k with
-        | Some kind ->
-            campaign_ref := Some kind;
-            parse acc rest
-        | None ->
-            Printf.eprintf "--ref wants iss or nemu, got %s\n" k;
-            exit 2)
-    | [ "--ref" ] ->
-        Printf.eprintf "--ref requires an argument (iss|nemu)\n";
-        exit 2
-    | a :: rest -> parse (a :: acc) rest
+  let open Cmdliner in
+  let experiments =
+    let one = List.map (fun (n, f, _) -> (n, [ f ])) all_benches in
+    let all = ("all", List.map (fun (_, f, _) -> f) all_benches) in
+    Arg.(value & pos_all (enum (one @ [ all ])) [] & info [] ~docv:"EXPERIMENT")
   in
-  let args = parse [] args in
-  run_config :=
-    or_exit (fun () ->
-        Minjie.Run_config.resolve ?jobs:!jobs_opt ?retries:!campaign_retries
-          ?resume:(if !campaign_resume then Some true else None)
-          ());
-  let selected =
-    match args with
-    | [] ->
-        (* no experiment named: print the listing rather than silently
-           running for hours *)
-        usage stdout;
-        exit 0
-    | [ "all" ] -> List.map (fun (n, f, _) -> (n, f)) all_benches
-    | names ->
-        List.map
-          (fun n ->
-            match
-              List.find_opt (fun (n', _, _) -> n' = n) all_benches
-            with
-            | Some (n, f, _) -> (n, f)
-            | None ->
-                Printf.eprintf "unknown experiment %S\n\n" n;
-                usage stderr;
-                exit 2)
-          names
+  let switch names doc = Arg.(value & flag & info names ~doc) in
+  let run experiments big json seed smoke perf (rc, journal) =
+    match List.concat experiments with
+    (* no experiment named: print the listing rather than silently
+       running for hours *)
+    | [] -> `Help (`Pager, None)
+    | selected ->
+        let o = { big; smoke; seed; perf; rc; journal; json } in
+        List.iter (fun f -> f o) selected;
+        write_json o;
+        if !failed then exit 1;
+        `Ok ()
   in
-  List.iter (fun (_, f) -> f ()) selected;
-  write_json ();
-  if !campaign_failed then exit 1
+  let man =
+    `S "EXPERIMENTS"
+    :: List.map (fun (n, _, descr) -> `I (n, descr)) all_benches
+    @ [ `I ("all", "every experiment above, in order") ]
+  in
+  Cli.main
+    (Cmd.v
+       (Cmd.info "bench/main.exe" ~man
+          ~doc:"regenerate the paper's tables and figures")
+       Term.(
+         ret
+           (const run $ experiments
+           $ switch [ "big" ] "Full workload scales (slow; default: scaled down)."
+           $ json_arg
+           $ Cli.seed_arg ~doc:"Campaign, fuzz and chaos base seed."
+           $ Cli.smoke_arg
+               ~doc:
+                 "CI-sized grids: the 3-fault campaign subset at one seed, \
+                  and fewer fuzz, topdown and serve jobs."
+           $ switch [ "perf" ]
+               "Campaign: attach pipeline tracers (verdicts must be identical)."
+           $ Cli.harness
+               ~ref_kind:
+                 (Cli.ref_arg
+                    ~doc:
+                      "REF backend of the campaign, fuzz and chaos grids and \
+                       the DiffTest figures (default: MINJIE_REF, else iss; \
+                       fuzz: both).")
+               ())))

@@ -48,69 +48,6 @@ let max_cycles_arg =
     value & opt int 200_000_000
     & info [ "max-cycles" ] ~docv:"N" ~doc:"Cycle budget.")
 
-(* ---- harness knobs --------------------------------------------------- *)
-
-(* --jobs, --retries, --journal and --resume, defined once for every
-   grid command: a flag beats its MINJIE_* variable, and both resolve
-   through Minjie.Run_config *)
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Forked pool workers (default: MINJIE_JOBS, else 1).")
-
-let resolved f =
-  match f () with v -> `Ok v | exception Invalid_argument msg -> `Error (false, msg)
-
-let run_config_term =
-  Term.(
-    ret
-      (const (fun jobs -> resolved (fun () -> Minjie.Run_config.resolve ?jobs ()))
-      $ jobs_arg))
-
-(* the resolved knobs plus the journal path: --resume without
-   --journal journals to [default_journal] *)
-let harness_term ~default_journal =
-  let retries =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Supervised retry budget per failed job (default: \
-             MINJIE_RETRIES, else 0).")
-  in
-  let journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:
-            "Journal completed jobs to $(docv) (checksummed, fsynced \
-             append-only log).")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Replay a matching journal and run only the missing jobs; \
-             output is byte-identical to an uninterrupted run (default: \
-             MINJIE_RESUME).")
-  in
-  let resolve jobs retries journal resume =
-    resolved (fun () ->
-        let rc =
-          Minjie.Run_config.resolve ?jobs ?retries
-            ?resume:(if resume then Some true else None)
-            ()
-        in
-        (rc, Minjie.Run_config.journal rc ~default:default_journal journal))
-  in
-  Term.(ret (const resolve $ jobs_arg $ retries $ journal $ resume))
-
 (* ---- list ------------------------------------------------------------ *)
 
 let list_cmd =
@@ -136,7 +73,8 @@ let list_cmd =
 (* ---- run (DiffTest-verified simulation) ------------------------------- *)
 
 let run_cmd =
-  let run name cfg scale max_cycles no_difftest perf pipetrace =
+  let run name cfg scale max_cycles no_difftest perf pipetrace
+      (rc : Minjie.Run_config.t) =
     let w = find_workload name in
     let scale = Option.value scale ~default:w.Workloads.Wl_common.small in
     let prog = w.Workloads.Wl_common.program ~scale in
@@ -145,7 +83,7 @@ let run_cmd =
       then Xiangshan.Config.nh
       else cfg
     in
-    let soc = Xiangshan.Soc.create cfg in
+    let soc = Xiangshan.Soc.create ~phase_order:rc.phase_order cfg in
     Xiangshan.Soc.load_program soc prog;
     let tracers =
       match pipetrace with
@@ -161,7 +99,7 @@ let run_cmd =
         | None -> `Timeout
       end
       else begin
-        let dt = Minjie.Difftest.create ~prog soc in
+        let dt = Minjie.Difftest.create ?ref_kind:rc.ref_kind ~prog soc in
         match Minjie.Difftest.run ~max_cycles dt with
         | Minjie.Difftest.Finished c -> `Finished c
         | Minjie.Difftest.Failed f -> `Failed f
@@ -251,7 +189,7 @@ let run_cmd =
                           DiffTest.")
     Term.(
       const run $ workload_arg $ config_arg $ scale_arg $ max_cycles_arg
-      $ no_difftest $ perf $ pipetrace)
+      $ no_difftest $ perf $ pipetrace $ Cli.run_config ())
 
 (* ---- engines ----------------------------------------------------------- *)
 
@@ -303,24 +241,20 @@ let checkpoint_cmd =
        ~doc:"Sampled performance evaluation with NEMU + SimPoint (§III-D3).")
     Term.(
       const run $ workload_arg $ scale_arg $ config_arg $ interval $ k
-      $ run_config_term)
+      $ Cli.run_config ~jobs:Cli.jobs_arg ())
 
 (* ---- campaign (crash-safe fault-injection runs) -------------------------- *)
 
 let campaign_cmd =
-  let run seed smoke ((rc : Minjie.Run_config.t), journal) ref_kind chaos
-      chaos_seed =
-    let smoke_faults =
-      [ "csr-mtvec-corrupt"; "rob-commit-reorder"; "lsu-sb-drop" ]
-    in
-    let faults = if smoke then Some smoke_faults else None in
-    let seeds = if smoke then [ seed ] else [ seed; seed + 1 ] in
-    (try Minjie.Run_config.arm_chaos ~seed:chaos_seed chaos
-     with Invalid_argument msg ->
-       prerr_endline msg;
-       exit 2);
+  let run seed smoke ((rc : Minjie.Run_config.t), journal) =
+    let faults, seeds = Minjie.Campaign.grid_spec ~smoke ~seed in
+    Minjie.Run_config.arm_chaos rc;
     let s =
-      Minjie.Campaign.run ?faults ~seeds ?ref_kind ~jobs:rc.jobs ?journal
+      Minjie.Campaign.run ?faults ~seeds ?ref_kind:rc.ref_kind
+        ~phase_order:rc.phase_order ~jobs:rc.jobs
+        ?journal:
+          (Minjie.Run_config.journal rc ~default:"minjie-campaign.journal"
+             journal)
         ~resume:rc.resume ~retries:rc.retries
         ~progress:(fun c ->
           Printf.printf "  %s\n%!" (Minjie.Campaign.string_of_cell c))
@@ -340,29 +274,7 @@ let campaign_cmd =
          recovered)\n"
         s.Minjie.Campaign.resumed s.Minjie.Campaign.retried
         s.Minjie.Campaign.recovered;
-    if
-      s.Minjie.Campaign.escapes > 0
-      || s.Minjie.Campaign.rule_mismatches > 0
-      || s.Minjie.Campaign.replay_misses > 0
-    then exit 1
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Base seed.")
-  in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ] ~doc:"3-fault subset, one seed (CI-sized grid).")
-  in
-  let ref_kind =
-    let ref_conv =
-      Arg.enum [ ("iss", Minjie.Ref_model.Iss); ("nemu", Minjie.Ref_model.Nemu) ]
-    in
-    Arg.(
-      value
-      & opt (some ref_conv) None
-      & info [ "ref" ] ~docv:"REF"
-          ~doc:"REF backend (default: MINJIE_REF, else iss).")
+    if Minjie.Campaign.failed s then exit 1
   in
   let chaos =
     Arg.(
@@ -371,12 +283,15 @@ let campaign_cmd =
       & info [ "chaos" ] ~docv:"CLASS"
           ~doc:
             "Arm a host-chaos class (worker-kill, eintr, short-write, \
-             slow-worker, journal-enospc, or all); repeatable.")
+             slow-worker, journal-enospc, or all); repeatable (default: \
+             MINJIE_CHAOS).")
   in
   let chaos_seed =
     Arg.(
-      value & opt int 1
-      & info [ "chaos-seed" ] ~docv:"N" ~doc:"Chaos schedule seed.")
+      value
+      & opt (some int) None
+      & info [ "chaos-seed" ] ~docv:"N"
+          ~doc:"Chaos schedule seed (default: MINJIE_CHAOS_SEED, else 1).")
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -384,15 +299,19 @@ let campaign_cmd =
          "Run the fault-injection campaign with crash-safe journaling, \
           resume, supervised retries, and optional host-chaos injection.")
     Term.(
-      const run $ seed $ smoke
-      $ harness_term ~default_journal:"minjie-campaign.journal"
-      $ ref_kind $ chaos $ chaos_seed)
+      const run
+      $ Cli.seed_arg ~doc:"Base seed."
+      $ Cli.smoke_arg ~doc:"3-fault subset, one seed (CI-sized grid)."
+      $ Cli.harness
+          ~ref_kind:(Cli.ref_arg ~doc:"REF backend (default: MINJIE_REF, else iss).")
+          ~chaos:Term.(const (fun c s -> (c, s)) $ chaos $ chaos_seed)
+          ())
 
 (* ---- fuzz (coverage-guided campaign) ------------------------------------ *)
 
 let fuzz_cmd =
-  let run seed rounds cands smoke ((rc : Minjie.Run_config.t), journal)
-      ref_kind corpus fault =
+  let run seed rounds cands smoke ((rc : Minjie.Run_config.t), journal) corpus
+      fault =
     let base = if smoke then Fuzz.smoke else Fuzz.default in
     let p =
       {
@@ -401,14 +320,17 @@ let fuzz_cmd =
         fz_rounds = Option.value rounds ~default:base.Fuzz.fz_rounds;
         fz_cands = Option.value cands ~default:base.Fuzz.fz_cands;
         fz_refs =
-          (match ref_kind with
+          (match rc.ref_kind with
           | Some k -> [ k ]
           | None -> base.Fuzz.fz_refs);
         fz_fault = fault;
       }
     in
     let s =
-      Fuzz.run ~p ~jobs:rc.jobs ?journal ~resume:rc.resume ~retries:rc.retries
+      Fuzz.run ~p ~jobs:rc.jobs
+        ?journal:
+          (Minjie.Run_config.journal rc ~default:"minjie-fuzz.journal" journal)
+        ~resume:rc.resume ~retries:rc.retries
         ?corpus_path:corpus
         ~progress:(fun e -> Printf.printf "  %s\n%!" (Fuzz.string_of_exec e))
         ()
@@ -426,18 +348,7 @@ let fuzz_cmd =
       Printf.printf
         "(journal: %d exec(s) resumed, %d supervised re-run(s), %d recovered)\n"
         s.Fuzz.fz_resumed s.Fuzz.fz_retried s.Fuzz.fz_recovered;
-    let replay_missed =
-      List.exists
-        (fun e -> Fuzz.is_mismatch e && not e.Fuzz.x_replayed)
-        s.Fuzz.fz_execs
-    in
-    let pool_failed =
-      List.exists (fun e -> e.Fuzz.x_exit = -2) s.Fuzz.fz_execs
-    in
-    if replay_missed || pool_failed then exit 1
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Campaign seed.")
+    if Fuzz.failed s then exit 1
   in
   let rounds =
     Arg.(
@@ -451,22 +362,6 @@ let fuzz_cmd =
       & opt (some int) None
       & info [ "cands" ] ~docv:"N"
           ~doc:"Candidates per round (default 6; smoke 3).")
-  in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"CI-sized campaign: 2 rounds x 3 candidates on YQH + NH.")
-  in
-  let ref_kind =
-    let ref_conv =
-      Arg.enum [ ("iss", Minjie.Ref_model.Iss); ("nemu", Minjie.Ref_model.Nemu) ]
-    in
-    Arg.(
-      value
-      & opt (some ref_conv) None
-      & info [ "ref" ] ~docv:"REF"
-          ~doc:"Restrict to one REF backend (default: both).")
   in
   let corpus =
     Arg.(
@@ -491,14 +386,22 @@ let fuzz_cmd =
           coverage-merge, corpus-update over both REF backends and \
           1/2/4-hart configs, with crash-safe journaling and resume.")
     Term.(
-      const run $ seed $ rounds $ cands $ smoke
-      $ harness_term ~default_journal:"minjie-fuzz.journal"
-      $ ref_kind $ corpus $ fault)
+      const run
+      $ Cli.seed_arg ~doc:"Campaign seed."
+      $ rounds $ cands
+      $ Cli.smoke_arg
+          ~doc:"CI-sized campaign: 2 rounds x 3 candidates on YQH + NH."
+      $ Cli.harness
+          ~ref_kind:
+            (Cli.ref_arg
+               ~doc:"Restrict to one REF backend (default: MINJIE_REF, else both).")
+          ()
+      $ corpus $ fault)
 
 (* ---- debug (the §IV-C workflow) ----------------------------------------- *)
 
 let debug_cmd =
-  let run inject =
+  let run inject (rc : Minjie.Run_config.t) =
     let prog = Workloads.Smp.lrsc_contend ~scale:8 in
     let inject_fn soc =
       match inject with
@@ -510,7 +413,8 @@ let debug_cmd =
       | None -> ()
     in
     match
-      Minjie.Workflow.run_verified ~prog ~inject:inject_fn Xiangshan.Config.nh
+      Minjie.Workflow.run_verified ?ref_kind:rc.ref_kind ~prog ~inject:inject_fn
+        Xiangshan.Config.nh
     with
     | Minjie.Workflow.Verified code -> Printf.printf "verified; exit %d\n" code
     | Minjie.Workflow.Debugged r ->
@@ -536,7 +440,7 @@ let debug_cmd =
   Cmd.v
     (Cmd.info "debug"
        ~doc:"Run the DiffTest + LightSSS + ArchDB workflow (§IV-C).")
-    Term.(const run $ inject)
+    Term.(const run $ inject $ Cli.run_config ())
 
 (* ---- serve (persistent warm-state simulation service) ------------------ *)
 
@@ -865,32 +769,21 @@ let submit_cmd =
       $ fuzz_cands)
 
 let () =
-  (* SIGINT/SIGTERM: kill and reap every pool worker, run registered
-     cleanups, exit 130/143 -- no orphans, no torn files *)
-  Minjie.Supervisor.install_signal_handlers ();
   let doc = "MINJIE: agile RISC-V processor development platform (OCaml)" in
   (* bare `minjie` (or `minjie --help`) prints the subcommand listing
      instead of exiting silently *)
   let default = Term.(ret (const (`Help (`Pager, None)))) in
-  let cmd =
-    Cmd.group ~default
-      (Cmd.info "minjie" ~doc)
-      [
-        list_cmd;
-        run_cmd;
-        engines_cmd;
-        checkpoint_cmd;
-        campaign_cmd;
-        fuzz_cmd;
-        debug_cmd;
-        serve_cmd;
-        submit_cmd;
-      ]
-  in
-  (* match the bench driver's convention: usage errors (unknown
-     subcommand, bad flags) report on stderr -- which Cmdliner already
-     does -- and exit 2, not Cmdliner's default 124 *)
-  match Cmd.eval_value cmd with
-  | Ok (`Ok ()) | Ok `Version | Ok `Help -> exit 0
-  | Error (`Parse | `Term) -> exit 2
-  | Error `Exn -> exit 125
+  Cli.main
+    (Cmd.group ~default
+       (Cmd.info "minjie" ~doc)
+       [
+         list_cmd;
+         run_cmd;
+         engines_cmd;
+         checkpoint_cmd;
+         campaign_cmd;
+         fuzz_cmd;
+         debug_cmd;
+         serve_cmd;
+         submit_cmd;
+       ])

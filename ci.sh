@@ -10,6 +10,11 @@ cd "$(dirname "$0")"
 echo "== build =="
 dune build
 
+echo "== the environment is read in one place: Run_config =="
+if grep -rn 'Sys.getenv' lib/ | grep -v '^lib/core/run_config.ml:'; then
+  echo "Sys.getenv outside lib/core/run_config.ml"; exit 1
+fi
+
 echo "== tests =="
 dune runtest
 
@@ -96,19 +101,8 @@ grep -v '^simulated ' ci_perm_shuffled.txt > ci_perm_shuffled_model.txt
 diff ci_perm_default_model.txt ci_perm_shuffled_model.txt
 rm -f ci_perm_default.txt ci_perm_shuffled.txt ci_perm_default_model.txt ci_perm_shuffled_model.txt
 
-echo "== parallel-pool scaling smoke (verdict identity at every worker count) =="
-dune exec bench/main.exe -- parallel --smoke --json ci_parallel.json
-test -s ci_parallel.json
-grep -q '"experiment": "parallel"' ci_parallel.json
-grep -q '"verdicts_match_sequential": true' ci_parallel.json
-grep -q '"results_match_sequential": true' ci_parallel.json
-if grep -q '_match_sequential": false' ci_parallel.json; then
-  echo "parallel smoke recorded a divergence"; exit 1
-fi
-rm -f ci_parallel.json
-
-echo "== campaign smoke with the NEMU REF backend: byte-identical to the ISS REF's =="
-MINJIE_REF=nemu dune exec bench/main.exe -- campaign --smoke --json ci_campaign_nemu.json
+echo "== campaign smoke with the NEMU REF backend at --jobs 2: byte-identical to the sequential ISS REF's =="
+MINJIE_REF=nemu dune exec bench/main.exe -- campaign --smoke --jobs 2 --json ci_campaign_nemu.json
 test -s ci_campaign_nemu.json
 grep -q '"escapes": 0' ci_campaign_nemu.json
 # both REFs share one mismatch-message builder and must reach the same
@@ -128,8 +122,30 @@ if grep -q '"verdict_identical": false' ci_chaos.json; then
 fi
 rm -f ci_chaos.json
 
-echo "== kill-and-resume smoke (SIGKILL mid-campaign; --resume must reproduce the clean JSON byte for byte) =="
+echo "== a malformed MINJIE_* value is a configuration error, refused before any work =="
 BENCH=./_build/default/bench/main.exe
+CLI=./_build/default/bin/minjie_cli.exe
+# each must exit non-zero, name the variable on stderr, and print no
+# cell line and no exception text
+check_refused() {
+  var=$1; shift
+  set +e; env "$var=bogus" "$@" >ci_bad.out 2>ci_bad.err; code=$?; set -e
+  if [ "$code" = 0 ]; then echo "$var=bogus $*: exited 0"; exit 1; fi
+  grep -q "$var" ci_bad.err || { echo "$var=bogus $*: stderr does not name $var"; exit 1; }
+  if grep -q 'seed=' ci_bad.out; then echo "$var=bogus $*: a cell ran"; exit 1; fi
+  if grep -qi 'exception' ci_bad.out ci_bad.err; then echo "$var=bogus $*: exception text"; exit 1; fi
+}
+check_refused MINJIE_PHASE_ORDER "$BENCH" campaign --smoke
+check_refused MINJIE_REF "$CLI" run coremark_like
+rm -f ci_bad.out ci_bad.err
+
+echo "== an unwritable --json path fails before any experiment runs =="
+set +e; "$BENCH" table2 --json /nonexistent/x.json >ci_bad.out 2>&1; code=$?; set -e
+if [ "$code" = 0 ]; then echo "--json /nonexistent/x.json: exited 0"; exit 1; fi
+if grep -q 'Table II' ci_bad.out; then echo "--json /nonexistent/x.json: Table II ran"; exit 1; fi
+rm -f ci_bad.out
+
+echo "== kill-and-resume smoke (SIGKILL mid-campaign; --resume must reproduce the clean JSON byte for byte) =="
 "$BENCH" campaign --json ci_resume_clean.json >/dev/null
 rm -f ci_resume.journal ci_resume_killed.json
 "$BENCH" campaign --json ci_resume_killed.json --journal ci_resume.journal >/dev/null &
@@ -196,14 +212,6 @@ if pgrep -x main.exe >/dev/null; then
 fi
 rm -f ci_term.json
 
-echo "== simspeed smoke (cycle-model throughput; host header carries the calibration) =="
-dune exec bench/main.exe -- simspeed --smoke --json ci_simspeed.json
-test -s ci_simspeed.json
-grep -q '"experiment": "simspeed"' ci_simspeed.json
-grep -q '"geomean_kcps"' ci_simspeed.json
-grep -q '"simspeed_kcps"' ci_simspeed.json
-rm -f ci_simspeed.json
-
 echo "== topdown smoke (CPI stacks must sum to measured cycles) =="
 dune exec bench/main.exe -- topdown --smoke --json ci_topdown.json
 test -s ci_topdown.json
@@ -235,7 +243,6 @@ grep -q '"geomean_ref_step_speedup"' ci_cosim.json
 rm -f ci_cosim.json
 
 echo "== serve smoke (warm-state service: served output byte-identical to cold, clean shutdown, no orphans) =="
-CLI=./_build/default/bin/minjie_cli.exe
 SOCK=./ci_serve.sock
 rm -f "$SOCK"
 "$CLI" serve --socket "$SOCK" --quiet >/dev/null 2>&1 &

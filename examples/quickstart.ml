@@ -69,8 +69,8 @@ let () =
 
   (* 4. the same co-simulation with the pluggable REF switched to
      NEMU's block-compiled non-autonomous mode -- the paper's fast
-     REF.  Same rules, same verdict, faster REF side.  (Process-wide,
-     MINJIE_REF=nemu does the same without code changes.) *)
+     REF.  Same rules, same verdict, faster REF side.  (On the command
+     line, `minjie run` takes it from MINJIE_REF=nemu.) *)
   let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
   Xiangshan.Soc.load_program soc program;
   let dt =

@@ -99,7 +99,8 @@ let blank_cell (fault : Fault.t) seed =
     c_ok = false;
   }
 
-let run_cell ?(snapshot_interval = 1_500) ?(max_cycles = 400_000) ?ref_kind
+let run_cell ?(snapshot_interval = 1_500) ?(max_cycles = 400_000)
+    ?(ref_kind = Ref_model.Iss) ?(phase_order = Xiangshan.Core.Default_order)
     ?perf ~(fault : Fault.t) ~seed () : cell =
   let w = find_workload fault.Fault.f_workload in
   let prog = w.Workloads.Wl_common.program ~scale:w.Workloads.Wl_common.small in
@@ -107,8 +108,12 @@ let run_cell ?(snapshot_interval = 1_500) ?(max_cycles = 400_000) ?ref_kind
   let trigger = fault.Fault.f_trigger in
   let base = blank_cell fault seed in
   match
-    Workflow.run_verified ~snapshot_interval ~max_cycles ?ref_kind ?perf
-      ~inject:(fun soc -> fault.Fault.f_install ~seed ~trigger soc)
+    Workflow.run_verified ~snapshot_interval ~max_cycles ~ref_kind ?perf
+      ~inject:(fun soc ->
+        Array.iter
+          (fun c -> Xiangshan.Core.set_phase_order c phase_order)
+          soc.Xiangshan.Soc.cores;
+        fault.Fault.f_install ~seed ~trigger soc)
       ~prog cfg
   with
   | Workflow.Verified code ->
@@ -156,15 +161,15 @@ let cell_of_failure (fault, seed) msg =
    journal written by a different grid, REF backend or interval set
    must start fresh, never splice foreign cells in. *)
 let journal_key ~faults ~seeds ~ref_kind ~snapshot_interval ~max_cycles =
-  let kind = match ref_kind with Some k -> k | None -> Ref_model.kind_of_env () in
   Printf.sprintf "campaign|faults=%s|seeds=%s|ref=%s|si=%d|mc=%d"
     (String.concat "," (List.map (fun f -> f.Fault.f_name) faults))
     (String.concat "," (List.map string_of_int seeds))
-    (Ref_model.kind_name kind)
+    (Ref_model.kind_name ref_kind)
     snapshot_interval max_cycles
 
 let run ?faults ?(seeds = [ 1; 2 ]) ?(snapshot_interval = 1_500)
-    ?(max_cycles = 400_000) ?ref_kind ?perf ?jobs ?journal
+    ?(max_cycles = 400_000) ?(ref_kind = Ref_model.Iss) ?phase_order ?perf
+    ?jobs ?journal
     ?(resume = false) ?retries ?timeout
     ?(progress = fun (_ : cell) -> ()) () : summary =
   let faults =
@@ -191,7 +196,8 @@ let run ?faults ?(seeds = [ 1; 2 ]) ?(snapshot_interval = 1_500)
       ~cost:(fun (fault, _) -> float_of_int fault.Fault.f_trigger)
       ~of_failure:cell_of_failure
       (fun (fault, seed) ->
-        run_cell ~snapshot_interval ~max_cycles ?ref_kind ?perf ~fault ~seed ())
+        run_cell ~snapshot_interval ~max_cycles ~ref_kind ?phase_order ?perf
+          ~fault ~seed ())
       grid
   in
   Grid.close g;
@@ -209,6 +215,15 @@ let run ?faults ?(seeds = [ 1; 2 ]) ?(snapshot_interval = 1_500)
     retried = Grid.retried g;
     recovered = Grid.recovered g;
   }
+
+let failed s = s.escapes > 0 || s.rule_mismatches > 0 || s.replay_misses > 0
+
+(* faults whose cells resolve in a few thousand cycles; enough for CI
+   to validate the whole detect->replay->report pipeline *)
+let smoke_faults = [ "csr-mtvec-corrupt"; "rob-commit-reorder"; "lsu-sb-drop" ]
+
+let grid_spec ~smoke ~seed =
+  if smoke then (Some smoke_faults, [ seed ]) else (None, [ seed; seed + 1 ])
 
 let string_of_cell (c : cell) : string =
   if not c.c_detected then

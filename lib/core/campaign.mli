@@ -60,6 +60,7 @@ val run_cell :
   ?snapshot_interval:int ->
   ?max_cycles:int ->
   ?ref_kind:Ref_model.kind ->
+  ?phase_order:Xiangshan.Core.phase_order ->
   ?perf:bool ->
   fault:Fault.t ->
   seed:int ->
@@ -72,6 +73,7 @@ val run :
   ?snapshot_interval:int ->
   ?max_cycles:int ->
   ?ref_kind:Ref_model.kind ->
+  ?phase_order:Xiangshan.Core.phase_order ->
   ?perf:bool ->
   ?jobs:int ->
   ?journal:string ->
@@ -82,7 +84,9 @@ val run :
   unit ->
   summary
 (** Run the campaign grid.  [faults] defaults to the full registry,
-    [seeds] to [[1; 2]], [ref_kind] to {!Ref_model.kind_of_env}.
+    [seeds] to [[1; 2]], [ref_kind] to {!Ref_model.Iss}.
+    [phase_order] (default {!Xiangshan.Core.Default_order}) is set on
+    every cell's cores before its fault is installed.
 
     Each cell is one {!Grid} job: in-process at [jobs = 1] (the
     default), else across [jobs] forked workers under {!Supervisor}
@@ -108,5 +112,18 @@ val run :
     [perf] threads through to {!Workflow.run_verified}: pipeline
     tracers are attached but cells are pure verdict data, so the
     summary is bit-identical with it on or off. *)
+
+val failed : summary -> bool
+(** Any escape, rule mismatch or replay miss: the verification stack
+    missed a fault. *)
+
+val smoke_faults : string list
+(** The CI-sized fault subset: three faults whose cells resolve in a
+    few thousand cycles. *)
+
+val grid_spec : smoke:bool -> seed:int -> string list option * int list
+(** The front ends' grid: [(faults, seeds)] for {!run} -- the smoke
+    subset at [seed] alone, or the full registry at [seed] and
+    [seed + 1]. *)
 
 val string_of_cell : cell -> string

@@ -171,14 +171,10 @@ let note_committed_store (t : t) ~hart (p : Xiangshan.Probe.commit) =
   | _ -> ()
 
 (* Attach probes to the SoC and build REFs mirroring the program.
-   [ref_kind] selects the reference-model backend (default: the
-   MINJIE_REF environment variable, then the ISS). *)
-let create ?rules ?(with_scoreboard = true) ?ref_kind
+   [ref_kind] selects the reference-model backend. *)
+let create ?rules ?(with_scoreboard = true) ?(ref_kind = Ref_model.Iss)
     ~(prog : Asm.program) (soc : Xiangshan.Soc.t) : t =
   let rules = match rules with Some r -> r | None -> Rules.standard () in
-  let ref_kind =
-    match ref_kind with Some k -> k | None -> Ref_model.kind_of_env ()
-  in
   let n = Array.length soc.Xiangshan.Soc.cores in
   let refs =
     Array.init n (fun hartid ->

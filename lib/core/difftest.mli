@@ -11,8 +11,7 @@
 
     The REF backend is pluggable (see {!Ref_model}): the plain ISS
     interpreter or the NEMU block-compiled engine in non-autonomous
-    REF mode, selected per instance with [?ref_kind] or process-wide
-    with the [MINJIE_REF] environment variable.
+    REF mode, selected per instance with [?ref_kind].
 
     Always-on checks beyond the rules: per-commit pc and next-pc
     agreement, full architectural-state comparison at every cycle
@@ -40,7 +39,7 @@ val create :
 (** Wire probes into the SoC (which must already have the program
     loaded) and build one REF per hart running the same [prog].
     [rules] defaults to a fresh {!Rules.standard} set; [ref_kind]
-    defaults to {!Ref_model.kind_of_env}[ ()]. *)
+    defaults to {!Ref_model.Iss}. *)
 
 val tick : t -> unit
 (** One co-simulated cycle: advance the SoC, drain and check each

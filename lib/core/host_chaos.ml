@@ -72,31 +72,6 @@ let disarm () = state := None
 
 let armed () = match !state with None -> [] | Some p -> p.classes
 
-let env_plan () =
-  match Sys.getenv_opt "MINJIE_CHAOS" with
-  | None | Some "" -> None
-  | Some s ->
-      let seed =
-        match Sys.getenv_opt "MINJIE_CHAOS_SEED" with
-        | None -> 1
-        | Some v -> (
-            match int_of_string_opt (String.trim v) with
-            | Some n -> n
-            | None ->
-                invalid_arg
-                  (Printf.sprintf "MINJIE_CHAOS_SEED=%S (want an integer)" v))
-      in
-      let names =
-        String.split_on_char ',' s
-        |> List.map String.trim
-        |> List.filter (fun c -> c <> "")
-      in
-      let classes =
-        try classes_of_names names
-        with Invalid_argument msg -> invalid_arg ("MINJIE_CHAOS: " ^ msg)
-      in
-      Some (seed, classes)
-
 let has p c = List.mem c p.classes
 
 let note p name =

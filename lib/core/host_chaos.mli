@@ -51,11 +51,6 @@ val disarm : unit -> unit
 val armed : unit -> fault_class list
 (** The armed classes, [[]] when disarmed. *)
 
-val env_plan : unit -> (int * fault_class list) option
-(** [MINJIE_CHAOS] as a comma-separated class list ("all" for every
-    class), seeded by [MINJIE_CHAOS_SEED] (default 1).
-    @raise Invalid_argument on an unknown class name. *)
-
 (** {1 Injection points} (no-ops when the class is not armed) *)
 
 type worker_fate =

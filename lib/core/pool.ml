@@ -311,7 +311,7 @@ let decode_result (a : 'r active) status : 'r outcome =
         Crashed (Printf.sprintf "worker for %S stopped by signal %d" a.a_label s)
 
 let map ?(jobs = 1) ?timeout ?(kill_grace = 2.0) ?(attempt = 0) ?mem_limit_mb
-    ?(isolate = false) ?(dispatch = `Longest_first) ?(progress = fun _ -> ())
+    ?(isolate = false) ?(progress = fun _ -> ())
     (jobs_list : 'r job list) : 'r result list * stats =
   let workers = max 1 jobs in
   if workers <= 1 && not isolate then map_sequential ~progress jobs_list
@@ -324,21 +324,15 @@ let map ?(jobs = 1) ?timeout ?(kill_grace = 2.0) ?(attempt = 0) ?mem_limit_mb
     Gc.compact ();
     let n = List.length jobs_list in
     let timeout = Option.value timeout ~default:infinity in
-    (* longest-expected-first (ties broken by submission order), or
-       plain submission order under `Fifo -- the dispatch A/B the
-       scaling study measures *)
-    let indexed = List.mapi (fun i j -> (i, j)) jobs_list in
+    (* longest-expected-first, ties broken by submission order *)
     let queue =
       ref
-        (match dispatch with
-        | `Fifo -> indexed
-        | `Longest_first ->
-            List.stable_sort
-              (fun (i1, j1) (i2, j2) ->
-                match compare j2.j_cost j1.j_cost with
-                | 0 -> compare i1 i2
-                | c -> c)
-              indexed)
+        (List.stable_sort
+           (fun (i1, j1) (i2, j2) ->
+             match compare j2.j_cost j1.j_cost with
+             | 0 -> compare i1 i2
+             | c -> c)
+           (List.mapi (fun i j -> (i, j)) jobs_list))
     in
     let free = ref (List.init workers Fun.id) in
     let active = ref ([] : 'r active list) in

@@ -93,20 +93,16 @@ val map :
   ?attempt:int ->
   ?mem_limit_mb:int ->
   ?isolate:bool ->
-  ?dispatch:[ `Longest_first | `Fifo ] ->
   ?progress:('r result -> unit) ->
   'r job list ->
   'r result list * stats
 (** Run every job; return results in submission order plus pool
     stats.  [timeout] (seconds, default none) applies per job;
     [kill_grace] (default 2s) is the SIGTERM-to-SIGKILL escalation
-    delay.  [dispatch] (default [`Longest_first]) picks the queue
-    order: longest-expected-first by [j_cost] minimises makespan when
-    costs are roughly right, [`Fifo] dispatches in submission order
-    (the scaling study's A/B baseline, and what a server with
-    externally ordered batches wants).  [progress] is called in the
-    parent as each result completes -- completion order, not
-    submission order.
+    delay.  Jobs are dispatched longest-expected-first by [j_cost],
+    which minimises makespan when costs are roughly right.  [progress]
+    is called in the parent as each result completes -- completion
+    order, not submission order.
 
     [attempt] (default 0) is forwarded to {!Host_chaos.worker_fate} so
     chaos schedules can spare retries.  [mem_limit_mb] arms the

@@ -76,16 +76,6 @@ let kind_of_string s =
   | "nemu" -> Some Nemu
   | _ -> None
 
-(* Test/CI selector: MINJIE_REF=nemu flips every default-REF
-   co-simulation in the process onto the NEMU backend. *)
-let kind_of_env () =
-  match Sys.getenv_opt "MINJIE_REF" with
-  | None | Some "" -> Iss
-  | Some s -> (
-      match kind_of_string s with
-      | Some k -> k
-      | None -> invalid_arg (Printf.sprintf "MINJIE_REF=%S (want iss|nemu)" s))
-
 let of_iss (r : Iss.Interp.t) : t =
   {
     kind = Iss;

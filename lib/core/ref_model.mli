@@ -7,8 +7,7 @@
     {!Iss.Interp} interpreter ({!Iss}) and the NEMU block-compiled
     engine in non-autonomous REF mode ({!Nemu}, see
     {!Nemu.Ref_core}), the paper's fast REF.  Select per DiffTest
-    instance with [?ref_kind], or process-wide for tests/CI with the
-    [MINJIE_REF] environment variable. *)
+    instance with [?ref_kind]. *)
 
 type kind = Iss | Nemu
 
@@ -71,10 +70,6 @@ type t = {
 val kind_name : kind -> string
 
 val kind_of_string : string -> kind option
-
-val kind_of_env : unit -> kind
-(** [MINJIE_REF] (iss|nemu), defaulting to {!Iss}.
-    @raise Invalid_argument on an unrecognised value. *)
 
 val of_iss : Iss.Interp.t -> t
 

@@ -58,7 +58,7 @@ val run_verified :
   outcome
 (** Build the SoC, apply the optional fault [inject]ion, and run the
     full fast-mode -> replay -> diagnose loop.  [ref_kind] selects
-    the reference-model backend (default: {!Ref_model.kind_of_env}).
+    the reference-model backend (default: {!Ref_model.Iss}).
     [perf] (default false) attaches pipeline tracers whose windows
     are reported in [replay_traces] on failure; counters themselves
     are always on, and neither affects any verdict. *)

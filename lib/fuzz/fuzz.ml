@@ -215,6 +215,11 @@ let journal_key (p : params) =
 
 let is_mismatch (e : exec) = e.x_rule <> ""
 
+let failed s =
+  List.exists
+    (fun e -> e.x_exit = -2 || (is_mismatch e && not e.x_replayed))
+    s.fz_execs
+
 let run ?(p = default) ?jobs ?journal ?(resume = false) ?retries ?timeout
     ?corpus_path ?(progress = fun (_ : exec) -> ()) () : summary =
   if p.fz_configs = [] then invalid_arg "Fuzz.run: empty config list";

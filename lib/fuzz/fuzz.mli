@@ -97,6 +97,10 @@ val journal_key : params -> string
 
 val is_mismatch : exec -> bool
 
+val failed : summary -> bool
+(** A pool failure, or a mismatch that did not reproduce in the
+    LightSSS replay. *)
+
 val run :
   ?p:params ->
   ?jobs:int ->

@@ -19,7 +19,7 @@
    purity is not enforced by the type system (OCaml has no const);
    it is enforced by the seeded permutation harness: stepping the
    units in any order must produce byte-identical behaviour
-   (MINJIE_PHASE_ORDER=shuffle:SEED, test/test_twophase.ml).
+   (a [Shuffle] phase order, test/test_twophase.ml).
 
    Fidelity notes (see DESIGN.md): results are computed when an
    instruction issues, using values in the physical register file, and
@@ -102,25 +102,6 @@ type ids = {
    permutation every cycle.  Both must be indistinguishable -- the
    permutation mode exists purely to enforce that property. *)
 type phase_order = Default_order | Shuffle of int
-
-(* A value outside the accepted forms is refused rather than read as
-   the default: a typo must not turn a shuffled run into a plain one. *)
-let phase_order_of_env () =
-  match Sys.getenv_opt "MINJIE_PHASE_ORDER" with
-  | None | Some ("" | "default") -> Default_order
-  | Some "shuffle" -> Shuffle 1
-  | Some s -> (
-      let seed =
-        if String.starts_with ~prefix:"shuffle:" s then
-          int_of_string_opt (String.sub s 8 (String.length s - 8))
-        else None
-      in
-      match seed with
-      | Some seed -> Shuffle seed
-      | None ->
-          invalid_arg
-            (Printf.sprintf
-               "MINJIE_PHASE_ORDER=%S (want default, shuffle or shuffle:SEED)" s))
 
 type t = {
   cfg : Config.t;
@@ -230,7 +211,8 @@ let make_ids () =
       i_tlb_walk_flush;
     } )
 
-let create (cfg : Config.t) ~hartid ~(plat : Platform.t)
+let create ?(phase_order = Default_order) (cfg : Config.t) ~hartid
+    ~(plat : Platform.t)
     ~(l1i : Softmem.Cache.t) ~(l1d : Softmem.Cache.t)
     ~(ptw_port : Softmem.Cache.t) : t =
   let arch = Arch_state.create ~hartid () in
@@ -271,7 +253,7 @@ let create (cfg : Config.t) ~hartid ~(plat : Platform.t)
     bug_trust_bpu = 0;
     flushed_at = -1;
     tlb_walk_seen = 0;
-    phase_order = phase_order_of_env ();
+    phase_order;
   }
 
 let set_phase_order t o = t.phase_order <- o

@@ -16,7 +16,7 @@
     [apply] commits those effects in one canonical order with explicit
     arbitration for structural hazards.  [cycle] is the composition.
     Phase-1 order independence is enforced by the seeded permutation
-    harness ([Shuffle], MINJIE_PHASE_ORDER, test/test_twophase.ml). *)
+    harness ([Shuffle], test/test_twophase.ml). *)
 
 open Riscv
 
@@ -56,10 +56,7 @@ type ids
     in the canonical fixed order; [Shuffle seed] runs them in a fresh
     seeded permutation every cycle.  The two must be byte-identical in
     every observable (DiffTest verdicts, ArchDB, counter snapshots) --
-    the shuffle mode exists purely to enforce phase-1 purity.
-    Initialised from MINJIE_PHASE_ORDER ("default" | "shuffle" |
-    "shuffle:SEED") at [create]; any other non-empty value raises
-    [Invalid_argument] naming the variable. *)
+    the shuffle mode exists purely to enforce phase-1 purity. *)
 type phase_order = Default_order | Shuffle of int
 
 type t = {
@@ -175,6 +172,7 @@ type effects = {
 }
 
 val create :
+  ?phase_order:phase_order ->
   Config.t ->
   hartid:int ->
   plat:Platform.t ->

@@ -24,7 +24,7 @@ type t = {
 
 let line_shift = 6
 
-let create ?(dram_size = 64 * 1024 * 1024) (cfg : Config.t) : t =
+let create ?(dram_size = 64 * 1024 * 1024) ?phase_order (cfg : Config.t) : t =
   let plat = Platform.create ~dram_size () in
   let backing = plat.Platform.mem in
   let dram =
@@ -64,7 +64,7 @@ let create ?(dram_size = 64 * 1024 * 1024) (cfg : Config.t) : t =
         Softmem.Cache.set_parent ptw l2s.(i);
         (* observational MSHR-saturation probe on the D-side *)
         Softmem.Cache.set_mshrs l1d cfg.mshrs;
-        Core.create cfg ~hartid:i ~plat ~l1i ~l1d ~ptw_port:ptw)
+        Core.create ?phase_order cfg ~hartid:i ~plat ~l1i ~l1d ~ptw_port:ptw)
   in
   let t =
     {

@@ -20,7 +20,10 @@ type t = {
   mutable fault_hooks : (t -> unit) list;
 }
 
-val create : ?dram_size:int -> Config.t -> t
+val create :
+  ?dram_size:int -> ?phase_order:Core.phase_order -> Config.t -> t
+(** [phase_order] (default {!Core.Default_order}) is every core's
+    phase-1 planner order. *)
 
 val set_event_sink : t -> Softmem.Event.sink -> unit
 (** Install a coherence-event sink on every cache node. *)

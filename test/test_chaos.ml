@@ -213,23 +213,27 @@ let test_faults_not_retried_away () =
   Alcotest.(check int) "no escapes" 0 s.Minjie.Campaign.escapes;
   Alcotest.(check int) "nothing was retried" 0 s.Minjie.Campaign.retried
 
+(* The MINJIE_CHAOS / MINJIE_CHAOS_SEED plan, resolved by Run_config. *)
 let test_env_plan () =
-  Alcotest.(check bool) "no env, no plan" true
-    (Minjie.Host_chaos.env_plan () = None
-    || Sys.getenv_opt "MINJIE_CHAOS" <> None);
-  Unix.putenv "MINJIE_CHAOS" "eintr,worker-kill";
-  Unix.putenv "MINJIE_CHAOS_SEED" "9";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "MINJIE_CHAOS" "";
-      Unix.putenv "MINJIE_CHAOS_SEED" "")
-    (fun () ->
-      match Minjie.Host_chaos.env_plan () with
-      | Some (9, [ Minjie.Host_chaos.Eintr_storm; Minjie.Host_chaos.Worker_kill ])
-        ->
-          ()
-      | Some _ -> Alcotest.fail "wrong plan parsed"
-      | None -> Alcotest.fail "env plan not picked up")
+  let module R = Minjie.Run_config in
+  let plan chaos seed =
+    Unix.putenv "MINJIE_CHAOS" chaos;
+    Unix.putenv "MINJIE_CHAOS_SEED" seed;
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.putenv "MINJIE_CHAOS" "";
+        Unix.putenv "MINJIE_CHAOS_SEED" "")
+      (fun () ->
+        let c = R.resolve () in
+        (c.R.chaos_seed, c.R.chaos))
+  in
+  (match plan "" "" with
+  | _, [] -> ()
+  | _ -> Alcotest.fail "no env, yet a plan");
+  match plan "eintr,worker-kill" "9" with
+  | 9, [ Minjie.Host_chaos.Eintr_storm; Minjie.Host_chaos.Worker_kill ] -> ()
+  | _, [] -> Alcotest.fail "env plan not picked up"
+  | _ -> Alcotest.fail "wrong plan parsed"
 
 let tests =
   [

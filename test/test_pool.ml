@@ -185,33 +185,72 @@ let with_env vars f =
         saved)
     f
 
-let knobs = [ "MINJIE_JOBS"; "MINJIE_RETRIES"; "MINJIE_RESUME" ]
+let knobs =
+  [
+    "MINJIE_JOBS";
+    "MINJIE_RETRIES";
+    "MINJIE_RESUME";
+    "MINJIE_REF";
+    "MINJIE_PHASE_ORDER";
+    "MINJIE_CHAOS";
+    "MINJIE_CHAOS_SEED";
+  ]
 
 let test_run_config_precedence () =
   let module R = Minjie.Run_config in
+  let module H = Minjie.Host_chaos in
   with_env (List.map (fun k -> (k, "")) knobs) (fun () ->
       let d = R.resolve () in
       Alcotest.(check int) "default 1" 1 d.R.jobs;
       Alcotest.(check int) "default 0 retries" 0 d.R.retries;
       Alcotest.(check bool) "default no resume" false d.R.resume;
+      Alcotest.(check bool) "default REF is the command's" true
+        (d.R.ref_kind = None);
+      Alcotest.(check bool) "default phase order" true
+        (d.R.phase_order = Xiangshan.Core.Default_order);
+      Alcotest.(check bool) "no chaos" true (d.R.chaos = []);
+      Alcotest.(check int) "default chaos seed" 1 d.R.chaos_seed;
       Alcotest.(check (option string)) "no journal unless resuming" None
         (R.journal d ~default:"d.journal" None));
   with_env
-    [ ("MINJIE_JOBS", "3"); ("MINJIE_RETRIES", "2"); ("MINJIE_RESUME", "yes") ]
+    [
+      ("MINJIE_JOBS", "3");
+      ("MINJIE_RETRIES", "2");
+      ("MINJIE_RESUME", "yes");
+      ("MINJIE_REF", "nemu");
+      ("MINJIE_PHASE_ORDER", "shuffle:9");
+      ("MINJIE_CHAOS", "eintr, worker-kill");
+      ("MINJIE_CHAOS_SEED", "9");
+    ]
     (fun () ->
       let e = R.resolve () in
       Alcotest.(check int) "env jobs" 3 e.R.jobs;
       Alcotest.(check int) "env retries" 2 e.R.retries;
       Alcotest.(check bool) "env resume" true e.R.resume;
+      Alcotest.(check bool) "env REF" true
+        (e.R.ref_kind = Some Minjie.Ref_model.Nemu);
+      Alcotest.(check bool) "env phase order" true
+        (e.R.phase_order = Xiangshan.Core.Shuffle 9);
+      Alcotest.(check bool) "env chaos classes" true
+        (e.R.chaos = [ H.Eintr_storm; H.Worker_kill ]);
+      Alcotest.(check int) "env chaos seed" 9 e.R.chaos_seed;
       Alcotest.(check (option string)) "resume implies the default journal"
         (Some "d.journal")
         (R.journal e ~default:"d.journal" None);
       Alcotest.(check (option string)) "explicit journal wins" (Some "x")
         (R.journal e ~default:"d.journal" (Some "x"));
-      let x = R.resolve ~jobs:4 ~retries:0 ~resume:false () in
+      let x =
+        R.resolve ~jobs:4 ~retries:0 ~resume:false ~ref_kind:Minjie.Ref_model.Iss
+          ~chaos:[ H.Slow_worker ] ~chaos_seed:2 ()
+      in
       Alcotest.(check int) "explicit wins" 4 x.R.jobs;
       Alcotest.(check int) "explicit retries win" 0 x.R.retries;
       Alcotest.(check bool) "explicit resume wins" false x.R.resume;
+      Alcotest.(check bool) "explicit REF wins" true
+        (x.R.ref_kind = Some Minjie.Ref_model.Iss);
+      Alcotest.(check bool) "explicit chaos wins" true
+        (x.R.chaos = [ H.Slow_worker ]);
+      Alcotest.(check int) "explicit chaos seed wins" 2 x.R.chaos_seed;
       Alcotest.(check int) "clamped to 1" 1 (R.resolve ~jobs:0 ()).R.jobs);
   List.iter
     (fun (var, v) ->
@@ -229,7 +268,17 @@ let test_run_config_precedence () =
       ("MINJIE_RETRIES", "-1");
       ("MINJIE_RETRIES", "x");
       ("MINJIE_RESUME", "maybe");
-    ]
+      ("MINJIE_REF", "bogus");
+      ("MINJIE_PHASE_ORDER", "shufle");
+      ("MINJIE_PHASE_ORDER", "shuffle:x");
+      ("MINJIE_CHAOS", "eintr,bogus");
+      ("MINJIE_CHAOS_SEED", "x");
+    ];
+  (* a flag never reads its variable, malformed or not *)
+  with_env [ ("MINJIE_REF", "bogus") ] (fun () ->
+      Alcotest.(check bool) "--ref beats a malformed MINJIE_REF" true
+        ((R.resolve ~ref_kind:Minjie.Ref_model.Nemu ()).R.ref_kind
+        = Some Minjie.Ref_model.Nemu))
 
 let test_resume_env_values () =
   List.iter

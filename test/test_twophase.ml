@@ -214,41 +214,33 @@ let test_boundary_flush_degrades_to_stall () =
    a waiting uop at the effect boundary, exactly between a phase-1
    issue selection and its phase-2 application. *)
 let test_campaign_cells_under_permutation () =
-  let cell fault =
-    Minjie.Campaign.run_cell ~fault:(Minjie.Fault.find fault) ~seed:1 ()
+  let cell ?phase_order fault =
+    Minjie.Campaign.run_cell ?phase_order ~fault:(Minjie.Fault.find fault)
+      ~seed:1 ()
   in
   List.iter
     (fun fault ->
-      Unix.putenv "MINJIE_PHASE_ORDER" "";
       let base = cell fault in
       Alcotest.(check bool) (fault ^ " detected") true
         base.Minjie.Campaign.c_detected;
-      Fun.protect
-        ~finally:(fun () -> Unix.putenv "MINJIE_PHASE_ORDER" "")
-        (fun () ->
-          List.iter
-            (fun seed ->
-              Unix.putenv "MINJIE_PHASE_ORDER"
-                (Printf.sprintf "shuffle:%d" seed);
-              let shuffled = cell fault in
-              if shuffled <> base then
-                Alcotest.failf "%s cell diverged under shuffle:%d:\n%s\nvs\n%s"
-                  fault seed
-                  (Minjie.Campaign.string_of_cell shuffled)
-                  (Minjie.Campaign.string_of_cell base))
-            [ 3; 11 ]))
+      List.iter
+        (fun seed ->
+          let shuffled = cell ~phase_order:(Core.Shuffle seed) fault in
+          if shuffled <> base then
+            Alcotest.failf "%s cell diverged under shuffle:%d:\n%s\nvs\n%s"
+              fault seed
+              (Minjie.Campaign.string_of_cell shuffled)
+              (Minjie.Campaign.string_of_cell base))
+        [ 3; 11 ])
     [ "iq-lost-uop"; "lsu-sb-drop"; "csr-mtvec-corrupt" ]
 
-(* The MINJIE_PHASE_ORDER parser. *)
+(* The MINJIE_PHASE_ORDER parser, resolved by Run_config. *)
 let test_phase_order_env () =
-  let with_env v f =
-    Unix.putenv "MINJIE_PHASE_ORDER" v;
-    Fun.protect ~finally:(fun () -> Unix.putenv "MINJIE_PHASE_ORDER" "") f
-  in
   let order_of v =
-    with_env v (fun () ->
-        let soc = Soc.create Xiangshan.Config.yqh in
-        soc.Soc.cores.(0).Core.phase_order)
+    Unix.putenv "MINJIE_PHASE_ORDER" v;
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "MINJIE_PHASE_ORDER" "")
+      (fun () -> (Minjie.Run_config.resolve ()).Minjie.Run_config.phase_order)
   in
   Alcotest.(check bool) "default" true (order_of "default" = Core.Default_order);
   Alcotest.(check bool) "empty" true (order_of "" = Core.Default_order);
