@@ -196,7 +196,12 @@ rm -f ci_fuzz_clean.json ci_fuzz_killed.json ci_fuzz_done.json ci_fuzz.journal
 echo "== clean shutdown: SIGTERM exits 143 and leaves no orphan workers =="
 "$BENCH" campaign --jobs 2 --json ci_term.json >/dev/null &
 victim=$!
-sleep 0.5
+# signal it mid-campaign, once a pool worker has forked: the whole
+# grid takes about half a second, so a fixed sleep can land after it
+i=0
+while [ "$(pgrep -x main.exe | wc -l)" -lt 2 ] && [ "$i" -lt 500 ]; do
+  sleep 0.01; i=$((i + 1))
+done
 kill -TERM "$victim"
 set +e; wait "$victim"; code=$?; set -e
 if [ "$code" != 143 ]; then

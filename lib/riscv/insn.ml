@@ -140,49 +140,80 @@ let is_system = function
       true
   | _ -> false
 
-(* Register usage, for rename and dependency tracking.
-   Returns (int sources, fp sources, int dest, fp dest). *)
-let regs = function
-  | Lui (rd, _) | Auipc (rd, _) -> ([], [], Some rd, None)
-  | Jal (rd, _) -> ([], [], Some rd, None)
-  | Jalr (rd, rs1, _) -> ([ rs1 ], [], Some rd, None)
-  | Branch (_, rs1, rs2, _) -> ([ rs1; rs2 ], [], None, None)
-  | Load (_, rd, rs1, _) -> ([ rs1 ], [], Some rd, None)
-  | Store (_, rs2, rs1, _) -> ([ rs1; rs2 ], [], None, None)
-  | Op_imm (_, rd, rs1, _) | Op_imm_w (_, rd, rs1, _) ->
-      ([ rs1 ], [], Some rd, None)
-  | Op (_, rd, rs1, rs2)
-  | Op_w (_, rd, rs1, rs2)
-  | Mul (_, rd, rs1, rs2)
-  | Mul_w (_, rd, rs1, rs2) ->
-      ([ rs1; rs2 ], [], Some rd, None)
-  | Lr (_, rd, rs1) -> ([ rs1 ], [], Some rd, None)
-  | Sc (_, rd, rs1, rs2) | Amo (_, _, rd, rs1, rs2) ->
-      ([ rs1; rs2 ], [], Some rd, None)
-  | Csr (op, rd, rs1, _) -> (
-      match op with
-      | CSRRW | CSRRS | CSRRC -> ([ rs1 ], [], Some rd, None)
-      | CSRRWI | CSRRSI | CSRRCI -> ([], [], Some rd, None))
-  | Ecall | Ebreak | Mret | Sret | Wfi | Fence | Fence_i ->
-      ([], [], None, None)
-  | Sfence_vma (rs1, rs2) -> ([ rs1; rs2 ], [], None, None)
-  | Fld (frd, rs1, _) -> ([ rs1 ], [], None, Some frd)
-  | Fsd (frs2, rs1, _) -> ([ rs1 ], [ frs2 ], None, None)
-  | Fp_rrr (_, frd, f1, f2)
-  | Fp_sign (_, frd, f1, f2)
-  | Fp_minmax (_, frd, f1, f2) ->
-      ([], [ f1; f2 ], None, Some frd)
-  | Fp_fused (_, frd, f1, f2, f3) -> ([], [ f1; f2; f3 ], None, Some frd)
-  | Fp_cmp (_, rd, f1, f2) -> ([], [ f1; f2 ], Some rd, None)
-  | Fsqrt_d (frd, f1) -> ([], [ f1 ], None, Some frd)
-  | Fcvt_d_l (frd, rs1) | Fcvt_d_lu (frd, rs1) | Fcvt_d_w (frd, rs1) ->
-      ([ rs1 ], [], None, Some frd)
-  | Fcvt_l_d (rd, f1) | Fcvt_lu_d (rd, f1) | Fcvt_w_d (rd, f1) ->
-      ([], [ f1 ], Some rd, None)
-  | Fmv_x_d (rd, f1) -> ([], [ f1 ], Some rd, None)
-  | Fmv_d_x (frd, rs1) -> ([ rs1 ], [], None, Some frd)
-  | Fclass_d (rd, f1) -> ([], [ f1 ], Some rd, None)
-  | Illegal _ -> ([], [], None, None)
+(* Register usage, for rename and dependency tracking, without
+   building lists: [srcs] is a fresh array of the source registers,
+   integer ones first, then FP ones; [int_rd] / [fp_rd] the destination
+   register, -1 when there is none. *)
+let srcs = function
+  | Lui _ | Auipc _ | Jal _
+  | Csr ((CSRRWI | CSRRSI | CSRRCI), _, _, _)
+  | Ecall | Ebreak | Mret | Sret | Wfi | Fence | Fence_i | Illegal _ ->
+      [||]
+  | Jalr (_, rs1, _)
+  | Load (_, _, rs1, _)
+  | Op_imm (_, _, rs1, _)
+  | Op_imm_w (_, _, rs1, _)
+  | Lr (_, _, rs1)
+  | Csr (_, _, rs1, _)
+  | Fld (_, rs1, _)
+  | Fcvt_d_l (_, rs1) | Fcvt_d_lu (_, rs1) | Fcvt_d_w (_, rs1) | Fmv_d_x (_, rs1)
+    ->
+      [| rs1 |]
+  | Branch (_, rs1, rs2, _)
+  | Store (_, rs2, rs1, _)
+  | Op (_, _, rs1, rs2)
+  | Op_w (_, _, rs1, rs2)
+  | Mul (_, _, rs1, rs2)
+  | Mul_w (_, _, rs1, rs2)
+  | Sc (_, _, rs1, rs2)
+  | Amo (_, _, _, rs1, rs2)
+  | Sfence_vma (rs1, rs2) ->
+      [| rs1; rs2 |]
+  | Fsd (frs2, rs1, _) -> [| rs1; frs2 |]
+  | Fp_rrr (_, _, f1, f2)
+  | Fp_sign (_, _, f1, f2)
+  | Fp_minmax (_, _, f1, f2)
+  | Fp_cmp (_, _, f1, f2) ->
+      [| f1; f2 |]
+  | Fp_fused (_, _, f1, f2, f3) -> [| f1; f2; f3 |]
+  | Fsqrt_d (_, f1)
+  | Fcvt_l_d (_, f1)
+  | Fcvt_lu_d (_, f1)
+  | Fcvt_w_d (_, f1)
+  | Fmv_x_d (_, f1)
+  | Fclass_d (_, f1) ->
+      [| f1 |]
+
+let int_rd = function
+  | Lui (rd, _) | Auipc (rd, _) | Jal (rd, _) | Jalr (rd, _, _)
+  | Load (_, rd, _, _)
+  | Op_imm (_, rd, _, _)
+  | Op_imm_w (_, rd, _, _)
+  | Op (_, rd, _, _)
+  | Op_w (_, rd, _, _)
+  | Mul (_, rd, _, _)
+  | Mul_w (_, rd, _, _)
+  | Lr (_, rd, _)
+  | Sc (_, rd, _, _)
+  | Amo (_, _, rd, _, _)
+  | Csr (_, rd, _, _)
+  | Fp_cmp (_, rd, _, _)
+  | Fcvt_l_d (rd, _) | Fcvt_lu_d (rd, _) | Fcvt_w_d (rd, _) | Fmv_x_d (rd, _)
+  | Fclass_d (rd, _) ->
+      rd
+  | _ -> -1
+
+let fp_rd = function
+  | Fld (frd, _, _)
+  | Fp_rrr (_, frd, _, _)
+  | Fp_sign (_, frd, _, _)
+  | Fp_minmax (_, frd, _, _)
+  | Fp_fused (_, frd, _, _, _)
+  | Fsqrt_d (frd, _)
+  | Fcvt_d_l (frd, _) | Fcvt_d_lu (frd, _) | Fcvt_d_w (frd, _) | Fmv_d_x (frd, _)
+    ->
+      frd
+  | _ -> -1
 
 let reg_name r =
   match r with

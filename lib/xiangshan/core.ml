@@ -11,8 +11,8 @@
    Cycle semantics are two-phase (DESIGN.md "Two-phase cycle
    semantics"): phase 1 ([step]) lets every unit -- commit, issue,
    store-buffer drain, dispatch, fetch -- compute its plan for the
-   cycle from the read-only start-of-cycle state and return it as a
-   typed effect record; phase 2 ([apply]) commits all effects in one
+   cycle from the read-only start-of-cycle state into its own
+   preallocated plan buffer; phase 2 ([apply]) commits all effects in one
    canonical order with explicit arbitration for the structural
    hazards (snapshot-claimed ROB/IQ/LSU slots, redirect-vs-commit
    priority, fault hooks firing at the effect boundary).  Phase-1
@@ -38,6 +38,129 @@ type fetch_item = {
 }
 
 type fetch_bundle = { fb_ready_at : int; fb_items : fetch_item list }
+
+(* What a free fetch-queue or plan slot holds (never written). *)
+let no_item =
+  {
+    fi_pc = 0L;
+    fi_insn = Insn.Illegal 0l;
+    fi_pred_next = 0L;
+    fi_fault = None;
+    fi_fetched_at = 0;
+  }
+
+(* The fetch queue: a ring of [fetch_buffer] slots, [fq_len] items from
+   [fq_head] in fetch order; free slots hold [no_item].  Fetch never
+   starts a bundle without headroom for all of it, so the ring cannot
+   overflow. *)
+type fetch_queue = {
+  fq_items : fetch_item array;
+  mutable fq_head : int;
+  mutable fq_len : int;
+}
+
+let fq_get q i = q.fq_items.((q.fq_head + i) mod Array.length q.fq_items)
+
+let fq_push q it =
+  assert (q.fq_len < Array.length q.fq_items);
+  q.fq_items.((q.fq_head + q.fq_len) mod Array.length q.fq_items) <- it;
+  q.fq_len <- q.fq_len + 1
+
+let fq_pop q =
+  q.fq_items.(q.fq_head) <- no_item;
+  q.fq_head <- (q.fq_head + 1) mod Array.length q.fq_items;
+  q.fq_len <- q.fq_len - 1
+
+let fq_clear q =
+  Array.fill q.fq_items 0 (Array.length q.fq_items) no_item;
+  q.fq_head <- 0;
+  q.fq_len <- 0
+
+(* ================= plan buffers (phase-1 output) ===================== *)
+
+(* Each unit's phase-1 planner reads only start-of-cycle state and
+   writes its plan into its own buffer of the core's preallocated
+   [effects]; phase 2 applies them in the canonical order (commit,
+   issue, drain, dispatch, fetch) and resets the buffers that hold
+   uops.  The buffers hold plans, not state deltas: application still
+   performs the mutation through the same unit code paths, after
+   revalidating any claim a flush or a boundary fault hook may have
+   invalidated.  Issue selections live in each [Iq]'s own plan
+   buffer. *)
+
+type commit_eff = {
+  mutable ce_mtip : bool; (* CLINT timer-interrupt line, sampled *)
+  mutable ce_msip : bool; (* CLINT software-interrupt line, sampled *)
+}
+
+type issue_eff = {
+  mutable ie_ready_total : int; (* Figure 15: ready instructions before selection *)
+}
+
+type drain_eff = {
+  mutable de_fire : bool; (* store buffer eligible to drain one entry *)
+}
+
+type stall_kind =
+  | Rob_full
+  | Iq_full
+  | Lq_full
+  | Sq_full
+  | Freelist_int
+  | Freelist_fp
+
+type disp_plan = {
+  mutable pl_uop : Uop.t;
+      (* built for an accepted slot, seq pre-assigned from the snapshot;
+         psrc holds architectural numbers until apply renames them *)
+  mutable pl_item : fetch_item; (* head fetch-queue item consumed *)
+  mutable pl_fused : bool; (* the next item is consumed too *)
+  mutable pl_iq : int; (* target IQ index, -1 = none (at-commit / fault) *)
+  mutable pl_eliminated : bool; (* move elimination: alias, no alloc, no issue *)
+}
+
+type dispatch_eff = {
+  dp_plans : disp_plan array; (* decode_width slots, [0, dp_n) in program order *)
+  mutable dp_n : int;
+  mutable dp_stall : stall_kind option; (* first scarce resource, if any *)
+  dp_iq_occ : int array; (* planner scratch: IQ occupancy, snapshot + claimed *)
+}
+
+type fetch_eff = {
+  mutable fe_complete : bool; (* the in-flight bundle reaches the fetch queue *)
+  mutable fe_start : bool; (* a new bundle may start (headroom from snapshot) *)
+}
+
+type effects = {
+  ef_commit : commit_eff;
+  ef_issue : issue_eff;
+  ef_drain : drain_eff;
+  ef_dispatch : dispatch_eff;
+  ef_fetch : fetch_eff;
+}
+
+let make_effects (cfg : Config.t) =
+  {
+    ef_commit = { ce_mtip = false; ce_msip = false };
+    ef_issue = { ie_ready_total = 0 };
+    ef_drain = { de_fire = false };
+    ef_dispatch =
+      {
+        dp_plans =
+          Array.init cfg.decode_width (fun _ ->
+              {
+                pl_uop = Uop.sentinel;
+                pl_item = no_item;
+                pl_fused = false;
+                pl_iq = -1;
+                pl_eliminated = false;
+              });
+        dp_n = 0;
+        dp_stall = None;
+        dp_iq_occ = Array.make (List.length cfg.iqs) 0;
+      };
+    ef_fetch = { fe_complete = false; fe_start = false };
+  }
 
 type perf = {
   mutable p_cycles : int;
@@ -126,7 +249,8 @@ type t = {
   mutable fetch_pc : int64;
   mutable fetch_stalled : bool;
   mutable inflight : fetch_bundle option;
-  fetch_queue : fetch_item Queue.t;
+  fetch_queue : fetch_queue;
+  plan : effects; (* this core's phase-1 buffers, reused every cycle *)
   mutable commit_busy_until : int; (* at-commit execution occupancy *)
   (* top-down attribution state: a flush opens a bad-speculation
      recovery window; an L1I miss opens a frontend-icache window *)
@@ -242,7 +366,13 @@ let create ?(phase_order = Default_order) (cfg : Config.t) ~hartid
     fetch_pc = Platform.dram_base;
     fetch_stalled = false;
     inflight = None;
-    fetch_queue = Queue.create ();
+    fetch_queue =
+      {
+        fq_items = Array.make cfg.fetch_buffer no_item;
+        fq_head = 0;
+        fq_len = 0;
+      };
+    plan = make_effects cfg;
     commit_busy_until = 0;
     recover_until = 0;
     recover_misp = false;
@@ -315,7 +445,7 @@ let flush ?(cause = `Other) t ~after ~target =
   t.seq <- t.rob.Rob.tail;
   Array.iter Iq.drop_squashed t.iqs;
   Lsu.drop_squashed t.lsu;
-  Queue.clear t.fetch_queue;
+  fq_clear t.fetch_queue;
   t.inflight <- None;
   t.fetch_stalled <- false;
   t.fetch_pc <- target;
@@ -324,80 +454,22 @@ let flush ?(cause = `Other) t ~after ~target =
   t.recover_until <- max t.recover_until (t.now + mispredict_penalty);
   t.recover_misp <- false
 
-(* ================= effect records (phase-1 output) =================== *)
-
-(* Each unit's phase-1 planner reads only start-of-cycle state and
-   returns one of these records; phase 2 applies them in the canonical
-   order (commit, issue, drain, dispatch, fetch).  The records are
-   deliberately plans, not state deltas: application still performs
-   the mutation through the same unit code paths, after revalidating
-   any claim a flush or a boundary fault hook may have invalidated. *)
-
-type commit_eff = {
-  ce_mtip : bool; (* CLINT timer-interrupt line, sampled *)
-  ce_msip : bool; (* CLINT software-interrupt line, sampled *)
-}
-
-type issue_eff = {
-  ie_ready_total : int; (* Figure 15: ready instructions before selection *)
-  ie_chosen : Uop.t list array; (* per-IQ selection (age/PUBS policy) *)
-}
-
-type drain_eff = { de_fire : bool (* store buffer eligible to drain one entry *) }
-
-type stall_kind =
-  | Rob_full
-  | Iq_full
-  | Lq_full
-  | Sq_full
-  | Freelist_int
-  | Freelist_fp
-
-type disp_plan = {
-  pl_uop : Uop.t; (* pre-built uop, seq pre-assigned from the snapshot *)
-  pl_item : fetch_item; (* head fetch-queue item consumed *)
-  pl_second : fetch_item option; (* second item consumed when fused *)
-  pl_iq : int; (* target IQ index, -1 = none (at-commit / fault) *)
-  pl_eliminated : bool; (* move elimination: alias, no alloc, no issue *)
-  (* Fusion.fused_regs of pl_uop, cached so apply never recomputes;
-     pl_int_rd is normalised (x0 writes dropped) *)
-  pl_int_srcs : int list;
-  pl_fp_srcs : int list;
-  pl_int_rd : int option;
-  pl_fp_rd : int option;
-}
-
-type dispatch_eff = {
-  dp_plans : disp_plan list; (* in program order *)
-  dp_stall : stall_kind option; (* first scarce resource, if any *)
-}
-
-type fetch_eff = {
-  fe_complete : bool; (* the in-flight bundle reaches the fetch queue *)
-  fe_start : bool; (* a new bundle may start (headroom from snapshot) *)
-}
-
-type effects = {
-  ef_commit : commit_eff;
-  ef_issue : issue_eff;
-  ef_drain : drain_eff;
-  ef_dispatch : dispatch_eff;
-  ef_fetch : fetch_eff;
-}
-
 (* ---------------- fetch ---------------------------------------------- *)
 
 let fetch_block_bytes = 32
+
+let rec enqueue_items t = function
+  | [] -> ()
+  | it :: rest ->
+      it.fi_fetched_at <- t.now;
+      fq_push t.fetch_queue it;
+      enqueue_items t rest
 
 (* Move a completed bundle's items into the fetch queue. *)
 let fetch_complete_now t =
   match t.inflight with
   | Some b when t.now >= b.fb_ready_at ->
-      List.iter
-        (fun it ->
-          it.fi_fetched_at <- t.now;
-          Queue.add it t.fetch_queue)
-        b.fb_items;
+      enqueue_items t b.fb_items;
       t.inflight <- None
   | Some _ | None -> ()
 
@@ -502,30 +574,30 @@ let fetch_live t =
   if
     t.inflight = None
     && (not t.fetch_stalled)
-    && Queue.length t.fetch_queue + t.cfg.fetch_width <= t.cfg.fetch_buffer
+    && t.fetch_queue.fq_len + t.cfg.fetch_width <= t.cfg.fetch_buffer
   then fetch_start_bundle t
 
 (* Phase 1: decide bundle completion and new-bundle start from the
    snapshot.  Headroom counts the start-of-cycle queue plus the items
    a completion would add -- NOT the slots dispatch will free this
    cycle (conservative snapshot claim; see the arbitration table). *)
-let step_fetch t : fetch_eff =
+let step_fetch t =
   let v_now = t.now + 1 in
   let fe_complete =
     match t.inflight with Some b -> v_now >= b.fb_ready_at | None -> false
   in
   let qlen =
-    Queue.length t.fetch_queue
+    t.fetch_queue.fq_len
     + (match t.inflight with
       | Some b when v_now >= b.fb_ready_at -> List.length b.fb_items
       | _ -> 0)
   in
-  let fe_start =
+  let e = t.plan.ef_fetch in
+  e.fe_complete <- fe_complete;
+  e.fe_start <-
     (t.inflight = None || fe_complete)
     && (not t.fetch_stalled)
     && qlen + t.cfg.fetch_width <= t.cfg.fetch_buffer
-  in
-  { fe_complete; fe_start }
 
 let apply_fetch t (eff : fetch_eff) =
   if t.flushed_at = t.now then
@@ -542,22 +614,22 @@ let apply_fetch t (eff : fetch_eff) =
 (* ---------------- dispatch (decode + rename) ------------------------- *)
 
 (* PUBS: mark the producer slice of an unconfident branch as high
-   priority, walking the define table transitively. *)
-let rec mark_slice t ~depth (arch_srcs : int list) =
-  if depth > 0 then
-    List.iter
-      (fun r ->
-        if r > 0 then
-          let seq = t.def_table.(r) in
-          if seq >= 0 then
-            match Rob.get t.rob seq with
-            | Some p when p.Uop.state <> Uop.Completed && not p.Uop.priority ->
-                p.Uop.priority <- true;
-                t.perf.p_hi_prio <- t.perf.p_hi_prio + 1;
-                let srcs, _, _, _ = Fusion.fused_regs p in
-                mark_slice t ~depth:(depth - 1) srcs
-            | Some _ | None -> ())
-      arch_srcs
+   priority, walking the define table transitively from the
+   architectural integer source [r]. *)
+let rec mark_slice t ~depth r =
+  if depth > 0 && r > 0 then
+    let seq = t.def_table.(r) in
+    if seq >= 0 then
+      match Rob.get t.rob seq with
+      | Some p when p.Uop.state <> Uop.Completed && not p.Uop.priority ->
+          p.Uop.priority <- true;
+          t.perf.p_hi_prio <- t.perf.p_hi_prio + 1;
+          let srcs = Fusion.arch_srcs p in
+          Array.iteri
+            (fun i r ->
+              if not p.Uop.psrc_fp.(i) then mark_slice t ~depth:(depth - 1) r)
+            srcs
+      | Some _ | None -> ()
 
 (* Is this instruction a move-eliminable register copy? *)
 let move_eliminable t (it : fetch_item) ~fused =
@@ -567,161 +639,128 @@ let move_eliminable t (it : fetch_item) ~fused =
   | Op_imm (ADD, rd, rs, 0L) when rd <> 0 && rs <> 0 -> true
   | _ -> false
 
-(* Phase 1: plan this cycle's dispatch group against the snapshot.
-   Structural claims (ROB/IQ/LQ/SQ slots, free physical registers) are
-   threaded through the plan so the group can never over-subscribe the
-   start-of-cycle occupancies; slots freed by commit or issue in the
-   same cycle become usable next cycle.  The fetch queue is walked
-   lazily via [Queue.to_seq] -- the queue is unmodified during phase 1,
-   so forcing a node is O(1) and only the decode_width prefix is ever
-   touched (this also retires the old per-item Queue.copy fusion
-   probe). *)
-let step_dispatch t : dispatch_eff =
-  if Queue.is_empty t.fetch_queue then { dp_plans = []; dp_stall = None }
-  else begin
-    let rob_free = ref (t.cfg.rob_size - Rob.count t.rob) in
-    let iq_occ = Array.map Iq.occupancy t.iqs in
-    let lq_free = ref (t.cfg.lq_size - Lsu.lq_occupancy t.lsu) in
-    let sq_free = ref (t.cfg.sq_size - Lsu.sq_occupancy t.lsu) in
-    let int_free = ref (Rename.free_count t.rename ~is_fp:false) in
-    let fp_free = ref (Rename.free_count t.rename ~is_fp:true) in
-    let seq = ref t.seq in
-    let budget = ref t.cfg.decode_width in
-    let plans = ref [] in
-    let stall = ref None in
-    let rec go (node : fetch_item Seq.node) =
-      if !budget > 0 && !stall = None then
-        match node with
-        | Seq.Nil -> ()
-        | Seq.Cons (it, rest) ->
-            if !rob_free <= 0 then stall := Some Rob_full
-            else begin
-              let tail = Lazy.from_fun rest in
-              (* fusion candidate: the next queued instruction, only if
-                 it is the sequential successor *)
-              let second =
-                if
-                  t.cfg.fusion && !budget >= 2
-                  && it.fi_pred_next = Int64.add it.fi_pc 4L
-                then
-                  match Lazy.force tail with
-                  | Seq.Cons (s, _) when s.fi_pc = Int64.add it.fi_pc 4L ->
-                      Some s
-                  | _ -> None
-                else None
-              in
-              let fusion =
-                match second with
-                | Some s -> Fusion.try_fuse it.fi_insn s.fi_insn
-                | None -> None
-              in
-              let second_item = if fusion = None then None else second in
-              let second_insn, pred_next =
-                match (fusion, second_item) with
-                | Some _, Some s -> (Some s.fi_insn, s.fi_pred_next)
-                | _ -> (None, it.fi_pred_next)
-              in
-              let u =
-                Uop.make ~seq:!seq ~pc:it.fi_pc ~insn:it.fi_insn
-                  ~second:second_insn ~fusion ~pred_next
-              in
-              (match it.fi_fault with
-              | Some e -> u.Uop.exc <- Some e
-              | None -> ());
-              let int_srcs, fp_srcs, int_rd, fp_rd = Fusion.fused_regs u in
-              let int_rd = match int_rd with Some 0 -> None | r -> r in
-              let needs_int_rd = int_rd <> None in
-              let needs_fp_rd = fp_rd <> None in
-              let iq_target =
-                if u.Uop.where = Uop.In_iq && it.fi_fault = None then begin
-                  (* least-occupied accepting IQ, snapshot + planned *)
-                  let best = ref (-1) in
-                  Array.iteri
-                    (fun i iq ->
-                      if
-                        Iq.accepts iq u.Uop.exec_class
-                        && iq_occ.(i) < Iq.capacity iq
-                      then
-                        match !best with
-                        | -1 -> best := i
-                        | b -> if iq_occ.(i) < iq_occ.(b) then best := i)
-                    t.iqs;
-                  !best
-                end
-                else -1
-              in
-              let iq_ok =
-                u.Uop.where <> Uop.In_iq || it.fi_fault <> None || iq_target >= 0
-              in
-              let lsu_ok =
-                (not (Uop.is_load u) || !lq_free > 0)
-                && ((not (Uop.is_store u)) || !sq_free > 0)
-              in
-              let int_free_ok = (not needs_int_rd) || !int_free > 0 in
-              let fp_free_ok = (not needs_fp_rd) || !fp_free > 0 in
-              if
-                (not iq_ok) || (not lsu_ok) || (not int_free_ok)
-                || not fp_free_ok
-              then
-                (* attribute the stall to the first scarce resource *)
-                stall :=
-                  Some
-                    (if not iq_ok then Iq_full
-                     else if not lsu_ok then
-                       if Uop.is_load u && !lq_free <= 0 then Lq_full
-                       else Sq_full
-                     else if not int_free_ok then Freelist_int
-                     else Freelist_fp)
-              else begin
-                let eliminated = move_eliminable t it ~fused:(fusion <> None) in
-                (* thread the claims the group has now taken *)
-                decr rob_free;
-                if it.fi_fault = None && not eliminated then begin
-                  if iq_target >= 0 then
-                    iq_occ.(iq_target) <- iq_occ.(iq_target) + 1;
-                  if Uop.is_load u then decr lq_free;
-                  if Uop.is_store u then decr sq_free
-                end;
-                if not eliminated then begin
-                  if needs_int_rd then decr int_free;
-                  if needs_fp_rd then decr fp_free
-                end;
-                incr seq;
-                plans :=
-                  {
-                    pl_uop = u;
-                    pl_item = it;
-                    pl_second = second_item;
-                    pl_iq = (if it.fi_fault = None then iq_target else -1);
-                    pl_eliminated = eliminated;
-                    pl_int_srcs = int_srcs;
-                    pl_fp_srcs = fp_srcs;
-                    pl_int_rd = int_rd;
-                    pl_fp_rd = fp_rd;
-                  }
-                  :: !plans;
-                if second_item <> None then begin
-                  budget := !budget - 2;
-                  (* skip the fused successor *)
-                  match Lazy.force tail with
-                  | Seq.Cons (_, rest2) -> go (rest2 ())
-                  | Seq.Nil -> ()
-                end
-                else begin
-                  decr budget;
-                  go (Lazy.force tail)
-                end
-              end
-            end
-    in
-    go (Queue.to_seq t.fetch_queue ());
-    { dp_plans = List.rev !plans; dp_stall = !stall }
-  end
-
-(* [psrc_fp] of a uop with [n] integer sources and no FP one: shared,
-   never written, so in-flight uops (and a LightSSS image) hold one
-   array per source count instead of one per uop. *)
-let int_only_srcs = Array.init 4 (fun n -> Array.make n false)
+(* Phase 1: plan this cycle's dispatch group against the snapshot, into
+   the dispatch plan buffer.  Structural claims (ROB/IQ/LQ/SQ slots,
+   free physical registers) are threaded through the plan so the group
+   can never over-subscribe the start-of-cycle occupancies; slots freed
+   by commit or issue in the same cycle become usable next cycle.  The
+   fetch queue is walked by position (it is unmodified during phase 1),
+   and each slot is classified from its instruction first: a uop is
+   built only for a slot the group accepts. *)
+let step_dispatch t =
+  let d = t.plan.ef_dispatch in
+  d.dp_n <- 0;
+  d.dp_stall <- None;
+  let fq = t.fetch_queue in
+  let iq_occ = d.dp_iq_occ in
+  for i = 0 to Array.length t.iqs - 1 do
+    iq_occ.(i) <- Iq.occupancy t.iqs.(i)
+  done;
+  let rob_free = ref (t.cfg.rob_size - Rob.count t.rob) in
+  let lq_free = ref (t.cfg.lq_size - Lsu.lq_occupancy t.lsu) in
+  let sq_free = ref (t.cfg.sq_size - Lsu.sq_occupancy t.lsu) in
+  let int_free = ref (Rename.free_count t.rename ~is_fp:false) in
+  let fp_free = ref (Rename.free_count t.rename ~is_fp:true) in
+  let seq = ref t.seq in
+  let budget = ref t.cfg.decode_width in
+  let pos = ref 0 in
+  while !budget > 0 && Option.is_none d.dp_stall && !pos < fq.fq_len do
+    let it = fq_get fq !pos in
+    if !rob_free <= 0 then d.dp_stall <- Some Rob_full
+    else begin
+      let insn = it.fi_insn in
+      (* fusion candidate: the next queued instruction, only if it is
+         the sequential successor *)
+      let fusion =
+        if
+          t.cfg.fusion && !budget >= 2
+          && !pos + 1 < fq.fq_len
+          && it.fi_pred_next = Int64.add it.fi_pc 4L
+          && (fq_get fq (!pos + 1)).fi_pc = Int64.add it.fi_pc 4L
+        then Fusion.try_fuse insn (fq_get fq (!pos + 1)).fi_insn
+        else None
+      in
+      let fused = Option.is_some fusion in
+      let second = if fused then fq_get fq (!pos + 1) else no_item in
+      let faulted = Option.is_some it.fi_fault in
+      let cls, where = Uop.classify insn in
+      let is_load = Uop.uses_lq insn where and is_store = Uop.uses_sq insn in
+      (* a fused pair writes its first instruction's destination; an
+         x0 write needs no register *)
+      let int_rd = match Insn.int_rd insn with 0 -> -1 | r -> r in
+      let fp_rd = Insn.fp_rd insn in
+      let queued = where = Uop.In_iq && not faulted in
+      let iq_target =
+        if queued then begin
+          (* least-occupied accepting IQ, snapshot + planned *)
+          let best = ref (-1) in
+          for i = 0 to Array.length t.iqs - 1 do
+            let iq = t.iqs.(i) in
+            if
+              Iq.accepts iq cls
+              && iq_occ.(i) < Iq.capacity iq
+              && (!best < 0 || iq_occ.(i) < iq_occ.(!best))
+            then best := i
+          done;
+          !best
+        end
+        else -1
+      in
+      let iq_ok = (not queued) || iq_target >= 0 in
+      let lsu_ok =
+        ((not is_load) || !lq_free > 0) && ((not is_store) || !sq_free > 0)
+      in
+      let int_free_ok = int_rd < 0 || !int_free > 0 in
+      let fp_free_ok = fp_rd < 0 || !fp_free > 0 in
+      (* attribute a stall to the first scarce resource *)
+      if not iq_ok then d.dp_stall <- Some Iq_full
+      else if not lsu_ok then
+        d.dp_stall <-
+          (if is_load && !lq_free <= 0 then Some Lq_full else Some Sq_full)
+      else if not int_free_ok then d.dp_stall <- Some Freelist_int
+      else if not fp_free_ok then d.dp_stall <- Some Freelist_fp
+      else begin
+        let eliminated = move_eliminable t it ~fused in
+        (* thread the claims the group has now taken *)
+        decr rob_free;
+        if (not faulted) && not eliminated then begin
+          if iq_target >= 0 then iq_occ.(iq_target) <- iq_occ.(iq_target) + 1;
+          if is_load then decr lq_free;
+          if is_store then decr sq_free
+        end;
+        if not eliminated then begin
+          if int_rd >= 0 then decr int_free;
+          if fp_rd >= 0 then decr fp_free
+        end;
+        let u =
+          Uop.make ~seq:!seq ~pc:it.fi_pc ~insn
+            ~second:(if fused then Some second.fi_insn else None)
+            ~fusion
+            ~pred_next:(if fused then second.fi_pred_next else it.fi_pred_next)
+        in
+        u.Uop.exc <- it.fi_fault;
+        let srcs = Fusion.arch_srcs u in
+        u.Uop.psrc <- srcs;
+        u.Uop.psrc_fp <- Fusion.src_kinds insn (Array.length srcs);
+        if int_rd >= 0 then u.Uop.arch_rd <- int_rd
+        else if fp_rd >= 0 then begin
+          u.Uop.arch_rd <- fp_rd;
+          u.Uop.rd_is_fp <- true
+        end;
+        let p = d.dp_plans.(d.dp_n) in
+        p.pl_uop <- u;
+        p.pl_item <- it;
+        p.pl_fused <- fused;
+        p.pl_iq <- iq_target;
+        p.pl_eliminated <- eliminated;
+        d.dp_n <- d.dp_n + 1;
+        incr seq;
+        let width = if fused then 2 else 1 in
+        budget := !budget - width;
+        pos := !pos + width
+      end
+    end
+  done
 
 (* Phase 2: execute the dispatch plan -- rename, allocate, push into
    ROB/IQ/LSU.  A flush earlier in this cycle's application (commit
@@ -730,122 +769,95 @@ let int_only_srcs = Array.init 4 (fun n -> Array.make n false)
    are also revalidated against the live structures: a fault hook
    firing at the effect boundary may have consumed what the plan
    reserved, in which case dispatch degrades to a stall and retries
-   next cycle. *)
+   next cycle.  The plan buffer is reset either way. *)
 let apply_dispatch t (eff : dispatch_eff) =
-  if t.flushed_at = t.now then ()
-  else begin
-    let aborted = ref false in
-    List.iter
-      (fun (p : disp_plan) ->
-        if not !aborted then begin
-          let u = p.pl_uop and it = p.pl_item in
-          let int_srcs = p.pl_int_srcs and fp_srcs = p.pl_fp_srcs in
-          let int_rd = p.pl_int_rd and fp_rd = p.pl_fp_rd in
-          if
-            Rob.is_full t.rob
-            || u.Uop.seq <> t.seq
-            (* the planned head item must still be queued (physical
-               identity): a boundary-hook flush cleared the fetch
-               queue, even if it left seq/ROB looking untouched *)
-            || (match Queue.peek_opt t.fetch_queue with
-               | Some live -> live != it
-               | None -> true)
-            || (int_rd <> None && (not p.pl_eliminated)
-               && not (Rename.can_alloc t.rename ~is_fp:false))
-            || (fp_rd <> None && not (Rename.can_alloc t.rename ~is_fp:true))
-          then aborted := true
-          else begin
-            (* consume the planned queue items *)
-            ignore (Queue.pop t.fetch_queue);
-            if p.pl_second <> None then ignore (Queue.pop t.fetch_queue);
-            (* rename sources *)
-            let psrc =
-              Array.of_list
-                (List.map (fun r -> Rename.lookup t.rename ~is_fp:false r) int_srcs
-                @ List.map (fun r -> Rename.lookup t.rename ~is_fp:true r) fp_srcs)
-            in
-            let psrc_fp =
-              let n = List.length int_srcs in
-              if fp_srcs = [] && n < Array.length int_only_srcs then
-                int_only_srcs.(n)
-              else
-                Array.of_list
-                  (List.map (fun _ -> false) int_srcs
-                  @ List.map (fun _ -> true) fp_srcs)
-            in
-            u.Uop.psrc <- psrc;
-            u.Uop.psrc_fp <- psrc_fp;
-            (match (p.pl_eliminated, it.fi_insn) with
-            | true, Op_imm (ADD, rd, rs, _) ->
-                let prd, old_prd = Rename.alias t.rename ~arch_rd:rd ~arch_rs:rs in
-                u.Uop.arch_rd <- rd;
-                u.Uop.prd <- prd;
-                u.Uop.old_prd <- old_prd;
-                u.Uop.state <- Uop.Completed;
-                u.Uop.done_at <- t.now;
-                u.Uop.eliminated <- true;
-                t.perf.p_moves_eliminated <- t.perf.p_moves_eliminated + 1;
-                t.def_table.(rd) <- u.Uop.seq
-            | _ -> (
-                (match int_rd with
-                | Some rd ->
-                    let prd, old_prd =
-                      Rename.alloc t.rename ~is_fp:false ~arch:rd ~now:t.now
-                    in
-                    u.Uop.arch_rd <- rd;
-                    u.Uop.rd_is_fp <- false;
-                    u.Uop.prd <- prd;
-                    u.Uop.old_prd <- old_prd;
-                    t.def_table.(rd) <- u.Uop.seq
-                | None -> ());
-                (match fp_rd with
-                | Some rd ->
-                    let prd, old_prd =
-                      Rename.alloc t.rename ~is_fp:true ~arch:rd ~now:t.now
-                    in
-                    u.Uop.arch_rd <- rd;
-                    u.Uop.rd_is_fp <- true;
-                    u.Uop.prd <- prd;
-                    u.Uop.old_prd <- old_prd
-                | None -> ())));
-            (* allocate in ROB + queues *)
-            t.seq <- t.seq + 1;
-            Rob.push t.rob u;
-            if p.pl_second <> None then t.perf.p_fused <- t.perf.p_fused + 1;
-            t.perf.p_dispatched <- t.perf.p_dispatched + 1;
-            if it.fi_fault = None && not p.pl_eliminated then begin
-              if p.pl_iq >= 0 then Iq.insert t.iqs.(p.pl_iq) u;
-              if Uop.is_load u then Lsu.insert_load t.lsu u;
-              if Uop.is_store u then Lsu.insert_store t.lsu u
+  if t.flushed_at <> t.now then begin
+    let fq = t.fetch_queue in
+    let aborted = ref false and i = ref 0 in
+    while (not !aborted) && !i < eff.dp_n do
+      let p = eff.dp_plans.(!i) in
+      incr i;
+      let u = p.pl_uop and it = p.pl_item in
+      let rd = u.Uop.arch_rd and rd_fp = u.Uop.rd_is_fp in
+      if
+        Rob.is_full t.rob
+        || u.Uop.seq <> t.seq
+        (* the planned head item must still be queued (physical
+           identity): a boundary-hook flush cleared the fetch queue,
+           even if it left seq/ROB looking untouched *)
+        || fq.fq_len = 0
+        || fq_get fq 0 != it
+        || rd >= 0 && (not rd_fp) && (not p.pl_eliminated)
+           && not (Rename.can_alloc t.rename ~is_fp:false)
+        || (rd >= 0 && rd_fp && not (Rename.can_alloc t.rename ~is_fp:true))
+      then aborted := true
+      else begin
+        (* consume the planned queue items *)
+        fq_pop fq;
+        if p.pl_fused then fq_pop fq;
+        (* rename sources in place: the planner left architectural
+           numbers in psrc *)
+        let psrc = u.Uop.psrc in
+        for j = 0 to Array.length psrc - 1 do
+          psrc.(j) <- Rename.lookup t.rename ~is_fp:u.Uop.psrc_fp.(j) psrc.(j)
+        done;
+        (match (p.pl_eliminated, it.fi_insn) with
+        | true, Op_imm (ADD, rd, rs, _) ->
+            let prd, old_prd = Rename.alias t.rename ~arch_rd:rd ~arch_rs:rs in
+            u.Uop.prd <- prd;
+            u.Uop.old_prd <- old_prd;
+            u.Uop.state <- Uop.Completed;
+            u.Uop.done_at <- t.now;
+            u.Uop.eliminated <- true;
+            t.perf.p_moves_eliminated <- t.perf.p_moves_eliminated + 1;
+            t.def_table.(rd) <- u.Uop.seq
+        | _ ->
+            if rd >= 0 then begin
+              let prd, old_prd =
+                Rename.alloc t.rename ~is_fp:rd_fp ~arch:rd ~now:t.now
+              in
+              u.Uop.prd <- prd;
+              u.Uop.old_prd <- old_prd;
+              if not rd_fp then t.def_table.(rd) <- u.Uop.seq
+            end);
+        (* allocate in ROB + queues *)
+        t.seq <- t.seq + 1;
+        Rob.push t.rob u;
+        if p.pl_fused then t.perf.p_fused <- t.perf.p_fused + 1;
+        t.perf.p_dispatched <- t.perf.p_dispatched + 1;
+        if it.fi_fault = None && not p.pl_eliminated then begin
+          if p.pl_iq >= 0 then Iq.insert t.iqs.(p.pl_iq) u;
+          if Uop.is_load u then Lsu.insert_load t.lsu u;
+          if Uop.is_store u then Lsu.insert_store t.lsu u
+        end
+        else if it.fi_fault <> None then begin
+          (* faulting fetch: deliver the exception at commit *)
+          u.Uop.state <- Uop.Completed;
+          u.Uop.done_at <- t.now
+        end;
+        (* PUBS: mark unconfident branch slices *)
+        (if t.cfg.issue_policy = Config.Pubs then
+           match it.fi_insn with
+           | Branch (_, rs1, rs2, _) when Bpu.unconfident t.bpu ~pc:it.fi_pc ->
+               u.Uop.priority <- true;
+               t.perf.p_hi_prio <- t.perf.p_hi_prio + 1;
+               mark_slice t ~depth:2 rs1;
+               mark_slice t ~depth:2 rs2
+           | _ -> ());
+        match t.tracer with
+        | Some tr ->
+            Perf.Pipetrace.on_dispatch tr ~seq:u.Uop.seq ~pc:u.Uop.pc
+              ~label:(Insn.show it.fi_insn) ~fetched_at:it.fi_fetched_at
+              ~now:t.now;
+            (* eliminated moves and faulting fetches never issue;
+               close their execute window at dispatch *)
+            if p.pl_eliminated || it.fi_fault <> None then begin
+              Perf.Pipetrace.on_issue tr ~seq:u.Uop.seq ~now:t.now;
+              Perf.Pipetrace.on_complete tr ~seq:u.Uop.seq ~at:u.Uop.done_at
             end
-            else if it.fi_fault <> None then begin
-              (* faulting fetch: deliver the exception at commit *)
-              u.Uop.state <- Uop.Completed;
-              u.Uop.done_at <- t.now
-            end;
-            (* PUBS: mark unconfident branch slices *)
-            (if t.cfg.issue_policy = Config.Pubs then
-               match it.fi_insn with
-               | Branch _ when Bpu.unconfident t.bpu ~pc:it.fi_pc ->
-                   u.Uop.priority <- true;
-                   t.perf.p_hi_prio <- t.perf.p_hi_prio + 1;
-                   mark_slice t ~depth:2 int_srcs
-               | _ -> ());
-            match t.tracer with
-            | Some tr ->
-                Perf.Pipetrace.on_dispatch tr ~seq:u.Uop.seq ~pc:u.Uop.pc
-                  ~label:(Insn.show it.fi_insn) ~fetched_at:it.fi_fetched_at
-                  ~now:t.now;
-                (* eliminated moves and faulting fetches never issue;
-                   close their execute window at dispatch *)
-                if p.pl_eliminated || it.fi_fault <> None then begin
-                  Perf.Pipetrace.on_issue tr ~seq:u.Uop.seq ~now:t.now;
-                  Perf.Pipetrace.on_complete tr ~seq:u.Uop.seq ~at:u.Uop.done_at
-                end
-            | None -> ()
-          end
-        end)
-      eff.dp_plans;
+        | None -> ()
+      end
+    done;
     match eff.dp_stall with
     | Some Rob_full -> Perf.Perf_counter.incr t.ctrs t.ids.i_disp_rob_full
     | Some Iq_full -> Perf.Perf_counter.incr t.ctrs t.ids.i_disp_iq_full
@@ -855,14 +867,23 @@ let apply_dispatch t (eff : dispatch_eff) =
         Perf.Perf_counter.incr t.ctrs t.ids.i_disp_freelist_int
     | Some Freelist_fp -> Perf.Perf_counter.incr t.ctrs t.ids.i_disp_freelist_fp
     | None -> ()
-  end
+  end;
+  for i = 0 to eff.dp_n - 1 do
+    let p = eff.dp_plans.(i) in
+    p.pl_uop <- Uop.sentinel;
+    p.pl_item <- no_item
+  done;
+  eff.dp_n <- 0
 
 (* ---------------- issue / execute ------------------------------------ *)
 
 let src_values t (u : Uop.t) : int64 array =
-  Array.mapi
-    (fun i p -> Rename.value t.rename ~is_fp:u.Uop.psrc_fp.(i) ~prd:p)
-    u.Uop.psrc
+  let psrc = u.Uop.psrc in
+  let v = Array.make (Array.length psrc) 0L in
+  for i = 0 to Array.length psrc - 1 do
+    v.(i) <- Rename.value t.rename ~is_fp:u.Uop.psrc_fp.(i) ~prd:psrc.(i)
+  done;
+  v
 
 let complete t (u : Uop.t) ~at =
   u.Uop.state <- Uop.Completed;
@@ -1001,69 +1022,58 @@ let issue_uop t (u : Uop.t) : bool =
       | _ -> ());
       true
 
-(* Readiness against an explicit clock: phase 1 evaluates it at the
-   cycle being planned (now + 1), which is the value [t.now] holds
-   when phase 2 applies the plan. *)
-let uop_ready_at t ~now (u : Uop.t) =
-  Rename.srcs_ready t.rename u ~now
+(* Readiness in the cycle being planned (now + 1, the value [t.now]
+   holds when phase 2 applies the plan): register sources plus LSU
+   ordering for loads.  Top-level, so passing it to [Iq.plan_issue]
+   allocates no closure. *)
+let ready_next_cycle t (u : Uop.t) =
+  Rename.srcs_ready t.rename u ~now:(t.now + 1)
   && (u.Uop.exec_class <> Config.LOAD
      || Lsu.older_stores_known t.lsu ~seq:u.Uop.seq)
 
-(* Phase 1: per-IQ selection under the configured policy, plus the
-   Figure 15 ready-count, from one readiness scan per queue
-   ([Iq.select_counted] is pure); the pre-selected uops are
-   revalidated at application. *)
-let step_issue t : issue_eff =
-  let now = t.now + 1 in
-  let ready = uop_ready_at t ~now in
+(* Phase 1: each IQ fills its own plan buffer under the configured
+   policy from one readiness scan, which also yields the Figure 15
+   ready count; the planned uops are revalidated at application. *)
+let step_issue t =
   let total = ref 0 in
-  let chosen =
-    Array.map
-      (fun iq ->
-        let sel, n = Iq.select_counted iq ~ready in
-        total := !total + n;
-        sel)
-      t.iqs
-  in
-  { ie_ready_total = !total; ie_chosen = chosen }
+  for i = 0 to Array.length t.iqs - 1 do
+    total := !total + Iq.plan_issue t.iqs.(i) ~ready:ready_next_cycle t
+  done;
+  t.plan.ef_issue.ie_ready_total <- !total
 
 let apply_issue t (eff : issue_eff) =
   t.perf.ready_hist.(min eff.ie_ready_total 16) <-
     t.perf.ready_hist.(min eff.ie_ready_total 16) + 1;
   let redirect = ref None in
-  Array.iteri
-    (fun i chosen ->
-      let iq = t.iqs.(i) in
-      List.iter
-        (fun (u : Uop.t) ->
-          (* revalidate the phase-1 selection: a commit-side flush in
-             this cycle squashed it, or a boundary fault hook stole it
-             from the queue (Iq.steal_waiting, observable as the O(1)
-             in_iq flag) -- issuing it anyway would mask the fault *)
-          if
-            (not u.Uop.squashed)
-            && u.Uop.state = Uop.Waiting
-            && u.Uop.in_iq
-          then
-            if issue_uop t u then begin
-              (match t.tracer with
-              | Some tr -> Perf.Pipetrace.on_issue tr ~seq:u.Uop.seq ~now:t.now
-              | None -> ());
-              if u.Uop.state <> Uop.Waiting then Iq.remove iq u;
-              if u.Uop.mispredicted && u.Uop.exc = None then
-                match !redirect with
-                | Some (s, _) when s <= u.Uop.seq -> ()
-                | Some _ | None -> redirect := Some (u.Uop.seq, u.Uop.next_pc)
-            end)
-        chosen)
-    eff.ie_chosen;
+  for i = 0 to Array.length t.iqs - 1 do
+    let iq = t.iqs.(i) in
+    for j = 0 to Iq.planned iq - 1 do
+      let u = Iq.planned_uop iq j in
+      (* revalidate the phase-1 selection: a commit-side flush in this
+         cycle squashed it, or a boundary fault hook stole it from the
+         queue (Iq.steal_waiting, observable as the O(1) in_iq flag) --
+         issuing it anyway would mask the fault *)
+      if (not u.Uop.squashed) && u.Uop.state = Uop.Waiting && u.Uop.in_iq then
+        if issue_uop t u then begin
+          (match t.tracer with
+          | Some tr -> Perf.Pipetrace.on_issue tr ~seq:u.Uop.seq ~now:t.now
+          | None -> ());
+          if u.Uop.state <> Uop.Waiting then Iq.remove iq u;
+          if u.Uop.mispredicted && u.Uop.exc = None then
+            match !redirect with
+            | Some (r : Uop.t) when r.Uop.seq <= u.Uop.seq -> ()
+            | Some _ | None -> redirect := Some u
+        end
+    done;
+    Iq.clear_plan iq
+  done;
   match !redirect with
-  | Some (seq, target) ->
+  | Some u ->
       (* redirect-vs-commit arbitration: the oldest resolved
          mispredict wins among this cycle's issues; commit already
          applied, so an older trap/serialise flush has squashed the
          issuing uop and suppressed the redirect via revalidation *)
-      flush ~cause:`Misp t ~after:seq ~target;
+      flush ~cause:`Misp t ~after:u.Uop.seq ~target:u.Uop.next_pc;
       t.recover_misp <- true;
       (* model the resolve + refill bubble *)
       t.inflight <-
@@ -1335,11 +1345,10 @@ let nop_uop t =
    here keeps the retire walk (inherently sequential, every retired
    uop mutates architectural state) deterministic regardless of when
    other units evaluate. *)
-let step_commit t : commit_eff =
-  {
-    ce_mtip = Platform.Clint.mtip t.plat.Platform.clint t.hartid;
-    ce_msip = Platform.Clint.msip t.plat.Platform.clint t.hartid;
-  }
+let step_commit t =
+  let e = t.plan.ef_commit in
+  e.ce_mtip <- Platform.Clint.mtip t.plat.Platform.clint t.hartid;
+  e.ce_msip <- Platform.Clint.msip t.plat.Platform.clint t.hartid
 
 let apply_commit t (eff : commit_eff) =
   if t.now < t.commit_busy_until then ()
@@ -1452,8 +1461,8 @@ let apply_commit t (eff : commit_eff) =
    becomes drain-eligible the following cycle (the "commit enqueues
    before drain dequeues, drain decides from the snapshot"
    arbitration row). *)
-let step_drain t : drain_eff =
-  { de_fire = Lsu.drain_ready t.lsu ~now:(t.now + 1) }
+let step_drain t =
+  t.plan.ef_drain.de_fire <- Lsu.drain_ready t.lsu ~now:(t.now + 1)
 
 (* ---------------- per-cycle driver ------------------------------------ *)
 
@@ -1508,38 +1517,25 @@ let attribute_topdown t ~committed =
   in
   Perf_counter.incr t.ctrs t.ids.i_td.(Topdown.index bucket)
 
+let planners = [| step_commit; step_issue; step_drain; step_dispatch; step_fetch |]
+
 (* Phase 1: evaluate every unit's planner against the read-only
-   start-of-cycle state.  Under [Default_order] the planners run in
-   the canonical order; under [Shuffle seed] they run in a fresh
-   seeded permutation each cycle.  Because phase 1 is pure, the two
-   must be byte-identical -- the permutation harness exists to catch
-   any unit that sneaks a mutation or a cross-unit read into its
-   planning. *)
+   start-of-cycle state, each into its own buffer of [t.plan].  Under
+   [Default_order] the planners run in the canonical order; under
+   [Shuffle seed] they run in a fresh seeded permutation each cycle.
+   Because phase 1 is pure, the two must be byte-identical -- the
+   permutation harness exists to catch any unit that sneaks a mutation
+   or a cross-unit read into its planning. *)
 let step t : effects =
-  match t.phase_order with
+  (match t.phase_order with
   | Default_order ->
-      {
-        ef_commit = step_commit t;
-        ef_issue = step_issue t;
-        ef_drain = step_drain t;
-        ef_dispatch = step_dispatch t;
-        ef_fetch = step_fetch t;
-      }
+      step_commit t;
+      step_issue t;
+      step_drain t;
+      step_dispatch t;
+      step_fetch t
   | Shuffle seed ->
-      let commit = ref None
-      and issue = ref None
-      and drain = ref None
-      and dispatch = ref None
-      and fetch = ref None in
-      let thunks =
-        [|
-          (fun () -> commit := Some (step_commit t));
-          (fun () -> issue := Some (step_issue t));
-          (fun () -> drain := Some (step_drain t));
-          (fun () -> dispatch := Some (step_dispatch t));
-          (fun () -> fetch := Some (step_fetch t));
-        |]
-      in
+      let order = Array.copy planners in
       (* Fisher-Yates over the five planners, driven by a small LCG
          seeded from (seed, cycle): deterministic per cycle, different
          across cycles, marshal-safe (no global RNG state) *)
@@ -1550,19 +1546,12 @@ let step t : effects =
       in
       for i = 4 downto 1 do
         let j = rand (i + 1) in
-        let tmp = thunks.(i) in
-        thunks.(i) <- thunks.(j);
-        thunks.(j) <- tmp
+        let tmp = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- tmp
       done;
-      Array.iter (fun f -> f ()) thunks;
-      let get = function Some x -> x | None -> assert false in
-      {
-        ef_commit = get !commit;
-        ef_issue = get !issue;
-        ef_drain = get !drain;
-        ef_dispatch = get !dispatch;
-        ef_fetch = get !fetch;
-      }
+      Array.iter (fun plan -> plan t) order);
+  t.plan
 
 (* Phase 2: advance the clock and commit every effect in the one
    canonical order.  This order -- and the revalidation each
@@ -1583,7 +1572,7 @@ let apply t (e : effects) =
   apply_issue t e.ef_issue;
   if e.ef_drain.de_fire then
     Lsu.drain t.lsu ~now:t.now ~on_drain:(drain_notify t);
-  if Queue.is_empty t.fetch_queue then
+  if t.fetch_queue.fq_len = 0 then
     Perf.Perf_counter.incr t.ctrs t.ids.i_fetch_bubble;
   apply_dispatch t e.ef_dispatch;
   apply_fetch t e.ef_fetch;

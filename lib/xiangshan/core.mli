@@ -12,7 +12,8 @@
 
     Cycle semantics are two-phase (DESIGN.md "Two-phase cycle
     semantics"): [step] evaluates every unit against the read-only
-    start-of-cycle state and returns a typed {!effects} record;
+    start-of-cycle state into the core's preallocated {!effects}
+    buffers;
     [apply] commits those effects in one canonical order with explicit
     arbitration for structural hazards.  [cycle] is the composition.
     Phase-1 order independence is enforced by the seeded permutation
@@ -29,6 +30,84 @@ type fetch_item = {
 }
 
 type fetch_bundle = { fb_ready_at : int; fb_items : fetch_item list }
+
+(** The fetch queue: a ring of [fetch_buffer] slots holding [fq_len]
+    items from [fq_head], in fetch order. *)
+type fetch_queue = {
+  fq_items : fetch_item array;
+  mutable fq_head : int;
+  mutable fq_len : int;
+}
+
+(** {1 Phase-1 plan buffers}
+
+    Each unit's planner writes its plan for the cycle, computed from
+    the read-only start-of-cycle state, into its own buffer of the
+    core's preallocated {!effects}; {!apply} commits them in the
+    canonical order and resets the buffers that hold uops, so a
+    snapshot between cycles holds no stale plan.  They are plans, not
+    state deltas: application performs the mutation through the
+    unit's own code path after revalidating any claim a flush or a
+    boundary fault hook may have invalidated.  Issue selections live
+    in each {!Iq}'s own plan buffer. *)
+
+type commit_eff = {
+  mutable ce_mtip : bool;  (** CLINT timer-interrupt line, sampled *)
+  mutable ce_msip : bool;  (** CLINT software-interrupt line, sampled *)
+}
+
+type issue_eff = {
+  mutable ie_ready_total : int;
+      (** Figure 15: ready instructions before selection *)
+}
+
+type drain_eff = {
+  mutable de_fire : bool;  (** store buffer eligible to drain one entry *)
+}
+
+type stall_kind =
+  | Rob_full
+  | Iq_full
+  | Lq_full
+  | Sq_full
+  | Freelist_int
+  | Freelist_fp
+
+type disp_plan = {
+  mutable pl_uop : Uop.t;
+      (** built for an accepted slot, seq pre-assigned from the
+          snapshot; its [psrc] holds architectural register numbers,
+          which phase 2 renames in place *)
+  mutable pl_item : fetch_item;  (** head fetch-queue item consumed *)
+  mutable pl_fused : bool;  (** the next item is consumed too *)
+  mutable pl_iq : int;  (** target IQ index, -1 = none (at-commit / fault) *)
+  mutable pl_eliminated : bool;
+      (** move elimination: alias, no alloc, no issue *)
+}
+
+type dispatch_eff = {
+  dp_plans : disp_plan array;
+      (** [decode_width] slots; [0, dp_n) in program order *)
+  mutable dp_n : int;
+  mutable dp_stall : stall_kind option;  (** first scarce resource, if any *)
+  dp_iq_occ : int array;
+      (** planner scratch: per-IQ occupancy, snapshot plus claims *)
+}
+
+type fetch_eff = {
+  mutable fe_complete : bool;
+      (** the in-flight bundle reaches the fetch queue *)
+  mutable fe_start : bool;
+      (** a new bundle may start (headroom from snapshot) *)
+}
+
+type effects = {
+  ef_commit : commit_eff;
+  ef_issue : issue_eff;
+  ef_drain : drain_eff;
+  ef_dispatch : dispatch_eff;
+  ef_fetch : fetch_eff;
+}
 
 (** Performance counters, including the Figure 15 ready-instruction
     histogram and the PUBS high-priority accounting. *)
@@ -84,7 +163,8 @@ type t = {
   mutable fetch_pc : int64;
   mutable fetch_stalled : bool;
   mutable inflight : fetch_bundle option;
-  fetch_queue : fetch_item Queue.t;
+  fetch_queue : fetch_queue;
+  plan : effects;  (** this core's phase-1 buffers, reused every cycle *)
   mutable commit_busy_until : int;
   mutable recover_until : int;
   mutable recover_misp : bool;
@@ -106,69 +186,6 @@ type t = {
       (** PTW walks observed up to the previous cycle's end; [apply]
           charges the delta to the tlb.walk_during_flush edge probe
           while inside a flush-recovery window *)
-}
-
-(** {1 Phase-1 effect records}
-
-    Each unit's planner returns one of these from the read-only
-    start-of-cycle state; {!apply} commits them in the canonical
-    order.  They are plans, not state deltas: application performs the
-    mutation through the unit's own code path after revalidating any
-    claim a flush or a boundary fault hook may have invalidated. *)
-
-type commit_eff = {
-  ce_mtip : bool;  (** CLINT timer-interrupt line, sampled *)
-  ce_msip : bool;  (** CLINT software-interrupt line, sampled *)
-}
-
-type issue_eff = {
-  ie_ready_total : int;  (** Figure 15: ready instructions before selection *)
-  ie_chosen : Uop.t list array;  (** per-IQ selection (age/PUBS policy) *)
-}
-
-type drain_eff = {
-  de_fire : bool;  (** store buffer eligible to drain one entry *)
-}
-
-type stall_kind =
-  | Rob_full
-  | Iq_full
-  | Lq_full
-  | Sq_full
-  | Freelist_int
-  | Freelist_fp
-
-type disp_plan = {
-  pl_uop : Uop.t;  (** pre-built uop, seq pre-assigned from the snapshot *)
-  pl_item : fetch_item;  (** head fetch-queue item consumed *)
-  pl_second : fetch_item option;  (** second item consumed when fused *)
-  pl_iq : int;  (** target IQ index, -1 = none (at-commit / fault) *)
-  pl_eliminated : bool;  (** move elimination: alias, no alloc, no issue *)
-  pl_int_srcs : int list;
-      (** [Fusion.fused_regs] of [pl_uop], cached at plan time so phase
-          2 never recomputes it; [pl_int_rd] is normalised (x0 writes
-          dropped). *)
-  pl_fp_srcs : int list;
-  pl_int_rd : int option;
-  pl_fp_rd : int option;
-}
-
-type dispatch_eff = {
-  dp_plans : disp_plan list;  (** in program order *)
-  dp_stall : stall_kind option;  (** first scarce resource, if any *)
-}
-
-type fetch_eff = {
-  fe_complete : bool;  (** the in-flight bundle reaches the fetch queue *)
-  fe_start : bool;  (** a new bundle may start (headroom from snapshot) *)
-}
-
-type effects = {
-  ef_commit : commit_eff;
-  ef_issue : issue_eff;
-  ef_drain : drain_eff;
-  ef_dispatch : dispatch_eff;
-  ef_fetch : fetch_eff;
 }
 
 val create :
@@ -203,13 +220,16 @@ val mispredict_penalty : int
 
 val step : t -> effects
 (** Phase 1: evaluate every unit planner against the read-only
-    start-of-cycle state, in the configured {!phase_order}.  Performs
-    no mutation. *)
+    start-of-cycle state, in the configured {!phase_order}, and return
+    the filled buffers ([t.plan]).  Mutates nothing but the plan
+    buffers; under [Default_order] it allocates only the uops it plans
+    to dispatch (with their source arrays). *)
 
 val apply : t -> effects -> unit
 (** Phase 2: advance the clock and commit the effects in the canonical
     order (commit, issue, drain, dispatch, fetch), revalidating
-    snapshot claims against the live structures. *)
+    snapshot claims against the live structures; resets the dispatch
+    and IQ plan buffers. *)
 
 val cycle : t -> unit
 (** One clock: [apply t (step t)].  Fault hooks that must fire at the

@@ -10,6 +10,13 @@ val try_fuse : Riscv.Insn.t -> Riscv.Insn.t -> Uop.fusion option
     when they must not fuse (pattern mismatch or the intermediate
     register escapes). *)
 
-val fused_regs : Uop.t -> int list * int list * int option * int option
-(** Register usage of a (possibly fused) uop:
-    (int sources, fp sources, int dest, fp dest). *)
+val arch_srcs : Uop.t -> int array
+(** A fresh array of the uop's architectural sources in rename order:
+    integer sources first, then FP ones.  A fused pair reads the pair's
+    external sources and writes its first instruction's destination
+    ([Insn.int_rd] of [insn]). *)
+
+val src_kinds : Riscv.Insn.t -> int -> bool array
+(** [src_kinds insn n]: which of the [n] sources [arch_srcs] returns
+    for a uop led by [insn] are FP registers.  Shared and never
+    written: use as [Uop.psrc_fp] only. *)

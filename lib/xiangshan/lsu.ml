@@ -13,11 +13,9 @@ type sb_entry = { sb_paddr : int64; sb_size : int; sb_data : int64 }
 type t = {
   cfg : Config.t;
   dcache : Softmem.Cache.t;
-  mutable lq : Uop.t list; (* age order *)
-  mutable sq : Uop.t list; (* age order *)
-  (* O(1) occupancy mirrors of lq/sq (the lists are walked only for
-     forwarding and ordering checks; admission and the stall reports
-     read these) *)
+  (* LQ and SQ: [0, n) in age order, free slots hold Uop.sentinel *)
+  lq : Uop.t array;
+  sq : Uop.t array;
   mutable lq_n : int;
   mutable sq_n : int;
   sb : sb_entry Queue.t;
@@ -41,8 +39,8 @@ let create (cfg : Config.t) ~dcache =
   {
     cfg;
     dcache;
-    lq = [];
-    sq = [];
+    lq = Array.make cfg.lq_size Uop.sentinel;
+    sq = Array.make cfg.sq_size Uop.sentinel;
     lq_n = 0;
     sq_n = 0;
     sb = Queue.create ();
@@ -66,35 +64,36 @@ let sq_occupancy t = t.sq_n
 
 let sb_occupancy t = Queue.length t.sb
 
-let lq_full t = t.lq_n >= t.cfg.lq_size
-
-let sq_full t = t.sq_n >= t.cfg.sq_size
-
 let sb_full t = Queue.length t.sb >= t.cfg.store_buffer_size
 
-let sb_empty t = Queue.is_empty t.sb
-
 let insert_load t u =
-  t.lq <- t.lq @ [ u ];
+  t.lq.(t.lq_n) <- u;
   t.lq_n <- t.lq_n + 1
 
 let insert_store t u =
-  t.sq <- t.sq @ [ u ];
+  t.sq.(t.sq_n) <- u;
   t.sq_n <- t.sq_n + 1
 
+let live (u : Uop.t) = not u.Uop.squashed
+
 let drop_squashed t =
-  t.lq <- List.filter (fun u -> not u.Uop.squashed) t.lq;
-  t.sq <- List.filter (fun u -> not u.Uop.squashed) t.sq;
-  t.lq_n <- List.length t.lq;
-  t.sq_n <- List.length t.sq
+  t.lq_n <- Uop.compact t.lq t.lq_n ~keep:live;
+  t.sq_n <- Uop.compact t.sq t.sq_n ~keep:live
 
 (* All older stores have known addresses (conservative load
    scheduling: no memory-dependence speculation, hence no ordering
    violations to replay). *)
 let older_stores_known t ~(seq : int) =
-  List.for_all
-    (fun (s : Uop.t) -> s.Uop.seq >= seq || s.Uop.addr_ready)
-    t.sq
+  let i = ref 0 in
+  while
+    !i < t.sq_n
+    &&
+    let s = t.sq.(!i) in
+    s.Uop.seq >= seq || s.Uop.addr_ready
+  do
+    incr i
+  done;
+  !i = t.sq_n
 
 type forward_result = Forward of int64 | Blocked | No_match
 
@@ -130,18 +129,17 @@ let forward t ~(seq : int) ~(paddr : int64) ~(size : int) : forward_result =
       else if ranges_overlap e.sb_paddr e.sb_size paddr size then best := Blocked)
     t.sb;
   (* then SQ entries older than the load, oldest to youngest *)
-  List.iter
-    (fun (s : Uop.t) ->
-      if s.Uop.seq < seq && s.Uop.addr_ready && not s.Uop.mmio then begin
-        if contains s.Uop.paddr s.Uop.msize paddr size then begin
-          best :=
-            Forward
-              (extract ~data:s.Uop.sdata ~from_addr:s.Uop.paddr ~at:paddr ~size)
-        end
-        else if ranges_overlap s.Uop.paddr s.Uop.msize paddr size then
-          best := Blocked
-      end)
-    t.sq;
+  for i = 0 to t.sq_n - 1 do
+    let s = t.sq.(i) in
+    if s.Uop.seq < seq && s.Uop.addr_ready && not s.Uop.mmio then begin
+      if contains s.Uop.paddr s.Uop.msize paddr size then
+        best :=
+          Forward
+            (extract ~data:s.Uop.sdata ~from_addr:s.Uop.paddr ~at:paddr ~size)
+      else if ranges_overlap s.Uop.paddr s.Uop.msize paddr size then
+        best := Blocked
+    end
+  done;
   (match !best with
   | Forward _ -> t.forwards <- t.forwards + 1
   | Blocked -> t.blocked_loads <- t.blocked_loads + 1
@@ -158,12 +156,9 @@ let forward t ~(seq : int) ~(paddr : int64) ~(size : int) : forward_result =
 let commit_store t (u : Uop.t) =
   assert (not (sb_full t));
   Queue.add { sb_paddr = u.Uop.paddr; sb_size = u.Uop.msize; sb_data = u.Uop.sdata } t.sb;
-  t.sq <- List.filter (fun v -> v.Uop.seq <> u.Uop.seq) t.sq;
-  t.sq_n <- List.length t.sq
+  t.sq_n <- Uop.remove_seq t.sq t.sq_n u.Uop.seq
 
-let remove_load t (u : Uop.t) =
-  t.lq <- List.filter (fun v -> v.Uop.seq <> u.Uop.seq) t.lq;
-  t.lq_n <- List.length t.lq
+let remove_load t (u : Uop.t) = t.lq_n <- Uop.remove_seq t.lq t.lq_n u.Uop.seq
 
 (* Write one entry through to the cache and announce it; the fault
    knobs model drains that are lost, unannounced, or misordered. *)

@@ -13,10 +13,12 @@ type sb_entry = { sb_paddr : int64; sb_size : int; sb_data : int64 }
 type t = {
   cfg : Config.t;
   dcache : Softmem.Cache.t;
-  mutable lq : Uop.t list;
-  mutable sq : Uop.t list;
-  mutable lq_n : int;  (** O(1) occupancy mirror of [lq] *)
-  mutable sq_n : int;  (** O(1) occupancy mirror of [sq] *)
+  lq : Uop.t array;
+      (** load queue: [0, lq_n) in age order; free slots hold
+          [Uop.sentinel] *)
+  sq : Uop.t array;  (** store queue, likewise *)
+  mutable lq_n : int;
+  mutable sq_n : int;
   sb : sb_entry Queue.t;
   mutable sb_next_drain : int;
   mutable reservation : (int64 * int) option;
@@ -48,14 +50,15 @@ val sb_occupancy : t -> int
 (** O(1) occupancies; dispatch admission and [Core.stall_site] read
     these, so the two can never disagree. *)
 
-val lq_full : t -> bool
-val sq_full : t -> bool
 val sb_full : t -> bool
-val sb_empty : t -> bool
 
 val insert_load : t -> Uop.t -> unit
 val insert_store : t -> Uop.t -> unit
+(** Append as the youngest entry; O(1).  Dispatch admission keeps the
+    queues within [lq_size]/[sq_size]. *)
+
 val drop_squashed : t -> unit
+(** Compact out squashed uops in place, keeping age order. *)
 
 val older_stores_known : t -> seq:int -> bool
 (** Conservative load scheduling: a load may only issue once every

@@ -8,17 +8,34 @@
 
 type rf = {
   map : int array; (* arch -> phys *)
-  free : int Queue.t;
+  (* the free list, FIFO: a ring of [pregs] slots holding [free_n]
+     registers from [free_head] (one array, not a queue cell per free
+     register, in the heap and in a LightSSS image) *)
+  free : int array;
+  mutable free_head : int;
+  mutable free_n : int;
   value : int64 array;
   ready_at : int array; (* cycle the value becomes available *)
   refcnt : int array;
 }
 
+let push_free rf p =
+  rf.free.((rf.free_head + rf.free_n) mod Array.length rf.free) <- p;
+  rf.free_n <- rf.free_n + 1
+
+let pop_free rf =
+  let p = rf.free.(rf.free_head) in
+  rf.free_head <- (rf.free_head + 1) mod Array.length rf.free;
+  rf.free_n <- rf.free_n - 1;
+  p
+
 let make_rf ~arch_regs ~pregs =
   let rf =
     {
       map = Array.init arch_regs (fun i -> i);
-      free = Queue.create ();
+      free = Array.make pregs 0;
+      free_head = 0;
+      free_n = 0;
       value = Array.make pregs 0L;
       ready_at = Array.make pregs 0;
       refcnt = Array.make pregs 0;
@@ -28,7 +45,7 @@ let make_rf ~arch_regs ~pregs =
     rf.refcnt.(i) <- 1
   done;
   for p = arch_regs to pregs - 1 do
-    Queue.add p rf.free
+    push_free rf p
   done;
   rf
 
@@ -48,15 +65,16 @@ let lookup t ~is_fp arch = (rf t is_fp).map.(arch)
 let free_phys rf p =
   rf.refcnt.(p) <- rf.refcnt.(p) - 1;
   assert (rf.refcnt.(p) >= 0);
-  if rf.refcnt.(p) = 0 then Queue.add p rf.free
+  if rf.refcnt.(p) = 0 then push_free rf p
 
 (* Can we rename a uop that needs an int/fp destination? *)
-let can_alloc t ~is_fp = not (Queue.is_empty (rf t is_fp).free)
+let can_alloc t ~is_fp = (rf t is_fp).free_n > 0
 
 (* Allocate a new destination mapping; returns (prd, old_prd). *)
 let alloc t ~is_fp ~arch ~now =
   let rf = rf t is_fp in
-  let p = Queue.pop rf.free in
+  assert (rf.free_n > 0);
+  let p = pop_free rf in
   let old_p = rf.map.(arch) in
   rf.map.(arch) <- p;
   rf.refcnt.(p) <- 1;
@@ -109,12 +127,14 @@ let value t ~is_fp ~prd = (rf t is_fp).value.(prd)
 
 let ready t ~is_fp ~prd ~now = (rf t is_fp).ready_at.(prd) <= now
 
-(* A uop's sources are all available at [now]? *)
+(* A uop's sources are all available at [now]?  A plain loop: the
+   issue planner asks this of every waiting uop every cycle. *)
 let srcs_ready t (u : Uop.t) ~now =
-  let ok = ref true in
-  Array.iteri
-    (fun i p -> if not (ready t ~is_fp:u.Uop.psrc_fp.(i) ~prd:p ~now) then ok := false)
-    u.Uop.psrc;
-  !ok
+  let psrc = u.Uop.psrc and fp = u.Uop.psrc_fp in
+  let i = ref 0 in
+  while !i < Array.length psrc && ready t ~is_fp:fp.(!i) ~prd:psrc.(!i) ~now do
+    incr i
+  done;
+  !i = Array.length psrc
 
-let free_count t ~is_fp = Queue.length (rf t is_fp).free
+let free_count t ~is_fp = (rf t is_fp).free_n

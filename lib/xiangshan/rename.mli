@@ -9,7 +9,11 @@
 
 type rf = {
   map : int array; (** architectural -> physical *)
-  free : int Queue.t;
+  free : int array;
+      (** the free list, FIFO: a ring of [pregs] slots holding
+          [free_n] registers from [free_head] *)
+  mutable free_head : int;
+  mutable free_n : int;
   value : int64 array;
   ready_at : int array;
   refcnt : int array; (** move elimination shares physical registers *)

@@ -71,8 +71,3 @@ let swap_head_next t ~now : bool =
         t.buf.(slot t (t.head + 1)) <- Some a;
         true
     | _ -> false
-
-let iter t f =
-  for seq = t.head to t.tail - 1 do
-    match t.buf.(slot t seq) with Some u -> f u | None -> ()
-  done

@@ -35,5 +35,3 @@ val swap_head_next : t -> now:int -> bool
 (** Fault injection: exchange the two oldest entries (both completed,
     exception-free, ready to retire) so they commit out of program
     order.  Returns whether the swap applied. *)
-
-val iter : t -> (Uop.t -> unit) -> unit

@@ -20,6 +20,8 @@ type t = {
   mutable now : int;
   mutable event_sink : Softmem.Event.sink;
   mutable fault_hooks : (t -> unit) list;
+  nodes : Softmem.Cache.t array; (* every cache node, collected once *)
+  effects : Core.effects array; (* per-core plan slot of the running tick *)
 }
 
 let line_shift = 6
@@ -66,6 +68,13 @@ let create ?(dram_size = 64 * 1024 * 1024) ?phase_order (cfg : Config.t) : t =
         Softmem.Cache.set_mshrs l1d cfg.mshrs;
         Core.create ?phase_order cfg ~hartid:i ~plat ~l1i ~l1d ~ptw_port:ptw)
   in
+  let nodes = ref [] in
+  (match l3 with
+  | Some l3 -> Softmem.Cache.iter_tree l3 (fun n -> nodes := n :: !nodes)
+  | None ->
+      Array.iter
+        (fun l2 -> Softmem.Cache.iter_tree l2 (fun n -> nodes := n :: !nodes))
+        l2s);
   let t =
     {
       cfg;
@@ -77,6 +86,8 @@ let create ?(dram_size = 64 * 1024 * 1024) ?phase_order (cfg : Config.t) : t =
       now = 0;
       event_sink = Softmem.Event.null_sink;
       fault_hooks = [];
+      nodes = Array.of_list (List.rev !nodes);
+      effects = Array.map (fun (c : Core.t) -> c.Core.plan) cores;
     }
   in
   (* store drains invalidate sibling reservations *)
@@ -94,8 +105,7 @@ let create ?(dram_size = 64 * 1024 * 1024) ?phase_order (cfg : Config.t) : t =
 (* Install an event sink on every cache node. *)
 let set_event_sink (t : t) (sink : Softmem.Event.sink) =
   t.event_sink <- sink;
-  let install node = Softmem.Cache.iter_tree node (fun n -> n.Softmem.Cache.sink <- sink) in
-  (match t.l3 with Some l3 -> install l3 | None -> Array.iter install t.l2s)
+  Array.iter (fun (n : Softmem.Cache.t) -> n.sink <- sink) t.nodes
 
 (* Every copy-on-write table of the SoC in a fixed order: the cache
    tree node by node, then each core's predictor and TLB tables. *)
@@ -112,25 +122,32 @@ let load_program (t : t) (p : Asm.program) =
 
 let add_fault_hook (t : t) f = t.fault_hooks <- t.fault_hooks @ [ f ]
 
+let rec fire_hooks t = function
+  | [] -> ()
+  | f :: rest ->
+      f t;
+      fire_hooks t rest
+
 (* One SoC clock, two-phase: advance the shared clock domain, let
    every core plan its cycle against the frozen snapshot (phase 1),
    fire the fault hooks at the effect boundary, then apply all plans
    in hart order (phase 2).  Hooks mutating pipeline structures
    between the phases are exactly the hazard the appliers revalidate
-   against (e.g. Iq.steal_waiting vs a pre-selected issue). *)
+   against (e.g. Iq.steal_waiting vs a pre-selected issue).  Loops, not
+   iterators: the tick allocates nothing of its own. *)
 let tick (t : t) =
   t.now <- t.now + 1;
   Platform.Clint.tick t.plat.Platform.clint 1;
-  (match t.l3 with
-  | Some l3 -> Softmem.Cache.iter_tree l3 (fun n -> Softmem.Cache.set_now n t.now)
-  | None ->
-      Array.iter
-        (fun l2 ->
-          Softmem.Cache.iter_tree l2 (fun n -> Softmem.Cache.set_now n t.now))
-        t.l2s);
-  let effects = Array.map Core.step t.cores in
-  List.iter (fun f -> f t) t.fault_hooks;
-  Array.iteri (fun i core -> Core.apply core effects.(i)) t.cores
+  for i = 0 to Array.length t.nodes - 1 do
+    Softmem.Cache.set_now t.nodes.(i) t.now
+  done;
+  for i = 0 to Array.length t.cores - 1 do
+    t.effects.(i) <- Core.step t.cores.(i)
+  done;
+  fire_hooks t t.fault_hooks;
+  for i = 0 to Array.length t.cores - 1 do
+    Core.apply t.cores.(i) t.effects.(i)
+  done
 
 let exited (t : t) = Platform.exited t.plat
 

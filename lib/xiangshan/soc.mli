@@ -18,6 +18,12 @@ type t = {
   mutable now : int;
   mutable event_sink : Softmem.Event.sink;
   mutable fault_hooks : (t -> unit) list;
+  nodes : Softmem.Cache.t array;
+      (** every cache node, collected once at [create] (the per-tick
+          clock and [set_event_sink] walk this, not the tree) *)
+  effects : Core.effects array;
+      (** per-core plan slot of the running [tick] (each core's own
+          preallocated buffers) *)
 }
 
 val create :

@@ -57,10 +57,15 @@ type t = {
   mutable committed_store : bool; (* in SQ, waiting for SB drain *)
 }
 
-let is_load u = Insn.is_load u.insn && u.where = In_iq
+(* The LSU queue an instruction takes at dispatch: pipelined loads
+   enter the LQ, stores the SQ (LR/SC/AMO execute at the ROB head). *)
+let uses_lq insn where = Insn.is_load insn && where = In_iq
 
-let is_store u =
-  match u.insn with Store _ | Fsd _ -> true | _ -> false
+let uses_sq (insn : Insn.t) = match insn with Store _ | Fsd _ -> true | _ -> false
+
+let is_load u = uses_lq u.insn u.where
+
+let is_store u = uses_sq u.insn
 
 (* Classify an instruction into an execution class and a pipeline
    placement. *)
@@ -154,3 +159,40 @@ let make ~seq ~pc ~insn ~second ~fusion ~pred_next : t =
     csr_read = None;
     committed_store = false;
   }
+
+(* What a freed queue or plan-buffer slot holds: one shared uop, never
+   written, so an empty slot keeps no retired or squashed uop alive (nor
+   in a LightSSS image).  Occupancy comes from each structure's count,
+   never from comparing against this value: a restored image holds its
+   own copy of it. *)
+let sentinel =
+  make ~seq:(-1) ~pc:0L ~insn:(Insn.Illegal 0l) ~second:None ~fusion:None
+    ~pred_next:0L
+
+(* Age-ordered uop queues (the issue queues, the LQ and the SQ) are
+   arrays whose first [n] slots are live.  These close gaps in place,
+   keeping age order, reset the freed slots to [sentinel] and return
+   the new count. *)
+let compact (q : t array) n ~(keep : t -> bool) =
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    let u = q.(i) in
+    if keep u then begin
+      q.(!kept) <- u;
+      incr kept
+    end
+  done;
+  Array.fill q !kept (n - !kept) sentinel;
+  !kept
+
+let remove_seq (q : t array) n seq =
+  let i = ref 0 in
+  while !i < n && q.(!i).seq <> seq do
+    incr i
+  done;
+  if !i >= n then n
+  else begin
+    Array.blit q (!i + 1) q !i (n - !i - 1);
+    q.(n - 1) <- sentinel;
+    n - 1
+  end

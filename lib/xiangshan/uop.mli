@@ -59,6 +59,13 @@ type t = {
   mutable committed_store : bool;
 }
 
+val uses_lq : Insn.t -> where -> bool
+(** Does a uop of this instruction and placement take an LQ entry?
+    (Pipelined loads; LR/AMO execute at the head.) *)
+
+val uses_sq : Insn.t -> bool
+(** Does it take an SQ entry? *)
+
 val is_load : t -> bool
 (** Pipelined loads only (LR/AMO execute at the head). *)
 
@@ -78,3 +85,23 @@ val make :
   fusion:fusion option ->
   pred_next:int64 ->
   t
+
+val sentinel : t
+(** The shared filler of free queue and plan-buffer slots (seq [-1]);
+    never written.  Structures count their occupancy; nothing compares
+    a slot against [sentinel], since a restored LightSSS image holds
+    its own copy. *)
+
+(** {1 Age-ordered uop queues}
+
+    The issue queues, the LQ and the SQ are arrays whose first [n]
+    slots are live, in age order.  Both functions close gaps in place,
+    reset freed slots to [sentinel] and return the new count. *)
+
+val compact : t array -> int -> keep:(t -> bool) -> int
+(** Keep the live uops satisfying [keep] ([keep] runs once per live
+    slot, oldest first). *)
+
+val remove_seq : t array -> int -> int -> int
+(** [remove_seq q n seq] removes the live entry numbered [seq], if
+    any. *)

@@ -85,19 +85,375 @@ let test_iq_policies () =
     u.Xiangshan.Uop.priority <- prio;
     u
   in
+  let planned iq =
+    let ready = Xiangshan.Iq.plan_issue iq ~ready:(fun () _ -> true) () in
+    Alcotest.(check int) "every waiting uop is ready" 3 ready;
+    List.init (Xiangshan.Iq.planned iq) (fun i ->
+        (Xiangshan.Iq.planned_uop iq i).Xiangshan.Uop.seq)
+  in
   (* AGE: oldest two of the ready set *)
   let iq = Xiangshan.Iq.create iqc ~policy:Xiangshan.Config.Age in
   List.iter (Xiangshan.Iq.insert iq) [ mk 3 false; mk 1 false; mk 2 true ];
-  let sel = Xiangshan.Iq.select iq ~ready:(fun _ -> true) in
-  Alcotest.(check (list int)) "age order" [ 3; 1 ]
-    (List.map (fun u -> u.Xiangshan.Uop.seq) sel);
+  Alcotest.(check (list int)) "age order" [ 3; 1 ] (planned iq);
   (* (slots keep insertion order = age order in the pipeline; here we
      inserted out of order on purpose to check it is insertion order) *)
   let iq2 = Xiangshan.Iq.create iqc ~policy:Xiangshan.Config.Pubs in
   List.iter (Xiangshan.Iq.insert iq2) [ mk 1 false; mk 2 false; mk 3 true ];
-  let sel2 = Xiangshan.Iq.select iq2 ~ready:(fun _ -> true) in
-  Alcotest.(check (list int)) "pubs puts priority first" [ 3; 1 ]
-    (List.map (fun u -> u.Xiangshan.Uop.seq) sel2)
+  Alcotest.(check (list int)) "pubs puts priority first" [ 3; 1 ] (planned iq2);
+  Xiangshan.Iq.clear_plan iq2;
+  Alcotest.(check int) "plan cleared" 0 (Xiangshan.Iq.planned iq2)
+
+(* --- array queues against the list-based queues they replaced -------- *)
+
+(* The issue queue and the LSU's LQ/SQ as they were kept before they
+   became arrays: age-ordered lists, appended with [@] and filtered on
+   removal.  Kept here only as the reference the array queues must
+   match operation for operation. *)
+module List_iq = struct
+  type t = {
+    cfg : Xiangshan.Config.iq_config;
+    policy : Xiangshan.Config.issue_policy;
+    mutable slots : Xiangshan.Uop.t list;
+  }
+
+  let create cfg ~policy = { cfg; policy; slots = [] }
+
+  let insert t (u : Xiangshan.Uop.t) =
+    u.in_iq <- true;
+    t.slots <- t.slots @ [ u ]
+
+  let drop_squashed t =
+    t.slots <-
+      List.filter
+        (fun (u : Xiangshan.Uop.t) ->
+          if u.squashed then u.in_iq <- false;
+          not u.squashed)
+        t.slots
+
+  let rec take n = function
+    | [] -> []
+    | u :: rest -> if n = 0 then [] else u :: take (n - 1) rest
+
+  let select_counted t ~ready =
+    let candidates =
+      List.filter
+        (fun (u : Xiangshan.Uop.t) -> u.state = Xiangshan.Uop.Waiting && ready u)
+        t.slots
+    in
+    let ordered =
+      match t.policy with
+      | Xiangshan.Config.Age -> candidates
+      | Xiangshan.Config.Pubs ->
+          let hi, lo =
+            List.partition (fun (u : Xiangshan.Uop.t) -> u.priority) candidates
+          in
+          hi @ lo
+    in
+    (take t.cfg.iq_issue ordered, List.length candidates)
+
+  let remove t (u : Xiangshan.Uop.t) =
+    u.in_iq <- false;
+    t.slots <- List.filter (fun (v : Xiangshan.Uop.t) -> v.seq <> u.seq) t.slots
+
+  let steal_waiting t =
+    match
+      List.find_opt
+        (fun (u : Xiangshan.Uop.t) -> u.state = Xiangshan.Uop.Waiting)
+        t.slots
+    with
+    | Some u ->
+        remove t u;
+        Some u
+    | None -> None
+end
+
+module List_lsq = struct
+  type t = {
+    mutable lq : Xiangshan.Uop.t list;
+    mutable sq : Xiangshan.Uop.t list;
+    sb : Xiangshan.Lsu.sb_entry Queue.t;
+    mutable forwards : int;
+    mutable blocked_loads : int;
+    mutable forward_misses : int;
+  }
+
+  let create () =
+    {
+      lq = [];
+      sq = [];
+      sb = Queue.create ();
+      forwards = 0;
+      blocked_loads = 0;
+      forward_misses = 0;
+    }
+
+  let insert_load t u = t.lq <- t.lq @ [ u ]
+  let insert_store t u = t.sq <- t.sq @ [ u ]
+
+  let drop_squashed t =
+    let live (u : Xiangshan.Uop.t) = not u.squashed in
+    t.lq <- List.filter live t.lq;
+    t.sq <- List.filter live t.sq
+
+  let older_stores_known t ~seq =
+    List.for_all
+      (fun (s : Xiangshan.Uop.t) -> s.seq >= seq || s.addr_ready)
+      t.sq
+
+  let ranges_overlap a1 s1 a2 s2 =
+    let e1 = Int64.add a1 (Int64.of_int s1)
+    and e2 = Int64.add a2 (Int64.of_int s2) in
+    not (e1 <= a2 || e2 <= a1)
+
+  let contains a1 s1 a2 s2 =
+    a2 >= a1 && Int64.add a2 (Int64.of_int s2) <= Int64.add a1 (Int64.of_int s1)
+
+  let extract ~data ~from_addr ~at ~size =
+    let v =
+      Int64.shift_right_logical data (8 * Int64.to_int (Int64.sub at from_addr))
+    in
+    if size >= 8 then v
+    else Int64.logand v (Int64.sub (Int64.shift_left 1L (8 * size)) 1L)
+
+  let forward t ~seq ~paddr ~size =
+    let best = ref Xiangshan.Lsu.No_match in
+    Queue.iter
+      (fun (e : Xiangshan.Lsu.sb_entry) ->
+        if contains e.sb_paddr e.sb_size paddr size then
+          best :=
+            Forward (extract ~data:e.sb_data ~from_addr:e.sb_paddr ~at:paddr ~size)
+        else if ranges_overlap e.sb_paddr e.sb_size paddr size then
+          best := Blocked)
+      t.sb;
+    List.iter
+      (fun (s : Xiangshan.Uop.t) ->
+        if s.seq < seq && s.addr_ready && not s.mmio then
+          if contains s.paddr s.msize paddr size then
+            best :=
+              Forward (extract ~data:s.sdata ~from_addr:s.paddr ~at:paddr ~size)
+          else if ranges_overlap s.paddr s.msize paddr size then
+            best := Blocked)
+      t.sq;
+    (match !best with
+    | Forward _ -> t.forwards <- t.forwards + 1
+    | Blocked -> t.blocked_loads <- t.blocked_loads + 1
+    | No_match -> t.forward_misses <- t.forward_misses + 1);
+    !best
+
+  let commit_store t (u : Xiangshan.Uop.t) =
+    Queue.add { Xiangshan.Lsu.sb_paddr = u.paddr; sb_size = u.msize; sb_data = u.sdata } t.sb;
+    t.sq <- List.filter (fun (v : Xiangshan.Uop.t) -> v.seq <> u.seq) t.sq
+
+  let remove_load t (u : Xiangshan.Uop.t) =
+    t.lq <- List.filter (fun (v : Xiangshan.Uop.t) -> v.seq <> u.seq) t.lq
+end
+
+(* [pick] indexes the live (unsquashed) uops, oldest first, modulo
+   their number; [kind] 0 = IQ only, 1 = load (IQ + LQ), 2 = store
+   (IQ + SQ). *)
+type queue_op =
+  | Dispatch of { kind : int; prio : bool }
+  | Set of {
+      pick : int;
+      state : int;
+      prio : bool;
+      ready : bool;
+      addr_ready : bool;
+      off : int;
+      size : int;
+    }
+  | Squash of { keep : int }
+  | Remove of { pick : int }
+  | Steal
+  | Retire of { pick : int }
+  | Select
+  | Forward of { pick : int; off : int; size : int }
+
+let show_queue_op = function
+  | Dispatch { kind; prio } -> Printf.sprintf "dispatch(%d%s)" kind (if prio then "!" else "")
+  | Set { pick; state; prio; ready; addr_ready; off; size } ->
+      Printf.sprintf "set(#%d s%d%s%s%s @%d/%d)" pick state
+        (if prio then " prio" else "")
+        (if ready then " ready" else "")
+        (if addr_ready then " addr" else "")
+        off size
+  | Squash { keep } -> Printf.sprintf "squash(keep %d)" keep
+  | Remove { pick } -> Printf.sprintf "remove(#%d)" pick
+  | Steal -> "steal"
+  | Retire { pick } -> Printf.sprintf "retire(#%d)" pick
+  | Select -> "select"
+  | Forward { pick; off; size } -> Printf.sprintf "forward(#%d @%d/%d)" pick off size
+
+type queue_case = {
+  qc_policy : Xiangshan.Config.issue_policy;
+  qc_issue : int;
+  qc_ops : queue_op list;
+}
+
+let show_queue_case c =
+  Printf.sprintf "%s issue=%d: %s"
+    (match c.qc_policy with Xiangshan.Config.Age -> "AGE" | Pubs -> "PUBS")
+    c.qc_issue
+    (String.concat " " (List.map show_queue_op c.qc_ops))
+
+let gen_queue_case =
+  let open QCheck2.Gen in
+  let pick = int_range 0 63 and off = int_range 0 23 in
+  let size = oneofl [ 1; 2; 4; 8 ] in
+  let op =
+    frequency
+      [
+        (8, map2 (fun kind prio -> Dispatch { kind; prio }) (int_range 0 2) bool);
+        ( 6,
+          map
+            (fun (pick, state, prio, ready, addr_ready, off, size) ->
+              Set { pick; state; prio; ready; addr_ready; off; size })
+            (tup7 pick (int_range 0 2) bool bool bool off size) );
+        (1, map (fun keep -> Squash { keep }) (int_range 0 12));
+        (2, map (fun pick -> Remove { pick }) pick);
+        (1, pure Steal);
+        (2, map (fun pick -> Retire { pick }) pick);
+        (4, pure Select);
+        (3, map3 (fun pick off size -> Forward { pick; off; size }) pick off size);
+      ]
+  in
+  map3
+    (fun qc_policy qc_issue qc_ops -> { qc_policy; qc_issue; qc_ops })
+    (oneofl [ Xiangshan.Config.Age; Xiangshan.Config.Pubs ])
+    (int_range 1 2)
+    (list_size (int_range 1 300) op)
+
+(* Replay one op stream against the array queues and the list
+   reference, sharing the uops; every answer and occupancy must agree
+   after every op. *)
+let queues_agree c =
+  let iqc =
+    {
+      Xiangshan.Config.iq_name = "q";
+      iq_size = 8;
+      iq_issue = c.qc_issue;
+      iq_classes = [ Xiangshan.Config.ALU ];
+    }
+  in
+  let cfg =
+    { Xiangshan.Config.yqh with lq_size = 6; sq_size = 6; store_buffer_size = 1_000 }
+  in
+  let backing = Memory.create ~base:Platform.dram_base ~size:(1 lsl 16) () in
+  let dcache =
+    Softmem.Cache.create ~name:"l1d" ~size_bytes:4096 ~ways:4 ~line_shift:6
+      ~hit_latency:2 ~backing ()
+  in
+  let iq = Xiangshan.Iq.create iqc ~policy:c.qc_policy
+  and ref_iq = List_iq.create iqc ~policy:c.qc_policy
+  and lsu = Xiangshan.Lsu.create cfg ~dcache
+  and ref_lsq = List_lsq.create () in
+  let ready = Hashtbl.create 64 in
+  let is_ready (u : Xiangshan.Uop.t) = Hashtbl.mem ready u.seq in
+  let next_seq = ref 0 and live = ref [||] in
+  let pick i = !live.(i mod Array.length !live) in
+  let seqs = List.map (fun (u : Xiangshan.Uop.t) -> u.seq) in
+  let prefix q n = seqs (Array.to_list (Array.sub q 0 n)) in
+  let agree () =
+    prefix iq.slots (Xiangshan.Iq.occupancy iq) = seqs ref_iq.slots
+    && prefix lsu.lq (Xiangshan.Lsu.lq_occupancy lsu) = seqs ref_lsq.lq
+    && prefix lsu.sq (Xiangshan.Lsu.sq_occupancy lsu) = seqs ref_lsq.sq
+    && List.for_all
+         (fun seq ->
+           Xiangshan.Lsu.older_stores_known lsu ~seq
+           = List_lsq.older_stores_known ref_lsq ~seq)
+         (List.init (!next_seq + 2) Fun.id)
+  in
+  let step = function
+    | Dispatch { kind; prio } ->
+        let u =
+          Uop_helpers.make ~seq:!next_seq ~pc:0L ~insn:(Insn.Op_imm (ADD, 1, 1, 1L))
+        in
+        incr next_seq;
+        u.priority <- prio;
+        u.msize <- 8;
+        live := Array.append !live [| u |];
+        if not (Xiangshan.Iq.is_full iq) then begin
+          Xiangshan.Iq.insert iq u;
+          List_iq.insert ref_iq u
+        end;
+        if kind = 1 && Xiangshan.Lsu.lq_occupancy lsu < cfg.lq_size then begin
+          Xiangshan.Lsu.insert_load lsu u;
+          List_lsq.insert_load ref_lsq u
+        end;
+        if kind = 2 && Xiangshan.Lsu.sq_occupancy lsu < cfg.sq_size then begin
+          Xiangshan.Lsu.insert_store lsu u;
+          List_lsq.insert_store ref_lsq u
+        end;
+        true
+    | Set { pick = i; state; prio; ready = r; addr_ready; off; size } ->
+        if !live <> [||] then begin
+          let u = pick i in
+          u.state <- [| Xiangshan.Uop.Waiting; Issued; Completed |].(state);
+          u.priority <- prio;
+          if r then Hashtbl.replace ready u.seq () else Hashtbl.remove ready u.seq;
+          u.addr_ready <- addr_ready;
+          u.paddr <- Int64.of_int (0x8000_0000 + off);
+          u.msize <- size;
+          u.sdata <- Int64.mul 0x0102030405060708L (Int64.of_int (u.seq + 1))
+        end;
+        true
+    | Squash { keep } ->
+        let n = min keep (Array.length !live) in
+        Array.iteri
+          (fun i (u : Xiangshan.Uop.t) -> if i >= n then u.squashed <- true)
+          !live;
+        live := Array.sub !live 0 n;
+        Xiangshan.Iq.drop_squashed iq;
+        List_iq.drop_squashed ref_iq;
+        Xiangshan.Lsu.drop_squashed lsu;
+        List_lsq.drop_squashed ref_lsq;
+        true
+    | Remove { pick = i } ->
+        if !live <> [||] then begin
+          let u = pick i in
+          Xiangshan.Iq.remove iq u;
+          List_iq.remove ref_iq u
+        end;
+        true
+    | Steal ->
+        let seq = Option.map (fun (u : Xiangshan.Uop.t) -> u.seq) in
+        seq (Xiangshan.Iq.steal_waiting iq) = seq (List_iq.steal_waiting ref_iq)
+    | Retire { pick = i } ->
+        if !live <> [||] then begin
+          let u = pick i in
+          Xiangshan.Lsu.remove_load lsu u;
+          List_lsq.remove_load ref_lsq u;
+          if List.memq u ref_lsq.sq then begin
+            Xiangshan.Lsu.commit_store lsu u;
+            List_lsq.commit_store ref_lsq u
+          end
+        end;
+        true
+    | Select ->
+        let n = Xiangshan.Iq.plan_issue iq ~ready:(fun () u -> is_ready u) () in
+        let planned =
+          List.init (Xiangshan.Iq.planned iq) (fun i ->
+              (Xiangshan.Iq.planned_uop iq i).seq)
+        in
+        Xiangshan.Iq.clear_plan iq;
+        let chosen, total = List_iq.select_counted ref_iq ~ready:is_ready in
+        planned = seqs chosen && n = total
+    | Forward { pick = i; off; size } ->
+        let seq = if !live = [||] then !next_seq else (pick i).seq in
+        let paddr = Int64.of_int (0x8000_0000 + off) in
+        Xiangshan.Lsu.forward lsu ~seq ~paddr ~size
+        = List_lsq.forward ref_lsq ~seq ~paddr ~size
+        && lsu.forwards = ref_lsq.forwards
+        && lsu.blocked_loads = ref_lsq.blocked_loads
+        && lsu.forward_misses = ref_lsq.forward_misses
+  in
+  List.for_all (fun op -> step op && agree ()) c.qc_ops
+
+let test_queues_match_lists =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"array IQ/LQ/SQ answer like the list queues"
+       ~print:show_queue_case gen_queue_case queues_agree)
 
 let test_fusion_patterns () =
   let f = Xiangshan.Fusion.try_fuse in
@@ -206,6 +562,7 @@ let tests =
       test_move_elimination_refcount;
     Alcotest.test_case "issue-queue AGE and PUBS policies" `Quick
       test_iq_policies;
+    test_queues_match_lists;
     Alcotest.test_case "macro-op fusion patterns" `Quick test_fusion_patterns;
     Alcotest.test_case "assembler error reporting" `Quick test_asm_errors;
     Alcotest.test_case "assembler la/data" `Quick test_asm_la;

@@ -448,6 +448,39 @@ let test_difftest_alloc_budget () =
         true (w <= budget))
     difftest_alloc_budgets
 
+(* --- allocation budget: the raw DUT's minor words per cycle ---------- *)
+
+(* Minor words of a raw [Soc.run] (no DiffTest, no REF) per simulated
+   cycle; the count repeats exactly.  Budgets are set just above the
+   measured values (91.9 and 160.8; with list-based issue, load and
+   store queues and per-cycle plan records they were 381.08 and
+   771.40).  A change that lowers a count must lower its budget in the
+   same change, so the saving cannot quietly erode. *)
+let dut_alloc_budgets =
+  [
+    ( "YQH coremark_like",
+      Xiangshan.Config.yqh,
+      (fun () -> (Workloads.Suite.find "coremark_like").program ~scale:1),
+      93. );
+    ( "dual-core NH smp_spinlock",
+      Xiangshan.Config.nh,
+      (fun () -> Workloads.Smp.spinlock ~scale:1),
+      162. );
+  ]
+
+let test_dut_alloc_budget () =
+  List.iter
+    (fun (name, cfg, prog, budget) ->
+      let soc = Xiangshan.Soc.create cfg in
+      Xiangshan.Soc.load_program soc (prog ());
+      let w0 = Gc.minor_words () in
+      let cycles = Xiangshan.Soc.run soc in
+      let w = (Gc.minor_words () -. w0) /. float_of_int cycles in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f words/cycle <= budget %.1f" name w budget)
+        true (w <= budget))
+    dut_alloc_budgets
+
 let tests =
   List.map n_to_1_case configs_to_verify
   @ [
@@ -474,4 +507,6 @@ let tests =
         test_global_memory_hot_word_bounded;
       Alcotest.test_case "DiffTest allocation budget" `Quick
         test_difftest_alloc_budget;
+      Alcotest.test_case "raw DUT allocation budget" `Quick
+        test_dut_alloc_budget;
     ]

@@ -45,6 +45,20 @@ let cases =
       22858,
       255,
       "46e7ca994e78590253f0fca51680e7ec" );
+    (* PUBS selection order (high-priority slices first, age within a
+       class); no other golden case or perfbench workload runs it *)
+    ( "coremark_like on YQH with PUBS",
+      { Xiangshan.Config.yqh with issue_policy = Xiangshan.Config.Pubs },
+      (fun () -> (Workloads.Suite.find "coremark_like").program ~scale:1),
+      24695,
+      199,
+      "5c8be7cbd8a1d048402682ec00551e72" );
+    ( "sjeng_like on YQH with PUBS",
+      { Xiangshan.Config.yqh with issue_policy = Xiangshan.Config.Pubs },
+      (fun () -> (Workloads.Suite.find "sjeng_like").program ~scale:1),
+      28096,
+      179,
+      "3a1f15d9645eba09107f4962ea6b3332" );
   ]
 
 let tests =

@@ -162,15 +162,19 @@ let reencode =
       | insn -> Insn.equal (Decode.decode (Encode.encode insn)) insn)
 
 let test_regs_classify () =
-  let srcs, fsrcs, rd, frd = Insn.regs (Insn.Op (ADD, 3, 1, 2)) in
-  Alcotest.(check (list int)) "srcs" [ 1; 2 ] srcs;
-  Alcotest.(check (list int)) "fsrcs" [] fsrcs;
-  Alcotest.(check (option int)) "rd" (Some 3) rd;
-  Alcotest.(check (option int)) "frd" None frd;
-  let _, fsrcs, rd, frd = Insn.regs (Insn.Fp_fused (FMADD, 1, 2, 3, 4)) in
-  Alcotest.(check (list int)) "fma fsrcs" [ 2; 3; 4 ] fsrcs;
-  Alcotest.(check (option int)) "fma rd" None rd;
-  Alcotest.(check (option int)) "fma frd" (Some 1) frd;
+  let op = Insn.Op (ADD, 3, 1, 2) in
+  Alcotest.(check (array int)) "srcs" [| 1; 2 |] (Insn.srcs op);
+  Alcotest.(check int) "rd" 3 (Insn.int_rd op);
+  Alcotest.(check int) "frd" (-1) (Insn.fp_rd op);
+  let fma = Insn.Fp_fused (FMADD, 1, 2, 3, 4) in
+  Alcotest.(check (array int)) "fma fsrcs" [| 2; 3; 4 |] (Insn.srcs fma);
+  Alcotest.(check int) "fma rd" (-1) (Insn.int_rd fma);
+  Alcotest.(check int) "fma frd" 1 (Insn.fp_rd fma);
+  (* integer sources lead: fsd reads its base, then its FP data *)
+  Alcotest.(check (array int)) "fsd srcs" [| 1; 7 |]
+    (Insn.srcs (Insn.Fsd (7, 1, 0L)));
+  Alcotest.(check int) "x0 write is still reported" 0
+    (Insn.int_rd (Insn.Op_imm (ADD, 0, 0, 0L)));
   Alcotest.(check bool) "branch is cf" true (Insn.is_control_flow (Insn.Branch (BEQ, 0, 0, 0L)));
   Alcotest.(check bool) "amo is store" true (Insn.is_store (Insn.Amo (AMOADD, Width_d, 1, 2, 3)));
   Alcotest.(check bool) "fld is fp" true (Insn.is_fp (Insn.Fld (0, 1, 0L)))

@@ -115,7 +115,9 @@ let counter soc name =
    dispatch plan never oversubscribed a structure: phase-1 claims come
    from the start-of-cycle snapshot and resources are only freed
    during apply, so occupancy can never exceed capacity.  Also checks
-   the O(1) LSU occupancy mirrors against the lists they shadow. *)
+   that the IQ, LQ and SQ arrays stay age-ordered with every free slot
+   reset to the sentinel (seq -1), and that apply reset the IQ and
+   dispatch plan buffers. *)
 let run_with_occupancy_invariant cfg prog ~order =
   let soc = Soc.create cfg in
   Soc.load_program soc prog;
@@ -139,10 +141,30 @@ let run_with_occupancy_invariant cfg prog ~order =
     le "sq" cfg.Xiangshan.Config.sq_size (Xiangshan.Lsu.sq_occupancy lsu);
     le "sb" cfg.Xiangshan.Config.store_buffer_size
       (Xiangshan.Lsu.sb_occupancy lsu);
-    if Xiangshan.Lsu.lq_occupancy lsu <> List.length lsu.Xiangshan.Lsu.lq then
-      Alcotest.failf "cycle %d: lq_n out of sync" core.Core.now;
-    if Xiangshan.Lsu.sq_occupancy lsu <> List.length lsu.Xiangshan.Lsu.sq then
-      Alcotest.failf "cycle %d: sq_n out of sync" core.Core.now;
+    let check_queue what (q : Xiangshan.Uop.t array) n =
+      for i = 0 to Array.length q - 1 do
+        let seq = q.(i).Xiangshan.Uop.seq in
+        if i < n && (seq < 0 || (i > 0 && seq <= q.(i - 1).Xiangshan.Uop.seq))
+        then Alcotest.failf "cycle %d: %s slot %d out of age order" core.Core.now what i;
+        if i >= n && seq <> -1 then
+          Alcotest.failf "cycle %d: %s free slot %d holds a uop" core.Core.now what i
+      done
+    in
+    check_queue "lq" lsu.Xiangshan.Lsu.lq (Xiangshan.Lsu.lq_occupancy lsu);
+    check_queue "sq" lsu.Xiangshan.Lsu.sq (Xiangshan.Lsu.sq_occupancy lsu);
+    Array.iter
+      (fun iq ->
+        check_queue "iq" iq.Xiangshan.Iq.slots (Xiangshan.Iq.occupancy iq);
+        if Xiangshan.Iq.planned iq <> 0 then
+          Alcotest.failf "cycle %d: IQ plan not reset" core.Core.now)
+      core.Core.iqs;
+    let dp = core.Core.plan.Core.ef_dispatch in
+    if
+      dp.Core.dp_n <> 0
+      || Array.exists
+           (fun p -> p.Core.pl_uop.Xiangshan.Uop.seq <> -1)
+           dp.Core.dp_plans
+    then Alcotest.failf "cycle %d: dispatch plan not reset" core.Core.now;
     (* rename discipline: the next seq is always the ROB tail *)
     if core.Core.seq <> core.Core.rob.Xiangshan.Rob.tail then
       Alcotest.failf "cycle %d: seq %d <> rob tail %d" core.Core.now
