@@ -401,10 +401,10 @@ let tick t =
   if running t then begin
     Xiangshan.Soc.tick t.soc;
     (* keep REF wall-clock in sync (part of the time diff-rule) *)
-    let mtime = t.soc.Xiangshan.Soc.plat.Platform.clint.Platform.Clint.mtime in
+    let clint = t.soc.Xiangshan.Soc.plat.Platform.clint in
     let refs = t.ctx.Rule.refs in
     for i = 0 to Array.length refs - 1 do
-      refs.(i).Ref_model.set_time mtime
+      Platform.Clint.copy_mtime ~src:clint ~dst:refs.(i).Ref_model.clint
     done;
     for hart = 0 to Array.length t.queues - 1 do
       let q = t.queues.(hart) in

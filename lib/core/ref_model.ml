@@ -58,7 +58,7 @@ type t = {
   get_reg : int -> int64;
   set_counters : cycle:int64 -> instret:int64 -> unit;
   set_mcycle : int64 -> unit;
-  set_time : int64 -> unit;
+  clint : Riscv.Platform.Clint.t;
   set_mip_bit : int -> bool -> unit;
   (* observation *)
   diff_against : Riscv.Arch_state.t -> string option;
@@ -92,7 +92,7 @@ let of_iss (r : Iss.Interp.t) : t =
       (fun ~cycle ~instret -> Iss.Interp.set_counters r ~cycle ~instret);
     set_mcycle =
       (fun v -> r.Iss.Interp.st.Riscv.Arch_state.csr.Riscv.Csr.reg_mcycle <- v);
-    set_time = Iss.Interp.set_time r;
+    clint = r.Iss.Interp.plat.Riscv.Platform.clint;
     set_mip_bit = Iss.Interp.set_mip_bit r;
     diff_against = (fun dut -> Riscv.Arch_state.diff dut r.Iss.Interp.st);
     memories = (fun () -> [ r.Iss.Interp.plat.Riscv.Platform.mem ]);
@@ -117,7 +117,7 @@ let of_nemu (r : Nemu.Ref_core.t) : t =
     set_counters =
       (fun ~cycle ~instret -> Nemu.Ref_core.set_counters r ~cycle ~instret);
     set_mcycle = Nemu.Ref_core.set_mcycle r;
-    set_time = Nemu.Ref_core.set_time r;
+    clint = r.Nemu.Ref_core.m.Nemu.Mach.plat.Riscv.Platform.clint;
     set_mip_bit = Nemu.Ref_core.set_mip_bit r;
     diff_against = Nemu.Ref_core.diff_against r;
     memories = (fun () -> Nemu.Ref_core.memories r);

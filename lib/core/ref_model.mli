@@ -52,7 +52,9 @@ type t = {
   get_reg : int -> int64;
   set_counters : cycle:int64 -> instret:int64 -> unit;
   set_mcycle : int64 -> unit;
-  set_time : int64 -> unit;
+  clint : Riscv.Platform.Clint.t;
+      (** the REF platform's CLINT: DiffTest copies the DUT's mtime
+          into it every cycle, and the CSR-read rule patches it *)
   set_mip_bit : int -> bool -> unit;
   diff_against : Riscv.Arch_state.t -> string option;
       (** first difference against the DUT's architectural state, in

@@ -91,7 +91,8 @@ let csr_read_rule () =
             (* keep the REF counters loosely in sync going forward *)
             if addr = Csr.cycle || addr = Csr.mcycle then
               r.Ref_model.set_mcycle dut_v;
-            if addr = Csr.time then r.Ref_model.set_time dut_v;
+            if addr = Csr.time then
+              Platform.Clint.set_mtime r.Ref_model.clint dut_v;
             Rule.Patched
           end
           else Rule.Pass

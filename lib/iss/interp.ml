@@ -53,7 +53,7 @@ let create ?(autonomous = true) ?(dram_size = 64 * 1024 * 1024) ~hartid () =
   let plat = Platform.create ~dram_size () in
   let st = Arch_state.create ~hartid () in
   st.Arch_state.csr.Csr.time_source <-
-    (fun () -> plat.Platform.clint.Platform.Clint.mtime);
+    (fun () -> Platform.Clint.mtime plat.Platform.clint);
   { st; plat; forced = None; force_sc_fail = false; autonomous; instret = 0L }
 
 (* Create a REF sharing an existing platform (for multi-hart REFs the
@@ -62,7 +62,7 @@ let create ?(autonomous = true) ?(dram_size = 64 * 1024 * 1024) ~hartid () =
 let create_with_platform ?(autonomous = true) ~plat ~hartid () =
   let st = Arch_state.create ~hartid () in
   st.Arch_state.csr.Csr.time_source <-
-    (fun () -> plat.Platform.clint.Platform.Clint.mtime);
+    (fun () -> Platform.Clint.mtime plat.Platform.clint);
   { st; plat; forced = None; force_sc_fail = false; autonomous; instret = 0L }
 
 let load_program t (p : Asm.program) =
@@ -83,8 +83,6 @@ let patch_mem t ~paddr ~size ~value =
 let set_counters t ~cycle ~instret =
   t.st.Arch_state.csr.Csr.reg_mcycle <- cycle;
   t.st.Arch_state.csr.Csr.reg_minstret <- instret
-
-let set_time t mtime = t.plat.Platform.clint.Platform.Clint.mtime <- mtime
 
 let set_mip_bit t n b = Csr.set_mip_bit t.st.Arch_state.csr n b
 

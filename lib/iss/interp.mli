@@ -9,8 +9,9 @@
       (the asynchronous-interrupt rule -- a non-autonomous REF never
       takes interrupts on its own);
     - {!force_sc_failure}: make the next SC fail (LR/SC timeout rule);
-    - {!patch_reg} / {!patch_mem} / {!set_counters} / {!set_time}:
-      post-step fixups for the Global-Memory and CSR-read rules. *)
+    - {!patch_reg} / {!patch_mem} / {!set_counters} and the platform
+      CLINT's mtime: post-step fixups for the Global-Memory and
+      CSR-read rules. *)
 
 open Riscv
 
@@ -69,8 +70,6 @@ val patch_reg : t -> int -> int64 -> unit
 val patch_mem : t -> paddr:int64 -> size:int -> value:int64 -> unit
 
 val set_counters : t -> cycle:int64 -> instret:int64 -> unit
-
-val set_time : t -> int64 -> unit
 
 val set_mip_bit : t -> int -> bool -> unit
 

@@ -122,7 +122,7 @@ let warm_reset (w : warm) =
   plat.Riscv.Platform.exit_code <- None;
   Buffer.clear plat.Riscv.Platform.console;
   let clint = plat.Riscv.Platform.clint in
-  clint.Riscv.Platform.Clint.mtime <- 0L;
+  Riscv.Platform.Clint.set_mtime clint 0L;
   let cmp = clint.Riscv.Platform.Clint.mtimecmp in
   Array.fill cmp 0 (Array.length cmp) Int64.max_int;
   let msip = clint.Riscv.Platform.Clint.msip in

@@ -64,7 +64,7 @@ let create ?(dram_size = 64 * 1024 * 1024) ?(hartid = 0) () =
   let plat = Platform.create ~dram_size () in
   let csr = Csr.create ~hartid in
   csr.Csr.time_source <-
-    (fun () -> plat.Platform.clint.Platform.Clint.mtime);
+    (fun () -> Platform.Clint.mtime plat.Platform.clint);
   let regs = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 33 in
   let fregs = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 32 in
   Bigarray.Array1.fill regs 0L;

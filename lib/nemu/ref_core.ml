@@ -127,9 +127,6 @@ let set_counters t ~cycle ~instret =
 
 let set_mcycle t v = t.m.Mach.csr.Csr.reg_mcycle <- v
 
-let set_time t mtime =
-  t.m.Mach.plat.Platform.clint.Platform.Clint.mtime <- mtime
-
 let set_mip_bit t n b = Csr.set_mip_bit t.m.Mach.csr n b
 
 let memories t = [ t.m.Mach.plat.Platform.mem ]

@@ -90,8 +90,6 @@ val set_counters : t -> cycle:int64 -> instret:int64 -> unit
 
 val set_mcycle : t -> int64 -> unit
 
-val set_time : t -> int64 -> unit
-
 val set_mip_bit : t -> int -> bool -> unit
 
 val memories : t -> Memory.t list

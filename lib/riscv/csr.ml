@@ -322,8 +322,11 @@ let write t addr v =
   else if addr = minstret then t.reg_minstret <- v
   else raise (Illegal_csr addr)
 
-(* Set/clear interrupt-pending bits driven by devices (CLINT). *)
-let set_mip_bit t n b = t.reg_mip <- set_bit t.reg_mip n b
+(* Set/clear interrupt-pending bits driven by devices (CLINT).  The
+   lines are sampled every cycle but rarely change: only a write that
+   flips the bit builds a new value. *)
+let set_mip_bit t n b =
+  if get_bit t.reg_mip n <> b then t.reg_mip <- set_bit t.reg_mip n b
 
 (* Architectural-state digest used by DiffTest for CSR comparison. *)
 let compare_digest t =

@@ -32,27 +32,39 @@ let clint_mtime_offset = 0xBFF8L
 let max_harts = 8
 
 module Clint = struct
+  (* mtime lives in 8 bytes rather than a mutable int64 field: the
+     field would box a fresh value on every tick, the bytes take an
+     unboxed store *)
   type t = {
-    mutable mtime : int64;
+    mtime_le : Bytes.t;
     mtimecmp : int64 array;
     msip : bool array;
   }
 
   let create () =
     {
-      mtime = 0L;
+      mtime_le = Bytes.make 8 '\000';
       mtimecmp = Array.make max_harts Int64.max_int;
       msip = Array.make max_harts false;
     }
 
-  let tick t n = t.mtime <- Int64.add t.mtime (Int64.of_int n)
+  let mtime t = Bytes.get_int64_le t.mtime_le 0
 
-  let mtip t hart = t.mtime >= t.mtimecmp.(hart)
+  let set_mtime t v = Bytes.set_int64_le t.mtime_le 0 v
+
+  let copy_mtime ~src ~dst =
+    Bytes.set_int64_le dst.mtime_le 0 (Bytes.get_int64_le src.mtime_le 0)
+
+  let tick t n =
+    Bytes.set_int64_le t.mtime_le 0
+      (Int64.add (Bytes.get_int64_le t.mtime_le 0) (Int64.of_int n))
+
+  let mtip t hart = Bytes.get_int64_le t.mtime_le 0 >= t.mtimecmp.(hart)
 
   let msip t hart = t.msip.(hart)
 
   let read t off =
-    if off = clint_mtime_offset then t.mtime
+    if off = clint_mtime_offset then mtime t
     else if off >= clint_mtimecmp_offset && off < Int64.add clint_mtimecmp_offset 64L
     then t.mtimecmp.(Int64.to_int (Int64.sub off clint_mtimecmp_offset) / 8)
     else if off >= clint_msip_offset && off < 32L then
@@ -60,7 +72,7 @@ module Clint = struct
     else 0L
 
   let write t off v =
-    if off = clint_mtime_offset then t.mtime <- v
+    if off = clint_mtime_offset then set_mtime t v
     else if off >= clint_mtimecmp_offset
             && off < Int64.add clint_mtimecmp_offset 64L then
       t.mtimecmp.(Int64.to_int (Int64.sub off clint_mtimecmp_offset) / 8) <- v

@@ -31,14 +31,24 @@ val max_harts : int
 
 module Clint : sig
   type t = {
-    mutable mtime : int64;
+    mtime_le : Bytes.t;
+        (** mtime, 8 bytes little-endian: the DUT advances it every
+            cycle, and an unboxed store allocates nothing *)
     mtimecmp : int64 array;
     msip : bool array;
   }
 
   val create : unit -> t
 
+  val mtime : t -> int64
+
+  val set_mtime : t -> int64 -> unit
+
+  val copy_mtime : src:t -> dst:t -> unit
+  (** [set_mtime dst (mtime src)] without boxing the value. *)
+
   val tick : t -> int -> unit
+  (** Advance mtime by [n]; allocates nothing. *)
 
   val mtip : t -> int -> bool
   (** Timer interrupt pending for a hart. *)

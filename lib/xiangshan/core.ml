@@ -31,7 +31,7 @@ open Riscv
 
 type fetch_item = {
   fi_pc : int64;
-  fi_insn : Insn.t;
+  fi_si : Predecode.t; (* the instruction's static record *)
   fi_pred_next : int64;
   fi_fault : (Trap.exc * int64) option;
   mutable fi_fetched_at : int; (* cycle the item entered the fetch queue *)
@@ -43,7 +43,7 @@ type fetch_bundle = { fb_ready_at : int; fb_items : fetch_item list }
 let no_item =
   {
     fi_pc = 0L;
-    fi_insn = Insn.Illegal 0l;
+    fi_si = Predecode.none;
     fi_pred_next = 0L;
     fi_fault = None;
     fi_fetched_at = 0;
@@ -238,6 +238,8 @@ type t = {
   rename : Rename.t;
   rob : Rob.t;
   iqs : Iq.t array;
+  iq_route : int array array;
+      (* exec class (class_index) -> indices of the IQs accepting it *)
   lsu : Lsu.t;
   probes : Probe.sinks;
   perf : perf;
@@ -335,13 +337,37 @@ let make_ids () =
       i_tlb_walk_flush;
     } )
 
+(* Dispatch routes by exec class through a table built once per core:
+   for each class, the accepting IQs in configuration order. *)
+let class_index : Config.exec_class -> int = function
+  | ALU -> 0
+  | MUL -> 1
+  | DIV -> 2
+  | JUMP_CSR -> 3
+  | LOAD -> 4
+  | STORE -> 5
+  | FMAC -> 6
+  | FMISC -> 7
+
+let iq_route (cfg : Config.t) =
+  let iqs = Array.of_list cfg.iqs in
+  Array.map
+    (fun cls ->
+      let accepting = ref [] in
+      for i = Array.length iqs - 1 downto 0 do
+        if List.mem cls iqs.(i).Config.iq_classes then
+          accepting := i :: !accepting
+      done;
+      Array.of_list !accepting)
+    [| Config.ALU; MUL; DIV; JUMP_CSR; LOAD; STORE; FMAC; FMISC |]
+
 let create ?(phase_order = Default_order) (cfg : Config.t) ~hartid
     ~(plat : Platform.t)
     ~(l1i : Softmem.Cache.t) ~(l1d : Softmem.Cache.t)
     ~(ptw_port : Softmem.Cache.t) : t =
   let arch = Arch_state.create ~hartid () in
   arch.Arch_state.csr.Csr.time_source <-
-    (fun () -> plat.Platform.clint.Platform.Clint.mtime);
+    (fun () -> Platform.Clint.mtime plat.Platform.clint);
   let ctrs, ids = make_ids () in
   {
     cfg;
@@ -355,6 +381,7 @@ let create ?(phase_order = Default_order) (cfg : Config.t) ~hartid
     rename = Rename.create cfg;
     rob = Rob.create ~size:cfg.rob_size;
     iqs = Array.of_list (List.map (fun iqc -> Iq.create iqc ~policy:cfg.issue_policy) cfg.iqs);
+    iq_route = iq_route cfg;
     lsu = Lsu.create cfg ~dcache:l1d;
     probes = Probe.null_sinks ();
     perf = make_perf ();
@@ -488,7 +515,7 @@ let fetch_start_bundle t =
               [
                 {
                   fi_pc = pc0;
-                  fi_insn = Insn.Illegal 0l;
+                  fi_si = Predecode.none;
                   fi_pred_next = Int64.add pc0 4L;
                   fi_fault = Some (exc, tval);
                   fi_fetched_at = t.now;
@@ -506,7 +533,7 @@ let fetch_start_bundle t =
                 [
                   {
                     fi_pc = pc0;
-                    fi_insn = Insn.Illegal 0l;
+                    fi_si = Predecode.none;
                     fi_pred_next = Int64.add pc0 4L;
                     fi_fault = Some (Trap.Fetch_access, pc0);
                     fi_fetched_at = t.now;
@@ -537,15 +564,15 @@ let fetch_start_bundle t =
           else begin
             let pa = Int64.add pa0 (Int64.of_int (4 * !i)) in
             let word = Memory.read_u32 t.plat.Platform.mem pa in
-            let insn = Riscv.Decode.decode_int word in
-            let pred = Bpu.predict t.bpu ~pc ~insn in
+            let si = Predecode.lookup word in
+            let pred = Bpu.predict t.bpu ~pc ~insn:si.Predecode.insn in
             let pred_next =
               if pred.Bpu.taken then pred.Bpu.target else Int64.add pc 4L
             in
             items :=
               {
                 fi_pc = pc;
-                fi_insn = insn;
+                fi_si = si;
                 fi_pred_next = pred_next;
                 fi_fault = None;
                 fi_fetched_at = t.now;
@@ -624,18 +651,17 @@ let rec mark_slice t ~depth r =
       | Some p when p.Uop.state <> Uop.Completed && not p.Uop.priority ->
           p.Uop.priority <- true;
           t.perf.p_hi_prio <- t.perf.p_hi_prio + 1;
-          let srcs = Fusion.arch_srcs p in
-          Array.iteri
-            (fun i r ->
-              if not p.Uop.psrc_fp.(i) then mark_slice t ~depth:(depth - 1) r)
-            srcs
+          for i = 0 to p.Uop.n_src - 1 do
+            if not p.Uop.src_fp.(i) then
+              mark_slice t ~depth:(depth - 1) (Uop.arch_src p i)
+          done
       | Some _ | None -> ()
 
 (* Is this instruction a move-eliminable register copy? *)
 let move_eliminable t (it : fetch_item) ~fused =
   t.cfg.move_elim && (not fused) && it.fi_fault = None
   &&
-  match it.fi_insn with
+  match it.fi_si.Predecode.insn with
   | Op_imm (ADD, rd, rs, 0L) when rd <> 0 && rs <> 0 -> true
   | _ -> false
 
@@ -645,8 +671,8 @@ let move_eliminable t (it : fetch_item) ~fused =
    can never over-subscribe the start-of-cycle occupancies; slots freed
    by commit or issue in the same cycle become usable next cycle.  The
    fetch queue is walked by position (it is unmodified during phase 1),
-   and each slot is classified from its instruction first: a uop is
-   built only for a slot the group accepts. *)
+   and each slot is classified from its instruction's static record
+   first: a uop is built only for a slot the group accepts. *)
 let step_dispatch t =
   let d = t.plan.ef_dispatch in
   d.dp_n <- 0;
@@ -668,7 +694,7 @@ let step_dispatch t =
     let it = fq_get fq !pos in
     if !rob_free <= 0 then d.dp_stall <- Some Rob_full
     else begin
-      let insn = it.fi_insn in
+      let si = it.fi_si in
       (* fusion candidate: the next queued instruction, only if it is
          the sequential successor *)
       let fusion =
@@ -677,28 +703,28 @@ let step_dispatch t =
           && !pos + 1 < fq.fq_len
           && it.fi_pred_next = Int64.add it.fi_pc 4L
           && (fq_get fq (!pos + 1)).fi_pc = Int64.add it.fi_pc 4L
-        then Fusion.try_fuse insn (fq_get fq (!pos + 1)).fi_insn
+        then
+          Fusion.try_fuse si.Predecode.insn
+            (fq_get fq (!pos + 1)).fi_si.Predecode.insn
         else None
       in
       let fused = Option.is_some fusion in
       let second = if fused then fq_get fq (!pos + 1) else no_item in
       let faulted = Option.is_some it.fi_fault in
-      let cls, where = Uop.classify insn in
-      let is_load = Uop.uses_lq insn where and is_store = Uop.uses_sq insn in
-      (* a fused pair writes its first instruction's destination; an
-         x0 write needs no register *)
-      let int_rd = match Insn.int_rd insn with 0 -> -1 | r -> r in
-      let fp_rd = Insn.fp_rd insn in
-      let queued = where = Uop.In_iq && not faulted in
+      let is_load = si.uses_lq and is_store = si.uses_sq in
+      (* a fused pair writes its first instruction's destination *)
+      let int_dest = si.rd >= 0 && not si.rd_is_fp in
+      let fp_dest = si.rd >= 0 && si.rd_is_fp in
+      let queued = si.where = Predecode.In_iq && not faulted in
       let iq_target =
         if queued then begin
           (* least-occupied accepting IQ, snapshot + planned *)
+          let route = t.iq_route.(class_index si.exec_class) in
           let best = ref (-1) in
-          for i = 0 to Array.length t.iqs - 1 do
-            let iq = t.iqs.(i) in
+          for k = 0 to Array.length route - 1 do
+            let i = route.(k) in
             if
-              Iq.accepts iq cls
-              && iq_occ.(i) < Iq.capacity iq
+              iq_occ.(i) < Iq.capacity t.iqs.(i)
               && (!best < 0 || iq_occ.(i) < iq_occ.(!best))
             then best := i
           done;
@@ -710,8 +736,8 @@ let step_dispatch t =
       let lsu_ok =
         ((not is_load) || !lq_free > 0) && ((not is_store) || !sq_free > 0)
       in
-      let int_free_ok = int_rd < 0 || !int_free > 0 in
-      let fp_free_ok = fp_rd < 0 || !fp_free > 0 in
+      let int_free_ok = (not int_dest) || !int_free > 0 in
+      let fp_free_ok = (not fp_dest) || !fp_free > 0 in
       (* attribute a stall to the first scarce resource *)
       if not iq_ok then d.dp_stall <- Some Iq_full
       else if not lsu_ok then
@@ -729,24 +755,16 @@ let step_dispatch t =
           if is_store then decr sq_free
         end;
         if not eliminated then begin
-          if int_rd >= 0 then decr int_free;
-          if fp_rd >= 0 then decr fp_free
+          if int_dest then decr int_free;
+          if fp_dest then decr fp_free
         end;
         let u =
-          Uop.make ~seq:!seq ~pc:it.fi_pc ~insn
-            ~second:(if fused then Some second.fi_insn else None)
+          Uop.make ~seq:!seq ~pc:it.fi_pc ~si
+            ~second:(if fused then Some second.fi_si.Predecode.insn else None)
             ~fusion
             ~pred_next:(if fused then second.fi_pred_next else it.fi_pred_next)
         in
         u.Uop.exc <- it.fi_fault;
-        let srcs = Fusion.arch_srcs u in
-        u.Uop.psrc <- srcs;
-        u.Uop.psrc_fp <- Fusion.src_kinds insn (Array.length srcs);
-        if int_rd >= 0 then u.Uop.arch_rd <- int_rd
-        else if fp_rd >= 0 then begin
-          u.Uop.arch_rd <- fp_rd;
-          u.Uop.rd_is_fp <- true
-        end;
         let p = d.dp_plans.(d.dp_n) in
         p.pl_uop <- u;
         p.pl_item <- it;
@@ -778,7 +796,7 @@ let apply_dispatch t (eff : dispatch_eff) =
       let p = eff.dp_plans.(!i) in
       incr i;
       let u = p.pl_uop and it = p.pl_item in
-      let rd = u.Uop.arch_rd and rd_fp = u.Uop.rd_is_fp in
+      let rd = u.Uop.si.Predecode.rd and rd_fp = u.Uop.si.Predecode.rd_is_fp in
       if
         Rob.is_full t.rob
         || u.Uop.seq <> t.seq
@@ -796,12 +814,12 @@ let apply_dispatch t (eff : dispatch_eff) =
         fq_pop fq;
         if p.pl_fused then fq_pop fq;
         (* rename sources in place: the planner left architectural
-           numbers in psrc *)
-        let psrc = u.Uop.psrc in
-        for j = 0 to Array.length psrc - 1 do
-          psrc.(j) <- Rename.lookup t.rename ~is_fp:u.Uop.psrc_fp.(j) psrc.(j)
+           numbers in the source fields *)
+        for j = 0 to u.Uop.n_src - 1 do
+          Uop.set_psrc u j
+            (Rename.lookup t.rename ~is_fp:u.Uop.src_fp.(j) (Uop.psrc u j))
         done;
-        (match (p.pl_eliminated, it.fi_insn) with
+        (match (p.pl_eliminated, it.fi_si.Predecode.insn) with
         | true, Op_imm (ADD, rd, rs, _) ->
             let prd, old_prd = Rename.alias t.rename ~arch_rd:rd ~arch_rs:rs in
             u.Uop.prd <- prd;
@@ -837,7 +855,7 @@ let apply_dispatch t (eff : dispatch_eff) =
         end;
         (* PUBS: mark unconfident branch slices *)
         (if t.cfg.issue_policy = Config.Pubs then
-           match it.fi_insn with
+           match it.fi_si.Predecode.insn with
            | Branch (_, rs1, rs2, _) when Bpu.unconfident t.bpu ~pc:it.fi_pc ->
                u.Uop.priority <- true;
                t.perf.p_hi_prio <- t.perf.p_hi_prio + 1;
@@ -847,7 +865,8 @@ let apply_dispatch t (eff : dispatch_eff) =
         match t.tracer with
         | Some tr ->
             Perf.Pipetrace.on_dispatch tr ~seq:u.Uop.seq ~pc:u.Uop.pc
-              ~label:(Insn.show it.fi_insn) ~fetched_at:it.fi_fetched_at
+              ~label:(Insn.show it.fi_si.Predecode.insn)
+              ~fetched_at:it.fi_fetched_at
               ~now:t.now;
             (* eliminated moves and faulting fetches never issue;
                close their execute window at dispatch *)
@@ -877,14 +896,6 @@ let apply_dispatch t (eff : dispatch_eff) =
 
 (* ---------------- issue / execute ------------------------------------ *)
 
-let src_values t (u : Uop.t) : int64 array =
-  let psrc = u.Uop.psrc in
-  let v = Array.make (Array.length psrc) 0L in
-  for i = 0 to Array.length psrc - 1 do
-    v.(i) <- Rename.value t.rename ~is_fp:u.Uop.psrc_fp.(i) ~prd:psrc.(i)
-  done;
-  v
-
 let complete t (u : Uop.t) ~at =
   u.Uop.state <- Uop.Completed;
   u.Uop.done_at <- at;
@@ -892,21 +903,21 @@ let complete t (u : Uop.t) ~at =
   | Some tr -> Perf.Pipetrace.on_complete tr ~seq:u.Uop.seq ~at
   | None -> ());
   if u.Uop.prd >= 0 then
-    Rename.set_result t.rename ~is_fp:u.Uop.rd_is_fp ~prd:u.Uop.prd
+    Rename.set_result t.rename ~is_fp:u.Uop.si.Predecode.rd_is_fp ~prd:u.Uop.prd
       ~value:u.Uop.result ~ready_at:at
 
 (* Returns true if the uop issued. *)
 let issue_uop t (u : Uop.t) : bool =
-  let srcs = src_values t u in
-  match u.Uop.exec_class with
+  match u.Uop.si.Predecode.exec_class with
   | Config.LOAD -> (
       let vaddr =
-        match u.Uop.insn with
-        | Load (_, _, _, imm) | Fld (_, _, imm) -> Int64.add srcs.(0) imm
-        | _ -> srcs.(0)
+        match Uop.insn u with
+        | Load (_, _, _, imm) | Fld (_, _, imm) ->
+            Int64.add (Rename.src_value t.rename u 0) imm
+        | _ -> Rename.src_value t.rename u 0
       in
       let size =
-        match u.Uop.insn with
+        match Uop.insn u with
         | Load (op, _, _, _) -> Iss.Alu.load_width op
         | Fld _ -> 8
         | _ -> 8
@@ -939,7 +950,7 @@ let issue_uop t (u : Uop.t) : bool =
               | Lsu.Blocked -> false (* retry next cycle *)
               | Lsu.Forward raw ->
                   let v =
-                    match u.Uop.insn with
+                    match Uop.insn u with
                     | Load (op, _, _, _) -> Iss.Alu.extend_load op raw
                     | _ -> raw
                   in
@@ -952,7 +963,7 @@ let issue_uop t (u : Uop.t) : bool =
               | Lsu.No_match ->
                   let raw, lat = Softmem.Cache.read t.l1d ~addr:pa ~size in
                   let v =
-                    match u.Uop.insn with
+                    match Uop.insn u with
                     | Load (op, _, _, _) -> Iss.Alu.extend_load op raw
                     | _ -> raw
                   in
@@ -965,12 +976,13 @@ let issue_uop t (u : Uop.t) : bool =
             end
       end)
   | Config.STORE -> (
-      let vaddr, data, size =
-        match u.Uop.insn with
-        | Store (op, _, _, imm) ->
-            (Int64.add srcs.(0) imm, srcs.(1), Iss.Alu.store_width op)
-        | Fsd (_, _, imm) -> (Int64.add srcs.(0) imm, srcs.(1), 8)
-        | _ -> (srcs.(0), srcs.(1), 8)
+      let base = Rename.src_value t.rename u 0
+      and data = Rename.src_value t.rename u 1 in
+      let vaddr, size =
+        match Uop.insn u with
+        | Store (op, _, _, imm) -> (Int64.add base imm, Iss.Alu.store_width op)
+        | Fsd (_, _, imm) -> (Int64.add base imm, 8)
+        | _ -> (base, 8)
       in
       u.Uop.vaddr <- vaddr;
       u.Uop.msize <- size;
@@ -1001,23 +1013,22 @@ let issue_uop t (u : Uop.t) : bool =
       end)
   | Config.ALU | Config.MUL | Config.DIV | Config.JUMP_CSR | Config.FMAC
   | Config.FMISC ->
-      Exec.execute u srcs;
+      Exec.execute u t.rename;
       (* fault injection: swallow the resolved redirect and follow the
          (possibly corrupted) prediction instead *)
-      (match u.Uop.insn with
+      (match Uop.insn u with
       | (Branch _ | Jal _ | Jalr _)
         when t.bug_trust_bpu > 0 && u.Uop.mispredicted && u.Uop.exc = None ->
           u.Uop.next_pc <- u.Uop.pred_next;
           u.Uop.mispredicted <- false;
           t.bug_trust_bpu <- t.bug_trust_bpu - 1
       | _ -> ());
-      let lat = Uop.latency u.Uop.exec_class u.Uop.insn in
-      complete t u ~at:(t.now + lat);
+      complete t u ~at:(t.now + u.Uop.si.Predecode.latency);
       (* resolve control flow *)
-      (match u.Uop.insn with
+      (match Uop.insn u with
       | Branch _ | Jal _ | Jalr _ ->
           let taken = u.Uop.next_pc <> Int64.add u.Uop.pc (Int64.of_int (4 * u.Uop.n_insns)) in
-          Bpu.update t.bpu ~pc:u.Uop.pc ~insn:u.Uop.insn ~taken
+          Bpu.update t.bpu ~pc:u.Uop.pc ~insn:(Uop.insn u) ~taken
             ~target:u.Uop.next_pc ~mispredicted:u.Uop.mispredicted
       | _ -> ());
       true
@@ -1028,7 +1039,7 @@ let issue_uop t (u : Uop.t) : bool =
    allocates no closure. *)
 let ready_next_cycle t (u : Uop.t) =
   Rename.srcs_ready t.rename u ~now:(t.now + 1)
-  && (u.Uop.exec_class <> Config.LOAD
+  && (u.Uop.si.Predecode.exec_class <> Config.LOAD
      || Lsu.older_stores_known t.lsu ~seq:u.Uop.seq)
 
 (* Phase 1: each IQ fills its own plan buffer under the configured
@@ -1113,8 +1124,13 @@ let execute_at_head t (u : Uop.t) : unit =
     let lat = Lsu.drain_all t.lsu ~now:t.now ~on_drain:(drain_notify t) in
     t.commit_busy_until <- max t.commit_busy_until (t.now + lat)
   in
-  match u.Uop.insn with
+  match Uop.insn u with
   | Csr (op, rd, rs1, addr) -> (
+      (* mcycle counts core cycles.  Only a CSR instruction can read
+         it, and it executes here, so it is brought up to date here
+         rather than boxed afresh every cycle (a write to it is
+         serialising, so no read shares its cycle) *)
+      csr.Csr.reg_mcycle <- Int64.of_int t.now;
       try
         let old_v =
           match op with
@@ -1286,17 +1302,17 @@ let execute_at_head t (u : Uop.t) : unit =
 exception Stop_commit
 
 let emit_probe t (u : Uop.t) ~trap ~interrupt =
-  (match u.Uop.insn with
+  (match Uop.insn u with
   | Insn.Sc _ when trap = None && interrupt = None ->
       Perf.Perf_counter.incr t.ctrs
         (if u.Uop.sc_failed then t.ids.i_sc_fail else t.ids.i_sc_success)
   | _ -> ());
   let load =
     if
-      (Uop.is_load u || Insn.is_amo u.Uop.insn)
+      (Uop.is_load u || Insn.is_amo (Uop.insn u))
       && trap = None && u.Uop.exc = None
       &&
-      match u.Uop.insn with Sc _ -> false | _ -> true
+      match Uop.insn u with Sc _ -> false | _ -> true
     then
       Some
         {
@@ -1323,7 +1339,7 @@ let emit_probe t (u : Uop.t) ~trap ~interrupt =
       Probe.p_hartid = t.hartid;
       p_cycle = t.now;
       p_pc = u.Uop.pc;
-      p_insn = u.Uop.insn;
+      p_insn = Uop.insn u;
       p_second = u.Uop.second;
       p_next_pc = u.Uop.next_pc;
       p_trap = trap;
@@ -1336,9 +1352,11 @@ let emit_probe t (u : Uop.t) ~trap ~interrupt =
       p_instret = t.arch.Arch_state.csr.Csr.reg_minstret;
     }
 
+let nop = Predecode.of_insn (Insn.Op_imm (ADD, 0, 0, 0L))
+
 let nop_uop t =
-  Uop.make ~seq:(-1) ~pc:t.arch.Arch_state.pc ~insn:(Insn.Op_imm (ADD, 0, 0, 0L))
-    ~second:None ~fusion:None ~pred_next:t.arch.Arch_state.pc
+  Uop.make ~seq:(-1) ~pc:t.arch.Arch_state.pc ~si:nop ~second:None ~fusion:None
+    ~pred_next:t.arch.Arch_state.pc
 
 (* Phase 1: sample the interrupt lines the commit stage will observe.
    The CLINT is SoC-shared mutable state; snapshotting the two wires
@@ -1371,85 +1389,85 @@ let apply_commit t (eff : commit_eff) =
         try
           let budget = ref t.cfg.decode_width in
           while !budget > 0 do
-            match Rob.peek_head t.rob with
-            | None -> raise Stop_commit
-            | Some u ->
-                if u.Uop.state = Uop.Completed && u.Uop.done_at <= t.now then begin
-                  match u.Uop.exc with
-                  | Some (exc, tval) ->
-                      t.perf.p_traps <- t.perf.p_traps + 1;
-                      emit_probe t u ~trap:(Some (exc, tval)) ~interrupt:None;
-                      let target =
-                        Trap.take_exception csr exc tval ~epc:u.Uop.pc
+            if Rob.is_empty t.rob then raise Stop_commit;
+            let u = Rob.peek_head t.rob in
+            if u.Uop.state = Uop.Completed && u.Uop.done_at <= t.now then begin
+              match u.Uop.exc with
+              | Some (exc, tval) ->
+                  t.perf.p_traps <- t.perf.p_traps + 1;
+                  emit_probe t u ~trap:(Some (exc, tval)) ~interrupt:None;
+                  let target =
+                    Trap.take_exception csr exc tval ~epc:u.Uop.pc
+                  in
+                  t.arch.Arch_state.pc <- target;
+                  flush ~cause:`Trap t ~after:(u.Uop.seq - 1) ~target;
+                  raise Stop_commit
+              | None ->
+                  (* stores need a store-buffer slot (or are MMIO) *)
+                  if Uop.is_store u then begin
+                    if u.Uop.mmio then begin
+                      let lat =
+                        Lsu.drain_all t.lsu ~now:t.now
+                          ~on_drain:(drain_notify t)
                       in
-                      t.arch.Arch_state.pc <- target;
-                      flush ~cause:`Trap t ~after:(u.Uop.seq - 1) ~target;
+                      (try
+                         Platform.write t.plat ~addr:u.Uop.paddr
+                           ~size:u.Uop.msize u.Uop.sdata
+                       with Platform.Bus_fault _ -> ());
+                      t.commit_busy_until <- t.now + lat + 20
+                    end
+                    else begin
+                      if Lsu.sb_full t.lsu then begin
+                        Perf.Perf_counter.incr t.ctrs
+                          t.ids.i_commit_sb_full;
+                        raise Stop_commit
+                      end;
+                      Lsu.commit_store t.lsu u
+                    end
+                  end;
+                  if Uop.is_load u then Lsu.remove_load t.lsu u;
+                  if u.Uop.eliminated then
+                    u.Uop.result <-
+                      Rename.value t.rename ~is_fp:false ~prd:u.Uop.prd;
+                  (* architectural update *)
+                  let si = u.Uop.si in
+                  if si.Predecode.rd >= 0 then begin
+                    if si.Predecode.rd_is_fp then
+                      Arch_state.set_freg t.arch si.Predecode.rd u.Uop.result
+                    else Arch_state.set_reg t.arch si.Predecode.rd u.Uop.result
+                  end;
+                  t.arch.Arch_state.pc <- u.Uop.next_pc;
+                  csr.Csr.reg_minstret <-
+                    Int64.add csr.Csr.reg_minstret (Int64.of_int u.Uop.n_insns);
+                  t.perf.p_instrs <- t.perf.p_instrs + u.Uop.n_insns;
+                  t.perf.p_uops <- t.perf.p_uops + 1;
+                  emit_probe t u ~trap:None ~interrupt:None;
+                  (match t.tracer with
+                  | Some tr ->
+                      Perf.Pipetrace.on_commit tr ~seq:u.Uop.seq ~now:t.now
+                  | None -> ());
+                  Rename.commit_release t.rename ~is_fp:si.Predecode.rd_is_fp
+                    ~old_prd:u.Uop.old_prd;
+                  Rob.pop_head t.rob;
+                  budget := !budget - u.Uop.n_insns;
+                  (* serialising instructions flush the pipeline *)
+                  (match Uop.insn u with
+                  | Csr _ | Mret | Sret | Fence_i | Sfence_vma _ | Wfi ->
+                      flush ~cause:`Serial t ~after:u.Uop.seq
+                        ~target:u.Uop.next_pc;
                       raise Stop_commit
-                  | None ->
-                      (* stores need a store-buffer slot (or are MMIO) *)
-                      if Uop.is_store u then begin
-                        if u.Uop.mmio then begin
-                          let lat =
-                            Lsu.drain_all t.lsu ~now:t.now
-                              ~on_drain:(drain_notify t)
-                          in
-                          (try
-                             Platform.write t.plat ~addr:u.Uop.paddr
-                               ~size:u.Uop.msize u.Uop.sdata
-                           with Platform.Bus_fault _ -> ());
-                          t.commit_busy_until <- t.now + lat + 20
-                        end
-                        else begin
-                          if Lsu.sb_full t.lsu then begin
-                            Perf.Perf_counter.incr t.ctrs
-                              t.ids.i_commit_sb_full;
-                            raise Stop_commit
-                          end;
-                          Lsu.commit_store t.lsu u
-                        end
-                      end;
-                      if Uop.is_load u then Lsu.remove_load t.lsu u;
-                      if u.Uop.eliminated then
-                        u.Uop.result <-
-                          Rename.value t.rename ~is_fp:false ~prd:u.Uop.prd;
-                      (* architectural update *)
-                      if u.Uop.arch_rd >= 0 then begin
-                        if u.Uop.rd_is_fp then
-                          Arch_state.set_freg t.arch u.Uop.arch_rd u.Uop.result
-                        else Arch_state.set_reg t.arch u.Uop.arch_rd u.Uop.result
-                      end;
-                      t.arch.Arch_state.pc <- u.Uop.next_pc;
-                      csr.Csr.reg_minstret <-
-                        Int64.add csr.Csr.reg_minstret (Int64.of_int u.Uop.n_insns);
-                      t.perf.p_instrs <- t.perf.p_instrs + u.Uop.n_insns;
-                      t.perf.p_uops <- t.perf.p_uops + 1;
-                      emit_probe t u ~trap:None ~interrupt:None;
-                      (match t.tracer with
-                      | Some tr ->
-                          Perf.Pipetrace.on_commit tr ~seq:u.Uop.seq ~now:t.now
-                      | None -> ());
-                      Rename.commit_release t.rename ~is_fp:u.Uop.rd_is_fp
-                        ~old_prd:u.Uop.old_prd;
-                      Rob.pop_head t.rob;
-                      budget := !budget - u.Uop.n_insns;
-                      (* serialising instructions flush the pipeline *)
-                      (match u.Uop.insn with
-                      | Csr _ | Mret | Sret | Fence_i | Sfence_vma _ | Wfi ->
-                          flush ~cause:`Serial t ~after:u.Uop.seq
-                            ~target:u.Uop.next_pc;
-                          raise Stop_commit
-                      | _ -> ())
-                end
-                else if
-                  u.Uop.state <> Uop.Completed
-                  && (u.Uop.where = Uop.At_commit
-                     || (u.Uop.mmio && u.Uop.state = Uop.Issued))
-                then begin
-                  execute_at_head t u;
-                  (* loop re-examines the now-completed head *)
-                  if u.Uop.state <> Uop.Completed then raise Stop_commit
-                end
-                else raise Stop_commit
+                  | _ -> ())
+            end
+            else if
+              u.Uop.state <> Uop.Completed
+              && (u.Uop.si.Predecode.where = Predecode.At_commit
+                 || (u.Uop.mmio && u.Uop.state = Uop.Issued))
+            then begin
+              execute_at_head t u;
+              (* loop re-examines the now-completed head *)
+              if u.Uop.state <> Uop.Completed then raise Stop_commit
+            end
+            else raise Stop_commit
           done
         with Stop_commit -> ())
   end
@@ -1481,39 +1499,38 @@ let attribute_topdown t ~committed =
     else if t.now < t.recover_until then
       if t.recover_misp then Topdown.Badspec_mispredict
       else Topdown.Badspec_flush
+    else if Rob.is_empty t.rob then
+      if t.now < t.icache_stall_until then Topdown.Frontend_icache
+      else Topdown.Frontend_fetch
     else
-      match Rob.peek_head t.rob with
-      | None ->
-          if t.now < t.icache_stall_until then Topdown.Frontend_icache
-          else Topdown.Frontend_fetch
-      | Some u -> (
-          let mem_bucket () =
-            match u.Uop.insn with
-            | Insn.Sc _ | Insn.Amo _ -> Topdown.Mem_store
-            | _ -> Topdown.Mem_load
-          in
-          match u.Uop.state with
-          | Uop.Completed ->
-              if u.Uop.done_at > t.now || t.now < t.commit_busy_until then (
-                (* head still finishing: charge its execution class *)
-                match u.Uop.exec_class with
-                | Config.LOAD -> mem_bucket ()
-                | Config.STORE -> Topdown.Mem_store
-                | _ -> Topdown.Core_exec)
-              else
-                (* done and commit idle, yet nothing retired: the head
-                   store is blocked on a store-buffer slot *)
-                Topdown.Mem_store
-          | Uop.Issued -> (
-              match u.Uop.exec_class with
-              | Config.LOAD -> mem_bucket ()
-              | Config.STORE -> Topdown.Mem_store
-              | _ -> Topdown.Core_exec)
-          | Uop.Waiting -> (
-              match u.Uop.exec_class with
-              | Config.LOAD -> mem_bucket ()
-              | Config.STORE -> Topdown.Mem_store
-              | _ -> Topdown.Core_dep))
+      let u = Rob.peek_head t.rob in
+      let mem_bucket () =
+        match Uop.insn u with
+        | Insn.Sc _ | Insn.Amo _ -> Topdown.Mem_store
+        | _ -> Topdown.Mem_load
+      in
+      match u.Uop.state with
+      | Uop.Completed ->
+          if u.Uop.done_at > t.now || t.now < t.commit_busy_until then (
+            (* head still finishing: charge its execution class *)
+            match u.Uop.si.Predecode.exec_class with
+            | Config.LOAD -> mem_bucket ()
+            | Config.STORE -> Topdown.Mem_store
+            | _ -> Topdown.Core_exec)
+          else
+            (* done and commit idle, yet nothing retired: the head
+               store is blocked on a store-buffer slot *)
+            Topdown.Mem_store
+      | Uop.Issued -> (
+          match u.Uop.si.Predecode.exec_class with
+          | Config.LOAD -> mem_bucket ()
+          | Config.STORE -> Topdown.Mem_store
+          | _ -> Topdown.Core_exec)
+      | Uop.Waiting -> (
+          match u.Uop.si.Predecode.exec_class with
+          | Config.LOAD -> mem_bucket ()
+          | Config.STORE -> Topdown.Mem_store
+          | _ -> Topdown.Core_dep)
   in
   Perf_counter.incr t.ctrs t.ids.i_td.(Topdown.index bucket)
 
@@ -1561,7 +1578,6 @@ let step t : effects =
 let apply t (e : effects) =
   t.now <- t.now + 1;
   t.perf.p_cycles <- t.perf.p_cycles + 1;
-  t.arch.Arch_state.csr.Csr.reg_mcycle <- Int64.of_int t.now;
   Softmem.Cache.set_now t.l1i t.now;
   Softmem.Cache.set_now t.l1d t.now;
   let uops_before = t.perf.p_uops in
@@ -1663,14 +1679,15 @@ let stall_site t : string =
       t.cfg.Config.store_buffer_size
       (if t.halted then " halted" else "")
   in
-  match Rob.peek_head t.rob with
-  | None -> Printf.sprintf "rob empty, fetch_pc=0x%Lx; %s" t.fetch_pc occupancy
-  | Some u ->
-      let state =
-        match u.Uop.state with
-        | Uop.Waiting -> "waiting"
-        | Uop.Issued -> "issued"
-        | Uop.Completed -> "completed"
-      in
-      Printf.sprintf "rob head seq=%d pc=0x%Lx [%s] %s; %s" u.Uop.seq
-        u.Uop.pc (Insn.show u.Uop.insn) state occupancy
+  if Rob.is_empty t.rob then
+    Printf.sprintf "rob empty, fetch_pc=0x%Lx; %s" t.fetch_pc occupancy
+  else
+    let u = Rob.peek_head t.rob in
+    let state =
+      match u.Uop.state with
+      | Uop.Waiting -> "waiting"
+      | Uop.Issued -> "issued"
+      | Uop.Completed -> "completed"
+    in
+    Printf.sprintf "rob head seq=%d pc=0x%Lx [%s] %s; %s" u.Uop.seq u.Uop.pc
+      (Insn.show (Uop.insn u)) state occupancy

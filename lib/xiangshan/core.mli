@@ -23,7 +23,8 @@ open Riscv
 
 type fetch_item = {
   fi_pc : int64;
-  fi_insn : Insn.t;
+  fi_si : Predecode.t;
+      (** the instruction's static record, from the {!Predecode} memo *)
   fi_pred_next : int64;
   fi_fault : (Trap.exc * int64) option;
   mutable fi_fetched_at : int;  (** cycle the item entered the fetch queue *)
@@ -76,8 +77,8 @@ type stall_kind =
 type disp_plan = {
   mutable pl_uop : Uop.t;
       (** built for an accepted slot, seq pre-assigned from the
-          snapshot; its [psrc] holds architectural register numbers,
-          which phase 2 renames in place *)
+          snapshot; its source fields hold architectural register
+          numbers, which phase 2 renames in place *)
   mutable pl_item : fetch_item;  (** head fetch-queue item consumed *)
   mutable pl_fused : bool;  (** the next item is consumed too *)
   mutable pl_iq : int;  (** target IQ index, -1 = none (at-commit / fault) *)
@@ -150,6 +151,10 @@ type t = {
   rename : Rename.t;
   rob : Rob.t;
   iqs : Iq.t array;
+  iq_route : int array array;
+      (** dispatch routing, built at [create]: for each exec class,
+          the indices of the IQs accepting it, in configuration
+          order *)
   lsu : Lsu.t;
   probes : Probe.sinks;
   perf : perf;

@@ -4,7 +4,7 @@
     the reference model, so a DiffTest value mismatch always localises
     a pipeline bug rather than an arithmetic divergence. *)
 
-val execute : Uop.t -> int64 array -> unit
-(** [execute u srcs] computes [u]'s result / actual next pc /
-    misprediction flag from its source values (in [psrc] order).
+val execute : Uop.t -> Rename.t -> unit
+(** [execute u rn] computes [u]'s result / actual next pc /
+    misprediction flag from its renamed sources' values in [rn].
     Memory and system uops never take this path. *)

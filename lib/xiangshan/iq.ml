@@ -28,8 +28,6 @@ let create (cfg : Config.iq_config) ~policy =
     n_plan = 0;
   }
 
-let accepts t (cls : Config.exec_class) = List.mem cls t.cfg.iq_classes
-
 let occupancy t = t.n
 
 let capacity t = t.cfg.iq_size

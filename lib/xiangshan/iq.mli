@@ -20,8 +20,6 @@ type t = {
 
 val create : Config.iq_config -> policy:Config.issue_policy -> t
 
-val accepts : t -> Config.exec_class -> bool
-
 val occupancy : t -> int
 
 val capacity : t -> int

@@ -8,8 +8,6 @@
    speculative page faults of Figure 3 and the multi-core value
    divergences handled by the Global Memory diff-rule. *)
 
-type sb_entry = { sb_paddr : int64; sb_size : int; sb_data : int64 }
-
 type t = {
   cfg : Config.t;
   dcache : Softmem.Cache.t;
@@ -18,7 +16,14 @@ type t = {
   sq : Uop.t array;
   mutable lq_n : int;
   mutable sq_n : int;
-  sb : sb_entry Queue.t;
+  (* the store buffer: a ring of [store_buffer_size] slots holding
+     [sb_n] committed stores from [sb_head], oldest first; an entry is
+     its slot in three arrays (freed slots hold 0) *)
+  sb_paddr : int64 array;
+  sb_size : int array;
+  sb_data : int64 array;
+  mutable sb_head : int;
+  mutable sb_n : int;
   mutable sb_next_drain : int;
   mutable reservation : (int64 * int) option; (* line addr, cycle set *)
   (* stats *)
@@ -43,7 +48,11 @@ let create (cfg : Config.t) ~dcache =
     sq = Array.make cfg.sq_size Uop.sentinel;
     lq_n = 0;
     sq_n = 0;
-    sb = Queue.create ();
+    sb_paddr = Array.make cfg.store_buffer_size 0L;
+    sb_size = Array.make cfg.store_buffer_size 0;
+    sb_data = Array.make cfg.store_buffer_size 0L;
+    sb_head = 0;
+    sb_n = 0;
     sb_next_drain = 0;
     reservation = None;
     forwards = 0;
@@ -62,9 +71,12 @@ let lq_occupancy t = t.lq_n
 
 let sq_occupancy t = t.sq_n
 
-let sb_occupancy t = Queue.length t.sb
+let sb_occupancy t = t.sb_n
 
-let sb_full t = Queue.length t.sb >= t.cfg.store_buffer_size
+let sb_full t = t.sb_n >= t.cfg.store_buffer_size
+
+(* The ring slot of the [k]th oldest store-buffer entry. *)
+let sb_slot t k = (t.sb_head + k) mod Array.length t.sb_paddr
 
 let insert_load t u =
   t.lq.(t.lq_n) <- u;
@@ -111,106 +123,131 @@ let extract ~(data : int64) ~(from_addr : int64) ~(at : int64) ~(size : int) =
   if size >= 8 then v
   else Int64.logand v (Int64.sub (Int64.shift_left 1L (8 * size)) 1L)
 
-(* Look for the youngest older store (SQ, then store buffer) providing
-   the bytes of a load. *)
+(* Look for the youngest older store (store buffer, then SQ) providing
+   the bytes of a load: the last covering or overlapping store in
+   oldest-to-youngest order decides.  Plain loops over the two queues;
+   only a forwarded value allocates. *)
 let forward t ~(seq : int) ~(paddr : int64) ~(size : int) : forward_result =
   if t.bug_no_forward then begin
     t.forward_misses <- t.forward_misses + 1;
     No_match
   end
   else begin
-  let best : forward_result ref = ref No_match in
-  (* store buffer first (all older than any in-flight load), oldest to
-     youngest so younger matches override *)
-  Queue.iter
-    (fun (e : sb_entry) ->
-      if contains e.sb_paddr e.sb_size paddr size then
-        best := Forward (extract ~data:e.sb_data ~from_addr:e.sb_paddr ~at:paddr ~size)
-      else if ranges_overlap e.sb_paddr e.sb_size paddr size then best := Blocked)
-    t.sb;
-  (* then SQ entries older than the load, oldest to youngest *)
-  for i = 0 to t.sq_n - 1 do
-    let s = t.sq.(i) in
-    if s.Uop.seq < seq && s.Uop.addr_ready && not s.Uop.mmio then begin
-      if contains s.Uop.paddr s.Uop.msize paddr size then
-        best :=
-          Forward
-            (extract ~data:s.Uop.sdata ~from_addr:s.Uop.paddr ~at:paddr ~size)
-      else if ranges_overlap s.Uop.paddr s.Uop.msize paddr size then
-        best := Blocked
-    end
-  done;
-  (match !best with
-  | Forward _ -> t.forwards <- t.forwards + 1
-  | Blocked -> t.blocked_loads <- t.blocked_loads + 1
-  | No_match -> t.forward_misses <- t.forward_misses + 1);
-  (* fault: the forwarding mux picks the wrong lanes *)
-  match !best with
-  | Forward v when t.bug_forward_mask <> 0L ->
-      Forward (Int64.logxor v t.bug_forward_mask)
-  | r -> r
+    (* 0 = no match, 1 = covered by [data] stored at [from], 2 = a
+       partial overlap blocks the load *)
+    let hit = ref 0 and data = ref 0L and from = ref 0L in
+    (* store buffer first (all older than any in-flight load) *)
+    for k = 0 to t.sb_n - 1 do
+      let i = sb_slot t k in
+      let a = t.sb_paddr.(i) and n = t.sb_size.(i) in
+      if contains a n paddr size then begin
+        hit := 1;
+        data := t.sb_data.(i);
+        from := a
+      end
+      else if ranges_overlap a n paddr size then hit := 2
+    done;
+    (* then SQ entries older than the load *)
+    for i = 0 to t.sq_n - 1 do
+      let s = t.sq.(i) in
+      if s.Uop.seq < seq && s.Uop.addr_ready && not s.Uop.mmio then begin
+        if contains s.Uop.paddr s.Uop.msize paddr size then begin
+          hit := 1;
+          data := s.Uop.sdata;
+          from := s.Uop.paddr
+        end
+        else if ranges_overlap s.Uop.paddr s.Uop.msize paddr size then hit := 2
+      end
+    done;
+    match !hit with
+    | 1 ->
+        t.forwards <- t.forwards + 1;
+        let v = extract ~data:!data ~from_addr:!from ~at:paddr ~size in
+        (* fault: the forwarding mux picks the wrong lanes *)
+        Forward
+          (if t.bug_forward_mask <> 0L then Int64.logxor v t.bug_forward_mask
+           else v)
+    | 2 ->
+        t.blocked_loads <- t.blocked_loads + 1;
+        Blocked
+    | _ ->
+        t.forward_misses <- t.forward_misses + 1;
+        No_match
   end
 
 (* Commit a store: move its data from the SQ to the store buffer.
    Caller must check [sb_full] first. *)
 let commit_store t (u : Uop.t) =
   assert (not (sb_full t));
-  Queue.add { sb_paddr = u.Uop.paddr; sb_size = u.Uop.msize; sb_data = u.Uop.sdata } t.sb;
+  let i = sb_slot t t.sb_n in
+  t.sb_paddr.(i) <- u.Uop.paddr;
+  t.sb_size.(i) <- u.Uop.msize;
+  t.sb_data.(i) <- u.Uop.sdata;
+  t.sb_n <- t.sb_n + 1;
   t.sq_n <- Uop.remove_seq t.sq t.sq_n u.Uop.seq
+
+(* Drop the oldest store-buffer entry, returning its slot (read it
+   before the next commit can reuse it). *)
+let sb_pop t =
+  let i = t.sb_head in
+  t.sb_head <- sb_slot t 1;
+  t.sb_n <- t.sb_n - 1;
+  i
+
+let sb_clear_slot t i =
+  t.sb_paddr.(i) <- 0L;
+  t.sb_data.(i) <- 0L
 
 let remove_load t (u : Uop.t) = t.lq_n <- Uop.remove_seq t.lq t.lq_n u.Uop.seq
 
-(* Write one entry through to the cache and announce it; the fault
-   knobs model drains that are lost, unannounced, or misordered. *)
-let drain_one t ~now ~(on_drain : int64 -> int -> unit) (e : sb_entry) =
-  let lat = Softmem.Cache.write t.dcache ~addr:e.sb_paddr ~size:e.sb_size e.sb_data in
+(* Write the entry in slot [i] through to the cache and announce it,
+   returning the write's latency; the fault knobs model drains that
+   are lost, unannounced, or misordered. *)
+let drain_one t ~now ~(on_drain : int64 -> int -> unit) i =
+  let paddr = t.sb_paddr.(i) and size = t.sb_size.(i) in
+  let lat = Softmem.Cache.write t.dcache ~addr:paddr ~size t.sb_data.(i) in
+  sb_clear_slot t i;
   t.drains <- t.drains + 1;
   t.sb_next_drain <- now + max t.cfg.sb_drain_interval (lat / 4);
   if t.bug_silent_drains > 0 then t.bug_silent_drains <- t.bug_silent_drains - 1
-  else on_drain e.sb_paddr e.sb_size
+  else on_drain paddr size;
+  lat
 
 (* Pure: would [drain] dequeue an entry at [now]?  Phase 1 of the
    two-phase cycle snapshots this; [drain] itself stays authoritative
    (it re-checks, so a fence that force-drained the buffer between
    snapshot and application degrades to a no-op). *)
 let drain_ready t ~now =
-  (not t.bug_stall_drain)
-  && (not (Queue.is_empty t.sb))
-  && now >= t.sb_next_drain
+  (not t.bug_stall_drain) && t.sb_n > 0 && now >= t.sb_next_drain
 
 (* Drain at most one store-buffer entry into the cache hierarchy.
    [on_drain] lets the SoC invalidate other cores' LR reservations. *)
 let drain t ~now ~(on_drain : int64 -> int -> unit) =
   if t.bug_stall_drain then ()
-  else if (not (Queue.is_empty t.sb)) && now >= t.sb_next_drain then begin
+  else if t.sb_n > 0 && now >= t.sb_next_drain then begin
     if t.bug_drop_drains > 0 then begin
       (* fault: the entry leaves the buffer but never reaches memory *)
-      ignore (Queue.pop t.sb);
+      sb_clear_slot t (sb_pop t);
       t.bug_drop_drains <- t.bug_drop_drains - 1;
       t.sb_next_drain <- now + t.cfg.sb_drain_interval
     end
-    else if t.bug_reorder_drains > 0 && Queue.length t.sb >= 2 then begin
+    else if t.bug_reorder_drains > 0 && t.sb_n >= 2 then begin
       (* fault: two oldest entries reach memory youngest-first *)
-      let a = Queue.pop t.sb in
-      let b = Queue.pop t.sb in
+      let a = sb_pop t in
+      let b = sb_pop t in
       t.bug_reorder_drains <- t.bug_reorder_drains - 1;
-      drain_one t ~now ~on_drain b;
-      drain_one t ~now ~on_drain a
+      ignore (drain_one t ~now ~on_drain b);
+      ignore (drain_one t ~now ~on_drain a)
     end
-    else drain_one t ~now ~on_drain (Queue.pop t.sb)
+    else ignore (drain_one t ~now ~on_drain (sb_pop t))
   end
 
 (* Force-drain everything (fences, AMO ordering). Returns the cycles
    consumed. *)
 let drain_all t ~now ~(on_drain : int64 -> int -> unit) : int =
   let lat = ref 0 in
-  while not (Queue.is_empty t.sb) do
-    let e = Queue.pop t.sb in
-    lat := !lat + Softmem.Cache.write t.dcache ~addr:e.sb_paddr ~size:e.sb_size e.sb_data;
-    t.drains <- t.drains + 1;
-    if t.bug_silent_drains > 0 then
-      t.bug_silent_drains <- t.bug_silent_drains - 1
-    else on_drain e.sb_paddr e.sb_size
+  while t.sb_n > 0 do
+    lat := !lat + drain_one t ~now ~on_drain (sb_pop t)
   done;
   t.sb_next_drain <- now + !lat;
   !lat

@@ -8,8 +8,6 @@
     Figure 3 and the multi-core divergences the Global-Memory rule
     reconciles. *)
 
-type sb_entry = { sb_paddr : int64; sb_size : int; sb_data : int64 }
-
 type t = {
   cfg : Config.t;
   dcache : Softmem.Cache.t;
@@ -19,7 +17,14 @@ type t = {
   sq : Uop.t array;  (** store queue, likewise *)
   mutable lq_n : int;
   mutable sq_n : int;
-  sb : sb_entry Queue.t;
+  sb_paddr : int64 array;
+  sb_size : int array;
+  sb_data : int64 array;
+      (** the store buffer: a ring of [store_buffer_size] slots, one
+          committed store per slot across the three arrays; freed
+          slots hold 0 *)
+  mutable sb_head : int;  (** slot of the oldest entry *)
+  mutable sb_n : int;  (** entries, oldest first from [sb_head] *)
   mutable sb_next_drain : int;
   mutable reservation : (int64 * int) option;
   mutable forwards : int;
@@ -68,8 +73,10 @@ val older_stores_known : t -> seq:int -> bool
 type forward_result = Forward of int64 | Blocked | No_match
 
 val forward : t -> seq:int -> paddr:int64 -> size:int -> forward_result
-(** Youngest fully-covering older store (SQ, then store buffer);
-    [Blocked] on a partial overlap. *)
+(** The youngest older store touching the load's bytes decides,
+    scanning the store buffer then the SQ, oldest to youngest:
+    [Forward] when it covers them, [Blocked] on a partial overlap.
+    Allocates only a forwarded result. *)
 
 val commit_store : t -> Uop.t -> unit
 (** Move a retiring store from the SQ into the store buffer (the

@@ -113,8 +113,9 @@ let commit_release t ~is_fp ~old_prd =
 (* Rollback a squashed uop (must be called youngest-first). *)
 let rollback t (u : Uop.t) =
   if u.Uop.prd >= 0 then begin
-    let rf = rf t u.Uop.rd_is_fp in
-    rf.map.(u.Uop.arch_rd) <- u.Uop.old_prd;
+    let si = u.Uop.si in
+    let rf = rf t si.Predecode.rd_is_fp in
+    rf.map.(si.Predecode.rd) <- u.Uop.old_prd;
     free_phys rf u.Uop.prd
   end
 
@@ -127,14 +128,20 @@ let value t ~is_fp ~prd = (rf t is_fp).value.(prd)
 
 let ready t ~is_fp ~prd ~now = (rf t is_fp).ready_at.(prd) <= now
 
-(* A uop's sources are all available at [now]?  A plain loop: the
-   issue planner asks this of every waiting uop every cycle. *)
+(* A uop's sources are all available at [now]?  Straight-line over the
+   source fields: the issue planner asks this of every waiting uop
+   every cycle. *)
 let srcs_ready t (u : Uop.t) ~now =
-  let psrc = u.Uop.psrc and fp = u.Uop.psrc_fp in
-  let i = ref 0 in
-  while !i < Array.length psrc && ready t ~is_fp:fp.(!i) ~prd:psrc.(!i) ~now do
-    incr i
-  done;
-  !i = Array.length psrc
+  let n = u.Uop.n_src and fp = u.Uop.src_fp in
+  n = 0
+  || ready t ~is_fp:fp.(0) ~prd:u.Uop.ps0 ~now
+     && (n = 1
+        || ready t ~is_fp:fp.(1) ~prd:u.Uop.ps1 ~now
+           && (n = 2 || ready t ~is_fp:fp.(2) ~prd:u.Uop.ps2 ~now))
+
+(* The value of source [i] of [u], once renamed: the physical file's
+   own box, so reading a source allocates nothing. *)
+let src_value t (u : Uop.t) i =
+  value t ~is_fp:u.Uop.src_fp.(i) ~prd:(Uop.psrc u i)
 
 let free_count t ~is_fp = (rf t is_fp).free_n

@@ -51,6 +51,10 @@ val value : t -> is_fp:bool -> prd:int -> int64
 
 val ready : t -> is_fp:bool -> prd:int -> now:int -> bool
 
+val src_value : t -> Uop.t -> int -> int64
+(** [src_value t u i], [0 <= i < u.n_src]: the value of [u]'s renamed
+    source [i]; allocates nothing. *)
+
 val srcs_ready : t -> Uop.t -> now:int -> bool
 
 val free_count : t -> is_fp:bool -> int

@@ -1,14 +1,16 @@
 (* Re-order buffer: a ring buffer indexed by the global uop sequence
-   number. *)
+   number.  Free slots hold [Uop.sentinel], so a push stores the uop
+   itself; liveness comes from [head]/[tail], never from the slot. *)
 
 type t = {
-  buf : Uop.t option array;
+  buf : Uop.t array;
   cap : int;
   mutable head : int; (* oldest live seq *)
   mutable tail : int; (* next seq to allocate *)
 }
 
-let create ~size = { buf = Array.make size None; cap = size; head = 0; tail = 0 }
+let create ~size =
+  { buf = Array.make size Uop.sentinel; cap = size; head = 0; tail = 0 }
 
 let count t = t.tail - t.head
 
@@ -21,19 +23,20 @@ let slot t seq = seq mod t.cap
 let push t (u : Uop.t) =
   assert (not (is_full t));
   assert (u.Uop.seq = t.tail);
-  t.buf.(slot t t.tail) <- Some u;
+  t.buf.(slot t t.tail) <- u;
   t.tail <- t.tail + 1
 
-let peek_head t : Uop.t option =
-  if is_empty t then None else t.buf.(slot t t.head)
+let peek_head t : Uop.t =
+  if is_empty t then invalid_arg "Rob.peek_head: empty";
+  t.buf.(slot t t.head)
 
 let pop_head t =
   assert (not (is_empty t));
-  t.buf.(slot t t.head) <- None;
+  t.buf.(slot t t.head) <- Uop.sentinel;
   t.head <- t.head + 1
 
 let get t seq : Uop.t option =
-  if seq < t.head || seq >= t.tail then None else t.buf.(slot t seq)
+  if seq < t.head || seq >= t.tail then None else Some t.buf.(slot t seq)
 
 (* Squash every uop with seq > [after]; returns them youngest-first
    (the order required for rename rollback).  [after] = head - 1
@@ -42,12 +45,10 @@ let squash_younger t ~after : Uop.t list =
   let squashed = ref [] in
   let new_tail = max t.head (after + 1) in
   for seq = t.tail - 1 downto new_tail do
-    match t.buf.(slot t seq) with
-    | Some u ->
-        u.Uop.squashed <- true;
-        squashed := u :: !squashed;
-        t.buf.(slot t seq) <- None
-    | None -> ()
+    let u = t.buf.(slot t seq) in
+    u.Uop.squashed <- true;
+    squashed := u :: !squashed;
+    t.buf.(slot t seq) <- Uop.sentinel
   done;
   t.tail <- new_tail;
   List.rev !squashed
@@ -57,17 +58,17 @@ let squash_younger t ~after : Uop.t list =
    free and past their completion cycle -- the swapped pair then
    commits immediately, before any intervening flush can mask it. *)
 let swap_head_next t ~now : bool =
-  if count t < 2 then false
-  else
-    match (t.buf.(slot t t.head), t.buf.(slot t (t.head + 1))) with
-    | Some a, Some b
-      when a.Uop.state = Uop.Completed
-           && b.Uop.state = Uop.Completed
-           && a.Uop.done_at <= now && b.Uop.done_at <= now
-           && a.Uop.exc = None && b.Uop.exc = None
-           && (not a.Uop.squashed)
-           && not b.Uop.squashed ->
-        t.buf.(slot t t.head) <- Some b;
-        t.buf.(slot t (t.head + 1)) <- Some a;
-        true
-    | _ -> false
+  count t >= 2
+  &&
+  let a = t.buf.(slot t t.head) and b = t.buf.(slot t (t.head + 1)) in
+  a.Uop.state = Uop.Completed
+  && b.Uop.state = Uop.Completed
+  && a.Uop.done_at <= now && b.Uop.done_at <= now
+  && a.Uop.exc = None && b.Uop.exc = None
+  && (not a.Uop.squashed)
+  && (not b.Uop.squashed)
+  && begin
+       t.buf.(slot t t.head) <- b;
+       t.buf.(slot t (t.head + 1)) <- a;
+       true
+     end

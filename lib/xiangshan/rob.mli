@@ -1,9 +1,11 @@
 (** Re-order buffer: a ring buffer indexed by the global uop sequence
     number.  Commit pops from the head; branch mispredicts, traps and
-    serialising instructions squash from the tail. *)
+    serialising instructions squash from the tail.  Free slots hold
+    [Uop.sentinel]; which slots are live comes from [head] and [tail]
+    alone. *)
 
 type t = {
-  buf : Uop.t option array;
+  buf : Uop.t array;
   cap : int;
   mutable head : int; (** oldest live sequence number *)
   mutable tail : int; (** next sequence number to allocate *)
@@ -20,7 +22,9 @@ val is_empty : t -> bool
 val push : t -> Uop.t -> unit
 (** The uop's [seq] must equal [tail]. *)
 
-val peek_head : t -> Uop.t option
+val peek_head : t -> Uop.t
+(** The oldest live uop.  Raises [Invalid_argument] when the ROB is
+    empty: check {!is_empty} first. *)
 
 val pop_head : t -> unit
 

@@ -9,30 +9,28 @@ type fusion =
   | Fused_zext_w
   | Fused_sh_add of int (** the shift amount, 1..3 *)
 
-(** Where the uop executes: in an issue queue, at the ROB head
-    (system instructions, atomics, MMIO), or nowhere (eliminated
-    moves). *)
-type where = In_iq | At_commit | Eliminated
-
 type state = Waiting | Issued | Completed
 
 type t = {
   seq : int; (** global program-order sequence number *)
   pc : int64;
-  insn : Insn.t;
+  si : Predecode.t;
+      (** the static record of the (first) instruction: class,
+          placement, destination, latency *)
   second : Insn.t option;
   fusion : fusion option;
   n_insns : int;
   pred_next : int64; (** predicted next pc after this uop's insns *)
-  exec_class : Config.exec_class;
-  where : where;
-  mutable arch_rd : int;
-  mutable rd_is_fp : bool;
+  n_src : int;  (** register sources, at most three *)
+  mutable ps0 : int;
+  mutable ps1 : int;
+  mutable ps2 : int;
+      (** the sources ({!psrc}): architectural numbers from {!make},
+          renamed to physical ones in place at dispatch *)
+  src_fp : bool array;
+      (** which sources are FP registers; shared, never written *)
   mutable prd : int;
   mutable old_prd : int;
-  mutable psrc : int array;
-  mutable psrc_fp : bool array;
-  mutable src2 : int;
   mutable state : state;
   mutable done_at : int;
   mutable result : int64;
@@ -56,35 +54,38 @@ type t = {
   mutable mem_cycle : int; (** when the access touched memory *)
   mutable sc_failed : bool;
   mutable csr_read : (int * int64) option;
-  mutable committed_store : bool;
 }
 
-val uses_lq : Insn.t -> where -> bool
-(** Does a uop of this instruction and placement take an LQ entry?
-    (Pipelined loads; LR/AMO execute at the head.) *)
-
-val uses_sq : Insn.t -> bool
-(** Does it take an SQ entry? *)
+val insn : t -> Insn.t
+(** The (first) instruction, [si.insn]. *)
 
 val is_load : t -> bool
-(** Pipelined loads only (LR/AMO execute at the head). *)
+(** Takes an LQ entry: pipelined loads only (LR/AMO execute at the
+    head). *)
 
 val is_store : t -> bool
-(** Stores that go through the SQ/store buffer. *)
+(** Takes an SQ entry: stores that go through the store buffer. *)
 
-val classify : Insn.t -> Config.exec_class * where
+val arch_src : t -> int -> int
+(** [arch_src u i], [0 <= i < n_src]: the [i]th architectural source.
+    A fused pair reads the pair's external sources (and writes its
+    first instruction's destination); any other uop reads
+    [si.srcs]. *)
 
-val latency : Config.exec_class -> Insn.t -> int
-(** Execution latency in cycles (FMA = 5, the paper's cascade FMA). *)
+val psrc : t -> int -> int
+(** [psrc u i], [0 <= i < n_src]: source field [i]. *)
+
+val set_psrc : t -> int -> int -> unit
 
 val make :
   seq:int ->
   pc:int64 ->
-  insn:Insn.t ->
+  si:Predecode.t ->
   second:Insn.t option ->
   fusion:fusion option ->
   pred_next:int64 ->
   t
+(** A waiting uop whose sources hold their architectural numbers. *)
 
 val sentinel : t
 (** The shared filler of free queue and plan-buffer slots (seq [-1]);

@@ -26,6 +26,7 @@ let () =
       ("bpu", Test_bpu.tests);
       ("tlb", Test_tlb.tests);
       ("backend", Test_backend.tests);
+      ("predecode", Test_predecode.tests);
       ("determinism", Test_determinism.tests);
       ("golden", Test_golden.tests);
       ("fuzz", Test_fuzz.tests);

@@ -6,7 +6,8 @@ open Riscv
 
 module Uop_helpers = struct
   let make ~seq ~pc ~insn =
-    Xiangshan.Uop.make ~seq ~pc ~insn ~second:None ~fusion:None
+    Xiangshan.Uop.make ~seq ~pc ~si:(Xiangshan.Predecode.of_insn insn)
+      ~second:None ~fusion:None
       ~pred_next:(Int64.add pc 4L)
 end
 
@@ -23,13 +24,10 @@ let test_rob_order_and_squash () =
   Alcotest.(check (list int)) "youngest-first order" [ 5; 4; 3 ]
     (List.map (fun u -> u.Xiangshan.Uop.seq) squashed);
   Alcotest.(check int) "remaining" 3 (Xiangshan.Rob.count rob);
-  (match Xiangshan.Rob.peek_head rob with
-  | Some u -> Alcotest.(check int) "head" 0 u.Xiangshan.Uop.seq
-  | None -> Alcotest.fail "head missing");
+  Alcotest.(check int) "head" 0 (Xiangshan.Rob.peek_head rob).Xiangshan.Uop.seq;
   Xiangshan.Rob.pop_head rob;
-  match Xiangshan.Rob.peek_head rob with
-  | Some u -> Alcotest.(check int) "next head" 1 u.Xiangshan.Uop.seq
-  | None -> Alcotest.fail "head missing"
+  Alcotest.(check int) "next head" 1
+    (Xiangshan.Rob.peek_head rob).Xiangshan.Uop.seq
 
 let test_rename_freelist_and_rollback () =
   let cfg = { Xiangshan.Config.yqh with Xiangshan.Config.int_pregs = 40 } in
@@ -39,7 +37,7 @@ let test_rename_freelist_and_rollback () =
   let u = Uop_helpers.make ~seq:0 ~pc:0L ~insn:(Insn.Op_imm (ADD, 5, 5, 1L)) in
   let before = Xiangshan.Rename.lookup rn ~is_fp:false 5 in
   let prd, old_prd = Xiangshan.Rename.alloc rn ~is_fp:false ~arch:5 ~now:0 in
-  u.Xiangshan.Uop.arch_rd <- 5;
+  (* the destination (x5) comes from the uop's static record *)
   u.Xiangshan.Uop.prd <- prd;
   u.Xiangshan.Uop.old_prd <- old_prd;
   Alcotest.(check int) "old mapping recorded" before old_prd;
@@ -168,10 +166,12 @@ module List_iq = struct
 end
 
 module List_lsq = struct
+  type sb_entry = { sb_paddr : int64; sb_size : int; sb_data : int64 }
+
   type t = {
     mutable lq : Xiangshan.Uop.t list;
     mutable sq : Xiangshan.Uop.t list;
-    sb : Xiangshan.Lsu.sb_entry Queue.t;
+    sb : sb_entry Queue.t;
     mutable forwards : int;
     mutable blocked_loads : int;
     mutable forward_misses : int;
@@ -218,7 +218,7 @@ module List_lsq = struct
   let forward t ~seq ~paddr ~size =
     let best = ref Xiangshan.Lsu.No_match in
     Queue.iter
-      (fun (e : Xiangshan.Lsu.sb_entry) ->
+      (fun (e : sb_entry) ->
         if contains e.sb_paddr e.sb_size paddr size then
           best :=
             Forward (extract ~data:e.sb_data ~from_addr:e.sb_paddr ~at:paddr ~size)
@@ -241,7 +241,7 @@ module List_lsq = struct
     !best
 
   let commit_store t (u : Xiangshan.Uop.t) =
-    Queue.add { Xiangshan.Lsu.sb_paddr = u.paddr; sb_size = u.msize; sb_data = u.sdata } t.sb;
+    Queue.add { sb_paddr = u.paddr; sb_size = u.msize; sb_data = u.sdata } t.sb;
     t.sq <- List.filter (fun (v : Xiangshan.Uop.t) -> v.seq <> u.seq) t.sq
 
   let remove_load t (u : Xiangshan.Uop.t) =
@@ -268,6 +268,7 @@ type queue_op =
   | Retire of { pick : int }
   | Select
   | Forward of { pick : int; off : int; size : int }
+  | Drain
 
 let show_queue_op = function
   | Dispatch { kind; prio } -> Printf.sprintf "dispatch(%d%s)" kind (if prio then "!" else "")
@@ -283,6 +284,7 @@ let show_queue_op = function
   | Retire { pick } -> Printf.sprintf "retire(#%d)" pick
   | Select -> "select"
   | Forward { pick; off; size } -> Printf.sprintf "forward(#%d @%d/%d)" pick off size
+  | Drain -> "drain"
 
 type queue_case = {
   qc_policy : Xiangshan.Config.issue_policy;
@@ -315,6 +317,7 @@ let gen_queue_case =
         (2, map (fun pick -> Retire { pick }) pick);
         (4, pure Select);
         (3, map3 (fun pick off size -> Forward { pick; off; size }) pick off size);
+        (1, pure Drain);
       ]
   in
   map3
@@ -336,7 +339,8 @@ let queues_agree c =
     }
   in
   let cfg =
-    { Xiangshan.Config.yqh with lq_size = 6; sq_size = 6; store_buffer_size = 1_000 }
+    (* a small store buffer, so the ring wraps and fills *)
+    { Xiangshan.Config.yqh with lq_size = 6; sq_size = 6; store_buffer_size = 3 }
   in
   let backing = Memory.create ~base:Platform.dram_base ~size:(1 lsl 16) () in
   let dcache =
@@ -363,6 +367,18 @@ let queues_agree c =
            = List_lsq.older_stores_known ref_lsq ~seq)
          (List.init (!next_seq + 2) Fun.id)
   in
+  let now = ref 0 in
+  let drain () =
+    (* one drain, far enough apart that the drain interval never
+       holds it back; the drained entry must be the list's oldest *)
+    now := !now + 1_000;
+    let drained = ref None in
+    Xiangshan.Lsu.drain lsu ~now:!now ~on_drain:(fun pa n ->
+        drained := Some (pa, n));
+    match Queue.take_opt ref_lsq.sb with
+    | None -> !drained = None
+    | Some e -> !drained = Some (e.sb_paddr, e.sb_size)
+  in
   let step = function
     | Dispatch { kind; prio } ->
         let u =
@@ -371,6 +387,8 @@ let queues_agree c =
         incr next_seq;
         u.priority <- prio;
         u.msize <- 8;
+        (* in backing memory: a committed store may be drained *)
+        u.paddr <- 0x8000_0000L;
         live := Array.append !live [| u |];
         if not (Xiangshan.Iq.is_full iq) then begin
           Xiangshan.Iq.insert iq u;
@@ -423,7 +441,7 @@ let queues_agree c =
           let u = pick i in
           Xiangshan.Lsu.remove_load lsu u;
           List_lsq.remove_load ref_lsq u;
-          if List.memq u ref_lsq.sq then begin
+          if List.memq u ref_lsq.sq && not (Xiangshan.Lsu.sb_full lsu) then begin
             Xiangshan.Lsu.commit_store lsu u;
             List_lsq.commit_store ref_lsq u
           end
@@ -446,8 +464,13 @@ let queues_agree c =
         && lsu.forwards = ref_lsq.forwards
         && lsu.blocked_loads = ref_lsq.blocked_loads
         && lsu.forward_misses = ref_lsq.forward_misses
+    | Drain -> drain ()
   in
-  List.for_all (fun op -> step op && agree ()) c.qc_ops
+  List.for_all
+    (fun op ->
+      step op && agree ()
+      && Xiangshan.Lsu.sb_occupancy lsu = Queue.length ref_lsq.sb)
+    c.qc_ops
 
 let test_queues_match_lists =
   QCheck_alcotest.to_alcotest

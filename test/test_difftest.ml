@@ -452,20 +452,22 @@ let test_difftest_alloc_budget () =
 
 (* Minor words of a raw [Soc.run] (no DiffTest, no REF) per simulated
    cycle; the count repeats exactly.  Budgets are set just above the
-   measured values (91.9 and 160.8; with list-based issue, load and
-   store queues and per-cycle plan records they were 381.08 and
-   771.40).  A change that lowers a count must lower its budget in the
-   same change, so the saving cannot quietly erode. *)
+   measured values (67.0 and 125.3, with predecoded instructions and
+   compact uops; before them the budgets were 93 and 162 for 91.9 and
+   160.8, and with list-based issue, load and store queues and
+   per-cycle plan records the counts were 381.08 and 771.40).  A
+   change that lowers a count must lower its budget in the same
+   change, so the saving cannot quietly erode. *)
 let dut_alloc_budgets =
   [
     ( "YQH coremark_like",
       Xiangshan.Config.yqh,
       (fun () -> (Workloads.Suite.find "coremark_like").program ~scale:1),
-      93. );
+      68. );
     ( "dual-core NH smp_spinlock",
       Xiangshan.Config.nh,
       (fun () -> Workloads.Smp.spinlock ~scale:1),
-      162. );
+      126. );
   ]
 
 let test_dut_alloc_budget () =

@@ -168,8 +168,11 @@ let test_restore_exact_tables () =
 (* Marshal pays per heap block, so the image's object count is the
    deterministic proxy for snapshot cost: config-sized tables (cache
    lines, predictor and TLB entries) must be copy-on-write stores kept
-   out of the image, and what is left is the in-flight pipeline. *)
-let object_budget = 2_000
+   out of the image, and what is left is the in-flight pipeline.  The
+   budget sits just above the 1,120 of YQH mcf_like, whose uops share
+   their predecoded instructions and hold their sources in fields (it
+   was 2,000 for 1,794 before). *)
+let object_budget = 1_150
 
 let test_image_object_budget () =
   List.iter

@@ -109,7 +109,7 @@ let test_control_plane () =
   List.iter
     (fun (r : Minjie.Ref_model.t) ->
       r.Minjie.Ref_model.set_mcycle 9999L;
-      r.Minjie.Ref_model.set_time 4242L;
+      Platform.Clint.set_mtime r.Minjie.Ref_model.clint 4242L;
       r.Minjie.Ref_model.set_counters ~cycle:10_000L ~instret:777L)
     [ a; b ];
   ignore (step_both "after counter sync");
