@@ -213,9 +213,7 @@ let bench_table1 o =
   Xiangshan.Soc.load_program soc prog;
   let dt = Minjie.Difftest.create ?ref_kind:o.rc.ref_kind ~prog soc in
   let warm = if o.big then 500_000 else 150_000 in
-  for _ = 1 to warm do
-    Minjie.Difftest.tick dt
-  done;
+  ignore (Minjie.Workflow.drive ~max_cycles:warm dt);
   let subject = Minjie.Workflow.subject_of dt in
   let snap, light_t = time (fun () -> Lightsss.snapshot subject ~cycle:warm) in
   let sss_mem_bytes, sss_mem_t =
@@ -228,9 +226,7 @@ let bench_table1 o =
   let mem = soc.Xiangshan.Soc.plat.Riscv.Platform.mem in
   Riscv.Memory.reset_stats mem;
   List.iter Riscv.Cow.reset_stats subject.Lightsss.tables;
-  for _ = 1 to 2_000 do
-    Minjie.Difftest.tick dt
-  done;
+  ignore (Minjie.Workflow.drive ~max_cycles:2_000 dt);
   let cow = cow_counts mem subject.Lightsss.tables in
   Lightsss.release snap;
   record
@@ -277,19 +273,8 @@ let run_with_interval o cfg prog interval =
       (fun i -> Lightsss.manager ~interval:i (Minjie.Workflow.subject_of dt))
       interval
   in
-  let (), secs =
-    time (fun () ->
-        let running () =
-          match Minjie.Difftest.status dt with
-          | Minjie.Difftest.Running -> true
-          | Minjie.Difftest.Finished _ | Minjie.Difftest.Failed _ -> false
-        in
-        while running () do
-          (match mgr with
-          | Some m -> Lightsss.tick m ~cycle:soc.Xiangshan.Soc.now
-          | None -> ());
-          Minjie.Difftest.tick dt
-        done)
+  let _, secs =
+    time (fun () -> Minjie.Workflow.drive ?snapshots:mgr ~max_cycles:max_int dt)
   in
   ( secs,
     Option.map (fun m -> m.Lightsss.snapshots_taken) mgr,
@@ -765,7 +750,7 @@ let bench_ablation o =
       let soc = Xiangshan.Soc.create cfg in
       Xiangshan.Soc.load_program soc prog;
       let dt = Minjie.Difftest.create ?ref_kind:o.rc.ref_kind ~prog soc in
-      match Minjie.Difftest.run ~max_cycles:50_000_000 dt with
+      match Minjie.Workflow.drive ~max_cycles:50_000_000 dt with
       | Minjie.Difftest.Finished code ->
           let fires =
             List.assoc "page-fault-forcing" (Minjie.Difftest.rule_fire_counts dt)
@@ -1189,7 +1174,9 @@ let cosim_e2e kind prog =
   let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
   Xiangshan.Soc.load_program soc prog;
   let dt = Minjie.Difftest.create ~ref_kind:kind ~prog soc in
-  let status, secs = time (fun () -> Minjie.Difftest.run dt) in
+  let status, secs =
+    time (fun () -> Minjie.Workflow.drive ~max_cycles:50_000_000 dt)
+  in
   (match status with
   | Minjie.Difftest.Failed f ->
       Printf.printf "  !! difftest FAILED under %s REF: %s\n"

@@ -78,11 +78,7 @@ let run_cmd =
     let w = find_workload name in
     let scale = Option.value scale ~default:w.Workloads.Wl_common.small in
     let prog = w.Workloads.Wl_common.program ~scale in
-    let cfg =
-      if List.mem w (Workloads.Suite.smp) && cfg.Xiangshan.Config.n_cores < 2
-      then Xiangshan.Config.nh
-      else cfg
-    in
+    let cfg = Minjie.Workflow.config_for ~workload:name cfg in
     let soc = Xiangshan.Soc.create ~phase_order:rc.phase_order cfg in
     Xiangshan.Soc.load_program soc prog;
     let tracers =
@@ -100,7 +96,7 @@ let run_cmd =
       end
       else begin
         let dt = Minjie.Difftest.create ?ref_kind:rc.ref_kind ~prog soc in
-        match Minjie.Difftest.run ~max_cycles dt with
+        match Minjie.Workflow.drive ~max_cycles dt with
         | Minjie.Difftest.Finished c -> `Finished c
         | Minjie.Difftest.Failed f -> `Failed f
         | Minjie.Difftest.Running -> `Timeout

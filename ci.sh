@@ -15,6 +15,12 @@ if grep -rn 'Sys.getenv' lib/ | grep -v '^lib/core/run_config.ml:'; then
   echo "Sys.getenv outside lib/core/run_config.ml"; exit 1
 fi
 
+echo "== one tick-until-verdict loop: Workflow.drive =="
+if grep -rn 'Difftest\.tick' lib/ bin/ bench/ examples/ \
+    | grep -v '^lib/core/workflow.ml:'; then
+  echo "Difftest.tick outside lib/core/workflow.ml (use Workflow.drive)"; exit 1
+fi
+
 echo "== tests =="
 dune runtest
 

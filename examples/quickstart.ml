@@ -53,7 +53,7 @@ let () =
   let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
   Xiangshan.Soc.load_program soc program;
   let dt = Minjie.Difftest.create ~prog:program soc in
-  (match Minjie.Difftest.run ~max_cycles:1_000_000 dt with
+  (match Minjie.Workflow.drive ~max_cycles:1_000_000 dt with
   | Minjie.Difftest.Finished code ->
       let core = soc.Xiangshan.Soc.cores.(0) in
       Printf.printf
@@ -76,7 +76,7 @@ let () =
   let dt =
     Minjie.Difftest.create ~ref_kind:Minjie.Ref_model.Nemu ~prog:program soc
   in
-  (match Minjie.Difftest.run ~max_cycles:1_000_000 dt with
+  (match Minjie.Workflow.drive ~max_cycles:1_000_000 dt with
   | Minjie.Difftest.Finished code ->
       Printf.printf
         "DUT:  verified again with the %s REF; exit code %d, %d commits \

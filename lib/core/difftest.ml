@@ -426,13 +426,6 @@ let tick t =
     end
   end
 
-let run ?(max_cycles = 50_000_000) t : status =
-  let start = t.soc.Xiangshan.Soc.now in
-  while running t && t.soc.Xiangshan.Soc.now - start < max_cycles do
-    tick t
-  done;
-  t.status
-
 (* Sorted by rule name so output is stable across rule-list order
    and REF backends. *)
 let rule_fire_counts t =

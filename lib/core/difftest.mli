@@ -21,7 +21,11 @@
     retirement stall site), and per-hart store accounting (every
     committed store must drain to memory with the right value, in
     order, within a timeout: rules ["store-drain-timeout"],
-    ["store-drain-order"], ["store-drain-value"]). *)
+    ["store-drain-order"], ["store-drain-value"]).
+
+    This module checks one cycle at a time ({!tick}); to run an
+    instance to a verdict, with or without LightSSS snapshots, use
+    {!Workflow.drive}, the one loop that does so. *)
 
 type status = Running | Finished of int | Failed of Rule.failure
 
@@ -44,9 +48,8 @@ val create :
 val tick : t -> unit
 (** One co-simulated cycle: advance the SoC, drain and check each
     hart's commit queue, compare architectural states, check the
-    scoreboard and the watchdog. *)
-
-val run : ?max_cycles:int -> t -> status
+    scoreboard and the watchdog.  Does nothing once a verdict is
+    set. *)
 
 (** {1 Accessors} *)
 

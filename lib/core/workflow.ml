@@ -89,6 +89,38 @@ let soc_counters (soc : Xiangshan.Soc.t) : (string * int) list =
     (fun (a, _) (b, _) -> String.compare a b)
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
+(* An SMP workload needs a multi-core SoC: on a single-core config it
+   runs on NH instead. *)
+let config_for ~workload (cfg : Xiangshan.Config.t) : Xiangshan.Config.t =
+  if
+    cfg.Xiangshan.Config.n_cores < 2
+    && List.exists
+         (fun (w : Workloads.Wl_common.t) ->
+           w.Workloads.Wl_common.wl_name = workload)
+         Workloads.Suite.smp
+  then Xiangshan.Config.nh
+  else cfg
+
+(* The one loop that ticks DiffTest to a verdict (fast mode, the
+   debug replay, the front ends and [bench]).  A plain [while]: a
+   recursive helper re-passing [?snapshots] would allocate every
+   cycle. *)
+let drive ?snapshots ~max_cycles (dt : Difftest.t) : Difftest.status =
+  let soc = Difftest.soc dt in
+  let start = soc.Xiangshan.Soc.now in
+  let running () =
+    match Difftest.status dt with
+    | Difftest.Running -> soc.Xiangshan.Soc.now - start < max_cycles
+    | Difftest.Finished _ | Difftest.Failed _ -> false
+  in
+  while running () do
+    (match snapshots with
+    | Some m -> Lightsss.tick m ~cycle:soc.Xiangshan.Soc.now
+    | None -> ());
+    Difftest.tick dt
+  done;
+  Difftest.status dt
+
 (* Run [prog] on a SoC built from [cfg] under DiffTest + LightSSS.
    [inject] can plant a fault after construction (used by the tests
    and the debugging example).  [run_collect] additionally returns the
@@ -106,100 +138,62 @@ let run_collect ?(snapshot_interval = 2000) ?(max_cycles = 20_000_000)
      so a debug replay reproduces the trace window around the failure *)
   if perf then ignore (Xiangshan.Soc.attach_tracers soc);
   let dt = Difftest.create ?ref_kind ~prog soc in
-  let subject = subject_of dt in
-  let mgr = Lightsss.manager ~interval:snapshot_interval subject in
-  let start = soc.Xiangshan.Soc.now in
-  let running () =
-    match Difftest.status dt with
-    | Difftest.Running -> soc.Xiangshan.Soc.now - start < max_cycles
-    | Difftest.Finished _ | Difftest.Failed _ -> false
-  in
-  while running () do
-    Lightsss.tick mgr ~cycle:soc.Xiangshan.Soc.now;
-    Difftest.tick dt
-  done;
+  let mgr = Lightsss.manager ~interval:snapshot_interval (subject_of dt) in
   let outcome =
-    match Difftest.status dt with
-  | Difftest.Running | Difftest.Finished _ ->
-      Verified
-        (match Difftest.status dt with
-        | Difftest.Finished c -> c
-        | Difftest.Running | Difftest.Failed _ -> -1)
-  | Difftest.Failed first_failure -> (
-      (* restore the older snapshot and replay in debug mode *)
-      match Lightsss.replay_point mgr with
-      | None ->
-          Debugged
-            {
-              first_failure;
-              replay_failure = None;
-              replay_from_cycle = 0;
-              replay_cycles = 0;
-              db = Archdb.create ();
-              overlaps = [];
-              drains_near_failure = [];
-              snapshots_taken = mgr.Lightsss.snapshots_taken;
-              snapshot_seconds = mgr.Lightsss.total_snapshot_seconds;
-              replay_traces = [||];
-            }
-      | Some snap ->
-          let dt' : Difftest.t = restore_shared dt snap in
-          (* debug mode: ArchDB + debug log on the replayed instance *)
-          let db = Archdb.create () in
-          Archdb.attach db (Difftest.soc dt');
-          Difftest.enable_debug dt';
-          let replay_start = (Difftest.soc dt').Xiangshan.Soc.now in
-          let budget = (2 * snapshot_interval) + 10_000 in
-          let rec go () =
-            match Difftest.status dt' with
-            | Difftest.Running
-              when (Difftest.soc dt').Xiangshan.Soc.now - replay_start < budget
-              ->
-                Difftest.tick dt';
-                go ()
-            | Difftest.Running | Difftest.Finished _ | Difftest.Failed _ -> ()
-          in
-          go ();
-          let replay_failure =
-            match Difftest.status dt' with
-            | Difftest.Failed f -> Some f
-            | Difftest.Running | Difftest.Finished _ -> None
-          in
-          let overlaps = Archdb.acquire_probe_overlaps db ~window:60 in
-          let drains_near_failure =
-            match replay_failure with
-            | Some f when f.Rule.f_pc <> 0L ->
-                Archdb.drains_for_line db ~addr:f.Rule.f_pc
-            | Some _ | None -> []
-          in
-          (* persist the replayed instance's final counters; the trace
-             windows were restored from the snapshot and replayed to
-             the failure *)
-          Archdb.record_counters db (Difftest.soc dt');
-          let replay_traces =
-            if perf then
-              Array.map
-                (fun (c : Xiangshan.Core.t) ->
-                  match c.Xiangshan.Core.tracer with
-                  | Some tr -> tr
-                  | None -> Perf.Pipetrace.create ~capacity:16 ())
-                (Difftest.soc dt').Xiangshan.Soc.cores
-            else [||]
-          in
-          Debugged
-            {
-              first_failure;
-              replay_failure;
-              replay_from_cycle = snap.Lightsss.snap_cycle;
-              replay_cycles =
-                (Difftest.soc dt').Xiangshan.Soc.now - replay_start;
-              db;
-              overlaps;
-              drains_near_failure;
-              snapshots_taken = mgr.Lightsss.snapshots_taken;
-              snapshot_seconds = mgr.Lightsss.total_snapshot_seconds;
-              replay_traces;
-            })
+    match drive ~snapshots:mgr ~max_cycles dt with
+    | Difftest.Finished c -> Verified c
+    | Difftest.Running -> Verified (-1)
+    | Difftest.Failed first_failure ->
+        let db = Archdb.create () in
+        (* restore the older snapshot (if one was taken) and replay it
+           in debug mode: ArchDB + debug log on the replayed instance *)
+        let replay_from_cycle, replay_cycles, replay_failure, replay_traces =
+          match Lightsss.replay_point mgr with
+          | None -> (0, 0, None, [||])
+          | Some snap ->
+              let dt' = restore_shared dt snap in
+              let soc' = Difftest.soc dt' in
+              Archdb.attach db soc';
+              Difftest.enable_debug dt';
+              let replay_start = soc'.Xiangshan.Soc.now in
+              let status =
+                drive ~max_cycles:((2 * snapshot_interval) + 10_000) dt'
+              in
+              (* persist the replayed instance's final counters; the
+                 trace windows were restored from the snapshot and
+                 replayed to the failure *)
+              Archdb.record_counters db soc';
+              ( snap.Lightsss.snap_cycle,
+                soc'.Xiangshan.Soc.now - replay_start,
+                (match status with
+                | Difftest.Failed f -> Some f
+                | Difftest.Running | Difftest.Finished _ -> None),
+                if perf then
+                  Array.map
+                    (fun (c : Xiangshan.Core.t) ->
+                      match c.Xiangshan.Core.tracer with
+                      | Some tr -> tr
+                      | None -> Perf.Pipetrace.create ~capacity:16 ())
+                    soc'.Xiangshan.Soc.cores
+                else [||] )
+        in
+        Debugged
+          {
+            first_failure;
+            replay_failure;
+            replay_from_cycle;
+            replay_cycles;
+            db;
+            overlaps = Archdb.acquire_probe_overlaps db ~window:60;
+            drains_near_failure =
+              (match replay_failure with
+              | Some f when f.Rule.f_pc <> 0L ->
+                  Archdb.drains_for_line db ~addr:f.Rule.f_pc
+              | Some _ | None -> []);
+            snapshots_taken = mgr.Lightsss.snapshots_taken;
+            snapshot_seconds = mgr.Lightsss.total_snapshot_seconds;
+            replay_traces;
+          }
   in
   (outcome, soc_counters soc)
 

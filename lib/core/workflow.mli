@@ -47,6 +47,24 @@ val restore_shared : Difftest.t -> Lightsss.snapshot -> Difftest.t
 (** Restore a snapshot of [dt] into a fresh instance sharing the live
     Global Memory. *)
 
+val config_for : workload:string -> Xiangshan.Config.t -> Xiangshan.Config.t
+(** The configuration a named workload runs on: [cfg], except that an
+    SMP workload ({!Workloads.Suite.smp}) on a single-core [cfg] runs
+    on {!Xiangshan.Config.nh}.  Used by [minjie run] and serve. *)
+
+val drive :
+  ?snapshots:Difftest.t Lightsss.manager ->
+  max_cycles:int ->
+  Difftest.t ->
+  Difftest.status
+(** Tick [dt] until it reaches a verdict ([Finished] or [Failed]) or
+    [max_cycles] cycles have passed since entry (the status is then
+    still [Running]; a later [drive] resumes from there).  With
+    [snapshots], {!Lightsss.tick} runs before each DiffTest cycle.
+    This is the one tick-until-verdict loop: the fast mode and the
+    debug replay of {!run_collect}, the CLI's [run], serve's run jobs
+    and [bench] all go through it.  Returns the final status. *)
+
 val run_verified :
   ?snapshot_interval:int ->
   ?max_cycles:int ->

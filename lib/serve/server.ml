@@ -29,16 +29,6 @@ let ref_kind_of_string s =
   | Some k -> k
   | None -> invalid_arg (Printf.sprintf "serve: unknown REF backend %S" s)
 
-(* mirror the CLI: SMP workloads need a multi-core config *)
-let effective_config workload (cfg : Xiangshan.Config.t) =
-  let is_smp =
-    List.exists
-      (fun (w : Workloads.Wl_common.t) -> w.Workloads.Wl_common.wl_name = workload)
-      Workloads.Suite.smp
-  in
-  if is_smp && cfg.Xiangshan.Config.n_cores < 2 then Xiangshan.Config.nh
-  else cfg
-
 let soc_instrs (soc : Xiangshan.Soc.t) =
   Array.fold_left
     (fun acc (core : Xiangshan.Core.t) ->
@@ -50,13 +40,14 @@ let exec_spec cache ~jobs (spec : Proto.job_spec) : Proto.job_result =
   | Proto.Run r ->
       let prog = Warm_cache.program cache r.rn_workload in
       let cfg =
-        effective_config r.rn_workload (Warm_cache.config_of_name r.rn_config)
+        Minjie.Workflow.config_for ~workload:r.rn_workload
+          (Warm_cache.config_of_name r.rn_config)
       in
       let ref_kind = ref_kind_of_string r.rn_ref in
       let soc = Xiangshan.Soc.create cfg in
       Xiangshan.Soc.load_program soc prog;
       let dt = Minjie.Difftest.create ~ref_kind ~prog soc in
-      let status = Minjie.Difftest.run ~max_cycles:r.rn_max_cycles dt in
+      let status = Minjie.Workflow.drive ~max_cycles:r.rn_max_cycles dt in
       let rr_status =
         match status with
         | Minjie.Difftest.Finished c -> Proto.Rs_finished c
@@ -153,7 +144,8 @@ let exec_spec cache ~jobs (spec : Proto.job_spec) : Proto.job_result =
   | Proto.Topdown t ->
       let prog = Warm_cache.program cache t.td_workload in
       let cfg =
-        effective_config t.td_workload (Warm_cache.config_of_name t.td_config)
+        Minjie.Workflow.config_for ~workload:t.td_workload
+          (Warm_cache.config_of_name t.td_config)
       in
       let soc = Xiangshan.Soc.create cfg in
       Xiangshan.Soc.load_program soc prog;

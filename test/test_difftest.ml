@@ -7,7 +7,7 @@ let run_difftest ?(max_cycles = 30_000_000) ?inject cfg prog =
   Xiangshan.Soc.load_program soc prog;
   (match inject with Some f -> f soc | None -> ());
   let dt = Minjie.Difftest.create ~prog soc in
-  (Minjie.Difftest.run ~max_cycles dt, dt)
+  (Minjie.Workflow.drive ~max_cycles dt, dt)
 
 let check_finished name (status, _) =
   match status with
@@ -401,10 +401,12 @@ let test_global_memory_hot_word_bounded () =
 (* --- allocation budget: DiffTest's own minor words per cycle --------- *)
 
 (* What co-simulation allocates on top of the DUT: the minor words of
-   [Difftest.run] minus those of a raw [Soc.run] of the same program on
-   the same configuration, per simulated cycle.  Both counts repeat
-   exactly, so the budget can be tight. *)
-let difftest_words_per_cycle cfg ref_kind prog =
+   [Workflow.drive] minus those of a raw [Soc.run] of the same program
+   on the same configuration, per simulated cycle.  With
+   [snapshot_interval], [drive] also ticks a LightSSS manager, the way
+   [Workflow.run_collect] runs fast mode.  Both counts repeat exactly,
+   so the budget can be tight. *)
+let difftest_words_per_cycle ?snapshot_interval cfg ref_kind prog =
   let raw = Xiangshan.Soc.create cfg in
   Xiangshan.Soc.load_program raw prog;
   let w0 = Gc.minor_words () in
@@ -413,8 +415,14 @@ let difftest_words_per_cycle cfg ref_kind prog =
   let soc = Xiangshan.Soc.create cfg in
   Xiangshan.Soc.load_program soc prog;
   let dt = Minjie.Difftest.create ~ref_kind ~prog soc in
+  let snapshots =
+    Option.map
+      (fun interval ->
+        Lightsss.manager ~interval (Minjie.Workflow.subject_of dt))
+      snapshot_interval
+  in
   let w1 = Gc.minor_words () in
-  let status = Minjie.Difftest.run dt in
+  let status = Minjie.Workflow.drive ?snapshots ~max_cycles:50_000_000 dt in
   let dt_words = Gc.minor_words () -. w1 in
   check_finished "budget kernel" (status, dt);
   Alcotest.(check int) "same cycles as the raw DUT" raw_cycles
@@ -423,26 +431,40 @@ let difftest_words_per_cycle cfg ref_kind prog =
 
 (* Checked-in budgets, set just above the measured values (26.1 and
    87.9; before the allocation-free compare and Global Memory they were
-   275.5 and 637.0).  A change that lowers a count must lower its
-   budget in the same change, so the saving cannot quietly erode. *)
+   275.5 and 637.0).  The third input is fast mode as perfbench's
+   untraced [cosim_*] ops time it through [Workflow.run_collect]:
+   LightSSS snapshots every 2000 cycles, 26.8 (snapshot images are
+   marshalled outside the minor heap, so they add little here).  A
+   change that lowers a count must lower its budget in the same
+   change, so the saving cannot quietly erode. *)
 let difftest_alloc_budgets =
   [
     ( "YQH coremark_like, NEMU REF",
       Xiangshan.Config.yqh,
       Minjie.Ref_model.Nemu,
+      None,
       (fun () -> (Workloads.Suite.find "coremark_like").program ~scale:1),
       27. );
     ( "dual-core NH smp_spinlock, ISS REF",
       Xiangshan.Config.nh,
       Minjie.Ref_model.Iss,
+      None,
       (fun () -> Workloads.Smp.spinlock ~scale:1),
       89. );
+    ( "YQH coremark_like, NEMU REF, LightSSS every 2000 cycles",
+      Xiangshan.Config.yqh,
+      Minjie.Ref_model.Nemu,
+      Some 2000,
+      (fun () -> (Workloads.Suite.find "coremark_like").program ~scale:1),
+      27. );
   ]
 
 let test_difftest_alloc_budget () =
   List.iter
-    (fun (name, cfg, ref_kind, prog, budget) ->
-      let w = difftest_words_per_cycle cfg ref_kind (prog ()) in
+    (fun (name, cfg, ref_kind, snapshot_interval, prog, budget) ->
+      let w =
+        difftest_words_per_cycle ?snapshot_interval cfg ref_kind (prog ())
+      in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %.2f words/cycle <= budget %.1f" name w budget)
         true (w <= budget))

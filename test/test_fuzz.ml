@@ -61,7 +61,7 @@ let test_fuzz_difftest () =
       let soc = Xiangshan.Soc.create cfg in
       Xiangshan.Soc.load_program soc prog;
       let dt = Minjie.Difftest.create ~prog soc in
-      match Minjie.Difftest.run ~max_cycles:5_000_000 dt with
+      match Minjie.Workflow.drive ~max_cycles:5_000_000 dt with
       | Minjie.Difftest.Finished _ -> ()
       | Minjie.Difftest.Failed f ->
           Alcotest.failf "seed %d on %s: %s at pc=0x%Lx (%s)" seed

@@ -367,6 +367,97 @@ let test_workflow_debugs_injected_bug () =
       Alcotest.(check bool) "acquire/probe overlap found" true
         (r.overlaps <> [])
 
+(* --- LightSSS under the one tick-until-verdict loop ------------------- *)
+
+let show_status = function
+  | Minjie.Difftest.Running -> "running"
+  | Minjie.Difftest.Finished c -> Printf.sprintf "finished %d" c
+  | Minjie.Difftest.Failed f -> "failed: " ^ Minjie.Rule.string_of_failure f
+
+(* Everything a co-simulated run reports about itself once [drive]
+   returns: verdict, final cycle, commits checked, rule fires and the
+   merged DUT counters. *)
+let run_view dt status =
+  ( show_status status,
+    (Minjie.Difftest.soc dt).Xiangshan.Soc.now,
+    Minjie.Difftest.commits_checked dt,
+    Minjie.Difftest.rule_fire_counts dt,
+    Minjie.Workflow.soc_counters (Minjie.Difftest.soc dt) )
+
+let check_same_run name (s, now, commits, fires, counters)
+    (s', now', commits', fires', counters') =
+  Alcotest.(check string) (name ^ ": status") s s';
+  Alcotest.(check int) (name ^ ": final cycle") now now';
+  Alcotest.(check int) (name ^ ": commits checked") commits commits';
+  Alcotest.(check (list (pair string int))) (name ^ ": rule fires") fires fires';
+  Alcotest.(check (list (pair string int))) (name ^ ": counters") counters
+    counters'
+
+let drive_cases =
+  [
+    ( "YQH coremark_like",
+      Xiangshan.Config.yqh,
+      fun () -> (Workloads.Suite.find "coremark_like").program ~scale:1 );
+    ( "dual-core NH smp_spinlock",
+      Xiangshan.Config.nh,
+      fun () -> Workloads.Smp.spinlock ~scale:1 );
+  ]
+
+let test_drive_snapshots_pure () =
+  (* snapshots every 500 cycles must not change a single observable of
+     the run: LightSSS only observes the instance it copies *)
+  List.iter
+    (fun (name, cfg, prog) ->
+      let run snapshot_interval =
+        let dt = make_difftest (prog ()) cfg in
+        let snapshots =
+          Option.map
+            (fun interval ->
+              Lightsss.manager ~interval (Minjie.Workflow.subject_of dt))
+            snapshot_interval
+        in
+        let status =
+          Minjie.Workflow.drive ?snapshots ~max_cycles:50_000_000 dt
+        in
+        (match snapshots with
+        | Some m ->
+            Alcotest.(check bool) (name ^ ": snapshots taken") true
+              (m.Lightsss.snapshots_taken > 1)
+        | None -> ());
+        run_view dt status
+      in
+      let plain = run None in
+      let (s, _, _, _, _) as managed = run (Some 500) in
+      Alcotest.(check bool) (name ^ ": verified") true
+        (String.starts_with ~prefix:"finished" s);
+      check_same_run name plain managed)
+    drive_cases
+
+let test_drive_budget_resumes () =
+  (* [max_cycles] stops an unfinished run at exactly start + n with the
+     status still Running; a second [drive] then ends where one
+     uninterrupted [drive] does (table1's warm-up relies on this) *)
+  List.iter
+    (fun (name, cfg, prog) ->
+      let whole = make_difftest (prog ()) cfg in
+      let ((_, whole_now, _, _, _) as whole_view) =
+        run_view whole (Minjie.Workflow.drive ~max_cycles:50_000_000 whole)
+      in
+      let split = make_difftest (prog ()) cfg in
+      let soc = Minjie.Difftest.soc split in
+      let start = soc.Xiangshan.Soc.now in
+      (* half the run: the program is still going *)
+      let n = (whole_now - start) / 2 in
+      Alcotest.(check string) (name ^ ": stopped by the budget") "running"
+        (show_status (Minjie.Workflow.drive ~max_cycles:n split));
+      Alcotest.(check int) (name ^ ": stopped at start + n") (start + n)
+        soc.Xiangshan.Soc.now;
+      let resumed =
+        run_view split (Minjie.Workflow.drive ~max_cycles:50_000_000 split)
+      in
+      check_same_run name whole_view resumed)
+    drive_cases
+
 let tests =
   [
     Alcotest.test_case "snapshot/replay determinism" `Slow
@@ -388,6 +479,10 @@ let tests =
       test_failure_inside_first_interval;
     Alcotest.test_case "two-replay ArchDB determinism" `Slow
       test_two_replay_archdb_determinism;
+    Alcotest.test_case "drive: snapshots change no observable" `Slow
+      test_drive_snapshots_pure;
+    Alcotest.test_case "drive: a cycle budget stops and resumes" `Slow
+      test_drive_budget_resumes;
     Alcotest.test_case "workflow: clean run verifies" `Slow test_workflow_clean;
     Alcotest.test_case "workflow: debugs the injected L2 bug (§IV-C)" `Slow
       test_workflow_debugs_injected_bug;

@@ -138,7 +138,7 @@ let commit_counters_match kind () =
   let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
   Xiangshan.Soc.load_program soc prog;
   let dt = Minjie.Difftest.create ~ref_kind:kind ~prog soc in
-  (match Minjie.Difftest.run ~max_cycles:100_000_000 dt with
+  (match Minjie.Workflow.drive ~max_cycles:100_000_000 dt with
   | Minjie.Difftest.Finished _ -> ()
   | Minjie.Difftest.Failed f ->
       Alcotest.failf "difftest failed: %s" f.Minjie.Rule.f_msg

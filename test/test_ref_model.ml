@@ -229,7 +229,7 @@ let difftest_profile kind prog =
   let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
   Xiangshan.Soc.load_program soc prog;
   let dt = Minjie.Difftest.create ~ref_kind:kind ~prog soc in
-  let status = Minjie.Difftest.run ~max_cycles:30_000_000 dt in
+  let status = Minjie.Workflow.drive ~max_cycles:30_000_000 dt in
   let code =
     match status with
     | Minjie.Difftest.Finished c -> c

@@ -31,7 +31,7 @@ let observe ?(cfg = Xiangshan.Config.yqh) ~ref_kind ~order wl =
   set_order soc order;
   let dt = Minjie.Difftest.create ~ref_kind ~prog soc in
   let status =
-    match Minjie.Difftest.run ~max_cycles:20_000_000 dt with
+    match Minjie.Workflow.drive ~max_cycles:20_000_000 dt with
     | Minjie.Difftest.Running -> "running"
     | Minjie.Difftest.Finished code -> Printf.sprintf "finished:%d" code
     | Minjie.Difftest.Failed f -> "failed:" ^ Minjie.Rule.string_of_failure f
