@@ -68,6 +68,23 @@ grep -q '"table_cow_faults"' ci_table1.json
 grep -q '"table_pages_shared"' ci_table1.json
 rm -f ci_table1.json
 
+echo "== checkpoints smoke (BBV profile -> SimPoint selection -> restored samples, as recorded) =="
+dune exec bench/main.exe -- checkpoints > ci_checkpoints.txt
+# the speed lines carry host wall clock; the interval count, the
+# selection and every restored sample's IPC must not move
+grep -E '^intervals: |@interval' ci_checkpoints.txt > ci_checkpoints_model.txt
+cat > ci_checkpoints_expected.txt <<'EOF_CKPT'
+intervals: 6, checkpoints selected: 6
+  checkpoint @interval 0    weight 0.17 -> restored, ipc 0.697
+  checkpoint @interval 1    weight 0.17 -> restored, ipc 0.563
+  checkpoint @interval 2    weight 0.17 -> restored, ipc 0.481
+  checkpoint @interval 3    weight 0.17 -> restored, ipc 0.452
+  checkpoint @interval 4    weight 0.17 -> restored, ipc 0.468
+  checkpoint @interval 5    weight 0.17 -> restored, ipc 0.514
+EOF_CKPT
+diff ci_checkpoints_expected.txt ci_checkpoints_model.txt
+rm -f ci_checkpoints.txt ci_checkpoints_model.txt ci_checkpoints_expected.txt
+
 echo "== pool tests (fork pool: ordering, crash isolation, timeouts) =="
 dune exec test/main.exe -- test pool
 

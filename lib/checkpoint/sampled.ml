@@ -25,19 +25,23 @@ type generation_stats = {
   gen_selected : int;
 }
 
-(* Profile + select + capture. *)
-let generate ?(interval = 100_000) ?(max_k = 8) ?(max_insns = 200_000_000)
-    (prog : Riscv.Asm.program) : sampled_checkpoint list * generation_stats =
-  (* pass 1: BBV profiling at NEMU speed *)
-  let t0 = Unix.gettimeofday () in
+(* Pass 1: BBV profiling at NEMU speed. *)
+let profile ?(interval = 100_000) ?(max_insns = 200_000_000)
+    (prog : Riscv.Asm.program) : Bbv.vector array * int =
   let m = Nemu.Mach.create () in
   Nemu.Mach.load_program m prog;
   let engine = Nemu.Fast.create m in
   let bbv = Bbv.create ~interval in
   Bbv.attach bbv engine;
-  let n1 = Nemu.Fast.run engine ~max_insns in
+  let n = Nemu.Fast.run engine ~max_insns in
   Bbv.finish bbv;
-  let vectors = Bbv.vectors bbv in
+  (Bbv.vectors bbv, n)
+
+(* Profile + select + capture. *)
+let generate ?(interval = 100_000) ?(max_k = 8) ?(max_insns = 200_000_000)
+    (prog : Riscv.Asm.program) : sampled_checkpoint list * generation_stats =
+  let t0 = Unix.gettimeofday () in
+  let vectors, n1 = profile ~interval ~max_insns prog in
   let selections = Simpoint.select vectors ~max_k in
   (* pass 2: capture checkpoints at the selected boundaries *)
   let m2 = Nemu.Mach.create () in

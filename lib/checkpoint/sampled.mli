@@ -21,6 +21,12 @@ type generation_stats = {
   gen_selected : int;
 }
 
+val profile :
+  ?interval:int -> ?max_insns:int -> Riscv.Asm.program -> Bbv.vector array * int
+(** Pass 1 alone: run the program on NEMU with a {!Bbv} profiler
+    attached; returns the vectors, one per [interval] instructions
+    (default 100,000), and the instructions retired. *)
+
 val generate :
   ?interval:int ->
   ?max_k:int ->

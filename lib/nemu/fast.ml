@@ -95,9 +95,11 @@ type t = {
   mutable compiled : int;
   mutable evictions : int;
   mutable recompiles : int;
-  (* BBV profiling hooks (§III-D3): record control-flow edges *)
+  (* BBV profiling (§III-D3): [build_terminal] resolves [prof_site pc]
+     once per control-flow terminator, and the terminator calls the
+     resolved routine on every edge it takes while [prof_on] *)
   mutable prof_on : bool;
-  mutable prof_edge : int64 -> int64 -> unit; (* src block pc -> dst pc *)
+  mutable prof_site : int64 -> unit -> unit;
 }
 
 (* Raised by a body store routine when the guest hit the exit device
@@ -122,6 +124,8 @@ let may_raise (insn : Insn.t) =
   | Insn.Load _ | Insn.Store _ | Insn.Fld _ | Insn.Fsd _ -> true
   | _ -> false
 
+let no_site () = ()
+
 let[@inline] priv_ix = function Csr.U -> 0 | Csr.S -> 1 | Csr.M -> 2
 
 let create ?(capacity = 16384) (m : Mach.t) : t =
@@ -139,7 +143,7 @@ let create ?(capacity = 16384) (m : Mach.t) : t =
     evictions = 0;
     recompiles = 0;
     prof_on = false;
-    prof_edge = (fun _ _ -> ());
+    prof_site = (fun _ -> no_site);
   }
 
 (* Entries are keyed by virtual pc, and the same va maps to different
@@ -818,7 +822,10 @@ let compile_straight (m : Mach.t) (insn : Insn.t) : (unit -> unit) option =
 
    The terminal executes the block's final (control-flow or system)
    instruction, accounts for it in instret, and returns the successor
-   entry (or None on a chain miss / system event). *)
+   entry (or None on a chain miss / system event).  A branch, jal or
+   jalr terminal also reports its edge to the BBV profiler through the
+   site routine resolved here for its pc: branches and jal before the
+   instret bump, jalr after it. *)
 
 let build_terminal (t : t) (e : entry) (pc : int64) (insn : Insn.t) : exec_fn =
   let m = t.m in
@@ -843,8 +850,8 @@ let build_terminal (t : t) (e : entry) (pc : int64) (insn : Insn.t) : exec_fn =
         t.patch_slot <- Patch_tgt;
         None
   in
-  let indirect target =
-    if t.prof_on then t.prof_edge pc target;
+  let indirect site target =
+    if t.prof_on then site ();
     match Hashtbl.find_opt t.cache target with
     | Some _ as n -> n
     | None ->
@@ -880,8 +887,9 @@ let build_terminal (t : t) (e : entry) (pc : int64) (insn : Insn.t) : exec_fn =
          unsigned compares use signed (a < b) xor sign(a) xor sign(b).
          [finish] takes an immediate bool, so calling it is free. *)
       let target = Int64.add pc off in
+      let site = t.prof_site pc in
       let finish taken =
-        if t.prof_on then t.prof_edge pc (if taken then target else next);
+        if t.prof_on then site ();
         m.Mach.instret <- m.Mach.instret + 1;
         if taken then tgt_or_miss target else seq_or_miss ()
       in
@@ -925,21 +933,24 @@ let build_terminal (t : t) (e : entry) (pc : int64) (insn : Insn.t) : exec_fn =
   | Jal (rd, off) ->
       let rd = rdx rd in
       let target = Int64.add pc off in
+      let site = t.prof_site pc in
       fun _ ->
         Array1.unsafe_set regs rd next;
-        if t.prof_on then t.prof_edge pc target;
+        if t.prof_on then site ();
         m.Mach.instret <- m.Mach.instret + 1;
         tgt_or_miss target
   | Jalr (0, rs1, 0L) ->
       (* ret-style: no link write *)
+      let site = t.prof_site pc in
       fun _ ->
         let target =
           Int64.logand (Array1.unsafe_get regs rs1) (Int64.lognot 1L)
         in
         m.Mach.instret <- m.Mach.instret + 1;
-        indirect target
+        indirect site target
   | Jalr (rd, rs1, imm) ->
       let rd = rdx rd in
+      let site = t.prof_site pc in
       fun _ ->
         let target =
           Int64.logand
@@ -948,7 +959,7 @@ let build_terminal (t : t) (e : entry) (pc : int64) (insn : Insn.t) : exec_fn =
         in
         Array1.unsafe_set regs rd next;
         m.Mach.instret <- m.Mach.instret + 1;
-        indirect target
+        indirect site target
   | _ -> generic insn
 
 (* Terminal for a block cut without a control-flow instruction (length

@@ -30,6 +30,11 @@
     capacity a bounded victim set is evicted and stale chains into the
     victims self-heal by in-place recompilation.
 
+    BBV profiling (§III-D3, [Checkpoint.Bbv]) turns jump folding off,
+    so each superblock ends in at most one control-flow edge; each
+    branch, jal or jalr terminator resolves its profiling routine once,
+    when it is compiled, and calls it on every edge it takes.
+
     Precision: a trap from the i-th instruction of a block retires
     i+1 instructions with a precise epc, and {!run} retires exactly
     [max_insns] unless the machine exits (checkpointing relies on
@@ -81,9 +86,15 @@ type t = {
   mutable evictions : int; (** entries demoted by capacity eviction *)
   mutable recompiles : int; (** evicted entries rebuilt via stale chains *)
   mutable prof_on : bool;
-  mutable prof_edge : int64 -> int64 -> unit;
-      (** BBV profiling hook: called with (source pc, target pc) of
-          every executed control-flow edge when [prof_on] *)
+      (** BBV profiling is attached: blocks compiled while it is set
+          fold no jumps, so each ends in at most one control-flow
+          edge *)
+  mutable prof_site : int64 -> unit -> unit;
+      (** BBV profiling hook, resolved once per branch/jal/jalr
+          terminator pc when its block is compiled; the returned
+          routine runs on every edge that terminator takes while
+          [prof_on].  Set it before {!flush}ing, so every block is
+          recompiled against it. *)
 }
 
 val compile_straight : Mach.t -> Riscv.Insn.t -> (unit -> unit) option

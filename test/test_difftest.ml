@@ -400,13 +400,25 @@ let test_global_memory_hot_word_bounded () =
 
 (* --- allocation budget: DiffTest's own minor words per cycle --------- *)
 
+(* [Xiangshan.Predecode]'s memo is process-wide: a run decodes fewer
+   instruction words when an earlier test ran the same code.  One
+   unmeasured raw run of the program leaves every memo slot the
+   program uses as the measured run needs it, whatever ran before, so
+   the measured counts are the same in the suite and alone. *)
+let warm_predecode cfg prog =
+  let soc = Xiangshan.Soc.create cfg in
+  Xiangshan.Soc.load_program soc prog;
+  ignore (Xiangshan.Soc.run soc)
+
 (* What co-simulation allocates on top of the DUT: the minor words of
    [Workflow.drive] minus those of a raw [Soc.run] of the same program
    on the same configuration, per simulated cycle.  With
    [snapshot_interval], [drive] also ticks a LightSSS manager, the way
-   [Workflow.run_collect] runs fast mode.  Both counts repeat exactly,
-   so the budget can be tight. *)
+   [Workflow.run_collect] runs fast mode.  With the memo warmed first,
+   both counts repeat exactly in any test order, so the budget can be
+   tight. *)
 let difftest_words_per_cycle ?snapshot_interval cfg ref_kind prog =
+  warm_predecode cfg prog;
   let raw = Xiangshan.Soc.create cfg in
   Xiangshan.Soc.load_program raw prog;
   let w0 = Gc.minor_words () in
@@ -473,7 +485,8 @@ let test_difftest_alloc_budget () =
 (* --- allocation budget: the raw DUT's minor words per cycle ---------- *)
 
 (* Minor words of a raw [Soc.run] (no DiffTest, no REF) per simulated
-   cycle; the count repeats exactly.  Budgets are set just above the
+   cycle, after a warming run; the count then repeats exactly in any
+   test order.  Budgets are set just above the
    measured values (67.0 and 125.3, with predecoded instructions and
    compact uops; before them the budgets were 93 and 162 for 91.9 and
    160.8, and with list-based issue, load and store queues and
@@ -495,8 +508,10 @@ let dut_alloc_budgets =
 let test_dut_alloc_budget () =
   List.iter
     (fun (name, cfg, prog, budget) ->
+      let prog = prog () in
+      warm_predecode cfg prog;
       let soc = Xiangshan.Soc.create cfg in
-      Xiangshan.Soc.load_program soc (prog ());
+      Xiangshan.Soc.load_program soc prog;
       let w0 = Gc.minor_words () in
       let cycles = Xiangshan.Soc.run soc in
       let w = (Gc.minor_words () -. w0) /. float_of_int cycles in
