@@ -37,18 +37,14 @@ let capture_memory (mem : Memory.t) =
   Memory.iter_pages mem (fun i data -> pages := (i, Bytes.copy data) :: !pages);
   List.rev !pages
 
+(* Page [i] of the checkpoint is page [i] of a memory with the same
+   base and page size, so each one is blitted whole into its page. *)
 let restore_memory (t : t) (mem : Memory.t) =
   assert (mem.Memory.page_bits = t.ck_page_bits);
+  assert (Int64.equal (Memory.base mem) t.ck_mem_base);
   List.iter
     (fun (i, data) ->
-      let base =
-        Int64.add t.ck_mem_base
-          (Int64.of_int (i lsl t.ck_page_bits))
-      in
-      Bytes.iteri
-        (fun off c ->
-          Memory.write_u8 mem (Int64.add base (Int64.of_int off)) (Char.code c))
-        data)
+      Bytes.blit data 0 (Memory.write_page mem i) 0 (Bytes.length data))
     t.ck_pages
 
 (* --- capture from a NEMU machine ------------------------------------- *)

@@ -48,7 +48,8 @@ let create ?(capacity = 1_000_000) () =
   }
 
 (* Attach to a SoC: tees every probe stream into the database while
-   preserving previously installed sinks (e.g. DiffTest's). *)
+   preserving previously installed sinks.  A commit probe is a slot the
+   core refills next cycle, so the table keeps a copy. *)
 let attach (db : t) (soc : Xiangshan.Soc.t) =
   Array.iter
     (fun (core : Xiangshan.Core.t) ->
@@ -56,7 +57,7 @@ let attach (db : t) (soc : Xiangshan.Soc.t) =
       let old_commit = p.Xiangshan.Probe.on_commit in
       p.Xiangshan.Probe.on_commit <-
         (fun c ->
-          insert db.commits c;
+          insert db.commits (Xiangshan.Probe.copy c);
           old_commit c);
       let old_drain = p.Xiangshan.Probe.on_drain in
       p.Xiangshan.Probe.on_drain <-

@@ -38,7 +38,8 @@ val create : ?capacity:int -> unit -> t
 
 val attach : t -> Xiangshan.Soc.t -> unit
 (** Tee every probe stream of the SoC into the database, preserving
-    previously installed sinks (DiffTest's, for instance). *)
+    previously installed sinks.  Commit rows are {!Xiangshan.Probe.copy}s:
+    a commit slot is refilled on the next cycle. *)
 
 val record_counters : t -> Xiangshan.Soc.t -> unit
 (** Persist [Core.counter_snapshot] of every hart into the [counters]

@@ -36,7 +36,6 @@ type t = {
   (* [rules] with a pre / a post check, in list order, split once *)
   pre_rules : Rule.t array;
   post_rules : Rule.t array;
-  queues : Xiangshan.Probe.commit Queue.t array;
   scoreboard : Softmem.Scoreboard.t option;
   mutable status : status;
   mutable commits_checked : int;
@@ -140,35 +139,35 @@ let note_drain (t : t) hart (d : Xiangshan.Probe.store_drain) =
     end
   end
 
-(* [parked] without the first drain matching [m], if there is one. *)
-let rec take_parked (m : Xiangshan.Probe.mem_access) acc = function
+(* [parked] without the first drain of [value] to [paddr] / [size],
+   if there is one. *)
+let rec take_parked ~paddr ~size ~value acc = function
   | [] -> None
   | (e : pending_store) :: rest ->
-      if
-        e.ps_paddr = m.Xiangshan.Probe.m_paddr
-        && e.ps_size = m.Xiangshan.Probe.m_size
-        && e.ps_value = m.Xiangshan.Probe.m_value
-      then Some (List.rev_append acc rest)
-      else take_parked m (e :: acc) rest
+      if e.ps_paddr = paddr && e.ps_size = size && e.ps_value = value then
+        Some (List.rev_append acc rest)
+      else take_parked ~paddr ~size ~value (e :: acc) rest
 
 (* A store probe committed: either its drain already raced past this
    cycle (consume the parked announcement) or it joins the pending
    queue to be matched when the buffer drains it. *)
 let note_committed_store (t : t) ~hart (p : Xiangshan.Probe.commit) =
-  match p.Xiangshan.Probe.p_store with
-  | Some m when not p.Xiangshan.Probe.p_mmio -> (
-      match take_parked m [] t.early_drains.(hart) with
-      | Some rest -> t.early_drains.(hart) <- rest
-      | None ->
-          Queue.add
-            {
-              ps_paddr = m.Xiangshan.Probe.m_paddr;
-              ps_size = m.Xiangshan.Probe.m_size;
-              ps_value = m.Xiangshan.Probe.m_value;
-              ps_commit_cycle = p.Xiangshan.Probe.p_cycle;
-            }
-            t.pending_stores.(hart))
-  | _ -> ()
+  if p.Xiangshan.Probe.p_has_store && not p.Xiangshan.Probe.p_mmio then begin
+    let paddr = p.Xiangshan.Probe.p_mem_paddr
+    and size = p.Xiangshan.Probe.p_mem_size
+    and value = p.Xiangshan.Probe.p_store_value in
+    match take_parked ~paddr ~size ~value [] t.early_drains.(hart) with
+    | Some rest -> t.early_drains.(hart) <- rest
+    | None ->
+        Queue.add
+          {
+            ps_paddr = paddr;
+            ps_size = size;
+            ps_value = value;
+            ps_commit_cycle = p.Xiangshan.Probe.p_cycle;
+          }
+          t.pending_stores.(hart)
+  end
 
 (* Attach probes to the SoC and build REFs mirroring the program.
    [ref_kind] selects the reference-model backend. *)
@@ -189,7 +188,6 @@ let create ?rules ?(with_scoreboard = true) ?(ref_kind = Ref_model.Iss)
       forced_history = Hashtbl.create 64;
     }
   in
-  let queues = Array.init n (fun _ -> Queue.create ()) in
   let scoreboard =
     if not with_scoreboard then None
     else begin
@@ -217,7 +215,6 @@ let create ?rules ?(with_scoreboard = true) ?(ref_kind = Ref_model.Iss)
       post_rules =
         Array.of_list
           (List.filter (fun (r : Rule.t) -> Option.is_some r.Rule.post) rules);
-      queues;
       scoreboard;
       status = Running;
       commits_checked = 0;
@@ -232,8 +229,6 @@ let create ?rules ?(with_scoreboard = true) ?(ref_kind = Ref_model.Iss)
   in
   Array.iteri
     (fun i core ->
-      core.Xiangshan.Core.probes.Xiangshan.Probe.on_commit <-
-        (fun p -> Queue.add p t.queues.(i));
       core.Xiangshan.Core.probes.Xiangshan.Probe.on_drain <-
         (fun d ->
           (* only a second hart's stores can justify a load mismatch,
@@ -300,7 +295,14 @@ let process_commit t ~hart (p : Xiangshan.Probe.commit) =
               ~rule:"pc-check"
               (Printf.sprintf "pc mismatch: DUT commits 0x%Lx, REF at 0x%Lx"
                  p.p_pc c.Ref_model.pc);
-          (* fused second instruction: the REF executes both *)
+          (* fused second instruction: the REF executes both.  Its
+             step refills the REF's commit record, and the post rules
+             read the first commit, so that one is kept as a copy. *)
+          let c =
+            match p.p_second with
+            | Some _ -> Ref_model.copy_commit c
+            | None -> c
+          in
           let final_c =
             match p.p_second with
             | Some _ -> (
@@ -323,20 +325,18 @@ let process_commit t ~hart (p : Xiangshan.Probe.commit) =
                      "next pc mismatch at 0x%Lx: DUT 0x%Lx, REF 0x%Lx" p.p_pc
                      p.p_next_pc final_c.Ref_model.next_pc)))
 
-(* End-of-cycle architectural comparison (after the commit queue of
-   each hart has been drained).  The full state is compared every
-   cycle; [diff_against] allocates nothing while DUT and REF agree. *)
+(* End-of-cycle architectural comparison (after every hart's commit
+   slots have been checked).  The full state is compared every cycle;
+   [diff_against] allocates nothing while DUT and REF agree. *)
 let compare_states t =
   let cores = t.soc.Xiangshan.Soc.cores in
   for hart = 0 to Array.length cores - 1 do
-    if Queue.is_empty t.queues.(hart) then begin
-      let arch = cores.(hart).Xiangshan.Core.arch in
-      match t.ctx.Rule.refs.(hart).Ref_model.diff_against arch with
-      | Some msg ->
-          fail_now t ~hart ~pc:arch.Arch_state.pc ~rule:"state-compare"
-            ("DUT vs REF: " ^ msg)
-      | None -> ()
-    end
+    let arch = cores.(hart).Xiangshan.Core.arch in
+    match t.ctx.Rule.refs.(hart).Ref_model.diff_against arch with
+    | Some msg ->
+        fail_now t ~hart ~pc:arch.Arch_state.pc ~rule:"state-compare"
+          ("DUT vs REF: " ^ msg)
+    | None -> ()
   done
 
 let check_scoreboard t =
@@ -406,10 +406,14 @@ let tick t =
     for i = 0 to Array.length refs - 1 do
       Platform.Clint.copy_mtime ~src:clint ~dst:refs.(i).Ref_model.clint
     done;
-    for hart = 0 to Array.length t.queues - 1 do
-      let q = t.queues.(hart) in
-      while (not (Queue.is_empty q)) && running t do
-        process_commit t ~hart (Queue.pop q)
+    (* each hart's commit slots, in place and in retirement order *)
+    let cores = t.soc.Xiangshan.Soc.cores in
+    for hart = 0 to Array.length cores - 1 do
+      let core = cores.(hart) in
+      let k = ref 0 in
+      while !k < core.Xiangshan.Core.n_slots && running t do
+        process_commit t ~hart core.Xiangshan.Core.slots.(!k);
+        incr k
       done
     done;
     (* parked drain announcements only live until this cycle's

@@ -4,6 +4,10 @@
     A DUT ({!Xiangshan.Soc}) and one single-core REF per hart run
     simultaneously; the DUT's commit stream, extracted by the
     information probes, drives the REFs instruction by instruction.
+    Retirement allocates nothing on either side: after each
+    [Soc.tick] DiffTest reads each core's commit slots in place, and
+    each REF reports into its one reusable commit record (see
+    {!Xiangshan.Probe} and {!Ref_model}).
     Diff-rules reconcile legal micro-architecture-dependent
     divergence; anything they cannot justify aborts the co-simulation
     with a located failure, which the LightSSS workflow can replay in
@@ -46,10 +50,10 @@ val create :
     defaults to {!Ref_model.Iss}. *)
 
 val tick : t -> unit
-(** One co-simulated cycle: advance the SoC, drain and check each
-    hart's commit queue, compare architectural states, check the
-    scoreboard and the watchdog.  Does nothing once a verdict is
-    set. *)
+(** One co-simulated cycle: advance the SoC, check each hart's commit
+    slots in place ([Xiangshan.Core.t.slots], valid until the next
+    tick), compare architectural states, check the scoreboard and the
+    watchdog.  Does nothing once a verdict is set. *)
 
 (** {1 Accessors} *)
 

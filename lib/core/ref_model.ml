@@ -19,27 +19,28 @@
 type kind = Iss | Nemu
 
 (* The commit vocabulary is shared with the ISS REF: every backend
-   reports retirement in the same records. *)
+   reports retirement in the same records, one reusable record per REF
+   (see [Iss.Interp.report]). *)
 type mem_access = Iss.Interp.mem_access = {
-  vaddr : int64;
-  paddr : int64;
-  size : int;
-  value : int64;
+  mutable vaddr : int64;
+  mutable paddr : int64;
+  mutable size : int;
+  mutable value : int64;
 }
 
 type trap_info = Iss.Interp.trap_info = { exc : Riscv.Trap.exc; tval : int64 }
 
 type commit = Iss.Interp.commit = {
-  pc : int64;
-  insn : Riscv.Insn.t;
-  next_pc : int64;
-  trap : trap_info option;
-  interrupt : Riscv.Trap.irq option;
-  load : mem_access option;
-  store : mem_access option;
-  sc_failed : bool;
-  csr_read : (int * int64) option;
-  mmio : bool;
+  mutable pc : int64;
+  mutable insn : Riscv.Insn.t;
+  mutable next_pc : int64;
+  mutable trap : trap_info option;
+  mutable interrupt : Riscv.Trap.irq option;
+  mutable load : mem_access option;
+  mutable store : mem_access option;
+  mutable sc_failed : bool;
+  mutable csr_read : (int * int64) option;
+  mutable mmio : bool;
 }
 
 type step_result = Iss.Interp.step_result = Committed of commit | Exited
@@ -67,6 +68,8 @@ type t = {
   exited : unit -> bool;
   exit_code : unit -> int option;
 }
+
+let copy_commit = Iss.Interp.copy_commit
 
 let kind_name = function Iss -> "iss" | Nemu -> "nemu"
 

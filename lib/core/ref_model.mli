@@ -12,27 +12,35 @@
 type kind = Iss | Nemu
 
 (** The shared commit vocabulary (identical to the ISS records, so
-    rules written against either name interoperate). *)
+    rules written against either name interoperate).
+
+    {b One reusable record per REF.}  Each backend owns one {!commit}
+    (with its two access records) and refills it on every [step], which
+    returns the same preallocated [Committed] value each time: a
+    retired step allocates no record.  A commit is valid until the same
+    REF's next [step]; a caller that needs it longer (DiffTest's fused
+    pair, whose first commit the post rules read after the second
+    step) keeps a {!copy_commit}. *)
 type mem_access = Iss.Interp.mem_access = {
-  vaddr : int64;
-  paddr : int64;
-  size : int;
-  value : int64;
+  mutable vaddr : int64;
+  mutable paddr : int64;
+  mutable size : int;
+  mutable value : int64;
 }
 
 type trap_info = Iss.Interp.trap_info = { exc : Riscv.Trap.exc; tval : int64 }
 
 type commit = Iss.Interp.commit = {
-  pc : int64;
-  insn : Riscv.Insn.t;
-  next_pc : int64;
-  trap : trap_info option;
-  interrupt : Riscv.Trap.irq option;
-  load : mem_access option;
-  store : mem_access option;
-  sc_failed : bool;
-  csr_read : (int * int64) option;
-  mmio : bool;
+  mutable pc : int64;
+  mutable insn : Riscv.Insn.t;
+  mutable next_pc : int64;
+  mutable trap : trap_info option;
+  mutable interrupt : Riscv.Trap.irq option;
+  mutable load : mem_access option;
+  mutable store : mem_access option;
+  mutable sc_failed : bool;
+  mutable csr_read : (int * int64) option;
+  mutable mmio : bool;
 }
 
 type step_result = Iss.Interp.step_result = Committed of commit | Exited
@@ -68,6 +76,9 @@ type t = {
   exited : unit -> bool;
   exit_code : unit -> int option;
 }
+
+val copy_commit : commit -> commit
+(** A commit (with its accesses) that outlives the next [step]. *)
 
 val kind_name : kind -> string
 

@@ -40,18 +40,18 @@ type verdict = Pass | Patched | Fail of string
 (* One-line snapshot of a commit probe for failure reports: pc,
    instruction, and the memory access values the DUT saw. *)
 let describe_probe (p : Xiangshan.Probe.commit) : string =
-  let acc tag = function
-    | Some (m : Xiangshan.Probe.mem_access) ->
-        Printf.sprintf " %s@0x%Lx=0x%Lx" tag m.Xiangshan.Probe.m_paddr
-          m.Xiangshan.Probe.m_value
-    | None -> ""
+  let acc tag present value =
+    if present then
+      Printf.sprintf " %s@0x%Lx=0x%Lx" tag p.Xiangshan.Probe.p_mem_paddr value
+    else ""
   in
   Printf.sprintf "pc=0x%Lx insn=%s next=0x%Lx%s%s"
     p.Xiangshan.Probe.p_pc
     (Riscv.Insn.show p.Xiangshan.Probe.p_insn)
     p.Xiangshan.Probe.p_next_pc
-    (acc "load" p.Xiangshan.Probe.p_load)
-    (acc "store" p.Xiangshan.Probe.p_store)
+    (acc "load" p.Xiangshan.Probe.p_has_load p.Xiangshan.Probe.p_load_value)
+    (acc "store" p.Xiangshan.Probe.p_has_store
+       p.Xiangshan.Probe.p_store_value)
 
 let string_of_failure (f : failure) : string =
   Printf.sprintf "cycle %d hart %d pc=0x%Lx [%s] %s%s" f.f_cycle f.f_hart

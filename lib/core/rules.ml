@@ -108,8 +108,8 @@ let mmio_load_trust () =
        DUT's MMIO load value is trusted and copied to the REF"
     ~post:(fun ctx ~hart (p : Xiangshan.Probe.commit) (c : Ref_model.commit) ->
       if p.p_mmio then begin
-        match (p.p_load, c.Ref_model.load) with
-        | Some dut, Some _ ->
+        match c.Ref_model.load with
+        | Some _ when p.p_has_load ->
             let rd =
               match p.p_insn with
               | Insn.Load (_, rd, _, _) -> rd
@@ -118,8 +118,8 @@ let mmio_load_trust () =
             let extended =
               match p.p_insn with
               | Insn.Load (op, _, _, _) ->
-                  Iss.Alu.extend_load op dut.Xiangshan.Probe.m_value
-              | _ -> dut.Xiangshan.Probe.m_value
+                  Iss.Alu.extend_load op p.p_load_value
+              | _ -> p.p_load_value
             in
             ctx.Rule.refs.(hart).Ref_model.patch_reg rd extended;
             Rule.Patched
@@ -137,9 +137,9 @@ let global_memory_load () =
        matches a store another hart drained into the cache hierarchy; the \
        REF's local memory and destination register are updated"
     ~post:(fun ctx ~hart (p : Xiangshan.Probe.commit) (c : Ref_model.commit) ->
-      match (p.p_load, c.Ref_model.load) with
-      | Some dut, Some ref_acc when not p.p_mmio ->
-          if dut.Xiangshan.Probe.m_value = ref_acc.Ref_model.value then
+      match c.Ref_model.load with
+      | Some ref_acc when p.p_has_load && not p.p_mmio ->
+          if p.p_load_value = ref_acc.Ref_model.value then
             Rule.Pass
           else if Array.length ctx.Rule.refs <= 1 then
             (* single hart: no other thread can have produced the
@@ -150,28 +150,28 @@ let global_memory_load () =
               (Printf.sprintf
                  "load @0x%Lx: DUT=0x%Lx REF=0x%Lx on a single-hart SoC (no \
                   cross-thread store can justify it)"
-                 dut.Xiangshan.Probe.m_paddr dut.Xiangshan.Probe.m_value
+                 p.p_mem_paddr p.p_load_value
                  ref_acc.Ref_model.value)
           else if
             Global_memory.compatible ctx.Rule.global_mem
-              ~at:dut.Xiangshan.Probe.m_cycle ~paddr:dut.Xiangshan.Probe.m_paddr
-              ~size:dut.Xiangshan.Probe.m_size
-              ~value:dut.Xiangshan.Probe.m_value
+              ~at:p.p_mem_cycle ~paddr:p.p_mem_paddr
+              ~size:p.p_mem_size
+              ~value:p.p_load_value
           then begin
             (* legal cross-thread value: patch REF memory and rd *)
             let r = ctx.Rule.refs.(hart) in
-            r.Ref_model.patch_mem ~paddr:dut.Xiangshan.Probe.m_paddr
-              ~size:dut.Xiangshan.Probe.m_size
-              ~value:dut.Xiangshan.Probe.m_value;
+            r.Ref_model.patch_mem ~paddr:p.p_mem_paddr
+              ~size:p.p_mem_size
+              ~value:p.p_load_value;
             (match p.p_insn with
             | Insn.Load (op, rd, _, _) ->
                 r.Ref_model.patch_reg rd
-                  (Iss.Alu.extend_load op dut.Xiangshan.Probe.m_value)
+                  (Iss.Alu.extend_load op p.p_load_value)
             | Insn.Lr (w, rd, _) | Insn.Amo (_, w, rd, _, _) ->
                 let v =
                   match w with
-                  | Insn.Width_w -> Iss.Alu.sext32 dut.Xiangshan.Probe.m_value
-                  | Insn.Width_d -> dut.Xiangshan.Probe.m_value
+                  | Insn.Width_w -> Iss.Alu.sext32 p.p_load_value
+                  | Insn.Width_d -> p.p_load_value
                 in
                 (* AMO rd gets the loaded (old) value; redo the AMO
                    store on the REF with the patched old value *)
@@ -180,11 +180,11 @@ let global_memory_load () =
                 | Insn.Amo (op, w, _, _, rs2) ->
                     let src = r.Ref_model.get_reg rs2 in
                     let nv = Iss.Alu.eval_amo op w v src in
-                    r.Ref_model.patch_mem ~paddr:dut.Xiangshan.Probe.m_paddr
-                      ~size:dut.Xiangshan.Probe.m_size ~value:nv
+                    r.Ref_model.patch_mem ~paddr:p.p_mem_paddr
+                      ~size:p.p_mem_size ~value:nv
                 | _ -> ())
             | Insn.Fld (frd, _, _) ->
-                r.Ref_model.patch_freg frd dut.Xiangshan.Probe.m_value
+                r.Ref_model.patch_freg frd p.p_load_value
             | _ -> ());
             Rule.Patched
           end
@@ -193,7 +193,7 @@ let global_memory_load () =
               (Printf.sprintf
                  "load @0x%Lx: DUT=0x%Lx REF=0x%Lx and Global Memory cannot \
                   justify the DUT value"
-                 dut.Xiangshan.Probe.m_paddr dut.Xiangshan.Probe.m_value
+                 p.p_mem_paddr p.p_load_value
                  ref_acc.Ref_model.value)
       | _ -> Rule.Pass)
     ()

@@ -15,23 +15,63 @@
 
 open Riscv
 
-type mem_access = { vaddr : int64; paddr : int64; size : int; value : int64 }
+type mem_access = {
+  mutable vaddr : int64;
+  mutable paddr : int64;
+  mutable size : int;
+  mutable value : int64;
+}
 
 type trap_info = { exc : Trap.exc; tval : int64 }
 
-(** Everything DiffTest needs to know about one retired step. *)
+(** Everything DiffTest needs to know about one retired step.  A REF
+    owns one of these and refills it on every {!step} (see {!report}):
+    it is valid until that REF's next step, and a caller that keeps a
+    commit longer keeps a {!copy_commit}. *)
 type commit = {
-  pc : int64;
-  insn : Insn.t;
-  next_pc : int64;
-  trap : trap_info option;
-  interrupt : Trap.irq option;
-  load : mem_access option;
-  store : mem_access option;
-  sc_failed : bool;
-  csr_read : (int * int64) option;
-  mmio : bool;
+  mutable pc : int64;
+  mutable insn : Insn.t;
+  mutable next_pc : int64;
+  mutable trap : trap_info option;
+  mutable interrupt : Trap.irq option;
+  mutable load : mem_access option;
+  mutable store : mem_access option;
+  mutable sc_failed : bool;
+  mutable csr_read : (int * int64) option;
+  mutable mmio : bool;
 }
+
+type step_result = Committed of commit | Exited
+
+(** The one record a REF reports each retired step into: the commit,
+    the two access records its [load] and [store] point at, and the
+    [Committed] value {!step} returns, all allocated once per REF.
+    The NEMU REF ({!Nemu.Ref_core}) reports through the same
+    functions. *)
+type report = {
+  commit : commit;
+  load_acc : mem_access;
+  some_load : mem_access option;  (** [Some load_acc] *)
+  store_acc : mem_access;
+  some_store : mem_access option;  (** [Some store_acc] *)
+  committed : step_result;  (** [Committed commit] *)
+}
+
+val make_report : unit -> report
+
+val begin_commit : report -> pc:int64 -> insn:Insn.t -> unit
+(** Start the report of a step retiring [insn] at [pc]: no trap,
+    interrupt, access, SC failure, CSR read or MMIO.  The caller sets
+    [next_pc]. *)
+
+val report_load :
+  report -> vaddr:int64 -> paddr:int64 -> size:int -> value:int64 -> unit
+
+val report_store :
+  report -> vaddr:int64 -> paddr:int64 -> size:int -> value:int64 -> unit
+
+val copy_commit : commit -> commit
+(** A commit (with its accesses) that outlives the next step. *)
 
 type forced =
   | Force_exception of Trap.exc * int64
@@ -46,7 +86,8 @@ type t = {
   mutable autonomous : bool;
       (** [true]: free-running machine (ticks its own clock, takes its
           own interrupts).  [false]: REF mode, driven by DiffTest. *)
-  mutable instret : int64;
+  mutable instret : int;
+  report : report;
 }
 
 val create :
@@ -75,10 +116,9 @@ val set_mip_bit : t -> int -> bool -> unit
 
 (** {1 Execution} *)
 
-type step_result = Committed of commit | Exited
-
 val step : t -> step_result
-(** Retire one instruction (or a forced event). *)
+(** Retire one instruction (or a forced event), reporting it into
+    [t.report]; returns [t.report.committed] or [Exited]. *)
 
 val run : ?max_insns:int -> t -> int
 (** Run until exit or budget; returns instructions retired. *)

@@ -44,10 +44,19 @@ type block = {
   b_insns : Insn.t array;
   b_ops : op array;
   b_pages : int64 array; (* physical 4 KiB code pages fetched from *)
+  b_pcs : int64 array;
+      (* b_pc + 4*i for i = 0 .. length b_insns: the pcs a straight-line
+         step reports, boxed once per block instead of once per step *)
 }
 
 let no_block =
-  { b_pc = Int64.min_int; b_insns = [||]; b_ops = [||]; b_pages = [||] }
+  {
+    b_pc = Int64.min_int;
+    b_insns = [||];
+    b_ops = [||];
+    b_pages = [||];
+    b_pcs = [||];
+  }
 
 type t = {
   m : Mach.t;
@@ -61,7 +70,8 @@ type t = {
   mutable cur_pc : int64; (* = b_pc + 4*cur_ix, min_int when invalid *)
   mutable forced : forced option;
   mutable force_sc_fail : bool;
-  mutable instret : int64;
+  mutable instret : int;
+  report : Iss.Interp.report; (* the commit every step reports into *)
   (* stats *)
   mutable compiled : int;
   mutable flushes : int;
@@ -94,7 +104,8 @@ let create ?dram_size ?(hartid = 0) () =
     cur_pc = Int64.min_int;
     forced = None;
     force_sc_fail = false;
-    instret = 0L;
+    instret = 0;
+    report = Iss.Interp.make_report ();
     compiled = 0;
     flushes = 0;
     invalidations = 0;
@@ -123,7 +134,7 @@ let get_reg t r = Mach.get_reg t.m r
 
 let set_counters t ~cycle ~instret =
   t.m.Mach.csr.Csr.reg_mcycle <- cycle;
-  t.m.Mach.csr.Csr.reg_minstret <- instret
+  t.m.Mach.csr.Csr.reg_minstret <- Int64.to_int instret
 
 let set_mcycle t v = t.m.Mach.csr.Csr.reg_mcycle <- v
 
@@ -313,12 +324,14 @@ let compile t vpc : block =
      done
    with Trap.Exception _ -> ());
   let b_insns = Array.of_list (List.rev !insns) in
-  let b_ops =
-    Array.mapi
-      (fun i insn -> specialise m (Int64.add vpc (Int64.of_int (4 * i))) insn)
-      b_insns
+  let b_pcs =
+    Array.init (Array.length b_insns + 1) (fun i ->
+        Int64.add vpc (Int64.of_int (4 * i)))
   in
-  let b = { b_pc = vpc; b_insns; b_ops; b_pages = Array.of_list !pages } in
+  let b_ops = Array.mapi (fun i insn -> specialise m b_pcs.(i) insn) b_insns in
+  let b =
+    { b_pc = vpc; b_insns; b_ops; b_pages = Array.of_list !pages; b_pcs }
+  in
   t.compiled <- t.compiled + 1;
   b
 
@@ -347,41 +360,50 @@ let[@inline] check_aligned vaddr size exc =
   if Int64.logand vaddr (Int64.of_int (size - 1)) <> 0L then
     raise (Trap.Exception (exc, vaddr))
 
-(* Loads and stores mirror [Exec_generic.load]/[store] but return the
-   full access record (vaddr, paddr, size, value) the commit carries. *)
-let ref_load (m : Mach.t) vaddr size : Iss.Interp.mem_access =
-  check_aligned vaddr size Trap.Load_misaligned;
-  let mem = m.Mach.plat.Platform.mem in
-  let dram pa =
-    { Iss.Interp.vaddr; paddr = pa; size; value = Memory.read_bytes_le mem pa size }
-  in
-  let slow pa =
-    match Platform.read m.Mach.plat ~addr:pa ~size with
-    | v -> { Iss.Interp.vaddr; paddr = pa; size; value = v }
-    | exception Platform.Bus_fault _ ->
-        raise (Trap.Exception (Trap.Load_access, vaddr))
-  in
-  if not m.Mach.paging then
-    if Memory.in_range mem vaddr then dram vaddr else slow vaddr
+(* The physical address of [vaddr] through the host TLB [tlb]; a miss
+   walks the page table and caches the translation when it lands in
+   DRAM. *)
+let translate (m : Mach.t) tlb access vaddr =
+  if not m.Mach.paging then vaddr
   else begin
-    let pa = Mach.tlb_lookup m Mach.tlb_load vaddr in
-    if pa <> Int64.min_int then dram pa
+    let pa = Mach.tlb_lookup m tlb vaddr in
+    if pa <> Int64.min_int then pa
     else begin
-      let pa = Iss.Mmu.translate m.Mach.plat m.Mach.csr vaddr Iss.Mmu.Load in
-      if Memory.in_range mem pa then begin
-        Mach.tlb_fill m Mach.tlb_load vaddr pa;
-        dram pa
-      end
-      else slow pa
+      let pa = Iss.Mmu.translate m.Mach.plat m.Mach.csr vaddr access in
+      if Memory.in_range m.Mach.plat.Platform.mem pa then
+        Mach.tlb_fill m tlb vaddr pa;
+      pa
     end
   end
 
-let ref_store (t : t) vaddr size v : Iss.Interp.mem_access =
+let translate_store (m : Mach.t) vaddr =
+  translate m Mach.tlb_store Iss.Mmu.Store vaddr
+
+(* Loads and stores mirror [Exec_generic.load]/[store] and report the
+   full access (vaddr, paddr, size, value) into the step's commit; a
+   load returns the value read. *)
+let ref_load (t : t) vaddr size : int64 =
+  check_aligned vaddr size Trap.Load_misaligned;
+  let m = t.m in
+  let mem = m.Mach.plat.Platform.mem in
+  let pa = translate m Mach.tlb_load Iss.Mmu.Load vaddr in
+  let value =
+    if Memory.in_range mem pa then Memory.read_bytes_le mem pa size
+    else
+      match Platform.read m.Mach.plat ~addr:pa ~size with
+      | v -> v
+      | exception Platform.Bus_fault _ ->
+          raise (Trap.Exception (Trap.Load_access, vaddr))
+  in
+  Iss.Interp.report_load t.report ~vaddr ~paddr:pa ~size ~value;
+  value
+
+let ref_store (t : t) vaddr size v =
   check_aligned vaddr size Trap.Store_misaligned;
   let m = t.m in
   let mem = m.Mach.plat.Platform.mem in
-  let acc pa = { Iss.Interp.vaddr; paddr = pa; size; value = v } in
-  let dram pa =
+  let pa = translate_store m vaddr in
+  if Memory.in_range mem pa then begin
     (* a guest store into a compiled code page must drop the block
        (made visible at the next fence.i, but dropping now is always
        safe and keeps the cache byte-accurate) *)
@@ -389,103 +411,55 @@ let ref_store (t : t) vaddr size v : Iss.Interp.mem_access =
        match Hashtbl.find_opt t.page_index (page_of pa) with
        | Some _ -> invalidate_paddr t ~paddr:pa ~size
        | None -> ());
-    Memory.write_bytes_le mem pa size v;
-    acc pa
-  in
-  let slow pa =
+    Memory.write_bytes_le mem pa size v
+  end
+  else begin
     (try Platform.write m.Mach.plat ~addr:pa ~size v
      with Platform.Bus_fault _ ->
        raise (Trap.Exception (Trap.Store_access, vaddr)));
-    Mach.check_running m;
-    acc pa
-  in
-  if not m.Mach.paging then
-    if Memory.in_range mem vaddr then dram vaddr else slow vaddr
-  else begin
-    let pa = Mach.tlb_lookup m Mach.tlb_store vaddr in
-    if pa <> Int64.min_int then dram pa
-    else begin
-      let pa = Iss.Mmu.translate m.Mach.plat m.Mach.csr vaddr Iss.Mmu.Store in
-      if Memory.in_range mem pa then begin
-        Mach.tlb_fill m Mach.tlb_store vaddr pa;
-        dram pa
-      end
-      else slow pa
-    end
-  end
+    Mach.check_running m
+  end;
+  Iss.Interp.report_store t.report ~vaddr ~paddr:pa ~size ~value:v
 
-let translate_store (m : Mach.t) vaddr =
-  if not m.Mach.paging then vaddr
-  else begin
-    let pa = Mach.tlb_lookup m Mach.tlb_store vaddr in
-    if pa <> Int64.min_int then pa
-    else begin
-      let pa = Iss.Mmu.translate m.Mach.plat m.Mach.csr vaddr Iss.Mmu.Store in
-      if Memory.in_range m.Mach.plat.Platform.mem pa then
-        Mach.tlb_fill m Mach.tlb_store vaddr pa;
-      pa
-    end
-  end
-
-let commit_plain insn pc next_pc : Iss.Interp.commit =
-  {
-    Iss.Interp.pc;
-    insn;
-    next_pc;
-    trap = None;
-    interrupt = None;
-    load = None;
-    store = None;
-    sc_failed = false;
-    csr_read = None;
-    mmio = false;
-  }
-
-(* Execute one decoded instruction, producing the commit record.  The
+(* Execute one decoded instruction, reporting its accesses, CSR read
+   and SC outcome into [t.report] and leaving the next pc in [m.pc]
+   ([next], the fall-through pc, for the instrumented arms).  The
    memory / CSR / atomic arms are instrumented here; everything else
    delegates to the generic executor (host-FP arithmetic, identical
    semantics to the ISS REF).  Raises [Trap.Exception] like the ISS
    exec; callers perform trap entry. *)
-let exec_commit (t : t) pc (insn : Insn.t) : Iss.Interp.commit =
+let exec_commit (t : t) pc ~next (insn : Insn.t) =
   let m = t.m in
-  let rg = Mach.get_reg m in
-  let wr = Mach.set_reg m in
-  let next = Int64.add pc 4L in
-  let plain = commit_plain insn pc in
+  let c = t.report.Iss.Interp.commit in
   match insn with
   | Insn.Load (op, rd, rs1, imm) ->
-      let acc = ref_load m (Int64.add (rg rs1) imm) (Iss.Alu.load_width op) in
-      wr rd (Iss.Alu.extend_load op acc.Iss.Interp.value);
-      m.Mach.pc <- next;
-      {
-        (plain next) with
-        load = Some acc;
-        mmio = Platform.is_mmio m.Mach.plat acc.Iss.Interp.paddr;
-      }
-  | Insn.Store (op, rs2, rs1, imm) ->
-      let acc =
-        ref_store t (Int64.add (rg rs1) imm) (Iss.Alu.store_width op) (rg rs2)
+      let v =
+        ref_load t (Int64.add (Mach.get_reg m rs1) imm) (Iss.Alu.load_width op)
       in
+      Mach.set_reg m rd (Iss.Alu.extend_load op v);
       m.Mach.pc <- next;
-      {
-        (plain next) with
-        store = Some acc;
-        mmio = Platform.is_mmio m.Mach.plat acc.Iss.Interp.paddr;
-      }
+      c.Iss.Interp.mmio <-
+        Platform.is_mmio m.Mach.plat
+          t.report.Iss.Interp.load_acc.Iss.Interp.paddr
+  | Insn.Store (op, rs2, rs1, imm) ->
+      ref_store t
+        (Int64.add (Mach.get_reg m rs1) imm)
+        (Iss.Alu.store_width op) (Mach.get_reg m rs2);
+      m.Mach.pc <- next;
+      c.Iss.Interp.mmio <-
+        Platform.is_mmio m.Mach.plat
+          t.report.Iss.Interp.store_acc.Iss.Interp.paddr
   | Insn.Lr (w, rd, rs1) ->
       let size = match w with Insn.Width_w -> 4 | Insn.Width_d -> 8 in
-      let vaddr = rg rs1 in
-      let acc = ref_load m vaddr size in
-      wr rd
-        (match w with
-        | Insn.Width_w -> Iss.Alu.sext32 acc.Iss.Interp.value
-        | Insn.Width_d -> acc.Iss.Interp.value);
-      m.Mach.reservation <- Some acc.Iss.Interp.paddr;
-      m.Mach.pc <- next;
-      { (plain next) with load = Some acc }
+      let v = ref_load t (Mach.get_reg m rs1) size in
+      Mach.set_reg m rd
+        (match w with Insn.Width_w -> Iss.Alu.sext32 v | Insn.Width_d -> v);
+      m.Mach.reservation <-
+        Some t.report.Iss.Interp.load_acc.Iss.Interp.paddr;
+      m.Mach.pc <- next
   | Insn.Sc (w, rd, rs1, rs2) ->
       let size = match w with Insn.Width_w -> 4 | Insn.Width_d -> 8 in
-      let vaddr = rg rs1 in
+      let vaddr = Mach.get_reg m rs1 in
       check_aligned vaddr size Trap.Store_misaligned;
       let pa = translate_store m vaddr in
       let reserved =
@@ -493,45 +467,37 @@ let exec_commit (t : t) pc (insn : Insn.t) : Iss.Interp.commit =
       in
       m.Mach.reservation <- None;
       if reserved && not t.force_sc_fail then begin
-        let acc = ref_store t vaddr size (rg rs2) in
-        wr rd 0L;
-        m.Mach.pc <- next;
-        { (plain next) with store = Some acc }
+        ref_store t vaddr size (Mach.get_reg m rs2);
+        Mach.set_reg m rd 0L
       end
       else begin
         t.force_sc_fail <- false;
-        wr rd 1L;
-        m.Mach.pc <- next;
-        { (plain next) with sc_failed = true }
-      end
+        Mach.set_reg m rd 1L;
+        c.Iss.Interp.sc_failed <- true
+      end;
+      m.Mach.pc <- next
   | Insn.Amo (op, w, rd, rs1, rs2) ->
       let size = match w with Insn.Width_w -> 4 | Insn.Width_d -> 8 in
-      let vaddr = rg rs1 in
+      let vaddr = Mach.get_reg m rs1 in
       check_aligned vaddr size Trap.Store_misaligned;
-      let acc = ref_load m vaddr size in
+      let v = ref_load t vaddr size in
       let old_v =
-        match w with
-        | Insn.Width_w -> Iss.Alu.sext32 acc.Iss.Interp.value
-        | Insn.Width_d -> acc.Iss.Interp.value
+        match w with Insn.Width_w -> Iss.Alu.sext32 v | Insn.Width_d -> v
       in
-      let stacc = ref_store t vaddr size (Iss.Alu.eval_amo op w old_v (rg rs2)) in
-      wr rd old_v;
-      m.Mach.pc <- next;
-      { (plain next) with load = Some acc; store = Some stacc }
+      ref_store t vaddr size
+        (Iss.Alu.eval_amo op w old_v (Mach.get_reg m rs2));
+      Mach.set_reg m rd old_v;
+      m.Mach.pc <- next
   | Insn.Fld (frd, rs1, imm) ->
-      let acc = ref_load m (Int64.add (rg rs1) imm) 8 in
-      Bigarray.Array1.set m.Mach.fregs frd acc.Iss.Interp.value;
-      m.Mach.pc <- next;
-      { (plain next) with load = Some acc }
+      Bigarray.Array1.set m.Mach.fregs frd
+        (ref_load t (Int64.add (Mach.get_reg m rs1) imm) 8);
+      m.Mach.pc <- next
   | Insn.Fsd (frs2, rs1, imm) ->
-      let acc =
-        ref_store t
-          (Int64.add (rg rs1) imm)
-          8
-          (Bigarray.Array1.get m.Mach.fregs frs2)
-      in
-      m.Mach.pc <- next;
-      { (plain next) with store = Some acc }
+      ref_store t
+        (Int64.add (Mach.get_reg m rs1) imm)
+        8
+        (Bigarray.Array1.get m.Mach.fregs frs2);
+      m.Mach.pc <- next
   | Insn.Csr (op, rd, rs1, addr) -> (
       try
         let csr = m.Mach.csr in
@@ -542,7 +508,7 @@ let exec_commit (t : t) pc (insn : Insn.t) : Iss.Interp.commit =
         in
         let src =
           match op with
-          | Insn.CSRRW | Insn.CSRRS | Insn.CSRRC -> rg rs1
+          | Insn.CSRRW | Insn.CSRRS | Insn.CSRRC -> Mach.get_reg m rs1
           | Insn.CSRRWI | Insn.CSRRSI | Insn.CSRRCI -> Int64.of_int rs1
         in
         (match op with
@@ -552,27 +518,20 @@ let exec_commit (t : t) pc (insn : Insn.t) : Iss.Interp.commit =
         | Insn.CSRRC | Insn.CSRRCI ->
             if rs1 <> 0 then
               Csr.write csr addr (Int64.logand old_v (Int64.lognot src)));
-        wr rd old_v;
+        Mach.set_reg m rd old_v;
         if addr = Csr.satp || addr = Csr.mstatus || addr = Csr.sstatus then begin
           Mach.sync_translation m;
           (* the code mapping may have changed under the block cache *)
           if addr = Csr.satp then flush_blocks t
         end;
         m.Mach.pc <- next;
-        { (plain next) with csr_read = Some (addr, old_v) }
+        c.Iss.Interp.csr_read <- Some (addr, old_v)
       with Csr.Illegal_csr _ ->
         raise (Trap.Exception (Trap.Illegal_instruction, 0L)))
-  | Insn.Sfence_vma (_, _) ->
+  | Insn.Sfence_vma (_, _) | Insn.Fence_i ->
       Exec_generic.exec Exec_generic.host_fp m pc insn;
-      flush_blocks t;
-      plain m.Mach.pc
-  | Insn.Fence_i ->
-      Exec_generic.exec Exec_generic.host_fp m pc insn;
-      flush_blocks t;
-      plain m.Mach.pc
-  | _ ->
-      Exec_generic.exec Exec_generic.host_fp m pc insn;
-      plain m.Mach.pc
+      flush_blocks t
+  | _ -> Exec_generic.exec Exec_generic.host_fp m pc insn
 
 (* --- step-to-commit ---------------------------------------------------- *)
 
@@ -600,94 +559,87 @@ let detach_blocks t =
     t.cur_ix <- cur_ix;
     t.cur_pc <- cur_pc
 
-let finish t (c : Iss.Interp.commit) : Iss.Interp.step_result =
-  t.instret <- Int64.add t.instret 1L;
-  t.m.Mach.csr.Csr.reg_minstret <-
-    Int64.add t.m.Mach.csr.Csr.reg_minstret 1L;
-  t.m.Mach.instret <- t.m.Mach.instret + 1;
-  Iss.Interp.Committed c
+(* Count a retired step. *)
+let retire t =
+  let csr = t.m.Mach.csr in
+  t.instret <- t.instret + 1;
+  csr.Csr.reg_minstret <- csr.Csr.reg_minstret + 1;
+  t.m.Mach.instret <- t.m.Mach.instret + 1
+
+(* Execution went on straight-line from [b.(ix)]: stay on the block
+   ([b] may have been flushed by the instruction itself -- the
+   physical-equality check drops the cursor then). *)
+let advance t b ix straight =
+  if ix + 1 < Array.length b.b_insns && t.cur == b then begin
+    t.cur_ix <- ix + 1;
+    t.cur_pc <- straight
+  end
+  else invalidate_cursor t
+
+let nop = Insn.Op_imm (Insn.ADD, 0, 0, 0L)
 
 let step (t : t) : Iss.Interp.step_result =
   if exited t then Iss.Interp.Exited
   else begin
     let m = t.m in
     let pc = m.Mach.pc in
+    let r = t.report in
+    let c = r.Iss.Interp.commit in
     let forced = t.forced in
     t.forced <- None;
     match forced with
     | Some (Force_interrupt irq) ->
         Mach.take_irq m irq;
         invalidate_cursor t;
-        Iss.Interp.Committed
-          {
-            (commit_plain (Insn.Op_imm (Insn.ADD, 0, 0, 0L)) pc m.Mach.pc) with
-            interrupt = Some irq;
-          }
+        Iss.Interp.begin_commit r ~pc ~insn:nop;
+        c.Iss.Interp.next_pc <- m.Mach.pc;
+        c.Iss.Interp.interrupt <- Some irq;
+        r.Iss.Interp.committed
     | Some (Force_exception (exc, tval)) ->
         Mach.take_trap m exc tval ~epc:pc;
         invalidate_cursor t;
-        Iss.Interp.Committed
-          {
-            (commit_plain (Insn.Op_imm (Insn.ADD, 0, 0, 0L)) pc m.Mach.pc) with
-            trap = Some { Iss.Interp.exc; tval };
-          }
-    | None -> (
-        try
-          if not (Int64.equal t.cur_pc pc) then begin
-            let b = lookup_or_compile t pc in
-            t.cur <- b;
-            t.cur_ix <- 0;
-            t.cur_pc <- pc
-          end;
-          let b = t.cur in
-          let ix = t.cur_ix in
-          let insn = Array.unsafe_get b.b_insns ix in
-          (* stay on the block while execution is straight-line ([b]
-             may have been flushed by the instruction itself -- the
-             physical-equality check drops the cursor then) *)
-          let straight = Int64.add pc 4L in
-          let advance () =
-            if ix + 1 < Array.length b.b_insns && t.cur == b then begin
-              t.cur_ix <- ix + 1;
-              t.cur_pc <- straight
-            end
-            else invalidate_cursor t
-          in
-          let c =
-            match Array.unsafe_get b.b_ops ix with
-            | O_straight f ->
-                f ();
-                m.Mach.pc <- straight;
-                advance ();
-                commit_plain insn pc straight
-            | O_jump g ->
-                let next = g pc in
-                m.Mach.pc <- next;
-                if Int64.equal next straight then advance ()
-                else invalidate_cursor t;
-                commit_plain insn pc next
-            | O_slow ->
-                let c = exec_commit t pc insn in
-                if
-                  Int64.equal m.Mach.pc straight
-                  && ix + 1 < Array.length b.b_insns
-                  && t.cur == b
-                then begin
-                  t.cur_ix <- ix + 1;
-                  t.cur_pc <- straight
-                end
-                else invalidate_cursor t;
-                c
-          in
-          finish t c
-        with Trap.Exception (exc, tval) ->
-          Mach.take_trap m exc tval ~epc:pc;
-          invalidate_cursor t;
-          finish t
-            {
-              (commit_plain (Insn.Illegal 0l) pc m.Mach.pc) with
-              trap = Some { Iss.Interp.exc; tval };
-            })
+        Iss.Interp.begin_commit r ~pc ~insn:nop;
+        c.Iss.Interp.next_pc <- m.Mach.pc;
+        c.Iss.Interp.trap <- Some { Iss.Interp.exc; tval };
+        r.Iss.Interp.committed
+    | None ->
+        (try
+           if not (Int64.equal t.cur_pc pc) then begin
+             let b = lookup_or_compile t pc in
+             t.cur <- b;
+             t.cur_ix <- 0;
+             t.cur_pc <- pc
+           end;
+           let b = t.cur in
+           let ix = t.cur_ix in
+           let insn = Array.unsafe_get b.b_insns ix in
+           let straight = Array.unsafe_get b.b_pcs (ix + 1) in
+           Iss.Interp.begin_commit r ~pc ~insn;
+           match Array.unsafe_get b.b_ops ix with
+           | O_straight f ->
+               f ();
+               m.Mach.pc <- straight;
+               advance t b ix straight;
+               c.Iss.Interp.next_pc <- straight
+           | O_jump g ->
+               let next = g pc in
+               m.Mach.pc <- next;
+               if Int64.equal next straight then advance t b ix straight
+               else invalidate_cursor t;
+               c.Iss.Interp.next_pc <- next
+           | O_slow ->
+               exec_commit t pc ~next:straight insn;
+               if Int64.equal m.Mach.pc straight then advance t b ix straight
+               else invalidate_cursor t;
+               c.Iss.Interp.next_pc <- m.Mach.pc
+         with Trap.Exception (exc, tval) ->
+           Mach.take_trap m exc tval ~epc:pc;
+           invalidate_cursor t;
+           Iss.Interp.begin_commit r ~pc ~insn:(Insn.Illegal 0l);
+           c.Iss.Interp.next_pc <- m.Mach.pc;
+           c.Iss.Interp.trap <- Some { Iss.Interp.exc; tval });
+        retire t;
+        r.Iss.Interp.committed
   end
 
 (* --- architectural-state diff ------------------------------------------ *)

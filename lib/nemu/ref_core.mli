@@ -27,7 +27,9 @@ type t = {
   mutable cur_pc : int64;
   mutable forced : forced option;
   mutable force_sc_fail : bool;
-  mutable instret : int64;
+  mutable instret : int;
+  report : Iss.Interp.report;
+      (** the one commit record every {!step} reports into *)
   mutable compiled : int;
   mutable flushes : int;
   mutable invalidations : int;
@@ -40,6 +42,9 @@ and block = {
   b_ops : op array;
   b_pages : int64 array;
       (** physical 4 KiB code pages the block was fetched from *)
+  b_pcs : int64 array;
+      (** [b_pc + 4*i] for [i = 0 .. length b_insns], boxed once per
+          block: the pcs a straight-line step reports *)
 }
 
 and op =
@@ -98,8 +103,9 @@ val memories : t -> Memory.t list
 (** {1 Execution} *)
 
 val step : t -> Iss.Interp.step_result
-(** Retire exactly one instruction (or forced event), emitting the
-    commit record DiffTest checks. *)
+(** Retire exactly one instruction (or forced event), reporting the
+    commit DiffTest checks into [t.report] (valid until the next
+    step); returns [t.report.committed] or [Exited]. *)
 
 val run : ?max_insns:int -> t -> int
 

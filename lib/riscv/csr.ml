@@ -101,7 +101,10 @@ type t = {
   mutable reg_mtval : int64;
   mutable reg_mip : int64;
   mutable reg_mcycle : int64;
-  mutable reg_minstret : int64;
+  mutable reg_minstret : int;
+      (* a plain int, bumped on every retirement without boxing; read
+         and written as an int64 through [read]/[write] (a written
+         value keeps its low 63 bits) *)
   mutable reg_mcounteren : int64;
   mutable reg_scounteren : int64;
   mutable reg_stvec : int64;
@@ -139,7 +142,7 @@ let create ~hartid =
     reg_mtval = 0L;
     reg_mip = 0L;
     reg_mcycle = 0L;
-    reg_minstret = 0L;
+    reg_minstret = 0;
     reg_mcounteren = 0xFFFFFFFFL;
     reg_scounteren = 0xFFFFFFFFL;
     reg_stvec = 0L;
@@ -240,7 +243,7 @@ let read t addr =
   else if addr = mtval then t.reg_mtval
   else if addr = mip then t.reg_mip
   else if addr = mcycle || addr = cycle then t.reg_mcycle
-  else if addr = minstret || addr = instret then t.reg_minstret
+  else if addr = minstret || addr = instret then Int64.of_int t.reg_minstret
   else if addr = time then t.time_source ()
   else if addr = mvendorid then 0L
   else if addr = marchid then 0x4D494E4AL (* "MINJ" *)
@@ -319,7 +322,7 @@ let write t addr v =
         (Int64.logand t.reg_mip (Int64.lognot mip_write_mask))
         (Int64.logand v mip_write_mask)
   else if addr = mcycle then t.reg_mcycle <- v
-  else if addr = minstret then t.reg_minstret <- v
+  else if addr = minstret then t.reg_minstret <- Int64.to_int v
   else raise (Illegal_csr addr)
 
 (* Set/clear interrupt-pending bits driven by devices (CLINT).  The

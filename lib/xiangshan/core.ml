@@ -242,6 +242,9 @@ type t = {
       (* exec class (class_index) -> indices of the IQs accepting it *)
   lsu : Lsu.t;
   probes : Probe.sinks;
+  slots : Probe.commit array;
+      (* one commit probe per commit slot, refilled every cycle *)
+  mutable n_slots : int; (* slots.(0 .. n_slots-1) hold this cycle's commits *)
   perf : perf;
   ctrs : Perf.Perf_counter.t; (* named counter registry (observation only) *)
   ids : ids;
@@ -384,6 +387,8 @@ let create ?(phase_order = Default_order) (cfg : Config.t) ~hartid
     iq_route = iq_route cfg;
     lsu = Lsu.create cfg ~dcache:l1d;
     probes = Probe.null_sinks ();
+    slots = Array.init cfg.decode_width (fun _ -> Probe.make_slot ~hartid);
+    n_slots = 0;
     perf = make_perf ();
     ctrs;
     ids;
@@ -1307,50 +1312,39 @@ let emit_probe t (u : Uop.t) ~trap ~interrupt =
       Perf.Perf_counter.incr t.ctrs
         (if u.Uop.sc_failed then t.ids.i_sc_fail else t.ids.i_sc_success)
   | _ -> ());
-  let load =
-    if
-      (Uop.is_load u || Insn.is_amo (Uop.insn u))
-      && trap = None && u.Uop.exc = None
-      &&
-      match Uop.insn u with Sc _ -> false | _ -> true
-    then
-      Some
-        {
-          Probe.m_paddr = u.Uop.paddr;
-          m_size = u.Uop.msize;
-          m_value = u.Uop.load_value;
-          m_cycle = u.Uop.mem_cycle;
-        }
-    else None
-  in
-  let store =
-    if Uop.is_store u && u.Uop.exc = None && not u.Uop.sc_failed then
-      Some
-        {
-          Probe.m_paddr = u.Uop.paddr;
-          m_size = u.Uop.msize;
-          m_value = u.Uop.sdata;
-          m_cycle = u.Uop.mem_cycle;
-        }
-    else None
-  in
-  t.probes.Probe.on_commit
-    {
-      Probe.p_hartid = t.hartid;
-      p_cycle = t.now;
-      p_pc = u.Uop.pc;
-      p_insn = Uop.insn u;
-      p_second = u.Uop.second;
-      p_next_pc = u.Uop.next_pc;
-      p_trap = trap;
-      p_interrupt = interrupt;
-      p_load = load;
-      p_store = store;
-      p_sc_failed = u.Uop.sc_failed;
-      p_csr_read = u.Uop.csr_read;
-      p_mmio = u.Uop.mmio;
-      p_instret = t.arch.Arch_state.csr.Csr.reg_minstret;
-    }
+  let p = t.slots.(t.n_slots) in
+  t.n_slots <- t.n_slots + 1;
+  (* A slot outlives the minor heap, so every pointer store into it
+     goes through the write barrier: the options, usually [None] in
+     both the slot and the uop, and the access fields, meaningful only
+     with an access, are stored only when they change. *)
+  let has_load =
+    (Uop.is_load u || Insn.is_amo (Uop.insn u))
+    && trap = None && u.Uop.exc = None
+    && (match Uop.insn u with Sc _ -> false | _ -> true)
+  and has_store = Uop.is_store u && u.Uop.exc = None && not u.Uop.sc_failed in
+  p.Probe.p_cycle <- t.now;
+  p.Probe.p_pc <- u.Uop.pc;
+  p.Probe.p_insn <- Uop.insn u;
+  if p.Probe.p_second != u.Uop.second then p.Probe.p_second <- u.Uop.second;
+  p.Probe.p_next_pc <- u.Uop.next_pc;
+  if p.Probe.p_trap != trap then p.Probe.p_trap <- trap;
+  if p.Probe.p_interrupt != interrupt then p.Probe.p_interrupt <- interrupt;
+  p.Probe.p_has_load <- has_load;
+  p.Probe.p_has_store <- has_store;
+  if has_load || has_store then begin
+    p.Probe.p_mem_paddr <- u.Uop.paddr;
+    p.Probe.p_mem_size <- u.Uop.msize;
+    p.Probe.p_mem_cycle <- u.Uop.mem_cycle;
+    if has_load then p.Probe.p_load_value <- u.Uop.load_value;
+    if has_store then p.Probe.p_store_value <- u.Uop.sdata
+  end;
+  p.Probe.p_sc_failed <- u.Uop.sc_failed;
+  if p.Probe.p_csr_read != u.Uop.csr_read then
+    p.Probe.p_csr_read <- u.Uop.csr_read;
+  p.Probe.p_mmio <- u.Uop.mmio;
+  p.Probe.p_instret <- t.arch.Arch_state.csr.Csr.reg_minstret;
+  t.probes.Probe.on_commit p
 
 let nop = Predecode.of_insn (Insn.Op_imm (ADD, 0, 0, 0L))
 
@@ -1395,7 +1389,7 @@ let apply_commit t (eff : commit_eff) =
               match u.Uop.exc with
               | Some (exc, tval) ->
                   t.perf.p_traps <- t.perf.p_traps + 1;
-                  emit_probe t u ~trap:(Some (exc, tval)) ~interrupt:None;
+                  emit_probe t u ~trap:u.Uop.exc ~interrupt:None;
                   let target =
                     Trap.take_exception csr exc tval ~epc:u.Uop.pc
                   in
@@ -1437,8 +1431,7 @@ let apply_commit t (eff : commit_eff) =
                     else Arch_state.set_reg t.arch si.Predecode.rd u.Uop.result
                   end;
                   t.arch.Arch_state.pc <- u.Uop.next_pc;
-                  csr.Csr.reg_minstret <-
-                    Int64.add csr.Csr.reg_minstret (Int64.of_int u.Uop.n_insns);
+                  csr.Csr.reg_minstret <- csr.Csr.reg_minstret + u.Uop.n_insns;
                   t.perf.p_instrs <- t.perf.p_instrs + u.Uop.n_insns;
                   t.perf.p_uops <- t.perf.p_uops + 1;
                   emit_probe t u ~trap:None ~interrupt:None;
@@ -1577,6 +1570,7 @@ let step t : effects =
    [apply] (the effect boundary). *)
 let apply t (e : effects) =
   t.now <- t.now + 1;
+  t.n_slots <- 0;
   t.perf.p_cycles <- t.perf.p_cycles + 1;
   Softmem.Cache.set_now t.l1i t.now;
   Softmem.Cache.set_now t.l1d t.now;

@@ -157,6 +157,12 @@ type t = {
           order *)
   lsu : Lsu.t;
   probes : Probe.sinks;
+  slots : Probe.commit array;
+      (** one commit probe per commit slot ([decode_width] of them),
+          refilled every cycle: see {!Probe} for the slot lifetime *)
+  mutable n_slots : int;
+      (** [slots.(0 .. n_slots - 1)] hold the commits of the last
+          [apply], in retirement order *)
   perf : perf;
   ctrs : Perf.Perf_counter.t;
       (** named counter registry; pure observation, never consulted by

@@ -6,34 +6,50 @@
     instantiates it once per commit slot, implicitly conveying the
     commit width to the verification side; the store-drain probe feeds
     the Global Memory; the cache-event stream feeds the permission
-    scoreboard and ArchDB. *)
+    scoreboard and ArchDB.
+
+    {b Slot lifetime.}  A core owns a fixed array of {!commit} slots,
+    one per commit slot ([Core.t.slots]), and refills them every
+    cycle: retiring an instruction allocates nothing.  A slot is valid
+    from the cycle that filled it until the next [Soc.tick].  DiffTest
+    checks the slots in place after each tick; any other consumer that
+    keeps a commit beyond its cycle (ArchDB's debug recording, a test
+    collecting a stream) keeps a {!copy}. *)
 
 open Riscv
 
-type mem_access = {
-  m_paddr : int64;
-  m_size : int;
-  m_value : int64;
-  m_cycle : int; (** when the access actually touched memory *)
-}
-
-(** One committed instruction (or fused pair). *)
+(** One committed instruction (or fused pair).  A load or store (an
+    AMO is both) reports one memory access: [p_mem_paddr],
+    [p_mem_size] and [p_mem_cycle] (when the access touched memory)
+    are valid when [p_has_load] or [p_has_store] is set; the value
+    read is [p_load_value], the value written [p_store_value]. *)
 type commit = {
   p_hartid : int;
-  p_cycle : int;
-  p_pc : int64;
-  p_insn : Insn.t;
-  p_second : Insn.t option;
-  p_next_pc : int64;
-  p_trap : (Trap.exc * int64) option;
-  p_interrupt : Trap.irq option;
-  p_load : mem_access option;
-  p_store : mem_access option;
-  p_sc_failed : bool;
-  p_csr_read : (int * int64) option;
-  p_mmio : bool;
-  p_instret : int64;
+  mutable p_cycle : int;
+  mutable p_pc : int64;
+  mutable p_insn : Insn.t;
+  mutable p_second : Insn.t option;
+  mutable p_next_pc : int64;
+  mutable p_trap : (Trap.exc * int64) option;
+  mutable p_interrupt : Trap.irq option;
+  mutable p_has_load : bool;
+  mutable p_has_store : bool;
+  mutable p_mem_paddr : int64;
+  mutable p_mem_size : int;
+  mutable p_mem_cycle : int;
+  mutable p_load_value : int64;
+  mutable p_store_value : int64;
+  mutable p_sc_failed : bool;
+  mutable p_csr_read : (int * int64) option;
+  mutable p_mmio : bool;
+  mutable p_instret : int;  (** minstret after this commit *)
 }
+
+val make_slot : hartid:int -> commit
+(** A blank slot for hart [hartid]. *)
+
+val copy : commit -> commit
+(** A commit that outlives its slot's next refill. *)
 
 (** A store leaving the store buffer for the cache hierarchy. *)
 type store_drain = {
@@ -46,6 +62,8 @@ type store_drain = {
 
 type sinks = {
   mutable on_commit : commit -> unit;
+      (** called with each slot as it is filled; see the slot lifetime
+          above *)
   mutable on_drain : store_drain -> unit;
   mutable on_cache_event : Softmem.Event.t -> unit;
 }

@@ -29,6 +29,7 @@ let () =
       ("predecode", Test_predecode.tests);
       ("determinism", Test_determinism.tests);
       ("golden", Test_golden.tests);
+      ("commit-pins", Test_commit_pins.tests);
       ("fuzz", Test_fuzz.tests);
       ("fuzz-cov", Test_fuzz_cov.tests);
       ("workloads", Test_workloads.tests);

@@ -251,6 +251,55 @@ let test_sampled_accuracy () =
        (100.0 *. dev))
     true (dev < 0.25)
 
+(* [restore_memory] blits each checkpoint page into its memory page.
+   The reference here is the byte-at-a-time restore it replaced: every
+   checkpoint the SimPoint flow captures for a small mcf_like run must
+   leave a fresh SoC's memory with the same pages, byte for byte. *)
+let pages_of (mem : Riscv.Memory.t) =
+  let pages = ref [] in
+  Riscv.Memory.iter_pages mem (fun i data ->
+      pages := (i, Bytes.to_string data) :: !pages);
+  List.sort compare !pages
+
+let restore_bytewise (ck : Checkpoint.Arch_checkpoint.t) (mem : Riscv.Memory.t)
+    =
+  List.iter
+    (fun (i, data) ->
+      let base =
+        Int64.add ck.Checkpoint.Arch_checkpoint.ck_mem_base
+          (Int64.of_int (i lsl ck.Checkpoint.Arch_checkpoint.ck_page_bits))
+      in
+      Bytes.iteri
+        (fun off c ->
+          Riscv.Memory.write_u8 mem
+            (Int64.add base (Int64.of_int off))
+            (Char.code c))
+        data)
+    ck.Checkpoint.Arch_checkpoint.ck_pages
+
+let test_blit_restore_matches_bytewise () =
+  let prog = (Workloads.Suite.find "mcf_like").program ~scale:20 in
+  let cks, _ =
+    Checkpoint.Sampled.generate ~interval:20_000 ~max_k:4 prog
+  in
+  Alcotest.(check bool) "checkpoints captured" true (List.length cks > 1);
+  List.iter
+    (fun (sc : Checkpoint.Sampled.sampled_checkpoint) ->
+      let ck = sc.Checkpoint.Sampled.sc_checkpoint in
+      let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
+      Checkpoint.Arch_checkpoint.restore_soc ck soc;
+      let reference = Xiangshan.Soc.create Xiangshan.Config.yqh in
+      restore_bytewise ck reference.Xiangshan.Soc.plat.Riscv.Platform.mem;
+      let got = pages_of soc.Xiangshan.Soc.plat.Riscv.Platform.mem
+      and want = pages_of reference.Xiangshan.Soc.plat.Riscv.Platform.mem in
+      Alcotest.(check int)
+        (Printf.sprintf "interval %d: pages" sc.Checkpoint.Sampled.sc_index)
+        (List.length want) (List.length got);
+      Alcotest.(check bool)
+        (Printf.sprintf "interval %d: bytes" sc.Checkpoint.Sampled.sc_index)
+        true (got = want))
+    cks
+
 let tests =
   [
     Alcotest.test_case "capture/restore round-trips" `Slow test_roundtrip_iss_dut;
@@ -266,3 +315,7 @@ let tests =
       (fun (speed, name, case) ->
         Alcotest.test_case ("BBV golden: " ^ name) speed (bbv_golden case))
       bbv_goldens
+  @ [
+      Alcotest.test_case "page-blit restore = byte-wise restore" `Slow
+        test_blit_restore_matches_bytewise;
+    ]

@@ -441,14 +441,17 @@ let difftest_words_per_cycle ?snapshot_interval cfg ref_kind prog =
     soc.Xiangshan.Soc.now;
   (dt_words -. raw_words) /. float_of_int raw_cycles
 
-(* Checked-in budgets, set just above the measured values (26.1 and
-   87.9; before the allocation-free compare and Global Memory they were
-   275.5 and 637.0).  The third input is fast mode as perfbench's
-   untraced [cosim_*] ops time it through [Workflow.run_collect]:
-   LightSSS snapshots every 2000 cycles, 26.8 (snapshot images are
-   marshalled outside the minor heap, so they add little here).  A
-   change that lowers a count must lower its budget in the same
-   change, so the saving cannot quietly erode. *)
+(* Checked-in budgets, set just above the measured values (1.75 and
+   23.77, with commit slots checked in place and REFs that report into
+   one reusable record; before them the budgets were 27 and 89 for
+   26.1 and 87.9, and before the allocation-free compare and Global
+   Memory the counts were 275.5 and 637.0).  The third input is fast
+   mode as perfbench's untraced [cosim_*] ops time it through
+   [Workflow.run_collect]: LightSSS snapshots every 2000 cycles, 2.40
+   (26.8 before; snapshot images are marshalled outside the minor
+   heap, so they add little here).  A change that lowers a count must
+   lower its budget in the same change, so the saving cannot quietly
+   erode. *)
 let difftest_alloc_budgets =
   [
     ( "YQH coremark_like, NEMU REF",
@@ -456,19 +459,19 @@ let difftest_alloc_budgets =
       Minjie.Ref_model.Nemu,
       None,
       (fun () -> (Workloads.Suite.find "coremark_like").program ~scale:1),
-      27. );
+      2. );
     ( "dual-core NH smp_spinlock, ISS REF",
       Xiangshan.Config.nh,
       Minjie.Ref_model.Iss,
       None,
       (fun () -> Workloads.Smp.spinlock ~scale:1),
-      89. );
+      24. );
     ( "YQH coremark_like, NEMU REF, LightSSS every 2000 cycles",
       Xiangshan.Config.yqh,
       Minjie.Ref_model.Nemu,
       Some 2000,
       (fun () -> (Workloads.Suite.find "coremark_like").program ~scale:1),
-      27. );
+      2.5 );
   ]
 
 let test_difftest_alloc_budget () =
@@ -486,9 +489,10 @@ let test_difftest_alloc_budget () =
 
 (* Minor words of a raw [Soc.run] (no DiffTest, no REF) per simulated
    cycle, after a warming run; the count then repeats exactly in any
-   test order.  Budgets are set just above the
-   measured values (67.0 and 125.3, with predecoded instructions and
-   compact uops; before them the budgets were 93 and 162 for 91.9 and
+   test order.  Budgets are set just above the measured values (55.52
+   and 103.69, with per-slot commit probes and an unboxed minstret;
+   before them the budgets were 68 and 126 for 67.0 and 125.3, with
+   predecoded instructions and compact uops 93 and 162 for 91.9 and
    160.8, and with list-based issue, load and store queues and
    per-cycle plan records the counts were 381.08 and 771.40).  A
    change that lowers a count must lower its budget in the same
@@ -498,11 +502,11 @@ let dut_alloc_budgets =
     ( "YQH coremark_like",
       Xiangshan.Config.yqh,
       (fun () -> (Workloads.Suite.find "coremark_like").program ~scale:1),
-      68. );
+      56. );
     ( "dual-core NH smp_spinlock",
       Xiangshan.Config.nh,
       (fun () -> Workloads.Smp.spinlock ~scale:1),
-      126. );
+      104. );
   ]
 
 let test_dut_alloc_budget () =
@@ -519,6 +523,42 @@ let test_dut_alloc_budget () =
         (Printf.sprintf "%s: %.2f words/cycle <= budget %.1f" name w budget)
         true (w <= budget))
     dut_alloc_budgets
+
+(* --- allocation budget: minor words per REF step ---------------------- *)
+
+(* A REF reports every step into its one reusable commit record, so a
+   step allocates only what its instruction computes (boxed int64
+   results, the ISS's decoded instruction, NEMU's block compiles).
+   Each backend runs coremark_like s1 to its exit on its own, one
+   [Ref_model.step] at a time; the count repeats exactly.  Budgets sit
+   just above the measured values: 18.85 (ISS) and 2.69 (NEMU, whose
+   blocks also box their straight-line pcs once).  With a fresh commit
+   record, [Committed] value and access records per step, the ISS's
+   per-step register-access closures, NEMU's per-step cursor closure
+   and pc boxes, and boxed instret and minstret counters, the counts
+   were 72.06 and 39.00.  A change that
+   lowers a count must lower its budget in the same change. *)
+let ref_step_budgets =
+  [ (Minjie.Ref_model.Iss, 19.); (Minjie.Ref_model.Nemu, 3.) ]
+
+let test_ref_step_alloc_budget () =
+  let prog = (Workloads.Suite.find "coremark_like").program ~scale:1 in
+  List.iter
+    (fun (kind, budget) ->
+      let r = Minjie.Ref_model.create ~kind ~hartid:0 ~prog () in
+      let steps = ref 0 and running = ref true in
+      let w0 = Gc.minor_words () in
+      while !running do
+        match r.Minjie.Ref_model.step () with
+        | Minjie.Ref_model.Committed _ -> incr steps
+        | Minjie.Ref_model.Exited -> running := false
+      done;
+      let w = (Gc.minor_words () -. w0) /. float_of_int !steps in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s REF: %.2f words/step <= budget %.1f"
+           (Minjie.Ref_model.kind_name kind) w budget)
+        true (w <= budget))
+    ref_step_budgets
 
 let tests =
   List.map n_to_1_case configs_to_verify
@@ -548,4 +588,6 @@ let tests =
         test_difftest_alloc_budget;
       Alcotest.test_case "raw DUT allocation budget" `Quick
         test_dut_alloc_budget;
+      Alcotest.test_case "REF step allocation budget" `Quick
+        test_ref_step_alloc_budget;
     ]
