@@ -349,62 +349,50 @@ let bench_fig8 o =
     Printf.sprintf "%-15s %12s %12s %14s %14s" "workload" "NEMU" "Spike-like"
       "QEMU-TCI-like" "Dromajo-like"
   in
-  (* each rep is one pool job (fork-isolated when --jobs > 1); the
-     best-of merge below is order-independent, and with jobs=1 the
-     pool degenerates to the original in-process rep loop *)
-  let run_reps label kind wl_name prog =
-    let rep_jobs =
-      List.init reps (fun r ->
-          {
-            Minjie.Pool.j_label = Printf.sprintf "%s/%s#%d" wl_name label r;
-            j_cost = 1.0;
-            j_run =
-              (fun () -> Nemu.Engine.run_program_stats ~max_insns kind prog);
-          })
-    in
-    let results, _ = Minjie.Pool.map ~jobs:(o.rc.jobs) rep_jobs in
-    List.filter_map
-      (fun (r : Nemu.Engine.stats Minjie.Pool.result) ->
-        match r.Minjie.Pool.r_outcome with
-        | Minjie.Pool.Done s -> Some s
-        | Minjie.Pool.Job_error msg | Minjie.Pool.Crashed msg ->
-            Printf.eprintf "bench: dropping rep %s: %s\n%!"
-              r.Minjie.Pool.r_label msg;
-            None
-        | Minjie.Pool.Timed_out secs ->
-            Printf.eprintf "bench: dropping rep %s: timed out after %.1fs\n%!"
-              r.Minjie.Pool.r_label secs;
-            None)
-      results
+  (* each rep is one grid job (fork-isolated when --jobs > 1); the
+     best-of merge below is order-independent.  A failed rep is
+     dropped, and a cell whose every rep failed is left out of the
+     geomean and the JSON. *)
+  let best_rep label kind wl_name prog =
+    Minjie.Grid.map ~jobs:o.rc.jobs
+      ~label:(Printf.sprintf "%s/%s#%d" wl_name label)
+      ~cost:(fun _ -> 1.0)
+      ~of_failure:(fun r msg ->
+        Printf.eprintf "bench: dropping rep %s/%s#%d: %s\n%!" wl_name label r
+          msg;
+        None)
+      (fun _ ->
+        let s = Nemu.Engine.run_program_stats ~max_insns kind prog in
+        Some (Nemu.Engine.mips s.Nemu.Engine.insns s.Nemu.Engine.seconds, s))
+      (List.init reps Fun.id)
+    |> List.fold_left
+         (fun best rep ->
+           match (best, rep) with
+           | Some (bm, _), Some (m, _) when bm >= m -> best
+           | _, Some _ -> rep
+           | _, None -> best)
+         None
   in
   let run_row group_name per_engine (wl_name : string) prog =
-    let mips =
-      List.map
-        (fun kind ->
-          let label = Nemu.Engine.name kind in
-          let best = ref None in
-          List.iter
-            (fun s ->
-              let m =
-                Nemu.Engine.mips s.Nemu.Engine.insns s.Nemu.Engine.seconds
-              in
-              match !best with
-              | Some (bm, _) when bm >= m -> ()
-              | _ -> best := Some (m, s))
-            (run_reps label kind wl_name prog);
-          let m, s = Option.get !best in
+    let cell kind =
+      let label = Nemu.Engine.name kind in
+      match best_rep label kind wl_name prog with
+      | None ->
+          failed := true;
+          Printf.printf "FIG8 FAILED: %s/%s: every rep failed\n" wl_name label;
+          "-"
+      | Some (m, s) ->
           record_engine_run ~experiment:"fig8" ~group:group_name
             ~workload:wl_name ~engine:label s;
           let prev =
             Option.value (Hashtbl.find_opt per_engine label) ~default:[]
           in
           Hashtbl.replace per_engine label (m :: prev);
-          m)
-        Nemu.Engine.all
+          Printf.sprintf "%.1f" m
     in
-    match mips with
+    match List.map cell Nemu.Engine.all with
     | [ a; b; c; d ] ->
-        Printf.printf "%-15s %12.1f %12.1f %14.1f %14.1f\n" wl_name a b c d
+        Printf.printf "%-15s %12s %12s %14s %14s\n" wl_name a b c d
     | _ -> ()
   in
   let finish_group group_name per_engine =
@@ -1302,46 +1290,25 @@ let bench_topdown o =
       List.map Minjie.Campaign.find_workload topdown_smoke_workloads
     else Workloads.Suite.all
   in
-  (* one pool job per workload: a full run to completion, returning
+  (* one grid job per workload: a full run to completion, returning
      the (marshal-safe) counter snapshot of hart 0 *)
-  let pool_jobs =
-    List.map
-      (fun (w : Workloads.Wl_common.t) ->
-        {
-          Minjie.Pool.j_label = w.Workloads.Wl_common.wl_name;
-          j_cost = float_of_int (wl_scale o w);
-          j_run =
-            (fun () ->
-              let prog = w.Workloads.Wl_common.program ~scale:(wl_scale o w) in
-              let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
-              Xiangshan.Soc.load_program soc prog;
-              let _ = Xiangshan.Soc.run ~max_cycles:400_000_000 soc in
-              Xiangshan.Soc.counter_snapshot soc ~hartid:0);
-        })
-      workloads
-  in
-  let results, _ = Minjie.Pool.map ~jobs:(o.rc.jobs) pool_jobs in
+  let name (w : Workloads.Wl_common.t) = w.Workloads.Wl_common.wl_name in
   let stacks =
-    List.filter_map
-      (fun (r : (string * int) list Minjie.Pool.result) ->
-        match r.Minjie.Pool.r_outcome with
-        | Minjie.Pool.Done counters ->
-            Some (r.Minjie.Pool.r_label, counters)
-        | Minjie.Pool.Job_error msg | Minjie.Pool.Crashed msg ->
-            failed := true;
-            Printf.printf "TOPDOWN FAILED: %s: %s\n" r.Minjie.Pool.r_label msg;
-            None
-        | Minjie.Pool.Timed_out secs ->
-            failed := true;
-            Printf.printf "TOPDOWN FAILED: %s timed out after %.1fs\n"
-              r.Minjie.Pool.r_label secs;
-            None)
-      results
+    Minjie.Grid.map ~jobs:o.rc.jobs ~label:name
+      ~cost:(fun w -> float_of_int (wl_scale o w))
+      ~of_failure:(fun w msg -> (name w, Error msg))
+      (fun w ->
+        let prog = w.Workloads.Wl_common.program ~scale:(wl_scale o w) in
+        let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
+        Xiangshan.Soc.load_program soc prog;
+        let _ = Xiangshan.Soc.run ~max_cycles:400_000_000 soc in
+        (name w, Ok (Xiangshan.Soc.counter_snapshot soc ~hartid:0)))
+      workloads
   in
   let ok = ref 0 in
   List.iter
     (fun (wname, counters) ->
-      match Perf.Topdown.of_counters counters with
+      match Result.bind counters Perf.Topdown.of_counters with
       | Error msg ->
           failed := true;
           Printf.printf "TOPDOWN FAILED: %s: %s\n" wname msg

@@ -21,6 +21,14 @@ if grep -rn 'Difftest\.tick' lib/ bin/ bench/ examples/ \
   echo "Difftest.tick outside lib/core/workflow.ml (use Workflow.drive)"; exit 1
 fi
 
+echo "== one job runner: Grid =="
+if grep -rn 'Pool\.map' lib/ bin/ bench/ examples/ | grep -v '^lib/core/grid.ml:'; then
+  echo "Pool.map outside lib/core/grid.ml (use Grid.run or Grid.map)"; exit 1
+fi
+if grep -rn 'Supervisor' lib/ bin/ bench/ examples/; then
+  echo "Supervisor is gone: Grid supervises every job"; exit 1
+fi
+
 echo "== tests =="
 dune runtest
 
@@ -77,8 +85,9 @@ test -s ci_table1.json
 grep -q '"experiment": "table1"' ci_table1.json
 # the tables are copy-on-write and stay out of the image: what is left
 # is the in-flight pipeline, whose uops share their predecoded
-# instructions, and the commit slots and REF commit records (1,140
-# blocks, 1,118 before the slots; the bound was 2,000 for 1,792 before)
+# instructions, and the commit slots and REF commit records, blanked
+# once checked (1,131 blocks; 1,140 unblanked, 1,118 before the slots;
+# the bound was 2,000 for 1,792 before)
 awk -F': ' '
   /"lightsss_image_objects"/ { n = $2; sub(/,$/, "", n); seen = 1 }
   END {
@@ -106,8 +115,9 @@ EOF_CKPT
 diff ci_checkpoints_expected.txt ci_checkpoints_model.txt
 rm -f ci_checkpoints.txt ci_checkpoints_model.txt ci_checkpoints_expected.txt
 
-echo "== pool tests (fork pool: ordering, crash isolation, timeouts) =="
+echo "== pool and grid tests (fork pool: ordering, crash isolation, timeouts; the grid runner) =="
 dune exec test/main.exe -- test pool
+dune exec test/main.exe -- test grid
 
 echo "== campaign smoke (3-fault subset; exits non-zero on any escape) =="
 dune exec bench/main.exe -- campaign --smoke --json ci_campaign.json

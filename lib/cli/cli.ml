@@ -75,7 +75,7 @@ let harness ?(ref_kind = Term.const None) ?(chaos = Term.const ([], None)) () =
 let main cmd =
   (* SIGINT/SIGTERM: kill and reap every pool worker, run registered
      cleanups, exit 130/143 -- no orphans, no torn files *)
-  Minjie.Supervisor.install_signal_handlers ();
+  Minjie.Pool.install_signal_handlers ();
   (* usage errors (unknown subcommand, bad flags, malformed variables)
      report on stderr -- which Cmdliner already does -- and exit 2,
      not Cmdliner's default 124 *)

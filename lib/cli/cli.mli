@@ -36,6 +36,6 @@ val harness :
     {!Minjie.Run_config.journal} for the command's default. *)
 
 val main : unit Cmd.t -> 'a
-(** Install the supervisor's signal handlers, evaluate [cmd] and exit:
+(** Install the pool's signal handlers, evaluate [cmd] and exit:
     0 on success or help, 2 on a usage error, 125 on an uncaught
     exception.  A command reports its own failure by calling [exit]. *)

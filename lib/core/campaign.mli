@@ -47,7 +47,7 @@ type summary = {
   replay_misses : int;
   snapshot_interval : int;
   resumed : int;  (** cells replayed from the journal, not recomputed *)
-  retried : int;  (** supervised job re-runs (see {!Supervisor}) *)
+  retried : int;  (** supervised job re-runs (see {!Grid}) *)
   recovered : int;  (** failed cells that converged to a verdict *)
 }
 
@@ -89,15 +89,15 @@ val run :
     every cell's cores before its fault is installed.
 
     Each cell is one {!Grid} job: in-process at [jobs = 1] (the
-    default), else across [jobs] forked workers under {!Supervisor}
-    supervision.  Cells are deterministic, so the summary is identical
-    at every width, cell for cell.  A cell whose job raises, crashes or
-    times out after its [retries] budget (default 0) becomes an
-    escape-shaped cell ([c_ok = false], the failure message in
-    [c_msg]) rather than aborting the grid -- at [jobs = 1] exactly as
-    at [jobs = N].  [timeout] is the per-cell pool timeout in seconds.
-    [progress] is called once per cell with its final verdict -- in
-    completion order when parallel.
+    default), else across [jobs] forked workers.  Cells are
+    deterministic, so the summary is identical at every width, cell for
+    cell.  A cell whose job raises, crashes or times out after its
+    [retries] budget (default 0) becomes an escape-shaped cell
+    ([c_ok = false], the failure message in [c_msg]) rather than
+    aborting the grid -- at [jobs = 1] exactly as at [jobs = N].
+    [timeout] is the per-cell pool timeout in seconds.  [progress] is
+    called once per cell with its final verdict -- in completion order
+    when parallel.
 
     [journal] names a {!Journal} file: every completed cell is
     appended (checksummed, fsynced) as it lands.  With

@@ -9,7 +9,7 @@
     {!Journal} consult.  Every injection is a pure function of the
     armed seed (plus the job label and attempt number), so a chaos run
     is exactly reproducible, and the runtime's recovery machinery
-    (retry/backoff in {!Supervisor}, journal truncation, EINTR/short
+    (retry/backoff in {!Grid}, journal truncation, EINTR/short
     -write retry loops in {!Pool}) must deliver a campaign verdict
     byte-identical to the clean run.
 

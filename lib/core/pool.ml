@@ -92,8 +92,8 @@ let rec write_all fd bytes off len =
   end
 
 (* ---------------------------------------------------------------- *)
-(* live-worker registry: every forked worker pid, so a SIGINT/SIGTERM
-   shutdown handler (Supervisor.install_signal_handlers) can kill the
+(* live-worker registry: every forked worker pid, so the SIGINT/SIGTERM
+   shutdown handler (install_signal_handlers, below) can kill the
    whole brood and leave no orphans                                  *)
 (* ---------------------------------------------------------------- *)
 
@@ -114,6 +114,27 @@ let kill_live_workers () =
       (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
       Hashtbl.remove live_pids pid)
     pids
+
+let cleanups : (unit -> unit) list ref = ref []
+
+let at_shutdown f = cleanups := f :: !cleanups
+
+let shutdown ~code ~signal_name =
+  (* forked children reset the handlers to Signal_default (see
+     [worker]), so only the original process tears the world down *)
+  kill_live_workers ();
+  List.iter (fun f -> try f () with _ -> ()) !cleanups;
+  Printf.eprintf "interrupted (%s); workers killed, state flushed\n%!"
+    signal_name;
+  (try flush stdout with Sys_error _ -> ());
+  (try flush stderr with Sys_error _ -> ());
+  Unix._exit code
+
+let install_signal_handlers () =
+  Sys.set_signal Sys.sigint
+    (Sys.Signal_handle (fun _ -> shutdown ~code:130 ~signal_name:"SIGINT"));
+  Sys.set_signal Sys.sigterm
+    (Sys.Signal_handle (fun _ -> shutdown ~code:143 ~signal_name:"SIGTERM"))
 
 (* ---------------------------------------------------------------- *)
 (* sequential path: jobs = 1 -- the pre-pool in-process code path    *)
@@ -171,17 +192,12 @@ type 'r active = {
   mutable a_timed_out : bool;
 }
 
-(* exit code a worker uses when its Gc alarm finds the heap past the
-   per-worker memory ceiling; decode_result maps it to a Crashed
-   outcome that names the ceiling *)
-let mem_ceiling_exit_code = 97
-
 (* The worker body: run the job, marshal an [('r, string) result] to
    the pipe, and _exit without running the parent's at_exit chain
    (which would re-flush inherited channel buffers).  A result that
    cannot be marshalled (closures, custom blocks) is reported as the
    job's error rather than tearing the pipe mid-write. *)
-let worker ~attempt ~mem_limit_mb wr job =
+let worker ~attempt wr job =
   (* if the parent is gone the write must fail with EPIPE (handled
      below), not kill us through the default SIGPIPE action *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -190,19 +206,6 @@ let worker ~attempt ~mem_limit_mb wr job =
      escalation works as designed *)
   Sys.set_signal Sys.sigterm Sys.Signal_default;
   Sys.set_signal Sys.sigint Sys.Signal_default;
-  (* per-worker memory ceiling.  OCaml's Unix module has no setrlimit
-     binding, so the ceiling is enforced cooperatively: a Gc alarm
-     checks the major heap after every major collection and exits with
-     a distinct code when it is past the budget.  A worker that leaks
-     gets reaped as a Crashed outcome instead of OOMing the host. *)
-  (match mem_limit_mb with
-  | Some mb when mb > 0 ->
-      let limit_words = mb * 1024 * 1024 / (Sys.word_size / 8) in
-      ignore
-        (Gc.create_alarm (fun () ->
-             if (Gc.quick_stat ()).Gc.heap_words > limit_words then
-               Unix._exit mem_ceiling_exit_code))
-  | Some _ | None -> ());
   (* host-chaos worker fates (no-ops unless a chaos plan is armed) *)
   (match Host_chaos.worker_fate ~label:job.j_label ~attempt with
   | Host_chaos.Run -> ()
@@ -234,7 +237,7 @@ let worker ~attempt ~mem_limit_mb wr job =
   (try Unix.close wr with Unix.Unix_error _ -> ());
   Unix._exit 0
 
-let spawn ~timeout ~attempt ~mem_limit_mb index slot (job : 'r job) :
+let spawn ~timeout ~attempt index slot (job : 'r job) :
     'r active =
   let rd, wr = Unix.pipe () in
   (* the child inherits channel buffers; empty them first so nothing
@@ -244,7 +247,7 @@ let spawn ~timeout ~attempt ~mem_limit_mb index slot (job : 'r job) :
   match Unix.fork () with
   | 0 ->
       Unix.close rd;
-      worker ~attempt ~mem_limit_mb wr job
+      worker ~attempt wr job
   | pid ->
       Unix.close wr;
       Unix.set_nonblock rd;
@@ -299,10 +302,6 @@ let decode_result (a : 'r active) status : 'r outcome =
               Crashed
                 (Printf.sprintf "worker for %S returned an undecodable result"
                    a.a_label))
-    | Unix.WEXITED c when c = mem_ceiling_exit_code ->
-        Crashed
-          (Printf.sprintf "worker for %S exceeded its memory ceiling"
-             a.a_label)
     | Unix.WEXITED c ->
         Crashed (Printf.sprintf "worker for %S exited with code %d" a.a_label c)
     | Unix.WSIGNALED s ->
@@ -310,7 +309,7 @@ let decode_result (a : 'r active) status : 'r outcome =
     | Unix.WSTOPPED s ->
         Crashed (Printf.sprintf "worker for %S stopped by signal %d" a.a_label s)
 
-let map ?(jobs = 1) ?timeout ?(kill_grace = 2.0) ?(attempt = 0) ?mem_limit_mb
+let map ?(jobs = 1) ?timeout ?(kill_grace = 2.0) ?(attempt = 0)
     ?(isolate = false) ?(progress = fun _ -> ())
     (jobs_list : 'r job list) : 'r result list * stats =
   let workers = max 1 jobs in
@@ -373,7 +372,7 @@ let map ?(jobs = 1) ?timeout ?(kill_grace = 2.0) ?(attempt = 0) ?mem_limit_mb
         | (i, j) :: qrest, slot :: frest ->
             queue := qrest;
             free := frest;
-            active := spawn ~timeout ~attempt ~mem_limit_mb i slot j :: !active
+            active := spawn ~timeout ~attempt i slot j :: !active
         | _ -> assert false
       done;
       (* wait for output or the nearest deadline *)

@@ -26,7 +26,12 @@
 
     [jobs = 1] (the default) runs every job in-process, in submission
     order, with no fork -- byte-identical to the pre-pool sequential
-    code path (timeouts are not enforced in-process). *)
+    code path (timeouts are not enforced in-process).
+
+    The library, the front ends and the bench harness reach the pool
+    only through {!Grid}, which adds retries, journaling and the
+    mapping of failures to the caller's values.  The pool also owns
+    the signal-driven shutdown path (see below). *)
 
 type 'r job = {
   j_label : string;  (** for progress lines and failure messages *)
@@ -71,13 +76,6 @@ val host_cores : unit -> int
 (** Online CPUs on this host (from /proc/cpuinfo; 1 if unreadable).
     Scaling beyond this is bookkeeping, not speedup. *)
 
-val mem_ceiling_exit_code : int
-(** Exit code a worker uses to report that it breached its cooperative
-    memory ceiling (OCaml's [Unix] has no [setrlimit] binding, so the
-    ceiling is a [Gc] alarm checking the major heap, not a hard kernel
-    limit).  Decoded by the parent as a {!Crashed} outcome naming the
-    ceiling. *)
-
 val live_worker_pids : unit -> int list
 (** Pids of worker processes currently forked by this process's pools.
     Empty outside {!map}; used by shutdown handlers. *)
@@ -91,7 +89,6 @@ val map :
   ?timeout:float ->
   ?kill_grace:float ->
   ?attempt:int ->
-  ?mem_limit_mb:int ->
   ?isolate:bool ->
   ?progress:('r result -> unit) ->
   'r job list ->
@@ -105,8 +102,22 @@ val map :
     order, not submission order.
 
     [attempt] (default 0) is forwarded to {!Host_chaos.worker_fate} so
-    chaos schedules can spare retries.  [mem_limit_mb] arms the
-    cooperative per-worker memory ceiling (see
-    {!mem_ceiling_exit_code}).  [isolate] forces the forked code path
-    even at one worker -- a supervisor re-running a job that crashed
-    the last process must not run it in the parent. *)
+    chaos schedules can spare retries.  [isolate] forces the forked
+    code path even at one worker -- a retry of a job that crashed the
+    last process must not run in the parent. *)
+
+(** {1 Clean shutdown}
+
+    SIGINT/SIGTERM must not strand forked workers or tear half-written
+    output.  {!install_signal_handlers} arms handlers that kill and
+    reap every live worker, run the registered cleanups (journal
+    close, socket removal), flush stdio, and [_exit] with the
+    conventional status -- 130 for SIGINT, 143 for SIGTERM. *)
+
+val at_shutdown : (unit -> unit) -> unit
+(** Register a cleanup to run on signal-driven shutdown (LIFO;
+    exceptions in one cleanup do not stop the others).  Cleanups run
+    only on the signal path, not on normal exit. *)
+
+val install_signal_handlers : unit -> unit
+(** Arm the SIGINT/SIGTERM handlers described above.  Idempotent. *)

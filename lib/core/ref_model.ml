@@ -99,7 +99,10 @@ let of_iss (r : Iss.Interp.t) : t =
     set_mip_bit = Iss.Interp.set_mip_bit r;
     diff_against = (fun dut -> Riscv.Arch_state.diff dut r.Iss.Interp.st);
     memories = (fun () -> [ r.Iss.Interp.plat.Riscv.Platform.mem ]);
-    detach_derived = (fun () () -> ());
+    detach_derived =
+      (fun () ->
+        Iss.Interp.blank_report r.Iss.Interp.report;
+        fun () -> ());
     exited = (fun () -> Iss.Interp.exited r);
     exit_code = (fun () -> Iss.Interp.exit_code r);
   }
@@ -124,7 +127,10 @@ let of_nemu (r : Nemu.Ref_core.t) : t =
     set_mip_bit = Nemu.Ref_core.set_mip_bit r;
     diff_against = Nemu.Ref_core.diff_against r;
     memories = (fun () -> Nemu.Ref_core.memories r);
-    detach_derived = (fun () -> Nemu.Ref_core.detach_blocks r);
+    detach_derived =
+      (fun () ->
+        Iss.Interp.blank_report r.Nemu.Ref_core.report;
+        Nemu.Ref_core.detach_blocks r);
     exited = (fun () -> Nemu.Ref_core.exited r);
     exit_code = (fun () -> Nemu.Ref_core.exit_code r);
   }

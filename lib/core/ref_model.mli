@@ -70,9 +70,11 @@ type t = {
   memories : unit -> Riscv.Memory.t list;
       (** the COW memories this REF owns (LightSSS snapshots these) *)
   detach_derived : unit -> unit -> unit;
-      (** unhook state derived from memory (NEMU's block cache) so a
-          LightSSS image leaves it out; returns the re-hook.  A copy
-          restored from that image rebuilds it lazily. *)
+      (** unhook state derived from memory (NEMU's block cache) and
+          blank the last step's checked, dead commit report
+          ({!Iss.Interp.blank_report}) so a LightSSS image leaves both
+          out; returns the re-hook.  A copy restored from that image
+          rebuilds the block cache lazily. *)
   exited : unit -> bool;
   exit_code : unit -> int option;
 }

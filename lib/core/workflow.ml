@@ -51,6 +51,12 @@ let subject_of (dt : Difftest.t) : Difftest.t Lightsss.subject =
     roots = dt;
     detach_heavy =
       (fun () ->
+        (* the commit slots DiffTest has checked are dead until the
+           next tick *)
+        Array.iter
+          (fun (c : Xiangshan.Core.t) ->
+            Array.iter Xiangshan.Probe.blank c.Xiangshan.Core.slots)
+          (Difftest.soc dt).Xiangshan.Soc.cores;
         rehooks :=
           Global_memory.detach gm
           :: Array.to_list

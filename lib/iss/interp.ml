@@ -105,6 +105,12 @@ let set_acc a ~vaddr ~paddr ~size ~value =
   a.size <- size;
   a.value <- value
 
+let blank_report r =
+  begin_commit r ~pc:0L ~insn:nop;
+  r.commit.next_pc <- 0L;
+  set_acc r.load_acc ~vaddr:0L ~paddr:0L ~size:0 ~value:0L;
+  set_acc r.store_acc ~vaddr:0L ~paddr:0L ~size:0 ~value:0L
+
 let report_load r ~vaddr ~paddr ~size ~value =
   set_acc r.load_acc ~vaddr ~paddr ~size ~value;
   r.commit.load <- r.some_load

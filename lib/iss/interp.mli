@@ -64,6 +64,11 @@ val begin_commit : report -> pc:int64 -> insn:Insn.t -> unit
     interrupt, access, SC failure, CSR read or MMIO.  The caller sets
     [next_pc]. *)
 
+val blank_report : report -> unit
+(** Reset a report to {!make_report}'s state.  Once DiffTest has
+    checked a step, its report is dead until the next step; a LightSSS
+    snapshot blanks it so its image does not carry it. *)
+
 val report_load :
   report -> vaddr:int64 -> paddr:int64 -> size:int -> value:int64 -> unit
 

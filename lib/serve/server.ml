@@ -272,22 +272,29 @@ let default_cost (spec : Proto.job_spec) =
   | Proto.Engine _ -> 1.0
   | Proto.Sleep s -> s.sl_seconds
 
+(* [secs] is the job's own runtime, which feeds the EWMA; [None] for a
+   job whose worker died before reporting one *)
 let finish_job state (p : pending) ~warm ~secs (result : Proto.job_result) =
   state.jobs_done <- state.jobs_done + 1;
-  Warm_cache.Ewma.observe state.ewma (Proto.class_key p.p_spec) secs;
+  Option.iter
+    (Warm_cache.Ewma.observe state.ewma (Proto.class_key p.p_spec))
+    secs;
   journal_append state (J_done (p.p_id, result));
   (match p.p_client with
   | Some c ->
       send_reply state c
         (Proto.Result { r_id = p.p_id; r_warm = warm; r_result = result })
   | None -> ());
-  log state "job %d done in %.3fs%s (%s)" p.p_id secs
+  log state "job %d %s%s (%s)" p.p_id
+    (match secs with
+    | Some s -> Printf.sprintf "done in %.3fs" s
+    | None -> "failed")
     (if warm then " [warm]" else "")
     (Proto.describe p.p_spec)
 
 (* Jobs whose warm state lives in this process (decoded superblocks,
    generated checkpoints) run here so the state accumulates;
-   everything else goes through the pool for crash isolation. *)
+   everything else forks, for crash isolation. *)
 let runs_in_parent = function
   | Proto.Engine _ | Proto.Checkpoint _ -> true
   | Proto.Run _ | Proto.Campaign _ | Proto.Fuzz _ | Proto.Topdown _
@@ -309,47 +316,32 @@ let run_batch state (batch : pending list) =
     List.map (fun p -> (p.p_id, prefetch state.cache p.p_spec)) batch
   in
   let was_warm id = try List.assoc id warmth with Not_found -> false in
-  List.iter
-    (fun p ->
-      let t0 = Unix.gettimeofday () in
-      let result = exec state.cache ~jobs:state.cfg.jobs p.p_spec in
-      finish_job state p ~warm:(was_warm p.p_id)
-        ~secs:(Unix.gettimeofday () -. t0)
-        result)
-    parent_jobs;
-  match pool_jobs with
-  | [] -> ()
-  | _ ->
-      let arr = Array.of_list pool_jobs in
-      let jobs_list =
-        List.map
-          (fun p ->
-            {
-              Minjie.Pool.j_label = Printf.sprintf "job-%d" p.p_id;
-              j_cost =
-                Warm_cache.Ewma.expect state.ewma
-                  (Proto.class_key p.p_spec)
-                  ~default:(default_cost p.p_spec);
-              j_run =
-                (fun () -> exec state.cache ~jobs:1 p.p_spec);
-            })
-          pool_jobs
-      in
-      let progress (r : Proto.job_result Minjie.Pool.result) =
-        let p = arr.(r.Minjie.Pool.r_index) in
-        let result =
-          match r.Minjie.Pool.r_outcome with
-          | Minjie.Pool.Done res -> res
-          | Minjie.Pool.Job_error msg -> Proto.R_error msg
-          | Minjie.Pool.Crashed msg -> Proto.R_error ("worker crashed: " ^ msg)
-          | Minjie.Pool.Timed_out secs ->
-              Proto.R_error (Printf.sprintf "timed out after %.1fs" secs)
-        in
-        finish_job state p ~warm:(was_warm p.p_id)
-          ~secs:r.Minjie.Pool.r_seconds result
-      in
-      ignore
-        (Minjie.Pool.map ~jobs:state.cfg.jobs ~isolate:true ~progress jobs_list)
+  (* each job reports its pending's index and the seconds it ran; a job
+     whose worker died reports no seconds *)
+  let run_grid ~isolate ~jobs ~exec_jobs pendings =
+    let arr = Array.of_list pendings in
+    ignore
+      (Minjie.Grid.run
+         (Minjie.Grid.create ~key:"" ignore)
+         ~jobs ~isolate
+         ~progress:(fun (i, secs, result) ->
+           finish_job state arr.(i) ~warm:(was_warm arr.(i).p_id) ~secs result)
+         ~key:ignore
+         ~label:(fun i -> Printf.sprintf "job-%d" arr.(i).p_id)
+         ~cost:(fun i ->
+           Warm_cache.Ewma.expect state.ewma
+             (Proto.class_key arr.(i).p_spec)
+             ~default:(default_cost arr.(i).p_spec))
+         ~of_failure:(fun i msg -> (i, None, Proto.R_error msg))
+         (fun i ->
+           let t0 = Unix.gettimeofday () in
+           let result = exec state.cache ~jobs:exec_jobs arr.(i).p_spec in
+           (i, Some (Unix.gettimeofday () -. t0), result))
+         (List.init (Array.length arr) Fun.id))
+  in
+  (* in-process, in warm-key order; then forked, even at one worker *)
+  run_grid ~isolate:false ~jobs:1 ~exec_jobs:state.cfg.jobs parent_jobs;
+  run_grid ~isolate:true ~jobs:state.cfg.jobs ~exec_jobs:1 pool_jobs
 
 (* Build a batch round-robin across clients: starting from a rotating
    cursor, take one queued job per live-or-draining client per pass
@@ -521,7 +513,7 @@ let serve (cfg : config) =
     | Some j -> (try Minjie.Journal.close j with _ -> ())
     | None -> ()
   in
-  Minjie.Supervisor.at_shutdown cleanup;
+  Minjie.Pool.at_shutdown cleanup;
   if orphans <> [] then begin
     log state "resuming %d journaled job(s) from the previous server"
       (List.length orphans);

@@ -11,17 +11,19 @@
     Warm-stateful classes (engine, checkpoint generation) execute in
     the server process, where the decoded superblock caches and
     generated checkpoints accumulate; isolation classes (run,
-    campaign, topdown, sleep) go through {!Minjie.Pool} with
-    [~isolate:true], their expected costs fed by the
-    {!Warm_cache.Ewma} of observed runtimes, and the assembled
-    program images they need are prefetched into the warm cache in
-    the parent first, so forked workers inherit them copy-on-write.
+    campaign, fuzz, topdown, sleep) go through {!Minjie.Grid} with
+    [~isolate:true], so each forks even at one worker and a job that
+    kills its worker becomes an [Proto.R_error] reply.  Their expected
+    costs come from the {!Warm_cache.Ewma} of the runtimes each job
+    measures inside its worker, and the assembled program images they
+    need are prefetched into the warm cache in the parent first, so
+    forked workers inherit them copy-on-write.
 
     Crash safety: with a journal, every accepted job is appended
     before it runs and every result when it lands; a killed server
     restarted with [resume] re-executes accepted-but-unfinished jobs
     (as orphans — their clients are gone) before accepting new ones.
-    SIGTERM/SIGINT go through {!Minjie.Supervisor}'s handlers: live
+    SIGTERM/SIGINT go through {!Minjie.Pool}'s handlers: live
     pool workers are killed and reaped, the socket is unlinked, the
     journal is closed, and the process exits 143/130. *)
 

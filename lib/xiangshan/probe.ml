@@ -67,6 +67,28 @@ let make_slot ~hartid =
     p_instret = 0;
   }
 
+(* Back to [make_slot]'s state, dropping every value the slot points
+   at. *)
+let blank p =
+  p.p_cycle <- 0;
+  p.p_pc <- 0L;
+  p.p_insn <- nop;
+  p.p_second <- None;
+  p.p_next_pc <- 0L;
+  p.p_trap <- None;
+  p.p_interrupt <- None;
+  p.p_has_load <- false;
+  p.p_has_store <- false;
+  p.p_mem_paddr <- 0L;
+  p.p_mem_size <- 0;
+  p.p_mem_cycle <- 0;
+  p.p_load_value <- 0L;
+  p.p_store_value <- 0L;
+  p.p_sc_failed <- false;
+  p.p_csr_read <- None;
+  p.p_mmio <- false;
+  p.p_instret <- 0
+
 (* Every field holds an immutable value, so a flat copy is a deep one. *)
 let copy (c : commit) = { c with p_cycle = c.p_cycle }
 

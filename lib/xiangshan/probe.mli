@@ -48,6 +48,11 @@ type commit = {
 val make_slot : hartid:int -> commit
 (** A blank slot for hart [hartid]. *)
 
+val blank : commit -> unit
+(** Reset a slot to {!make_slot}'s state.  Once DiffTest has checked a
+    cycle's slots, their values are dead; a LightSSS snapshot blanks
+    them so its image does not carry them. *)
+
 val copy : commit -> commit
 (** A commit that outlives its slot's next refill. *)
 

@@ -14,6 +14,19 @@ let payload_of = function
   | Minjie.Pool.Done v -> Some v
   | _ -> None
 
+(* Run [jobs] (label, value) pairs on a fresh grid at two workers: each
+   job returns its value, a failure becomes [None]. *)
+let supervised ?timeout ~retries items =
+  let g = Minjie.Grid.create ~key:"" ignore in
+  let results =
+    Minjie.Grid.run g ~jobs:2 ~retries ?timeout ~key:ignore ~label:fst
+      ~cost:(fun _ -> 1.0)
+      ~of_failure:(fun _ _ -> None)
+      (fun (_, v) -> Some v)
+      items
+  in
+  (results, g)
+
 let test_determinism () =
   (* the same seed must plan the same fates, run after run *)
   let labels = List.init 32 (fun i -> Printf.sprintf "cell%d" i) in
@@ -96,21 +109,18 @@ let test_worker_kill_converges () =
                <> Minjie.Host_chaos.Run)
              labels)
       in
-      let jobs = List.mapi (fun i l -> mk l (fun () -> i * 11)) labels in
-      let results, _, rep =
-        Minjie.Supervisor.map ~jobs:2
-          ~policy:{ Minjie.Supervisor.default_policy with sp_retries = 2 }
-          jobs
+      let results, g =
+        supervised ~retries:2 (List.mapi (fun i l -> (l, i * 11)) labels)
       in
       List.iteri
         (fun i r ->
           Alcotest.(check (option int))
             (Printf.sprintf "job %d converged" i)
             (Some (i * 11))
-            (payload_of r.Minjie.Pool.r_outcome))
+            r)
         results;
       Alcotest.(check int) "every victim recovered" victims
-        rep.Minjie.Supervisor.sup_recovered)
+        (Minjie.Grid.recovered g))
 
 let test_slow_worker_times_out_then_converges () =
   (* a stalled worker fires the pool's timeout escalation; the retry
@@ -135,20 +145,14 @@ let test_slow_worker_times_out_then_converges () =
             = Minjie.Host_chaos.Run)
           labels
       in
-      let jobs = [ mk (List.hd stalled) (fun () -> 1); mk clean (fun () -> 2) ] in
-      let results, _, rep =
-        Minjie.Supervisor.map ~jobs:2 ~timeout:0.4
-          ~policy:{ Minjie.Supervisor.default_policy with sp_retries = 1 }
-          jobs
-      in
-      List.iter
-        (fun r ->
-          match r.Minjie.Pool.r_outcome with
-          | Minjie.Pool.Done _ -> ()
-          | _ -> Alcotest.failf "%s did not converge" r.Minjie.Pool.r_label)
-        results;
+      let items = [ (List.hd stalled, 1); (clean, 2) ] in
+      let results, g = supervised ~timeout:0.4 ~retries:1 items in
+      List.iter2
+        (fun (label, v) r ->
+          if r <> Some v then Alcotest.failf "%s did not converge" label)
+        items results;
       Alcotest.(check int) "the stall was retried" 1
-        rep.Minjie.Supervisor.sup_recovered)
+        (Minjie.Grid.recovered g))
 
 let test_journal_enospc_degrades () =
   (* the first append past the header fails ENOSPC-shaped: the journal

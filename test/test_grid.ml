@@ -63,10 +63,34 @@ let test_resume_merges_in_grid_order () =
       let _, fresh, _ = run ~journal:path ~jobs:1 square in
       Alcotest.(check int) "no resume, nothing replayed" 0 fresh)
 
+let test_isolated_crash_at_one_worker () =
+  (* serve's contract: with [isolate] a job runs in a forked worker even
+     at jobs=1, so a job that kills its own process becomes its
+     of_failure value and this process lives on *)
+  let results =
+    Minjie.Grid.map ~jobs:1 ~isolate:true ~label:(Printf.sprintf "item%d")
+      ~cost:(fun _ -> 1.0)
+      ~of_failure:(fun i msg -> (i, "FAILED: " ^ msg))
+      (fun i ->
+        if i = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill;
+        square i)
+      [ 0; 1; 2 ]
+  in
+  Alcotest.(check results_t) "the self-killing job became its of_failure value"
+    [
+      square 0;
+      (1, Printf.sprintf "FAILED: worker for %S killed by signal %d" "item1"
+            Sys.sigkill);
+      square 2;
+    ]
+    results
+
 let tests =
   [
     Alcotest.test_case "raising job: same result list at jobs=1 and 2" `Quick
       test_raising_job_same_at_every_width;
     Alcotest.test_case "resume merges a journal subset in grid order" `Quick
       test_resume_merges_in_grid_order;
+    Alcotest.test_case "isolate: a self-killing job at jobs=1 fails alone"
+      `Quick test_isolated_crash_at_one_worker;
   ]

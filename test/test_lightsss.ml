@@ -169,12 +169,13 @@ let test_restore_exact_tables () =
    deterministic proxy for snapshot cost: config-sized tables (cache
    lines, predictor and TLB entries) must be copy-on-write stores kept
    out of the image, and what is left is the in-flight pipeline.  The
-   budget sits just above the 1,143 of YQH mcf_like, whose uops share
-   their predecoded instructions and hold their sources in fields (it
-   was 2,000 for 1,794 before).  The per-slot commit probes and each
-   REF's reusable commit record are part of the image, with what their
-   fields last pointed at: they took YQH mcf_like from 1,120 to 1,143
-   blocks and NH smp_lrsc from 1,062 to 1,110. *)
+   budget sits above YQH mcf_like, whose uops share their predecoded
+   instructions and hold their sources in fields (it was 2,000 for
+   1,794 before).  The per-slot commit probes and each REF's reusable
+   commit record are part of the image: they took YQH mcf_like from
+   1,120 to 1,143 blocks and NH smp_lrsc from 1,062 to 1,110.  A
+   snapshot blanks them, since DiffTest has already checked what they
+   point at: YQH mcf_like is now 1,133 blocks and NH smp_lrsc 1,084. *)
 let object_budget = 1_150
 
 let test_image_object_budget () =

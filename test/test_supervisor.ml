@@ -1,10 +1,6 @@
-(* Worker supervision: transient flakes converge under retry, while
-   deterministic failures reproduce and are never retried away; the
-   cooperative memory ceiling fires as a crash; SIGINT shutdown leaves
-   no orphan workers behind. *)
-
-let mk ?(cost = 1.0) label f =
-  { Minjie.Pool.j_label = label; j_cost = cost; j_run = f }
+(* Supervision in Grid: transient flakes converge under retry, while
+   deterministic failures reproduce and are never retried away; SIGINT
+   shutdown leaves no orphan workers behind. *)
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -13,192 +9,115 @@ let contains ~sub s =
 
 let tmpmarker () = Filename.temp_file "minjie-test-sup" ".marker"
 
-let test_flake_converges () =
-  (* the classic transient fault: the first attempt dies, the re-run
-     succeeds.  Cross-process state lives in a marker file because the
-     first attempt runs in a forked worker. *)
+(* Run [jobs] (label, body) pairs on a fresh grid: each body's value
+   comes back as [Ok v], a failure as [Error msg]. *)
+let supervised ?(jobs = 2) ?timeout ?progress ~retries items =
+  let g = Minjie.Grid.create ~key:"" ignore in
+  let results =
+    Minjie.Grid.run g ~jobs ~retries ?timeout ?progress ~key:ignore ~label:fst
+      ~cost:(fun _ -> 1.0)
+      ~of_failure:(fun _ msg -> Error msg)
+      (fun (_, body) -> Ok (body ()))
+      items
+  in
+  (results, g)
+
+(* the classic transient fault: the first attempt dies the way an
+   OOM-killed worker does, the re-run returns [v].  Cross-process state
+   lives in a marker file because the first attempt runs in a forked
+   worker. *)
+let with_flaky v f =
   let marker = tmpmarker () in
   Sys.remove marker;
   Fun.protect
     ~finally:(fun () -> try Sys.remove marker with Sys_error _ -> ())
     (fun () ->
-      let flaky =
-        mk "flaky" (fun () ->
-            if Sys.file_exists marker then 42
-            else begin
-              close_out (open_out marker);
-              (* die the way an OOM-killed worker does *)
-              Unix.kill (Unix.getpid ()) Sys.sigkill;
-              0
-            end)
+      f (fun () ->
+          if Sys.file_exists marker then v
+          else begin
+            close_out (open_out marker);
+            Unix.kill (Unix.getpid ()) Sys.sigkill;
+            0
+          end))
+
+let test_flake_converges () =
+  with_flaky 42 (fun flaky ->
+      let results, g =
+        supervised ~retries:2 [ ("steady", fun () -> 7); ("flaky", flaky) ]
       in
-      let results, _, rep =
-        Minjie.Supervisor.map ~jobs:2
-          ~policy:{ Minjie.Supervisor.default_policy with sp_retries = 2 }
-          [ mk "steady" (fun () -> 7); flaky ]
-      in
-      (match results with
-      | [ a; b ] ->
-          Alcotest.(check bool) "steady done" true
-            (a.Minjie.Pool.r_outcome = Minjie.Pool.Done 7);
-          Alcotest.(check bool) "flake recovered to Done" true
-            (b.Minjie.Pool.r_outcome = Minjie.Pool.Done 42)
-      | _ -> Alcotest.fail "wrong result count");
-      Alcotest.(check int) "one retry" 1 rep.Minjie.Supervisor.sup_retried;
-      Alcotest.(check int) "one recovery" 1
-        rep.Minjie.Supervisor.sup_recovered;
-      Alcotest.(check int) "no deterministic failures" 0
-        rep.Minjie.Supervisor.sup_deterministic)
+      Alcotest.(check bool) "steady done, flake recovered to Done" true
+        (results = [ Ok 7; Ok 42 ]);
+      Alcotest.(check int) "one retry" 1 (Minjie.Grid.retried g);
+      Alcotest.(check int) "one recovery" 1 (Minjie.Grid.recovered g))
 
 let test_deterministic_error_not_retried_away () =
   (* a failure that reproduces with the same signature is final after
      ONE confirming re-run, even with budget left -- a real bug must
      never be retried into silence *)
-  let results, _, rep =
-    Minjie.Supervisor.map ~jobs:2
-      ~policy:{ Minjie.Supervisor.default_policy with sp_retries = 5 }
-      [ mk "buggy" (fun () : int -> failwith "the same bug every time") ]
+  let results, g =
+    supervised ~retries:5
+      [ ("buggy", fun () : int -> failwith "the same bug every time") ]
   in
   (match results with
-  | [ r ] -> (
-      match r.Minjie.Pool.r_outcome with
-      | Minjie.Pool.Job_error msg ->
-          Alcotest.(check bool) "carries the error" true
-            (contains ~sub:"the same bug every time" msg)
-      | _ -> Alcotest.fail "expected Job_error")
-  | _ -> Alcotest.fail "wrong result count");
-  Alcotest.(check int) "confirmed deterministic after one re-run" 1
-    rep.Minjie.Supervisor.sup_deterministic;
-  Alcotest.(check int) "only one retry spent of the five" 1
-    rep.Minjie.Supervisor.sup_retried;
-  Alcotest.(check int) "nothing recovered" 0
-    rep.Minjie.Supervisor.sup_recovered
+  | [ Error msg ] ->
+      Alcotest.(check bool) "carries the error" true
+        (contains ~sub:"the same bug every time" msg)
+  | _ -> Alcotest.fail "expected one failure");
+  Alcotest.(check int) "confirmed after one re-run: one retry of the five" 1
+    (Minjie.Grid.retried g);
+  Alcotest.(check int) "nothing recovered" 0 (Minjie.Grid.recovered g)
 
 let test_deterministic_crash_isolated_retry () =
-  (* a deterministically-crashing job's retry runs at the bottom of
-     the degradation ladder -- a single-worker Pool.map -- where it
-     must stay fork-isolated: the supervisor survives to report it as
-     Crashed instead of dying with its job *)
-  let results, _, rep =
-    Minjie.Supervisor.map ~jobs:2
-      ~policy:{ Minjie.Supervisor.default_policy with sp_retries = 3 }
+  (* a deterministically-crashing job's retry runs at a width of one,
+     where it must stay fork-isolated: the grid survives to report it
+     as a crash instead of dying with its job *)
+  let results, g =
+    supervised ~retries:3
       [
-        mk "always-dies" (fun () ->
+        ( "always-dies",
+          fun () ->
             Unix.kill (Unix.getpid ()) Sys.sigkill;
-            0);
-        mk "fine" (fun () -> 5);
+            0 );
+        ("fine", fun () -> 5);
       ]
   in
   (match results with
-  | [ a; b ] ->
-      (match a.Minjie.Pool.r_outcome with
-      | Minjie.Pool.Crashed _ -> ()
-      | _ -> Alcotest.fail "expected Crashed");
-      Alcotest.(check bool) "other job unharmed" true
-        (b.Minjie.Pool.r_outcome = Minjie.Pool.Done 5)
-  | _ -> Alcotest.fail "wrong result count");
-  Alcotest.(check int) "confirmed deterministic" 1
-    rep.Minjie.Supervisor.sup_deterministic
-
-let test_mem_ceiling () =
-  (* a worker that blows through its cooperative memory ceiling exits
-     with the dedicated code and surfaces as a ceiling crash *)
-  let results, _, _ =
-    Minjie.Supervisor.map ~jobs:2
-      ~policy:
-        {
-          Minjie.Supervisor.default_policy with
-          sp_retries = 1;
-          sp_mem_limit_mb = Some 16;
-        }
-      [
-        mk "hog" (fun () ->
-            let acc = ref [] in
-            for _ = 1 to 256 do
-              acc := Bytes.create (1 lsl 20) :: !acc;
-              (* the ceiling is checked at the end of major cycles *)
-              Gc.major ()
-            done;
-            List.length !acc);
-        mk "modest" (fun () -> 3);
-      ]
-  in
-  match results with
-  | [ hog; modest ] ->
-      (match hog.Minjie.Pool.r_outcome with
-      | Minjie.Pool.Crashed msg ->
-          Alcotest.(check bool) "names the ceiling" true
-            (contains ~sub:"memory ceiling" msg)
-      | _ -> Alcotest.fail "expected a memory-ceiling crash");
-      Alcotest.(check bool) "modest job unaffected" true
-        (modest.Minjie.Pool.r_outcome = Minjie.Pool.Done 3)
-  | _ -> Alcotest.fail "wrong result count"
+  | [ Error msg; other ] ->
+      Alcotest.(check bool) "reported as a crash" true
+        (contains ~sub:"killed by signal" msg);
+      Alcotest.(check bool) "other job unharmed" true (other = Ok 5)
+  | _ -> Alcotest.fail "expected a crash, then a result");
+  Alcotest.(check int) "confirmed deterministic after one re-run" 1
+    (Minjie.Grid.retried g)
 
 let test_backoff_applied () =
-  (* the retry round waits at least the base backoff *)
-  let marker = tmpmarker () in
-  Sys.remove marker;
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove marker with Sys_error _ -> ())
-    (fun () ->
-      let flaky =
-        mk "flaky" (fun () ->
-            if Sys.file_exists marker then 1
-            else begin
-              close_out (open_out marker);
-              Unix.kill (Unix.getpid ()) Sys.sigkill;
-              0
-            end)
-      in
+  (* the retry round waits at least the base backoff (50 ms) *)
+  with_flaky 1 (fun flaky ->
       let t0 = Unix.gettimeofday () in
-      let _, _, rep =
-        Minjie.Supervisor.map ~jobs:2
-          ~policy:
-            {
-              Minjie.Supervisor.default_policy with
-              sp_retries = 1;
-              sp_backoff_base = 0.2;
-            }
-          [ flaky ]
-      in
+      let _, g = supervised ~retries:1 [ ("flaky", flaky) ] in
       let elapsed = Unix.gettimeofday () -. t0 in
-      Alcotest.(check int) "recovered" 1 rep.Minjie.Supervisor.sup_recovered;
+      Alcotest.(check int) "recovered" 1 (Minjie.Grid.recovered g);
       Alcotest.(check bool)
         (Printf.sprintf "waited the backoff (%.3fs)" elapsed)
-        true (elapsed >= 0.2))
+        true (elapsed >= 0.05))
 
 let test_progress_fires_once_per_job () =
-  let marker = tmpmarker () in
-  Sys.remove marker;
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove marker with Sys_error _ -> ())
-    (fun () ->
+  with_flaky 9 (fun flaky ->
       let seen = Hashtbl.create 8 in
-      let flaky =
-        mk "flaky" (fun () ->
-            if Sys.file_exists marker then 9
-            else begin
-              close_out (open_out marker);
-              Unix.kill (Unix.getpid ()) Sys.sigkill;
-              0
-            end)
-      in
-      let jobs = [ mk "a" (fun () -> 1); flaky; mk "b" (fun () -> 2) ] in
-      let _, _, _ =
-        Minjie.Supervisor.map ~jobs:2
-          ~policy:{ Minjie.Supervisor.default_policy with sp_retries = 2 }
+      let _ =
+        supervised ~retries:2
           ~progress:(fun r ->
-            Hashtbl.replace seen r.Minjie.Pool.r_index
-              (1
-              + Option.value
-                  (Hashtbl.find_opt seen r.Minjie.Pool.r_index)
-                  ~default:0))
-          jobs
+            Hashtbl.replace seen r
+              (1 + Option.value (Hashtbl.find_opt seen r) ~default:0))
+          [ ("a", fun () -> 1); ("flaky", flaky); ("b", fun () -> 2) ]
       in
       Alcotest.(check int) "three progress events" 3 (Hashtbl.length seen);
       Hashtbl.iter
-        (fun idx n ->
-          if n <> 1 then Alcotest.failf "job %d saw %d progress events" idx n)
+        (fun r n ->
+          if n <> 1 then
+            Alcotest.failf "result %s saw %d progress events"
+              (match r with Ok v -> string_of_int v | Error e -> e)
+              n)
         seen)
 
 (* ---- clean shutdown: no orphan workers --------------------------- *)
@@ -212,14 +131,15 @@ let test_sigint_leaves_no_orphans () =
   let driver = Unix.fork () in
   if driver = 0 then begin
     ignore (Unix.setsid ());
-    Minjie.Supervisor.install_signal_handlers ();
-    let jobs =
-      List.init 3 (fun i ->
-          mk (Printf.sprintf "sleeper%d" i) (fun () ->
-              Unix.sleepf 30.0;
-              i))
+    Minjie.Pool.install_signal_handlers ();
+    let _ =
+      supervised ~jobs:3 ~retries:0
+        (List.init 3 (fun i ->
+             ( Printf.sprintf "sleeper%d" i,
+               fun () ->
+                 Unix.sleepf 30.0;
+                 i )))
     in
-    let _ = Minjie.Pool.map ~jobs:3 jobs in
     (* unreachable if the signal arrived *)
     Unix._exit 99
   end
@@ -257,7 +177,6 @@ let tests =
       test_deterministic_error_not_retried_away;
     Alcotest.test_case "deterministic crash retried in isolation" `Quick
       test_deterministic_crash_isolated_retry;
-    Alcotest.test_case "memory ceiling crash" `Quick test_mem_ceiling;
     Alcotest.test_case "retry backoff applied" `Quick test_backoff_applied;
     Alcotest.test_case "progress fires once per job" `Quick
       test_progress_fires_once_per_job;
