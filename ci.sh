@@ -34,15 +34,16 @@ dune runtest
 
 echo "== allocation gate: cosim_spec minor words per cycle (deterministic) =="
 # perfbench counts minor words with Gc.minor_words in a forked child, so
-# the figure repeats exactly; the budget sits just above the 69.58
-# measured with per-slot commit probes and reusable REF commit records
-# (120.75 before them)
+# the figure repeats exactly; the budget sits just above the 40.18
+# measured with ROB-resident uops and unboxed 64-bit uop and register
+# state (the budget was 70 for the 69.58 of per-slot commit probes and
+# reusable REF commit records, and the count 120.75 before them)
 python3 perfbench/run.py --workload cosim_spec --seed 1 --seconds 0 --trace 0 \
   2>/dev/null | tail -1 > ci_alloc.json
 python3 - ci_alloc.json <<'EOF_ALLOC'
 import json, sys
 r = json.load(open(sys.argv[1]))
-budget = 70.0
+budget = 40.5
 w = r["metrics"]["alloc_words_per_cycle"]["value"]
 if r.get("correct") is not True:
     sys.exit("cosim_spec: correct is not true")
@@ -84,10 +85,11 @@ dune exec bench/main.exe -- table1 --json ci_table1.json
 test -s ci_table1.json
 grep -q '"experiment": "table1"' ci_table1.json
 # the tables are copy-on-write and stay out of the image: what is left
-# is the in-flight pipeline, whose uops share their predecoded
-# instructions, and the commit slots and REF commit records, blanked
-# once checked (1,131 blocks; 1,140 unblanked, 1,118 before the slots;
-# the bound was 2,000 for 1,792 before)
+# is the in-flight pipeline, whose uops are ROB-resident rows that point
+# only at the predecoded instructions of in-flight uops, and the commit
+# slots and REF commit records, blanked once checked (507 blocks; 1,131
+# with a record and boxes per in-flight uop, 1,140 unblanked, 1,118
+# before the slots; the bound was 2,000 for 1,792 before)
 awk -F': ' '
   /"lightsss_image_objects"/ { n = $2; sub(/,$/, "", n); seen = 1 }
   END {

@@ -28,6 +28,64 @@ type pending_store = {
   ps_commit_cycle : int;
 }
 
+(* One hart's committed stores that have not drained yet, in commit
+   order: a ring of [Array.length size] slots holding [n] stores from
+   [head], one store per slot across four columns (the 64-bit ones
+   unboxed, 8 bytes per slot), laid out like [Xiangshan.Lsu]'s store
+   buffer.  Recording a store allocates nothing.  A store buffer that
+   drops or withholds drains can leave many stores pending before the
+   timeout fires, so a full ring doubles. *)
+type store_ring = {
+  mutable paddr : Bytes.t;
+  mutable size : int array;
+  mutable value : Bytes.t;
+  mutable cycle : int array; (* commit cycle *)
+  mutable head : int;
+  mutable n : int;
+}
+
+let ring_create cap =
+  {
+    paddr = Bytes.make (8 * cap) '\000';
+    size = Array.make cap 0;
+    value = Bytes.make (8 * cap) '\000';
+    cycle = Array.make cap 0;
+    head = 0;
+    n = 0;
+  }
+
+let[@inline] get64 col i = Bytes.get_int64_ne col (i lsl 3)
+
+(* The slot of the [k]th oldest pending store. *)
+let ring_slot q k = (q.head + k) mod Array.length q.size
+
+let ring_push q ~paddr ~size ~value ~cycle =
+  if q.n = Array.length q.size then begin
+    let bigger = ring_create (2 * q.n) in
+    for k = 0 to q.n - 1 do
+      let i = ring_slot q k in
+      Bytes.blit q.paddr (8 * i) bigger.paddr (8 * k) 8;
+      bigger.size.(k) <- q.size.(i);
+      Bytes.blit q.value (8 * i) bigger.value (8 * k) 8;
+      bigger.cycle.(k) <- q.cycle.(i)
+    done;
+    q.paddr <- bigger.paddr;
+    q.size <- bigger.size;
+    q.value <- bigger.value;
+    q.cycle <- bigger.cycle;
+    q.head <- 0
+  end;
+  let i = ring_slot q q.n in
+  Bytes.set_int64_ne q.paddr (8 * i) paddr;
+  q.size.(i) <- size;
+  Bytes.set_int64_ne q.value (8 * i) value;
+  q.cycle.(i) <- cycle;
+  q.n <- q.n + 1
+
+let ring_pop q =
+  q.head <- ring_slot q 1;
+  q.n <- q.n - 1
+
 type t = {
   soc : Xiangshan.Soc.t;
   ref_kind : Ref_model.kind;
@@ -44,7 +102,7 @@ type t = {
   last_commit_cycle : int array; (* per-hart watchdog *)
   mutable commit_timeout : int;
   (* store accounting *)
-  pending_stores : pending_store Queue.t array; (* per hart, commit order *)
+  pending_stores : store_ring array; (* per hart *)
   early_drains : pending_store list array;
       (* drains seen this cycle before their commit probe was
          processed (a store can retire into the buffer and drain in
@@ -99,33 +157,33 @@ let note_drain (t : t) hart (d : Xiangshan.Probe.store_drain) =
   and ds = d.Xiangshan.Probe.d_size
   and dv = d.Xiangshan.Probe.d_value in
   let q = t.pending_stores.(hart) in
-  if Queue.is_empty q then park t hart d
+  if q.n = 0 then park t hart d
   else begin
-    let h = Queue.peek q in
-    if h.ps_paddr = dp && h.ps_size = ds then begin
-      if h.ps_value = dv then ignore (Queue.pop q)
+    let h = q.head in
+    if Int64.equal (get64 q.paddr h) dp && q.size.(h) = ds then begin
+      if Int64.equal (get64 q.value h) dv then ring_pop q
       else
         fail_now t ~hart ~pc:t.soc.Xiangshan.Soc.cores.(hart)
                           .Xiangshan.Core.arch.Riscv.Arch_state.pc
           ~rule:"store-drain-value"
           (Printf.sprintf
              "store @0x%Lx (size %d) committed 0x%Lx but drained 0x%Lx" dp ds
-             h.ps_value dv)
+             (get64 q.value h) dv)
     end
     else begin
       (* FIFO order means a clean drain always matches the head; a
          match deeper in the queue is a drop or reorder of everything
          older *)
-      let depth = ref 0 and found = ref (-1) in
-      Queue.iter
-        (fun p ->
-          if !found < 0 then begin
-            if !depth > 0 && p.ps_paddr = dp && p.ps_size = ds
-               && p.ps_value = dv
-            then found := !depth;
-            incr depth
-          end)
-        q;
+      let found = ref (-1) and k = ref 1 in
+      while !found < 0 && !k < q.n do
+        let i = ring_slot q !k in
+        if
+          Int64.equal (get64 q.paddr i) dp
+          && q.size.(i) = ds
+          && Int64.equal (get64 q.value i) dv
+        then found := !k;
+        incr k
+      done;
       if !found > 0 then
         fail_now t ~hart ~pc:t.soc.Xiangshan.Soc.cores.(hart)
                           .Xiangshan.Core.arch.Riscv.Arch_state.pc
@@ -134,7 +192,7 @@ let note_drain (t : t) hart (d : Xiangshan.Probe.store_drain) =
              "drain @0x%Lx=0x%Lx matches the committed store %d deep; the \
               older store @0x%Lx=0x%Lx (commit cycle %d) was skipped or \
               reordered"
-             dp dv !found h.ps_paddr h.ps_value h.ps_commit_cycle)
+             dp dv !found (get64 q.paddr h) (get64 q.value h) q.cycle.(h))
       else park t hart d
     end
   end
@@ -150,7 +208,7 @@ let rec take_parked ~paddr ~size ~value acc = function
 
 (* A store probe committed: either its drain already raced past this
    cycle (consume the parked announcement) or it joins the pending
-   queue to be matched when the buffer drains it. *)
+   ring to be matched when the buffer drains it. *)
 let note_committed_store (t : t) ~hart (p : Xiangshan.Probe.commit) =
   if p.Xiangshan.Probe.p_has_store && not p.Xiangshan.Probe.p_mmio then begin
     let paddr = p.Xiangshan.Probe.p_mem_paddr
@@ -159,14 +217,8 @@ let note_committed_store (t : t) ~hart (p : Xiangshan.Probe.commit) =
     match take_parked ~paddr ~size ~value [] t.early_drains.(hart) with
     | Some rest -> t.early_drains.(hart) <- rest
     | None ->
-        Queue.add
-          {
-            ps_paddr = paddr;
-            ps_size = size;
-            ps_value = value;
-            ps_commit_cycle = p.Xiangshan.Probe.p_cycle;
-          }
-          t.pending_stores.(hart)
+        ring_push t.pending_stores.(hart) ~paddr ~size ~value
+          ~cycle:p.Xiangshan.Probe.p_cycle
   end
 
 (* Attach probes to the SoC and build REFs mirroring the program.
@@ -222,7 +274,7 @@ let create ?rules ?(with_scoreboard = true) ?(ref_kind = Ref_model.Iss)
       debug = false;
       last_commit_cycle = Array.make n 0;
       commit_timeout = 20_000;
-      pending_stores = Array.init n (fun _ -> Queue.create ());
+      pending_stores = Array.init n (fun _ -> ring_create 16);
       early_drains = Array.make n [];
       store_timeout = 10_000;
     }
@@ -377,10 +429,11 @@ let check_store_drains t =
   let soc = t.soc in
   for hart = 0 to Array.length t.pending_stores - 1 do
     let q = t.pending_stores.(hart) in
-    if not (Queue.is_empty q) then begin
-      let h = Queue.peek q in
+    if q.n > 0 then begin
+      let h = q.head in
+      let committed = q.cycle.(h) in
       if
-        soc.Xiangshan.Soc.now - h.ps_commit_cycle > t.store_timeout
+        soc.Xiangshan.Soc.now - committed > t.store_timeout
         && not (Xiangshan.Soc.exited soc)
       then
         fail_now t ~hart
@@ -389,8 +442,8 @@ let check_store_drains t =
           (Printf.sprintf
              "store @0x%Lx=0x%Lx committed at cycle %d never drained (%d \
               cycles ago); %s"
-             h.ps_paddr h.ps_value h.ps_commit_cycle
-             (soc.Xiangshan.Soc.now - h.ps_commit_cycle)
+             (get64 q.paddr h) (get64 q.value h) committed
+             (soc.Xiangshan.Soc.now - committed)
              (Xiangshan.Core.stall_site soc.Xiangshan.Soc.cores.(hart)))
     end
   done

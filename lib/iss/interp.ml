@@ -236,6 +236,28 @@ let retire t csr =
     Platform.Clint.tick t.plat.Platform.clint 1
   end
 
+(* Decoded instructions, memoised per 32-bit word in a process-wide,
+   direct-mapped table sized like [Xiangshan.Predecode]'s: decoding is
+   a pure function of the word and an [Insn.t] is immutable, so an
+   entry is never stale and a hit allocates nothing.  No REF reaches
+   the table, so LightSSS images and marshalled state never carry it. *)
+let memo_bits = 12
+
+let memo_words = Array.make (1 lsl memo_bits) (-1)
+
+let memo_insns = Array.make (1 lsl memo_bits) nop
+
+let decode word =
+  let word = word land 0xFFFF_FFFF in
+  let i = ((word * 0x9E3779B1) lsr 20) land ((1 lsl memo_bits) - 1) in
+  if Array.unsafe_get memo_words i = word then Array.unsafe_get memo_insns i
+  else begin
+    let insn = Decode.decode_int word in
+    Array.unsafe_set memo_words i word;
+    Array.unsafe_set memo_insns i insn;
+    insn
+  end
+
 let rec step (t : t) : step_result =
   if exited t then Exited
   else begin
@@ -290,7 +312,7 @@ let rec step (t : t) : step_result =
                  with Platform.Bus_fault _ ->
                    raise (Trap.Exception (Trap.Fetch_access, pc))
                in
-               let insn = Decode.decode (Int64.to_int32 word) in
+               let insn = decode (Int64.to_int word) in
                begin_commit r ~pc ~insn;
                let next_pc = exec t pc insn in
                c.next_pc <- next_pc;

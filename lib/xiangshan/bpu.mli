@@ -48,6 +48,8 @@ type t = {
 val create : Config.t -> t
 
 type prediction = { taken : bool; target : int64 }
+(** [target] is the predicted next pc: the sequential [pc + 4] when
+    not [taken]. *)
 
 val predict : t -> pc:int64 -> insn:Riscv.Insn.t -> prediction
 (** Called by the IFU for every fetched instruction; updates the RAS

@@ -29,6 +29,31 @@
 
 open Riscv
 
+(* A uop row's fields, read and written in place as [Uop.get] and
+   friends do: a call per field, and a box per 64-bit read, would cost
+   more than the access. *)
+let[@inline] row (u : Uop.t) seq = seq land u.Uop.mask
+
+let[@inline] get (u : Uop.t) r f = u.Uop.ints.((r lsl 4) lor f)
+
+let[@inline] set (u : Uop.t) r f v = u.Uop.ints.((r lsl 4) lor f) <- v
+
+let[@inline] flag u r b = get u r Uop.i_flags land b <> 0
+
+let[@inline] set_flag u r b on =
+  let f = get u r Uop.i_flags in
+  set u r Uop.i_flags (if on then f lor b else f land lnot b)
+
+let[@inline] get64 (u : Uop.t) r f =
+  Bytes.get_int64_ne u.Uop.words ((r lsl 6) lor (f lsl 3))
+
+let[@inline] set64 (u : Uop.t) r f v =
+  Bytes.set_int64_ne u.Uop.words ((r lsl 6) lor (f lsl 3)) v
+
+(* A physical register's value, in place ([Rename.rf.value]). *)
+let[@inline] reg_value (rf : Rename.rf) p =
+  Bytes.get_int64_ne rf.Rename.value (p lsl 3)
+
 type fetch_item = {
   fi_pc : int64;
   fi_si : Predecode.t; (* the instruction's static record *)
@@ -110,9 +135,10 @@ type stall_kind =
   | Freelist_fp
 
 type disp_plan = {
-  mutable pl_uop : Uop.t;
-      (* built for an accepted slot, seq pre-assigned from the snapshot;
-         psrc holds architectural numbers until apply renames them *)
+  mutable pl_seq : int;
+      (* an accepted slot's uop, whose ROB row the planner initialised;
+         its sources hold architectural numbers until apply renames
+         them.  -1 = none *)
   mutable pl_item : fetch_item; (* head fetch-queue item consumed *)
   mutable pl_fused : bool; (* the next item is consumed too *)
   mutable pl_iq : int; (* target IQ index, -1 = none (at-commit / fault) *)
@@ -149,7 +175,7 @@ let make_effects (cfg : Config.t) =
         dp_plans =
           Array.init cfg.decode_width (fun _ ->
               {
-                pl_uop = Uop.sentinel;
+                pl_seq = -1;
                 pl_item = no_item;
                 pl_fused = false;
                 pl_iq = -1;
@@ -372,6 +398,8 @@ let create ?(phase_order = Default_order) (cfg : Config.t) ~hartid
   arch.Arch_state.csr.Csr.time_source <-
     (fun () -> Platform.Clint.mtime plat.Platform.clint);
   let ctrs, ids = make_ids () in
+  let rob = Rob.create ~size:cfg.rob_size in
+  let uops = rob.Rob.uops in
   {
     cfg;
     hartid;
@@ -382,10 +410,14 @@ let create ?(phase_order = Default_order) (cfg : Config.t) ~hartid
     l1i;
     l1d;
     rename = Rename.create cfg;
-    rob = Rob.create ~size:cfg.rob_size;
-    iqs = Array.of_list (List.map (fun iqc -> Iq.create iqc ~policy:cfg.issue_policy) cfg.iqs);
+    rob;
+    iqs =
+      Array.of_list
+        (List.map
+           (fun iqc -> Iq.create iqc ~policy:cfg.issue_policy ~uops)
+           cfg.iqs);
     iq_route = iq_route cfg;
-    lsu = Lsu.create cfg ~dcache:l1d;
+    lsu = Lsu.create cfg ~dcache:l1d ~uops;
     probes = Probe.null_sinks ();
     slots = Array.init cfg.decode_width (fun _ -> Probe.make_slot ~hartid);
     n_slots = 0;
@@ -453,8 +485,9 @@ let flush ?(cause = `Other) t ~after ~target =
   | `Trap -> Perf.Perf_counter.incr t.ctrs t.ids.i_flush_trap
   | `Serial -> Perf.Perf_counter.incr t.ctrs t.ids.i_flush_serial
   | `Other -> ());
-  let squashed = Rob.squash_younger t.rob ~after in
-  let depth = List.length squashed in
+  let old_tail = Rob.squash_younger t.rob ~after in
+  let new_tail = t.rob.Rob.tail in
+  let depth = old_tail - new_tail in
   Perf.Perf_counter.add t.ctrs t.ids.i_rob_walk depth;
   if depth > 0 then begin
     (* log2 depth buckets: 1, 2-3, 4-7, 8-15, 16+ *)
@@ -467,14 +500,20 @@ let flush ?(cause = `Other) t ~after ~target =
     in
     Perf.Perf_counter.incr t.ctrs t.ids.i_walk_depth.(b)
   end;
+  (* youngest first, for the trace and for rename rollback *)
   (match t.tracer with
   | Some tr ->
-      List.iter
-        (fun (u : Uop.t) -> Perf.Pipetrace.on_flush tr ~seq:u.Uop.seq ~now:t.now)
-        squashed
+      for seq = old_tail - 1 downto new_tail do
+        Perf.Pipetrace.on_flush tr ~seq ~now:t.now
+      done
   | None -> ());
-  List.iter (fun u -> Rename.rollback t.rename u) squashed;
-  t.seq <- t.rob.Rob.tail;
+  let uops = t.rob.Rob.uops in
+  for seq = old_tail - 1 downto new_tail do
+    let r = row uops seq in
+    Rename.rollback t.rename uops r;
+    Uop.release uops r
+  done;
+  t.seq <- new_tail;
   Array.iter Iq.drop_squashed t.iqs;
   Lsu.drop_squashed t.lsu;
   fq_clear t.fetch_queue;
@@ -504,6 +543,43 @@ let fetch_complete_now t =
       enqueue_items t b.fb_items;
       t.inflight <- None
   | Some _ | None -> ()
+
+(* The items of a bundle from slot [i] at [pc] on, in fetch order: up to
+   [fetch_width] sequential slots in the fetch block [block], ending
+   after a predicted-taken one.  Sets [t.fetch_pc] to the prediction
+   after the last slot.  Past the first slot the pc is the previous
+   slot's not-taken prediction: its box is reused (one boxed pc per
+   in-flight instruction in a LightSSS image, not two), and a slot's
+   prediction is the predictor's own box. *)
+let rec fetch_slots t ~pa0 ~block i pc =
+  if
+    i >= t.cfg.fetch_width
+    || Int64.to_int (Int64.div pc (Int64.of_int fetch_block_bytes)) <> block
+  then begin
+    t.fetch_pc <- pc;
+    []
+  end
+  else begin
+    let pa = Int64.add pa0 (Int64.of_int (4 * i)) in
+    let word = Memory.read_u32 t.plat.Platform.mem pa in
+    let si = Predecode.lookup word in
+    (* a not-taken prediction's target is the sequential pc *)
+    let pred = Bpu.predict t.bpu ~pc ~insn:si.Predecode.insn in
+    let it =
+      {
+        fi_pc = pc;
+        fi_si = si;
+        fi_pred_next = pred.Bpu.target;
+        fi_fault = None;
+        fi_fetched_at = t.now;
+      }
+    in
+    if pred.Bpu.taken then begin
+      t.fetch_pc <- pred.Bpu.target;
+      [ it ]
+    end
+    else it :: fetch_slots t ~pa0 ~block (i + 1) pred.Bpu.target
+  end
 
 (* Start a new fetch bundle at [t.fetch_pc]: translate, probe the
    icache, decode and predict up to fetch_width sequential slots.
@@ -554,47 +630,13 @@ let fetch_start_bundle t =
           t.icache_stall_until <-
             max t.icache_stall_until (t.now + tlb_lat + icache_lat)
         end;
-        let items = ref [] in
-        let next_fetch = ref (Int64.add pc0 (Int64.of_int 4)) in
-        let stop = ref false in
-        let i = ref 0 in
-        let block = Int64.div pc0 (Int64.of_int fetch_block_bytes) in
-        while (not !stop) && !i < t.cfg.fetch_width do
-          (* past the first slot the pc is the previous slot's
-             not-taken prediction: reuse its box (one boxed pc per
-             in-flight instruction in a LightSSS image, not two) *)
-          let pc = match !items with it :: _ -> it.fi_pred_next | [] -> pc0 in
-          if Int64.div pc (Int64.of_int fetch_block_bytes) <> block then
-            stop := true
-          else begin
-            let pa = Int64.add pa0 (Int64.of_int (4 * !i)) in
-            let word = Memory.read_u32 t.plat.Platform.mem pa in
-            let si = Predecode.lookup word in
-            let pred = Bpu.predict t.bpu ~pc ~insn:si.Predecode.insn in
-            let pred_next =
-              if pred.Bpu.taken then pred.Bpu.target else Int64.add pc 4L
-            in
-            items :=
-              {
-                fi_pc = pc;
-                fi_si = si;
-                fi_pred_next = pred_next;
-                fi_fault = None;
-                fi_fetched_at = t.now;
-              }
-              :: !items;
-            next_fetch := pred_next;
-            if pred.Bpu.taken then stop := true;
-            incr i
-          end
-        done;
-        t.fetch_pc <- !next_fetch;
+        let block =
+          Int64.to_int (Int64.div pc0 (Int64.of_int fetch_block_bytes))
+        in
+        let items = fetch_slots t ~pa0 ~block 0 pc0 in
         t.inflight <-
           Some
-            {
-              fb_ready_at = t.now + tlb_lat + icache_lat + 2;
-              fb_items = List.rev !items;
-            }
+            { fb_ready_at = t.now + tlb_lat + icache_lat + 2; fb_items = items }
       end
 
 (* Live fetch evaluation (the pre-refactor do_fetch).  Used when a
@@ -651,16 +693,19 @@ let apply_fetch t (eff : fetch_eff) =
 let rec mark_slice t ~depth r =
   if depth > 0 && r > 0 then
     let seq = t.def_table.(r) in
-    if seq >= 0 then
-      match Rob.get t.rob seq with
-      | Some p when p.Uop.state <> Uop.Completed && not p.Uop.priority ->
-          p.Uop.priority <- true;
-          t.perf.p_hi_prio <- t.perf.p_hi_prio + 1;
-          for i = 0 to p.Uop.n_src - 1 do
-            if not p.Uop.src_fp.(i) then
-              mark_slice t ~depth:(depth - 1) (Uop.arch_src p i)
-          done
-      | Some _ | None -> ()
+    if seq >= 0 && Rob.mem t.rob seq then begin
+      let u = t.rob.Rob.uops in
+      let p = row u seq in
+      if get u p Uop.i_state <> Uop.completed && not (flag u p Uop.b_priority)
+      then begin
+        set_flag u p Uop.b_priority true;
+        t.perf.p_hi_prio <- t.perf.p_hi_prio + 1;
+        for i = 0 to get u p Uop.i_n_src - 1 do
+          if not (Uop.src_fp u p i) then
+            mark_slice t ~depth:(depth - 1) (Uop.arch_src u p i)
+        done
+      end
+    end
 
 (* Is this instruction a move-eliminable register copy? *)
 let move_eliminable t (it : fetch_item) ~fused =
@@ -677,7 +722,9 @@ let move_eliminable t (it : fetch_item) ~fused =
    by commit or issue in the same cycle become usable next cycle.  The
    fetch queue is walked by position (it is unmodified during phase 1),
    and each slot is classified from its instruction's static record
-   first: a uop is built only for a slot the group accepts. *)
+   first: only a slot the group accepts gets its uop, written in place
+   into the ROB row of its pre-assigned seq.  Rows past the tail are
+   not live, so no other planner reads them. *)
 let step_dispatch t =
   let d = t.plan.ef_dispatch in
   d.dp_n <- 0;
@@ -763,15 +810,14 @@ let step_dispatch t =
           if int_dest then decr int_free;
           if fp_dest then decr fp_free
         end;
-        let u =
-          Uop.make ~seq:!seq ~pc:it.fi_pc ~si
-            ~second:(if fused then Some second.fi_si.Predecode.insn else None)
-            ~fusion
-            ~pred_next:(if fused then second.fi_pred_next else it.fi_pred_next)
-        in
-        u.Uop.exc <- it.fi_fault;
+        let uops = t.rob.Rob.uops in
+        Uop.init uops ~seq:!seq ~pc:it.fi_pc ~si ~second:second.fi_si ~fusion
+          ~pred_next:(if fused then second.fi_pred_next else it.fi_pred_next);
+        (match it.fi_fault with
+        | Some (exc, tval) -> Uop.set_exc uops (row uops !seq) exc tval
+        | None -> ());
         let p = d.dp_plans.(d.dp_n) in
-        p.pl_uop <- u;
+        p.pl_seq <- !seq;
         p.pl_item <- it;
         p.pl_fused <- fused;
         p.pl_iq <- iq_target;
@@ -794,17 +840,20 @@ let step_dispatch t =
    reserved, in which case dispatch degrades to a stall and retries
    next cycle.  The plan buffer is reset either way. *)
 let apply_dispatch t (eff : dispatch_eff) =
+  let uops = t.rob.Rob.uops in
   if t.flushed_at <> t.now then begin
     let fq = t.fetch_queue in
     let aborted = ref false and i = ref 0 in
     while (not !aborted) && !i < eff.dp_n do
       let p = eff.dp_plans.(!i) in
       incr i;
-      let u = p.pl_uop and it = p.pl_item in
-      let rd = u.Uop.si.Predecode.rd and rd_fp = u.Uop.si.Predecode.rd_is_fp in
+      let seq = p.pl_seq and it = p.pl_item in
+      let r = row uops seq in
+      let si = uops.Uop.si.(r) in
+      let rd = si.Predecode.rd and rd_fp = si.Predecode.rd_is_fp in
       if
         Rob.is_full t.rob
-        || u.Uop.seq <> t.seq
+        || seq <> t.seq
         (* the planned head item must still be queued (physical
            identity): a boundary-hook flush cleared the fetch queue,
            even if it left seq/ROB looking untouched *)
@@ -820,64 +869,65 @@ let apply_dispatch t (eff : dispatch_eff) =
         if p.pl_fused then fq_pop fq;
         (* rename sources in place: the planner left architectural
            numbers in the source fields *)
-        for j = 0 to u.Uop.n_src - 1 do
-          Uop.set_psrc u j
-            (Rename.lookup t.rename ~is_fp:u.Uop.src_fp.(j) (Uop.psrc u j))
+        for j = 0 to get uops r Uop.i_n_src - 1 do
+          Uop.set_psrc uops r j
+            (Rename.lookup t.rename ~is_fp:(Uop.src_fp uops r j)
+               (Uop.psrc uops r j))
         done;
         (match (p.pl_eliminated, it.fi_si.Predecode.insn) with
         | true, Op_imm (ADD, rd, rs, _) ->
             let prd, old_prd = Rename.alias t.rename ~arch_rd:rd ~arch_rs:rs in
-            u.Uop.prd <- prd;
-            u.Uop.old_prd <- old_prd;
-            u.Uop.state <- Uop.Completed;
-            u.Uop.done_at <- t.now;
-            u.Uop.eliminated <- true;
+            set uops r Uop.i_prd prd;
+            set uops r Uop.i_old_prd old_prd;
+            set uops r Uop.i_state Uop.completed;
+            set uops r Uop.i_done_at t.now;
+            set_flag uops r Uop.b_eliminated true;
             t.perf.p_moves_eliminated <- t.perf.p_moves_eliminated + 1;
-            t.def_table.(rd) <- u.Uop.seq
+            t.def_table.(rd) <- seq
         | _ ->
             if rd >= 0 then begin
               let prd, old_prd =
                 Rename.alloc t.rename ~is_fp:rd_fp ~arch:rd ~now:t.now
               in
-              u.Uop.prd <- prd;
-              u.Uop.old_prd <- old_prd;
-              if not rd_fp then t.def_table.(rd) <- u.Uop.seq
+              set uops r Uop.i_prd prd;
+              set uops r Uop.i_old_prd old_prd;
+              if not rd_fp then t.def_table.(rd) <- seq
             end);
         (* allocate in ROB + queues *)
         t.seq <- t.seq + 1;
-        Rob.push t.rob u;
+        Rob.push t.rob seq;
         if p.pl_fused then t.perf.p_fused <- t.perf.p_fused + 1;
         t.perf.p_dispatched <- t.perf.p_dispatched + 1;
         if it.fi_fault = None && not p.pl_eliminated then begin
-          if p.pl_iq >= 0 then Iq.insert t.iqs.(p.pl_iq) u;
-          if Uop.is_load u then Lsu.insert_load t.lsu u;
-          if Uop.is_store u then Lsu.insert_store t.lsu u
+          if p.pl_iq >= 0 then Iq.insert t.iqs.(p.pl_iq) seq;
+          if si.Predecode.uses_lq then Lsu.insert_load t.lsu seq;
+          if si.Predecode.uses_sq then Lsu.insert_store t.lsu seq
         end
         else if it.fi_fault <> None then begin
           (* faulting fetch: deliver the exception at commit *)
-          u.Uop.state <- Uop.Completed;
-          u.Uop.done_at <- t.now
+          set uops r Uop.i_state Uop.completed;
+          set uops r Uop.i_done_at t.now
         end;
         (* PUBS: mark unconfident branch slices *)
         (if t.cfg.issue_policy = Config.Pubs then
            match it.fi_si.Predecode.insn with
            | Branch (_, rs1, rs2, _) when Bpu.unconfident t.bpu ~pc:it.fi_pc ->
-               u.Uop.priority <- true;
+               set_flag uops r Uop.b_priority true;
                t.perf.p_hi_prio <- t.perf.p_hi_prio + 1;
                mark_slice t ~depth:2 rs1;
                mark_slice t ~depth:2 rs2
            | _ -> ());
         match t.tracer with
         | Some tr ->
-            Perf.Pipetrace.on_dispatch tr ~seq:u.Uop.seq ~pc:u.Uop.pc
+            Perf.Pipetrace.on_dispatch tr ~seq ~pc:it.fi_pc
               ~label:(Insn.show it.fi_si.Predecode.insn)
               ~fetched_at:it.fi_fetched_at
               ~now:t.now;
             (* eliminated moves and faulting fetches never issue;
                close their execute window at dispatch *)
             if p.pl_eliminated || it.fi_fault <> None then begin
-              Perf.Pipetrace.on_issue tr ~seq:u.Uop.seq ~now:t.now;
-              Perf.Pipetrace.on_complete tr ~seq:u.Uop.seq ~at:u.Uop.done_at
+              Perf.Pipetrace.on_issue tr ~seq ~now:t.now;
+              Perf.Pipetrace.on_complete tr ~seq ~at:(get uops r Uop.i_done_at)
             end
         | None -> ()
       end
@@ -892,160 +942,148 @@ let apply_dispatch t (eff : dispatch_eff) =
     | Some Freelist_fp -> Perf.Perf_counter.incr t.ctrs t.ids.i_disp_freelist_fp
     | None -> ()
   end;
+  (* reset the plan buffer; a planned uop that was not dispatched
+     leaves its (past-the-tail) row *)
   for i = 0 to eff.dp_n - 1 do
     let p = eff.dp_plans.(i) in
-    p.pl_uop <- Uop.sentinel;
+    if p.pl_seq >= t.seq then Uop.release uops (row uops p.pl_seq);
+    p.pl_seq <- -1;
     p.pl_item <- no_item
   done;
   eff.dp_n <- 0
 
 (* ---------------- issue / execute ------------------------------------ *)
 
-let complete t (u : Uop.t) ~at =
-  u.Uop.state <- Uop.Completed;
-  u.Uop.done_at <- at;
+(* Complete the uop in row [r] at cycle [at], writing its result into
+   its physical register ([Rename.set_result], unboxed in place). *)
+let complete t (u : Uop.t) r ~at =
+  set u r Uop.i_state Uop.completed;
+  set u r Uop.i_done_at at;
   (match t.tracer with
-  | Some tr -> Perf.Pipetrace.on_complete tr ~seq:u.Uop.seq ~at
+  | Some tr -> Perf.Pipetrace.on_complete tr ~seq:(get u r Uop.i_seq) ~at
   | None -> ());
-  if u.Uop.prd >= 0 then
-    Rename.set_result t.rename ~is_fp:u.Uop.si.Predecode.rd_is_fp ~prd:u.Uop.prd
-      ~value:u.Uop.result ~ready_at:at
+  let prd = get u r Uop.i_prd in
+  if prd >= 0 then begin
+    let rf =
+      if u.Uop.si.(r).Predecode.rd_is_fp then t.rename.Rename.fp_rf
+      else t.rename.Rename.int_rf
+    in
+    Bytes.set_int64_ne rf.Rename.value (prd lsl 3) (get64 u r Uop.w_result);
+    rf.Rename.ready_at.(prd) <- at
+  end
 
-(* Returns true if the uop issued. *)
-let issue_uop t (u : Uop.t) : bool =
-  match u.Uop.si.Predecode.exec_class with
+let complete_with_exc (u : Uop.t) r exc tval ~at =
+  Uop.set_exc u r exc tval;
+  set u r Uop.i_state Uop.completed;
+  set u r Uop.i_done_at at
+
+(* A pipelined load in row [r] read [raw]. *)
+let load_done t (u : Uop.t) r raw ~at =
+  set64 u r Uop.w_result
+    (match u.Uop.si.(r).Predecode.insn with
+    | Load (op, _, _, _) -> Iss.Alu.extend_load op raw
+    | _ -> raw);
+  set64 u r Uop.w_load_value raw;
+  set u r Uop.i_mem_cycle t.now;
+  complete t u r ~at;
+  t.perf.p_loads <- t.perf.p_loads + 1
+
+(* Issue the uop in row [r]; returns true if it issued. *)
+let issue_uop t r : bool =
+  let u = t.rob.Rob.uops in
+  let si = u.Uop.si.(r) in
+  match si.Predecode.exec_class with
   | Config.LOAD -> (
-      let vaddr =
-        match Uop.insn u with
-        | Load (_, _, _, imm) | Fld (_, _, imm) ->
-            Int64.add (Rename.src_value t.rename u 0) imm
-        | _ -> Rename.src_value t.rename u 0
-      in
-      let size =
-        match Uop.insn u with
-        | Load (op, _, _, _) -> Iss.Alu.load_width op
-        | Fld _ -> 8
-        | _ -> 8
-      in
-      u.Uop.vaddr <- vaddr;
-      u.Uop.msize <- size;
+      let vaddr = Exec.agen u r t.rename in
+      let size = get u r Uop.i_msize in
       if Int64.rem vaddr (Int64.of_int size) <> 0L then begin
-        u.Uop.exc <- Some (Trap.Load_misaligned, vaddr);
-        u.Uop.state <- Uop.Completed;
-        u.Uop.done_at <- t.now + 1;
+        complete_with_exc u r Trap.Load_misaligned vaddr ~at:(t.now + 1);
         true
       end
       else begin
         match Tlb.translate t.tlb t.arch.Arch_state.csr vaddr Tlb.Load with
         | Tlb.Page_fault (exc, tval), lat ->
-            u.Uop.exc <- Some (exc, tval);
-            u.Uop.state <- Uop.Completed;
-            u.Uop.done_at <- t.now + 1 + lat;
+            complete_with_exc u r exc tval ~at:(t.now + 1 + lat);
             true
         | Tlb.Translated pa, tlb_lat ->
-            u.Uop.paddr <- pa;
+            set64 u r Uop.w_paddr pa;
             if Platform.is_mmio t.plat pa then begin
               (* MMIO loads execute at the ROB head *)
-              u.Uop.mmio <- true;
-              u.Uop.state <- Uop.Issued;
+              set_flag u r Uop.b_mmio true;
+              set u r Uop.i_state Uop.issued;
               true
             end
             else begin
-              match Lsu.forward t.lsu ~seq:u.Uop.seq ~paddr:pa ~size with
+              let seq = get u r Uop.i_seq in
+              match Lsu.forward t.lsu ~seq ~paddr:pa ~size with
               | Lsu.Blocked -> false (* retry next cycle *)
               | Lsu.Forward raw ->
-                  let v =
-                    match Uop.insn u with
-                    | Load (op, _, _, _) -> Iss.Alu.extend_load op raw
-                    | _ -> raw
-                  in
-                  u.Uop.result <- v;
-                  u.Uop.load_value <- raw;
-                  u.Uop.mem_cycle <- t.now;
-                  complete t u ~at:(t.now + 2 + tlb_lat);
-                  t.perf.p_loads <- t.perf.p_loads + 1;
+                  load_done t u r raw ~at:(t.now + 2 + tlb_lat);
                   true
               | Lsu.No_match ->
                   let raw, lat = Softmem.Cache.read t.l1d ~addr:pa ~size in
-                  let v =
-                    match Uop.insn u with
-                    | Load (op, _, _, _) -> Iss.Alu.extend_load op raw
-                    | _ -> raw
-                  in
-                  u.Uop.result <- v;
-                  u.Uop.load_value <- raw;
-                  u.Uop.mem_cycle <- t.now;
-                  complete t u ~at:(t.now + 1 + tlb_lat + lat);
-                  t.perf.p_loads <- t.perf.p_loads + 1;
+                  load_done t u r raw ~at:(t.now + 1 + tlb_lat + lat);
                   true
             end
       end)
   | Config.STORE -> (
-      let base = Rename.src_value t.rename u 0
-      and data = Rename.src_value t.rename u 1 in
-      let vaddr, size =
-        match Uop.insn u with
-        | Store (op, _, _, imm) -> (Int64.add base imm, Iss.Alu.store_width op)
-        | Fsd (_, _, imm) -> (Int64.add base imm, 8)
-        | _ -> (base, 8)
-      in
-      u.Uop.vaddr <- vaddr;
-      u.Uop.msize <- size;
-      u.Uop.sdata <-
-        (if size >= 8 then data
-         else Int64.logand data (Int64.sub (Int64.shift_left 1L (8 * size)) 1L));
+      let vaddr = Exec.agen u r t.rename in
+      let size = get u r Uop.i_msize in
       if Int64.rem vaddr (Int64.of_int size) <> 0L then begin
-        u.Uop.exc <- Some (Trap.Store_misaligned, vaddr);
-        u.Uop.state <- Uop.Completed;
-        u.Uop.done_at <- t.now + 1;
+        complete_with_exc u r Trap.Store_misaligned vaddr ~at:(t.now + 1);
         true
       end
       else begin
         match Tlb.translate t.tlb t.arch.Arch_state.csr vaddr Tlb.Store with
         | Tlb.Page_fault (exc, tval), lat ->
-            u.Uop.exc <- Some (exc, tval);
-            u.Uop.state <- Uop.Completed;
-            u.Uop.done_at <- t.now + 1 + lat;
+            complete_with_exc u r exc tval ~at:(t.now + 1 + lat);
             true
         | Tlb.Translated pa, tlb_lat ->
-            u.Uop.paddr <- pa;
-            u.Uop.mmio <- Platform.is_mmio t.plat pa;
-            u.Uop.addr_ready <- true;
-            u.Uop.state <- Uop.Completed;
-            u.Uop.done_at <- t.now + 1 + tlb_lat;
+            set64 u r Uop.w_paddr pa;
+            set_flag u r Uop.b_mmio (Platform.is_mmio t.plat pa);
+            set_flag u r Uop.b_addr_ready true;
+            set u r Uop.i_state Uop.completed;
+            set u r Uop.i_done_at (t.now + 1 + tlb_lat);
             t.perf.p_stores <- t.perf.p_stores + 1;
             true
       end)
   | Config.ALU | Config.MUL | Config.DIV | Config.JUMP_CSR | Config.FMAC
   | Config.FMISC ->
-      Exec.execute u t.rename;
+      Exec.execute u r t.rename;
       (* fault injection: swallow the resolved redirect and follow the
          (possibly corrupted) prediction instead *)
-      (match Uop.insn u with
+      (match si.Predecode.insn with
       | (Branch _ | Jal _ | Jalr _)
-        when t.bug_trust_bpu > 0 && u.Uop.mispredicted && u.Uop.exc = None ->
-          u.Uop.next_pc <- u.Uop.pred_next;
-          u.Uop.mispredicted <- false;
+        when t.bug_trust_bpu > 0 && flag u r Uop.b_mispredicted
+             && not (flag u r Uop.b_faulted) ->
+          set64 u r Uop.w_next_pc (get64 u r Uop.w_pred_next);
+          set_flag u r Uop.b_mispredicted false;
           t.bug_trust_bpu <- t.bug_trust_bpu - 1
       | _ -> ());
-      complete t u ~at:(t.now + u.Uop.si.Predecode.latency);
+      complete t u r ~at:(t.now + si.Predecode.latency);
       (* resolve control flow *)
-      (match Uop.insn u with
+      (match si.Predecode.insn with
       | Branch _ | Jal _ | Jalr _ ->
-          let taken = u.Uop.next_pc <> Int64.add u.Uop.pc (Int64.of_int (4 * u.Uop.n_insns)) in
-          Bpu.update t.bpu ~pc:u.Uop.pc ~insn:(Uop.insn u) ~taken
-            ~target:u.Uop.next_pc ~mispredicted:u.Uop.mispredicted
+          let pc = get64 u r Uop.w_pc and next_pc = get64 u r Uop.w_next_pc in
+          let taken =
+            not
+              (Int64.equal next_pc
+                 (Int64.add pc (Int64.of_int (4 * Uop.n_insns u r))))
+          in
+          Bpu.update t.bpu ~pc ~insn:si.Predecode.insn ~taken ~target:next_pc
+            ~mispredicted:(flag u r Uop.b_mispredicted)
       | _ -> ());
       true
 
 (* Readiness in the cycle being planned (now + 1, the value [t.now]
-   holds when phase 2 applies the plan): register sources plus LSU
-   ordering for loads.  Top-level, so passing it to [Iq.plan_issue]
-   allocates no closure. *)
-let ready_next_cycle t (u : Uop.t) =
-  Rename.srcs_ready t.rename u ~now:(t.now + 1)
-  && (u.Uop.si.Predecode.exec_class <> Config.LOAD
-     || Lsu.older_stores_known t.lsu ~seq:u.Uop.seq)
+   holds when phase 2 applies the plan) of the uop in row [r]: register
+   sources plus LSU ordering for loads.  Top-level, so passing it to
+   [Iq.plan_issue] allocates no closure. *)
+let ready_next_cycle t r =
+  let u = t.rob.Rob.uops in
+  Rename.srcs_ready t.rename u r ~now:(t.now + 1)
+  && (u.Uop.si.(r).Predecode.exec_class <> Config.LOAD
+     || Lsu.older_stores_known t.lsu ~seq:(get u r Uop.i_seq))
 
 (* Phase 1: each IQ fills its own plan buffer under the configured
    policy from one readiness scan, which also yields the Figure 15
@@ -1060,41 +1098,51 @@ let step_issue t =
 let apply_issue t (eff : issue_eff) =
   t.perf.ready_hist.(min eff.ie_ready_total 16) <-
     t.perf.ready_hist.(min eff.ie_ready_total 16) + 1;
-  let redirect = ref None in
+  let u = t.rob.Rob.uops in
+  (* the oldest resolved mispredict among this cycle's issues, -1 = none *)
+  let redirect = ref (-1) in
   for i = 0 to Array.length t.iqs - 1 do
     let iq = t.iqs.(i) in
     for j = 0 to Iq.planned iq - 1 do
-      let u = Iq.planned_uop iq j in
-      (* revalidate the phase-1 selection: a commit-side flush in this
-         cycle squashed it, or a boundary fault hook stole it from the
-         queue (Iq.steal_waiting, observable as the O(1) in_iq flag) --
-         issuing it anyway would mask the fault *)
-      if (not u.Uop.squashed) && u.Uop.state = Uop.Waiting && u.Uop.in_iq then
-        if issue_uop t u then begin
+      let seq = Iq.planned_seq iq j in
+      let r = row u seq in
+      (* revalidate the phase-1 selection: a boundary fault hook may
+         have stolen it from the queue (Iq.steal_waiting, observable
+         as the O(1) in_iq flag) -- issuing it anyway would mask the
+         fault.  A flush earlier in this cycle dropped the uops it
+         squashed from the plan (Iq.drop_squashed). *)
+      if
+        get u r Uop.i_seq = seq
+        && (not (flag u r Uop.b_squashed))
+        && get u r Uop.i_state = Uop.waiting
+        && flag u r Uop.b_in_iq
+      then
+        if issue_uop t r then begin
           (match t.tracer with
-          | Some tr -> Perf.Pipetrace.on_issue tr ~seq:u.Uop.seq ~now:t.now
+          | Some tr -> Perf.Pipetrace.on_issue tr ~seq ~now:t.now
           | None -> ());
-          if u.Uop.state <> Uop.Waiting then Iq.remove iq u;
-          if u.Uop.mispredicted && u.Uop.exc = None then
-            match !redirect with
-            | Some (r : Uop.t) when r.Uop.seq <= u.Uop.seq -> ()
-            | Some _ | None -> redirect := Some u
+          if get u r Uop.i_state <> Uop.waiting then Iq.remove iq seq;
+          if
+            flag u r Uop.b_mispredicted
+            && (not (flag u r Uop.b_faulted))
+            && (!redirect < 0 || seq < !redirect)
+          then redirect := seq
         end
     done;
     Iq.clear_plan iq
   done;
-  match !redirect with
-  | Some u ->
-      (* redirect-vs-commit arbitration: the oldest resolved
-         mispredict wins among this cycle's issues; commit already
-         applied, so an older trap/serialise flush has squashed the
-         issuing uop and suppressed the redirect via revalidation *)
-      flush ~cause:`Misp t ~after:u.Uop.seq ~target:u.Uop.next_pc;
-      t.recover_misp <- true;
-      (* model the resolve + refill bubble *)
-      t.inflight <-
-        Some { fb_ready_at = t.now + mispredict_penalty; fb_items = [] }
-  | None -> ()
+  if !redirect >= 0 then begin
+    (* redirect-vs-commit arbitration: the oldest resolved mispredict
+       wins among this cycle's issues; commit already applied, so an
+       older trap/serialise flush has squashed the issuing uop and
+       suppressed the redirect via revalidation *)
+    flush ~cause:`Misp t ~after:!redirect
+      ~target:(get64 u (row u !redirect) Uop.w_next_pc);
+    t.recover_misp <- true;
+    (* model the resolve + refill bubble *)
+    t.inflight <-
+      Some { fb_ready_at = t.now + mispredict_penalty; fb_items = [] }
+  end
 
 (* ---------------- at-commit execution -------------------------------- *)
 
@@ -1112,24 +1160,28 @@ let drain_notify t pa size =
     };
   t.on_store_drain pa size
 
-let execute_at_head t (u : Uop.t) : unit =
+(* The uop in row [r] finished at the ROB head; commit is busy with it
+   for [lat] cycles. *)
+let finish t (u : Uop.t) r ~lat =
+  complete t u r ~at:t.now;
+  t.commit_busy_until <- t.now + lat
+
+(* The uop in row [r] raised [exc] at the ROB head. *)
+let fault t (u : Uop.t) r exc tval = complete_with_exc u r exc tval ~at:t.now
+
+(* Drain the whole store buffer before an at-head access. *)
+let drain_sb t =
+  let lat = Lsu.drain_all t.lsu ~now:t.now ~on_drain:(drain_notify t) in
+  t.commit_busy_until <- max t.commit_busy_until (t.now + lat)
+
+(* Execute the uop in row [r] at the ROB head.  Its helpers are
+   top-level functions: local closures would be allocated on every
+   call. *)
+let execute_at_head t r : unit =
+  let u = t.rob.Rob.uops in
   let arch = t.arch in
   let csr = arch.Arch_state.csr in
-  let rg r = Arch_state.get_reg arch r in
-  let finish ?(lat = 1) () =
-    complete t u ~at:t.now;
-    t.commit_busy_until <- t.now + lat
-  in
-  let fault exc tval =
-    u.Uop.exc <- Some (exc, tval);
-    u.Uop.state <- Uop.Completed;
-    u.Uop.done_at <- t.now
-  in
-  let drain_sb () =
-    let lat = Lsu.drain_all t.lsu ~now:t.now ~on_drain:(drain_notify t) in
-    t.commit_busy_until <- max t.commit_busy_until (t.now + lat)
-  in
-  match Uop.insn u with
+  match Uop.insn u r with
   | Csr (op, rd, rs1, addr) -> (
       (* mcycle counts core cycles.  Only a CSR instruction can read
          it, and it executes here, so it is brought up to date here
@@ -1145,7 +1197,7 @@ let execute_at_head t (u : Uop.t) : unit =
         in
         let src =
           match op with
-          | CSRRW | CSRRS | CSRRC -> rg rs1
+          | CSRRW | CSRRS | CSRRC -> Arch_state.get_reg arch rs1
           | CSRRWI | CSRRSI | CSRRCI -> Int64.of_int rs1
         in
         (match op with
@@ -1155,10 +1207,10 @@ let execute_at_head t (u : Uop.t) : unit =
         | CSRRC | CSRRCI ->
             if rs1 <> 0 then
               Csr.write csr addr (Int64.logand old_v (Int64.lognot src)));
-        u.Uop.result <- old_v;
-        u.Uop.csr_read <- Some (addr, old_v);
-        finish ()
-      with Csr.Illegal_csr _ -> fault Trap.Illegal_instruction 0L)
+        set64 u r Uop.w_result old_v;
+        set u r Uop.i_csr_addr addr;
+        finish t u r ~lat:1
+      with Csr.Illegal_csr _ -> fault t u r Trap.Illegal_instruction 0L)
   | Ecall ->
       let exc =
         match csr.Csr.priv with
@@ -1166,135 +1218,146 @@ let execute_at_head t (u : Uop.t) : unit =
         | Csr.S -> Trap.Ecall_from_s
         | Csr.M -> Trap.Ecall_from_m
       in
-      fault exc 0L
-  | Ebreak -> fault Trap.Breakpoint u.Uop.pc
+      fault t u r exc 0L
+  | Ebreak -> fault t u r Trap.Breakpoint (get64 u r Uop.w_pc)
   | Mret ->
-      if csr.Csr.priv <> Csr.M then fault Trap.Illegal_instruction 0L
+      if csr.Csr.priv <> Csr.M then fault t u r Trap.Illegal_instruction 0L
       else begin
-        u.Uop.next_pc <- Trap.mret csr;
-        finish ()
+        set64 u r Uop.w_next_pc (Trap.mret csr);
+        finish t u r ~lat:1
       end
   | Sret ->
-      if csr.Csr.priv = Csr.U then fault Trap.Illegal_instruction 0L
+      if csr.Csr.priv = Csr.U then fault t u r Trap.Illegal_instruction 0L
       else begin
-        u.Uop.next_pc <- Trap.sret csr;
-        finish ()
+        set64 u r Uop.w_next_pc (Trap.sret csr);
+        finish t u r ~lat:1
       end
-  | Wfi -> finish ()
+  | Wfi -> finish t u r ~lat:1
   | Fence ->
-      drain_sb ();
-      finish ()
-  | Fence_i -> finish ()
+      drain_sb t;
+      finish t u r ~lat:1
+  | Fence_i -> finish t u r ~lat:1
   | Sfence_vma (_, _) ->
-      if csr.Csr.priv = Csr.U then fault Trap.Illegal_instruction 0L
+      if csr.Csr.priv = Csr.U then fault t u r Trap.Illegal_instruction 0L
       else begin
         (* sfence.vma orders preceding stores before subsequent
            implicit page-table reads: drain the store buffer, then
            drop cached translations (including cached faults) *)
-        drain_sb ();
+        drain_sb t;
         Tlb.flush t.tlb;
-        finish ()
+        finish t u r ~lat:1
       end
-  | Illegal _ -> fault Trap.Illegal_instruction 0L
+  | Illegal _ -> fault t u r Trap.Illegal_instruction 0L
   | Lr (w, _, rs1) -> (
       let size = match w with Width_w -> 4 | Width_d -> 8 in
-      let vaddr = rg rs1 in
+      let vaddr = Arch_state.get_reg arch rs1 in
       if Int64.rem vaddr (Int64.of_int size) <> 0L then
-        fault Trap.Load_misaligned vaddr
+        fault t u r Trap.Load_misaligned vaddr
       else
         match Tlb.translate t.tlb csr vaddr Tlb.Load with
-        | Tlb.Page_fault (exc, tval), _ -> fault exc tval
+        | Tlb.Page_fault (exc, tval), _ -> fault t u r exc tval
         | Tlb.Translated pa, _ ->
-            if Platform.is_mmio t.plat pa then fault Trap.Load_access vaddr
+            if Platform.is_mmio t.plat pa then
+              fault t u r Trap.Load_access vaddr
             else begin
               let raw, lat = Softmem.Cache.read t.l1d ~addr:pa ~size in
-              u.Uop.result <-
+              set64 u r Uop.w_result
                 (match w with
                 | Width_w -> Iss.Alu.sext32 raw
                 | Width_d -> raw);
-              u.Uop.load_value <- raw;
-              u.Uop.mem_cycle <- t.now;
-              u.Uop.vaddr <- vaddr;
-              u.Uop.paddr <- pa;
-              u.Uop.msize <- size;
+              set64 u r Uop.w_load_value raw;
+              set u r Uop.i_mem_cycle t.now;
+              set64 u r Uop.w_vaddr vaddr;
+              set64 u r Uop.w_paddr pa;
+              set u r Uop.i_msize size;
               Lsu.set_reservation t.lsu ~paddr:pa ~now:t.now;
-              finish ~lat ()
+              finish t u r ~lat
             end)
   | Sc (w, _, rs1, rs2) -> (
       let size = match w with Width_w -> 4 | Width_d -> 8 in
-      let vaddr = rg rs1 in
+      let vaddr = Arch_state.get_reg arch rs1 in
       if Int64.rem vaddr (Int64.of_int size) <> 0L then
-        fault Trap.Store_misaligned vaddr
+        fault t u r Trap.Store_misaligned vaddr
       else
         match Tlb.translate t.tlb csr vaddr Tlb.Store with
-        | Tlb.Page_fault (exc, tval), _ -> fault exc tval
+        | Tlb.Page_fault (exc, tval), _ -> fault t u r exc tval
         | Tlb.Translated pa, _ ->
             let ok = Lsu.reservation_valid t.lsu ~paddr:pa ~now:t.now in
             Lsu.clear_reservation t.lsu;
-            u.Uop.vaddr <- vaddr;
-            u.Uop.paddr <- pa;
-            u.Uop.msize <- size;
+            set64 u r Uop.w_vaddr vaddr;
+            set64 u r Uop.w_paddr pa;
+            set u r Uop.i_msize size;
             if ok then begin
-              drain_sb ();
-              let lat = Softmem.Cache.write t.l1d ~addr:pa ~size (rg rs2) in
+              drain_sb t;
+              let lat =
+                Softmem.Cache.write t.l1d ~addr:pa ~size
+                  (Arch_state.get_reg arch rs2)
+              in
               drain_notify t pa size;
-              u.Uop.sdata <- rg rs2;
-              u.Uop.addr_ready <- true;
-              u.Uop.result <- 0L;
-              finish ~lat ()
+              set64 u r Uop.w_sdata (Arch_state.get_reg arch rs2);
+              set_flag u r Uop.b_addr_ready true;
+              set64 u r Uop.w_result 0L;
+              finish t u r ~lat
             end
             else begin
-              u.Uop.result <- 1L;
-              u.Uop.sc_failed <- true;
-              finish ()
+              set64 u r Uop.w_result 1L;
+              set_flag u r Uop.b_sc_failed true;
+              finish t u r ~lat:1
             end)
   | Amo (op, w, _, rs1, rs2) -> (
       let size = match w with Width_w -> 4 | Width_d -> 8 in
-      let vaddr = rg rs1 in
+      let vaddr = Arch_state.get_reg arch rs1 in
       if Int64.rem vaddr (Int64.of_int size) <> 0L then
-        fault Trap.Store_misaligned vaddr
+        fault t u r Trap.Store_misaligned vaddr
       else
         match Tlb.translate t.tlb csr vaddr Tlb.Store with
-        | Tlb.Page_fault (exc, tval), _ -> fault exc tval
+        | Tlb.Page_fault (exc, tval), _ -> fault t u r exc tval
         | Tlb.Translated pa, _ ->
-            if Platform.is_mmio t.plat pa then fault Trap.Store_access vaddr
+            if Platform.is_mmio t.plat pa then
+              fault t u r Trap.Store_access vaddr
             else begin
-              drain_sb ();
+              drain_sb t;
               let raw, rlat = Softmem.Cache.read t.l1d ~addr:pa ~size in
               let old_v =
                 match w with
                 | Width_w -> Iss.Alu.sext32 raw
                 | Width_d -> raw
               in
-              let new_v = Iss.Alu.eval_amo op w old_v (rg rs2) in
+              let new_v =
+                Iss.Alu.eval_amo op w old_v (Arch_state.get_reg arch rs2)
+              in
               let wlat = Softmem.Cache.write t.l1d ~addr:pa ~size new_v in
               drain_notify t pa size;
-              u.Uop.result <- old_v;
-              u.Uop.load_value <- raw;
-              u.Uop.mem_cycle <- t.now;
-              u.Uop.sdata <- new_v;
-              u.Uop.vaddr <- vaddr;
-              u.Uop.paddr <- pa;
-              u.Uop.msize <- size;
-              u.Uop.addr_ready <- true;
-              finish ~lat:(rlat + wlat) ()
+              set64 u r Uop.w_result old_v;
+              set64 u r Uop.w_load_value raw;
+              set u r Uop.i_mem_cycle t.now;
+              set64 u r Uop.w_sdata new_v;
+              set64 u r Uop.w_vaddr vaddr;
+              set64 u r Uop.w_paddr pa;
+              set u r Uop.i_msize size;
+              set_flag u r Uop.b_addr_ready true;
+              finish t u r ~lat:(rlat + wlat)
             end)
   | Load (lop, _, rs1, imm) ->
       (* MMIO load discovered at issue; strongly ordered *)
-      assert u.Uop.mmio;
+      assert (flag u r Uop.b_mmio);
       ignore rs1;
       ignore imm;
       let drained = Lsu.drain_all t.lsu ~now:t.now ~on_drain:(drain_notify t) in
-      (match Platform.read t.plat ~addr:u.Uop.paddr ~size:u.Uop.msize with
+      (match
+         Platform.read t.plat ~addr:(get64 u r Uop.w_paddr)
+           ~size:(get u r Uop.i_msize)
+       with
       | raw ->
-          u.Uop.result <- Iss.Alu.extend_load lop raw;
-          u.Uop.load_value <- raw;
-          u.Uop.mem_cycle <- t.now;
-          finish ~lat:(20 + drained) ()
-      | exception Platform.Bus_fault _ -> fault Trap.Load_access u.Uop.vaddr)
+          set64 u r Uop.w_result (Iss.Alu.extend_load lop raw);
+          set64 u r Uop.w_load_value raw;
+          set u r Uop.i_mem_cycle t.now;
+          finish t u r ~lat:(20 + drained)
+      | exception Platform.Bus_fault _ ->
+          fault t u r Trap.Load_access (get64 u r Uop.w_vaddr))
   | Fld (_, _, _) ->
-      assert u.Uop.mmio;
-      fault Trap.Load_access u.Uop.vaddr
+      assert (flag u r Uop.b_mmio);
+      fault t u r Trap.Load_access (get64 u r Uop.w_vaddr)
   | Lui _ | Auipc _ | Jal _ | Jalr _ | Branch _ | Store _ | Fsd _
   | Op_imm _ | Op_imm_w _ | Op _ | Op_w _ | Mul _ | Mul_w _ | Fp_rrr _
   | Fp_fused _ | Fp_sign _ | Fp_minmax _ | Fp_cmp _ | Fsqrt_d _
@@ -1306,51 +1369,77 @@ let execute_at_head t (u : Uop.t) : unit =
 
 exception Stop_commit
 
-let emit_probe t (u : Uop.t) ~trap ~interrupt =
-  (match Uop.insn u with
-  | Insn.Sc _ when trap = None && interrupt = None ->
-      Perf.Perf_counter.incr t.ctrs
-        (if u.Uop.sc_failed then t.ids.i_sc_fail else t.ids.i_sc_success)
-  | _ -> ());
+(* The next commit slot, filled with what every commit reports.  A
+   slot outlives the minor heap, so every pointer store into it goes
+   through the write barrier: the options, usually [None] in both the
+   slot and the commit, are stored only when they change. *)
+let next_slot t ~pc ~insn ~next_pc ~trap ~interrupt =
   let p = t.slots.(t.n_slots) in
   t.n_slots <- t.n_slots + 1;
-  (* A slot outlives the minor heap, so every pointer store into it
-     goes through the write barrier: the options, usually [None] in
-     both the slot and the uop, and the access fields, meaningful only
-     with an access, are stored only when they change. *)
-  let has_load =
-    (Uop.is_load u || Insn.is_amo (Uop.insn u))
-    && trap = None && u.Uop.exc = None
-    && (match Uop.insn u with Sc _ -> false | _ -> true)
-  and has_store = Uop.is_store u && u.Uop.exc = None && not u.Uop.sc_failed in
   p.Probe.p_cycle <- t.now;
-  p.Probe.p_pc <- u.Uop.pc;
-  p.Probe.p_insn <- Uop.insn u;
-  if p.Probe.p_second != u.Uop.second then p.Probe.p_second <- u.Uop.second;
-  p.Probe.p_next_pc <- u.Uop.next_pc;
+  p.Probe.p_pc <- pc;
+  p.Probe.p_insn <- insn;
+  p.Probe.p_next_pc <- next_pc;
   if p.Probe.p_trap != trap then p.Probe.p_trap <- trap;
   if p.Probe.p_interrupt != interrupt then p.Probe.p_interrupt <- interrupt;
+  p.Probe.p_instret <- t.arch.Arch_state.csr.Csr.reg_minstret;
+  p
+
+(* Report the uop in row [r].  [pc] and [next_pc] are its pc and next
+   pc, boxed by the caller (which shares the boxes with the
+   architectural pc); the access fields, meaningful only with an
+   access, are stored only then. *)
+let emit_probe t r ~pc ~next_pc ~trap =
+  let u = t.rob.Rob.uops in
+  let insn = Uop.insn u r in
+  let sc_failed = flag u r Uop.b_sc_failed
+  and faulted = flag u r Uop.b_faulted in
+  (match insn with
+  | Insn.Sc _ when trap = None ->
+      Perf.Perf_counter.incr t.ctrs
+        (if sc_failed then t.ids.i_sc_fail else t.ids.i_sc_success)
+  | _ -> ());
+  let p = next_slot t ~pc ~insn ~next_pc ~trap ~interrupt:None in
+  let has_load =
+    (u.Uop.si.(r).Predecode.uses_lq || Insn.is_amo insn)
+    && trap = None && (not faulted)
+    && (match insn with Sc _ -> false | _ -> true)
+  and has_store = u.Uop.si.(r).Predecode.uses_sq && (not faulted) && not sc_failed in
   p.Probe.p_has_load <- has_load;
   p.Probe.p_has_store <- has_store;
   if has_load || has_store then begin
-    p.Probe.p_mem_paddr <- u.Uop.paddr;
-    p.Probe.p_mem_size <- u.Uop.msize;
-    p.Probe.p_mem_cycle <- u.Uop.mem_cycle;
-    if has_load then p.Probe.p_load_value <- u.Uop.load_value;
-    if has_store then p.Probe.p_store_value <- u.Uop.sdata
+    p.Probe.p_mem_paddr <- get64 u r Uop.w_paddr;
+    p.Probe.p_mem_size <- get u r Uop.i_msize;
+    p.Probe.p_mem_cycle <- get u r Uop.i_mem_cycle;
+    if has_load then p.Probe.p_load_value <- get64 u r Uop.w_load_value;
+    if has_store then p.Probe.p_store_value <- get64 u r Uop.w_sdata
   end;
-  p.Probe.p_sc_failed <- u.Uop.sc_failed;
-  if p.Probe.p_csr_read != u.Uop.csr_read then
-    p.Probe.p_csr_read <- u.Uop.csr_read;
-  p.Probe.p_mmio <- u.Uop.mmio;
-  p.Probe.p_instret <- t.arch.Arch_state.csr.Csr.reg_minstret;
+  (if get u r Uop.i_fusion <> Uop.no_fusion then
+     p.Probe.p_second <- Some u.Uop.second.(r).Predecode.insn
+   else if p.Probe.p_second != None then p.Probe.p_second <- None);
+  p.Probe.p_sc_failed <- sc_failed;
+  (let a = get u r Uop.i_csr_addr in
+   if a >= 0 then p.Probe.p_csr_read <- Some (a, get64 u r Uop.w_result)
+   else if p.Probe.p_csr_read != None then p.Probe.p_csr_read <- None);
+  p.Probe.p_mmio <- flag u r Uop.b_mmio;
   t.probes.Probe.on_commit p
 
-let nop = Predecode.of_insn (Insn.Op_imm (ADD, 0, 0, 0L))
+let nop = Insn.Op_imm (ADD, 0, 0, 0L)
 
-let nop_uop t =
-  Uop.make ~seq:(-1) ~pc:t.arch.Arch_state.pc ~si:nop ~second:None ~fusion:None
-    ~pred_next:t.arch.Arch_state.pc
+(* Report an interrupt taken at [pc], entering the handler at
+   [target]: a commit of no instruction. *)
+let emit_interrupt t irq ~pc ~target =
+  let p =
+    next_slot t ~pc ~insn:nop ~next_pc:target ~trap:None
+      ~interrupt:(Some irq)
+  in
+  p.Probe.p_has_load <- false;
+  p.Probe.p_has_store <- false;
+  if p.Probe.p_second != None then p.Probe.p_second <- None;
+  p.Probe.p_sc_failed <- false;
+  if p.Probe.p_csr_read != None then p.Probe.p_csr_read <- None;
+  p.Probe.p_mmio <- false;
+  t.probes.Probe.on_commit p
 
 (* Phase 1: sample the interrupt lines the commit stage will observe.
    The CLINT is SoC-shared mutable state; snapshotting the two wires
@@ -1362,6 +1451,12 @@ let step_commit t =
   e.ce_mtip <- Platform.Clint.mtip t.plat.Platform.clint t.hartid;
   e.ce_msip <- Platform.Clint.msip t.plat.Platform.clint t.hartid
 
+(* Box 64-bit field [f] of row [r], reusing [box] when it holds the
+   same value: the architectural pc already holds a retiring uop's pc. *)
+let[@inline] boxed_as box u r f =
+  let v = get64 u r f in
+  if Int64.equal v box then box else Sys.opaque_identity v
+
 let apply_commit t (eff : commit_eff) =
   if t.now < t.commit_busy_until then ()
   else begin
@@ -1372,93 +1467,97 @@ let apply_commit t (eff : commit_eff) =
     match Trap.pending_interrupt csr with
     | Some irq ->
         let epc = t.arch.Arch_state.pc in
-        let u = nop_uop t in
         let target = Trap.take_interrupt csr irq ~epc in
         t.arch.Arch_state.pc <- target;
         t.perf.p_interrupts <- t.perf.p_interrupts + 1;
-        u.Uop.next_pc <- target;
-        emit_probe t u ~trap:None ~interrupt:(Some irq);
+        emit_interrupt t irq ~pc:epc ~target;
         flush ~cause:`Trap t ~after:(t.rob.Rob.head - 1) ~target
     | None -> (
+        let u = t.rob.Rob.uops in
         try
           let budget = ref t.cfg.decode_width in
           while !budget > 0 do
             if Rob.is_empty t.rob then raise Stop_commit;
-            let u = Rob.peek_head t.rob in
-            if u.Uop.state = Uop.Completed && u.Uop.done_at <= t.now then begin
-              match u.Uop.exc with
-              | Some (exc, tval) ->
-                  t.perf.p_traps <- t.perf.p_traps + 1;
-                  emit_probe t u ~trap:u.Uop.exc ~interrupt:None;
-                  let target =
-                    Trap.take_exception csr exc tval ~epc:u.Uop.pc
+            let seq = Rob.head_seq t.rob in
+            let r = row u seq in
+            if
+              get u r Uop.i_state = Uop.completed
+              && get u r Uop.i_done_at <= t.now
+            then begin
+              let pc = boxed_as t.arch.Arch_state.pc u r Uop.w_pc in
+              if flag u r Uop.b_faulted then begin
+                let exc = u.Uop.exc.(r) and tval = Uop.tval u r in
+                t.perf.p_traps <- t.perf.p_traps + 1;
+                emit_probe t r ~pc
+                  ~next_pc:(get64 u r Uop.w_next_pc)
+                  ~trap:(Some (exc, tval));
+                let target = Trap.take_exception csr exc tval ~epc:pc in
+                t.arch.Arch_state.pc <- target;
+                flush ~cause:`Trap t ~after:(seq - 1) ~target;
+                raise Stop_commit
+              end;
+              (* stores need a store-buffer slot (or are MMIO) *)
+              if u.Uop.si.(r).Predecode.uses_sq then begin
+                if flag u r Uop.b_mmio then begin
+                  let lat =
+                    Lsu.drain_all t.lsu ~now:t.now ~on_drain:(drain_notify t)
                   in
-                  t.arch.Arch_state.pc <- target;
-                  flush ~cause:`Trap t ~after:(u.Uop.seq - 1) ~target;
+                  (try
+                     Platform.write t.plat ~addr:(get64 u r Uop.w_paddr)
+                       ~size:(get u r Uop.i_msize) (get64 u r Uop.w_sdata)
+                   with Platform.Bus_fault _ -> ());
+                  t.commit_busy_until <- t.now + lat + 20
+                end
+                else begin
+                  if Lsu.sb_full t.lsu then begin
+                    Perf.Perf_counter.incr t.ctrs t.ids.i_commit_sb_full;
+                    raise Stop_commit
+                  end;
+                  Lsu.commit_store t.lsu seq
+                end
+              end;
+              if u.Uop.si.(r).Predecode.uses_lq then Lsu.remove_load t.lsu seq;
+              if flag u r Uop.b_eliminated then
+                set64 u r Uop.w_result
+                  (reg_value t.rename.Rename.int_rf (get u r Uop.i_prd));
+              (* architectural update *)
+              let si = u.Uop.si.(r) in
+              if si.Predecode.rd >= 0 then begin
+                let v = get64 u r Uop.w_result in
+                if si.Predecode.rd_is_fp then
+                  Arch_state.set_freg t.arch si.Predecode.rd v
+                else Arch_state.set_reg t.arch si.Predecode.rd v
+              end;
+              let next_pc = Sys.opaque_identity (get64 u r Uop.w_next_pc) in
+              t.arch.Arch_state.pc <- next_pc;
+              let n_insns = Uop.n_insns u r in
+              csr.Csr.reg_minstret <- csr.Csr.reg_minstret + n_insns;
+              t.perf.p_instrs <- t.perf.p_instrs + n_insns;
+              t.perf.p_uops <- t.perf.p_uops + 1;
+              emit_probe t r ~pc ~next_pc ~trap:None;
+              (match t.tracer with
+              | Some tr -> Perf.Pipetrace.on_commit tr ~seq ~now:t.now
+              | None -> ());
+              Rename.commit_release t.rename ~is_fp:si.Predecode.rd_is_fp
+                ~old_prd:(get u r Uop.i_old_prd);
+              Rob.pop_head t.rob;
+              Uop.release u r;
+              budget := !budget - n_insns;
+              (* serialising instructions flush the pipeline *)
+              match si.Predecode.insn with
+              | Csr _ | Mret | Sret | Fence_i | Sfence_vma _ | Wfi ->
+                  flush ~cause:`Serial t ~after:seq ~target:next_pc;
                   raise Stop_commit
-              | None ->
-                  (* stores need a store-buffer slot (or are MMIO) *)
-                  if Uop.is_store u then begin
-                    if u.Uop.mmio then begin
-                      let lat =
-                        Lsu.drain_all t.lsu ~now:t.now
-                          ~on_drain:(drain_notify t)
-                      in
-                      (try
-                         Platform.write t.plat ~addr:u.Uop.paddr
-                           ~size:u.Uop.msize u.Uop.sdata
-                       with Platform.Bus_fault _ -> ());
-                      t.commit_busy_until <- t.now + lat + 20
-                    end
-                    else begin
-                      if Lsu.sb_full t.lsu then begin
-                        Perf.Perf_counter.incr t.ctrs
-                          t.ids.i_commit_sb_full;
-                        raise Stop_commit
-                      end;
-                      Lsu.commit_store t.lsu u
-                    end
-                  end;
-                  if Uop.is_load u then Lsu.remove_load t.lsu u;
-                  if u.Uop.eliminated then
-                    u.Uop.result <-
-                      Rename.value t.rename ~is_fp:false ~prd:u.Uop.prd;
-                  (* architectural update *)
-                  let si = u.Uop.si in
-                  if si.Predecode.rd >= 0 then begin
-                    if si.Predecode.rd_is_fp then
-                      Arch_state.set_freg t.arch si.Predecode.rd u.Uop.result
-                    else Arch_state.set_reg t.arch si.Predecode.rd u.Uop.result
-                  end;
-                  t.arch.Arch_state.pc <- u.Uop.next_pc;
-                  csr.Csr.reg_minstret <- csr.Csr.reg_minstret + u.Uop.n_insns;
-                  t.perf.p_instrs <- t.perf.p_instrs + u.Uop.n_insns;
-                  t.perf.p_uops <- t.perf.p_uops + 1;
-                  emit_probe t u ~trap:None ~interrupt:None;
-                  (match t.tracer with
-                  | Some tr ->
-                      Perf.Pipetrace.on_commit tr ~seq:u.Uop.seq ~now:t.now
-                  | None -> ());
-                  Rename.commit_release t.rename ~is_fp:si.Predecode.rd_is_fp
-                    ~old_prd:u.Uop.old_prd;
-                  Rob.pop_head t.rob;
-                  budget := !budget - u.Uop.n_insns;
-                  (* serialising instructions flush the pipeline *)
-                  (match Uop.insn u with
-                  | Csr _ | Mret | Sret | Fence_i | Sfence_vma _ | Wfi ->
-                      flush ~cause:`Serial t ~after:u.Uop.seq
-                        ~target:u.Uop.next_pc;
-                      raise Stop_commit
-                  | _ -> ())
+              | _ -> ()
             end
             else if
-              u.Uop.state <> Uop.Completed
-              && (u.Uop.si.Predecode.where = Predecode.At_commit
-                 || (u.Uop.mmio && u.Uop.state = Uop.Issued))
+              get u r Uop.i_state <> Uop.completed
+              && (u.Uop.si.(r).Predecode.where = Predecode.At_commit
+                 || (flag u r Uop.b_mmio && get u r Uop.i_state = Uop.issued))
             then begin
-              execute_at_head t u;
+              execute_at_head t r;
               (* loop re-examines the now-completed head *)
-              if u.Uop.state <> Uop.Completed then raise Stop_commit
+              if get u r Uop.i_state <> Uop.completed then raise Stop_commit
             end
             else raise Stop_commit
           done
@@ -1496,34 +1595,31 @@ let attribute_topdown t ~committed =
       if t.now < t.icache_stall_until then Topdown.Frontend_icache
       else Topdown.Frontend_fetch
     else
-      let u = Rob.peek_head t.rob in
+      let u = t.rob.Rob.uops in
+      let r = row u (Rob.head_seq t.rob) in
+      let si = u.Uop.si.(r) in
       let mem_bucket () =
-        match Uop.insn u with
+        match si.Predecode.insn with
         | Insn.Sc _ | Insn.Amo _ -> Topdown.Mem_store
         | _ -> Topdown.Mem_load
       in
-      match u.Uop.state with
-      | Uop.Completed ->
-          if u.Uop.done_at > t.now || t.now < t.commit_busy_until then (
-            (* head still finishing: charge its execution class *)
-            match u.Uop.si.Predecode.exec_class with
-            | Config.LOAD -> mem_bucket ()
-            | Config.STORE -> Topdown.Mem_store
-            | _ -> Topdown.Core_exec)
-          else
-            (* done and commit idle, yet nothing retired: the head
-               store is blocked on a store-buffer slot *)
-            Topdown.Mem_store
-      | Uop.Issued -> (
-          match u.Uop.si.Predecode.exec_class with
-          | Config.LOAD -> mem_bucket ()
-          | Config.STORE -> Topdown.Mem_store
-          | _ -> Topdown.Core_exec)
-      | Uop.Waiting -> (
-          match u.Uop.si.Predecode.exec_class with
-          | Config.LOAD -> mem_bucket ()
-          | Config.STORE -> Topdown.Mem_store
-          | _ -> Topdown.Core_dep)
+      let state = get u r Uop.i_state in
+      if
+        state = Uop.completed
+        && get u r Uop.i_done_at <= t.now
+        && t.now >= t.commit_busy_until
+      then
+        (* done and commit idle, yet nothing retired: the head store
+           is blocked on a store-buffer slot *)
+        Topdown.Mem_store
+      else
+        (* the head is still finishing, executing or waiting: charge
+           its execution class *)
+        match si.Predecode.exec_class with
+        | Config.LOAD -> mem_bucket ()
+        | Config.STORE -> Topdown.Mem_store
+        | _ ->
+            if state = Uop.waiting then Topdown.Core_dep else Topdown.Core_exec
   in
   Perf_counter.incr t.ctrs t.ids.i_td.(Topdown.index bucket)
 
@@ -1676,12 +1772,15 @@ let stall_site t : string =
   if Rob.is_empty t.rob then
     Printf.sprintf "rob empty, fetch_pc=0x%Lx; %s" t.fetch_pc occupancy
   else
-    let u = Rob.peek_head t.rob in
+    let u = t.rob.Rob.uops in
+    let seq = Rob.head_seq t.rob in
+    let r = row u seq in
     let state =
-      match u.Uop.state with
-      | Uop.Waiting -> "waiting"
-      | Uop.Issued -> "issued"
-      | Uop.Completed -> "completed"
+      let s = get u r Uop.i_state in
+      if s = Uop.waiting then "waiting"
+      else if s = Uop.issued then "issued"
+      else "completed"
     in
-    Printf.sprintf "rob head seq=%d pc=0x%Lx [%s] %s; %s" u.Uop.seq u.Uop.pc
-      (Insn.show (Uop.insn u)) state occupancy
+    Printf.sprintf "rob head seq=%d pc=0x%Lx [%s] %s; %s" seq
+      (get64 u r Uop.w_pc)
+      (Insn.show (Uop.insn u r)) state occupancy

@@ -75,10 +75,11 @@ type stall_kind =
   | Freelist_fp
 
 type disp_plan = {
-  mutable pl_uop : Uop.t;
-      (** built for an accepted slot, seq pre-assigned from the
-          snapshot; its source fields hold architectural register
-          numbers, which phase 2 renames in place *)
+  mutable pl_seq : int;
+      (** an accepted slot's uop (-1 = none), seq pre-assigned from
+          the snapshot; the planner initialised its ROB row, whose
+          source fields hold architectural register numbers that
+          phase 2 renames in place *)
   mutable pl_item : fetch_item;  (** head fetch-queue item consumed *)
   mutable pl_fused : bool;  (** the next item is consumed too *)
   mutable pl_iq : int;  (** target IQ index, -1 = none (at-commit / fault) *)
@@ -233,8 +234,9 @@ val step : t -> effects
 (** Phase 1: evaluate every unit planner against the read-only
     start-of-cycle state, in the configured {!phase_order}, and return
     the filled buffers ([t.plan]).  Mutates nothing but the plan
-    buffers; under [Default_order] it allocates only the uops it plans
-    to dispatch (with their source arrays). *)
+    buffers and the ROB rows past the tail, where the dispatch planner
+    initialises the uops it plans to dispatch.  Under [Default_order]
+    it allocates only a fused pair's fusion descriptor. *)
 
 val apply : t -> effects -> unit
 (** Phase 2: advance the clock and commit the effects in the canonical

@@ -4,7 +4,12 @@
     the reference model, so a DiffTest value mismatch always localises
     a pipeline bug rather than an arithmetic divergence. *)
 
-val execute : Uop.t -> Rename.t -> unit
-(** [execute u rn] computes [u]'s result / actual next pc /
-    misprediction flag from its renamed sources' values in [rn].
-    Memory and system uops never take this path. *)
+val execute : Uop.t -> int -> Rename.t -> unit
+(** [execute uops r rn] computes the result / actual next pc /
+    misprediction flag of the uop in row [r] from its renamed sources'
+    values in [rn].  Memory and system uops never take this path. *)
+
+val agen : Uop.t -> int -> Rename.t -> int64
+(** [agen uops r rn]: address generation for the load or store in row
+    [r].  Writes its [vaddr] and [msize] (and a store's [sdata], masked
+    to the access size) and returns the vaddr. *)

@@ -11,17 +11,18 @@
 type t = {
   cfg : Config.t;
   dcache : Softmem.Cache.t;
-  (* LQ and SQ: [0, n) in age order, free slots hold Uop.sentinel *)
-  lq : Uop.t array;
-  sq : Uop.t array;
+  uops : Uop.t; (* the core's uop rows *)
+  (* LQ and SQ: sequence numbers, [0, n) in age order, rest -1 *)
+  lq : int array;
+  sq : int array;
   mutable lq_n : int;
   mutable sq_n : int;
   (* the store buffer: a ring of [store_buffer_size] slots holding
      [sb_n] committed stores from [sb_head], oldest first; an entry is
-     its slot in three arrays (freed slots hold 0) *)
-  sb_paddr : int64 array;
+     its slot in three columns, the 64-bit ones unboxed *)
+  sb_paddr : Bytes.t;
   sb_size : int array;
-  sb_data : int64 array;
+  sb_data : Bytes.t;
   mutable sb_head : int;
   mutable sb_n : int;
   mutable sb_next_drain : int;
@@ -40,17 +41,18 @@ type t = {
   mutable bug_forward_mask : int64; (* XORed into forwarded data *)
 }
 
-let create (cfg : Config.t) ~dcache =
+let create (cfg : Config.t) ~dcache ~uops =
   {
     cfg;
     dcache;
-    lq = Array.make cfg.lq_size Uop.sentinel;
-    sq = Array.make cfg.sq_size Uop.sentinel;
+    uops;
+    lq = Array.make cfg.lq_size (-1);
+    sq = Array.make cfg.sq_size (-1);
     lq_n = 0;
     sq_n = 0;
-    sb_paddr = Array.make cfg.store_buffer_size 0L;
+    sb_paddr = Bytes.make (8 * cfg.store_buffer_size) '\000';
     sb_size = Array.make cfg.store_buffer_size 0;
-    sb_data = Array.make cfg.store_buffer_size 0L;
+    sb_data = Bytes.make (8 * cfg.store_buffer_size) '\000';
     sb_head = 0;
     sb_n = 0;
     sb_next_drain = 0;
@@ -75,33 +77,52 @@ let sb_occupancy t = t.sb_n
 
 let sb_full t = t.sb_n >= t.cfg.store_buffer_size
 
-(* The ring slot of the [k]th oldest store-buffer entry. *)
-let sb_slot t k = (t.sb_head + k) mod Array.length t.sb_paddr
+(* The store buffer's 64-bit columns, 8 bytes per slot. *)
+let[@inline] sb_get col i = Bytes.get_int64_ne col (i lsl 3)
 
-let insert_load t u =
-  t.lq.(t.lq_n) <- u;
+let[@inline] sb_set col i v = Bytes.set_int64_ne col (i lsl 3) v
+
+(* A uop row's fields, read in place as [Uop.get] and [Uop.get64] do:
+   a call per field, and a box per 64-bit read, would cost more than
+   the access. *)
+let[@inline] row (u : Uop.t) seq = seq land u.Uop.mask
+
+let[@inline] get (u : Uop.t) r f = u.Uop.ints.((r lsl 4) lor f)
+
+let[@inline] flag (u : Uop.t) r b = get u r Uop.i_flags land b <> 0
+
+let[@inline] get64 (u : Uop.t) r f =
+  Bytes.get_int64_ne u.Uop.words ((r lsl 6) lor (f lsl 3))
+
+(* The ring slot of the [k]th oldest store-buffer entry. *)
+let sb_slot t k = (t.sb_head + k) mod Array.length t.sb_size
+
+let insert_load t seq =
+  t.lq.(t.lq_n) <- seq;
   t.lq_n <- t.lq_n + 1
 
-let insert_store t u =
-  t.sq.(t.sq_n) <- u;
+let insert_store t seq =
+  t.sq.(t.sq_n) <- seq;
   t.sq_n <- t.sq_n + 1
 
-let live (u : Uop.t) = not u.Uop.squashed
-
 let drop_squashed t =
-  t.lq_n <- Uop.compact t.lq t.lq_n ~keep:live;
-  t.sq_n <- Uop.compact t.sq t.sq_n ~keep:live
+  t.lq_n <- Uop.drop_squashed t.uops t.lq t.lq_n;
+  t.sq_n <- Uop.drop_squashed t.uops t.sq t.sq_n
 
 (* All older stores have known addresses (conservative load
    scheduling: no memory-dependence speculation, hence no ordering
-   violations to replay). *)
+   violations to replay).  An SQ entry whose row was reused names a
+   retired MMIO store (see [Uop.drop_squashed]): its address was known,
+   and it never forwards. *)
 let older_stores_known t ~(seq : int) =
+  let u = t.uops in
   let i = ref 0 in
   while
     !i < t.sq_n
     &&
     let s = t.sq.(!i) in
-    s.Uop.seq >= seq || s.Uop.addr_ready
+    let r = s land u.Uop.mask in
+    s >= seq || get u r Uop.i_seq <> s || flag u r Uop.b_addr_ready
   do
     incr i
   done;
@@ -109,11 +130,11 @@ let older_stores_known t ~(seq : int) =
 
 type forward_result = Forward of int64 | Blocked | No_match
 
-let ranges_overlap a1 s1 a2 s2 =
+let[@inline] ranges_overlap a1 s1 a2 s2 =
   let e1 = Int64.add a1 (Int64.of_int s1) and e2 = Int64.add a2 (Int64.of_int s2) in
   not (e1 <= a2 || e2 <= a1)
 
-let contains a1 s1 a2 s2 =
+let[@inline] contains a1 s1 a2 s2 =
   (* [a2, a2+s2) inside [a1, a1+s1) *)
   a2 >= a1 && Int64.add a2 (Int64.of_int s2) <= Int64.add a1 (Int64.of_int s1)
 
@@ -139,24 +160,32 @@ let forward t ~(seq : int) ~(paddr : int64) ~(size : int) : forward_result =
     (* store buffer first (all older than any in-flight load) *)
     for k = 0 to t.sb_n - 1 do
       let i = sb_slot t k in
-      let a = t.sb_paddr.(i) and n = t.sb_size.(i) in
+      let a = sb_get t.sb_paddr i and n = t.sb_size.(i) in
       if contains a n paddr size then begin
         hit := 1;
-        data := t.sb_data.(i);
+        data := sb_get t.sb_data i;
         from := a
       end
       else if ranges_overlap a n paddr size then hit := 2
     done;
     (* then SQ entries older than the load *)
+    let u = t.uops in
     for i = 0 to t.sq_n - 1 do
       let s = t.sq.(i) in
-      if s.Uop.seq < seq && s.Uop.addr_ready && not s.Uop.mmio then begin
-        if contains s.Uop.paddr s.Uop.msize paddr size then begin
+      let r = s land u.Uop.mask in
+      if
+        s < seq
+        && get u r Uop.i_seq = s
+        && flag u r Uop.b_addr_ready
+        && not (flag u r Uop.b_mmio)
+      then begin
+        let a = get64 u r Uop.w_paddr and n = get u r Uop.i_msize in
+        if contains a n paddr size then begin
           hit := 1;
-          data := s.Uop.sdata;
-          from := s.Uop.paddr
+          data := get64 u r Uop.w_sdata;
+          from := a
         end
-        else if ranges_overlap s.Uop.paddr s.Uop.msize paddr size then hit := 2
+        else if ranges_overlap a n paddr size then hit := 2
       end
     done;
     match !hit with
@@ -177,14 +206,16 @@ let forward t ~(seq : int) ~(paddr : int64) ~(size : int) : forward_result =
 
 (* Commit a store: move its data from the SQ to the store buffer.
    Caller must check [sb_full] first. *)
-let commit_store t (u : Uop.t) =
+let commit_store t seq =
   assert (not (sb_full t));
+  let u = t.uops in
+  let r = row u seq in
   let i = sb_slot t t.sb_n in
-  t.sb_paddr.(i) <- u.Uop.paddr;
-  t.sb_size.(i) <- u.Uop.msize;
-  t.sb_data.(i) <- u.Uop.sdata;
+  sb_set t.sb_paddr i (get64 u r Uop.w_paddr);
+  t.sb_size.(i) <- get u r Uop.i_msize;
+  sb_set t.sb_data i (get64 u r Uop.w_sdata);
   t.sb_n <- t.sb_n + 1;
-  t.sq_n <- Uop.remove_seq t.sq t.sq_n u.Uop.seq
+  t.sq_n <- Uop.remove_seq t.sq t.sq_n seq
 
 (* Drop the oldest store-buffer entry, returning its slot (read it
    before the next commit can reuse it). *)
@@ -195,17 +226,21 @@ let sb_pop t =
   i
 
 let sb_clear_slot t i =
-  t.sb_paddr.(i) <- 0L;
-  t.sb_data.(i) <- 0L
+  sb_set t.sb_paddr i 0L;
+  sb_set t.sb_data i 0L
 
-let remove_load t (u : Uop.t) = t.lq_n <- Uop.remove_seq t.lq t.lq_n u.Uop.seq
+let remove_load t seq = t.lq_n <- Uop.remove_seq t.lq t.lq_n seq
 
 (* Write the entry in slot [i] through to the cache and announce it,
    returning the write's latency; the fault knobs model drains that
    are lost, unannounced, or misordered. *)
 let drain_one t ~now ~(on_drain : int64 -> int -> unit) i =
-  let paddr = t.sb_paddr.(i) and size = t.sb_size.(i) in
-  let lat = Softmem.Cache.write t.dcache ~addr:paddr ~size t.sb_data.(i) in
+  (* one box for the address, shared by the write and the announcement *)
+  let paddr = Sys.opaque_identity (sb_get t.sb_paddr i) in
+  let size = t.sb_size.(i) in
+  let lat =
+    Softmem.Cache.write t.dcache ~addr:paddr ~size (sb_get t.sb_data i)
+  in
   sb_clear_slot t i;
   t.drains <- t.drains + 1;
   t.sb_next_drain <- now + max t.cfg.sb_drain_interval (lat / 4);

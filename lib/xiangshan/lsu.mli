@@ -11,18 +11,22 @@
 type t = {
   cfg : Config.t;
   dcache : Softmem.Cache.t;
-  lq : Uop.t array;
-      (** load queue: [0, lq_n) in age order; free slots hold
-          [Uop.sentinel] *)
-  sq : Uop.t array;  (** store queue, likewise *)
+  uops : Uop.t;  (** the core's uop rows *)
+  lq : int array;
+      (** load queue: sequence numbers, [0, lq_n) in age order; free
+          slots hold -1 *)
+  sq : int array;
+      (** store queue, likewise.  An entry whose row was reused names
+          a retired store to MMIO: it counts as resolved and never
+          forwards (see {!Uop.drop_squashed}). *)
   mutable lq_n : int;
   mutable sq_n : int;
-  sb_paddr : int64 array;
+  sb_paddr : Bytes.t;
   sb_size : int array;
-  sb_data : int64 array;
+  sb_data : Bytes.t;
       (** the store buffer: a ring of [store_buffer_size] slots, one
-          committed store per slot across the three arrays; freed
-          slots hold 0 *)
+          committed store per slot across the three columns (8 bytes
+          per slot in the unboxed 64-bit ones); freed slots hold 0 *)
   mutable sb_head : int;  (** slot of the oldest entry *)
   mutable sb_n : int;  (** entries, oldest first from [sb_head] *)
   mutable sb_next_drain : int;
@@ -47,7 +51,7 @@ type t = {
           (wrong-lane mux); [0L] disables *)
 }
 
-val create : Config.t -> dcache:Softmem.Cache.t -> t
+val create : Config.t -> dcache:Softmem.Cache.t -> uops:Uop.t -> t
 
 val lq_occupancy : t -> int
 val sq_occupancy : t -> int
@@ -57,9 +61,10 @@ val sb_occupancy : t -> int
 
 val sb_full : t -> bool
 
-val insert_load : t -> Uop.t -> unit
-val insert_store : t -> Uop.t -> unit
-(** Append as the youngest entry; O(1).  Dispatch admission keeps the
+val insert_load : t -> int -> unit
+val insert_store : t -> int -> unit
+(** Append a sequence number as the youngest entry; O(1).  Dispatch
+    admission keeps the
     queues within [lq_size]/[sq_size]. *)
 
 val drop_squashed : t -> unit
@@ -78,11 +83,11 @@ val forward : t -> seq:int -> paddr:int64 -> size:int -> forward_result
     [Forward] when it covers them, [Blocked] on a partial overlap.
     Allocates only a forwarded result. *)
 
-val commit_store : t -> Uop.t -> unit
-(** Move a retiring store from the SQ into the store buffer (the
-    caller checks [sb_full]). *)
+val commit_store : t -> int -> unit
+(** [commit_store t seq]: move a retiring store from the SQ into the
+    store buffer (the caller checks [sb_full]). *)
 
-val remove_load : t -> Uop.t -> unit
+val remove_load : t -> int -> unit
 
 val drain_ready : t -> now:int -> bool
 (** Pure: would [drain] dequeue an entry at [now]?  Snapshotted by

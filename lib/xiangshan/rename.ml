@@ -4,7 +4,9 @@
 
    The physical register files also hold the speculative values and
    their ready cycles -- the "execute at issue" model computes results
-   straight into the physical file. *)
+   straight into the physical file.  Values are an unboxed column, 8
+   bytes per register, so writing a result allocates nothing and pays
+   no write barrier. *)
 
 type rf = {
   map : int array; (* arch -> phys *)
@@ -14,7 +16,7 @@ type rf = {
   free : int array;
   mutable free_head : int;
   mutable free_n : int;
-  value : int64 array;
+  value : Bytes.t; (* 8 bytes per physical register *)
   ready_at : int array; (* cycle the value becomes available *)
   refcnt : int array;
 }
@@ -36,7 +38,7 @@ let make_rf ~arch_regs ~pregs =
       free = Array.make pregs 0;
       free_head = 0;
       free_n = 0;
-      value = Array.make pregs 0L;
+      value = Bytes.make (8 * pregs) '\000';
       ready_at = Array.make pregs 0;
       refcnt = Array.make pregs 0;
     }
@@ -110,38 +112,42 @@ let corrupt_alias t ~arch_rd ~arch_rs =
 let commit_release t ~is_fp ~old_prd =
   if old_prd >= 0 then free_phys (rf t is_fp) old_prd
 
-(* Rollback a squashed uop (must be called youngest-first). *)
-let rollback t (u : Uop.t) =
-  if u.Uop.prd >= 0 then begin
-    let si = u.Uop.si in
+(* Rollback the squashed uop in row [r] (must be called
+   youngest-first). *)
+let rollback t (u : Uop.t) r =
+  let prd = Uop.get u r Uop.i_prd in
+  if prd >= 0 then begin
+    let si = u.Uop.si.(r) in
     let rf = rf t si.Predecode.rd_is_fp in
-    rf.map.(si.Predecode.rd) <- u.Uop.old_prd;
-    free_phys rf u.Uop.prd
+    rf.map.(si.Predecode.rd) <- Uop.get u r Uop.i_old_prd;
+    free_phys rf prd
   end
 
 let set_result t ~is_fp ~prd ~value ~ready_at =
   let rf = rf t is_fp in
-  rf.value.(prd) <- value;
+  Bytes.set_int64_ne rf.value (prd lsl 3) value;
   rf.ready_at.(prd) <- ready_at
-
-let value t ~is_fp ~prd = (rf t is_fp).value.(prd)
 
 let ready t ~is_fp ~prd ~now = (rf t is_fp).ready_at.(prd) <= now
 
-(* A uop's sources are all available at [now]?  Straight-line over the
-   source fields: the issue planner asks this of every waiting uop
-   every cycle. *)
-let srcs_ready t (u : Uop.t) ~now =
-  let n = u.Uop.n_src and fp = u.Uop.src_fp in
+(* The sources of the uop in row [r] are all available at [now]?
+   Straight-line over the source columns: the issue planner asks this
+   of every waiting uop every cycle. *)
+let srcs_ready t (u : Uop.t) r ~now =
+  (* the row's fields, read in place as [Uop.get] and [Uop.src_fp] do *)
+  let ints = u.Uop.ints and base = r lsl 4 in
+  let n = ints.(base lor Uop.i_n_src) in
   n = 0
-  || ready t ~is_fp:fp.(0) ~prd:u.Uop.ps0 ~now
-     && (n = 1
-        || ready t ~is_fp:fp.(1) ~prd:u.Uop.ps1 ~now
-           && (n = 2 || ready t ~is_fp:fp.(2) ~prd:u.Uop.ps2 ~now))
-
-(* The value of source [i] of [u], once renamed: the physical file's
-   own box, so reading a source allocates nothing. *)
-let src_value t (u : Uop.t) i =
-  value t ~is_fp:u.Uop.src_fp.(i) ~prd:(Uop.psrc u i)
+  ||
+  let fp =
+    if ints.(base lor Uop.i_fusion) = Uop.no_fusion then
+      u.Uop.si.(r).Predecode.src_fp
+    else Predecode.int_srcs
+  in
+  ready t ~is_fp:fp.(0) ~prd:ints.(base lor Uop.i_ps0) ~now
+  && (n = 1
+     || ready t ~is_fp:fp.(1) ~prd:ints.(base lor Uop.i_ps1) ~now
+        && (n = 2 || ready t ~is_fp:fp.(2) ~prd:ints.(base lor Uop.i_ps2) ~now)
+     )
 
 let free_count t ~is_fp = (rf t is_fp).free_n

@@ -5,7 +5,8 @@
     The physical register files also hold the speculative values and
     their ready cycles: the execute-at-issue model computes results
     straight into the physical file, and consumers become ready when
-    [ready_at] passes. *)
+    [ready_at] passes.  Values are an unboxed column, so writing a
+    result allocates nothing. *)
 
 type rf = {
   map : int array; (** architectural -> physical *)
@@ -14,7 +15,9 @@ type rf = {
           [free_n] registers from [free_head] *)
   mutable free_head : int;
   mutable free_n : int;
-  value : int64 array;
+  value : Bytes.t;
+      (** 8 bytes per physical register: register [p] is
+          [Bytes.get_int64_ne value (p lsl 3)] *)
   ready_at : int array;
   refcnt : int array; (** move elimination shares physical registers *)
 }
@@ -42,19 +45,16 @@ val corrupt_alias : t -> arch_rd:int -> arch_rs:int -> unit
 
 val commit_release : t -> is_fp:bool -> old_prd:int -> unit
 
-val rollback : t -> Uop.t -> unit
-(** Undo a squashed uop's mapping (call youngest-first). *)
+val rollback : t -> Uop.t -> int -> unit
+(** [rollback t uops r]: undo the mapping of the squashed uop in row
+    [r] (call youngest-first). *)
 
 val set_result : t -> is_fp:bool -> prd:int -> value:int64 -> ready_at:int -> unit
 
-val value : t -> is_fp:bool -> prd:int -> int64
-
 val ready : t -> is_fp:bool -> prd:int -> now:int -> bool
 
-val src_value : t -> Uop.t -> int -> int64
-(** [src_value t u i], [0 <= i < u.n_src]: the value of [u]'s renamed
-    source [i]; allocates nothing. *)
-
-val srcs_ready : t -> Uop.t -> now:int -> bool
+val srcs_ready : t -> Uop.t -> int -> now:int -> bool
+(** [srcs_ready t uops r ~now]: every source of the uop in row [r] is
+    available at [now]. *)
 
 val free_count : t -> is_fp:bool -> int

@@ -116,8 +116,8 @@ let counter soc name =
    from the start-of-cycle snapshot and resources are only freed
    during apply, so occupancy can never exceed capacity.  Also checks
    that the IQ, LQ and SQ arrays stay age-ordered with every free slot
-   reset to the sentinel (seq -1), and that apply reset the IQ and
-   dispatch plan buffers. *)
+   reset to -1, that every IQ and LQ entry names the uop its ROB row
+   holds, and that apply reset the IQ and dispatch plan buffers. *)
 let run_with_occupancy_invariant cfg prog ~order =
   let soc = Soc.create cfg in
   Soc.load_program soc prog;
@@ -141,17 +141,24 @@ let run_with_occupancy_invariant cfg prog ~order =
     le "sq" cfg.Xiangshan.Config.sq_size (Xiangshan.Lsu.sq_occupancy lsu);
     le "sb" cfg.Xiangshan.Config.store_buffer_size
       (Xiangshan.Lsu.sb_occupancy lsu);
-    let check_queue what (q : Xiangshan.Uop.t array) n =
+    let uops = core.Core.rob.Xiangshan.Rob.uops in
+    let check_queue ?(live = true) what (q : int array) n =
       for i = 0 to Array.length q - 1 do
-        let seq = q.(i).Xiangshan.Uop.seq in
-        if i < n && (seq < 0 || (i > 0 && seq <= q.(i - 1).Xiangshan.Uop.seq))
+        let seq = q.(i) in
+        if i < n && (seq < 0 || (i > 0 && seq <= q.(i - 1)))
         then Alcotest.failf "cycle %d: %s slot %d out of age order" core.Core.now what i;
+        (* IQ and LQ entries leave with their uops: each names the uop
+           its ROB row holds *)
+        if i < n && live && not (Xiangshan.Uop.live uops seq) then
+          Alcotest.failf "cycle %d: %s slot %d names a reused row"
+            core.Core.now what i;
         if i >= n && seq <> -1 then
           Alcotest.failf "cycle %d: %s free slot %d holds a uop" core.Core.now what i
       done
     in
     check_queue "lq" lsu.Xiangshan.Lsu.lq (Xiangshan.Lsu.lq_occupancy lsu);
-    check_queue "sq" lsu.Xiangshan.Lsu.sq (Xiangshan.Lsu.sq_occupancy lsu);
+    check_queue ~live:false "sq" lsu.Xiangshan.Lsu.sq
+      (Xiangshan.Lsu.sq_occupancy lsu);
     Array.iter
       (fun iq ->
         check_queue "iq" iq.Xiangshan.Iq.slots (Xiangshan.Iq.occupancy iq);
@@ -162,7 +169,7 @@ let run_with_occupancy_invariant cfg prog ~order =
     if
       dp.Core.dp_n <> 0
       || Array.exists
-           (fun p -> p.Core.pl_uop.Xiangshan.Uop.seq <> -1)
+           (fun p -> p.Core.pl_seq <> -1)
            dp.Core.dp_plans
     then Alcotest.failf "cycle %d: dispatch plan not reset" core.Core.now;
     (* rename discipline: the next seq is always the ROB tail *)
