@@ -29,6 +29,21 @@ if grep -rn 'Supervisor' lib/ bin/ bench/ examples/; then
   echo "Supervisor is gone: Grid supervises every job"; exit 1
 fi
 
+echo "== one owner per layout: Uop's rows, through Uop's inlined accessors =="
+if grep -rnE 'Uop\.(ints|words|mask)\b' lib/ bin/ bench/ examples/ test/ \
+    | grep -v '^lib/xiangshan/uop.ml:'; then
+  echo "Uop's row arrays named outside lib/xiangshan/uop.ml (use Uop.get and friends)"; exit 1
+fi
+# the accessors are free only with cross-module inlining, which -opaque
+# (dune's dev profile) turns off: dune-workspace selects release
+CORE_CMX=_build/default/lib/xiangshan/.xiangshan.objs/native/xiangshan__Core.cmx
+dune rules "$CORE_CMX" > ci_rules.txt
+grep -q 'ocamlopt' ci_rules.txt || { echo "no compile rule for $CORE_CMX"; exit 1; }
+if grep -q -- '-opaque' ci_rules.txt; then
+  echo "lib/xiangshan compiles with -opaque: no cross-module inlining"; exit 1
+fi
+rm -f ci_rules.txt
+
 echo "== tests =="
 dune runtest
 
@@ -251,12 +266,15 @@ diff ci_fuzz_clean.json ci_fuzz_done.json
 rm -f ci_fuzz_clean.json ci_fuzz_killed.json ci_fuzz_done.json ci_fuzz.journal
 
 echo "== clean shutdown: SIGTERM exits 143 and leaves no orphan workers =="
-"$BENCH" campaign --jobs 2 --json ci_term.json >/dev/null &
+# the victim leads a process group of its own, which its pool workers
+# inherit, so the orphan check sees only its workers, never another
+# process of the same name on the host
+setsid "$BENCH" campaign --jobs 2 --json ci_term.json >/dev/null &
 victim=$!
 # signal it mid-campaign, once a pool worker has forked: the whole
 # grid takes about half a second, so a fixed sleep can land after it
 i=0
-while [ "$(pgrep -x main.exe | wc -l)" -lt 2 ] && [ "$i" -lt 500 ]; do
+while [ "$(pgrep -g "$victim" | wc -l)" -lt 2 ] && [ "$i" -lt 500 ]; do
   sleep 0.01; i=$((i + 1))
 done
 kill -TERM "$victim"
@@ -265,11 +283,9 @@ if [ "$code" != 143 ]; then
   echo "SIGTERM exit code was $code, wanted 143"; exit 1
 fi
 sleep 0.3
-# -x: exact process-name match, so shells whose command line merely
-# mentions the binary path can never count as orphans
-if pgrep -x main.exe >/dev/null; then
+if pgrep -g "$victim" >/dev/null; then
   echo "orphan bench workers survived SIGTERM:"
-  pgrep -ax main.exe || true
+  pgrep -ag "$victim" || true
   exit 1
 fi
 rm -f ci_term.json
@@ -307,7 +323,8 @@ rm -f ci_cosim.json
 echo "== serve smoke (warm-state service: served output byte-identical to cold, clean shutdown, no orphans) =="
 SOCK=./ci_serve.sock
 rm -f "$SOCK"
-"$CLI" serve --socket "$SOCK" --quiet >/dev/null 2>&1 &
+# in a process group of its own, as the bench victim above
+setsid "$CLI" serve --socket "$SOCK" --quiet >/dev/null 2>&1 &
 server=$!
 # wait for the server to answer a ping (it assembles nothing at boot,
 # so this converges in well under a second)
@@ -352,9 +369,9 @@ sleep 0.3
 if [ -e "$SOCK" ]; then
   echo "serve left its socket behind"; exit 1
 fi
-if pgrep -x minjie_cli.exe >/dev/null; then
+if pgrep -g "$server" >/dev/null; then
   echo "orphan serve workers survived SIGTERM:"
-  pgrep -ax minjie_cli.exe || true
+  pgrep -ag "$server" || true
   exit 1
 fi
 rm -f ci_serve_run.txt ci_serve_run_warm.txt ci_serve_run_cold.txt \

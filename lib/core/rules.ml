@@ -168,11 +168,7 @@ let global_memory_load () =
                 r.Ref_model.patch_reg rd
                   (Iss.Alu.extend_load op p.p_load_value)
             | Insn.Lr (w, rd, _) | Insn.Amo (_, w, rd, _, _) ->
-                let v =
-                  match w with
-                  | Insn.Width_w -> Iss.Alu.sext32 p.p_load_value
-                  | Insn.Width_d -> p.p_load_value
-                in
+                let v = Iss.Alu.extend_amo w p.p_load_value in
                 (* AMO rd gets the loaded (old) value; redo the AMO
                    store on the REF with the patched old value *)
                 r.Ref_model.patch_reg rd v;

@@ -105,6 +105,11 @@ let eval_amo (op : Riscv.Insn.amo_op) (width : Riscv.Insn.amo_width)
   in
   match width with Width_d -> r | Width_w -> sext32 r
 
+(* Out of line: its callers store the result boxed, and an inlined
+   match would unbox the doubleword case only to box it again. *)
+let[@inline never] extend_amo (width : Riscv.Insn.amo_width) (raw : int64) =
+  match width with Width_w -> sext32 raw | Width_d -> raw
+
 let load_width = function
   | Riscv.Insn.LB | LBU -> 1
   | LH | LHU -> 2

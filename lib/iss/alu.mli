@@ -35,6 +35,12 @@ val eval_amo :
     word-width AMOs operate on (and produce) sign-extended 32-bit
     values. *)
 
+val extend_amo : Riscv.Insn.amo_width -> int64 -> int64
+(** [extend_amo width raw]: the value an LR or AMO of [width] writes to
+    its destination from the loaded bits [raw] (a word is
+    sign-extended).  Not inlined, so a doubleword's value keeps its
+    box. *)
+
 val load_width : Riscv.Insn.load_op -> int
 
 val store_width : Riscv.Insn.store_op -> int

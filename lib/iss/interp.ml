@@ -386,10 +386,7 @@ and exec (t : t) (pc : int64) (insn : Insn.t) : int64 =
       let vaddr = rg st rs1 in
       check_aligned vaddr size Trap.Load_misaligned;
       let loaded = do_load t vaddr size in
-      let v =
-        match w with Width_w -> Alu.sext32 loaded | Width_d -> loaded
-      in
-      wr st rd v;
+      wr st rd (Alu.extend_amo w loaded);
       st.Arch_state.reservation <- Some t.report.load_acc.paddr;
       next
   | Sc (w, rd, rs1, rs2) ->
@@ -419,9 +416,7 @@ and exec (t : t) (pc : int64) (insn : Insn.t) : int64 =
       let vaddr = rg st rs1 in
       check_aligned vaddr size Trap.Store_misaligned;
       let loaded = do_load t vaddr size in
-      let old_v =
-        match w with Width_w -> Alu.sext32 loaded | Width_d -> loaded
-      in
+      let old_v = Alu.extend_amo w loaded in
       let new_v = Alu.eval_amo op w old_v (rg st rs2) in
       do_store t vaddr size new_v;
       wr st rd old_v;

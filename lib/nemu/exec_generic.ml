@@ -199,11 +199,10 @@ let exec (fp : fp_ops) (m : Mach.t) (pc : int64) (insn : Insn.t) : unit =
       let vaddr = rg rs1 in
       check_aligned vaddr size Trap.Store_misaligned;
       let raw = load m vaddr size in
-      let old_v =
-        match w with Width_w -> Iss.Alu.sext32 raw | Width_d -> raw
-      in
-      store m vaddr size (Iss.Alu.eval_amo op w old_v (rg rs2));
-      wr rd old_v;
+      (* [eval_amo] sign-extends a word itself, so the old value is
+         never boxed *)
+      store m vaddr size (Iss.Alu.eval_amo op w raw (rg rs2));
+      wr rd (match w with Width_w -> Iss.Alu.sext32 raw | Width_d -> raw);
       m.pc <- next
   | Csr (op, rd, rs1, addr) -> (
       try

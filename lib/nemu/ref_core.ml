@@ -481,12 +481,11 @@ let exec_commit (t : t) pc ~next (insn : Insn.t) =
       let vaddr = Mach.get_reg m rs1 in
       check_aligned vaddr size Trap.Store_misaligned;
       let v = ref_load t vaddr size in
-      let old_v =
-        match w with Insn.Width_w -> Iss.Alu.sext32 v | Insn.Width_d -> v
-      in
-      ref_store t vaddr size
-        (Iss.Alu.eval_amo op w old_v (Mach.get_reg m rs2));
-      Mach.set_reg m rd old_v;
+      (* [eval_amo] sign-extends a word itself, so the old value is
+         never boxed *)
+      ref_store t vaddr size (Iss.Alu.eval_amo op w v (Mach.get_reg m rs2));
+      Mach.set_reg m rd
+        (match w with Insn.Width_w -> Iss.Alu.sext32 v | Insn.Width_d -> v);
       m.Mach.pc <- next
   | Insn.Fld (frd, rs1, imm) ->
       Bigarray.Array1.set m.Mach.fregs frd

@@ -29,31 +29,6 @@
 
 open Riscv
 
-(* A uop row's fields, read and written in place as [Uop.get] and
-   friends do: a call per field, and a box per 64-bit read, would cost
-   more than the access. *)
-let[@inline] row (u : Uop.t) seq = seq land u.Uop.mask
-
-let[@inline] get (u : Uop.t) r f = u.Uop.ints.((r lsl 4) lor f)
-
-let[@inline] set (u : Uop.t) r f v = u.Uop.ints.((r lsl 4) lor f) <- v
-
-let[@inline] flag u r b = get u r Uop.i_flags land b <> 0
-
-let[@inline] set_flag u r b on =
-  let f = get u r Uop.i_flags in
-  set u r Uop.i_flags (if on then f lor b else f land lnot b)
-
-let[@inline] get64 (u : Uop.t) r f =
-  Bytes.get_int64_ne u.Uop.words ((r lsl 6) lor (f lsl 3))
-
-let[@inline] set64 (u : Uop.t) r f v =
-  Bytes.set_int64_ne u.Uop.words ((r lsl 6) lor (f lsl 3)) v
-
-(* A physical register's value, in place ([Rename.rf.value]). *)
-let[@inline] reg_value (rf : Rename.rf) p =
-  Bytes.get_int64_ne rf.Rename.value (p lsl 3)
-
 type fetch_item = {
   fi_pc : int64;
   fi_si : Predecode.t; (* the instruction's static record *)
@@ -509,7 +484,7 @@ let flush ?(cause = `Other) t ~after ~target =
   | None -> ());
   let uops = t.rob.Rob.uops in
   for seq = old_tail - 1 downto new_tail do
-    let r = row uops seq in
+    let r = Uop.row uops seq in
     Rename.rollback t.rename uops r;
     Uop.release uops r
   done;
@@ -695,12 +670,14 @@ let rec mark_slice t ~depth r =
     let seq = t.def_table.(r) in
     if seq >= 0 && Rob.mem t.rob seq then begin
       let u = t.rob.Rob.uops in
-      let p = row u seq in
-      if get u p Uop.i_state <> Uop.completed && not (flag u p Uop.b_priority)
+      let p = Uop.row u seq in
+      if
+        Uop.get u p Uop.i_state <> Uop.completed
+        && not (Uop.flag u p Uop.b_priority)
       then begin
-        set_flag u p Uop.b_priority true;
+        Uop.set_flag u p Uop.b_priority true;
         t.perf.p_hi_prio <- t.perf.p_hi_prio + 1;
-        for i = 0 to get u p Uop.i_n_src - 1 do
+        for i = 0 to Uop.get u p Uop.i_n_src - 1 do
           if not (Uop.src_fp u p i) then
             mark_slice t ~depth:(depth - 1) (Uop.arch_src u p i)
         done
@@ -814,7 +791,7 @@ let step_dispatch t =
         Uop.init uops ~seq:!seq ~pc:it.fi_pc ~si ~second:second.fi_si ~fusion
           ~pred_next:(if fused then second.fi_pred_next else it.fi_pred_next);
         (match it.fi_fault with
-        | Some (exc, tval) -> Uop.set_exc uops (row uops !seq) exc tval
+        | Some (exc, tval) -> Uop.set_exc uops (Uop.row uops !seq) exc tval
         | None -> ());
         let p = d.dp_plans.(d.dp_n) in
         p.pl_seq <- !seq;
@@ -848,8 +825,8 @@ let apply_dispatch t (eff : dispatch_eff) =
       let p = eff.dp_plans.(!i) in
       incr i;
       let seq = p.pl_seq and it = p.pl_item in
-      let r = row uops seq in
-      let si = uops.Uop.si.(r) in
+      let r = Uop.row uops seq in
+      let si = Uop.si uops r in
       let rd = si.Predecode.rd and rd_fp = si.Predecode.rd_is_fp in
       if
         Rob.is_full t.rob
@@ -869,7 +846,7 @@ let apply_dispatch t (eff : dispatch_eff) =
         if p.pl_fused then fq_pop fq;
         (* rename sources in place: the planner left architectural
            numbers in the source fields *)
-        for j = 0 to get uops r Uop.i_n_src - 1 do
+        for j = 0 to Uop.get uops r Uop.i_n_src - 1 do
           Uop.set_psrc uops r j
             (Rename.lookup t.rename ~is_fp:(Uop.src_fp uops r j)
                (Uop.psrc uops r j))
@@ -877,11 +854,11 @@ let apply_dispatch t (eff : dispatch_eff) =
         (match (p.pl_eliminated, it.fi_si.Predecode.insn) with
         | true, Op_imm (ADD, rd, rs, _) ->
             let prd, old_prd = Rename.alias t.rename ~arch_rd:rd ~arch_rs:rs in
-            set uops r Uop.i_prd prd;
-            set uops r Uop.i_old_prd old_prd;
-            set uops r Uop.i_state Uop.completed;
-            set uops r Uop.i_done_at t.now;
-            set_flag uops r Uop.b_eliminated true;
+            Uop.set uops r Uop.i_prd prd;
+            Uop.set uops r Uop.i_old_prd old_prd;
+            Uop.set uops r Uop.i_state Uop.completed;
+            Uop.set uops r Uop.i_done_at t.now;
+            Uop.set_flag uops r Uop.b_eliminated true;
             t.perf.p_moves_eliminated <- t.perf.p_moves_eliminated + 1;
             t.def_table.(rd) <- seq
         | _ ->
@@ -889,8 +866,8 @@ let apply_dispatch t (eff : dispatch_eff) =
               let prd, old_prd =
                 Rename.alloc t.rename ~is_fp:rd_fp ~arch:rd ~now:t.now
               in
-              set uops r Uop.i_prd prd;
-              set uops r Uop.i_old_prd old_prd;
+              Uop.set uops r Uop.i_prd prd;
+              Uop.set uops r Uop.i_old_prd old_prd;
               if not rd_fp then t.def_table.(rd) <- seq
             end);
         (* allocate in ROB + queues *)
@@ -905,14 +882,14 @@ let apply_dispatch t (eff : dispatch_eff) =
         end
         else if it.fi_fault <> None then begin
           (* faulting fetch: deliver the exception at commit *)
-          set uops r Uop.i_state Uop.completed;
-          set uops r Uop.i_done_at t.now
+          Uop.set uops r Uop.i_state Uop.completed;
+          Uop.set uops r Uop.i_done_at t.now
         end;
         (* PUBS: mark unconfident branch slices *)
         (if t.cfg.issue_policy = Config.Pubs then
            match it.fi_si.Predecode.insn with
            | Branch (_, rs1, rs2, _) when Bpu.unconfident t.bpu ~pc:it.fi_pc ->
-               set_flag uops r Uop.b_priority true;
+               Uop.set_flag uops r Uop.b_priority true;
                t.perf.p_hi_prio <- t.perf.p_hi_prio + 1;
                mark_slice t ~depth:2 rs1;
                mark_slice t ~depth:2 rs2
@@ -927,7 +904,8 @@ let apply_dispatch t (eff : dispatch_eff) =
                close their execute window at dispatch *)
             if p.pl_eliminated || it.fi_fault <> None then begin
               Perf.Pipetrace.on_issue tr ~seq ~now:t.now;
-              Perf.Pipetrace.on_complete tr ~seq ~at:(get uops r Uop.i_done_at)
+              Perf.Pipetrace.on_complete tr ~seq
+                ~at:(Uop.get uops r Uop.i_done_at)
             end
         | None -> ()
       end
@@ -946,7 +924,7 @@ let apply_dispatch t (eff : dispatch_eff) =
      leaves its (past-the-tail) row *)
   for i = 0 to eff.dp_n - 1 do
     let p = eff.dp_plans.(i) in
-    if p.pl_seq >= t.seq then Uop.release uops (row uops p.pl_seq);
+    if p.pl_seq >= t.seq then Uop.release uops (Uop.row uops p.pl_seq);
     p.pl_seq <- -1;
     p.pl_item <- no_item
   done;
@@ -957,45 +935,40 @@ let apply_dispatch t (eff : dispatch_eff) =
 (* Complete the uop in row [r] at cycle [at], writing its result into
    its physical register ([Rename.set_result], unboxed in place). *)
 let complete t (u : Uop.t) r ~at =
-  set u r Uop.i_state Uop.completed;
-  set u r Uop.i_done_at at;
+  Uop.set u r Uop.i_state Uop.completed;
+  Uop.set u r Uop.i_done_at at;
   (match t.tracer with
-  | Some tr -> Perf.Pipetrace.on_complete tr ~seq:(get u r Uop.i_seq) ~at
+  | Some tr -> Perf.Pipetrace.on_complete tr ~seq:(Uop.get u r Uop.i_seq) ~at
   | None -> ());
-  let prd = get u r Uop.i_prd in
-  if prd >= 0 then begin
-    let rf =
-      if u.Uop.si.(r).Predecode.rd_is_fp then t.rename.Rename.fp_rf
-      else t.rename.Rename.int_rf
-    in
-    Bytes.set_int64_ne rf.Rename.value (prd lsl 3) (get64 u r Uop.w_result);
-    rf.Rename.ready_at.(prd) <- at
-  end
+  let prd = Uop.get u r Uop.i_prd in
+  if prd >= 0 then
+    Rename.set_result t.rename ~is_fp:(Uop.si u r).Predecode.rd_is_fp ~prd
+      ~value:(Uop.get64 u r Uop.w_result) ~ready_at:at
 
 let complete_with_exc (u : Uop.t) r exc tval ~at =
   Uop.set_exc u r exc tval;
-  set u r Uop.i_state Uop.completed;
-  set u r Uop.i_done_at at
+  Uop.set u r Uop.i_state Uop.completed;
+  Uop.set u r Uop.i_done_at at
 
 (* A pipelined load in row [r] read [raw]. *)
 let load_done t (u : Uop.t) r raw ~at =
-  set64 u r Uop.w_result
-    (match u.Uop.si.(r).Predecode.insn with
+  Uop.set64 u r Uop.w_result
+    (match Uop.insn u r with
     | Load (op, _, _, _) -> Iss.Alu.extend_load op raw
     | _ -> raw);
-  set64 u r Uop.w_load_value raw;
-  set u r Uop.i_mem_cycle t.now;
+  Uop.set64 u r Uop.w_load_value raw;
+  Uop.set u r Uop.i_mem_cycle t.now;
   complete t u r ~at;
   t.perf.p_loads <- t.perf.p_loads + 1
 
 (* Issue the uop in row [r]; returns true if it issued. *)
 let issue_uop t r : bool =
   let u = t.rob.Rob.uops in
-  let si = u.Uop.si.(r) in
+  let si = Uop.si u r in
   match si.Predecode.exec_class with
   | Config.LOAD -> (
       let vaddr = Exec.agen u r t.rename in
-      let size = get u r Uop.i_msize in
+      let size = Uop.get u r Uop.i_msize in
       if Int64.rem vaddr (Int64.of_int size) <> 0L then begin
         complete_with_exc u r Trap.Load_misaligned vaddr ~at:(t.now + 1);
         true
@@ -1006,15 +979,15 @@ let issue_uop t r : bool =
             complete_with_exc u r exc tval ~at:(t.now + 1 + lat);
             true
         | Tlb.Translated pa, tlb_lat ->
-            set64 u r Uop.w_paddr pa;
+            Uop.set64 u r Uop.w_paddr pa;
             if Platform.is_mmio t.plat pa then begin
               (* MMIO loads execute at the ROB head *)
-              set_flag u r Uop.b_mmio true;
-              set u r Uop.i_state Uop.issued;
+              Uop.set_flag u r Uop.b_mmio true;
+              Uop.set u r Uop.i_state Uop.issued;
               true
             end
             else begin
-              let seq = get u r Uop.i_seq in
+              let seq = Uop.get u r Uop.i_seq in
               match Lsu.forward t.lsu ~seq ~paddr:pa ~size with
               | Lsu.Blocked -> false (* retry next cycle *)
               | Lsu.Forward raw ->
@@ -1028,7 +1001,7 @@ let issue_uop t r : bool =
       end)
   | Config.STORE -> (
       let vaddr = Exec.agen u r t.rename in
-      let size = get u r Uop.i_msize in
+      let size = Uop.get u r Uop.i_msize in
       if Int64.rem vaddr (Int64.of_int size) <> 0L then begin
         complete_with_exc u r Trap.Store_misaligned vaddr ~at:(t.now + 1);
         true
@@ -1039,11 +1012,11 @@ let issue_uop t r : bool =
             complete_with_exc u r exc tval ~at:(t.now + 1 + lat);
             true
         | Tlb.Translated pa, tlb_lat ->
-            set64 u r Uop.w_paddr pa;
-            set_flag u r Uop.b_mmio (Platform.is_mmio t.plat pa);
-            set_flag u r Uop.b_addr_ready true;
-            set u r Uop.i_state Uop.completed;
-            set u r Uop.i_done_at (t.now + 1 + tlb_lat);
+            Uop.set64 u r Uop.w_paddr pa;
+            Uop.set_flag u r Uop.b_mmio (Platform.is_mmio t.plat pa);
+            Uop.set_flag u r Uop.b_addr_ready true;
+            Uop.set u r Uop.i_state Uop.completed;
+            Uop.set u r Uop.i_done_at (t.now + 1 + tlb_lat);
             t.perf.p_stores <- t.perf.p_stores + 1;
             true
       end)
@@ -1054,24 +1027,25 @@ let issue_uop t r : bool =
          (possibly corrupted) prediction instead *)
       (match si.Predecode.insn with
       | (Branch _ | Jal _ | Jalr _)
-        when t.bug_trust_bpu > 0 && flag u r Uop.b_mispredicted
-             && not (flag u r Uop.b_faulted) ->
-          set64 u r Uop.w_next_pc (get64 u r Uop.w_pred_next);
-          set_flag u r Uop.b_mispredicted false;
+        when t.bug_trust_bpu > 0 && Uop.flag u r Uop.b_mispredicted
+             && not (Uop.flag u r Uop.b_faulted) ->
+          Uop.set64 u r Uop.w_next_pc (Uop.get64 u r Uop.w_pred_next);
+          Uop.set_flag u r Uop.b_mispredicted false;
           t.bug_trust_bpu <- t.bug_trust_bpu - 1
       | _ -> ());
       complete t u r ~at:(t.now + si.Predecode.latency);
       (* resolve control flow *)
       (match si.Predecode.insn with
       | Branch _ | Jal _ | Jalr _ ->
-          let pc = get64 u r Uop.w_pc and next_pc = get64 u r Uop.w_next_pc in
+          let pc = Uop.get64 u r Uop.w_pc
+          and next_pc = Uop.get64 u r Uop.w_next_pc in
           let taken =
             not
               (Int64.equal next_pc
                  (Int64.add pc (Int64.of_int (4 * Uop.n_insns u r))))
           in
           Bpu.update t.bpu ~pc ~insn:si.Predecode.insn ~taken ~target:next_pc
-            ~mispredicted:(flag u r Uop.b_mispredicted)
+            ~mispredicted:(Uop.flag u r Uop.b_mispredicted)
       | _ -> ());
       true
 
@@ -1082,8 +1056,8 @@ let issue_uop t r : bool =
 let ready_next_cycle t r =
   let u = t.rob.Rob.uops in
   Rename.srcs_ready t.rename u r ~now:(t.now + 1)
-  && (u.Uop.si.(r).Predecode.exec_class <> Config.LOAD
-     || Lsu.older_stores_known t.lsu ~seq:(get u r Uop.i_seq))
+  && ((Uop.si u r).Predecode.exec_class <> Config.LOAD
+     || Lsu.older_stores_known t.lsu ~seq:(Uop.get u r Uop.i_seq))
 
 (* Phase 1: each IQ fills its own plan buffer under the configured
    policy from one readiness scan, which also yields the Figure 15
@@ -1105,26 +1079,25 @@ let apply_issue t (eff : issue_eff) =
     let iq = t.iqs.(i) in
     for j = 0 to Iq.planned iq - 1 do
       let seq = Iq.planned_seq iq j in
-      let r = row u seq in
+      let r = Uop.row u seq in
       (* revalidate the phase-1 selection: a boundary fault hook may
          have stolen it from the queue (Iq.steal_waiting, observable
          as the O(1) in_iq flag) -- issuing it anyway would mask the
          fault.  A flush earlier in this cycle dropped the uops it
          squashed from the plan (Iq.drop_squashed). *)
       if
-        get u r Uop.i_seq = seq
-        && (not (flag u r Uop.b_squashed))
-        && get u r Uop.i_state = Uop.waiting
-        && flag u r Uop.b_in_iq
+        Uop.live u seq
+        && Uop.get u r Uop.i_state = Uop.waiting
+        && Uop.flag u r Uop.b_in_iq
       then
         if issue_uop t r then begin
           (match t.tracer with
           | Some tr -> Perf.Pipetrace.on_issue tr ~seq ~now:t.now
           | None -> ());
-          if get u r Uop.i_state <> Uop.waiting then Iq.remove iq seq;
+          if Uop.get u r Uop.i_state <> Uop.waiting then Iq.remove iq seq;
           if
-            flag u r Uop.b_mispredicted
-            && (not (flag u r Uop.b_faulted))
+            Uop.flag u r Uop.b_mispredicted
+            && (not (Uop.flag u r Uop.b_faulted))
             && (!redirect < 0 || seq < !redirect)
           then redirect := seq
         end
@@ -1137,7 +1110,7 @@ let apply_issue t (eff : issue_eff) =
        older trap/serialise flush has squashed the issuing uop and
        suppressed the redirect via revalidation *)
     flush ~cause:`Misp t ~after:!redirect
-      ~target:(get64 u (row u !redirect) Uop.w_next_pc);
+      ~target:(Uop.get64 u (Uop.row u !redirect) Uop.w_next_pc);
     t.recover_misp <- true;
     (* model the resolve + refill bubble *)
     t.inflight <-
@@ -1207,8 +1180,8 @@ let execute_at_head t r : unit =
         | CSRRC | CSRRCI ->
             if rs1 <> 0 then
               Csr.write csr addr (Int64.logand old_v (Int64.lognot src)));
-        set64 u r Uop.w_result old_v;
-        set u r Uop.i_csr_addr addr;
+        Uop.set64 u r Uop.w_result old_v;
+        Uop.set u r Uop.i_csr_addr addr;
         finish t u r ~lat:1
       with Csr.Illegal_csr _ -> fault t u r Trap.Illegal_instruction 0L)
   | Ecall ->
@@ -1219,17 +1192,17 @@ let execute_at_head t r : unit =
         | Csr.M -> Trap.Ecall_from_m
       in
       fault t u r exc 0L
-  | Ebreak -> fault t u r Trap.Breakpoint (get64 u r Uop.w_pc)
+  | Ebreak -> fault t u r Trap.Breakpoint (Uop.get64 u r Uop.w_pc)
   | Mret ->
       if csr.Csr.priv <> Csr.M then fault t u r Trap.Illegal_instruction 0L
       else begin
-        set64 u r Uop.w_next_pc (Trap.mret csr);
+        Uop.set64 u r Uop.w_next_pc (Trap.mret csr);
         finish t u r ~lat:1
       end
   | Sret ->
       if csr.Csr.priv = Csr.U then fault t u r Trap.Illegal_instruction 0L
       else begin
-        set64 u r Uop.w_next_pc (Trap.sret csr);
+        Uop.set64 u r Uop.w_next_pc (Trap.sret csr);
         finish t u r ~lat:1
       end
   | Wfi -> finish t u r ~lat:1
@@ -1261,15 +1234,15 @@ let execute_at_head t r : unit =
               fault t u r Trap.Load_access vaddr
             else begin
               let raw, lat = Softmem.Cache.read t.l1d ~addr:pa ~size in
-              set64 u r Uop.w_result
+              Uop.set64 u r Uop.w_result
                 (match w with
                 | Width_w -> Iss.Alu.sext32 raw
                 | Width_d -> raw);
-              set64 u r Uop.w_load_value raw;
-              set u r Uop.i_mem_cycle t.now;
-              set64 u r Uop.w_vaddr vaddr;
-              set64 u r Uop.w_paddr pa;
-              set u r Uop.i_msize size;
+              Uop.set64 u r Uop.w_load_value raw;
+              Uop.set u r Uop.i_mem_cycle t.now;
+              Uop.set64 u r Uop.w_vaddr vaddr;
+              Uop.set64 u r Uop.w_paddr pa;
+              Uop.set u r Uop.i_msize size;
               Lsu.set_reservation t.lsu ~paddr:pa ~now:t.now;
               finish t u r ~lat
             end)
@@ -1284,9 +1257,9 @@ let execute_at_head t r : unit =
         | Tlb.Translated pa, _ ->
             let ok = Lsu.reservation_valid t.lsu ~paddr:pa ~now:t.now in
             Lsu.clear_reservation t.lsu;
-            set64 u r Uop.w_vaddr vaddr;
-            set64 u r Uop.w_paddr pa;
-            set u r Uop.i_msize size;
+            Uop.set64 u r Uop.w_vaddr vaddr;
+            Uop.set64 u r Uop.w_paddr pa;
+            Uop.set u r Uop.i_msize size;
             if ok then begin
               drain_sb t;
               let lat =
@@ -1294,14 +1267,14 @@ let execute_at_head t r : unit =
                   (Arch_state.get_reg arch rs2)
               in
               drain_notify t pa size;
-              set64 u r Uop.w_sdata (Arch_state.get_reg arch rs2);
-              set_flag u r Uop.b_addr_ready true;
-              set64 u r Uop.w_result 0L;
+              Uop.set64 u r Uop.w_sdata (Arch_state.get_reg arch rs2);
+              Uop.set_flag u r Uop.b_addr_ready true;
+              Uop.set64 u r Uop.w_result 0L;
               finish t u r ~lat
             end
             else begin
-              set64 u r Uop.w_result 1L;
-              set_flag u r Uop.b_sc_failed true;
+              Uop.set64 u r Uop.w_result 1L;
+              Uop.set_flag u r Uop.b_sc_failed true;
               finish t u r ~lat:1
             end)
   | Amo (op, w, _, rs1, rs2) -> (
@@ -1318,46 +1291,46 @@ let execute_at_head t r : unit =
             else begin
               drain_sb t;
               let raw, rlat = Softmem.Cache.read t.l1d ~addr:pa ~size in
-              let old_v =
-                match w with
-                | Width_w -> Iss.Alu.sext32 raw
-                | Width_d -> raw
-              in
+              (* [eval_amo] sign-extends a word itself, so the old
+                 value is never boxed *)
               let new_v =
-                Iss.Alu.eval_amo op w old_v (Arch_state.get_reg arch rs2)
+                Iss.Alu.eval_amo op w raw (Arch_state.get_reg arch rs2)
               in
               let wlat = Softmem.Cache.write t.l1d ~addr:pa ~size new_v in
               drain_notify t pa size;
-              set64 u r Uop.w_result old_v;
-              set64 u r Uop.w_load_value raw;
-              set u r Uop.i_mem_cycle t.now;
-              set64 u r Uop.w_sdata new_v;
-              set64 u r Uop.w_vaddr vaddr;
-              set64 u r Uop.w_paddr pa;
-              set u r Uop.i_msize size;
-              set_flag u r Uop.b_addr_ready true;
+              Uop.set64 u r Uop.w_result
+                (match w with
+                | Width_w -> Iss.Alu.sext32 raw
+                | Width_d -> raw);
+              Uop.set64 u r Uop.w_load_value raw;
+              Uop.set u r Uop.i_mem_cycle t.now;
+              Uop.set64 u r Uop.w_sdata new_v;
+              Uop.set64 u r Uop.w_vaddr vaddr;
+              Uop.set64 u r Uop.w_paddr pa;
+              Uop.set u r Uop.i_msize size;
+              Uop.set_flag u r Uop.b_addr_ready true;
               finish t u r ~lat:(rlat + wlat)
             end)
   | Load (lop, _, rs1, imm) ->
       (* MMIO load discovered at issue; strongly ordered *)
-      assert (flag u r Uop.b_mmio);
+      assert (Uop.flag u r Uop.b_mmio);
       ignore rs1;
       ignore imm;
       let drained = Lsu.drain_all t.lsu ~now:t.now ~on_drain:(drain_notify t) in
       (match
-         Platform.read t.plat ~addr:(get64 u r Uop.w_paddr)
-           ~size:(get u r Uop.i_msize)
+         Platform.read t.plat ~addr:(Uop.get64 u r Uop.w_paddr)
+           ~size:(Uop.get u r Uop.i_msize)
        with
       | raw ->
-          set64 u r Uop.w_result (Iss.Alu.extend_load lop raw);
-          set64 u r Uop.w_load_value raw;
-          set u r Uop.i_mem_cycle t.now;
+          Uop.set64 u r Uop.w_result (Iss.Alu.extend_load lop raw);
+          Uop.set64 u r Uop.w_load_value raw;
+          Uop.set u r Uop.i_mem_cycle t.now;
           finish t u r ~lat:(20 + drained)
       | exception Platform.Bus_fault _ ->
-          fault t u r Trap.Load_access (get64 u r Uop.w_vaddr))
+          fault t u r Trap.Load_access (Uop.get64 u r Uop.w_vaddr))
   | Fld (_, _, _) ->
-      assert (flag u r Uop.b_mmio);
-      fault t u r Trap.Load_access (get64 u r Uop.w_vaddr)
+      assert (Uop.flag u r Uop.b_mmio);
+      fault t u r Trap.Load_access (Uop.get64 u r Uop.w_vaddr)
   | Lui _ | Auipc _ | Jal _ | Jalr _ | Branch _ | Store _ | Fsd _
   | Op_imm _ | Op_imm_w _ | Op _ | Op_w _ | Mul _ | Mul_w _ | Fp_rrr _
   | Fp_fused _ | Fp_sign _ | Fp_minmax _ | Fp_cmp _ | Fsqrt_d _
@@ -1392,8 +1365,8 @@ let next_slot t ~pc ~insn ~next_pc ~trap ~interrupt =
 let emit_probe t r ~pc ~next_pc ~trap =
   let u = t.rob.Rob.uops in
   let insn = Uop.insn u r in
-  let sc_failed = flag u r Uop.b_sc_failed
-  and faulted = flag u r Uop.b_faulted in
+  let sc_failed = Uop.flag u r Uop.b_sc_failed
+  and faulted = Uop.flag u r Uop.b_faulted in
   (match insn with
   | Insn.Sc _ when trap = None ->
       Perf.Perf_counter.incr t.ctrs
@@ -1401,27 +1374,27 @@ let emit_probe t r ~pc ~next_pc ~trap =
   | _ -> ());
   let p = next_slot t ~pc ~insn ~next_pc ~trap ~interrupt:None in
   let has_load =
-    (u.Uop.si.(r).Predecode.uses_lq || Insn.is_amo insn)
+    (Uop.is_load u r || Insn.is_amo insn)
     && trap = None && (not faulted)
     && (match insn with Sc _ -> false | _ -> true)
-  and has_store = u.Uop.si.(r).Predecode.uses_sq && (not faulted) && not sc_failed in
+  and has_store = Uop.is_store u r && (not faulted) && not sc_failed in
   p.Probe.p_has_load <- has_load;
   p.Probe.p_has_store <- has_store;
   if has_load || has_store then begin
-    p.Probe.p_mem_paddr <- get64 u r Uop.w_paddr;
-    p.Probe.p_mem_size <- get u r Uop.i_msize;
-    p.Probe.p_mem_cycle <- get u r Uop.i_mem_cycle;
-    if has_load then p.Probe.p_load_value <- get64 u r Uop.w_load_value;
-    if has_store then p.Probe.p_store_value <- get64 u r Uop.w_sdata
+    p.Probe.p_mem_paddr <- Uop.get64 u r Uop.w_paddr;
+    p.Probe.p_mem_size <- Uop.get u r Uop.i_msize;
+    p.Probe.p_mem_cycle <- Uop.get u r Uop.i_mem_cycle;
+    if has_load then p.Probe.p_load_value <- Uop.get64 u r Uop.w_load_value;
+    if has_store then p.Probe.p_store_value <- Uop.get64 u r Uop.w_sdata
   end;
-  (if get u r Uop.i_fusion <> Uop.no_fusion then
-     p.Probe.p_second <- Some u.Uop.second.(r).Predecode.insn
+  (if Uop.get u r Uop.i_fusion <> Uop.no_fusion then
+     p.Probe.p_second <- Some (Uop.second u r).Predecode.insn
    else if p.Probe.p_second != None then p.Probe.p_second <- None);
   p.Probe.p_sc_failed <- sc_failed;
-  (let a = get u r Uop.i_csr_addr in
-   if a >= 0 then p.Probe.p_csr_read <- Some (a, get64 u r Uop.w_result)
+  (let a = Uop.get u r Uop.i_csr_addr in
+   if a >= 0 then p.Probe.p_csr_read <- Some (a, Uop.get64 u r Uop.w_result)
    else if p.Probe.p_csr_read != None then p.Probe.p_csr_read <- None);
-  p.Probe.p_mmio <- flag u r Uop.b_mmio;
+  p.Probe.p_mmio <- Uop.flag u r Uop.b_mmio;
   t.probes.Probe.on_commit p
 
 let nop = Insn.Op_imm (ADD, 0, 0, 0L)
@@ -1454,7 +1427,7 @@ let step_commit t =
 (* Box 64-bit field [f] of row [r], reusing [box] when it holds the
    same value: the architectural pc already holds a retiring uop's pc. *)
 let[@inline] boxed_as box u r f =
-  let v = get64 u r f in
+  let v = Uop.get64 u r f in
   if Int64.equal v box then box else Sys.opaque_identity v
 
 let apply_commit t (eff : commit_eff) =
@@ -1479,17 +1452,17 @@ let apply_commit t (eff : commit_eff) =
           while !budget > 0 do
             if Rob.is_empty t.rob then raise Stop_commit;
             let seq = Rob.head_seq t.rob in
-            let r = row u seq in
+            let r = Uop.row u seq in
             if
-              get u r Uop.i_state = Uop.completed
-              && get u r Uop.i_done_at <= t.now
+              Uop.get u r Uop.i_state = Uop.completed
+              && Uop.get u r Uop.i_done_at <= t.now
             then begin
               let pc = boxed_as t.arch.Arch_state.pc u r Uop.w_pc in
-              if flag u r Uop.b_faulted then begin
-                let exc = u.Uop.exc.(r) and tval = Uop.tval u r in
+              if Uop.flag u r Uop.b_faulted then begin
+                let exc = Uop.exc u r and tval = Uop.tval u r in
                 t.perf.p_traps <- t.perf.p_traps + 1;
                 emit_probe t r ~pc
-                  ~next_pc:(get64 u r Uop.w_next_pc)
+                  ~next_pc:(Uop.get64 u r Uop.w_next_pc)
                   ~trap:(Some (exc, tval));
                 let target = Trap.take_exception csr exc tval ~epc:pc in
                 t.arch.Arch_state.pc <- target;
@@ -1497,15 +1470,18 @@ let apply_commit t (eff : commit_eff) =
                 raise Stop_commit
               end;
               (* stores need a store-buffer slot (or are MMIO) *)
-              if u.Uop.si.(r).Predecode.uses_sq then begin
-                if flag u r Uop.b_mmio then begin
+              if Uop.is_store u r then begin
+                if Uop.flag u r Uop.b_mmio then begin
                   let lat =
                     Lsu.drain_all t.lsu ~now:t.now ~on_drain:(drain_notify t)
                   in
                   (try
-                     Platform.write t.plat ~addr:(get64 u r Uop.w_paddr)
-                       ~size:(get u r Uop.i_msize) (get64 u r Uop.w_sdata)
+                     Platform.write t.plat
+                       ~addr:(Uop.get64 u r Uop.w_paddr)
+                       ~size:(Uop.get u r Uop.i_msize)
+                       (Uop.get64 u r Uop.w_sdata)
                    with Platform.Bus_fault _ -> ());
+                  Lsu.remove_store t.lsu seq;
                   t.commit_busy_until <- t.now + lat + 20
                 end
                 else begin
@@ -1516,19 +1492,20 @@ let apply_commit t (eff : commit_eff) =
                   Lsu.commit_store t.lsu seq
                 end
               end;
-              if u.Uop.si.(r).Predecode.uses_lq then Lsu.remove_load t.lsu seq;
-              if flag u r Uop.b_eliminated then
-                set64 u r Uop.w_result
-                  (reg_value t.rename.Rename.int_rf (get u r Uop.i_prd));
+              if Uop.is_load u r then Lsu.remove_load t.lsu seq;
+              if Uop.flag u r Uop.b_eliminated then
+                Uop.set64 u r Uop.w_result
+                  (Rename.reg_value t.rename ~is_fp:false
+                     (Uop.get u r Uop.i_prd));
               (* architectural update *)
-              let si = u.Uop.si.(r) in
+              let si = Uop.si u r in
               if si.Predecode.rd >= 0 then begin
-                let v = get64 u r Uop.w_result in
+                let v = Uop.get64 u r Uop.w_result in
                 if si.Predecode.rd_is_fp then
                   Arch_state.set_freg t.arch si.Predecode.rd v
                 else Arch_state.set_reg t.arch si.Predecode.rd v
               end;
-              let next_pc = Sys.opaque_identity (get64 u r Uop.w_next_pc) in
+              let next_pc = Sys.opaque_identity (Uop.get64 u r Uop.w_next_pc) in
               t.arch.Arch_state.pc <- next_pc;
               let n_insns = Uop.n_insns u r in
               csr.Csr.reg_minstret <- csr.Csr.reg_minstret + n_insns;
@@ -1539,7 +1516,7 @@ let apply_commit t (eff : commit_eff) =
               | Some tr -> Perf.Pipetrace.on_commit tr ~seq ~now:t.now
               | None -> ());
               Rename.commit_release t.rename ~is_fp:si.Predecode.rd_is_fp
-                ~old_prd:(get u r Uop.i_old_prd);
+                ~old_prd:(Uop.get u r Uop.i_old_prd);
               Rob.pop_head t.rob;
               Uop.release u r;
               budget := !budget - n_insns;
@@ -1551,13 +1528,14 @@ let apply_commit t (eff : commit_eff) =
               | _ -> ()
             end
             else if
-              get u r Uop.i_state <> Uop.completed
-              && (u.Uop.si.(r).Predecode.where = Predecode.At_commit
-                 || (flag u r Uop.b_mmio && get u r Uop.i_state = Uop.issued))
+              Uop.get u r Uop.i_state <> Uop.completed
+              && ((Uop.si u r).Predecode.where = Predecode.At_commit
+                 || Uop.flag u r Uop.b_mmio
+                    && Uop.get u r Uop.i_state = Uop.issued)
             then begin
               execute_at_head t r;
               (* loop re-examines the now-completed head *)
-              if get u r Uop.i_state <> Uop.completed then raise Stop_commit
+              if Uop.get u r Uop.i_state <> Uop.completed then raise Stop_commit
             end
             else raise Stop_commit
           done
@@ -1596,17 +1574,17 @@ let attribute_topdown t ~committed =
       else Topdown.Frontend_fetch
     else
       let u = t.rob.Rob.uops in
-      let r = row u (Rob.head_seq t.rob) in
-      let si = u.Uop.si.(r) in
+      let r = Uop.row u (Rob.head_seq t.rob) in
+      let si = Uop.si u r in
       let mem_bucket () =
         match si.Predecode.insn with
         | Insn.Sc _ | Insn.Amo _ -> Topdown.Mem_store
         | _ -> Topdown.Mem_load
       in
-      let state = get u r Uop.i_state in
+      let state = Uop.get u r Uop.i_state in
       if
         state = Uop.completed
-        && get u r Uop.i_done_at <= t.now
+        && Uop.get u r Uop.i_done_at <= t.now
         && t.now >= t.commit_busy_until
       then
         (* done and commit idle, yet nothing retired: the head store
@@ -1774,13 +1752,13 @@ let stall_site t : string =
   else
     let u = t.rob.Rob.uops in
     let seq = Rob.head_seq t.rob in
-    let r = row u seq in
+    let r = Uop.row u seq in
     let state =
-      let s = get u r Uop.i_state in
+      let s = Uop.get u r Uop.i_state in
       if s = Uop.waiting then "waiting"
       else if s = Uop.issued then "issued"
       else "completed"
     in
     Printf.sprintf "rob head seq=%d pc=0x%Lx [%s] %s; %s" seq
-      (get64 u r Uop.w_pc)
+      (Uop.get64 u r Uop.w_pc)
       (Insn.show (Uop.insn u r)) state occupancy

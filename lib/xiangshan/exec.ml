@@ -6,28 +6,9 @@
 
 open Riscv [@@warning "-33"]
 
-(* A uop row's fields, read and written in place as [Uop.get] and
-   [Uop.get64] do: a call per field, and a box per 64-bit read, would
-   cost more than the access. *)
-let[@inline] get (u : Uop.t) r f = u.Uop.ints.((r lsl 4) lor f)
-
-let[@inline] set (u : Uop.t) r f v = u.Uop.ints.((r lsl 4) lor f) <- v
-
-let[@inline] get64 (u : Uop.t) r f =
-  Bytes.get_int64_ne u.Uop.words ((r lsl 6) lor (f lsl 3))
-
-let[@inline] set64 (u : Uop.t) r f v =
-  Bytes.set_int64_ne u.Uop.words ((r lsl 6) lor (f lsl 3)) v
-
-(* Source values, read straight from the physical register file's
-   unboxed column ([Uop.src_fp] and [Uop.psrc], inlined). *)
-let[@inline] src_value (rn : Rename.t) (u : Uop.t) r i =
-  let fp =
-    get u r Uop.i_fusion = Uop.no_fusion && u.Uop.si.(r).Predecode.src_fp.(i)
-  in
-  Bytes.get_int64_ne
-    (if fp then rn.Rename.fp_rf else rn.Rename.int_rf).Rename.value
-    (get u r (Uop.i_ps0 + i) lsl 3)
+(* Source values, read unboxed from the physical register file. *)
+let[@inline] src_value rn u r i =
+  Rename.reg_value rn ~is_fp:(Uop.src_fp u r i) (Uop.psrc u r i)
 
 let[@inline] src0 rn u r = src_value rn u r 0
 
@@ -35,15 +16,15 @@ let[@inline] src1 rn u r = src_value rn u r 1
 
 let[@inline] src2 rn u r = src_value rn u r 2
 
-let[@inline] result (u : Uop.t) r v = set64 u r Uop.w_result v
+let[@inline] result u r v = Uop.set64 u r Uop.w_result v
 
-let[@inline] next_pc (u : Uop.t) r v = set64 u r Uop.w_next_pc v
+let[@inline] next_pc u r v = Uop.set64 u r Uop.w_next_pc v
 
 (* Execute the uop in row [r], reading its renamed sources from the
    physical register file.  Sets result / next_pc / mispredicted. *)
 let execute (u : Uop.t) r (rn : Rename.t) : unit =
-  let pc = get64 u r Uop.w_pc in
-  let fusion = get u r Uop.i_fusion in
+  let pc = Uop.get64 u r Uop.w_pc in
+  let fusion = Uop.get u r Uop.i_fusion in
   let seq_next = Int64.add pc (if fusion = Uop.no_fusion then 4L else 8L) in
   next_pc u r seq_next;
   if fusion = Uop.lui_addi then result u r (Uop.imm u r)
@@ -55,7 +36,7 @@ let execute (u : Uop.t) r (rn : Rename.t) : unit =
          (Int64.shift_left (src0 rn u r) (Int64.to_int (Uop.imm u r)))
          (src1 rn u r))
   else begin
-    match u.Uop.si.(r).Predecode.insn with
+    match Uop.insn u r with
     | Lui (_, imm) -> result u r imm
     | Auipc (_, imm) -> result u r (Int64.add pc imm)
     | Jal (_, off) ->
@@ -113,17 +94,17 @@ let execute (u : Uop.t) r (rn : Rename.t) : unit =
            commit, never through this path *)
         assert false
   end;
-  let flags = get u r Uop.i_flags land lnot Uop.b_mispredicted in
-  set u r Uop.i_flags
-    (if Int64.equal (get64 u r Uop.w_next_pc) (get64 u r Uop.w_pred_next)
-     then flags
-     else flags lor Uop.b_mispredicted)
+  Uop.set_flag u r Uop.b_mispredicted
+    (not
+       (Int64.equal
+          (Uop.get64 u r Uop.w_next_pc)
+          (Uop.get64 u r Uop.w_pred_next)))
 
 (* Address generation for the load or store in row [r]: writes its
    vaddr and access size (and a store's data, masked to the access)
    and returns the vaddr, boxed once for the TLB. *)
 let agen (u : Uop.t) r (rn : Rename.t) : int64 =
-  let insn = u.Uop.si.(r).Predecode.insn in
+  let insn = Uop.insn u r in
   let size =
     match insn with
     | Load (op, _, _, _) -> Iss.Alu.load_width op
@@ -137,11 +118,11 @@ let agen (u : Uop.t) r (rn : Rename.t) : int64 =
         Int64.add (src0 rn u r) imm
     | _ -> src0 rn u r
   in
-  set u r Uop.i_msize size;
-  set64 u r Uop.w_vaddr vaddr;
-  if u.Uop.si.(r).Predecode.exec_class = Config.STORE then begin
+  Uop.set u r Uop.i_msize size;
+  Uop.set64 u r Uop.w_vaddr vaddr;
+  if (Uop.si u r).Predecode.exec_class = Config.STORE then begin
     let data = src1 rn u r in
-    set64 u r Uop.w_sdata
+    Uop.set64 u r Uop.w_sdata
       (if size >= 8 then data
        else Int64.logand data (Int64.sub (Int64.shift_left 1L (8 * size)) 1L))
   end;

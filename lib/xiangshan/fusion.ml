@@ -11,8 +11,6 @@
 
 open Riscv
 
-let sext32 v = Int64.shift_right (Int64.shift_left v 32) 32
-
 let try_fuse (i1 : Insn.t) (i2 : Insn.t) : Uop.fusion option =
   match (i1, i2) with
   | Lui (rd, hi), Op_imm (ADD, rd2, rs2, lo) when rd <> 0 && rd2 = rd && rs2 = rd
@@ -21,7 +19,7 @@ let try_fuse (i1 : Insn.t) (i2 : Insn.t) : Uop.fusion option =
   | Lui (rd, hi), Op_imm_w (ADDW, rd2, rs2, lo)
     when rd <> 0 && rd2 = rd && rs2 = rd ->
       (* lui + addiw: the 32-bit load-immediate idiom *)
-      Some (Uop.Fused_lui_addi (sext32 (Int64.add hi lo)))
+      Some (Uop.Fused_lui_addi (Iss.Alu.sext32 (Int64.add hi lo)))
   | Op_imm (SLL, rd, _, 32L), Op_imm (SRL, rd2, rs2, 32L)
     when rd <> 0 && rd2 = rd && rs2 = rd ->
       Some Uop.Fused_zext_w

@@ -19,12 +19,6 @@ type t = {
   mutable n_plan : int;
 }
 
-(* A uop row's int field, read in place as [Uop.get] does: the
-   readiness scan reads it for every waiting uop every cycle. *)
-let[@inline] get (u : Uop.t) r f = u.Uop.ints.((r lsl 4) lor f)
-
-let[@inline] row (u : Uop.t) seq = seq land u.Uop.mask
-
 let create (cfg : Config.iq_config) ~policy ~uops =
   {
     cfg;
@@ -44,7 +38,7 @@ let is_full t = t.n >= t.cfg.iq_size
 
 let insert t seq =
   assert (not (is_full t));
-  Uop.set_flag t.uops (row t.uops seq) Uop.b_in_iq true;
+  Uop.set_flag t.uops (Uop.row t.uops seq) Uop.b_in_iq true;
   t.slots.(t.n) <- seq;
   t.n <- t.n + 1
 
@@ -68,11 +62,11 @@ let plan_issue t ~(ready : 'a -> int -> bool) (ctx : 'a) : int =
   let total = ref 0 and n_hi = ref 0 and n_plan = ref 0 in
   for i = 0 to t.n - 1 do
     let seq = t.slots.(i) in
-    let r = seq land u.Uop.mask in
-    if get u r Uop.i_state = Uop.waiting && ready ctx r then begin
+    let r = Uop.row u seq in
+    if Uop.get u r Uop.i_state = Uop.waiting && ready ctx r then begin
       incr total;
       match t.policy with
-      | Config.Pubs when get u r Uop.i_flags land Uop.b_priority <> 0 ->
+      | Config.Pubs when Uop.flag u r Uop.b_priority ->
           if !n_hi < k then begin
             for j = min !n_plan (k - 1) downto !n_hi + 1 do
               plan.(j) <- plan.(j - 1)
@@ -100,7 +94,7 @@ let clear_plan t =
   t.n_plan <- 0
 
 let remove t seq =
-  Uop.set_flag t.uops (row t.uops seq) Uop.b_in_iq false;
+  Uop.set_flag t.uops (Uop.row t.uops seq) Uop.b_in_iq false;
   t.n <- Uop.remove_seq t.slots t.n seq
 
 (* Fault injection: silently lose the oldest waiting uop.  It stays
@@ -110,7 +104,7 @@ let steal_waiting t : int =
   let u = t.uops in
   let i = ref 0 in
   while
-    !i < t.n && Uop.get u (row u t.slots.(!i)) Uop.i_state <> Uop.waiting
+    !i < t.n && Uop.get u (Uop.row u t.slots.(!i)) Uop.i_state <> Uop.waiting
   do
     incr i
   done;

@@ -82,18 +82,6 @@ let[@inline] sb_get col i = Bytes.get_int64_ne col (i lsl 3)
 
 let[@inline] sb_set col i v = Bytes.set_int64_ne col (i lsl 3) v
 
-(* A uop row's fields, read in place as [Uop.get] and [Uop.get64] do:
-   a call per field, and a box per 64-bit read, would cost more than
-   the access. *)
-let[@inline] row (u : Uop.t) seq = seq land u.Uop.mask
-
-let[@inline] get (u : Uop.t) r f = u.Uop.ints.((r lsl 4) lor f)
-
-let[@inline] flag (u : Uop.t) r b = get u r Uop.i_flags land b <> 0
-
-let[@inline] get64 (u : Uop.t) r f =
-  Bytes.get_int64_ne u.Uop.words ((r lsl 6) lor (f lsl 3))
-
 (* The ring slot of the [k]th oldest store-buffer entry. *)
 let sb_slot t k = (t.sb_head + k) mod Array.length t.sb_size
 
@@ -111,9 +99,9 @@ let drop_squashed t =
 
 (* All older stores have known addresses (conservative load
    scheduling: no memory-dependence speculation, hence no ordering
-   violations to replay).  An SQ entry whose row was reused names a
-   retired MMIO store (see [Uop.drop_squashed]): its address was known,
-   and it never forwards. *)
+   violations to replay).  Commit removes every store from the SQ, so
+   an entry whose row was reused should not exist; if one did, its
+   uop retired with a known address, and it never forwards. *)
 let older_stores_known t ~(seq : int) =
   let u = t.uops in
   let i = ref 0 in
@@ -121,8 +109,9 @@ let older_stores_known t ~(seq : int) =
     !i < t.sq_n
     &&
     let s = t.sq.(!i) in
-    let r = s land u.Uop.mask in
-    s >= seq || get u r Uop.i_seq <> s || flag u r Uop.b_addr_ready
+    s >= seq
+    || (not (Uop.holds u s))
+    || Uop.flag u (Uop.row u s) Uop.b_addr_ready
   do
     incr i
   done;
@@ -172,17 +161,17 @@ let forward t ~(seq : int) ~(paddr : int64) ~(size : int) : forward_result =
     let u = t.uops in
     for i = 0 to t.sq_n - 1 do
       let s = t.sq.(i) in
-      let r = s land u.Uop.mask in
+      let r = Uop.row u s in
       if
         s < seq
-        && get u r Uop.i_seq = s
-        && flag u r Uop.b_addr_ready
-        && not (flag u r Uop.b_mmio)
+        && Uop.holds u s
+        && Uop.flag u r Uop.b_addr_ready
+        && not (Uop.flag u r Uop.b_mmio)
       then begin
-        let a = get64 u r Uop.w_paddr and n = get u r Uop.i_msize in
+        let a = Uop.get64 u r Uop.w_paddr and n = Uop.get u r Uop.i_msize in
         if contains a n paddr size then begin
           hit := 1;
-          data := get64 u r Uop.w_sdata;
+          data := Uop.get64 u r Uop.w_sdata;
           from := a
         end
         else if ranges_overlap a n paddr size then hit := 2
@@ -204,18 +193,20 @@ let forward t ~(seq : int) ~(paddr : int64) ~(size : int) : forward_result =
         No_match
   end
 
+let remove_store t seq = t.sq_n <- Uop.remove_seq t.sq t.sq_n seq
+
 (* Commit a store: move its data from the SQ to the store buffer.
    Caller must check [sb_full] first. *)
 let commit_store t seq =
   assert (not (sb_full t));
   let u = t.uops in
-  let r = row u seq in
+  let r = Uop.row u seq in
   let i = sb_slot t t.sb_n in
-  sb_set t.sb_paddr i (get64 u r Uop.w_paddr);
-  t.sb_size.(i) <- get u r Uop.i_msize;
-  sb_set t.sb_data i (get64 u r Uop.w_sdata);
+  sb_set t.sb_paddr i (Uop.get64 u r Uop.w_paddr);
+  t.sb_size.(i) <- Uop.get u r Uop.i_msize;
+  sb_set t.sb_data i (Uop.get64 u r Uop.w_sdata);
   t.sb_n <- t.sb_n + 1;
-  t.sq_n <- Uop.remove_seq t.sq t.sq_n seq
+  remove_store t seq
 
 (* Drop the oldest store-buffer entry, returning its slot (read it
    before the next commit can reuse it). *)

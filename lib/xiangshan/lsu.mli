@@ -16,9 +16,10 @@ type t = {
       (** load queue: sequence numbers, [0, lq_n) in age order; free
           slots hold -1 *)
   sq : int array;
-      (** store queue, likewise.  An entry whose row was reused names
-          a retired store to MMIO: it counts as resolved and never
-          forwards (see {!Uop.drop_squashed}). *)
+      (** store queue, likewise.  Commit removes every store, MMIO
+          or not; an entry whose row was nonetheless reused would
+          count as resolved and never forward (see
+          {!Uop.drop_squashed}). *)
   mutable lq_n : int;
   mutable sq_n : int;
   sb_paddr : Bytes.t;
@@ -86,6 +87,10 @@ val forward : t -> seq:int -> paddr:int64 -> size:int -> forward_result
 val commit_store : t -> int -> unit
 (** [commit_store t seq]: move a retiring store from the SQ into the
     store buffer (the caller checks [sb_full]). *)
+
+val remove_store : t -> int -> unit
+(** [remove_store t seq]: drop a retiring store that bypasses the
+    store buffer (a store to MMIO, written through at commit). *)
 
 val remove_load : t -> int -> unit
 

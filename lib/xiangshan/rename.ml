@@ -60,7 +60,7 @@ let create (cfg : Config.t) =
     cfg;
   }
 
-let rf t is_fp = if is_fp then t.fp_rf else t.int_rf
+let[@inline] rf t is_fp = if is_fp then t.fp_rf else t.int_rf
 
 let lookup t ~is_fp arch = (rf t is_fp).map.(arch)
 
@@ -117,37 +117,33 @@ let commit_release t ~is_fp ~old_prd =
 let rollback t (u : Uop.t) r =
   let prd = Uop.get u r Uop.i_prd in
   if prd >= 0 then begin
-    let si = u.Uop.si.(r) in
+    let si = Uop.si u r in
     let rf = rf t si.Predecode.rd_is_fp in
     rf.map.(si.Predecode.rd) <- Uop.get u r Uop.i_old_prd;
     free_phys rf prd
   end
 
-let set_result t ~is_fp ~prd ~value ~ready_at =
+(* A physical register's value, unboxed until the caller needs a box. *)
+let[@inline] reg_value t ~is_fp p =
+  Bytes.get_int64_ne (rf t is_fp).value (p lsl 3)
+
+let[@inline] set_result t ~is_fp ~prd ~value ~ready_at =
   let rf = rf t is_fp in
   Bytes.set_int64_ne rf.value (prd lsl 3) value;
   rf.ready_at.(prd) <- ready_at
 
-let ready t ~is_fp ~prd ~now = (rf t is_fp).ready_at.(prd) <= now
+let[@inline] ready t ~is_fp ~prd ~now = (rf t is_fp).ready_at.(prd) <= now
 
 (* The sources of the uop in row [r] are all available at [now]?
-   Straight-line over the source columns: the issue planner asks this
-   of every waiting uop every cycle. *)
+   Straight-line over the sources: the issue planner asks this of
+   every waiting uop every cycle. *)
 let srcs_ready t (u : Uop.t) r ~now =
-  (* the row's fields, read in place as [Uop.get] and [Uop.src_fp] do *)
-  let ints = u.Uop.ints and base = r lsl 4 in
-  let n = ints.(base lor Uop.i_n_src) in
+  let n = Uop.get u r Uop.i_n_src in
   n = 0
-  ||
-  let fp =
-    if ints.(base lor Uop.i_fusion) = Uop.no_fusion then
-      u.Uop.si.(r).Predecode.src_fp
-    else Predecode.int_srcs
-  in
-  ready t ~is_fp:fp.(0) ~prd:ints.(base lor Uop.i_ps0) ~now
-  && (n = 1
-     || ready t ~is_fp:fp.(1) ~prd:ints.(base lor Uop.i_ps1) ~now
-        && (n = 2 || ready t ~is_fp:fp.(2) ~prd:ints.(base lor Uop.i_ps2) ~now)
-     )
+  || ready t ~is_fp:(Uop.src_fp u r 0) ~prd:(Uop.psrc u r 0) ~now
+     && (n = 1
+        || ready t ~is_fp:(Uop.src_fp u r 1) ~prd:(Uop.psrc u r 1) ~now
+           && (n = 2
+              || ready t ~is_fp:(Uop.src_fp u r 2) ~prd:(Uop.psrc u r 2) ~now))
 
 let free_count t ~is_fp = (rf t is_fp).free_n

@@ -5,24 +5,12 @@
     The physical register files also hold the speculative values and
     their ready cycles: the execute-at-issue model computes results
     straight into the physical file, and consumers become ready when
-    [ready_at] passes.  Values are an unboxed column, so writing a
-    result allocates nothing. *)
+    the value's ready cycle passes ({!ready}).  Values are an unboxed
+    column, so writing a result allocates nothing; {!reg_value} and
+    {!set_result} are inlined at their call sites, so neither boxes
+    the value. *)
 
-type rf = {
-  map : int array; (** architectural -> physical *)
-  free : int array;
-      (** the free list, FIFO: a ring of [pregs] slots holding
-          [free_n] registers from [free_head] *)
-  mutable free_head : int;
-  mutable free_n : int;
-  value : Bytes.t;
-      (** 8 bytes per physical register: register [p] is
-          [Bytes.get_int64_ne value (p lsl 3)] *)
-  ready_at : int array;
-  refcnt : int array; (** move elimination shares physical registers *)
-}
-
-type t = { int_rf : rf; fp_rf : rf; cfg : Config.t }
+type t
 
 val create : Config.t -> t
 
@@ -48,6 +36,9 @@ val commit_release : t -> is_fp:bool -> old_prd:int -> unit
 val rollback : t -> Uop.t -> int -> unit
 (** [rollback t uops r]: undo the mapping of the squashed uop in row
     [r] (call youngest-first). *)
+
+val reg_value : t -> is_fp:bool -> int -> int64
+(** [reg_value t ~is_fp p]: the value of physical register [p]. *)
 
 val set_result : t -> is_fp:bool -> prd:int -> value:int64 -> ready_at:int -> unit
 

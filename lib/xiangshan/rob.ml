@@ -24,7 +24,7 @@ let is_full t =
   count t >= t.cap
   || t.swapped >= 0
      && t.swapped = t.head - 1
-     && t.tail - t.swapped > t.uops.Uop.mask
+     && t.tail - t.swapped >= Uop.rows t.uops
 
 let is_empty t = count t = 0
 

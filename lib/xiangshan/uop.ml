@@ -147,7 +147,9 @@ let create ~cap =
     imm = Bytes.make (8 * rows) '\000';
   }
 
-let row t seq = seq land t.mask
+let[@inline] row t seq = seq land t.mask
+
+let rows t = t.mask + 1
 
 let[@inline] get t r f = t.ints.((r lsl 4) lor f)
 
@@ -164,23 +166,29 @@ let[@inline] get64 t r f = Bytes.get_int64_ne t.words ((r lsl 6) lor (f lsl 3))
 let[@inline] set64 t r f v =
   Bytes.set_int64_ne t.words ((r lsl 6) lor (f lsl 3)) v
 
-let holds t seq = seq >= 0 && get t (seq land t.mask) i_seq = seq
+let[@inline] holds t seq = seq >= 0 && get t (row t seq) i_seq = seq
 
-let live t seq = holds t seq && not (flag t (seq land t.mask) b_squashed)
+let[@inline] live t seq = holds t seq && not (flag t (row t seq) b_squashed)
 
-let tval t r = Bytes.get_int64_ne t.tval (r lsl 3)
+let[@inline] si t r = t.si.(r)
 
-let imm t r = Bytes.get_int64_ne t.imm (r lsl 3)
+let[@inline] second t r = t.second.(r)
 
-let insn t r = t.si.(r).Predecode.insn
+let[@inline] exc t r = t.exc.(r)
+
+let[@inline] tval t r = Bytes.get_int64_ne t.tval (r lsl 3)
+
+let[@inline] imm t r = Bytes.get_int64_ne t.imm (r lsl 3)
+
+let[@inline] insn t r = t.si.(r).Predecode.insn
 
 (* Pipelined loads enter the LQ, stores the SQ (LR/SC/AMO execute at
    the ROB head). *)
-let is_load t r = t.si.(r).Predecode.uses_lq
+let[@inline] is_load t r = t.si.(r).Predecode.uses_lq
 
-let is_store t r = t.si.(r).Predecode.uses_sq
+let[@inline] is_store t r = t.si.(r).Predecode.uses_sq
 
-let n_insns t r = if get t r i_fusion = no_fusion then 1 else 2
+let[@inline] n_insns t r = if get t r i_fusion = no_fusion then 1 else 2
 
 (* The [i]th architectural source.  A fused pair reads the pair's
    external sources (and writes its first instruction's destination). *)
@@ -194,12 +202,12 @@ let arch_src t r i =
         if i = 0 then rs1 else if ra = rd then rb else ra
     | _ -> invalid_arg "Uop.arch_src"
 
-let src_fp t r i =
+let[@inline] src_fp t r i =
   get t r i_fusion = no_fusion && t.si.(r).Predecode.src_fp.(i)
 
-let psrc t r i = get t r (i_ps0 + i)
+let[@inline] psrc t r i = get t r (i_ps0 + i)
 
-let set_psrc t r i p = set t r (i_ps0 + i) p
+let[@inline] set_psrc t r i p = set t r (i_ps0 + i) p
 
 let set_exc t r exc tval =
   set_flag t r b_faulted true;
@@ -258,9 +266,9 @@ let release t r =
    the new count. *)
 
 (* Drop the entries whose uops were squashed, clearing their in-IQ
-   flag.  An entry whose row was reused names a uop that retired while
-   still queued, which only a store to MMIO does; it stays queued, as
-   before rows were reused. *)
+   flag.  Retirement removes a uop from every queue, so an entry whose
+   row was reused should not exist; if one did, its uop retired, not
+   squashed, and the entry is kept. *)
 let drop_squashed t (q : int array) n =
   let kept = ref 0 in
   for i = 0 to n - 1 do

@@ -4,17 +4,17 @@
 
     A core's uops live in one {!t}, a row per ROB slot.  Dispatch
     re-initialises the row of the new uop in place ({!init}), so
-    dispatching allocates nothing.  A row's int fields are adjacent in
-    [ints] ([ints_per_row] per row, at the [i_*] offsets), its 64-bit
-    fields adjacent and unboxed in [words] ([words_per_row] per row, at
-    the [w_*] offsets), so no row points at a boxed value.  Modules
-    that compute on the fields index these arrays themselves, as
-    {!get}, {!set}, {!get64} and {!set64} do, so the values stay
-    unboxed and no call is paid per field.
+    dispatching allocates nothing.  This module alone knows how a row
+    is laid out: its int fields are adjacent in one int array and its
+    64-bit fields adjacent and unboxed in one [Bytes], so no row points
+    at a boxed value.  Other modules name a field by its [i_*] or [w_*]
+    offset and go through {!get}, {!set}, {!get64} and {!set64}, which
+    are inlined at every call site: a 64-bit field read and used as a
+    number is never boxed.
 
-    Uop [seq] lives in row [seq land mask]: the row count is a power
-    of two of at least the ROB capacity, so live uops never share a
-    row.  Queue entries and plan buffers name a uop by its [seq]; the
+    Uop [seq] lives in row [seq mod rows] ({!row}): the row count is a
+    power of two of at least the ROB capacity, so live uops never share
+    a row.  Queue entries and plan buffers name a uop by its [seq]; the
     row is reused once the uop retired or was squashed, so before
     acting on an entry its holder checks that the row still holds that
     [seq] ({!holds}, {!live}).  The seq of a squashed uop is
@@ -29,7 +29,7 @@ type fusion =
   | Fused_zext_w
   | Fused_sh_add of int (** the shift amount, 1..3 *)
 
-(** {1 Row layout} *)
+(** {1 Fields} *)
 
 val i_seq : int
 (** the uop the row holds (its generation); -1 before first use *)
@@ -67,9 +67,6 @@ val i_csr_addr : int
 (** the CSR an at-commit CSR instruction read (its old value is
     [w_result]); -1 = none *)
 
-val ints_per_row : int
-(** 16: row [r]'s field [f] is [ints.((r lsl 4) lor f)] *)
-
 val w_pc : int
 
 val w_pred_next : int
@@ -81,10 +78,6 @@ val w_vaddr : int
 val w_paddr : int
 val w_sdata : int
 val w_load_value : int
-
-val words_per_row : int
-(** 8: row [r]'s field [f] is the 64-bit value at byte
-    [(r lsl 6) lor (f lsl 3)] of [words] *)
 
 val waiting : int
 val issued : int
@@ -117,24 +110,15 @@ val sh_add : int
 (** [i_fusion] tags; {!imm} holds the constant of [lui_addi] and the
     shift amount of [sh_add]. *)
 
-type t = {
-  mask : int;  (** rows - 1 *)
-  ints : int array;
-  words : Bytes.t;
-  si : Predecode.t array;
-      (** the static record of the (first) instruction: class,
-          placement, destination, latency *)
-  second : Predecode.t array;
-      (** the fusion partner's record; [Predecode.none] otherwise *)
-  exc : Trap.exc array;  (** the exception, with [b_faulted] *)
-  tval : Bytes.t;  (** the exception's tval, 8 bytes per row *)
-  imm : Bytes.t;  (** the fusion payload, 8 bytes per row *)
-}
+type t
 
 val create : cap:int -> t
 (** Rows for a ROB of [cap] entries, all unused. *)
 
 (** {1 Access} *)
+
+val rows : t -> int
+(** The row count, a power of two of at least the capacity. *)
 
 val row : t -> int -> int
 (** [row t seq]: the row of uop [seq]. *)
@@ -160,12 +144,22 @@ val get64 : t -> int -> int -> int64
 
 val set64 : t -> int -> int -> int64 -> unit
 
+val si : t -> int -> Predecode.t
+(** The static record of the row's (first) instruction: class,
+    placement, destination, latency. *)
+
+val second : t -> int -> Predecode.t
+(** The fusion partner's record; [Predecode.none] without fusion. *)
+
+val exc : t -> int -> Trap.exc
+(** The recorded exception, meaningful with [b_faulted]. *)
+
 val tval : t -> int -> int64
 
 val imm : t -> int -> int64
 
 val insn : t -> int -> Insn.t
-(** The row's (first) instruction, [si.insn]. *)
+(** The row's (first) instruction. *)
 
 val is_load : t -> int -> bool
 (** Takes an LQ entry: pipelined loads only (LR/AMO execute at the
@@ -180,7 +174,7 @@ val arch_src : t -> int -> int -> int
 (** [arch_src t r i], [0 <= i < n_src]: the [i]th architectural
     source.  A fused pair reads the pair's external sources (and
     writes its first instruction's destination); any other uop reads
-    [si.srcs]. *)
+    the first instruction's sources. *)
 
 val src_fp : t -> int -> int -> bool
 (** Whether source [i] is an FP register (a fused pair's never are). *)
@@ -220,9 +214,9 @@ val release : t -> int -> unit
 
 val drop_squashed : t -> int array -> int -> int
 (** [drop_squashed t q n]: remove the entries whose uops were squashed
-    (clearing their [b_in_iq]).  An entry whose row was reused names a
-    uop that retired while still queued (only a store to MMIO does);
-    it is kept. *)
+    (clearing their [b_in_iq]).  Retirement removes a uop from every
+    queue; an entry whose row was nonetheless reused names a retired
+    uop, not a squashed one, and is kept. *)
 
 val remove_seq : int array -> int -> int -> int
 (** [remove_seq q n seq] removes the live entry [seq], if any. *)

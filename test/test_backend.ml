@@ -533,12 +533,13 @@ let test_queues_match_lists =
    reallocated from the new tail (its successor takes the same seq and
    row), so the flush must drop every reference to it, the IQ's plan
    buffer included; a retired uop's seq is never reallocated, so an
-   entry that outlives it (a store to MMIO stays in the SQ) must see
-   the row's new occupant as someone else and leave it alone. *)
+   entry that outlived it (commit removes every store from the SQ, so
+   this case builds one by hand) would see the row's new occupant as
+   someone else and leave it alone. *)
 let test_reused_rows () =
   let rob = Xiangshan.Rob.create ~size:4 in
   let uops = rob.Xiangshan.Rob.uops in
-  let rows = uops.U.mask + 1 in
+  let rows = U.rows uops in
   Alcotest.(check int) "a row per slot" 4 rows;
   let iqc =
     {
@@ -587,8 +588,8 @@ let test_reused_rows () =
   Alcotest.(check int) "nothing planned names it" 0 (Xiangshan.Iq.planned iq);
   Alcotest.(check bool) "not in an IQ" false (U.flag uops r0' U.b_in_iq);
   Xiangshan.Rob.pop_head rob;
-  (* 2. a store to MMIO retires but stays in the SQ; rows wrap until
-     seq 1 + rows takes its row *)
+  (* 2. a store to MMIO retires, its SQ entry left behind; rows wrap
+     until seq 1 + rows takes its row *)
   let x = 0x8000_0100L in
   let r1 = dispatch 1 (Insn.Store (SD, 0, 2, 0x100L)) in
   Xiangshan.Lsu.insert_store lsu 1;

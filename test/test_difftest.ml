@@ -496,7 +496,8 @@ let test_difftest_alloc_budget () =
 (* Minor words of a raw [Soc.run] (no DiffTest, no REF) per simulated
    cycle, after a warming run; the count then repeats exactly in any
    test order.  Budgets are set just above the measured values (29.84
-   and 58.37, with ROB-resident uops whose 64-bit state is unboxed,
+   and 58.35, 58.37 before the AMO at the ROB head stopped boxing its
+   old value; with ROB-resident uops whose 64-bit state is unboxed,
    fetch bundles built in order and at-head helpers that allocate no
    closures; before them the budgets were 56 and 104 for 55.52 and
    103.69, with per-slot commit probes and an unboxed minstret 68 and

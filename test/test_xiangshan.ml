@@ -114,6 +114,18 @@ let test_table2_printout () =
   Alcotest.(check bool) "mentions ROB sizes" true
     (contains s "192/64/48" && contains s "256/80/64")
 
+(* Each interrupt handler stores to the CLINT's mtimecmp.  A store to
+   MMIO is written through at commit, bypassing the store buffer; commit
+   must still take it out of the SQ, or leaked entries fill the SQ and
+   dispatch stalls for good (this run then never exits). *)
+let test_mmio_stores_leave_the_sq () =
+  let prog = Workloads.Timer.program ~scale:24 in
+  let soc = dut_run Xiangshan.Config.yqh prog ~max_cycles:1_000_000 in
+  Alcotest.(check (option int)) "exit code: the interrupt count" (Some 72)
+    (Xiangshan.Soc.exit_code soc);
+  Alcotest.(check int) "SQ empty at exit" 0
+    (Xiangshan.Lsu.sq_occupancy soc.Xiangshan.Soc.cores.(0).Xiangshan.Core.lsu)
+
 let tests =
   List.map (agreement_case Xiangshan.Config.yqh) Workloads.Suite.all
   @ List.map (agreement_case Xiangshan.Config.nh_single) Workloads.Suite.all
@@ -127,4 +139,6 @@ let tests =
       Alcotest.test_case "vm kernel on the DUT" `Slow test_vm_kernel_on_dut;
       Alcotest.test_case "dual-core SMP" `Slow test_smp_runs;
       Alcotest.test_case "Table II printout" `Quick test_table2_printout;
+      Alcotest.test_case "MMIO stores leave the SQ at commit" `Quick
+        test_mmio_stores_leave_the_sq;
     ]
