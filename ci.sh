@@ -44,6 +44,23 @@ if grep -q -- '-opaque' ci_rules.txt; then
 fi
 rm -f ci_rules.txt
 
+echo "== one gate for the state compare: Arch_state's setters move the epoch, Difftest.tick compares =="
+# Arch_state.t is private, so the compiler rejects a pc write elsewhere;
+# the register arrays stay writable through the record, so a write
+# that would not move the touched epoch is found here
+if grep -rnE 'f?regs\.\([^)]*\) *<-|Array\.(blit|fill|set|unsafe_set)\b.*f?regs\b' \
+    lib/ bin/ bench/ examples/ test/ | grep -v '^lib/riscv/arch_state.ml:'; then
+  echo "register array written outside lib/riscv/arch_state.ml (use Arch_state.set_reg/set_freg)"; exit 1
+fi
+if grep -rn 'compare_state' lib/ bin/ bench/ examples/ test/ | grep -v '^lib/core/difftest.ml:'; then
+  echo "compare_state outside lib/core/difftest.ml"; exit 1
+fi
+# its one call is the epoch gate in tick
+awk '/^let /{ fn = $2; next }
+  /compare_state/ { n++; if (fn != "tick") { print "compare_state called in " fn; bad = 1 } }
+  END { if (n != 1) { print n + 0 " calls of compare_state, wanted 1"; bad = 1 }; exit bad }' \
+  lib/core/difftest.ml
+
 echo "== tests =="
 dune runtest
 

@@ -75,9 +75,11 @@ let capture_mach (m : Nemu.Mach.t) : t =
 (* --- restore into an arch state + platform ---------------------------- *)
 
 let restore_arch (t : t) (st : Arch_state.t) (plat : Platform.t) =
-  st.Arch_state.pc <- t.ck_pc;
-  Array.blit t.ck_regs 0 st.Arch_state.regs 0 32;
-  Array.blit t.ck_fregs 0 st.Arch_state.fregs 0 32;
+  Arch_state.set_pc st t.ck_pc;
+  for r = 0 to 31 do
+    Arch_state.set_reg st r t.ck_regs.(r);
+    Arch_state.set_freg st r t.ck_fregs.(r)
+  done;
   st.Arch_state.csr.Csr.priv <- t.ck_priv;
   List.iter
     (fun (a, v) -> try Csr.write st.Arch_state.csr a v with Csr.Illegal_csr _ -> ())
@@ -89,7 +91,6 @@ let restore_soc (t : t) (soc : Xiangshan.Soc.t) =
   let core = soc.Xiangshan.Soc.cores.(0) in
   restore_arch t core.Xiangshan.Core.arch soc.Xiangshan.Soc.plat;
   Xiangshan.Core.set_boot_pc core t.ck_pc;
-  core.Xiangshan.Core.arch.Arch_state.pc <- t.ck_pc;
   Xiangshan.Core.sync_regfile_from_arch core
 
 (* Restore into a fresh reference interpreter (checkpoints are also

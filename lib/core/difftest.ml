@@ -107,8 +107,13 @@ type t = {
       (* drains seen this cycle before their commit probe was
          processed (a store can retire into the buffer and drain in
          the same cycle); also absorbs atomics' direct writes, which
-         have no store probe.  Cleared every tick. *)
+         have no store probe.  Cleared at the end of a tick that
+         parked one. *)
+  mutable parked : bool; (* [park] ran this tick *)
   mutable store_timeout : int;
+  compared_epoch : int array;
+      (* per hart, the DUT's [Arch_state.epoch] at its last state
+         compare; -1 (never an epoch) forces the next one *)
 }
 
 let fail_now (t : t) ~hart ~pc ?(probe = "") ~rule msg =
@@ -137,6 +142,7 @@ let log t fmt =
 
 (* Park a drain until this cycle's commit probes are processed. *)
 let park (t : t) hart (d : Xiangshan.Probe.store_drain) =
+  t.parked <- true;
   t.early_drains.(hart) <-
     {
       ps_paddr = d.Xiangshan.Probe.d_paddr;
@@ -276,7 +282,9 @@ let create ?rules ?(with_scoreboard = true) ?(ref_kind = Ref_model.Iss)
       commit_timeout = 20_000;
       pending_stores = Array.init n (fun _ -> ring_create 16);
       early_drains = Array.make n [];
+      parked = false;
       store_timeout = 10_000;
+      compared_epoch = Array.make n (-1);
     }
   in
   Array.iteri
@@ -377,19 +385,17 @@ let process_commit t ~hart (p : Xiangshan.Probe.commit) =
                      "next pc mismatch at 0x%Lx: DUT 0x%Lx, REF 0x%Lx" p.p_pc
                      p.p_next_pc final_c.Ref_model.next_pc)))
 
-(* End-of-cycle architectural comparison (after every hart's commit
-   slots have been checked).  The full state is compared every cycle;
-   [diff_against] allocates nothing while DUT and REF agree. *)
-let compare_states t =
-  let cores = t.soc.Xiangshan.Soc.cores in
-  for hart = 0 to Array.length cores - 1 do
-    let arch = cores.(hart).Xiangshan.Core.arch in
-    match t.ctx.Rule.refs.(hart).Ref_model.diff_against arch with
-    | Some msg ->
-        fail_now t ~hart ~pc:arch.Arch_state.pc ~rule:"state-compare"
-          ("DUT vs REF: " ^ msg)
-    | None -> ()
-  done
+(* End-of-cycle architectural comparison of one hart (after every
+   hart's commit slots have been checked): its whole state, pc,
+   registers and the CSR digest.  [diff_against] allocates nothing
+   while DUT and REF agree.  [tick] decides which harts need it. *)
+let compare_state t hart =
+  let arch = t.soc.Xiangshan.Soc.cores.(hart).Xiangshan.Core.arch in
+  match t.ctx.Rule.refs.(hart).Ref_model.diff_against arch with
+  | Some msg ->
+      fail_now t ~hart ~pc:arch.Arch_state.pc ~rule:"state-compare"
+        ("DUT vs REF: " ^ msg)
+  | None -> ()
 
 let check_scoreboard t =
   match t.scoreboard with
@@ -471,9 +477,32 @@ let tick t =
     done;
     (* parked drain announcements only live until this cycle's
        probes are processed *)
-    Array.fill t.early_drains 0 (Array.length t.early_drains) [];
+    if t.parked then begin
+      Array.fill t.early_drains 0 (Array.length t.early_drains) [];
+      t.parked <- false
+    end;
     if running t then begin
-      compare_states t;
+      (* Compare a hart only where its two states can have moved
+         apart since its last compare: its DUT epoch moved (see
+         [Arch_state]), or it retired, the only time its REF changes
+         (a rule touches only its own hart's REF).  A fault hook can
+         write any DUT state directly, so with hooks every hart is
+         compared every cycle. *)
+      let hooked =
+        match t.soc.Xiangshan.Soc.fault_hooks with [] -> false | _ -> true
+      in
+      for hart = 0 to Array.length cores - 1 do
+        let core = cores.(hart) in
+        let epoch = core.Xiangshan.Core.arch.Arch_state.epoch in
+        if
+          hooked
+          || core.Xiangshan.Core.n_slots > 0
+          || epoch <> t.compared_epoch.(hart)
+        then begin
+          t.compared_epoch.(hart) <- epoch;
+          compare_state t hart
+        end
+      done;
       check_scoreboard t;
       check_hangs t;
       check_store_drains t;
@@ -493,6 +522,9 @@ let rule_fire_counts t =
 let set_commit_timeout t n = t.commit_timeout <- n
 
 let set_store_timeout t n = t.store_timeout <- n
+
+let compare_next_tick t =
+  Array.fill t.compared_epoch 0 (Array.length t.compared_epoch) (-1)
 
 let enable_debug t = t.debug <- true
 

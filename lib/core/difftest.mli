@@ -19,7 +19,8 @@
 
     Always-on checks beyond the rules: per-commit pc and next-pc
     agreement, full architectural-state comparison at every cycle
-    boundary, the permission scoreboard on the shared cache level, a
+    boundary where a hart's state can have changed (see {!tick}), the
+    permission scoreboard on the shared cache level, a
     per-hart hang watchdog (a hart that stops committing fails with
     the rule ["hang-watchdog"], the failure message carrying the
     retirement stall site), and per-hart store accounting (every
@@ -53,7 +54,18 @@ val tick : t -> unit
 (** One co-simulated cycle: advance the SoC, check each hart's commit
     slots in place ([Xiangshan.Core.t.slots], valid until the next
     tick), compare architectural states, check the scoreboard and the
-    watchdog.  Does nothing once a verdict is set. *)
+    watchdog.  Does nothing once a verdict is set.
+
+    A hart's state is compared only when it can differ from the last
+    compare's: its DUT [Arch_state.epoch] moved, it retired this cycle
+    (its REF changes only then), the SoC has a fault hook installed
+    (a hook may write any state directly), or this is the first tick
+    after {!create} or {!compare_next_tick}.  A failure is therefore
+    reported at the same cycle as a compare on every cycle would. *)
+
+val compare_next_tick : t -> unit
+(** Compare every hart's state at the next {!tick}, whatever its epoch.
+    {!Workflow.restore_shared} calls it on a restored instance. *)
 
 (** {1 Accessors} *)
 

@@ -75,6 +75,7 @@ let subject_of (dt : Difftest.t) : Difftest.t Lightsss.subject =
 let restore_shared (dt : Difftest.t) (snap : Lightsss.snapshot) : Difftest.t =
   let dt' : Difftest.t = Lightsss.restore_with snap ~memories_of ~tables_of in
   Global_memory.share (Difftest.global_mem dt') ~from:(Difftest.global_mem dt);
+  Difftest.compare_next_tick dt';
   dt'
 
 (* Per-hart counter snapshots merged by name (summed across harts) and

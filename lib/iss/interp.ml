@@ -168,7 +168,7 @@ let create ?autonomous ?(dram_size = 64 * 1024 * 1024) ~hartid () =
 
 let load_program t (p : Asm.program) =
   Asm.load p t.plat.Platform.mem;
-  t.st.Arch_state.pc <- p.Asm.entry
+  Arch_state.set_pc t.st p.Asm.entry
 
 let force_exception t exc tval = t.forced <- Some (Force_exception (exc, tval))
 
@@ -289,7 +289,7 @@ let rec step (t : t) : step_result =
     match taken_interrupt with
     | Some irq ->
         let next_pc = Trap.take_interrupt csr irq ~epc:pc in
-        st.Arch_state.pc <- next_pc;
+        Arch_state.set_pc st next_pc;
         begin_commit r ~pc ~insn:nop;
         c.next_pc <- next_pc;
         c.interrupt <- taken_interrupt;
@@ -298,7 +298,7 @@ let rec step (t : t) : step_result =
         match forced with
         | Some (Force_exception (exc, tval)) ->
             let next_pc = Trap.take_exception csr exc tval ~epc:pc in
-            st.Arch_state.pc <- next_pc;
+            Arch_state.set_pc st next_pc;
             begin_commit r ~pc ~insn:nop;
             c.next_pc <- next_pc;
             c.trap <- Some { exc; tval };
@@ -316,10 +316,10 @@ let rec step (t : t) : step_result =
                begin_commit r ~pc ~insn;
                let next_pc = exec t pc insn in
                c.next_pc <- next_pc;
-               st.Arch_state.pc <- next_pc
+               Arch_state.set_pc st next_pc
              with Trap.Exception (exc, tval) ->
                let next_pc = Trap.take_exception csr exc tval ~epc:pc in
-               st.Arch_state.pc <- next_pc;
+               Arch_state.set_pc st next_pc;
                begin_commit r ~pc ~insn:(Insn.Illegal 0l);
                c.next_pc <- next_pc;
                c.trap <- Some { exc; tval });
@@ -387,7 +387,7 @@ and exec (t : t) (pc : int64) (insn : Insn.t) : int64 =
       check_aligned vaddr size Trap.Load_misaligned;
       let loaded = do_load t vaddr size in
       wr st rd (Alu.extend_amo w loaded);
-      st.Arch_state.reservation <- Some t.report.load_acc.paddr;
+      Arch_state.set_reservation st (Some t.report.load_acc.paddr);
       next
   | Sc (w, rd, rs1, rs2) ->
       let size = match w with Width_w -> 4 | Width_d -> 8 in
@@ -399,7 +399,7 @@ and exec (t : t) (pc : int64) (insn : Insn.t) : int64 =
         | Some r -> r = paddr
         | None -> false
       in
-      st.Arch_state.reservation <- None;
+      Arch_state.set_reservation st None;
       if reserved && not t.force_sc_fail then begin
         do_store t vaddr size (rg st rs2);
         wr st rd 0L;

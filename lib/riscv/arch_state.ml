@@ -1,6 +1,16 @@
 (* Architectural state of one hart: the state space S_P of the paper's
    formal model.  Both the REF and the DUT's commit stage maintain one
-   of these; DiffTest compares them under the active diff-rules. *)
+   of these; DiffTest compares them under the active diff-rules.
+
+   [epoch] is the touched epoch: every write to the pc or to a
+   register goes through a setter below, and each moves it.  DiffTest
+   compares a DUT hart's state only in a cycle that moved its epoch
+   (or retired on it).  Writes to the CSRs of the compared digest move
+   nothing themselves: the DUT makes them only on its commit, trap and
+   interrupt paths, and each of those writes the pc in the same cycle
+   ([Xiangshan.Core.apply_commit]).  A fault hook's direct CSR write
+   bypasses both, which is why a SoC with fault hooks is compared
+   every cycle. *)
 
 type t = {
   regs : int64 array; (* x0..x31; x0 pinned to zero *)
@@ -9,6 +19,7 @@ type t = {
   csr : Csr.t;
   mutable reservation : int64 option; (* LR/SC reservation address *)
   hartid : int;
+  mutable epoch : int;
 }
 
 let create ?(pc = Platform.dram_base) ~hartid () =
@@ -19,15 +30,30 @@ let create ?(pc = Platform.dram_base) ~hartid () =
     csr = Csr.create ~hartid;
     reservation = None;
     hartid;
+    epoch = 0;
   }
+
+let[@inline] touch t = t.epoch <- t.epoch + 1
 
 let get_reg t r = if r = 0 then 0L else t.regs.(r)
 
-let set_reg t r v = if r <> 0 then t.regs.(r) <- v
+let set_reg t r v =
+  if r <> 0 then begin
+    t.regs.(r) <- v;
+    touch t
+  end
 
 let get_freg t r = t.fregs.(r)
 
-let set_freg t r v = t.fregs.(r) <- v
+let set_freg t r v =
+  t.fregs.(r) <- v;
+  touch t
+
+let set_pc t pc =
+  t.pc <- pc;
+  touch t
+
+let set_reservation t r = t.reservation <- r
 
 let copy t =
   {
@@ -37,35 +63,8 @@ let copy t =
     csr = Csr.copy t.csr;
     reservation = t.reservation;
     hartid = t.hartid;
+    epoch = t.epoch;
   }
-
-let restore_from t ~src =
-  Array.blit src.regs 0 t.regs 0 32;
-  Array.blit src.fregs 0 t.fregs 0 32;
-  t.pc <- src.pc;
-  t.reservation <- src.reservation;
-  let c = t.csr and s = src.csr in
-  c.Csr.priv <- s.Csr.priv;
-  c.reg_mstatus <- s.reg_mstatus;
-  c.reg_medeleg <- s.reg_medeleg;
-  c.reg_mideleg <- s.reg_mideleg;
-  c.reg_mie <- s.reg_mie;
-  c.reg_mtvec <- s.reg_mtvec;
-  c.reg_mscratch <- s.reg_mscratch;
-  c.reg_mepc <- s.reg_mepc;
-  c.reg_mcause <- s.reg_mcause;
-  c.reg_mtval <- s.reg_mtval;
-  c.reg_mip <- s.reg_mip;
-  c.reg_mcycle <- s.reg_mcycle;
-  c.reg_minstret <- s.reg_minstret;
-  c.reg_stvec <- s.reg_stvec;
-  c.reg_sscratch <- s.reg_sscratch;
-  c.reg_sepc <- s.reg_sepc;
-  c.reg_scause <- s.reg_scause;
-  c.reg_stval <- s.reg_stval;
-  c.reg_satp <- s.reg_satp;
-  c.reg_fflags <- s.reg_fflags;
-  c.reg_frm <- s.reg_frm
 
 (* The DiffTest report: the first difference between the DUT state [a]
    and a REF state given field by field, in the order pc, x1..x31,

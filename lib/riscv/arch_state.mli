@@ -1,15 +1,24 @@
 (** Architectural state of one hart: the state space S_P of the
     paper's formal verification model (§III-A).  Both the REF and the
     DUT's commit stage maintain one; DiffTest compares them under the
-    active diff-rules. *)
+    active diff-rules.
 
-type t = {
+    The record is private: the pc and the registers are written only
+    through the setters below, and each of them moves [epoch]. *)
+
+type t = private {
   regs : int64 array; (** x0..x31; x0 pinned to zero *)
   fregs : int64 array; (** raw IEEE-754 bits *)
   mutable pc : int64;
   csr : Csr.t;
   mutable reservation : int64 option; (** LR/SC reservation address *)
   hartid : int;
+  mutable epoch : int;
+      (** the touched epoch, moved by every write to [pc], [regs] or
+          [fregs]: DiffTest skips the state compare of a DUT hart whose
+          epoch did not move in a cycle it retired nothing.  Writes to
+          the compared CSRs move nothing: the DUT makes them only in a
+          cycle that also writes the pc (commit, trap, interrupt). *)
 }
 
 val create : ?pc:int64 -> hartid:int -> unit -> t
@@ -23,10 +32,11 @@ val get_freg : t -> int -> int64
 
 val set_freg : t -> int -> int64 -> unit
 
-val copy : t -> t
+val set_pc : t -> int64 -> unit
 
-val restore_from : t -> src:t -> unit
-(** Overwrite [t] with [src]'s architectural contents in place. *)
+val set_reservation : t -> int64 option -> unit
+
+val copy : t -> t
 
 val diff : t -> t -> string option
 (** First difference between two states (pc, integer and FP registers,

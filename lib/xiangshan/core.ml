@@ -429,7 +429,7 @@ let set_phase_order t o = t.phase_order <- o
 
 let set_boot_pc t pc =
   t.fetch_pc <- pc;
-  t.arch.Arch_state.pc <- pc
+  Arch_state.set_pc t.arch pc
 
 (* Copy the committed architectural register values into the currently
    mapped physical registers (used after restoring a checkpoint). *)
@@ -1441,7 +1441,7 @@ let apply_commit t (eff : commit_eff) =
     | Some irq ->
         let epc = t.arch.Arch_state.pc in
         let target = Trap.take_interrupt csr irq ~epc in
-        t.arch.Arch_state.pc <- target;
+        Arch_state.set_pc t.arch target;
         t.perf.p_interrupts <- t.perf.p_interrupts + 1;
         emit_interrupt t irq ~pc:epc ~target;
         flush ~cause:`Trap t ~after:(t.rob.Rob.head - 1) ~target
@@ -1465,7 +1465,7 @@ let apply_commit t (eff : commit_eff) =
                   ~next_pc:(Uop.get64 u r Uop.w_next_pc)
                   ~trap:(Some (exc, tval));
                 let target = Trap.take_exception csr exc tval ~epc:pc in
-                t.arch.Arch_state.pc <- target;
+                Arch_state.set_pc t.arch target;
                 flush ~cause:`Trap t ~after:(seq - 1) ~target;
                 raise Stop_commit
               end;
@@ -1506,7 +1506,7 @@ let apply_commit t (eff : commit_eff) =
                 else Arch_state.set_reg t.arch si.Predecode.rd v
               end;
               let next_pc = Sys.opaque_identity (Uop.get64 u r Uop.w_next_pc) in
-              t.arch.Arch_state.pc <- next_pc;
+              Arch_state.set_pc t.arch next_pc;
               let n_insns = Uop.n_insns u r in
               csr.Csr.reg_minstret <- csr.Csr.reg_minstret + n_insns;
               t.perf.p_instrs <- t.perf.p_instrs + n_insns;

@@ -166,6 +166,58 @@ let pin_case (name, cfg, prog, max_cycles, digest, commits) =
           Alcotest.(check int) (name ^ ": commits checked") commits n))
     [ Minjie.Ref_model.Iss; Minjie.Ref_model.Nemu ]
 
+(* DiffTest compares a hart's state only in a cycle that moved its
+   DUT epoch or retired on it.  Under each pinned program and both
+   REFs, the full compare, run here after every tick, must agree with
+   that verdict in every cycle, and the run must include cycles whose
+   compare was skipped. *)
+let shadow_case (name, cfg, prog, max_cycles, _, commits) =
+  List.map
+    (fun kind ->
+      let name =
+        "shadow compare agrees, " ^ name ^ ", "
+        ^ Minjie.Ref_model.kind_name kind ^ " REF"
+      in
+      Alcotest.test_case name `Slow (fun () ->
+          let prog = prog () in
+          let soc = Xiangshan.Soc.create cfg in
+          Xiangshan.Soc.load_program soc prog;
+          let dt = Minjie.Difftest.create ~ref_kind:kind ~prog soc in
+          let refs = Minjie.Difftest.refs dt in
+          let cores = soc.Xiangshan.Soc.cores in
+          let last_epoch = Array.make (Array.length cores) (-1) in
+          let skipped = ref 0 and cycles = ref 0 in
+          while
+            Minjie.Difftest.status dt = Minjie.Difftest.Running
+            && !cycles < max_cycles
+          do
+            Minjie.Difftest.tick dt;
+            incr cycles;
+            Array.iteri
+              (fun h (core : Xiangshan.Core.t) ->
+                let arch = core.Xiangshan.Core.arch in
+                let epoch = arch.Riscv.Arch_state.epoch in
+                if core.Xiangshan.Core.n_slots = 0 && epoch = last_epoch.(h)
+                then incr skipped;
+                last_epoch.(h) <- epoch;
+                match refs.(h).Minjie.Ref_model.diff_against arch with
+                | None -> ()
+                | Some msg ->
+                    Alcotest.failf "cycle %d, hart %d: %s" soc.Xiangshan.Soc.now
+                      h msg)
+              cores
+          done;
+          (match Minjie.Difftest.status dt with
+          | Minjie.Difftest.Finished _ | Minjie.Difftest.Running -> ()
+          | Minjie.Difftest.Failed f ->
+              Alcotest.failf "failed: %s" (Minjie.Rule.string_of_failure f));
+          Alcotest.(check int) "commits checked" commits
+            (Minjie.Difftest.commits_checked dt);
+          Alcotest.(check bool)
+            (Printf.sprintf "%d skipped hart-cycles" !skipped)
+            true (!skipped > 0)))
+    [ Minjie.Ref_model.Iss; Minjie.Ref_model.Nemu ]
+
 (* A sink that keeps probes must keep copies: the core refills the same
    few slot records every cycle.  The kept copies carry every commit's
    own values (minstret counts up by one per retired instruction), and
@@ -250,3 +302,4 @@ let tests =
       Alcotest.test_case "post rules see a fused pair's first REF commit"
         `Quick test_post_rules_see_first_of_pair;
     ]
+  @ List.concat_map shadow_case cases

@@ -97,38 +97,96 @@ let test_spinlock_correct_total () =
 
 (* --- injected bugs must be caught ------------------------------------- *)
 
-let test_catches_corrupted_commit () =
-  (* flip a committed register value mid-run: the state comparison
-     must flag it *)
-  let prog = (Workloads.Suite.find "coremark_like").program ~scale:1 in
-  let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
+(* Co-simulate [prog] on [cfg], applying [poke] to the SoC just
+   before the [at]th tick, and return the failure the DiffTest reports. *)
+let poke_failure cfg prog ~at poke =
+  let soc = Xiangshan.Soc.create cfg in
   Xiangshan.Soc.load_program soc prog;
   let dt = Minjie.Difftest.create ~prog soc in
-  let corrupted = ref false in
-  let status = ref Minjie.Difftest.Running in
   let cycles = ref 0 in
   while
     (match Minjie.Difftest.status dt with
     | Minjie.Difftest.Running -> true
-    | s ->
-        status := s;
-        false)
+    | Minjie.Difftest.Finished _ | Minjie.Difftest.Failed _ -> false)
     && !cycles < 10_000_000
   do
     incr cycles;
-    if !cycles = 5000 && not !corrupted then begin
-      corrupted := true;
-      let arch = soc.Xiangshan.Soc.cores.(0).Xiangshan.Core.arch in
-      Riscv.Arch_state.set_reg arch 9
-        (Int64.add (Riscv.Arch_state.get_reg arch 9) 1L)
-    end;
+    if !cycles = at then poke soc;
     Minjie.Difftest.tick dt
   done;
   match Minjie.Difftest.status dt with
-  | Minjie.Difftest.Failed f ->
-      Alcotest.(check string) "caught by state compare" "state-compare"
-        f.Minjie.Rule.f_rule
-  | _ -> Alcotest.fail "corruption not caught"
+  | Minjie.Difftest.Failed f -> f
+  | Minjie.Difftest.Finished _ | Minjie.Difftest.Running ->
+      Alcotest.fail "poke not caught"
+
+let arch_of soc hart = soc.Xiangshan.Soc.cores.(hart).Xiangshan.Core.arch
+
+(* Each poke must be caught by the state compare in the cycle it lands
+   in, on the hart it hit, after [commits] checked commits: the cycle
+   and count recorded when every cycle was compared. *)
+let check_caught name (f : Minjie.Rule.failure) ~hart ~cycle ~commits =
+  Alcotest.(check string) (name ^ ": rule") "state-compare" f.Minjie.Rule.f_rule;
+  Alcotest.(check int) (name ^ ": hart") hart f.Minjie.Rule.f_hart;
+  Alcotest.(check int) (name ^ ": cycle") cycle f.Minjie.Rule.f_cycle;
+  Alcotest.(check int) (name ^ ": commits checked") commits
+    f.Minjie.Rule.f_commits
+
+let bump_x9 soc =
+  let arch = arch_of soc 0 in
+  Riscv.Arch_state.set_reg arch 9 (Int64.add (Riscv.Arch_state.get_reg arch 9) 1L)
+
+let coremark () = (Workloads.Suite.find "coremark_like").program ~scale:1
+
+let test_catches_corrupted_commit () =
+  (* flip a committed register value mid-run: the state comparison
+     must flag it *)
+  check_caught "x9 @5000"
+    (poke_failure Xiangshan.Config.yqh (coremark ()) ~at:5000 bump_x9)
+    ~hart:0 ~cycle:5000 ~commits:4145
+
+(* Pokes that land on a cycle in which the hart retires nothing (YQH
+   coremark_like retires nothing in cycles 5001, 5002, 5006, 5009 and
+   5010): a compare run only on retiring cycles would report them at
+   the next retiring cycle (5003, 5003, 5007, 5011, 5011). *)
+let quiet_cycle_pokes =
+  List.map
+    (fun (at, commits) ->
+      Alcotest.test_case
+        (Printf.sprintf "catches an x9 poke at quiet cycle %d" at)
+        `Quick
+        (fun () ->
+          check_caught
+            (Printf.sprintf "x9 @%d" at)
+            (poke_failure Xiangshan.Config.yqh (coremark ()) ~at bump_x9)
+            ~hart:0 ~cycle:at ~commits))
+    [ (5001, 4145); (5002, 4145); (5006, 4150); (5009, 4152); (5010, 4152) ]
+
+(* On dual-core NH smp_lrsc hart 1 retires in cycles 3003 and 3005 but
+   not in 3004, and hart 0 retires nothing in cycles 3004-3007 or 3009:
+   each poke is caught in its own cycle, on its own hart. *)
+let test_catches_hart1_freg_poke () =
+  let f =
+    poke_failure Xiangshan.Config.nh (Workloads.Smp.lrsc_contend ~scale:2)
+      ~at:3004 (fun soc ->
+        let arch = arch_of soc 1 in
+        Riscv.Arch_state.set_freg arch 5
+          (Int64.logxor (Riscv.Arch_state.get_freg arch 5) 1L))
+  in
+  check_caught "hart 1 f5 @3004" f ~hart:1 ~cycle:3004 ~commits:854;
+  Alcotest.(check string) "message" "DUT vs REF: f5: 0x1 vs 0x0" f.f_msg
+
+(* A poked pc is overwritten by the hart's next commit, so only a
+   compare in the poked cycle can see it. *)
+let test_catches_pc_poke () =
+  let f =
+    poke_failure Xiangshan.Config.nh (Workloads.Smp.lrsc_contend ~scale:2)
+      ~at:3009 (fun soc ->
+        let arch = arch_of soc 0 in
+        Riscv.Arch_state.set_pc arch (Int64.add arch.Riscv.Arch_state.pc 4L))
+  in
+  check_caught "hart 0 pc @3009" f ~hart:0 ~cycle:3009 ~commits:858;
+  Alcotest.(check string)
+    "message" "DUT vs REF: pc: 0x8000004c vs 0x80000048" f.f_msg
 
 (* Both §IV-C bugs now live in the fault registry; the tests install
    them through the same API the campaign uses, and the accepted-rule
@@ -608,4 +666,11 @@ let tests =
         test_dut_alloc_budget;
       Alcotest.test_case "REF step allocation budget" `Quick
         test_ref_step_alloc_budget;
+    ]
+  @ quiet_cycle_pokes
+  @ [
+      Alcotest.test_case "catches a hart-1 f-register poke on NH" `Quick
+        test_catches_hart1_freg_poke;
+      Alcotest.test_case "catches a pc poke through set_pc on NH" `Quick
+        test_catches_pc_poke;
     ]

@@ -84,6 +84,17 @@ let test_cells_are_seed_deterministic () =
   Alcotest.(check string) "same message" a.Minjie.Campaign.c_msg
     b.Minjie.Campaign.c_msg
 
+(* csr-mtvec-corrupt's hook writes mtvec directly, moving no epoch,
+   in cycle 2000 of timer_interrupts, which retires nothing then: a
+   SoC with a fault hook is compared every cycle, so the write is
+   caught in its own cycle (recorded when every cycle was compared). *)
+let test_hook_write_caught_in_its_cycle () =
+  let c = run_cell "csr-mtvec-corrupt" in
+  Alcotest.(check string) "rule" "state-compare" c.Minjie.Campaign.c_rule;
+  Alcotest.(check int) "failure cycle" 2000 c.Minjie.Campaign.c_failure_cycle;
+  Alcotest.(check int) "latency" 0 c.Minjie.Campaign.c_latency_cycles;
+  Alcotest.(check int) "commits checked" 898 c.Minjie.Campaign.c_commits
+
 let tests =
   [
     Alcotest.test_case "registry well-formed" `Quick test_registry_well_formed;
@@ -96,4 +107,6 @@ let tests =
       test_hang_watchdog_fires;
     Alcotest.test_case "cells are seed-deterministic" `Slow
       test_cells_are_seed_deterministic;
+    Alcotest.test_case "a hook's direct CSR write is caught in its cycle"
+      `Quick test_hook_write_caught_in_its_cycle;
   ]

@@ -466,6 +466,37 @@ let test_drive_budget_resumes () =
       check_same_run name whole_view resumed)
     drive_cases
 
+(* A restored instance compares every hart's state at its first tick.
+   The poke here changes the REF, outside any commit, and YQH
+   coremark_like retires nothing in cycle 3002, so nothing but the
+   restore makes that tick compare; the failure is reported there, as
+   when every cycle was compared. *)
+let test_restore_compares_first_tick () =
+  let prog = (Workloads.Suite.find "coremark_like").program ~scale:1 in
+  let dt = make_difftest prog Xiangshan.Config.yqh in
+  let subject = Minjie.Workflow.subject_of dt in
+  for _ = 1 to 3001 do
+    Minjie.Difftest.tick dt
+  done;
+  let snap = Lightsss.snapshot subject ~cycle:3001 in
+  for _ = 1 to 500 do
+    Minjie.Difftest.tick dt
+  done;
+  let dt' = Minjie.Workflow.restore_shared dt snap in
+  let r = (Minjie.Difftest.refs dt').(0) in
+  r.Minjie.Ref_model.patch_reg 9 (Int64.add (r.Minjie.Ref_model.get_reg 9) 1L);
+  Minjie.Difftest.tick dt';
+  (match Minjie.Difftest.status dt' with
+  | Minjie.Difftest.Failed f ->
+      Alcotest.(check (pair string int))
+        "rule and cycle" ("state-compare", 3002)
+        (f.Minjie.Rule.f_rule, f.Minjie.Rule.f_cycle);
+      Alcotest.(check string)
+        "message" "DUT vs REF: x9(s1): 0x0 vs 0x1" f.Minjie.Rule.f_msg
+  | Minjie.Difftest.Finished _ | Minjie.Difftest.Running ->
+      Alcotest.fail "REF poke after the restore not caught");
+  Lightsss.release snap
+
 let tests =
   [
     Alcotest.test_case "snapshot/replay determinism" `Slow
@@ -494,4 +525,6 @@ let tests =
     Alcotest.test_case "workflow: clean run verifies" `Slow test_workflow_clean;
     Alcotest.test_case "workflow: debugs the injected L2 bug (§IV-C)" `Slow
       test_workflow_debugs_injected_bug;
+    Alcotest.test_case "a restored instance compares at its first tick" `Quick
+      test_restore_compares_first_tick;
   ]

@@ -305,7 +305,7 @@ let fill_csr (c : Csr.t) =
   List.iteri (fun k (_, set) -> set c (Int64.of_int (0x1000 + k))) digest_csrs
 
 let fill_state (a : Arch_state.t) =
-  a.Arch_state.pc <- pc0;
+  Arch_state.set_pc a pc0;
   for i = 1 to 31 do Arch_state.set_reg a i (x0 i) done;
   for i = 0 to 31 do Arch_state.set_freg a i (f0 i) done;
   fill_csr a.Arch_state.csr
@@ -327,7 +327,7 @@ let filled_refs () =
 let perturbations : (string * (Arch_state.t -> unit) * string) list =
   let bump v = Int64.logxor v 0x100L in
   (( "pc",
-     (fun a -> a.Arch_state.pc <- bump pc0),
+     (fun a -> Arch_state.set_pc a (bump pc0)),
      Printf.sprintf "pc: 0x%Lx vs 0x%Lx" (bump pc0) pc0 )
   :: List.init 31 (fun k ->
          let i = k + 1 in
