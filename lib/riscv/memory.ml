@@ -54,7 +54,7 @@ let base t = t.base
 
 let store t = t.store
 
-let in_range t addr =
+let[@inline] in_range t addr =
   let off = Int64.sub addr t.base in
   off >= 0L && off < Int64.of_int (size t)
 

@@ -38,6 +38,23 @@ let exc_code = function
   | Load_page_fault -> 13
   | Store_page_fault -> 15
 
+let exc_of_code = function
+  | 0 -> Fetch_misaligned
+  | 1 -> Fetch_access
+  | 2 -> Illegal_instruction
+  | 3 -> Breakpoint
+  | 4 -> Load_misaligned
+  | 5 -> Load_access
+  | 6 -> Store_misaligned
+  | 7 -> Store_access
+  | 8 -> Ecall_from_u
+  | 9 -> Ecall_from_s
+  | 11 -> Ecall_from_m
+  | 12 -> Fetch_page_fault
+  | 13 -> Load_page_fault
+  | 15 -> Store_page_fault
+  | c -> invalid_arg (Printf.sprintf "Trap.exc_of_code: %d" c)
+
 type irq = Ssip | Msip | Stip | Mtip | Seip | Meip
 [@@deriving show { with_path = false }, eq, ord]
 

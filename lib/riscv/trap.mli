@@ -28,6 +28,10 @@ val compare_exc : exc -> exc -> int
 val exc_code : exc -> int
 (** The mcause code. *)
 
+val exc_of_code : int -> exc
+(** The inverse of {!exc_code}.
+    @raise Invalid_argument on an unknown code. *)
+
 type irq = Ssip | Msip | Stip | Mtip | Seip | Meip
 
 val pp_irq : Format.formatter -> irq -> unit

@@ -71,7 +71,7 @@ let branch = Perm.rank Perm.Branch
 
 let line_bytes t = 1 lsl t.line_shift
 
-let line_addr t addr = Int64.shift_right_logical addr t.line_shift
+let[@inline] line_addr t addr = Int64.shift_right_logical addr t.line_shift
 
 let base_of_la t la = Int64.shift_left la t.line_shift
 
@@ -383,7 +383,7 @@ let write (t : t) ~addr ~size v : int =
   lat
 
 (* Read-only probe of latency without a data value (instruction fetch). *)
-let fetch (t : t) ~addr : int =
+let[@inline] fetch (t : t) ~addr : int =
   let la = line_addr t addr in
   ensure t ~la ~want:Perm.Branch
 

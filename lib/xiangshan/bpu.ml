@@ -56,8 +56,8 @@ type t = {
   tage_size : int;
   hist_lens : int array;
   mutable ghist : int64; (* global history, newest bit at LSB *)
-  (* RAS *)
-  ras : int64 array;
+  (* RAS: [ras_size] unboxed 64-bit return addresses *)
+  ras : Bytes.t;
   mutable ras_top : int;
   ras_size : int;
   mutable ras_depth : int; (* live entries, saturating at ras_size *)
@@ -68,6 +68,10 @@ type t = {
   (* PUBS confidence *)
   conf : Cow.t; (* per-pc run counters *)
   conf_size : int;
+  (* the last prediction: [predict] reports into these, so a lookup
+     allocates nothing *)
+  mutable taken : bool;
+  next : Bytes.t; (* the predicted next pc, unboxed *)
   (* stats *)
   mutable lookups : int;
   mutable cond_branches : int;
@@ -103,7 +107,7 @@ let create (cfg : Config.t) : t =
     tage_size;
     hist_lens = [| 8; 16; 32; 60 |];
     ghist = 0L;
-    ras = Array.make cfg.ras_size 0L;
+    ras = Bytes.make (8 * cfg.ras_size) '\000';
     ras_top = 0;
     ras_size = cfg.ras_size;
     ras_depth = 0;
@@ -112,6 +116,8 @@ let create (cfg : Config.t) : t =
     use_ittage = cfg.ittage;
     conf = Cow.table ~slots:1024 ~init:0;
     conf_size = 1024;
+    taken = false;
+    next = Bytes.make 8 '\000';
     lookups = 0;
     cond_branches = 0;
     mispredicts = 0;
@@ -127,49 +133,59 @@ let create (cfg : Config.t) : t =
     ras_underflows = 0;
   }
 
-let pc_bits pc = Int64.to_int (Int64.shift_right_logical pc 2)
+let[@inline] pc_bits pc = Int64.to_int (Int64.shift_right_logical pc 2)
 
 let hist_fold t len =
   (* fold [len] bits of global history into 12 bits *)
   let h = Int64.to_int (Int64.logand t.ghist (Int64.sub (Int64.shift_left 1L (min len 62)) 1L)) in
   (h lxor (h lsr 12) lxor (h lsr 24) lxor (h lsr 36) lxor (h lsr 48)) land 0xFFF
 
-(* Flat index of [pc]'s entry in tagged table [table]. *)
-let tage_index t table pc =
+(* The tables are indexed by [pcb], a pc's [pc_bits]: an int, so the
+   helpers take no boxed pc. *)
+
+(* Flat index of [pcb]'s entry in tagged table [table]. *)
+let tage_index t table pcb =
   (table * t.tage_size)
-  + ((pc_bits pc lxor hist_fold t t.hist_lens.(table) lxor (table * 0x9E37))
+  + ((pcb lxor hist_fold t t.hist_lens.(table) lxor (table * 0x9E37))
     land (t.tage_size - 1))
 
-let tage_tag t table pc =
-  (pc_bits pc lxor (hist_fold t t.hist_lens.(table) * 3) lxor (table * 0x61C))
+let tage_tag t table pcb =
+  (pcb lxor (hist_fold t t.hist_lens.(table) * 3) lxor (table * 0x61C))
   land 0xFF
 
-(* Direction prediction with provider selection: longest matching
-   tagged table wins, else the bimodal base predictor. *)
-let predict_direction t pc : bool * int =
-  let provider = ref (-1) in
-  let pred =
-    ref (Cow.get t.bimodal (pc_bits pc land (t.bimodal_size - 1)) >= 2)
-  in
+(* The direction provider: the longest matching tagged table, or -1
+   for the bimodal base predictor. *)
+let provider t pcb =
+  let p = ref (-1) in
   for table = 0 to 3 do
-    let e = tage_index t table pc in
-    if Cow.get t.tage_tags e = tage_tag t table pc then begin
-      provider := table;
-      pred := Cow.get t.tage_ctrs e >= 0
-    end
+    if Cow.get t.tage_tags (tage_index t table pcb) = tage_tag t table pcb then
+      p := table
   done;
-  (!pred, !provider)
+  !p
 
-let btb_lookup t pc : int64 option =
-  (* micro-BTB first *)
-  let u = pc_bits pc land (t.ubtb_size - 1) in
-  if tag_of t.ubtb u = pc then Some (target_of t.ubtb u)
-  else
-    let e0 = (pc_bits pc land (t.btb_sets - 1)) * 2 in
-    let e1 = e0 + 1 in
-    if tag_of t.btb e0 = pc then Some (target_of t.btb e0)
-    else if tag_of t.btb e1 = pc then Some (target_of t.btb e1)
-    else None
+let direction t pcb provider =
+  if provider >= 0 then Cow.get t.tage_ctrs (tage_index t provider pcb) >= 0
+  else Cow.get t.bimodal (pcb land (t.bimodal_size - 1)) >= 2
+
+let[@inline] target t = Bytes.get_int64_ne t.next 0
+
+let[@inline] set_target t v = Bytes.set_int64_ne t.next 0 v
+
+(* On a hit of the BTB-like table [b] at entry [i], report its
+   target. *)
+let[@inline] entry_hit t b i pc =
+  Int64.equal (tag_of b i) pc
+  && begin
+       set_target t (target_of b i);
+       true
+     end
+
+(* micro-BTB first, then both ways of the BTB set *)
+let[@inline] btb_hit t pc pcb =
+  entry_hit t t.ubtb (pcb land (t.ubtb_size - 1)) pc
+  ||
+  let e0 = (pcb land (t.btb_sets - 1)) * 2 in
+  entry_hit t t.btb e0 pc || entry_hit t t.btb (e0 + 1) pc
 
 let btb_update t pc target =
   set_entry t.ubtb (pc_bits pc land (t.ubtb_size - 1)) ~tag:pc ~target;
@@ -188,20 +204,21 @@ let btb_update t pc target =
 (* The stack is circular and never refuses a push: on overflow the
    oldest return address is silently overwritten (counted), and a pop
    of an empty stack returns whatever is in the slot (counted).  The
-   counters are observation only -- behaviour is unchanged. *)
-let ras_push t v =
+   counters are observation only -- behaviour is unchanged.  A pop
+   reports the address as the prediction's target. *)
+let[@inline] ras_push t v =
   t.ras_pushes <- t.ras_pushes + 1;
   if t.ras_depth >= t.ras_size then t.ras_overflows <- t.ras_overflows + 1
   else t.ras_depth <- t.ras_depth + 1;
-  t.ras.(t.ras_top) <- v;
+  Bytes.set_int64_ne t.ras (8 * t.ras_top) v;
   t.ras_top <- (t.ras_top + 1) mod t.ras_size
 
-let ras_pop t =
+let[@inline] ras_pop t =
   t.ras_pops <- t.ras_pops + 1;
   if t.ras_depth = 0 then t.ras_underflows <- t.ras_underflows + 1
   else t.ras_depth <- t.ras_depth - 1;
   t.ras_top <- (t.ras_top + t.ras_size - 1) mod t.ras_size;
-  t.ras.(t.ras_top)
+  set_target t (Bytes.get_int64_ne t.ras (8 * t.ras_top))
 
 let is_call (insn : Riscv.Insn.t) =
   match insn with
@@ -211,56 +228,49 @@ let is_call (insn : Riscv.Insn.t) =
 let is_ret (insn : Riscv.Insn.t) =
   match insn with Jalr (0, 1, 0L) -> true | _ -> false
 
-type prediction = { taken : bool; target : int64 }
-
-(* Predict the outcome of [insn] at [pc].  The IFU calls this for every
-   fetched control-flow instruction. *)
-let predict (t : t) ~(pc : int64) ~(insn : Riscv.Insn.t) : prediction =
+(* Predict the outcome of [insn] at [pc] into [taken] and [next].  The
+   IFU calls this for every fetched instruction.  Inlined, so a pc
+   the caller holds unboxed is never boxed. *)
+let[@inline] predict (t : t) ~(pc : int64) ~(insn : Riscv.Insn.t) =
   t.lookups <- t.lookups + 1;
-  let next = Int64.add pc 4L in
+  let pcb = pc_bits pc in
   match insn with
   | Branch (_, _, _, off) ->
       t.cond_branches <- t.cond_branches + 1;
-      let dir, provider = predict_direction t pc in
+      let provider = provider t pcb in
       if provider >= 0 then t.tage_provided <- t.tage_provided + 1
       else t.bimodal_provided <- t.bimodal_provided + 1;
-      {
-        taken = dir;
-        target = (if dir then Int64.add pc off else next);
-      }
+      let dir = direction t pcb provider in
+      t.taken <- dir;
+      set_target t (if dir then Int64.add pc off else Int64.add pc 4L)
   | Jal (rd, off) ->
-      if rd = 1 then ras_push t next;
-      { taken = true; target = Int64.add pc off }
+      if rd = 1 then ras_push t (Int64.add pc 4L);
+      t.taken <- true;
+      set_target t (Int64.add pc off)
   | Jalr (rd, rs1, _) ->
+      t.taken <- true;
       if rd = 1 then begin
-        let target =
-          match btb_lookup t pc with Some tg -> tg | None -> next
-        in
-        ras_push t next;
-        { taken = true; target }
+        if not (btb_hit t pc pcb) then set_target t (Int64.add pc 4L);
+        ras_push t (Int64.add pc 4L)
       end
-      else if rs1 = 1 && rd = 0 then { taken = true; target = ras_pop t }
-      else begin
-        (* other indirect: ITTAGE (path-hashed) or BTB *)
-        let target =
-          if t.use_ittage then begin
-            let idx =
-              (pc_bits pc lxor hist_fold t 24) land (t.ittage_size - 1)
-            in
-            if tag_of t.ittage idx = pc then Some (target_of t.ittage idx)
-            else btb_lookup t pc
-          end
-          else btb_lookup t pc
-        in
-        { taken = true; target = Option.value target ~default:next }
-      end
+      else if rs1 = 1 && rd = 0 then ras_pop t
+      else if
+        (* other indirect: ITTAGE (path-hashed), then the BTB *)
+        not
+          (t.use_ittage
+           && entry_hit t t.ittage
+                ((pcb lxor hist_fold t 24) land (t.ittage_size - 1))
+                pc
+          || btb_hit t pc pcb)
+      then set_target t (Int64.add pc 4L)
   | Lui _ | Auipc _ | Load _ | Store _ | Op_imm _ | Op_imm_w _ | Op _
   | Op_w _ | Mul _ | Mul_w _ | Lr _ | Sc _ | Amo _ | Csr _ | Ecall | Ebreak
   | Mret | Sret | Wfi | Fence | Fence_i | Sfence_vma _ | Fld _ | Fsd _
   | Fp_rrr _ | Fp_fused _ | Fp_sign _ | Fp_minmax _ | Fp_cmp _ | Fsqrt_d _
   | Fcvt_d_l _ | Fcvt_d_lu _ | Fcvt_d_w _ | Fcvt_l_d _ | Fcvt_lu_d _
   | Fcvt_w_d _ | Fmv_x_d _ | Fmv_d_x _ | Fclass_d _ | Illegal _ ->
-      { taken = false; target = next }
+      t.taken <- false;
+      set_target t (Int64.add pc 4L)
 
 (* Resolve-time update. *)
 let update (t : t) ~(pc : int64) ~(insn : Riscv.Insn.t) ~(taken : bool)
@@ -289,9 +299,10 @@ let update (t : t) ~(pc : int64) ~(insn : Riscv.Insn.t) ~(taken : bool)
       let c = Cow.get t.bimodal bi in
       Cow.set t.bimodal bi (if taken then min 3 (c + 1) else max 0 (c - 1));
       (* tage provider update + allocation on mispredict *)
-      let _, provider = predict_direction t pc in
+      let pcb = pc_bits pc in
+      let provider = provider t pcb in
       if provider >= 0 then begin
-        let e = tage_index t provider pc in
+        let e = tage_index t provider pcb in
         let c = Cow.get t.tage_ctrs e in
         Cow.set t.tage_ctrs e
           (if taken then min 3 (c + 1) else max (-4) (c - 1));
@@ -303,10 +314,10 @@ let update (t : t) ~(pc : int64) ~(insn : Riscv.Insn.t) ~(taken : bool)
         let start = provider + 1 in
         (try
            for table = start to 3 do
-             let e = tage_index t table pc in
+             let e = tage_index t table pcb in
              let u = Cow.get t.tage_useful e in
              if u = 0 then begin
-               Cow.set t.tage_tags e (tage_tag t table pc);
+               Cow.set t.tage_tags e (tage_tag t table pcb);
                Cow.set t.tage_ctrs e (if taken then 0 else -1);
                raise Exit
              end
@@ -364,7 +375,7 @@ let corrupt_targets (t : t) : int =
 (* Low-confidence query for PUBS: a branch is unconfident until it has
    a run of >= 4 correct predictions (paper: ~5.9% of instructions end
    up high-priority on sjeng). *)
-let unconfident (t : t) ~pc =
+let[@inline] unconfident (t : t) ~pc =
   Cow.get t.conf (pc_bits pc land (t.conf_size - 1)) < 4
 
 let tables (t : t) =

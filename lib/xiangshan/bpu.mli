@@ -21,7 +21,7 @@ type t = {
   tage_size : int;
   hist_lens : int array;
   mutable ghist : int64;
-  ras : int64 array;
+  ras : Bytes.t;  (** [ras_size] unboxed 64-bit return addresses *)
   mutable ras_top : int;
   ras_size : int;
   mutable ras_depth : int;
@@ -30,6 +30,10 @@ type t = {
   use_ittage : bool;
   conf : Riscv.Cow.t;
   conf_size : int;
+  mutable taken : bool;  (** the last {!predict}'s direction *)
+  next : Bytes.t;
+      (** the last {!predict}'s target, unboxed (read it with
+          {!target}) *)
   mutable lookups : int;
   mutable cond_branches : int;
   mutable mispredicts : int;
@@ -47,13 +51,16 @@ type t = {
 
 val create : Config.t -> t
 
-type prediction = { taken : bool; target : int64 }
-(** [target] is the predicted next pc: the sequential [pc + 4] when
-    not [taken]. *)
-
-val predict : t -> pc:int64 -> insn:Riscv.Insn.t -> prediction
+val predict : t -> pc:int64 -> insn:Riscv.Insn.t -> unit
 (** Called by the IFU for every fetched instruction; updates the RAS
-    speculatively on calls and returns. *)
+    speculatively on calls and returns.  Reports the prediction into
+    the predictor's own fields, [taken] and {!target}, and allocates
+    nothing: it is inlined at its call site, so a pc held unboxed is
+    never boxed. *)
+
+val target : t -> int64
+(** The last {!predict}'s predicted next pc: the sequential [pc + 4]
+    when not [taken]. *)
 
 val update :
   t ->

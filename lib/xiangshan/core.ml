@@ -29,52 +29,107 @@
 
 open Riscv
 
-type fetch_item = {
-  fi_pc : int64;
-  fi_si : Predecode.t; (* the instruction's static record *)
-  fi_pred_next : int64;
-  fi_fault : (Trap.exc * int64) option;
-  mutable fi_fetched_at : int; (* cycle the item entered the fetch queue *)
+(* ================= the fetch ring ==================================== *)
+
+(* One ring of [fetch_buffer] fetch slots per core: the fetch queue,
+   [fq_len] slots from [fr_head] in fetch order, followed by the
+   in-flight bundle's [fb_n] slots.  A completing bundle joins the
+   queue where it lies, and dispatch pops the queue's head.  Fetch
+   never starts a bundle without headroom for a whole one, so the
+   ring cannot overflow.
+
+   Slots are laid out row-major, as the ROB's uop rows are: a slot's
+   ints sit adjacent in [fr_ints] at the [f_*] offsets, its 64-bit
+   fields unboxed in [fr_words] at the [w_*] offsets, and its static
+   record in [fr_si].  The word after the last slot holds the fetch
+   pc.  So fetch allocates nothing per instruction or bundle.
+
+   Every fetched item takes the next fetch sequence number.  A flush
+   empties the ring but never reuses a number, so a dispatch plan that
+   names its item's number can tell whether the item is still the
+   queue's head. *)
+type fetch_ring = {
+  fr_cap : int;
+  fr_ints : int array;
+  fr_words : Bytes.t;
+  fr_si : Predecode.t array; (* [Predecode.none] in a free slot *)
+  mutable fr_head : int;
+  mutable fq_len : int;
+  mutable fb_n : int;
+  mutable fb_ready_at : int;
+      (* cycle the in-flight bundle reaches the queue; [no_bundle] =
+         none in flight *)
+  mutable fr_next_seq : int;
 }
 
-type fetch_bundle = { fb_ready_at : int; fb_items : fetch_item list }
+let f_fetched_at = 0 (* cycle the item entered the fetch queue *)
 
-(* What a free fetch-queue or plan slot holds (never written). *)
-let no_item =
+let f_fault = 1 (* the fetch fault's mcause code, or [no_fault] *)
+
+let f_seq = 2 (* the fetch sequence number *)
+
+let ints_per_slot = 3
+
+(* A fetch fault's tval is its pc, so a slot needs no word for it. *)
+let w_pc = 0
+
+let w_pred_next = 1 (* the predicted next pc *)
+
+let words_per_slot = 2
+
+let no_fault = -1
+
+let no_bundle = -1
+
+let make_ring cap =
   {
-    fi_pc = 0L;
-    fi_si = Predecode.none;
-    fi_pred_next = 0L;
-    fi_fault = None;
-    fi_fetched_at = 0;
+    fr_cap = cap;
+    fr_ints = Array.make (ints_per_slot * cap) 0;
+    fr_words = Bytes.make (8 * ((words_per_slot * cap) + 1)) '\000';
+    fr_si = Array.make cap Predecode.none;
+    fr_head = 0;
+    fq_len = 0;
+    fb_n = 0;
+    fb_ready_at = no_bundle;
+    fr_next_seq = 0;
   }
 
-(* The fetch queue: a ring of [fetch_buffer] slots, [fq_len] items from
-   [fq_head] in fetch order; free slots hold [no_item].  Fetch never
-   starts a bundle without headroom for all of it, so the ring cannot
-   overflow. *)
-type fetch_queue = {
-  fq_items : fetch_item array;
-  mutable fq_head : int;
-  mutable fq_len : int;
-}
+(* The slot [i] places after the queue's head. *)
+let[@inline] fr_slot q i =
+  let s = q.fr_head + i in
+  if s >= q.fr_cap then s - q.fr_cap else s
 
-let fq_get q i = q.fq_items.((q.fq_head + i) mod Array.length q.fq_items)
+let[@inline] fr_get q s f = q.fr_ints.((s * ints_per_slot) + f)
 
-let fq_push q it =
-  assert (q.fq_len < Array.length q.fq_items);
-  q.fq_items.((q.fq_head + q.fq_len) mod Array.length q.fq_items) <- it;
-  q.fq_len <- q.fq_len + 1
+let[@inline] fr_set q s f v = q.fr_ints.((s * ints_per_slot) + f) <- v
 
+let[@inline] fr_get64 q s f =
+  Bytes.get_int64_ne q.fr_words (((s * words_per_slot) + f) lsl 3)
+
+let[@inline] fr_set64 q s f v =
+  Bytes.set_int64_ne q.fr_words (((s * words_per_slot) + f) lsl 3) v
+
+let[@inline] fetch_pc q =
+  Bytes.get_int64_ne q.fr_words (q.fr_cap * words_per_slot lsl 3)
+
+let[@inline] set_fetch_pc q pc =
+  Bytes.set_int64_ne q.fr_words (q.fr_cap * words_per_slot lsl 3) pc
+
+(* Drop the queue's head item. *)
 let fq_pop q =
-  q.fq_items.(q.fq_head) <- no_item;
-  q.fq_head <- (q.fq_head + 1) mod Array.length q.fq_items;
+  q.fr_si.(q.fr_head) <- Predecode.none;
+  q.fr_head <- fr_slot q 1;
   q.fq_len <- q.fq_len - 1
 
-let fq_clear q =
-  Array.fill q.fq_items 0 (Array.length q.fq_items) no_item;
-  q.fq_head <- 0;
-  q.fq_len <- 0
+(* Empty the queue and the in-flight bundle; numbering goes on. *)
+let fr_clear q =
+  for i = 0 to q.fq_len + q.fb_n - 1 do
+    q.fr_si.(fr_slot q i) <- Predecode.none
+  done;
+  q.fr_head <- 0;
+  q.fq_len <- 0;
+  q.fb_n <- 0;
+  q.fb_ready_at <- no_bundle
 
 (* ================= plan buffers (phase-1 output) ===================== *)
 
@@ -114,7 +169,8 @@ type disp_plan = {
       (* an accepted slot's uop, whose ROB row the planner initialised;
          its sources hold architectural numbers until apply renames
          them.  -1 = none *)
-  mutable pl_item : fetch_item; (* head fetch-queue item consumed *)
+  mutable pl_fseq : int;
+      (* the fetch sequence number of the head fetch-queue item consumed *)
   mutable pl_fused : bool; (* the next item is consumed too *)
   mutable pl_iq : int; (* target IQ index, -1 = none (at-commit / fault) *)
   mutable pl_eliminated : bool; (* move elimination: alias, no alloc, no issue *)
@@ -151,7 +207,7 @@ let make_effects (cfg : Config.t) =
           Array.init cfg.decode_width (fun _ ->
               {
                 pl_seq = -1;
-                pl_item = no_item;
+                pl_fseq = -1;
                 pl_fused = false;
                 pl_iq = -1;
                 pl_eliminated = false;
@@ -252,10 +308,9 @@ type t = {
   def_table : int array; (* arch int reg -> seq of last producer *)
   mutable now : int;
   mutable seq : int; (* next uop sequence number *)
-  mutable fetch_pc : int64;
+  ring : fetch_ring;
+      (* the fetch queue, the in-flight bundle and the fetch pc *)
   mutable fetch_stalled : bool;
-  mutable inflight : fetch_bundle option;
-  fetch_queue : fetch_queue;
   plan : effects; (* this core's phase-1 buffers, reused every cycle *)
   mutable commit_busy_until : int; (* at-commit execution occupancy *)
   (* top-down attribution state: a flush opens a bad-speculation
@@ -268,6 +323,9 @@ type t = {
   mutable halted : bool;
   (* hook used by the SoC to invalidate sibling reservations *)
   mutable on_store_drain : int64 -> int -> unit;
+  on_drain : int64 -> int -> unit;
+      (* [drain_notify] of this core, built once: passing it to the
+         store buffer allocates no closure *)
   (* fault injection: for the next N resolved mispredictions, trust
      the predictor instead of redirecting (wrong-path commits) *)
   mutable bug_trust_bpu : int;
@@ -365,6 +423,20 @@ let iq_route (cfg : Config.t) =
       Array.of_list !accepting)
     [| Config.ALU; MUL; DIV; JUMP_CSR; LOAD; STORE; FMAC; FMISC |]
 
+(* Every store that enters the cache hierarchy must be announced: the
+   Global Memory diff-rule and sibling LR reservations depend on it.
+   The value is read back from the (write-through) backing memory. *)
+let drain_notify t pa size =
+  t.probes.Probe.on_drain
+    {
+      Probe.d_hartid = t.hartid;
+      d_cycle = t.now;
+      d_paddr = pa;
+      d_size = size;
+      d_value = Riscv.Memory.read_bytes_le t.plat.Platform.mem pa size;
+    };
+  t.on_store_drain pa size
+
 let create ?(phase_order = Default_order) (cfg : Config.t) ~hartid
     ~(plat : Platform.t)
     ~(l1i : Softmem.Cache.t) ~(l1d : Softmem.Cache.t)
@@ -375,60 +447,57 @@ let create ?(phase_order = Default_order) (cfg : Config.t) ~hartid
   let ctrs, ids = make_ids () in
   let rob = Rob.create ~size:cfg.rob_size in
   let uops = rob.Rob.uops in
-  {
-    cfg;
-    hartid;
-    arch;
-    plat;
-    bpu = Bpu.create cfg;
-    tlb = Tlb.create cfg ~ptw_port;
-    l1i;
-    l1d;
-    rename = Rename.create cfg;
-    rob;
-    iqs =
-      Array.of_list
-        (List.map
-           (fun iqc -> Iq.create iqc ~policy:cfg.issue_policy ~uops)
-           cfg.iqs);
-    iq_route = iq_route cfg;
-    lsu = Lsu.create cfg ~dcache:l1d ~uops;
-    probes = Probe.null_sinks ();
-    slots = Array.init cfg.decode_width (fun _ -> Probe.make_slot ~hartid);
-    n_slots = 0;
-    perf = make_perf ();
-    ctrs;
-    ids;
-    def_table = Array.make 32 (-1);
-    now = 0;
-    seq = 0;
-    fetch_pc = Platform.dram_base;
-    fetch_stalled = false;
-    inflight = None;
-    fetch_queue =
-      {
-        fq_items = Array.make cfg.fetch_buffer no_item;
-        fq_head = 0;
-        fq_len = 0;
-      };
-    plan = make_effects cfg;
-    commit_busy_until = 0;
-    recover_until = 0;
-    recover_misp = false;
-    icache_stall_until = 0;
-    tracer = None;
-    halted = false;
-    on_store_drain = (fun _ _ -> ());
-    bug_trust_bpu = 0;
-    flushed_at = -1;
-    tlb_walk_seen = 0;
-    phase_order;
-  }
+  let rec t =
+    {
+      cfg;
+      hartid;
+      arch;
+      plat;
+      bpu = Bpu.create cfg;
+      tlb = Tlb.create cfg ~ptw_port;
+      l1i;
+      l1d;
+      rename = Rename.create cfg;
+      rob;
+      iqs =
+        Array.of_list
+          (List.map
+             (fun iqc -> Iq.create iqc ~policy:cfg.issue_policy ~uops)
+             cfg.iqs);
+      iq_route = iq_route cfg;
+      lsu = Lsu.create cfg ~dcache:l1d ~uops;
+      probes = Probe.null_sinks ();
+      slots = Array.init cfg.decode_width (fun _ -> Probe.make_slot ~hartid);
+      n_slots = 0;
+      perf = make_perf ();
+      ctrs;
+      ids;
+      def_table = Array.make 32 (-1);
+      now = 0;
+      seq = 0;
+      ring = make_ring cfg.fetch_buffer;
+      fetch_stalled = false;
+      plan = make_effects cfg;
+      commit_busy_until = 0;
+      recover_until = 0;
+      recover_misp = false;
+      icache_stall_until = 0;
+      tracer = None;
+      halted = false;
+      on_store_drain = (fun _ _ -> ());
+      on_drain = (fun pa size -> drain_notify t pa size);
+      bug_trust_bpu = 0;
+      flushed_at = -1;
+      tlb_walk_seen = 0;
+      phase_order;
+    }
+  in
+  t
 
 let set_phase_order t o = t.phase_order <- o
 
 let set_boot_pc t pc =
-  t.fetch_pc <- pc;
+  set_fetch_pc t.ring pc;
   Arch_state.set_pc t.arch pc
 
 (* Copy the committed architectural register values into the currently
@@ -491,10 +560,9 @@ let flush ?(cause = `Other) t ~after ~target =
   t.seq <- new_tail;
   Array.iter Iq.drop_squashed t.iqs;
   Lsu.drop_squashed t.lsu;
-  fq_clear t.fetch_queue;
-  t.inflight <- None;
+  fr_clear t.ring;
   t.fetch_stalled <- false;
-  t.fetch_pc <- target;
+  set_fetch_pc t.ring target;
   (* open a bad-speculation recovery window for top-down attribution;
      a mispredict redirect overrides [recover_misp] at its call site *)
   t.recover_until <- max t.recover_until (t.now + mispredict_penalty);
@@ -504,115 +572,101 @@ let flush ?(cause = `Other) t ~after ~target =
 
 let fetch_block_bytes = 32
 
-let rec enqueue_items t = function
-  | [] -> ()
-  | it :: rest ->
-      it.fi_fetched_at <- t.now;
-      fq_push t.fetch_queue it;
-      enqueue_items t rest
+let[@inline] fetch_block pc =
+  Int64.to_int (Int64.div pc (Int64.of_int fetch_block_bytes))
 
-(* Move a completed bundle's items into the fetch queue. *)
+(* Move a completed bundle's slots into the fetch queue. *)
 let fetch_complete_now t =
-  match t.inflight with
-  | Some b when t.now >= b.fb_ready_at ->
-      enqueue_items t b.fb_items;
-      t.inflight <- None
-  | Some _ | None -> ()
-
-(* The items of a bundle from slot [i] at [pc] on, in fetch order: up to
-   [fetch_width] sequential slots in the fetch block [block], ending
-   after a predicted-taken one.  Sets [t.fetch_pc] to the prediction
-   after the last slot.  Past the first slot the pc is the previous
-   slot's not-taken prediction: its box is reused (one boxed pc per
-   in-flight instruction in a LightSSS image, not two), and a slot's
-   prediction is the predictor's own box. *)
-let rec fetch_slots t ~pa0 ~block i pc =
-  if
-    i >= t.cfg.fetch_width
-    || Int64.to_int (Int64.div pc (Int64.of_int fetch_block_bytes)) <> block
-  then begin
-    t.fetch_pc <- pc;
-    []
+  let q = t.ring in
+  if q.fb_ready_at <> no_bundle && t.now >= q.fb_ready_at then begin
+    for i = q.fq_len to q.fq_len + q.fb_n - 1 do
+      fr_set q (fr_slot q i) f_fetched_at t.now
+    done;
+    q.fq_len <- q.fq_len + q.fb_n;
+    q.fb_n <- 0;
+    q.fb_ready_at <- no_bundle
   end
-  else begin
-    let pa = Int64.add pa0 (Int64.of_int (4 * i)) in
-    let word = Memory.read_u32 t.plat.Platform.mem pa in
-    let si = Predecode.lookup word in
-    (* a not-taken prediction's target is the sequential pc *)
-    let pred = Bpu.predict t.bpu ~pc ~insn:si.Predecode.insn in
-    let it =
-      {
-        fi_pc = pc;
-        fi_si = si;
-        fi_pred_next = pred.Bpu.target;
-        fi_fault = None;
-        fi_fetched_at = t.now;
-      }
+
+(* Append the item fetched at [pc] to the in-flight bundle; returns
+   its slot. *)
+let[@inline] push_slot q ~pc si =
+  let s = fr_slot q (q.fq_len + q.fb_n) in
+  q.fb_n <- q.fb_n + 1;
+  fr_set q s f_fault no_fault;
+  fr_set q s f_seq q.fr_next_seq;
+  q.fr_next_seq <- q.fr_next_seq + 1;
+  fr_set64 q s w_pc pc;
+  q.fr_si.(s) <- si;
+  s
+
+(* A bundle of the one item at the fetch pc, which raises [exc] at
+   commit, ready at [ready_at]; fetch stalls until a redirect. *)
+let fetch_fault t ~ready_at exc =
+  let q = t.ring in
+  let pc = fetch_pc q in
+  let s = push_slot q ~pc Predecode.none in
+  fr_set q s f_fault (Trap.exc_code exc);
+  fr_set64 q s w_pred_next (Int64.add pc 4L);
+  q.fb_ready_at <- ready_at;
+  t.fetch_stalled <- true
+
+(* The items of a bundle at the fetch pc, in fetch order: up to
+   [fetch_width] sequential slots in its fetch block, ending after a
+   predicted-taken one.  [page] holds the block's instruction words
+   from [off] on: a fetch block never straddles a page.  The
+   predictor reports each prediction into its own fields, and the
+   fetch pc follows it. *)
+let fetch_slots t page off =
+  let q = t.ring and bpu = t.bpu in
+  let block = fetch_block (fetch_pc q) in
+  let i = ref 0 and stop = ref false in
+  while not !stop do
+    let pc = fetch_pc q in
+    let word =
+      Int32.to_int (Bytes.get_int32_le page (off + (4 * !i))) land 0xFFFF_FFFF
     in
-    if pred.Bpu.taken then begin
-      t.fetch_pc <- pred.Bpu.target;
-      [ it ]
-    end
-    else it :: fetch_slots t ~pa0 ~block (i + 1) pred.Bpu.target
-  end
+    let si = Predecode.lookup word in
+    Bpu.predict bpu ~pc ~insn:si.Predecode.insn;
+    let s = push_slot q ~pc si in
+    fr_set64 q s w_pred_next (Bpu.target bpu);
+    set_fetch_pc q (Bpu.target bpu);
+    incr i;
+    stop :=
+      bpu.Bpu.taken
+      || !i >= t.cfg.fetch_width
+      || fetch_block (fetch_pc q) <> block
+  done
 
-(* Start a new fetch bundle at [t.fetch_pc]: translate, probe the
+(* Start a new fetch bundle at the fetch pc: translate, probe the
    icache, decode and predict up to fetch_width sequential slots.
    Mutates the TLB, L1I and BPU -- phase 2 only. *)
 let fetch_start_bundle t =
-  let pc0 = t.fetch_pc in
-  match Tlb.translate t.tlb t.arch.Arch_state.csr pc0 Tlb.Fetch with
-  | Tlb.Page_fault (exc, tval), lat ->
-      t.inflight <-
-        Some
-          {
-            fb_ready_at = t.now + lat + 2;
-            fb_items =
-              [
-                {
-                  fi_pc = pc0;
-                  fi_si = Predecode.none;
-                  fi_pred_next = Int64.add pc0 4L;
-                  fi_fault = Some (exc, tval);
-                  fi_fetched_at = t.now;
-                };
-              ];
-          };
-      t.fetch_stalled <- true
-  | Tlb.Translated pa0, tlb_lat ->
-      if not (Memory.in_range t.plat.Platform.mem pa0) then begin
-        t.inflight <-
-          Some
-            {
-              fb_ready_at = t.now + tlb_lat + 2;
-              fb_items =
-                [
-                  {
-                    fi_pc = pc0;
-                    fi_si = Predecode.none;
-                    fi_pred_next = Int64.add pc0 4L;
-                    fi_fault = Some (Trap.Fetch_access, pc0);
-                    fi_fetched_at = t.now;
-                  };
-                ];
-            };
-        t.fetch_stalled <- true
-      end
-      else begin
-        let icache_lat = Softmem.Cache.fetch t.l1i ~addr:pa0 in
-        if icache_lat > t.l1i.Softmem.Cache.hit_latency then begin
-          Perf.Perf_counter.incr t.ctrs t.ids.i_icache_miss;
-          t.icache_stall_until <-
-            max t.icache_stall_until (t.now + tlb_lat + icache_lat)
-        end;
-        let block =
-          Int64.to_int (Int64.div pc0 (Int64.of_int fetch_block_bytes))
-        in
-        let items = fetch_slots t ~pa0 ~block 0 pc0 in
-        t.inflight <-
-          Some
-            { fb_ready_at = t.now + tlb_lat + icache_lat + 2; fb_items = items }
-      end
+  let q = t.ring and tlb = t.tlb in
+  assert (q.fq_len + t.cfg.fetch_width <= q.fr_cap);
+  Tlb.translate tlb t.arch.Arch_state.csr (fetch_pc q) Tlb.Fetch;
+  let tlb_lat = tlb.Tlb.latency in
+  if tlb.Tlb.faulted then
+    fetch_fault t ~ready_at:(t.now + tlb_lat + 2) tlb.Tlb.exc
+  else begin
+    let mem = t.plat.Platform.mem in
+    let pa0 = Tlb.paddr tlb in
+    if not (Memory.in_range mem pa0) then
+      fetch_fault t ~ready_at:(t.now + tlb_lat + 2) Trap.Fetch_access
+    else begin
+      let icache_lat = Softmem.Cache.fetch t.l1i ~addr:pa0 in
+      if icache_lat > t.l1i.Softmem.Cache.hit_latency then begin
+        Perf.Perf_counter.incr t.ctrs t.ids.i_icache_miss;
+        t.icache_stall_until <-
+          max t.icache_stall_until (t.now + tlb_lat + icache_lat)
+      end;
+      let off = Int64.to_int (Int64.sub pa0 (Memory.base mem)) in
+      let page_size = Memory.page_size mem in
+      fetch_slots t
+        (Memory.read_page mem (off / page_size))
+        (off land (page_size - 1));
+      q.fb_ready_at <- t.now + tlb_lat + icache_lat + 2
+    end
+  end
 
 (* Live fetch evaluation (the pre-refactor do_fetch).  Used when a
    flush in this cycle invalidated the phase-1 fetch plan: the
@@ -620,10 +674,11 @@ let fetch_start_bundle t =
    the ordered model did. *)
 let fetch_live t =
   fetch_complete_now t;
+  let q = t.ring in
   if
-    t.inflight = None
+    q.fb_ready_at = no_bundle
     && (not t.fetch_stalled)
-    && t.fetch_queue.fq_len + t.cfg.fetch_width <= t.cfg.fetch_buffer
+    && q.fq_len + t.cfg.fetch_width <= t.cfg.fetch_buffer
   then fetch_start_bundle t
 
 (* Phase 1: decide bundle completion and new-bundle start from the
@@ -631,20 +686,15 @@ let fetch_live t =
    a completion would add -- NOT the slots dispatch will free this
    cycle (conservative snapshot claim; see the arbitration table). *)
 let step_fetch t =
-  let v_now = t.now + 1 in
+  let q = t.ring in
   let fe_complete =
-    match t.inflight with Some b -> v_now >= b.fb_ready_at | None -> false
+    q.fb_ready_at <> no_bundle && t.now + 1 >= q.fb_ready_at
   in
-  let qlen =
-    t.fetch_queue.fq_len
-    + (match t.inflight with
-      | Some b when v_now >= b.fb_ready_at -> List.length b.fb_items
-      | _ -> 0)
-  in
+  let qlen = q.fq_len + if fe_complete then q.fb_n else 0 in
   let e = t.plan.ef_fetch in
   e.fe_complete <- fe_complete;
   e.fe_start <-
-    (t.inflight = None || fe_complete)
+    (q.fb_ready_at = no_bundle || fe_complete)
     && (not t.fetch_stalled)
     && qlen + t.cfg.fetch_width <= t.cfg.fetch_buffer
 
@@ -652,12 +702,12 @@ let apply_fetch t (eff : fetch_eff) =
   if t.flushed_at = t.now then
     (* the plan predates a redirect: re-evaluate live so the new
        target starts fetching this cycle (a mispredict redirect left
-       a refill bubble in [inflight], which blocks the new bundle) *)
+       a refill bubble in flight, which blocks the new bundle) *)
     fetch_live t
   else begin
     if eff.fe_complete then fetch_complete_now t;
-    if eff.fe_start && t.inflight = None && not t.fetch_stalled then
-      fetch_start_bundle t
+    if eff.fe_start && t.ring.fb_ready_at = no_bundle && not t.fetch_stalled
+    then fetch_start_bundle t
   end
 
 (* ---------------- dispatch (decode + rename) ------------------------- *)
@@ -685,10 +735,10 @@ let rec mark_slice t ~depth r =
     end
 
 (* Is this instruction a move-eliminable register copy? *)
-let move_eliminable t (it : fetch_item) ~fused =
-  t.cfg.move_elim && (not fused) && it.fi_fault = None
+let move_eliminable t (si : Predecode.t) ~faulted ~fused =
+  t.cfg.move_elim && (not fused) && (not faulted)
   &&
-  match it.fi_si.Predecode.insn with
+  match si.Predecode.insn with
   | Op_imm (ADD, rd, rs, 0L) when rd <> 0 && rs <> 0 -> true
   | _ -> false
 
@@ -706,7 +756,7 @@ let step_dispatch t =
   let d = t.plan.ef_dispatch in
   d.dp_n <- 0;
   d.dp_stall <- None;
-  let fq = t.fetch_queue in
+  let q = t.ring in
   let iq_occ = d.dp_iq_occ in
   for i = 0 to Array.length t.iqs - 1 do
     iq_occ.(i) <- Iq.occupancy t.iqs.(i)
@@ -719,27 +769,26 @@ let step_dispatch t =
   let seq = ref t.seq in
   let budget = ref t.cfg.decode_width in
   let pos = ref 0 in
-  while !budget > 0 && Option.is_none d.dp_stall && !pos < fq.fq_len do
-    let it = fq_get fq !pos in
+  while !budget > 0 && Option.is_none d.dp_stall && !pos < q.fq_len do
+    let s = fr_slot q !pos in
     if !rob_free <= 0 then d.dp_stall <- Some Rob_full
     else begin
-      let si = it.fi_si in
+      let si = q.fr_si.(s) in
+      let pc = fr_get64 q s w_pc in
       (* fusion candidate: the next queued instruction, only if it is
          the sequential successor *)
+      let s2 = fr_slot q (!pos + 1) in
       let fusion =
         if
           t.cfg.fusion && !budget >= 2
-          && !pos + 1 < fq.fq_len
-          && it.fi_pred_next = Int64.add it.fi_pc 4L
-          && (fq_get fq (!pos + 1)).fi_pc = Int64.add it.fi_pc 4L
-        then
-          Fusion.try_fuse si.Predecode.insn
-            (fq_get fq (!pos + 1)).fi_si.Predecode.insn
+          && !pos + 1 < q.fq_len
+          && Int64.equal (fr_get64 q s w_pred_next) (Int64.add pc 4L)
+          && Int64.equal (fr_get64 q s2 w_pc) (Int64.add pc 4L)
+        then Fusion.try_fuse si.Predecode.insn q.fr_si.(s2).Predecode.insn
         else None
       in
       let fused = Option.is_some fusion in
-      let second = if fused then fq_get fq (!pos + 1) else no_item in
-      let faulted = Option.is_some it.fi_fault in
+      let faulted = fr_get q s f_fault <> no_fault in
       let is_load = si.uses_lq and is_store = si.uses_sq in
       (* a fused pair writes its first instruction's destination *)
       let int_dest = si.rd >= 0 && not si.rd_is_fp in
@@ -775,7 +824,7 @@ let step_dispatch t =
       else if not int_free_ok then d.dp_stall <- Some Freelist_int
       else if not fp_free_ok then d.dp_stall <- Some Freelist_fp
       else begin
-        let eliminated = move_eliminable t it ~fused in
+        let eliminated = move_eliminable t si ~faulted ~fused in
         (* thread the claims the group has now taken *)
         decr rob_free;
         if (not faulted) && not eliminated then begin
@@ -788,14 +837,17 @@ let step_dispatch t =
           if fp_dest then decr fp_free
         end;
         let uops = t.rob.Rob.uops in
-        Uop.init uops ~seq:!seq ~pc:it.fi_pc ~si ~second:second.fi_si ~fusion
-          ~pred_next:(if fused then second.fi_pred_next else it.fi_pred_next);
-        (match it.fi_fault with
-        | Some (exc, tval) -> Uop.set_exc uops (Uop.row uops !seq) exc tval
-        | None -> ());
+        let r = Uop.row uops !seq in
+        Uop.init uops ~seq:!seq ~si
+          ~second:(if fused then q.fr_si.(s2) else Predecode.none)
+          ~fusion;
+        Uop.set_pcs uops r ~pc
+          ~pred_next:(fr_get64 q (if fused then s2 else s) w_pred_next);
+        if faulted then
+          Uop.set_exc uops r (Trap.exc_of_code (fr_get q s f_fault)) pc;
         let p = d.dp_plans.(d.dp_n) in
         p.pl_seq <- !seq;
-        p.pl_item <- it;
+        p.pl_fseq <- fr_get q s f_seq;
         p.pl_fused <- fused;
         p.pl_iq <- iq_target;
         p.pl_eliminated <- eliminated;
@@ -819,31 +871,33 @@ let step_dispatch t =
 let apply_dispatch t (eff : dispatch_eff) =
   let uops = t.rob.Rob.uops in
   if t.flushed_at <> t.now then begin
-    let fq = t.fetch_queue in
+    let q = t.ring in
     let aborted = ref false and i = ref 0 in
     while (not !aborted) && !i < eff.dp_n do
       let p = eff.dp_plans.(!i) in
       incr i;
-      let seq = p.pl_seq and it = p.pl_item in
+      let seq = p.pl_seq in
       let r = Uop.row uops seq in
       let si = Uop.si uops r in
       let rd = si.Predecode.rd and rd_fp = si.Predecode.rd_is_fp in
       if
         Rob.is_full t.rob
         || seq <> t.seq
-        (* the planned head item must still be queued (physical
-           identity): a boundary-hook flush cleared the fetch queue,
-           even if it left seq/ROB looking untouched *)
-        || fq.fq_len = 0
-        || fq_get fq 0 != it
+        (* the planned head item must still be queued: a boundary-hook
+           flush empties the ring, even if it left seq/ROB looking
+           untouched, and fetch numbers are never reused *)
+        || q.fq_len = 0
+        || fr_get q q.fr_head f_seq <> p.pl_fseq
         || rd >= 0 && (not rd_fp) && (not p.pl_eliminated)
            && not (Rename.can_alloc t.rename ~is_fp:false)
         || (rd >= 0 && rd_fp && not (Rename.can_alloc t.rename ~is_fp:true))
       then aborted := true
       else begin
+        let h = q.fr_head in
+        let faulted = fr_get q h f_fault <> no_fault in
         (* consume the planned queue items *)
-        fq_pop fq;
-        if p.pl_fused then fq_pop fq;
+        fq_pop q;
+        if p.pl_fused then fq_pop q;
         (* rename sources in place: the planner left architectural
            numbers in the source fields *)
         for j = 0 to Uop.get uops r Uop.i_n_src - 1 do
@@ -851,7 +905,7 @@ let apply_dispatch t (eff : dispatch_eff) =
             (Rename.lookup t.rename ~is_fp:(Uop.src_fp uops r j)
                (Uop.psrc uops r j))
         done;
-        (match (p.pl_eliminated, it.fi_si.Predecode.insn) with
+        (match (p.pl_eliminated, si.Predecode.insn) with
         | true, Op_imm (ADD, rd, rs, _) ->
             let prd, old_prd = Rename.alias t.rename ~arch_rd:rd ~arch_rs:rs in
             Uop.set uops r Uop.i_prd prd;
@@ -875,20 +929,21 @@ let apply_dispatch t (eff : dispatch_eff) =
         Rob.push t.rob seq;
         if p.pl_fused then t.perf.p_fused <- t.perf.p_fused + 1;
         t.perf.p_dispatched <- t.perf.p_dispatched + 1;
-        if it.fi_fault = None && not p.pl_eliminated then begin
+        if (not faulted) && not p.pl_eliminated then begin
           if p.pl_iq >= 0 then Iq.insert t.iqs.(p.pl_iq) seq;
           if si.Predecode.uses_lq then Lsu.insert_load t.lsu seq;
           if si.Predecode.uses_sq then Lsu.insert_store t.lsu seq
         end
-        else if it.fi_fault <> None then begin
+        else if faulted then begin
           (* faulting fetch: deliver the exception at commit *)
           Uop.set uops r Uop.i_state Uop.completed;
           Uop.set uops r Uop.i_done_at t.now
         end;
         (* PUBS: mark unconfident branch slices *)
         (if t.cfg.issue_policy = Config.Pubs then
-           match it.fi_si.Predecode.insn with
-           | Branch (_, rs1, rs2, _) when Bpu.unconfident t.bpu ~pc:it.fi_pc ->
+           match si.Predecode.insn with
+           | Branch (_, rs1, rs2, _)
+             when Bpu.unconfident t.bpu ~pc:(fr_get64 q h w_pc) ->
                Uop.set_flag uops r Uop.b_priority true;
                t.perf.p_hi_prio <- t.perf.p_hi_prio + 1;
                mark_slice t ~depth:2 rs1;
@@ -896,13 +951,13 @@ let apply_dispatch t (eff : dispatch_eff) =
            | _ -> ());
         match t.tracer with
         | Some tr ->
-            Perf.Pipetrace.on_dispatch tr ~seq ~pc:it.fi_pc
-              ~label:(Insn.show it.fi_si.Predecode.insn)
-              ~fetched_at:it.fi_fetched_at
+            Perf.Pipetrace.on_dispatch tr ~seq ~pc:(fr_get64 q h w_pc)
+              ~label:(Insn.show si.Predecode.insn)
+              ~fetched_at:(fr_get q h f_fetched_at)
               ~now:t.now;
             (* eliminated moves and faulting fetches never issue;
                close their execute window at dispatch *)
-            if p.pl_eliminated || it.fi_fault <> None then begin
+            if p.pl_eliminated || faulted then begin
               Perf.Pipetrace.on_issue tr ~seq ~now:t.now;
               Perf.Pipetrace.on_complete tr ~seq
                 ~at:(Uop.get uops r Uop.i_done_at)
@@ -926,7 +981,7 @@ let apply_dispatch t (eff : dispatch_eff) =
     let p = eff.dp_plans.(i) in
     if p.pl_seq >= t.seq then Uop.release uops (Uop.row uops p.pl_seq);
     p.pl_seq <- -1;
-    p.pl_item <- no_item
+    p.pl_fseq <- -1
   done;
   eff.dp_n <- 0
 
@@ -961,6 +1016,11 @@ let load_done t (u : Uop.t) r raw ~at =
   complete t u r ~at;
   t.perf.p_loads <- t.perf.p_loads + 1
 
+(* The last translation's physical address, boxed once: a load or an
+   at-head access hands it to several functions, and an unboxed value
+   would be boxed afresh for each. *)
+let[@inline] paddr_once tlb = Sys.opaque_identity (Tlb.paddr tlb)
+
 (* Issue the uop in row [r]; returns true if it issued. *)
 let issue_uop t r : bool =
   let u = t.rob.Rob.uops in
@@ -974,30 +1034,35 @@ let issue_uop t r : bool =
         true
       end
       else begin
-        match Tlb.translate t.tlb t.arch.Arch_state.csr vaddr Tlb.Load with
-        | Tlb.Page_fault (exc, tval), lat ->
-            complete_with_exc u r exc tval ~at:(t.now + 1 + lat);
+        let tlb = t.tlb in
+        Tlb.translate tlb t.arch.Arch_state.csr vaddr Tlb.Load;
+        let tlb_lat = tlb.Tlb.latency in
+        if tlb.Tlb.faulted then begin
+          complete_with_exc u r tlb.Tlb.exc vaddr ~at:(t.now + 1 + tlb_lat);
+          true
+        end
+        else begin
+          let pa = paddr_once tlb in
+          Uop.set64 u r Uop.w_paddr pa;
+          if Platform.is_mmio t.plat pa then begin
+            (* MMIO loads execute at the ROB head *)
+            Uop.set_flag u r Uop.b_mmio true;
+            Uop.set u r Uop.i_state Uop.issued;
             true
-        | Tlb.Translated pa, tlb_lat ->
-            Uop.set64 u r Uop.w_paddr pa;
-            if Platform.is_mmio t.plat pa then begin
-              (* MMIO loads execute at the ROB head *)
-              Uop.set_flag u r Uop.b_mmio true;
-              Uop.set u r Uop.i_state Uop.issued;
-              true
-            end
-            else begin
-              let seq = Uop.get u r Uop.i_seq in
-              match Lsu.forward t.lsu ~seq ~paddr:pa ~size with
-              | Lsu.Blocked -> false (* retry next cycle *)
-              | Lsu.Forward raw ->
-                  load_done t u r raw ~at:(t.now + 2 + tlb_lat);
-                  true
-              | Lsu.No_match ->
-                  let raw, lat = Softmem.Cache.read t.l1d ~addr:pa ~size in
-                  load_done t u r raw ~at:(t.now + 1 + tlb_lat + lat);
-                  true
-            end
+          end
+          else begin
+            let seq = Uop.get u r Uop.i_seq in
+            match Lsu.forward t.lsu ~seq ~paddr:pa ~size with
+            | Lsu.Blocked -> false (* retry next cycle *)
+            | Lsu.Forward raw ->
+                load_done t u r raw ~at:(t.now + 2 + tlb_lat);
+                true
+            | Lsu.No_match ->
+                let raw, lat = Softmem.Cache.read t.l1d ~addr:pa ~size in
+                load_done t u r raw ~at:(t.now + 1 + tlb_lat + lat);
+                true
+          end
+        end
       end)
   | Config.STORE -> (
       let vaddr = Exec.agen u r t.rename in
@@ -1007,18 +1072,21 @@ let issue_uop t r : bool =
         true
       end
       else begin
-        match Tlb.translate t.tlb t.arch.Arch_state.csr vaddr Tlb.Store with
-        | Tlb.Page_fault (exc, tval), lat ->
-            complete_with_exc u r exc tval ~at:(t.now + 1 + lat);
-            true
-        | Tlb.Translated pa, tlb_lat ->
-            Uop.set64 u r Uop.w_paddr pa;
-            Uop.set_flag u r Uop.b_mmio (Platform.is_mmio t.plat pa);
-            Uop.set_flag u r Uop.b_addr_ready true;
-            Uop.set u r Uop.i_state Uop.completed;
-            Uop.set u r Uop.i_done_at (t.now + 1 + tlb_lat);
-            t.perf.p_stores <- t.perf.p_stores + 1;
-            true
+        let tlb = t.tlb in
+        Tlb.translate tlb t.arch.Arch_state.csr vaddr Tlb.Store;
+        let tlb_lat = tlb.Tlb.latency in
+        if tlb.Tlb.faulted then
+          complete_with_exc u r tlb.Tlb.exc vaddr ~at:(t.now + 1 + tlb_lat)
+        else begin
+          let pa = Tlb.paddr tlb in
+          Uop.set64 u r Uop.w_paddr pa;
+          Uop.set_flag u r Uop.b_mmio (Platform.is_mmio t.plat pa);
+          Uop.set_flag u r Uop.b_addr_ready true;
+          Uop.set u r Uop.i_state Uop.completed;
+          Uop.set u r Uop.i_done_at (t.now + 1 + tlb_lat);
+          t.perf.p_stores <- t.perf.p_stores + 1
+        end;
+        true
       end)
   | Config.ALU | Config.MUL | Config.DIV | Config.JUMP_CSR | Config.FMAC
   | Config.FMISC ->
@@ -1113,25 +1181,10 @@ let apply_issue t (eff : issue_eff) =
       ~target:(Uop.get64 u (Uop.row u !redirect) Uop.w_next_pc);
     t.recover_misp <- true;
     (* model the resolve + refill bubble *)
-    t.inflight <-
-      Some { fb_ready_at = t.now + mispredict_penalty; fb_items = [] }
+    t.ring.fb_ready_at <- t.now + mispredict_penalty
   end
 
 (* ---------------- at-commit execution -------------------------------- *)
-
-(* Every store that enters the cache hierarchy must be announced: the
-   Global Memory diff-rule and sibling LR reservations depend on it.
-   The value is read back from the (write-through) backing memory. *)
-let drain_notify t pa size =
-  t.probes.Probe.on_drain
-    {
-      Probe.d_hartid = t.hartid;
-      d_cycle = t.now;
-      d_paddr = pa;
-      d_size = size;
-      d_value = Riscv.Memory.read_bytes_le t.plat.Platform.mem pa size;
-    };
-  t.on_store_drain pa size
 
 (* The uop in row [r] finished at the ROB head; commit is busy with it
    for [lat] cycles. *)
@@ -1144,7 +1197,7 @@ let fault t (u : Uop.t) r exc tval = complete_with_exc u r exc tval ~at:t.now
 
 (* Drain the whole store buffer before an at-head access. *)
 let drain_sb t =
-  let lat = Lsu.drain_all t.lsu ~now:t.now ~on_drain:(drain_notify t) in
+  let lat = Lsu.drain_all t.lsu ~now:t.now ~on_drain:t.on_drain in
   t.commit_busy_until <- max t.commit_busy_until (t.now + lat)
 
 (* Execute the uop in row [r] at the ROB head.  Its helpers are
@@ -1227,96 +1280,102 @@ let execute_at_head t r : unit =
       if Int64.rem vaddr (Int64.of_int size) <> 0L then
         fault t u r Trap.Load_misaligned vaddr
       else
-        match Tlb.translate t.tlb csr vaddr Tlb.Load with
-        | Tlb.Page_fault (exc, tval), _ -> fault t u r exc tval
-        | Tlb.Translated pa, _ ->
-            if Platform.is_mmio t.plat pa then
-              fault t u r Trap.Load_access vaddr
-            else begin
-              let raw, lat = Softmem.Cache.read t.l1d ~addr:pa ~size in
-              Uop.set64 u r Uop.w_result
-                (match w with
-                | Width_w -> Iss.Alu.sext32 raw
-                | Width_d -> raw);
-              Uop.set64 u r Uop.w_load_value raw;
-              Uop.set u r Uop.i_mem_cycle t.now;
-              Uop.set64 u r Uop.w_vaddr vaddr;
-              Uop.set64 u r Uop.w_paddr pa;
-              Uop.set u r Uop.i_msize size;
-              Lsu.set_reservation t.lsu ~paddr:pa ~now:t.now;
-              finish t u r ~lat
-            end)
+        let tlb = t.tlb in
+        Tlb.translate tlb csr vaddr Tlb.Load;
+        if tlb.Tlb.faulted then fault t u r tlb.Tlb.exc vaddr
+        else
+          let pa = paddr_once tlb in
+          if Platform.is_mmio t.plat pa then
+            fault t u r Trap.Load_access vaddr
+          else begin
+            let raw, lat = Softmem.Cache.read t.l1d ~addr:pa ~size in
+            Uop.set64 u r Uop.w_result
+              (match w with
+              | Width_w -> Iss.Alu.sext32 raw
+              | Width_d -> raw);
+            Uop.set64 u r Uop.w_load_value raw;
+            Uop.set u r Uop.i_mem_cycle t.now;
+            Uop.set64 u r Uop.w_vaddr vaddr;
+            Uop.set64 u r Uop.w_paddr pa;
+            Uop.set u r Uop.i_msize size;
+            Lsu.set_reservation t.lsu ~paddr:pa ~now:t.now;
+            finish t u r ~lat
+          end)
   | Sc (w, _, rs1, rs2) -> (
       let size = match w with Width_w -> 4 | Width_d -> 8 in
       let vaddr = Arch_state.get_reg arch rs1 in
       if Int64.rem vaddr (Int64.of_int size) <> 0L then
         fault t u r Trap.Store_misaligned vaddr
       else
-        match Tlb.translate t.tlb csr vaddr Tlb.Store with
-        | Tlb.Page_fault (exc, tval), _ -> fault t u r exc tval
-        | Tlb.Translated pa, _ ->
-            let ok = Lsu.reservation_valid t.lsu ~paddr:pa ~now:t.now in
-            Lsu.clear_reservation t.lsu;
-            Uop.set64 u r Uop.w_vaddr vaddr;
-            Uop.set64 u r Uop.w_paddr pa;
-            Uop.set u r Uop.i_msize size;
-            if ok then begin
-              drain_sb t;
-              let lat =
-                Softmem.Cache.write t.l1d ~addr:pa ~size
-                  (Arch_state.get_reg arch rs2)
-              in
-              drain_notify t pa size;
-              Uop.set64 u r Uop.w_sdata (Arch_state.get_reg arch rs2);
-              Uop.set_flag u r Uop.b_addr_ready true;
-              Uop.set64 u r Uop.w_result 0L;
-              finish t u r ~lat
-            end
-            else begin
-              Uop.set64 u r Uop.w_result 1L;
-              Uop.set_flag u r Uop.b_sc_failed true;
-              finish t u r ~lat:1
-            end)
+        let tlb = t.tlb in
+        Tlb.translate tlb csr vaddr Tlb.Store;
+        if tlb.Tlb.faulted then fault t u r tlb.Tlb.exc vaddr
+        else
+          let pa = paddr_once tlb in
+          let ok = Lsu.reservation_valid t.lsu ~paddr:pa ~now:t.now in
+          Lsu.clear_reservation t.lsu;
+          Uop.set64 u r Uop.w_vaddr vaddr;
+          Uop.set64 u r Uop.w_paddr pa;
+          Uop.set u r Uop.i_msize size;
+          if ok then begin
+            drain_sb t;
+            let lat =
+              Softmem.Cache.write t.l1d ~addr:pa ~size
+                (Arch_state.get_reg arch rs2)
+            in
+            drain_notify t pa size;
+            Uop.set64 u r Uop.w_sdata (Arch_state.get_reg arch rs2);
+            Uop.set_flag u r Uop.b_addr_ready true;
+            Uop.set64 u r Uop.w_result 0L;
+            finish t u r ~lat
+          end
+          else begin
+            Uop.set64 u r Uop.w_result 1L;
+            Uop.set_flag u r Uop.b_sc_failed true;
+            finish t u r ~lat:1
+          end)
   | Amo (op, w, _, rs1, rs2) -> (
       let size = match w with Width_w -> 4 | Width_d -> 8 in
       let vaddr = Arch_state.get_reg arch rs1 in
       if Int64.rem vaddr (Int64.of_int size) <> 0L then
         fault t u r Trap.Store_misaligned vaddr
       else
-        match Tlb.translate t.tlb csr vaddr Tlb.Store with
-        | Tlb.Page_fault (exc, tval), _ -> fault t u r exc tval
-        | Tlb.Translated pa, _ ->
-            if Platform.is_mmio t.plat pa then
-              fault t u r Trap.Store_access vaddr
-            else begin
-              drain_sb t;
-              let raw, rlat = Softmem.Cache.read t.l1d ~addr:pa ~size in
-              (* [eval_amo] sign-extends a word itself, so the old
-                 value is never boxed *)
-              let new_v =
-                Iss.Alu.eval_amo op w raw (Arch_state.get_reg arch rs2)
-              in
-              let wlat = Softmem.Cache.write t.l1d ~addr:pa ~size new_v in
-              drain_notify t pa size;
-              Uop.set64 u r Uop.w_result
-                (match w with
-                | Width_w -> Iss.Alu.sext32 raw
-                | Width_d -> raw);
-              Uop.set64 u r Uop.w_load_value raw;
-              Uop.set u r Uop.i_mem_cycle t.now;
-              Uop.set64 u r Uop.w_sdata new_v;
-              Uop.set64 u r Uop.w_vaddr vaddr;
-              Uop.set64 u r Uop.w_paddr pa;
-              Uop.set u r Uop.i_msize size;
-              Uop.set_flag u r Uop.b_addr_ready true;
-              finish t u r ~lat:(rlat + wlat)
-            end)
+        let tlb = t.tlb in
+        Tlb.translate tlb csr vaddr Tlb.Store;
+        if tlb.Tlb.faulted then fault t u r tlb.Tlb.exc vaddr
+        else
+          let pa = paddr_once tlb in
+          if Platform.is_mmio t.plat pa then
+            fault t u r Trap.Store_access vaddr
+          else begin
+            drain_sb t;
+            let raw, rlat = Softmem.Cache.read t.l1d ~addr:pa ~size in
+            (* [eval_amo] sign-extends a word itself, so the old
+               value is never boxed *)
+            let new_v =
+              Iss.Alu.eval_amo op w raw (Arch_state.get_reg arch rs2)
+            in
+            let wlat = Softmem.Cache.write t.l1d ~addr:pa ~size new_v in
+            drain_notify t pa size;
+            Uop.set64 u r Uop.w_result
+              (match w with
+              | Width_w -> Iss.Alu.sext32 raw
+              | Width_d -> raw);
+            Uop.set64 u r Uop.w_load_value raw;
+            Uop.set u r Uop.i_mem_cycle t.now;
+            Uop.set64 u r Uop.w_sdata new_v;
+            Uop.set64 u r Uop.w_vaddr vaddr;
+            Uop.set64 u r Uop.w_paddr pa;
+            Uop.set u r Uop.i_msize size;
+            Uop.set_flag u r Uop.b_addr_ready true;
+            finish t u r ~lat:(rlat + wlat)
+          end)
   | Load (lop, _, rs1, imm) ->
       (* MMIO load discovered at issue; strongly ordered *)
       assert (Uop.flag u r Uop.b_mmio);
       ignore rs1;
       ignore imm;
-      let drained = Lsu.drain_all t.lsu ~now:t.now ~on_drain:(drain_notify t) in
+      let drained = Lsu.drain_all t.lsu ~now:t.now ~on_drain:t.on_drain in
       (match
          Platform.read t.plat ~addr:(Uop.get64 u r Uop.w_paddr)
            ~size:(Uop.get u r Uop.i_msize)
@@ -1473,7 +1532,7 @@ let apply_commit t (eff : commit_eff) =
               if Uop.is_store u r then begin
                 if Uop.flag u r Uop.b_mmio then begin
                   let lat =
-                    Lsu.drain_all t.lsu ~now:t.now ~on_drain:(drain_notify t)
+                    Lsu.drain_all t.lsu ~now:t.now ~on_drain:t.on_drain
                   in
                   (try
                      Platform.write t.plat
@@ -1655,8 +1714,8 @@ let apply t (e : effects) =
   attribute_topdown t ~committed;
   apply_issue t e.ef_issue;
   if e.ef_drain.de_fire then
-    Lsu.drain t.lsu ~now:t.now ~on_drain:(drain_notify t);
-  if t.fetch_queue.fq_len = 0 then
+    Lsu.drain t.lsu ~now:t.now ~on_drain:t.on_drain;
+  if t.ring.fq_len = 0 then
     Perf.Perf_counter.incr t.ctrs t.ids.i_fetch_bubble;
   apply_dispatch t e.ef_dispatch;
   apply_fetch t e.ef_fetch;
@@ -1748,7 +1807,7 @@ let stall_site t : string =
       (if t.halted then " halted" else "")
   in
   if Rob.is_empty t.rob then
-    Printf.sprintf "rob empty, fetch_pc=0x%Lx; %s" t.fetch_pc occupancy
+    Printf.sprintf "rob empty, fetch_pc=0x%Lx; %s" (fetch_pc t.ring) occupancy
   else
     let u = t.rob.Rob.uops in
     let seq = Rob.head_seq t.rob in

@@ -21,24 +21,10 @@
 
 open Riscv
 
-type fetch_item = {
-  fi_pc : int64;
-  fi_si : Predecode.t;
-      (** the instruction's static record, from the {!Predecode} memo *)
-  fi_pred_next : int64;
-  fi_fault : (Trap.exc * int64) option;
-  mutable fi_fetched_at : int;  (** cycle the item entered the fetch queue *)
-}
-
-type fetch_bundle = { fb_ready_at : int; fb_items : fetch_item list }
-
-(** The fetch queue: a ring of [fetch_buffer] slots holding [fq_len]
-    items from [fq_head], in fetch order. *)
-type fetch_queue = {
-  fq_items : fetch_item array;
-  mutable fq_head : int;
-  mutable fq_len : int;
-}
+(** The fetch ring: one ring of [fetch_buffer] slots per core holding
+    the fetch queue followed by the in-flight bundle, with each slot's
+    fields unboxed (DESIGN.md "The fetch ring"). *)
+type fetch_ring
 
 (** {1 Phase-1 plan buffers}
 
@@ -80,7 +66,10 @@ type disp_plan = {
           the snapshot; the planner initialised its ROB row, whose
           source fields hold architectural register numbers that
           phase 2 renames in place *)
-  mutable pl_item : fetch_item;  (** head fetch-queue item consumed *)
+  mutable pl_fseq : int;
+      (** the fetch sequence number of the head fetch-queue item
+          consumed; phase 2 dispatches only while that item is still
+          the queue's head *)
   mutable pl_fused : bool;  (** the next item is consumed too *)
   mutable pl_iq : int;  (** target IQ index, -1 = none (at-commit / fault) *)
   mutable pl_eliminated : bool;
@@ -172,10 +161,9 @@ type t = {
   def_table : int array;
   mutable now : int;
   mutable seq : int;
-  mutable fetch_pc : int64;
+  ring : fetch_ring;
+      (** the fetch queue, the in-flight bundle and the fetch pc *)
   mutable fetch_stalled : bool;
-  mutable inflight : fetch_bundle option;
-  fetch_queue : fetch_queue;
   plan : effects;  (** this core's phase-1 buffers, reused every cycle *)
   mutable commit_busy_until : int;
   mutable recover_until : int;
@@ -186,6 +174,10 @@ type t = {
           paths allocation-free *)
   mutable halted : bool;
   mutable on_store_drain : int64 -> int -> unit;
+  on_drain : int64 -> int -> unit;
+      (** announces a store entering the cache hierarchy to the probe
+          sinks and [on_store_drain]; built once at [create], so
+          handing it to the store buffer allocates nothing *)
   mutable bug_trust_bpu : int;
       (** fault injection: for the next N resolved mispredictions,
           follow the (possibly corrupted) prediction instead of

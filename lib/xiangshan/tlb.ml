@@ -87,6 +87,12 @@ type t = {
   mutable dtlb_misses : int;
   mutable stlb_hits : int; (* L1 misses served by the shared L2 TLB *)
   mutable cached_fault_hits : int;
+  (* the last [translate]'s outcome: reported into these, so a
+     translation allocates nothing *)
+  mutable faulted : bool;
+  mutable exc : Trap.exc; (* the page fault's cause, with [faulted] *)
+  mutable latency : int;
+  pa : Bytes.t; (* the physical address, unboxed, without [faulted] *)
 }
 
 let create (cfg : Config.t) ~ptw_port =
@@ -100,6 +106,10 @@ let create (cfg : Config.t) ~ptw_port =
     dtlb_misses = 0;
     stlb_hits = 0;
     cached_fault_hits = 0;
+    faulted = false;
+    exc = Trap.Fetch_page_fault;
+    latency = 0;
+    pa = Bytes.make 8 '\000';
   }
 
 let flush t =
@@ -137,10 +147,6 @@ let fault_of = function
   | Fetch -> Trap.Fetch_page_fault
   | Load -> Trap.Load_page_fault
   | Store -> Trap.Store_page_fault
-
-type outcome =
-  | Translated of int64 (* physical address *)
-  | Page_fault of Trap.exc * int64
 
 (* Hardware walk via the cache port; returns the 4K mapping or a fault,
    plus accumulated latency. *)
@@ -200,55 +206,68 @@ let check_perms (csr : Csr.t) flags (access : access) : bool =
   in
   type_ok && priv_ok
 
-(* Translate [va]; returns the outcome and the latency in cycles.  A
-   miss always refills the L1 TLB, so the translation is read from
-   the L1 slot either way. *)
-let translate (t : t) (csr : Csr.t) (va : int64) (access : access) :
-    outcome * int =
-  let active = csr.Csr.priv <> Csr.M && Pte.satp_mode csr.Csr.reg_satp = 8 in
-  if not active then (Translated va, 0)
-  else begin
-    let vpn = Int64.to_int (Int64.shift_right_logical va 12) in
-    let l1 = match access with Fetch -> t.itlb | Load | Store -> t.dtlb in
-    let lat = ref 0 in
-    let slot = arr_lookup l1 vpn in
-    let slot =
-      if slot >= 0 then slot
-      else begin
-        (match access with
-        | Fetch -> t.itlb_misses <- t.itlb_misses + 1
-        | Load | Store -> t.dtlb_misses <- t.dtlb_misses + 1);
-        let s = arr_lookup t.stlb vpn in
-        if s >= 0 then begin
-          t.stlb_hits <- t.stlb_hits + 1;
-          lat := 2;
-          arr_insert l1 vpn ~ppn:(Cow.get t.stlb.ppn s)
-            ~flags:(Cow.get t.stlb.flags s)
-        end
-        else begin
-          let r, wl = walk t csr va in
-          (* invalid PTEs are allowed to be cached (Figure 3) *)
-          let ppn, flags =
-            match r with
-            | Ok m -> (Int64.to_int m.ppn, Int64.to_int m.pte_flags land 0xFF)
-            | Error () -> (fault, 0)
-          in
-          ignore (arr_insert t.stlb vpn ~ppn ~flags);
-          lat := 2 + wl;
-          arr_insert l1 vpn ~ppn ~flags
-        end
+let[@inline] paddr t = Bytes.get_int64_ne t.pa 0
+
+let[@inline] translated t ~lat pa =
+  t.faulted <- false;
+  t.latency <- lat;
+  Bytes.set_int64_ne t.pa 0 pa
+
+let page_fault t ~lat access =
+  t.faulted <- true;
+  t.exc <- fault_of access;
+  t.latency <- lat
+
+(* Translate [va] under an active satp: a miss always refills the L1
+   TLB, so the translation is read from the L1 slot either way. *)
+let translate_paged (t : t) (csr : Csr.t) (va : int64) (access : access) =
+  let vpn = Int64.to_int (Int64.shift_right_logical va 12) in
+  let l1 = match access with Fetch -> t.itlb | Load | Store -> t.dtlb in
+  let lat = ref 0 in
+  let slot = arr_lookup l1 vpn in
+  let slot =
+    if slot >= 0 then slot
+    else begin
+      (match access with
+      | Fetch -> t.itlb_misses <- t.itlb_misses + 1
+      | Load | Store -> t.dtlb_misses <- t.dtlb_misses + 1);
+      let s = arr_lookup t.stlb vpn in
+      if s >= 0 then begin
+        t.stlb_hits <- t.stlb_hits + 1;
+        lat := 2;
+        arr_insert l1 vpn ~ppn:(Cow.get t.stlb.ppn s)
+          ~flags:(Cow.get t.stlb.flags s)
       end
-    in
-    let ppn = Cow.get l1.ppn slot in
-    if ppn = fault then begin
-      t.cached_fault_hits <- t.cached_fault_hits + 1;
-      (Page_fault (fault_of access, va), !lat)
+      else begin
+        let r, wl = walk t csr va in
+        (* invalid PTEs are allowed to be cached (Figure 3) *)
+        let ppn, flags =
+          match r with
+          | Ok m -> (Int64.to_int m.ppn, Int64.to_int m.pte_flags land 0xFF)
+          | Error () -> (fault, 0)
+        in
+        ignore (arr_insert t.stlb vpn ~ppn ~flags);
+        lat := 2 + wl;
+        arr_insert l1 vpn ~ppn ~flags
+      end
     end
-    else if check_perms csr (Cow.get l1.flags slot) access then
-      ( Translated
-          (Int64.logor
-             (Pte.pa_of_ppn (Int64.of_int ppn))
-             (Int64.logand va 0xFFFL)),
-        !lat )
-    else (Page_fault (fault_of access, va), !lat)
+  in
+  let ppn = Cow.get l1.ppn slot in
+  if ppn = fault then begin
+    t.cached_fault_hits <- t.cached_fault_hits + 1;
+    page_fault t ~lat:!lat access
   end
+  else if check_perms csr (Cow.get l1.flags slot) access then
+    translated t ~lat:!lat
+      (Int64.logor
+         (Pte.pa_of_ppn (Int64.of_int ppn))
+         (Int64.logand va 0xFFFL))
+  else page_fault t ~lat:!lat access
+
+(* Translate [va], reporting into [faulted], [exc], [latency] and
+   [pa].  Bare and M-mode translation is inlined at the call site, so
+   it boxes no address. *)
+let[@inline] translate (t : t) (csr : Csr.t) (va : int64) (access : access) =
+  if csr.Csr.priv = Csr.M || Pte.satp_mode csr.Csr.reg_satp <> 8 then
+    translated t ~lat:0 va
+  else translate_paged t csr va access

@@ -29,6 +29,14 @@ type t = {
   mutable dtlb_misses : int;
   mutable stlb_hits : int;
   mutable cached_fault_hits : int;
+  mutable faulted : bool;  (** the last {!translate} page-faulted *)
+  mutable exc : Riscv.Trap.exc;
+      (** the last fault's cause, with [faulted]; its tval is the
+          virtual address *)
+  mutable latency : int;  (** the last {!translate}'s latency in cycles *)
+  pa : Bytes.t;
+      (** the last translation's physical address, unboxed, without
+          [faulted] (read it with {!paddr}) *)
 }
 
 val create : Config.t -> ptw_port:Softmem.Cache.t -> t
@@ -47,14 +55,14 @@ val corrupt_data_ppn : t -> int
 
 type access = Fetch | Load | Store
 
-type outcome =
-  | Translated of int64
-  | Page_fault of Riscv.Trap.exc * int64
+val translate : t -> Riscv.Csr.t -> int64 -> access -> unit
+(** Translate a virtual address under the *committed* CSR state and
+    report the outcome into [faulted], [exc], [latency] (0 on an L1
+    TLB hit and in bare or M mode) and the physical address
+    ({!paddr}).  Allocates nothing unless it walks the page table. *)
 
-val translate : t -> Riscv.Csr.t -> int64 -> access -> outcome * int
-(** Translate a virtual address under the *committed* CSR state;
-    returns the outcome and the latency in cycles (0 on an L1 TLB
-    hit). *)
+val paddr : t -> int64
+(** The last successful {!translate}'s physical address. *)
 
 val walk : t -> Riscv.Csr.t -> int64 -> (mapping, unit) result * int
 (** The raw hardware walk (exposed for tests). *)

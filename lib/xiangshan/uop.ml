@@ -215,11 +215,11 @@ let set_exc t r exc tval =
   Bytes.set_int64_ne t.tval (r lsl 3) tval
 
 (* Re-initialise row [seq land mask] as a waiting uop whose sources
-   hold their architectural numbers.  [pc] and [pred_next] are stored
-   unboxed, so the boxes the caller passes are not retained.  Only the
-   fields some stage reads before another writes them are reset. *)
-let init t ~seq ~pc ~(si : Predecode.t) ~(second : Predecode.t)
-    ~(fusion : fusion option) ~pred_next =
+   hold their architectural numbers; the caller then stores its pcs
+   with [set_pcs].  Only the fields some stage reads before another
+   writes them are reset. *)
+let init t ~seq ~(si : Predecode.t) ~(second : Predecode.t)
+    ~(fusion : fusion option) =
   let r = seq land t.mask in
   set t r i_seq seq;
   t.si.(r) <- si;
@@ -248,10 +248,13 @@ let init t ~seq ~pc ~(si : Predecode.t) ~(second : Predecode.t)
   set t r i_done_at max_int;
   set t r i_csr_addr (-1);
   set t r i_mem_cycle 0 (* a store never sets it *);
+  set64 t r w_result 0L
+
+(* Inlined, so pcs the caller holds unboxed are stored without a box. *)
+let[@inline] set_pcs t r ~pc ~pred_next =
   set64 t r w_pc pc;
   set64 t r w_pred_next pred_next;
-  set64 t r w_next_pc pred_next;
-  set64 t r w_result 0L
+  set64 t r w_next_pc pred_next
 
 (* Drop the row's pointers once its uop retired or was squashed, so a
    LightSSS image carries the static records of in-flight uops only

@@ -190,16 +190,20 @@ val set_exc : t -> int -> Trap.exc -> int64 -> unit
 val init :
   t ->
   seq:int ->
-  pc:int64 ->
   si:Predecode.t ->
   second:Predecode.t ->
   fusion:fusion option ->
-  pred_next:int64 ->
   unit
 (** Re-initialise the row of [seq] as a waiting uop whose sources hold
     their architectural numbers.  [second] is the fusion partner's
     record (ignored without fusion).  Fields that a stage writes before
-    any reads them (the access, the exception) are left as they are. *)
+    any reads them (the access, the exception) are left as they are;
+    the caller stores the pcs with {!set_pcs}. *)
+
+val set_pcs : t -> int -> pc:int64 -> pred_next:int64 -> unit
+(** [set_pcs t r ~pc ~pred_next]: the row's pc and predicted next pc,
+    which is also its next pc until it resolves.  Inlined, so pcs the
+    caller holds unboxed are stored without a box. *)
 
 val release : t -> int -> unit
 (** Drop the row's pointers once its uop retired or was squashed, so a

@@ -9,9 +9,9 @@ module Uop_helpers = struct
   (* Initialise the row of [seq] in [uops] as a waiting uop; returns
      the row. *)
   let make uops ~seq ~pc ~insn =
-    U.init uops ~seq ~pc ~si:(Xiangshan.Predecode.of_insn insn)
-      ~second:Xiangshan.Predecode.none ~fusion:None
-      ~pred_next:(Int64.add pc 4L);
+    U.init uops ~seq ~si:(Xiangshan.Predecode.of_insn insn)
+      ~second:Xiangshan.Predecode.none ~fusion:None;
+    U.set_pcs uops (U.row uops seq) ~pc ~pred_next:(Int64.add pc 4L);
     U.row uops seq
 end
 

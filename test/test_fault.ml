@@ -95,6 +95,50 @@ let test_hook_write_caught_in_its_cycle () =
   Alcotest.(check int) "latency" 0 c.Minjie.Campaign.c_latency_cycles;
   Alcotest.(check int) "commits checked" 898 c.Minjie.Campaign.c_commits
 
+(* --- campaign detection pins ----------------------------------------- *)
+
+(* A cell's verdict fields, as one line of campaign_verdicts.golden. *)
+let verdict_line (c : Minjie.Campaign.cell) =
+  let name s = if s = "" then "-" else s in
+  Printf.sprintf "%s %d %b %s %d %d %d %s %d" c.Minjie.Campaign.c_fault
+    c.Minjie.Campaign.c_seed c.Minjie.Campaign.c_detected
+    (name c.Minjie.Campaign.c_rule)
+    c.Minjie.Campaign.c_failure_cycle c.Minjie.Campaign.c_latency_cycles
+    c.Minjie.Campaign.c_commits
+    (name c.Minjie.Campaign.c_replay_rule)
+    c.Minjie.Campaign.c_replay_window
+
+(* The pinned lines, read from the test directory (the working
+   directory under [dune runtest]) or from the repository root. *)
+let golden_verdicts () =
+  let file = "campaign_verdicts.golden" in
+  let path =
+    if Sys.file_exists file then file else Filename.concat "test" file
+  in
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+
+(* Every cell's detection cycle, latency, commits checked and replay
+   window, pinned to the values recorded in campaign_verdicts.golden.
+   The determinism tests only compare two runs of one build; this
+   catches a change that moves a verdict in every run alike.  Both
+   REFs run the whole grid, one in process and one across two
+   workers. *)
+let test_campaign_verdicts_pinned () =
+  let expected = golden_verdicts () in
+  Alcotest.(check int) "30 pinned cells" 30 (List.length expected);
+  List.iter
+    (fun (ref_kind, jobs) ->
+      let s = Minjie.Campaign.run ~ref_kind ~jobs () in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s REF, %d job(s)"
+           (Minjie.Ref_model.kind_name ref_kind)
+           jobs)
+        expected
+        (List.map verdict_line s.Minjie.Campaign.cells))
+    [ (Minjie.Ref_model.Iss, 1); (Minjie.Ref_model.Nemu, 2) ]
+
 let tests =
   [
     Alcotest.test_case "registry well-formed" `Quick test_registry_well_formed;
@@ -109,4 +153,6 @@ let tests =
       test_cells_are_seed_deterministic;
     Alcotest.test_case "a hook's direct CSR write is caught in its cycle"
       `Quick test_hook_write_caught_in_its_cycle;
+    Alcotest.test_case "campaign verdicts match the golden pins" `Slow
+      test_campaign_verdicts_pinned;
   ]

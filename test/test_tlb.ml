@@ -30,79 +30,129 @@ let make_env () =
 
 let va = 0x4000_0000L
 
+(* [Tlb.translate] reports into the TLB's own fields; this reads them
+   back as the translation's outcome and latency. *)
+type outcome = Translated of int64 | Page_fault of Trap.exc * int64
+
+let translate tlb csr va access =
+  Xiangshan.Tlb.translate tlb csr va access;
+  ( (if tlb.Xiangshan.Tlb.faulted then Page_fault (tlb.Xiangshan.Tlb.exc, va)
+     else Translated (Xiangshan.Tlb.paddr tlb)),
+    tlb.Xiangshan.Tlb.latency )
+
 let test_translate_and_cache () =
   let _, tlb, csr, data = make_env () in
-  (match Xiangshan.Tlb.translate tlb csr (Int64.add va 0x123L) Xiangshan.Tlb.Load with
-  | Xiangshan.Tlb.Translated pa, lat ->
+  (match translate tlb csr (Int64.add va 0x123L) Xiangshan.Tlb.Load with
+  | Translated pa, lat ->
       Alcotest.(check int64) "pa" (Int64.add data 0x123L) pa;
       Alcotest.(check bool) "walk cost" true (lat > 0)
-  | Xiangshan.Tlb.Page_fault _, _ -> Alcotest.fail "unexpected fault");
+  | Page_fault _, _ -> Alcotest.fail "unexpected fault");
   (* second access hits the L1 TLB: zero latency *)
-  match Xiangshan.Tlb.translate tlb csr (Int64.add va 0x456L) Xiangshan.Tlb.Load with
-  | Xiangshan.Tlb.Translated _, lat -> Alcotest.(check int) "tlb hit" 0 lat
-  | Xiangshan.Tlb.Page_fault _, _ -> Alcotest.fail "unexpected fault"
+  match translate tlb csr (Int64.add va 0x456L) Xiangshan.Tlb.Load with
+  | Translated _, lat -> Alcotest.(check int) "tlb hit" 0 lat
+  | Page_fault _, _ -> Alcotest.fail "unexpected fault"
 
 let test_permissions () =
   let _, tlb, csr, _ = make_env () in
   (* page is R+W but not X: fetch must fault *)
-  match Xiangshan.Tlb.translate tlb csr va Xiangshan.Tlb.Fetch with
-  | Xiangshan.Tlb.Page_fault (exc, tval), _ ->
+  match translate tlb csr va Xiangshan.Tlb.Fetch with
+  | Page_fault (exc, tval), _ ->
       Alcotest.(check bool) "fetch page fault" true
         (exc = Trap.Fetch_page_fault);
       Alcotest.(check int64) "tval" va tval
-  | Xiangshan.Tlb.Translated _, _ -> Alcotest.fail "fetch should fault"
+  | Translated _, _ -> Alcotest.fail "fetch should fault"
 
 let test_fault_caching_until_sfence () =
   (* the Figure 3 behaviour: a failed walk is cached; fixing the PTE
      in memory does not help until an sfence.vma *)
   let backing, tlb, csr, _ = make_env () in
   let va2 = Int64.add va page in
-  (match Xiangshan.Tlb.translate tlb csr va2 Xiangshan.Tlb.Store with
-  | Xiangshan.Tlb.Page_fault _, _ -> ()
-  | Xiangshan.Tlb.Translated _, _ -> Alcotest.fail "unmapped page must fault");
+  (match translate tlb csr va2 Xiangshan.Tlb.Store with
+  | Page_fault _, _ -> ()
+  | Translated _, _ -> Alcotest.fail "unmapped page must fault");
   (* install the PTE (what the kernel's fault handler does) *)
   let l0 = Int64.add Platform.dram_base (Int64.mul 2L page) in
   let newpage = Int64.add Platform.dram_base (Int64.mul 20L page) in
   Memory.write_u64 backing (Int64.add l0 8L)
     (Pte.make ~pa:newpage [ Pte.v; Pte.r; Pte.w; Pte.a; Pte.d ]);
   (* still faults: the invalid PTE was legally cached in the TLB *)
-  (match Xiangshan.Tlb.translate tlb csr va2 Xiangshan.Tlb.Store with
-  | Xiangshan.Tlb.Page_fault _, _ -> ()
-  | Xiangshan.Tlb.Translated _, _ ->
+  (match translate tlb csr va2 Xiangshan.Tlb.Store with
+  | Page_fault _, _ -> ()
+  | Translated _, _ ->
       Alcotest.fail "cached fault must persist until sfence");
   Alcotest.(check bool) "cached-fault hits counted" true
     (tlb.Xiangshan.Tlb.cached_fault_hits > 0);
   Xiangshan.Tlb.flush tlb;
-  match Xiangshan.Tlb.translate tlb csr va2 Xiangshan.Tlb.Store with
-  | Xiangshan.Tlb.Translated pa, _ ->
+  match translate tlb csr va2 Xiangshan.Tlb.Store with
+  | Translated pa, _ ->
       Alcotest.(check int64) "mapped after sfence" newpage pa
-  | Xiangshan.Tlb.Page_fault _, _ -> Alcotest.fail "should map after sfence"
+  | Page_fault _, _ -> Alcotest.fail "should map after sfence"
 
 let test_bare_mode () =
   let _, tlb, csr, _ = make_env () in
   csr.Csr.reg_satp <- 0L;
-  match Xiangshan.Tlb.translate tlb csr 0x8000_0000L Xiangshan.Tlb.Load with
-  | Xiangshan.Tlb.Translated pa, lat ->
+  match translate tlb csr 0x8000_0000L Xiangshan.Tlb.Load with
+  | Translated pa, lat ->
       Alcotest.(check int64) "identity" 0x8000_0000L pa;
       Alcotest.(check int) "free" 0 lat
-  | Xiangshan.Tlb.Page_fault _, _ -> Alcotest.fail "bare mode cannot fault"
+  | Page_fault _, _ -> Alcotest.fail "bare mode cannot fault"
 
 let test_m_mode_bypass () =
   let _, tlb, csr, _ = make_env () in
   csr.Csr.priv <- Csr.M;
-  match Xiangshan.Tlb.translate tlb csr 0x8000_0000L Xiangshan.Tlb.Store with
-  | Xiangshan.Tlb.Translated pa, _ ->
+  match translate tlb csr 0x8000_0000L Xiangshan.Tlb.Store with
+  | Translated pa, _ ->
       Alcotest.(check int64) "M-mode bypasses satp" 0x8000_0000L pa
-  | Xiangshan.Tlb.Page_fault _, _ -> Alcotest.fail "M-mode cannot fault"
+  | Page_fault _, _ -> Alcotest.fail "M-mode cannot fault"
 
 let test_non_canonical () =
   let _, tlb, csr, _ = make_env () in
   match
-    Xiangshan.Tlb.translate tlb csr 0x0100_0000_0000_0000L Xiangshan.Tlb.Load
+    translate tlb csr 0x0100_0000_0000_0000L Xiangshan.Tlb.Load
   with
-  | Xiangshan.Tlb.Page_fault _, _ -> ()
-  | Xiangshan.Tlb.Translated _, _ ->
+  | Page_fault _, _ -> ()
+  | Translated _, _ ->
       Alcotest.fail "non-canonical va must fault"
+
+(* Minor words [f] allocates over 1,000 calls, after one warm-up. *)
+let words_per_1000 f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    f ()
+  done;
+  Gc.minor_words () -. w0
+
+(* The TLB reports into its own fields: an L1 hit and a bare or M-mode
+   translation allocate nothing (no outcome, no tuple, no boxed
+   physical address). *)
+let test_translate_allocates_nothing () =
+  let _, tlb, csr, data = make_env () in
+  let va = Int64.add va 0x123L in
+  List.iter
+    (fun (what, access, setup, expect) ->
+      setup ();
+      let w =
+        words_per_1000 (fun () -> Xiangshan.Tlb.translate tlb csr va access)
+      in
+      Alcotest.(check (float 0.)) (what ^ ": minor words") 0. w;
+      Alcotest.(check bool) (what ^ ": translated") false
+        tlb.Xiangshan.Tlb.faulted;
+      Alcotest.(check int64) (what ^ ": pa") expect (Xiangshan.Tlb.paddr tlb))
+    [
+      ("L1 dTLB hit", Xiangshan.Tlb.Load, ignore, Int64.add data 0x123L);
+      ( "L1 dTLB hit, store",
+        Xiangshan.Tlb.Store,
+        ignore,
+        Int64.add data 0x123L );
+      ("M mode", Xiangshan.Tlb.Fetch, (fun () -> csr.Csr.priv <- Csr.M), va);
+      ( "bare mode",
+        Xiangshan.Tlb.Load,
+        (fun () ->
+          csr.Csr.priv <- Csr.S;
+          csr.Csr.reg_satp <- 0L),
+        va );
+    ]
 
 let tests =
   [
@@ -113,4 +163,6 @@ let tests =
     Alcotest.test_case "bare mode" `Quick test_bare_mode;
     Alcotest.test_case "M-mode bypass" `Quick test_m_mode_bypass;
     Alcotest.test_case "non-canonical address" `Quick test_non_canonical;
+    Alcotest.test_case "translate allocates nothing" `Quick
+      test_translate_allocates_nothing;
   ]
