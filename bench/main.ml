@@ -118,8 +118,6 @@ let record_engine_run ~experiment ~group ~workload ~engine
       ("uop_flushes", Json.Int s.Nemu.Engine.flushes);
       ("uop_slow_lookups", Json.Int s.Nemu.Engine.slow_lookups);
       ("uop_compiled", Json.Int s.Nemu.Engine.compiled);
-      ("uop_evictions", Json.Int s.Nemu.Engine.evictions);
-      ("uop_recompiles", Json.Int s.Nemu.Engine.recompiles);
     ]
 
 (* Every emitter that wants host context uses this one helper, so the

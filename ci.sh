@@ -29,6 +29,23 @@ if grep -rn 'Supervisor' lib/ bin/ bench/ examples/; then
   echo "Supervisor is gone: Grid supervises every job"; exit 1
 fi
 
+echo "== one owner per ISA rule: every executor calls the one definition =="
+# the ISS, NEMU's engines and REF core and the DUT share each RISC-V
+# rule; a rule's marker names the one module allowed to spell it out
+check_rule_owner() {
+  marker=$1; owner=$2
+  if grep -rnF -- "$marker" lib/ bin/ bench/ examples/ | grep -vE "^$owner:"; then
+    echo "ISA rule marker '$marker' outside its owner $owner"; exit 1
+  fi
+}
+check_rule_owner 'CSRRWI when rd = 0' 'lib/riscv/isa\.mli?'
+check_rule_owner 'Ecall_from_u' 'lib/riscv/trap\.mli?'
+check_rule_owner 'Width_w -> 4' 'lib/iss/alu\.ml'
+check_rule_owner 'check_aligned vaddr size exc =' 'lib/riscv/isa\.mli?'
+check_rule_owner 'check_dram plat paddr exc' 'lib/riscv/isa\.mli?'
+check_rule_owner 'type access = Fetch | Load | Store' 'lib/riscv/pte\.mli?'
+check_rule_owner 'Int64.rem vaddr' 'lib/riscv/isa\.mli?'
+
 echo "== one owner per layout: Uop's rows, through Uop's inlined accessors =="
 if grep -rnE 'Uop\.(ints|words|mask)\b' lib/ bin/ bench/ examples/ test/ \
     | grep -v '^lib/xiangshan/uop.ml:'; then

@@ -7,7 +7,7 @@
    terminator that takes it identifies the basic block that just
    ended.  Each terminator pc owns one counter cell, which the engine
    resolves when it compiles the block; every entry ending at that pc
-   shares it, and it survives flushes, evictions and recompiles.  An
+   shares it, and it survives flushes and recompiles.  An
    edge bumps its cell and compares instret with the interval
    boundary; no hashing.  At a boundary the cells hit in the interval
    are harvested into a sparse, normalised block-frequency vector. *)

@@ -94,7 +94,7 @@ type t = {
   (* [rules] with a pre / a post check, in list order, split once *)
   pre_rules : Rule.t array;
   post_rules : Rule.t array;
-  scoreboard : Softmem.Scoreboard.t option;
+  scoreboard : Softmem.Scoreboard.t;
   mutable status : status;
   mutable commits_checked : int;
   mutable debug_log : (int * string) list; (* debug mode only *)
@@ -229,7 +229,7 @@ let note_committed_store (t : t) ~hart (p : Xiangshan.Probe.commit) =
 
 (* Attach probes to the SoC and build REFs mirroring the program.
    [ref_kind] selects the reference-model backend. *)
-let create ?rules ?(with_scoreboard = true) ?(ref_kind = Ref_model.Iss)
+let create ?rules ?(ref_kind = Ref_model.Iss)
     ~(prog : Asm.program) (soc : Xiangshan.Soc.t) : t =
   let rules = match rules with Some r -> r | None -> Rules.standard () in
   let n = Array.length soc.Xiangshan.Soc.cores in
@@ -247,19 +247,12 @@ let create ?rules ?(with_scoreboard = true) ?(ref_kind = Ref_model.Iss)
     }
   in
   let scoreboard =
-    if not with_scoreboard then None
-    else begin
-      let parent, children =
-        match soc.Xiangshan.Soc.l3 with
-        | Some _ ->
-            ( "l3",
-              Array.init n (fun i -> Printf.sprintf "l2.%d" i) )
-        | None ->
-            ( "l2.0",
-              [| "l1i.0"; "l1d.0"; "ptw.0" |] )
-      in
-      Some (Softmem.Scoreboard.create ~node:parent ~children)
-    end
+    let parent, children =
+      match soc.Xiangshan.Soc.l3 with
+      | Some _ -> ("l3", Array.init n (fun i -> Printf.sprintf "l2.%d" i))
+      | None -> ("l2.0", [| "l1i.0"; "l1d.0"; "ptw.0" |])
+    in
+    Softmem.Scoreboard.create ~node:parent ~children
   in
   let t =
     {
@@ -300,11 +293,8 @@ let create ?rules ?(with_scoreboard = true) ?(ref_kind = Ref_model.Iss)
               ~size:d.Xiangshan.Probe.d_size ~value:d.Xiangshan.Probe.d_value;
           note_drain t i d))
     soc.Xiangshan.Soc.cores;
-  (match scoreboard with
-  | Some sb ->
-      Xiangshan.Soc.set_event_sink soc (fun ev ->
-          Softmem.Scoreboard.observe sb ev)
-  | None -> ());
+  Xiangshan.Soc.set_event_sink soc (fun ev ->
+      Softmem.Scoreboard.observe scoreboard ev);
   t
 
 let apply_pre t ~hart (p : Xiangshan.Probe.commit) =
@@ -398,14 +388,13 @@ let compare_state t hart =
   | None -> ()
 
 let check_scoreboard t =
-  match t.scoreboard with
-  | Some sb when not (Softmem.Scoreboard.ok sb) ->
-      let v = List.hd (Softmem.Scoreboard.violations sb) in
-      fail_now t ~hart:(-1) ~pc:0L ~rule:"cache-permission-scoreboard"
-        (Printf.sprintf "block 0x%Lx at cycle %d: %s"
-           v.Softmem.Scoreboard.v_addr v.Softmem.Scoreboard.v_cycle
-           v.Softmem.Scoreboard.v_msg)
-  | Some _ | None -> ()
+  let sb = t.scoreboard in
+  if not (Softmem.Scoreboard.ok sb) then begin
+    let v = List.hd (Softmem.Scoreboard.violations sb) in
+    fail_now t ~hart:(-1) ~pc:0L ~rule:"cache-permission-scoreboard"
+      (Printf.sprintf "block 0x%Lx at cycle %d: %s" v.Softmem.Scoreboard.v_addr
+         v.Softmem.Scoreboard.v_cycle v.Softmem.Scoreboard.v_msg)
+  end
 
 let running t =
   match t.status with Running -> true | Finished _ | Failed _ -> false

@@ -40,7 +40,6 @@ type t
 
 val create :
   ?rules:Rule.t list ->
-  ?with_scoreboard:bool ->
   ?ref_kind:Ref_model.kind ->
   prog:Riscv.Asm.program ->
   Xiangshan.Soc.t ->

@@ -13,19 +13,26 @@ open Riscv
    TLB walk raced a PTE store still in the store buffer, or a cached
    invalid PTE before sfence.vma).  The REF is forced to take the same
    trap.  Identical architectural state afterwards is still required
-   (checked by the post-step state comparison). *)
+   (checked by the post-step state comparison).  Only page faults are
+   forced: every other exception follows from the shared ISA rules
+   ([Riscv.Isa]), so the REF must raise it on its own, and a DUT that
+   raises one the REF does not is caught by the next-pc and state
+   checks. *)
 let page_fault_forcing () =
   Rule.make ~name:"page-fault-forcing"
     ~descr:
-      "DUT may fault on speculative/stale translations; REF is forced to \
-       take the same trap"
+      "DUT may page-fault on speculative/stale translations; REF is forced \
+       to take the same page fault"
     ~pre:(fun ctx ~hart (p : Xiangshan.Probe.commit) ->
       match p.p_trap with
-      | Some (exc, tval) ->
+      | Some
+          (((Trap.Fetch_page_fault | Trap.Load_page_fault | Trap.Store_page_fault)
+            as exc),
+           tval) ->
           Rule.bump_force_guard ctx ~hart ~probe:p ~rule:"page-fault-forcing";
           ctx.Rule.refs.(hart).Ref_model.force_exception exc tval;
           true
-      | None ->
+      | Some _ | None ->
           Rule.clear_force_guard ctx ~hart ~probe:p;
           false)
     ()
@@ -110,18 +117,12 @@ let mmio_load_trust () =
       if p.p_mmio then begin
         match c.Ref_model.load with
         | Some _ when p.p_has_load ->
-            let rd =
-              match p.p_insn with
-              | Insn.Load (_, rd, _, _) -> rd
-              | _ -> 0
-            in
-            let extended =
-              match p.p_insn with
-              | Insn.Load (op, _, _, _) ->
-                  Iss.Alu.extend_load op p.p_load_value
-              | _ -> p.p_load_value
-            in
-            ctx.Rule.refs.(hart).Ref_model.patch_reg rd extended;
+            let r = ctx.Rule.refs.(hart) in
+            (match p.p_insn with
+            | Insn.Load (op, rd, _, _) ->
+                r.Ref_model.patch_reg rd (Iss.Alu.extend_load op p.p_load_value)
+            | Insn.Fld (frd, _, _) -> r.Ref_model.patch_freg frd p.p_load_value
+            | _ -> ());
             Rule.Patched
         | _ -> Rule.Pass
       end

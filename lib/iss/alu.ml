@@ -105,9 +105,10 @@ let eval_amo (op : Riscv.Insn.amo_op) (width : Riscv.Insn.amo_width)
   in
   match width with Width_d -> r | Width_w -> sext32 r
 
-(* Out of line: its callers store the result boxed, and an inlined
-   match would unbox the doubleword case only to box it again. *)
-let[@inline never] extend_amo (width : Riscv.Insn.amo_width) (raw : int64) =
+let[@inline] amo_size (width : Riscv.Insn.amo_width) =
+  match width with Width_w -> 4 | Width_d -> 8
+
+let[@inline] extend_amo (width : Riscv.Insn.amo_width) (raw : int64) =
   match width with Width_w -> sext32 raw | Width_d -> raw
 
 let load_width = function

@@ -193,15 +193,11 @@ let exit_code t = Platform.exit_code t.plat
 
 (* --- memory helpers -------------------------------------------------- *)
 
-let check_aligned vaddr size exc =
-  if Int64.rem vaddr (Int64.of_int size) <> 0L then
-    raise (Trap.Exception (exc, vaddr))
-
 (* Both report the access into the step's commit and return the value
    loaded; the physical address is left in the report's access record. *)
 let do_load t vaddr size =
-  check_aligned vaddr size Trap.Load_misaligned;
-  let paddr = Mmu.translate t.plat t.st.Arch_state.csr vaddr Mmu.Load in
+  Isa.check_aligned vaddr size Trap.Load_misaligned;
+  let paddr = Mmu.translate t.plat t.st.Arch_state.csr vaddr Pte.Load in
   let value =
     try Platform.read t.plat ~addr:paddr ~size
     with Platform.Bus_fault _ ->
@@ -211,8 +207,8 @@ let do_load t vaddr size =
   value
 
 let do_store t vaddr size value =
-  check_aligned vaddr size Trap.Store_misaligned;
-  let paddr = Mmu.translate t.plat t.st.Arch_state.csr vaddr Mmu.Store in
+  Isa.check_aligned vaddr size Trap.Store_misaligned;
+  let paddr = Mmu.translate t.plat t.st.Arch_state.csr vaddr Pte.Store in
   (try Platform.write t.plat ~addr:paddr ~size value
    with Platform.Bus_fault _ ->
      raise (Trap.Exception (Trap.Store_access, vaddr)));
@@ -306,13 +302,11 @@ let rec step (t : t) : step_result =
         | Some (Force_interrupt _) | Some Force_sc_failure | None -> (
             (* fetch / decode / execute *)
             (try
-               let fetch_pa = Mmu.translate t.plat csr pc Mmu.Fetch in
-               let word =
-                 try Platform.read t.plat ~addr:fetch_pa ~size:4
-                 with Platform.Bus_fault _ ->
-                   raise (Trap.Exception (Trap.Fetch_access, pc))
+               let fetch_pa = Mmu.translate t.plat csr pc Pte.Fetch in
+               Isa.check_dram t.plat fetch_pa Trap.Fetch_access ~vaddr:pc;
+               let insn =
+                 decode (Memory.read_u32 t.plat.Platform.mem fetch_pa)
                in
-               let insn = decode (Int64.to_int word) in
                begin_commit r ~pc ~insn;
                let next_pc = exec t pc insn in
                c.next_pc <- next_pc;
@@ -382,18 +376,19 @@ and exec (t : t) (pc : int64) (insn : Insn.t) : int64 =
       wr st rd (Alu.eval_mul_w op (rg st rs1) (rg st rs2));
       next
   | Lr (w, rd, rs1) ->
-      let size = match w with Width_w -> 4 | Width_d -> 8 in
-      let vaddr = rg st rs1 in
-      check_aligned vaddr size Trap.Load_misaligned;
-      let loaded = do_load t vaddr size in
+      let size = Alu.amo_size w and vaddr = rg st rs1 in
+      Isa.check_aligned vaddr size Trap.Load_misaligned;
+      let paddr = Mmu.translate t.plat csr vaddr Pte.Load in
+      Isa.check_dram t.plat paddr Trap.Load_access ~vaddr;
+      let loaded = Memory.read_bytes_le t.plat.Platform.mem paddr size in
+      report_load t.report ~vaddr ~paddr ~size ~value:loaded;
       wr st rd (Alu.extend_amo w loaded);
-      Arch_state.set_reservation st (Some t.report.load_acc.paddr);
+      Arch_state.set_reservation st (Some paddr);
       next
   | Sc (w, rd, rs1, rs2) ->
-      let size = match w with Width_w -> 4 | Width_d -> 8 in
-      let vaddr = rg st rs1 in
-      check_aligned vaddr size Trap.Store_misaligned;
-      let paddr = Mmu.translate t.plat csr vaddr Mmu.Store in
+      let size = Alu.amo_size w and vaddr = rg st rs1 in
+      Isa.check_aligned vaddr size Trap.Store_misaligned;
+      let paddr = Mmu.translate t.plat csr vaddr Pte.Store in
       let reserved =
         match st.Arch_state.reservation with
         | Some r -> r = paddr
@@ -412,69 +407,41 @@ and exec (t : t) (pc : int64) (insn : Insn.t) : int64 =
         next
       end
   | Amo (op, w, rd, rs1, rs2) ->
-      let size = match w with Width_w -> 4 | Width_d -> 8 in
-      let vaddr = rg st rs1 in
-      check_aligned vaddr size Trap.Store_misaligned;
-      let loaded = do_load t vaddr size in
+      let size = Alu.amo_size w and vaddr = rg st rs1 in
+      Isa.check_aligned vaddr size Trap.Store_misaligned;
+      let paddr = Mmu.translate t.plat csr vaddr Pte.Store in
+      Isa.check_dram t.plat paddr Trap.Store_access ~vaddr;
+      let mem = t.plat.Platform.mem in
+      let loaded = Memory.read_bytes_le mem paddr size in
+      report_load t.report ~vaddr ~paddr ~size ~value:loaded;
       let old_v = Alu.extend_amo w loaded in
       let new_v = Alu.eval_amo op w old_v (rg st rs2) in
-      do_store t vaddr size new_v;
+      Memory.write_bytes_le mem paddr size new_v;
+      report_store t.report ~vaddr ~paddr ~size ~value:new_v;
       wr st rd old_v;
       next
-  | Csr (op, rd, rs1, addr) -> (
-      try
-        let old_v =
-          match op with
-          | CSRRW | CSRRWI when rd = 0 -> 0L
-          | _ -> Csr.read csr addr
-        in
-        let src =
-          match op with
-          | CSRRW | CSRRS | CSRRC -> rg st rs1
-          | CSRRWI | CSRRSI | CSRRCI -> Int64.of_int rs1
-        in
-        (match op with
-        | CSRRW | CSRRWI -> Csr.write csr addr src
-        | CSRRS | CSRRSI ->
-            if rs1 <> 0 then Csr.write csr addr (Int64.logor old_v src)
-        | CSRRC | CSRRCI ->
-            if rs1 <> 0 then
-              Csr.write csr addr (Int64.logand old_v (Int64.lognot src)));
-        wr st rd old_v;
-        c.csr_read <- Some (addr, old_v);
-        next
-      with Csr.Illegal_csr _ ->
-        raise (Trap.Exception (Trap.Illegal_instruction, 0L)))
-  | Ecall ->
-      let exc =
-        match csr.Csr.priv with
-        | Csr.U -> Trap.Ecall_from_u
-        | Csr.S -> Trap.Ecall_from_s
-        | Csr.M -> Trap.Ecall_from_m
-      in
-      raise (Trap.Exception (exc, 0L))
+  | Csr (op, rd, rs1, addr) ->
+      let old_v = Isa.csr_rmw csr op ~rd ~rs1 ~rs1_value:(rg st rs1) addr in
+      wr st rd old_v;
+      c.csr_read <- Some (addr, old_v);
+      next
+  | Ecall -> Isa.ecall csr
   | Ebreak -> raise (Trap.Exception (Trap.Breakpoint, pc))
-  | Mret ->
-      if csr.Csr.priv <> Csr.M then
-        raise (Trap.Exception (Trap.Illegal_instruction, 0L));
-      Trap.mret csr
-  | Sret ->
-      if csr.Csr.priv = Csr.U then
-        raise (Trap.Exception (Trap.Illegal_instruction, 0L));
-      Trap.sret csr
-  | Wfi -> next
-  | Fence | Fence_i -> next
+  | Mret -> Isa.mret csr
+  | Sret -> Isa.sret csr
+  | Wfi | Fence | Fence_i -> next
   | Sfence_vma (_, _) ->
-      if csr.Csr.priv = Csr.U then
-        raise (Trap.Exception (Trap.Illegal_instruction, 0L));
+      Isa.sfence_vma csr;
       next
   | Fld (frd, rs1, imm) ->
       let vaddr = Int64.add (rg st rs1) imm in
       fwr st frd (do_load t vaddr 8);
+      c.mmio <- Platform.is_mmio t.plat t.report.load_acc.paddr;
       next
   | Fsd (frs2, rs1, imm) ->
       let vaddr = Int64.add (rg st rs1) imm in
       do_store t vaddr 8 (frg st frs2);
+      c.mmio <- Platform.is_mmio t.plat t.report.store_acc.paddr;
       next
   | Fp_rrr (op, frd, f1, f2) ->
       let f =

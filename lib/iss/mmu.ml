@@ -7,28 +7,16 @@
 
 open Riscv
 
-type access = Fetch | Load | Store
-
-let fault_of = function
-  | Fetch -> Trap.Fetch_page_fault
-  | Load -> Trap.Load_page_fault
-  | Store -> Trap.Store_page_fault
-
-let translation_active (csr : Csr.t) access =
-  (* M-mode bypasses translation (we do not model MPRV). *)
-  let eff_priv = csr.Csr.priv in
-  ignore access;
-  eff_priv <> Csr.M && Pte.satp_mode csr.Csr.reg_satp = 8
+(* M-mode bypasses translation (we do not model MPRV). *)
+let translation_active (csr : Csr.t) =
+  csr.Csr.priv <> Csr.M && Pte.satp_mode csr.Csr.reg_satp = 8
 
 (* Walk the page table; returns the physical address.
    Raises Trap.Exception on a page fault. *)
-let walk (plat : Platform.t) (csr : Csr.t) (va : int64) (access : access) :
-    int64 =
-  let fault () = raise (Trap.Exception (fault_of access, va)) in
+let walk (plat : Platform.t) (csr : Csr.t) (va : int64) (access : Pte.access)
+    : int64 =
+  let fault () = raise (Trap.Exception (Pte.page_fault access, va)) in
   if not (Pte.va_canonical va) then fault ();
-  let sum = Csr.get_bit csr.Csr.reg_mstatus Csr.st_sum in
-  let mxr = Csr.get_bit csr.Csr.reg_mstatus Csr.st_mxr in
-  let priv = csr.Csr.priv in
   let rec step level table_pa =
     if level < 0 then fault ();
     let pte_pa =
@@ -39,18 +27,8 @@ let walk (plat : Platform.t) (csr : Csr.t) (va : int64) (access : access) :
     if not (Pte.valid pte) then fault ();
     if (not (Pte.readable pte)) && Pte.writable pte then fault ();
     if Pte.is_leaf pte then begin
-      (* permission checks *)
-      (match access with
-      | Fetch -> if not (Pte.executable pte) then fault ()
-      | Load ->
-          if not (Pte.readable pte || (mxr && Pte.executable pte)) then
-            fault ()
-      | Store -> if not (Pte.writable pte) then fault ());
-      (match priv with
-      | Csr.U -> if not (Pte.user pte) then fault ()
-      | Csr.S ->
-          if Pte.user pte && not (sum && access <> Fetch) then fault ()
-      | Csr.M -> ());
+      if not (Pte.leaf_permits csr ~flags:(Int64.to_int pte land 0xFF) access)
+      then fault ();
       (* A/D bits are neither hardware-updated nor required in this
          model (software sets them when installing a page); a hardware
          A/D update would make REF and DUT write PTE memory at
@@ -73,4 +51,4 @@ let walk (plat : Platform.t) (csr : Csr.t) (va : int64) (access : access) :
   step (Pte.levels - 1) (Pte.root_of_satp csr.Csr.reg_satp)
 
 let translate plat csr va access =
-  if translation_active csr access then walk plat csr va access else va
+  if translation_active csr then walk plat csr va access else va

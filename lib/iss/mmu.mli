@@ -6,16 +6,14 @@
     [Xiangshan.Tlb].  The difference between the two is exactly the
     non-determinism the page-fault diff-rule reconciles (Figure 3). *)
 
-type access = Fetch | Load | Store
-
-val fault_of : access -> Riscv.Trap.exc
-
-val translation_active : Riscv.Csr.t -> access -> bool
+val translation_active : Riscv.Csr.t -> bool
 (** Paging applies outside M-mode when satp selects Sv39. *)
 
-val walk : Riscv.Platform.t -> Riscv.Csr.t -> int64 -> access -> int64
-(** Full table walk with permission and canonicality checks.
+val walk : Riscv.Platform.t -> Riscv.Csr.t -> int64 -> Riscv.Pte.access -> int64
+(** Full table walk with {!Riscv.Pte.leaf_permits} and canonicality
+    checks.
     @raise Riscv.Trap.Exception with the matching page fault. *)
 
-val translate : Riscv.Platform.t -> Riscv.Csr.t -> int64 -> access -> int64
+val translate :
+  Riscv.Platform.t -> Riscv.Csr.t -> int64 -> Riscv.Pte.access -> int64
 (** [walk] when translation is active, identity otherwise. *)

@@ -18,8 +18,6 @@ type stats = {
   flushes : int;
   slow_lookups : int;
   compiled : int;
-  evictions : int;
-  recompiles : int;
 }
 
 (* Run [prog] on a fresh machine; returns run statistics. *)
@@ -48,8 +46,6 @@ let run_program_stats ?(max_insns = 2_000_000_000)
         flushes = t.Fast.flushes;
         slow_lookups = t.Fast.slow_lookups;
         compiled = t.Fast.compiled;
-        evictions = t.Fast.evictions;
-        recompiles = t.Fast.recompiles;
       }
   | None ->
       {
@@ -58,8 +54,6 @@ let run_program_stats ?(max_insns = 2_000_000_000)
         flushes = 0;
         slow_lookups = 0;
         compiled = 0;
-        evictions = 0;
-        recompiles = 0;
       }
 
 let run_program ?max_insns ?dram_size kind prog =

@@ -19,11 +19,10 @@ val name : kind -> string
 type stats = {
   insns : int;  (** instructions retired *)
   seconds : float;  (** wall-clock run time *)
-  flushes : int;  (** NEMU uop-cache whole flushes (system events) *)
+  flushes : int;
+      (** NEMU uop-cache whole flushes (system events, full tables) *)
   slow_lookups : int;  (** NEMU chain misses resolved via the hash list *)
   compiled : int;  (** NEMU superblocks compiled *)
-  evictions : int;  (** NEMU entries demoted by capacity eviction *)
-  recompiles : int;  (** NEMU evicted entries rebuilt via stale chains *)
 }
 (** Per-run statistics.  The uop-cache counters are zero for every
     engine but [Nemu]. *)

@@ -60,13 +60,8 @@ let soft_fp =
     f_fused = soft_fused;
   }
 
-(* Widths are powers of two, so the remainder test is a mask test. *)
-let[@inline] check_aligned vaddr size exc =
-  if Int64.logand vaddr (Int64.of_int (size - 1)) <> 0L then
-    raise (Trap.Exception (exc, vaddr))
-
 let load (m : Mach.t) vaddr size =
-  check_aligned vaddr size Trap.Load_misaligned;
+  Isa.check_aligned vaddr size Trap.Load_misaligned;
   let mem = m.Mach.plat.Platform.mem in
   if not m.Mach.paging then begin
     if Memory.in_range mem vaddr then Memory.read_bytes_le mem vaddr size
@@ -80,7 +75,7 @@ let load (m : Mach.t) vaddr size =
     let pa = Mach.tlb_lookup m Mach.tlb_load vaddr in
     if pa <> Int64.min_int then Memory.read_bytes_le mem pa size
     else begin
-      let pa = Iss.Mmu.translate m.plat m.csr vaddr Iss.Mmu.Load in
+      let pa = Iss.Mmu.translate m.plat m.csr vaddr Pte.Load in
       if Memory.in_range mem pa then begin
         Mach.tlb_fill m Mach.tlb_load vaddr pa;
         Memory.read_bytes_le mem pa size
@@ -94,7 +89,7 @@ let load (m : Mach.t) vaddr size =
   end
 
 let store (m : Mach.t) vaddr size v =
-  check_aligned vaddr size Trap.Store_misaligned;
+  Isa.check_aligned vaddr size Trap.Store_misaligned;
   let mem = m.Mach.plat.Platform.mem in
   if not m.Mach.paging then begin
     if Memory.in_range mem vaddr then Memory.write_bytes_le mem vaddr size v
@@ -109,7 +104,7 @@ let store (m : Mach.t) vaddr size v =
     let pa = Mach.tlb_lookup m Mach.tlb_store vaddr in
     if pa <> Int64.min_int then Memory.write_bytes_le mem pa size v
     else begin
-      let pa = Iss.Mmu.translate m.plat m.csr vaddr Iss.Mmu.Store in
+      let pa = Iss.Mmu.translate m.plat m.csr vaddr Pte.Store in
       if Memory.in_range mem pa then begin
         Mach.tlb_fill m Mach.tlb_store vaddr pa;
         Memory.write_bytes_le mem pa size v
@@ -175,81 +170,55 @@ let exec (fp : fp_ops) (m : Mach.t) (pc : int64) (insn : Insn.t) : unit =
       wr rd (Iss.Alu.eval_mul_w op (rg rs1) (rg rs2));
       m.pc <- next
   | Lr (w, rd, rs1) ->
-      let size = match w with Width_w -> 4 | Width_d -> 8 in
-      let vaddr = rg rs1 in
-      let v = load m vaddr size in
-      wr rd (match w with Width_w -> Iss.Alu.sext32 v | Width_d -> v);
-      m.reservation <- Some (Mach.translate m vaddr Iss.Mmu.Load);
+      let size = Iss.Alu.amo_size w and vaddr = rg rs1 in
+      Isa.check_aligned vaddr size Trap.Load_misaligned;
+      let pa = Mach.translate m vaddr Pte.Load in
+      Isa.check_dram m.plat pa Trap.Load_access ~vaddr;
+      wr rd
+        (Iss.Alu.extend_amo w
+           (Memory.read_bytes_le m.plat.Platform.mem pa size));
+      m.reservation <- Some pa;
       m.pc <- next
   | Sc (w, rd, rs1, rs2) ->
-      let size = match w with Width_w -> 4 | Width_d -> 8 in
-      let vaddr = rg rs1 in
-      check_aligned vaddr size Trap.Store_misaligned;
-      let pa = Mach.translate m vaddr Iss.Mmu.Store in
+      let size = Iss.Alu.amo_size w and vaddr = rg rs1 in
+      Isa.check_aligned vaddr size Trap.Store_misaligned;
+      let pa = Mach.translate m vaddr Pte.Store in
       let ok = match m.reservation with Some r -> r = pa | None -> false in
       m.reservation <- None;
       if ok then begin
-        store m vaddr size (rg rs2);
+        Memory.write_bytes_le m.plat.Platform.mem pa size (rg rs2);
         wr rd 0L
       end
       else wr rd 1L;
       m.pc <- next
   | Amo (op, w, rd, rs1, rs2) ->
-      let size = match w with Width_w -> 4 | Width_d -> 8 in
-      let vaddr = rg rs1 in
-      check_aligned vaddr size Trap.Store_misaligned;
-      let raw = load m vaddr size in
+      let size = Iss.Alu.amo_size w and vaddr = rg rs1 in
+      Isa.check_aligned vaddr size Trap.Store_misaligned;
+      let pa = Mach.translate m vaddr Pte.Store in
+      Isa.check_dram m.plat pa Trap.Store_access ~vaddr;
+      let mem = m.plat.Platform.mem in
+      let raw = Memory.read_bytes_le mem pa size in
       (* [eval_amo] sign-extends a word itself, so the old value is
          never boxed *)
-      store m vaddr size (Iss.Alu.eval_amo op w raw (rg rs2));
-      wr rd (match w with Width_w -> Iss.Alu.sext32 raw | Width_d -> raw);
+      Memory.write_bytes_le mem pa size (Iss.Alu.eval_amo op w raw (rg rs2));
+      wr rd (Iss.Alu.extend_amo w raw);
       m.pc <- next
-  | Csr (op, rd, rs1, addr) -> (
-      try
-        let old_v =
-          match op with
-          | CSRRW | CSRRWI when rd = 0 -> 0L
-          | _ -> Csr.read m.csr addr
-        in
-        let src =
-          match op with
-          | CSRRW | CSRRS | CSRRC -> rg rs1
-          | CSRRWI | CSRRSI | CSRRCI -> Int64.of_int rs1
-        in
-        (match op with
-        | CSRRW | CSRRWI -> Csr.write m.csr addr src
-        | CSRRS | CSRRSI ->
-            if rs1 <> 0 then Csr.write m.csr addr (Int64.logor old_v src)
-        | CSRRC | CSRRCI ->
-            if rs1 <> 0 then
-              Csr.write m.csr addr (Int64.logand old_v (Int64.lognot src)));
-        wr rd old_v;
-        if addr = Csr.satp || addr = Csr.mstatus || addr = Csr.sstatus then
-          Mach.sync_translation m;
-        m.pc <- next
-      with Csr.Illegal_csr _ ->
-        raise (Trap.Exception (Trap.Illegal_instruction, 0L)))
-  | Ecall ->
-      let exc =
-        match m.csr.Csr.priv with
-        | Csr.U -> Trap.Ecall_from_u
-        | Csr.S -> Trap.Ecall_from_s
-        | Csr.M -> Trap.Ecall_from_m
-      in
-      raise (Trap.Exception (exc, 0L))
+  | Csr (op, rd, rs1, addr) ->
+      wr rd (Isa.csr_rmw m.csr op ~rd ~rs1 ~rs1_value:(rg rs1) addr);
+      if addr = Csr.satp || addr = Csr.mstatus || addr = Csr.sstatus then
+        Mach.sync_translation m;
+      m.pc <- next
+  | Ecall -> Isa.ecall m.csr
   | Ebreak -> raise (Trap.Exception (Trap.Breakpoint, pc))
   | Mret ->
-      if m.csr.Csr.priv <> Csr.M then
-        raise (Trap.Exception (Trap.Illegal_instruction, 0L));
-      m.pc <- Trap.mret m.csr;
+      m.pc <- Isa.mret m.csr;
       Mach.sync_priv m
   | Sret ->
-      if m.csr.Csr.priv = Csr.U then
-        raise (Trap.Exception (Trap.Illegal_instruction, 0L));
-      m.pc <- Trap.sret m.csr;
+      m.pc <- Isa.sret m.csr;
       Mach.sync_priv m
   | Wfi | Fence | Fence_i -> m.pc <- next
   | Sfence_vma (_, _) ->
+      Isa.sfence_vma m.csr;
       Mach.sync_translation m;
       m.pc <- next
   | Fld (frd, rs1, imm) ->
@@ -325,7 +294,7 @@ let fetch_decode ?at (m : Mach.t) : Insn.t =
     let pa = Mach.tlb_lookup m Mach.tlb_fetch va in
     if pa <> Int64.min_int then Decode.decode_int (Memory.read_u32 mem pa)
     else begin
-      let pa = Iss.Mmu.translate m.plat m.csr va Iss.Mmu.Fetch in
+      let pa = Iss.Mmu.translate m.plat m.csr va Pte.Fetch in
       if Memory.in_range mem pa then begin
         Mach.tlb_fill m Mach.tlb_fetch va pa;
         Decode.decode_int (Memory.read_u32 mem pa)

@@ -38,11 +38,9 @@
    block's body is stepped partially ([run_partial]) through the
    unfused per-instruction view.
 
-   When the cache reaches capacity it is no longer flushed wholesale;
-   a bounded victim set is evicted instead.  Chain pointers into an
-   evicted entry are healed lazily: the victim keeps its identity but
-   its routine is demoted to a stub that recompiles the block in place
-   on next execution. *)
+   When a privilege's table reaches capacity, every table is flushed
+   whole, as on a system event: no chain can then point at a dropped
+   entry. *)
 
 open Riscv
 open Bigarray
@@ -93,8 +91,6 @@ type t = {
   mutable flushes : int;
   mutable slow_lookups : int;
   mutable compiled : int;
-  mutable evictions : int;
-  mutable recompiles : int;
   (* BBV profiling (§III-D3): [build_terminal] resolves [prof_site pc]
      once per control-flow terminator, and the terminator calls the
      resolved routine on every edge it takes while [prof_on] *)
@@ -140,8 +136,6 @@ let create ?(capacity = 16384) (m : Mach.t) : t =
     flushes = 0;
     slow_lookups = 0;
     compiled = 0;
-    evictions = 0;
-    recompiles = 0;
     prof_on = false;
     prof_site = (fun _ -> no_site);
   }
@@ -1260,65 +1254,6 @@ let compile (t : t) (pc : int64) (first : Insn.t) : entry =
   build t e first;
   e
 
-(* --- bounded eviction -------------------------------------------------
-
-   Evicted entries are removed from the hash list but may still be
-   referenced by the [seq]/[tgt] chains of surviving blocks.  Instead
-   of chasing those references, the victim is *demoted*: its routine
-   becomes a stub that recompiles the block in place on next execution
-   (and re-inserts it into the hash list), so stale chains self-heal
-   at the cost of one recompile. *)
-
-let demote (t : t) (e : entry) =
-  e.body <- [||];
-  e.steps <- [||];
-  e.offs <- [||];
-  e.slot_ret <- [||];
-  e.slot_offs <- [||];
-  e.e_len <- 1;
-  e.seq <- None;
-  e.tgt <- None;
-  (* a pending patch into this entry would link it for its *old* block
-     shape; drop it *)
-  (match t.patch with
-  | Some p when p == e ->
-      t.patch <- None;
-      t.patch_slot <- Patch_none
-  | _ -> ());
-  e.exec <-
-    (fun e' ->
-      match Exec_generic.fetch_decode ~at:e'.e_pc t.m with
-      | insn ->
-          build t e' insn;
-          Hashtbl.replace t.cache e'.e_pc e';
-          t.recompiles <- t.recompiles + 1;
-          (* re-dispatch without executing: the run loop re-checks the
-             budget against the rebuilt e_len *)
-          Some e'
-      | exception Trap.Exception (exc, tval) ->
-          Mach.take_trap t.m exc tval ~epc:e'.e_pc;
-          retarget t;
-          None)
-
-let evict (t : t) =
-  let want = max 1 (t.capacity / 8) in
-  let victims = ref [] in
-  let k = ref 0 in
-  (try
-     Hashtbl.iter
-       (fun pc e ->
-         victims := (pc, e) :: !victims;
-         incr k;
-         if !k >= want then raise Exit)
-       t.cache
-   with Exit -> ());
-  List.iter
-    (fun (pc, e) ->
-      Hashtbl.remove t.cache pc;
-      demote t e)
-    !victims;
-  t.evictions <- t.evictions + !k
-
 (* --- slow path --------------------------------------------------------- *)
 
 (* Resolve the entry for m.pc, compiling if needed, and patch the
@@ -1327,7 +1262,7 @@ let rec lookup_or_compile (t : t) : entry option =
   if not t.m.Mach.running then None
   else begin
     t.slow_lookups <- t.slow_lookups + 1;
-    if Hashtbl.length t.cache >= t.capacity then evict t;
+    if Hashtbl.length t.cache >= t.capacity then flush t;
     let pc = t.m.Mach.pc in
     match Hashtbl.find_opt t.cache pc with
     | Some entry ->
@@ -1341,9 +1276,11 @@ let rec lookup_or_compile (t : t) : entry option =
             patch_chain t entry;
             Some entry
         | exception Trap.Exception (exc, tval) ->
-            (* fetch fault: take the trap and resolve the handler
-               address in the handler privilege's cache instead *)
+            (* fetch fault: it retires, as in [Exec_generic.step]; take
+               the trap and resolve the handler address in the handler
+               privilege's cache instead *)
             Mach.take_trap t.m exc tval ~epc:pc;
+            t.m.Mach.instret <- t.m.Mach.instret + 1;
             retarget t;
             lookup_or_compile t)
   end

@@ -26,9 +26,8 @@
     privileges): traps and mret/sret just redirect the active table,
     so syscall-heavy guests keep their compiled working set.  All
     tables are flushed together on events that can remap or rewrite
-    code (sfence.vma, satp writes, fence.i); when a table reaches
-    capacity a bounded victim set is evicted and stale chains into the
-    victims self-heal by in-place recompilation.
+    code (sfence.vma, satp writes, fence.i), and when a table reaches
+    capacity.
 
     BBV profiling (§III-D3, [Checkpoint.Bbv]) turns jump folding off,
     so each superblock ends in at most one control-flow edge; each
@@ -83,8 +82,6 @@ type t = {
   mutable flushes : int;
   mutable slow_lookups : int;
   mutable compiled : int;
-  mutable evictions : int; (** entries demoted by capacity eviction *)
-  mutable recompiles : int; (** evicted entries rebuilt via stale chains *)
   mutable prof_on : bool;
       (** BBV profiling is attached: blocks compiled while it is set
           fold no jumps, so each ends in at most one control-flow

@@ -133,7 +133,7 @@ let[@inline] tlb_fill t kind va pa =
   Array.unsafe_set t.tlb_tags idx vpn;
   Array.unsafe_set t.tlb_base idx (Int64.logand pa (Int64.lognot 0xFFFL))
 
-let translate t va (access : Iss.Mmu.access) =
+let translate t va (access : Pte.access) =
   if t.paging then Iss.Mmu.translate t.plat t.csr va access else va
 
 let take_trap t exc tval ~epc =

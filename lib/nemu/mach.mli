@@ -60,7 +60,7 @@ val paging_on : t -> bool
 (** Recomputed from the CSR file (slow); engines read the cached
     [paging] field instead. *)
 
-val translate : t -> int64 -> Iss.Mmu.access -> int64
+val translate : t -> int64 -> Pte.access -> int64
 
 (** {1 Host TLB} *)
 

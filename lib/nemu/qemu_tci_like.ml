@@ -88,7 +88,8 @@ let create () = { blocks = Hashtbl.create 1024; translated_blocks = 0 }
 
 let max_block_insns = 64
 
-(* Translate the basic block starting at [pc]. *)
+(* Translate the basic block starting at [pc].  A fetch fault at [pc]
+   itself propagates to the caller, which takes it. *)
 let translate (m : Mach.t) (start_pc : int64) : block =
   let code = ref [] and imms = ref [] and fallbacks = ref [] in
   let n_imms = ref 0 and n_fb = ref 0 in
@@ -107,77 +108,79 @@ let translate (m : Mach.t) (start_pc : int64) : block =
   in
   let rec go pc n =
     if n >= max_block_insns then emit op_end 0 0 0 0 (imm pc)
-    else begin
-      let insn =
-        try Exec_generic.fetch_decode ~at:pc m
-        with Trap.Exception _ -> Insn.Illegal 0l
-      in
-      let continue () = go (Int64.add pc 4L) (n + 1) in
-      match insn with
-      | Op (op, rd, rs1, rs2) ->
-          emit op_ld_rr 0 0 rs1 rs2 0;
-          emit op_exec_alu (alu_id op) 0 0 0 0;
-          emit op_st 0 rd 0 0 0;
-          continue ()
-      | Op_imm (op, rd, rs1, v) ->
-          emit op_ld_ri 0 0 rs1 0 (imm v);
-          emit op_exec_alu (alu_id op) 0 0 0 0;
-          emit op_st 0 rd 0 0 0;
-          continue ()
-      | Op_w (op, rd, rs1, rs2) ->
-          emit op_ld_rr 0 0 rs1 rs2 0;
-          emit op_exec_aluw (aluw_id op) 0 0 0 0;
-          emit op_st 0 rd 0 0 0;
-          continue ()
-      | Op_imm_w (op, rd, rs1, v) ->
-          emit op_ld_ri 0 0 rs1 0 (imm v);
-          emit op_exec_aluw (aluw_id op) 0 0 0 0;
-          emit op_st 0 rd 0 0 0;
-          continue ()
-      | Mul (op, rd, rs1, rs2) ->
-          emit op_ld_rr 0 0 rs1 rs2 0;
-          emit op_exec_mul (mul_id op) 0 0 0 0;
-          emit op_st 0 rd 0 0 0;
-          continue ()
-      | Mul_w (op, rd, rs1, rs2) ->
-          emit op_ld_rr 0 0 rs1 rs2 0;
-          emit op_exec_mulw (mulw_id op) 0 0 0 0;
-          emit op_st 0 rd 0 0 0;
-          continue ()
-      | Lui (rd, v) ->
-          emit op_lui 0 rd 0 0 (imm v);
-          continue ()
-      | Auipc (rd, v) ->
-          emit op_auipc 0 rd 0 0 (imm (Int64.add pc v));
-          continue ()
-      | Load (op, rd, rs1, v) ->
-          emit op_load (load_id op) rd rs1 0 (imm v);
-          continue ()
-      | Store (op, rs2, rs1, v) ->
-          emit op_store (store_id op) 0 rs1 rs2 (imm v);
-          continue ()
-      | Branch (op, rs1, rs2, off) ->
-          (* imm slot holds the taken target; next imm the fallthrough *)
-          let idx = imm (Int64.add pc off) in
-          let _ = imm (Int64.add pc 4L) in
-          emit op_branch (branch_id op) 0 rs1 rs2 idx
-      | Jal (rd, off) ->
-          emit op_jal 0 rd 0 0 (imm (Int64.add pc off));
-          let _ = imm (Int64.add pc 4L) in
-          ()
-      | Jalr (rd, rs1, v) ->
-          emit op_jalr 0 rd rs1 0 (imm v);
-          let _ = imm (Int64.add pc 4L) in
-          ()
-      | Lr _ | Sc _ | Amo _ | Csr _ | Ecall | Ebreak | Mret | Sret | Wfi
-      | Fence | Fence_i | Sfence_vma _ | Fld _ | Fsd _ | Fp_rrr _
-      | Fp_fused _ | Fp_sign _ | Fp_minmax _ | Fp_cmp _ | Fsqrt_d _
-      | Fcvt_d_l _ | Fcvt_d_lu _ | Fcvt_d_w _ | Fcvt_l_d _ | Fcvt_lu_d _
-      | Fcvt_w_d _ | Fmv_x_d _ | Fmv_d_x _ | Fclass_d _ | Illegal _ ->
-          let ends_block = Insn.is_control_flow insn in
-          emit op_fallback (fb insn) 0 0 0 (imm pc);
-          if ends_block then () else continue ()
-    end
+    else
+      match Exec_generic.fetch_decode ~at:pc m with
+      | exception Trap.Exception _ when n > 0 ->
+          (* the fault is taken when execution reaches [pc], as the
+             first instruction of a block of its own *)
+          emit op_end 0 0 0 0 (imm pc)
+      | insn -> emit_insn pc n insn
+  and emit_insn pc n insn =
+    let continue () = go (Int64.add pc 4L) (n + 1) in
+    match insn with
+    | Op (op, rd, rs1, rs2) ->
+        emit op_ld_rr 0 0 rs1 rs2 0;
+        emit op_exec_alu (alu_id op) 0 0 0 0;
+        emit op_st 0 rd 0 0 0;
+        continue ()
+    | Op_imm (op, rd, rs1, v) ->
+        emit op_ld_ri 0 0 rs1 0 (imm v);
+        emit op_exec_alu (alu_id op) 0 0 0 0;
+        emit op_st 0 rd 0 0 0;
+        continue ()
+    | Op_w (op, rd, rs1, rs2) ->
+        emit op_ld_rr 0 0 rs1 rs2 0;
+        emit op_exec_aluw (aluw_id op) 0 0 0 0;
+        emit op_st 0 rd 0 0 0;
+        continue ()
+    | Op_imm_w (op, rd, rs1, v) ->
+        emit op_ld_ri 0 0 rs1 0 (imm v);
+        emit op_exec_aluw (aluw_id op) 0 0 0 0;
+        emit op_st 0 rd 0 0 0;
+        continue ()
+    | Mul (op, rd, rs1, rs2) ->
+        emit op_ld_rr 0 0 rs1 rs2 0;
+        emit op_exec_mul (mul_id op) 0 0 0 0;
+        emit op_st 0 rd 0 0 0;
+        continue ()
+    | Mul_w (op, rd, rs1, rs2) ->
+        emit op_ld_rr 0 0 rs1 rs2 0;
+        emit op_exec_mulw (mulw_id op) 0 0 0 0;
+        emit op_st 0 rd 0 0 0;
+        continue ()
+    | Lui (rd, v) ->
+        emit op_lui 0 rd 0 0 (imm v);
+        continue ()
+    | Auipc (rd, v) ->
+        emit op_auipc 0 rd 0 0 (imm (Int64.add pc v));
+        continue ()
+    | Load (op, rd, rs1, v) ->
+        emit op_load (load_id op) rd rs1 0 (imm v);
+        continue ()
+    | Store (op, rs2, rs1, v) ->
+        emit op_store (store_id op) 0 rs1 rs2 (imm v);
+        continue ()
+    | Branch (op, rs1, rs2, off) ->
+        (* imm slot holds the taken target; next imm the fallthrough *)
+        let idx = imm (Int64.add pc off) in
+        let _ = imm (Int64.add pc 4L) in
+        emit op_branch (branch_id op) 0 rs1 rs2 idx
+    | Jal (rd, off) ->
+        emit op_jal 0 rd 0 0 (imm (Int64.add pc off));
+        let _ = imm (Int64.add pc 4L) in
+        ()
+    | Jalr (rd, rs1, v) ->
+        emit op_jalr 0 rd rs1 0 (imm v);
+        let _ = imm (Int64.add pc 4L) in
+        ()
+    | Lr _ | Sc _ | Amo _ | Csr _ | Ecall | Ebreak | Mret | Sret | Wfi
+    | Fence | Fence_i | Sfence_vma _ | Fld _ | Fsd _ | Fp_rrr _
+    | Fp_fused _ | Fp_sign _ | Fp_minmax _ | Fp_cmp _ | Fsqrt_d _
+    | Fcvt_d_l _ | Fcvt_d_lu _ | Fcvt_d_w _ | Fcvt_l_d _ | Fcvt_lu_d _
+    | Fcvt_w_d _ | Fmv_x_d _ | Fmv_d_x _ | Fclass_d _ | Illegal _ ->
+        let ends_block = Insn.is_control_flow insn in
+        emit op_fallback (fb insn) 0 0 0 (imm pc);
+        if ends_block then () else continue ()
   in
   go start_pc 0;
   {
@@ -316,17 +319,19 @@ let run (m : Mach.t) ~max_insns : int =
   let start = m.Mach.instret in
   while m.Mach.running && m.Mach.instret - start < max_insns do
     let pc = m.Mach.pc in
-    let b =
-      match Hashtbl.find_opt t.blocks pc with
-      | Some b -> b
-      | None ->
-          let b = translate m pc in
-          Hashtbl.replace t.blocks pc b;
-          t.translated_blocks <- t.translated_blocks + 1;
-          b
-    in
-    let n = exec_block m b in
-    m.Mach.instret <- m.Mach.instret + n;
+    (match Hashtbl.find_opt t.blocks pc with
+    | Some b -> m.Mach.instret <- m.Mach.instret + exec_block m b
+    | None -> (
+        match translate m pc with
+        | b ->
+            Hashtbl.replace t.blocks pc b;
+            t.translated_blocks <- t.translated_blocks + 1;
+            m.Mach.instret <- m.Mach.instret + exec_block m b
+        | exception Trap.Exception (exc, tval) ->
+            (* a fetch fault retires its instruction, as in
+               [Exec_generic.step] *)
+            Mach.take_trap m exc tval ~epc:pc;
+            m.Mach.instret <- m.Mach.instret + 1));
     Mach.check_running m
   done;
   m.Mach.instret - start

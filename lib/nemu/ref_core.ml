@@ -195,24 +195,20 @@ let patch_mem t ~paddr ~size ~value =
 
 (* --- fetch + compile --------------------------------------------------- *)
 
-(* Fetch translation through the host TLB; mirrors the ISS fetch
-   (Platform.read fallback for the pathological non-DRAM fetch). *)
+(* Fetch translation through the host TLB; a fetch outside DRAM is an
+   access fault. *)
 let fetch_word (m : Mach.t) va : int * int64 =
   let mem = m.Mach.plat.Platform.mem in
   let read pa =
-    if Memory.in_range mem pa then Memory.read_u32 mem pa
-    else
-      match Platform.read m.Mach.plat ~addr:pa ~size:4 with
-      | v -> Int64.to_int v land 0xFFFFFFFF
-      | exception Platform.Bus_fault _ ->
-          raise (Trap.Exception (Trap.Fetch_access, va))
+    Isa.check_dram m.Mach.plat pa Trap.Fetch_access ~vaddr:va;
+    Memory.read_u32 mem pa
   in
   if not m.Mach.paging then (read va, va)
   else begin
     let pa = Mach.tlb_lookup m Mach.tlb_fetch va in
     if pa <> Int64.min_int then (read pa, pa)
     else begin
-      let pa = Iss.Mmu.translate m.Mach.plat m.Mach.csr va Iss.Mmu.Fetch in
+      let pa = Iss.Mmu.translate m.Mach.plat m.Mach.csr va Pte.Fetch in
       if Memory.in_range mem pa then Mach.tlb_fill m Mach.tlb_fetch va pa;
       (read pa, pa)
     end
@@ -356,10 +352,6 @@ let lookup_or_compile t vpc : block =
 
 (* --- instrumented execution ------------------------------------------- *)
 
-let[@inline] check_aligned vaddr size exc =
-  if Int64.logand vaddr (Int64.of_int (size - 1)) <> 0L then
-    raise (Trap.Exception (exc, vaddr))
-
 (* The physical address of [vaddr] through the host TLB [tlb]; a miss
    walks the page table and caches the translation when it lands in
    DRAM. *)
@@ -377,16 +369,16 @@ let translate (m : Mach.t) tlb access vaddr =
   end
 
 let translate_store (m : Mach.t) vaddr =
-  translate m Mach.tlb_store Iss.Mmu.Store vaddr
+  translate m Mach.tlb_store Pte.Store vaddr
 
 (* Loads and stores mirror [Exec_generic.load]/[store] and report the
    full access (vaddr, paddr, size, value) into the step's commit; a
    load returns the value read. *)
 let ref_load (t : t) vaddr size : int64 =
-  check_aligned vaddr size Trap.Load_misaligned;
+  Isa.check_aligned vaddr size Trap.Load_misaligned;
   let m = t.m in
   let mem = m.Mach.plat.Platform.mem in
-  let pa = translate m Mach.tlb_load Iss.Mmu.Load vaddr in
+  let pa = translate m Mach.tlb_load Pte.Load vaddr in
   let value =
     if Memory.in_range mem pa then Memory.read_bytes_le mem pa size
     else
@@ -399,7 +391,7 @@ let ref_load (t : t) vaddr size : int64 =
   value
 
 let ref_store (t : t) vaddr size v =
-  check_aligned vaddr size Trap.Store_misaligned;
+  Isa.check_aligned vaddr size Trap.Store_misaligned;
   let m = t.m in
   let mem = m.Mach.plat.Platform.mem in
   let pa = translate_store m vaddr in
@@ -450,17 +442,18 @@ let exec_commit (t : t) pc ~next (insn : Insn.t) =
         Platform.is_mmio m.Mach.plat
           t.report.Iss.Interp.store_acc.Iss.Interp.paddr
   | Insn.Lr (w, rd, rs1) ->
-      let size = match w with Insn.Width_w -> 4 | Insn.Width_d -> 8 in
-      let v = ref_load t (Mach.get_reg m rs1) size in
-      Mach.set_reg m rd
-        (match w with Insn.Width_w -> Iss.Alu.sext32 v | Insn.Width_d -> v);
-      m.Mach.reservation <-
-        Some t.report.Iss.Interp.load_acc.Iss.Interp.paddr;
+      let size = Iss.Alu.amo_size w and vaddr = Mach.get_reg m rs1 in
+      Isa.check_aligned vaddr size Trap.Load_misaligned;
+      let pa = translate m Mach.tlb_load Pte.Load vaddr in
+      Isa.check_dram m.Mach.plat pa Trap.Load_access ~vaddr;
+      let v = Memory.read_bytes_le m.Mach.plat.Platform.mem pa size in
+      Iss.Interp.report_load t.report ~vaddr ~paddr:pa ~size ~value:v;
+      Mach.set_reg m rd (Iss.Alu.extend_amo w v);
+      m.Mach.reservation <- Some pa;
       m.Mach.pc <- next
   | Insn.Sc (w, rd, rs1, rs2) ->
-      let size = match w with Insn.Width_w -> 4 | Insn.Width_d -> 8 in
-      let vaddr = Mach.get_reg m rs1 in
-      check_aligned vaddr size Trap.Store_misaligned;
+      let size = Iss.Alu.amo_size w and vaddr = Mach.get_reg m rs1 in
+      Isa.check_aligned vaddr size Trap.Store_misaligned;
       let pa = translate_store m vaddr in
       let reserved =
         match m.Mach.reservation with Some r -> Int64.equal r pa | None -> false
@@ -477,56 +470,46 @@ let exec_commit (t : t) pc ~next (insn : Insn.t) =
       end;
       m.Mach.pc <- next
   | Insn.Amo (op, w, rd, rs1, rs2) ->
-      let size = match w with Insn.Width_w -> 4 | Insn.Width_d -> 8 in
-      let vaddr = Mach.get_reg m rs1 in
-      check_aligned vaddr size Trap.Store_misaligned;
-      let v = ref_load t vaddr size in
+      let size = Iss.Alu.amo_size w and vaddr = Mach.get_reg m rs1 in
+      Isa.check_aligned vaddr size Trap.Store_misaligned;
+      let pa = translate_store m vaddr in
+      Isa.check_dram m.Mach.plat pa Trap.Store_access ~vaddr;
+      let v = Memory.read_bytes_le m.Mach.plat.Platform.mem pa size in
+      Iss.Interp.report_load t.report ~vaddr ~paddr:pa ~size ~value:v;
       (* [eval_amo] sign-extends a word itself, so the old value is
          never boxed *)
       ref_store t vaddr size (Iss.Alu.eval_amo op w v (Mach.get_reg m rs2));
-      Mach.set_reg m rd
-        (match w with Insn.Width_w -> Iss.Alu.sext32 v | Insn.Width_d -> v);
+      Mach.set_reg m rd (Iss.Alu.extend_amo w v);
       m.Mach.pc <- next
   | Insn.Fld (frd, rs1, imm) ->
       Bigarray.Array1.set m.Mach.fregs frd
         (ref_load t (Int64.add (Mach.get_reg m rs1) imm) 8);
-      m.Mach.pc <- next
+      m.Mach.pc <- next;
+      c.Iss.Interp.mmio <-
+        Platform.is_mmio m.Mach.plat
+          t.report.Iss.Interp.load_acc.Iss.Interp.paddr
   | Insn.Fsd (frs2, rs1, imm) ->
       ref_store t
         (Int64.add (Mach.get_reg m rs1) imm)
         8
         (Bigarray.Array1.get m.Mach.fregs frs2);
-      m.Mach.pc <- next
-  | Insn.Csr (op, rd, rs1, addr) -> (
-      try
-        let csr = m.Mach.csr in
-        let old_v =
-          match op with
-          | Insn.CSRRW | Insn.CSRRWI when rd = 0 -> 0L
-          | _ -> Csr.read csr addr
-        in
-        let src =
-          match op with
-          | Insn.CSRRW | Insn.CSRRS | Insn.CSRRC -> Mach.get_reg m rs1
-          | Insn.CSRRWI | Insn.CSRRSI | Insn.CSRRCI -> Int64.of_int rs1
-        in
-        (match op with
-        | Insn.CSRRW | Insn.CSRRWI -> Csr.write csr addr src
-        | Insn.CSRRS | Insn.CSRRSI ->
-            if rs1 <> 0 then Csr.write csr addr (Int64.logor old_v src)
-        | Insn.CSRRC | Insn.CSRRCI ->
-            if rs1 <> 0 then
-              Csr.write csr addr (Int64.logand old_v (Int64.lognot src)));
-        Mach.set_reg m rd old_v;
-        if addr = Csr.satp || addr = Csr.mstatus || addr = Csr.sstatus then begin
-          Mach.sync_translation m;
-          (* the code mapping may have changed under the block cache *)
-          if addr = Csr.satp then flush_blocks t
-        end;
-        m.Mach.pc <- next;
-        c.Iss.Interp.csr_read <- Some (addr, old_v)
-      with Csr.Illegal_csr _ ->
-        raise (Trap.Exception (Trap.Illegal_instruction, 0L)))
+      m.Mach.pc <- next;
+      c.Iss.Interp.mmio <-
+        Platform.is_mmio m.Mach.plat
+          t.report.Iss.Interp.store_acc.Iss.Interp.paddr
+  | Insn.Csr (op, rd, rs1, addr) ->
+      let old_v =
+        Isa.csr_rmw m.Mach.csr op ~rd ~rs1 ~rs1_value:(Mach.get_reg m rs1)
+          addr
+      in
+      Mach.set_reg m rd old_v;
+      if addr = Csr.satp || addr = Csr.mstatus || addr = Csr.sstatus then begin
+        Mach.sync_translation m;
+        (* the code mapping may have changed under the block cache *)
+        if addr = Csr.satp then flush_blocks t
+      end;
+      m.Mach.pc <- next;
+      c.Iss.Interp.csr_read <- Some (addr, old_v)
   | Insn.Sfence_vma (_, _) | Insn.Fence_i ->
       Exec_generic.exec Exec_generic.host_fp m pc insn;
       flush_blocks t

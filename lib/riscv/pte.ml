@@ -67,6 +67,37 @@ let satp_asid satp = Csr.get_field satp 44 16
 
 let root_of_satp satp = pa_of_ppn (satp_ppn satp)
 
+(* --- the access rules both walkers apply --------------------------------- *)
+
+type access = Fetch | Load | Store
+
+let page_fault = function
+  | Fetch -> Trap.Fetch_page_fault
+  | Load -> Trap.Load_page_fault
+  | Store -> Trap.Store_page_fault
+
+(* A leaf's [flags] (its low eight bits) permit [access] at the current
+   privilege: X to fetch, R (or X under MXR) to load, W to store; U-mode
+   needs U, and S-mode may touch a U page only for data with SUM set. *)
+let[@inline] has flags bit = flags land (1 lsl bit) <> 0
+
+let leaf_permits (csr : Csr.t) ~flags access =
+  let type_ok =
+    match access with
+    | Fetch -> has flags x
+    | Load ->
+        has flags r || (Csr.get_bit csr.Csr.reg_mstatus Csr.st_mxr && has flags x)
+    | Store -> has flags w
+  in
+  type_ok
+  &&
+  match csr.Csr.priv with
+  | Csr.U -> has flags u
+  | Csr.S ->
+      (not (has flags u))
+      || (Csr.get_bit csr.Csr.reg_mstatus Csr.st_sum && access <> Fetch)
+  | Csr.M -> true
+
 let make_satp ~mode ~asid ~root_pa =
   Int64.logor
     (Int64.shift_left (Int64.of_int mode) 60)

@@ -1,6 +1,8 @@
 (** Sv39 page-table entry and virtual-address helpers, shared by the
     reference model's walker, the DUT's hardware walker, and the
-    micro-kernel workload that builds page tables. *)
+    micro-kernel workload that builds page tables.  The access type,
+    its page-fault cause and the leaf permission check are defined
+    here once for both walkers. *)
 
 val page_shift : int
 (** log2 of the page size (12). *)
@@ -50,6 +52,18 @@ val page_offset : int64 -> int
 
 val va_canonical : int64 -> bool
 (** Sv39 requires bits 63..39 of a virtual address to equal bit 38. *)
+
+(** {1 Access rules} *)
+
+type access = Fetch | Load | Store
+
+val page_fault : access -> Trap.exc
+(** The page-fault cause of a failed translation for [access]. *)
+
+val leaf_permits : Csr.t -> flags:int -> access -> bool
+(** Whether a leaf PTE with these flag bits (its low eight) permits
+    [access] at the CSR file's privilege, honouring mstatus.SUM and
+    mstatus.MXR. *)
 
 val satp_mode : int64 -> int
 (** 0 = bare, 8 = Sv39. *)

@@ -55,6 +55,11 @@ let exc_of_code = function
   | 15 -> Store_page_fault
   | c -> invalid_arg (Printf.sprintf "Trap.exc_of_code: %d" c)
 
+let ecall_cause = function
+  | Csr.U -> Ecall_from_u
+  | Csr.S -> Ecall_from_s
+  | Csr.M -> Ecall_from_m
+
 type irq = Ssip | Msip | Stip | Mtip | Seip | Meip
 [@@deriving show { with_path = false }, eq, ord]
 

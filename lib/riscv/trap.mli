@@ -32,6 +32,9 @@ val exc_of_code : int -> exc
 (** The inverse of {!exc_code}.
     @raise Invalid_argument on an unknown code. *)
 
+val ecall_cause : Csr.priv -> exc
+(** The cause of an environment call made at a privilege level. *)
+
 type irq = Ssip | Msip | Stip | Mtip | Seip | Meip
 
 val pp_irq : Format.formatter -> irq -> unit

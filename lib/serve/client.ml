@@ -22,13 +22,15 @@ let request t req =
   Proto.write_frame t.fd (Proto.request_to_bytes req);
   read_reply t
 
-let rec submit ?(retries = 0) ?(retry_delay = 0.2) t spec =
+let retry_delay = 0.2
+
+let rec submit ?(retries = 0) t spec =
   match request t (Submit spec) with
   | Proto.Busy _ as busy ->
       if retries <= 0 then busy
       else begin
         Unix.sleepf retry_delay;
-        submit ~retries:(retries - 1) ~retry_delay t spec
+        submit ~retries:(retries - 1) t spec
       end
   | reply -> reply
 

@@ -21,10 +21,9 @@ val request : t -> Proto.request -> Proto.reply
     @raise Proto.Frame_error if the server hangs up or the stream is
     corrupt. *)
 
-val submit : ?retries:int -> ?retry_delay:float -> t -> Proto.job_spec -> Proto.reply
+val submit : ?retries:int -> t -> Proto.job_spec -> Proto.reply
 (** [request] for a [Submit], retrying up to [retries] (default 0)
-    times with [retry_delay] (default 0.2s) sleeps on a {!Proto.Busy}
-    reply. *)
+    times, 0.2 s apart, on a {!Proto.Busy} reply. *)
 
 val submit_nowait : t -> Proto.job_spec -> unit
 (** Fire a [Submit] frame without waiting for the reply — the

@@ -643,7 +643,7 @@ let fetch_slots t page off =
 let fetch_start_bundle t =
   let q = t.ring and tlb = t.tlb in
   assert (q.fq_len + t.cfg.fetch_width <= q.fr_cap);
-  Tlb.translate tlb t.arch.Arch_state.csr (fetch_pc q) Tlb.Fetch;
+  Tlb.translate tlb t.arch.Arch_state.csr (fetch_pc q) Pte.Fetch;
   let tlb_lat = tlb.Tlb.latency in
   if tlb.Tlb.faulted then
     fetch_fault t ~ready_at:(t.now + tlb_lat + 2) tlb.Tlb.exc
@@ -1005,14 +1005,18 @@ let complete_with_exc (u : Uop.t) r exc tval ~at =
   Uop.set u r Uop.i_state Uop.completed;
   Uop.set u r Uop.i_done_at at
 
-(* A pipelined load in row [r] read [raw]. *)
-let load_done t (u : Uop.t) r raw ~at =
+(* The load in row [r], an [ld] or an [fld], read [raw]. *)
+let[@inline] set_loaded t (u : Uop.t) r raw =
   Uop.set64 u r Uop.w_result
     (match Uop.insn u r with
     | Load (op, _, _, _) -> Iss.Alu.extend_load op raw
     | _ -> raw);
   Uop.set64 u r Uop.w_load_value raw;
-  Uop.set u r Uop.i_mem_cycle t.now;
+  Uop.set u r Uop.i_mem_cycle t.now
+
+(* A pipelined load in row [r] read [raw]. *)
+let load_done t (u : Uop.t) r raw ~at =
+  set_loaded t u r raw;
   complete t u r ~at;
   t.perf.p_loads <- t.perf.p_loads + 1
 
@@ -1029,13 +1033,13 @@ let issue_uop t r : bool =
   | Config.LOAD -> (
       let vaddr = Exec.agen u r t.rename in
       let size = Uop.get u r Uop.i_msize in
-      if Int64.rem vaddr (Int64.of_int size) <> 0L then begin
+      if Isa.misaligned vaddr size then begin
         complete_with_exc u r Trap.Load_misaligned vaddr ~at:(t.now + 1);
         true
       end
       else begin
         let tlb = t.tlb in
-        Tlb.translate tlb t.arch.Arch_state.csr vaddr Tlb.Load;
+        Tlb.translate tlb t.arch.Arch_state.csr vaddr Pte.Load;
         let tlb_lat = tlb.Tlb.latency in
         if tlb.Tlb.faulted then begin
           complete_with_exc u r tlb.Tlb.exc vaddr ~at:(t.now + 1 + tlb_lat);
@@ -1067,13 +1071,13 @@ let issue_uop t r : bool =
   | Config.STORE -> (
       let vaddr = Exec.agen u r t.rename in
       let size = Uop.get u r Uop.i_msize in
-      if Int64.rem vaddr (Int64.of_int size) <> 0L then begin
+      if Isa.misaligned vaddr size then begin
         complete_with_exc u r Trap.Store_misaligned vaddr ~at:(t.now + 1);
         true
       end
       else begin
         let tlb = t.tlb in
-        Tlb.translate tlb t.arch.Arch_state.csr vaddr Tlb.Store;
+        Tlb.translate tlb t.arch.Arch_state.csr vaddr Pte.Store;
         let tlb_lat = tlb.Tlb.latency in
         if tlb.Tlb.faulted then
           complete_with_exc u r tlb.Tlb.exc vaddr ~at:(t.now + 1 + tlb_lat)
@@ -1200,202 +1204,141 @@ let drain_sb t =
   let lat = Lsu.drain_all t.lsu ~now:t.now ~on_drain:t.on_drain in
   t.commit_busy_until <- max t.commit_busy_until (t.now + lat)
 
-(* Execute the uop in row [r] at the ROB head.  Its helpers are
-   top-level functions: local closures would be allocated on every
-   call. *)
-let execute_at_head t r : unit =
-  let u = t.rob.Rob.uops in
+(* The physical address of an at-head access to [vaddr]; a page fault
+   raises. *)
+let translate_at_head t vaddr access =
+  let tlb = t.tlb in
+  Tlb.translate tlb t.arch.Arch_state.csr vaddr access;
+  if tlb.Tlb.faulted then raise (Trap.Exception (tlb.Tlb.exc, vaddr));
+  paddr_once tlb
+
+(* Record an at-head access in row [r]. *)
+let note_access (u : Uop.t) r ~vaddr ~pa ~size =
+  Uop.set64 u r Uop.w_vaddr vaddr;
+  Uop.set64 u r Uop.w_paddr pa;
+  Uop.set u r Uop.i_msize size
+
+(* Execute the uop in row [r] at the ROB head; an instruction the ISA
+   rules refuse ([Riscv.Isa]) raises.  Its helpers are top-level
+   functions: local closures would be allocated on every call. *)
+let execute_insn_at_head t (u : Uop.t) r =
   let arch = t.arch in
   let csr = arch.Arch_state.csr in
   match Uop.insn u r with
-  | Csr (op, rd, rs1, addr) -> (
+  | Csr (op, rd, rs1, addr) ->
       (* mcycle counts core cycles.  Only a CSR instruction can read
          it, and it executes here, so it is brought up to date here
          rather than boxed afresh every cycle (a write to it is
          serialising, so no read shares its cycle) *)
       csr.Csr.reg_mcycle <- Int64.of_int t.now;
-      try
-        let old_v =
-          match op with
-          | CSRRW | CSRRWI when rd = 0 -> 0L
-          | CSRRW | CSRRS | CSRRC | CSRRWI | CSRRSI | CSRRCI ->
-              Csr.read csr addr
-        in
-        let src =
-          match op with
-          | CSRRW | CSRRS | CSRRC -> Arch_state.get_reg arch rs1
-          | CSRRWI | CSRRSI | CSRRCI -> Int64.of_int rs1
-        in
-        (match op with
-        | CSRRW | CSRRWI -> Csr.write csr addr src
-        | CSRRS | CSRRSI ->
-            if rs1 <> 0 then Csr.write csr addr (Int64.logor old_v src)
-        | CSRRC | CSRRCI ->
-            if rs1 <> 0 then
-              Csr.write csr addr (Int64.logand old_v (Int64.lognot src)));
-        Uop.set64 u r Uop.w_result old_v;
-        Uop.set u r Uop.i_csr_addr addr;
-        finish t u r ~lat:1
-      with Csr.Illegal_csr _ -> fault t u r Trap.Illegal_instruction 0L)
-  | Ecall ->
-      let exc =
-        match csr.Csr.priv with
-        | Csr.U -> Trap.Ecall_from_u
-        | Csr.S -> Trap.Ecall_from_s
-        | Csr.M -> Trap.Ecall_from_m
-      in
-      fault t u r exc 0L
+      Uop.set64 u r Uop.w_result
+        (Isa.csr_rmw csr op ~rd ~rs1
+           ~rs1_value:(Arch_state.get_reg arch rs1)
+           addr);
+      Uop.set u r Uop.i_csr_addr addr;
+      finish t u r ~lat:1
+  | Ecall -> Isa.ecall csr
   | Ebreak -> fault t u r Trap.Breakpoint (Uop.get64 u r Uop.w_pc)
   | Mret ->
-      if csr.Csr.priv <> Csr.M then fault t u r Trap.Illegal_instruction 0L
-      else begin
-        Uop.set64 u r Uop.w_next_pc (Trap.mret csr);
-        finish t u r ~lat:1
-      end
+      Uop.set64 u r Uop.w_next_pc (Isa.mret csr);
+      finish t u r ~lat:1
   | Sret ->
-      if csr.Csr.priv = Csr.U then fault t u r Trap.Illegal_instruction 0L
-      else begin
-        Uop.set64 u r Uop.w_next_pc (Trap.sret csr);
-        finish t u r ~lat:1
-      end
+      Uop.set64 u r Uop.w_next_pc (Isa.sret csr);
+      finish t u r ~lat:1
   | Wfi -> finish t u r ~lat:1
   | Fence ->
       drain_sb t;
       finish t u r ~lat:1
   | Fence_i -> finish t u r ~lat:1
   | Sfence_vma (_, _) ->
-      if csr.Csr.priv = Csr.U then fault t u r Trap.Illegal_instruction 0L
-      else begin
-        (* sfence.vma orders preceding stores before subsequent
-           implicit page-table reads: drain the store buffer, then
-           drop cached translations (including cached faults) *)
+      Isa.sfence_vma csr;
+      (* sfence.vma orders preceding stores before subsequent implicit
+         page-table reads: drain the store buffer, then drop cached
+         translations (including cached faults) *)
+      drain_sb t;
+      Tlb.flush t.tlb;
+      finish t u r ~lat:1
+  | Illegal _ -> fault t u r Trap.Illegal_instruction 0L
+  | Lr (w, _, rs1) ->
+      let size = Iss.Alu.amo_size w and vaddr = Arch_state.get_reg arch rs1 in
+      Isa.check_aligned vaddr size Trap.Load_misaligned;
+      let pa = translate_at_head t vaddr Pte.Load in
+      Isa.check_dram t.plat pa Trap.Load_access ~vaddr;
+      let raw, lat = Softmem.Cache.read t.l1d ~addr:pa ~size in
+      Uop.set64 u r Uop.w_result (Iss.Alu.extend_amo w raw);
+      Uop.set64 u r Uop.w_load_value raw;
+      Uop.set u r Uop.i_mem_cycle t.now;
+      note_access u r ~vaddr ~pa ~size;
+      Lsu.set_reservation t.lsu ~paddr:pa ~now:t.now;
+      finish t u r ~lat
+  | Sc (w, _, rs1, rs2) ->
+      let size = Iss.Alu.amo_size w and vaddr = Arch_state.get_reg arch rs1 in
+      Isa.check_aligned vaddr size Trap.Store_misaligned;
+      let pa = translate_at_head t vaddr Pte.Store in
+      let ok = Lsu.reservation_valid t.lsu ~paddr:pa ~now:t.now in
+      Lsu.clear_reservation t.lsu;
+      note_access u r ~vaddr ~pa ~size;
+      if ok then begin
         drain_sb t;
-        Tlb.flush t.tlb;
+        let lat =
+          Softmem.Cache.write t.l1d ~addr:pa ~size (Arch_state.get_reg arch rs2)
+        in
+        drain_notify t pa size;
+        Uop.set64 u r Uop.w_sdata (Arch_state.get_reg arch rs2);
+        Uop.set_flag u r Uop.b_addr_ready true;
+        Uop.set64 u r Uop.w_result 0L;
+        finish t u r ~lat
+      end
+      else begin
+        Uop.set64 u r Uop.w_result 1L;
+        Uop.set_flag u r Uop.b_sc_failed true;
         finish t u r ~lat:1
       end
-  | Illegal _ -> fault t u r Trap.Illegal_instruction 0L
-  | Lr (w, _, rs1) -> (
-      let size = match w with Width_w -> 4 | Width_d -> 8 in
-      let vaddr = Arch_state.get_reg arch rs1 in
-      if Int64.rem vaddr (Int64.of_int size) <> 0L then
-        fault t u r Trap.Load_misaligned vaddr
-      else
-        let tlb = t.tlb in
-        Tlb.translate tlb csr vaddr Tlb.Load;
-        if tlb.Tlb.faulted then fault t u r tlb.Tlb.exc vaddr
-        else
-          let pa = paddr_once tlb in
-          if Platform.is_mmio t.plat pa then
-            fault t u r Trap.Load_access vaddr
-          else begin
-            let raw, lat = Softmem.Cache.read t.l1d ~addr:pa ~size in
-            Uop.set64 u r Uop.w_result
-              (match w with
-              | Width_w -> Iss.Alu.sext32 raw
-              | Width_d -> raw);
-            Uop.set64 u r Uop.w_load_value raw;
-            Uop.set u r Uop.i_mem_cycle t.now;
-            Uop.set64 u r Uop.w_vaddr vaddr;
-            Uop.set64 u r Uop.w_paddr pa;
-            Uop.set u r Uop.i_msize size;
-            Lsu.set_reservation t.lsu ~paddr:pa ~now:t.now;
-            finish t u r ~lat
-          end)
-  | Sc (w, _, rs1, rs2) -> (
-      let size = match w with Width_w -> 4 | Width_d -> 8 in
-      let vaddr = Arch_state.get_reg arch rs1 in
-      if Int64.rem vaddr (Int64.of_int size) <> 0L then
-        fault t u r Trap.Store_misaligned vaddr
-      else
-        let tlb = t.tlb in
-        Tlb.translate tlb csr vaddr Tlb.Store;
-        if tlb.Tlb.faulted then fault t u r tlb.Tlb.exc vaddr
-        else
-          let pa = paddr_once tlb in
-          let ok = Lsu.reservation_valid t.lsu ~paddr:pa ~now:t.now in
-          Lsu.clear_reservation t.lsu;
-          Uop.set64 u r Uop.w_vaddr vaddr;
-          Uop.set64 u r Uop.w_paddr pa;
-          Uop.set u r Uop.i_msize size;
-          if ok then begin
-            drain_sb t;
-            let lat =
-              Softmem.Cache.write t.l1d ~addr:pa ~size
-                (Arch_state.get_reg arch rs2)
-            in
-            drain_notify t pa size;
-            Uop.set64 u r Uop.w_sdata (Arch_state.get_reg arch rs2);
-            Uop.set_flag u r Uop.b_addr_ready true;
-            Uop.set64 u r Uop.w_result 0L;
-            finish t u r ~lat
-          end
-          else begin
-            Uop.set64 u r Uop.w_result 1L;
-            Uop.set_flag u r Uop.b_sc_failed true;
-            finish t u r ~lat:1
-          end)
-  | Amo (op, w, _, rs1, rs2) -> (
-      let size = match w with Width_w -> 4 | Width_d -> 8 in
-      let vaddr = Arch_state.get_reg arch rs1 in
-      if Int64.rem vaddr (Int64.of_int size) <> 0L then
-        fault t u r Trap.Store_misaligned vaddr
-      else
-        let tlb = t.tlb in
-        Tlb.translate tlb csr vaddr Tlb.Store;
-        if tlb.Tlb.faulted then fault t u r tlb.Tlb.exc vaddr
-        else
-          let pa = paddr_once tlb in
-          if Platform.is_mmio t.plat pa then
-            fault t u r Trap.Store_access vaddr
-          else begin
-            drain_sb t;
-            let raw, rlat = Softmem.Cache.read t.l1d ~addr:pa ~size in
-            (* [eval_amo] sign-extends a word itself, so the old
-               value is never boxed *)
-            let new_v =
-              Iss.Alu.eval_amo op w raw (Arch_state.get_reg arch rs2)
-            in
-            let wlat = Softmem.Cache.write t.l1d ~addr:pa ~size new_v in
-            drain_notify t pa size;
-            Uop.set64 u r Uop.w_result
-              (match w with
-              | Width_w -> Iss.Alu.sext32 raw
-              | Width_d -> raw);
-            Uop.set64 u r Uop.w_load_value raw;
-            Uop.set u r Uop.i_mem_cycle t.now;
-            Uop.set64 u r Uop.w_sdata new_v;
-            Uop.set64 u r Uop.w_vaddr vaddr;
-            Uop.set64 u r Uop.w_paddr pa;
-            Uop.set u r Uop.i_msize size;
-            Uop.set_flag u r Uop.b_addr_ready true;
-            finish t u r ~lat:(rlat + wlat)
-          end)
-  | Load (lop, _, rs1, imm) ->
+  | Amo (op, w, _, rs1, rs2) ->
+      let size = Iss.Alu.amo_size w and vaddr = Arch_state.get_reg arch rs1 in
+      Isa.check_aligned vaddr size Trap.Store_misaligned;
+      let pa = translate_at_head t vaddr Pte.Store in
+      Isa.check_dram t.plat pa Trap.Store_access ~vaddr;
+      drain_sb t;
+      let raw, rlat = Softmem.Cache.read t.l1d ~addr:pa ~size in
+      (* [eval_amo] sign-extends a word itself, so the old value is
+         never boxed *)
+      let new_v = Iss.Alu.eval_amo op w raw (Arch_state.get_reg arch rs2) in
+      let wlat = Softmem.Cache.write t.l1d ~addr:pa ~size new_v in
+      drain_notify t pa size;
+      Uop.set64 u r Uop.w_result (Iss.Alu.extend_amo w raw);
+      Uop.set64 u r Uop.w_load_value raw;
+      Uop.set u r Uop.i_mem_cycle t.now;
+      Uop.set64 u r Uop.w_sdata new_v;
+      note_access u r ~vaddr ~pa ~size;
+      Uop.set_flag u r Uop.b_addr_ready true;
+      finish t u r ~lat:(rlat + wlat)
+  | Load _ | Fld _ -> (
       (* MMIO load discovered at issue; strongly ordered *)
       assert (Uop.flag u r Uop.b_mmio);
-      ignore rs1;
-      ignore imm;
       let drained = Lsu.drain_all t.lsu ~now:t.now ~on_drain:t.on_drain in
-      (match
-         Platform.read t.plat ~addr:(Uop.get64 u r Uop.w_paddr)
-           ~size:(Uop.get u r Uop.i_msize)
-       with
+      match
+        Platform.read t.plat ~addr:(Uop.get64 u r Uop.w_paddr)
+          ~size:(Uop.get u r Uop.i_msize)
+      with
       | raw ->
-          Uop.set64 u r Uop.w_result (Iss.Alu.extend_load lop raw);
-          Uop.set64 u r Uop.w_load_value raw;
-          Uop.set u r Uop.i_mem_cycle t.now;
+          set_loaded t u r raw;
           finish t u r ~lat:(20 + drained)
       | exception Platform.Bus_fault _ ->
           fault t u r Trap.Load_access (Uop.get64 u r Uop.w_vaddr))
-  | Fld (_, _, _) ->
-      assert (Uop.flag u r Uop.b_mmio);
-      fault t u r Trap.Load_access (Uop.get64 u r Uop.w_vaddr)
   | Lui _ | Auipc _ | Jal _ | Jalr _ | Branch _ | Store _ | Fsd _
   | Op_imm _ | Op_imm_w _ | Op _ | Op_w _ | Mul _ | Mul_w _ | Fp_rrr _
   | Fp_fused _ | Fp_sign _ | Fp_minmax _ | Fp_cmp _ | Fsqrt_d _
   | Fcvt_d_l _ | Fcvt_d_lu _ | Fcvt_d_w _ | Fcvt_l_d _ | Fcvt_lu_d _
   | Fcvt_w_d _ | Fmv_x_d _ | Fmv_d_x _ | Fclass_d _ ->
       assert false
+
+(* Execute the uop in row [r] at the ROB head; a refused instruction
+   faults the uop. *)
+let execute_at_head t r : unit =
+  let u = t.rob.Rob.uops in
+  try execute_insn_at_head t u r
+  with Trap.Exception (exc, tval) -> fault t u r exc tval
 
 (* ---------------- commit ---------------------------------------------- *)
 

@@ -163,10 +163,10 @@ let attach_tracers ?(capacity = 4096) (t : t) =
 
 let counter_snapshot (t : t) ~hartid = Core.counter_snapshot t.cores.(hartid)
 
-(* Run until exit, a cycle budget, or [stop] returns true. *)
-let run ?(max_cycles = 100_000_000) ?(stop = fun () -> false) (t : t) : int =
+(* Run until exit or a cycle budget. *)
+let run ?(max_cycles = 100_000_000) (t : t) : int =
   let start = t.now in
-  while (not (exited t)) && t.now - start < max_cycles && not (stop ()) do
+  while (not (exited t)) && t.now - start < max_cycles do
     tick t
   done;
   t.now - start

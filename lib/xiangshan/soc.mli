@@ -56,8 +56,8 @@ val tick : t -> unit
     core plans against the frozen snapshot, fault hooks fire, then the
     plans are applied in hart order. *)
 
-val run : ?max_cycles:int -> ?stop:(unit -> bool) -> t -> int
-(** Run to exit / budget / [stop]; returns cycles simulated. *)
+val run : ?max_cycles:int -> t -> int
+(** Run to exit or the cycle budget; returns cycles simulated. *)
 
 val exited : t -> bool
 

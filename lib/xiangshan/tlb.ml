@@ -141,13 +141,6 @@ let corrupt_data_ppn (t : t) : int =
 
 let tables (t : t) = arr_tables t.itlb @ arr_tables t.dtlb @ arr_tables t.stlb
 
-type access = Fetch | Load | Store
-
-let fault_of = function
-  | Fetch -> Trap.Fetch_page_fault
-  | Load -> Trap.Load_page_fault
-  | Store -> Trap.Store_page_fault
-
 (* Hardware walk via the cache port; returns the 4K mapping or a fault,
    plus accumulated latency. *)
 let walk (t : t) (csr : Csr.t) (va : int64) : (mapping, unit) result * int =
@@ -187,25 +180,6 @@ let walk (t : t) (csr : Csr.t) (va : int64) : (mapping, unit) result * int =
     (r, !lat)
   end
 
-let[@inline] has flags bit = flags land (1 lsl bit) <> 0
-
-let check_perms (csr : Csr.t) flags (access : access) : bool =
-  let sum = Csr.get_bit csr.Csr.reg_mstatus Csr.st_sum in
-  let mxr = Csr.get_bit csr.Csr.reg_mstatus Csr.st_mxr in
-  let type_ok =
-    match access with
-    | Fetch -> has flags Pte.x
-    | Load -> has flags Pte.r || (mxr && has flags Pte.x)
-    | Store -> has flags Pte.w
-  in
-  let priv_ok =
-    match csr.Csr.priv with
-    | Csr.U -> has flags Pte.u
-    | Csr.S -> (not (has flags Pte.u)) || (sum && access <> Fetch)
-    | Csr.M -> true
-  in
-  type_ok && priv_ok
-
 let[@inline] paddr t = Bytes.get_int64_ne t.pa 0
 
 let[@inline] translated t ~lat pa =
@@ -215,22 +189,24 @@ let[@inline] translated t ~lat pa =
 
 let page_fault t ~lat access =
   t.faulted <- true;
-  t.exc <- fault_of access;
+  t.exc <- Pte.page_fault access;
   t.latency <- lat
 
 (* Translate [va] under an active satp: a miss always refills the L1
    TLB, so the translation is read from the L1 slot either way. *)
-let translate_paged (t : t) (csr : Csr.t) (va : int64) (access : access) =
+let translate_paged (t : t) (csr : Csr.t) (va : int64) (access : Pte.access) =
   let vpn = Int64.to_int (Int64.shift_right_logical va 12) in
-  let l1 = match access with Fetch -> t.itlb | Load | Store -> t.dtlb in
+  let l1 =
+    match access with Pte.Fetch -> t.itlb | Pte.Load | Pte.Store -> t.dtlb
+  in
   let lat = ref 0 in
   let slot = arr_lookup l1 vpn in
   let slot =
     if slot >= 0 then slot
     else begin
       (match access with
-      | Fetch -> t.itlb_misses <- t.itlb_misses + 1
-      | Load | Store -> t.dtlb_misses <- t.dtlb_misses + 1);
+      | Pte.Fetch -> t.itlb_misses <- t.itlb_misses + 1
+      | Pte.Load | Pte.Store -> t.dtlb_misses <- t.dtlb_misses + 1);
       let s = arr_lookup t.stlb vpn in
       if s >= 0 then begin
         t.stlb_hits <- t.stlb_hits + 1;
@@ -257,7 +233,7 @@ let translate_paged (t : t) (csr : Csr.t) (va : int64) (access : access) =
     t.cached_fault_hits <- t.cached_fault_hits + 1;
     page_fault t ~lat:!lat access
   end
-  else if check_perms csr (Cow.get l1.flags slot) access then
+  else if Pte.leaf_permits csr ~flags:(Cow.get l1.flags slot) access then
     translated t ~lat:!lat
       (Int64.logor
          (Pte.pa_of_ppn (Int64.of_int ppn))
@@ -267,7 +243,8 @@ let translate_paged (t : t) (csr : Csr.t) (va : int64) (access : access) =
 (* Translate [va], reporting into [faulted], [exc], [latency] and
    [pa].  Bare and M-mode translation is inlined at the call site, so
    it boxes no address. *)
-let[@inline] translate (t : t) (csr : Csr.t) (va : int64) (access : access) =
+let[@inline] translate (t : t) (csr : Csr.t) (va : int64) (access : Pte.access)
+    =
   if csr.Csr.priv = Csr.M || Pte.satp_mode csr.Csr.reg_satp <> 8 then
     translated t ~lat:0 va
   else translate_paged t csr va access

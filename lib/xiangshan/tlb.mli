@@ -53,11 +53,9 @@ val corrupt_data_ppn : t -> int
     PTE update.  Idempotent, so periodic re-injection never heals an
     entry.  Returns the number of entries newly corrupted. *)
 
-type access = Fetch | Load | Store
-
-val translate : t -> Riscv.Csr.t -> int64 -> access -> unit
-(** Translate a virtual address under the *committed* CSR state and
-    report the outcome into [faulted], [exc], [latency] (0 on an L1
+val translate : t -> Riscv.Csr.t -> int64 -> Riscv.Pte.access -> unit
+(** Translate a virtual address under the *committed* CSR state, with
+    {!Riscv.Pte.leaf_permits} on the leaf, and report the outcome into [faulted], [exc], [latency] (0 on an L1
     TLB hit and in bare or M mode) and the physical address
     ({!paddr}).  Allocates nothing unless it walks the page table. *)
 

@@ -8,6 +8,7 @@ let () =
       ("softfloat", Test_softfloat.tests);
       ("alu", Test_alu.tests);
       ("csr-trap", Test_csr_trap.tests);
+      ("isa-rules", Test_isa_rules.tests);
       ("iss", Test_iss.tests);
       ("engines", Test_engines.tests);
       ("softmem", Test_softmem.tests);

@@ -140,7 +140,7 @@ let cases =
       Xiangshan.Config.nh_single,
       (fun () -> Workloads.Vm_kernel.program ~scale:2 ()),
       5_000_000,
-      "0eecec590749e39bf233afa842943b8d",
+      "32aba8aa6c3754cd6a8d37cac97f8c4b",
       8614 );
     ( "NH timer_interrupts",
       Xiangshan.Config.nh_single,
@@ -152,7 +152,7 @@ let cases =
       Xiangshan.Config.nh_single,
       (fun () -> Workloads.User_mode.program ~scale:2 ()),
       5_000_000,
-      "21d4eade2fbc5e9028badf53b822b22f",
+      "caf2bb1ecc96a2e2512aba3662618524",
       8910 );
   ]
 

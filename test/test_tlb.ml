@@ -42,20 +42,20 @@ let translate tlb csr va access =
 
 let test_translate_and_cache () =
   let _, tlb, csr, data = make_env () in
-  (match translate tlb csr (Int64.add va 0x123L) Xiangshan.Tlb.Load with
+  (match translate tlb csr (Int64.add va 0x123L) Riscv.Pte.Load with
   | Translated pa, lat ->
       Alcotest.(check int64) "pa" (Int64.add data 0x123L) pa;
       Alcotest.(check bool) "walk cost" true (lat > 0)
   | Page_fault _, _ -> Alcotest.fail "unexpected fault");
   (* second access hits the L1 TLB: zero latency *)
-  match translate tlb csr (Int64.add va 0x456L) Xiangshan.Tlb.Load with
+  match translate tlb csr (Int64.add va 0x456L) Riscv.Pte.Load with
   | Translated _, lat -> Alcotest.(check int) "tlb hit" 0 lat
   | Page_fault _, _ -> Alcotest.fail "unexpected fault"
 
 let test_permissions () =
   let _, tlb, csr, _ = make_env () in
   (* page is R+W but not X: fetch must fault *)
-  match translate tlb csr va Xiangshan.Tlb.Fetch with
+  match translate tlb csr va Riscv.Pte.Fetch with
   | Page_fault (exc, tval), _ ->
       Alcotest.(check bool) "fetch page fault" true
         (exc = Trap.Fetch_page_fault);
@@ -67,7 +67,7 @@ let test_fault_caching_until_sfence () =
      in memory does not help until an sfence.vma *)
   let backing, tlb, csr, _ = make_env () in
   let va2 = Int64.add va page in
-  (match translate tlb csr va2 Xiangshan.Tlb.Store with
+  (match translate tlb csr va2 Riscv.Pte.Store with
   | Page_fault _, _ -> ()
   | Translated _, _ -> Alcotest.fail "unmapped page must fault");
   (* install the PTE (what the kernel's fault handler does) *)
@@ -76,14 +76,14 @@ let test_fault_caching_until_sfence () =
   Memory.write_u64 backing (Int64.add l0 8L)
     (Pte.make ~pa:newpage [ Pte.v; Pte.r; Pte.w; Pte.a; Pte.d ]);
   (* still faults: the invalid PTE was legally cached in the TLB *)
-  (match translate tlb csr va2 Xiangshan.Tlb.Store with
+  (match translate tlb csr va2 Riscv.Pte.Store with
   | Page_fault _, _ -> ()
   | Translated _, _ ->
       Alcotest.fail "cached fault must persist until sfence");
   Alcotest.(check bool) "cached-fault hits counted" true
     (tlb.Xiangshan.Tlb.cached_fault_hits > 0);
   Xiangshan.Tlb.flush tlb;
-  match translate tlb csr va2 Xiangshan.Tlb.Store with
+  match translate tlb csr va2 Riscv.Pte.Store with
   | Translated pa, _ ->
       Alcotest.(check int64) "mapped after sfence" newpage pa
   | Page_fault _, _ -> Alcotest.fail "should map after sfence"
@@ -91,7 +91,7 @@ let test_fault_caching_until_sfence () =
 let test_bare_mode () =
   let _, tlb, csr, _ = make_env () in
   csr.Csr.reg_satp <- 0L;
-  match translate tlb csr 0x8000_0000L Xiangshan.Tlb.Load with
+  match translate tlb csr 0x8000_0000L Riscv.Pte.Load with
   | Translated pa, lat ->
       Alcotest.(check int64) "identity" 0x8000_0000L pa;
       Alcotest.(check int) "free" 0 lat
@@ -100,7 +100,7 @@ let test_bare_mode () =
 let test_m_mode_bypass () =
   let _, tlb, csr, _ = make_env () in
   csr.Csr.priv <- Csr.M;
-  match translate tlb csr 0x8000_0000L Xiangshan.Tlb.Store with
+  match translate tlb csr 0x8000_0000L Riscv.Pte.Store with
   | Translated pa, _ ->
       Alcotest.(check int64) "M-mode bypasses satp" 0x8000_0000L pa
   | Page_fault _, _ -> Alcotest.fail "M-mode cannot fault"
@@ -108,7 +108,7 @@ let test_m_mode_bypass () =
 let test_non_canonical () =
   let _, tlb, csr, _ = make_env () in
   match
-    translate tlb csr 0x0100_0000_0000_0000L Xiangshan.Tlb.Load
+    translate tlb csr 0x0100_0000_0000_0000L Riscv.Pte.Load
   with
   | Page_fault _, _ -> ()
   | Translated _, _ ->
@@ -140,14 +140,14 @@ let test_translate_allocates_nothing () =
         tlb.Xiangshan.Tlb.faulted;
       Alcotest.(check int64) (what ^ ": pa") expect (Xiangshan.Tlb.paddr tlb))
     [
-      ("L1 dTLB hit", Xiangshan.Tlb.Load, ignore, Int64.add data 0x123L);
+      ("L1 dTLB hit", Riscv.Pte.Load, ignore, Int64.add data 0x123L);
       ( "L1 dTLB hit, store",
-        Xiangshan.Tlb.Store,
+        Riscv.Pte.Store,
         ignore,
         Int64.add data 0x123L );
-      ("M mode", Xiangshan.Tlb.Fetch, (fun () -> csr.Csr.priv <- Csr.M), va);
+      ("M mode", Riscv.Pte.Fetch, (fun () -> csr.Csr.priv <- Csr.M), va);
       ( "bare mode",
-        Xiangshan.Tlb.Load,
+        Riscv.Pte.Load,
         (fun () ->
           csr.Csr.priv <- Csr.S;
           csr.Csr.reg_satp <- 0L),
