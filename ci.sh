@@ -45,6 +45,10 @@ check_rule_owner 'check_aligned vaddr size exc =' 'lib/riscv/isa\.mli?'
 check_rule_owner 'check_dram plat paddr exc' 'lib/riscv/isa\.mli?'
 check_rule_owner 'type access = Fetch | Load | Store' 'lib/riscv/pte\.mli?'
 check_rule_owner 'Int64.rem vaddr' 'lib/riscv/isa\.mli?'
+# the Sv39 walk indexes a table by a va's vpn only in Pte.walk; the host
+# TLB is filled only by Mach.translate
+check_rule_owner 'vpn va level' 'lib/riscv/pte\.mli?'
+check_rule_owner 'tlb_fill' 'lib/nemu/mach\.ml'
 
 echo "== one owner per layout: Uop's rows, through Uop's inlined accessors =="
 if grep -rnE 'Uop\.(ints|words|mask)\b' lib/ bin/ bench/ examples/ test/ \

@@ -69,19 +69,19 @@ let mips n secs = if secs <= 0.0 then 0.0 else float_of_int n /. secs /. 1e6
    *architectural* state is rolled back to the post-load reset point:
    guest memory via a COW snapshot, the CSR file via a pristine copy,
    registers/pc/devices by hand.  Compiled code is kept only when the
-   previous run performed no flush event (fence.i / sfence.vma / satp
-   write, tracked by [Fast.flushes]): any flush means code bytes or
+   previous run left the code epoch where it was (no fence.i,
+   sfence.vma or satp write): a moved epoch means code bytes or
    mappings may have diverged from what the blocks were compiled
-   against, so the whole cache is conservatively dropped. *)
+   against, so the whole cache is dropped. *)
 type warm = {
   w_mach : Mach.t;
   w_fast : Fast.t;
   w_entry : int64;
   w_mem0 : Riscv.Memory.snapshot;  (** memory right after [load_program] *)
   w_csr0 : Riscv.Csr.t;  (** pristine CSR file (a [Csr.copy]) *)
-  mutable w_clean_flushes : int;
-      (** value of [Fast.flushes] at the last point the caches were
-          known to match the pristine image *)
+  mutable w_epoch : int;
+      (** the code epoch at the last point the caches were known to
+          match the pristine image *)
   mutable w_runs : int;
 }
 
@@ -98,7 +98,7 @@ let warm_create ?(dram_size = 64 * 1024 * 1024) (prog : Riscv.Asm.program) :
     w_entry = prog.Riscv.Asm.entry;
     w_mem0 = mem0;
     w_csr0 = csr0;
-    w_clean_flushes = 0;
+    w_epoch = m.Mach.code_epoch;
     w_runs = 0;
   }
 
@@ -125,9 +125,9 @@ let warm_reset (w : warm) =
      translated against the pre-restore address space *)
   Mach.sync_translation m;
   let t = w.w_fast in
-  if t.Fast.flushes <> w.w_clean_flushes then begin
+  if m.Mach.code_epoch <> w.w_epoch then begin
     Fast.flush t;
-    w.w_clean_flushes <- t.Fast.flushes
+    w.w_epoch <- m.Mach.code_epoch
   end
   else Fast.rewind t
 

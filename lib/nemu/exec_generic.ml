@@ -12,14 +12,13 @@
    (see fast.ml), but shares [load]/[store]/[fetch_decode] as its
    slow path.
 
-   Memory accesses consult the host TLB in [Mach] before the full Sv39
-   walk: a hit resolves a virtual access with one array read.  Only
-   DRAM-backed pages are cached (MMIO always takes the slow path).
-   Privilege switches retarget the TLB's per-privilege partition
-   ([Mach.sync_priv]: the [Mret]/[Sret] arms below plus
-   [Mach.take_trap]); remapping events flush it
-   ([Mach.sync_translation]: the [Sfence_vma] and satp/status [Csr]
-   arms). *)
+   Memory accesses and fetches translate through the host TLB
+   ([Mach.translate]).  Privilege switches retarget the TLB's
+   per-privilege partition ([Mach.sync_priv]: the [Mret]/[Sret] arms
+   below plus [Mach.take_trap]); remapping events flush it
+   ([Mach.sync_translation]: the [Sfence_vma] arm and [csr]).  This is
+   the one place system instructions run, so it is also the one place
+   the code epoch moves: fence.i, sfence.vma and satp writes. *)
 
 open Riscv
 
@@ -63,60 +62,35 @@ let soft_fp =
 let load (m : Mach.t) vaddr size =
   Isa.check_aligned vaddr size Trap.Load_misaligned;
   let mem = m.Mach.plat.Platform.mem in
-  if not m.Mach.paging then begin
-    if Memory.in_range mem vaddr then Memory.read_bytes_le mem vaddr size
-    else
-      match Platform.read m.plat ~addr:vaddr ~size with
-      | v -> v
-      | exception Platform.Bus_fault _ ->
-          raise (Trap.Exception (Trap.Load_access, vaddr))
-  end
-  else begin
-    let pa = Mach.tlb_lookup m Mach.tlb_load vaddr in
-    if pa <> Int64.min_int then Memory.read_bytes_le mem pa size
-    else begin
-      let pa = Iss.Mmu.translate m.plat m.csr vaddr Pte.Load in
-      if Memory.in_range mem pa then begin
-        Mach.tlb_fill m Mach.tlb_load vaddr pa;
-        Memory.read_bytes_le mem pa size
-      end
-      else
-        match Platform.read m.plat ~addr:pa ~size with
-        | v -> v
-        | exception Platform.Bus_fault _ ->
-            raise (Trap.Exception (Trap.Load_access, vaddr))
-    end
-  end
+  let pa = Mach.translate m Pte.Load vaddr in
+  if Memory.in_range mem pa then Memory.read_bytes_le mem pa size
+  else
+    match Platform.read m.Mach.plat ~addr:pa ~size with
+    | v -> v
+    | exception Platform.Bus_fault _ ->
+        raise (Trap.Exception (Trap.Load_access, vaddr))
 
 let store (m : Mach.t) vaddr size v =
   Isa.check_aligned vaddr size Trap.Store_misaligned;
   let mem = m.Mach.plat.Platform.mem in
-  if not m.Mach.paging then begin
-    if Memory.in_range mem vaddr then Memory.write_bytes_le mem vaddr size v
-    else begin
-      (try Platform.write m.plat ~addr:vaddr ~size v
-       with Platform.Bus_fault _ ->
-         raise (Trap.Exception (Trap.Store_access, vaddr)));
-      Mach.check_running m
-    end
-  end
+  let pa = Mach.translate m Pte.Store vaddr in
+  if Memory.in_range mem pa then Memory.write_bytes_le mem pa size v
   else begin
-    let pa = Mach.tlb_lookup m Mach.tlb_store vaddr in
-    if pa <> Int64.min_int then Memory.write_bytes_le mem pa size v
-    else begin
-      let pa = Iss.Mmu.translate m.plat m.csr vaddr Pte.Store in
-      if Memory.in_range mem pa then begin
-        Mach.tlb_fill m Mach.tlb_store vaddr pa;
-        Memory.write_bytes_le mem pa size v
-      end
-      else begin
-        (try Platform.write m.plat ~addr:pa ~size v
-         with Platform.Bus_fault _ ->
-           raise (Trap.Exception (Trap.Store_access, vaddr)));
-        Mach.check_running m
-      end
-    end
+    (try Platform.write m.Mach.plat ~addr:pa ~size v
+     with Platform.Bus_fault _ ->
+       raise (Trap.Exception (Trap.Store_access, vaddr)));
+    Mach.check_running m
   end
+
+(* A CSR instruction's read-modify-write; returns the old value.  A
+   satp or status write can remap pages or change permissions, so it
+   re-syncs the host TLB; a satp write also moves the code epoch. *)
+let csr (m : Mach.t) op ~rd ~rs1 addr =
+  let old = Isa.csr_rmw m.Mach.csr op ~rd ~rs1 ~rs1_value:(Mach.get_reg m rs1) addr in
+  if addr = Csr.satp || addr = Csr.mstatus || addr = Csr.sstatus then
+    Mach.sync_translation m;
+  if addr = Csr.satp then m.Mach.code_epoch <- m.Mach.code_epoch + 1;
+  old
 
 (* Execute one decoded instruction at [pc]; updates m.pc.
    Raises Trap.Exception for traps (callers enter the trap). *)
@@ -172,7 +146,7 @@ let exec (fp : fp_ops) (m : Mach.t) (pc : int64) (insn : Insn.t) : unit =
   | Lr (w, rd, rs1) ->
       let size = Iss.Alu.amo_size w and vaddr = rg rs1 in
       Isa.check_aligned vaddr size Trap.Load_misaligned;
-      let pa = Mach.translate m vaddr Pte.Load in
+      let pa = Mach.translate m Pte.Load vaddr in
       Isa.check_dram m.plat pa Trap.Load_access ~vaddr;
       wr rd
         (Iss.Alu.extend_amo w
@@ -182,7 +156,7 @@ let exec (fp : fp_ops) (m : Mach.t) (pc : int64) (insn : Insn.t) : unit =
   | Sc (w, rd, rs1, rs2) ->
       let size = Iss.Alu.amo_size w and vaddr = rg rs1 in
       Isa.check_aligned vaddr size Trap.Store_misaligned;
-      let pa = Mach.translate m vaddr Pte.Store in
+      let pa = Mach.translate m Pte.Store vaddr in
       let ok = match m.reservation with Some r -> r = pa | None -> false in
       m.reservation <- None;
       if ok then begin
@@ -194,7 +168,7 @@ let exec (fp : fp_ops) (m : Mach.t) (pc : int64) (insn : Insn.t) : unit =
   | Amo (op, w, rd, rs1, rs2) ->
       let size = Iss.Alu.amo_size w and vaddr = rg rs1 in
       Isa.check_aligned vaddr size Trap.Store_misaligned;
-      let pa = Mach.translate m vaddr Pte.Store in
+      let pa = Mach.translate m Pte.Store vaddr in
       Isa.check_dram m.plat pa Trap.Store_access ~vaddr;
       let mem = m.plat.Platform.mem in
       let raw = Memory.read_bytes_le mem pa size in
@@ -204,9 +178,7 @@ let exec (fp : fp_ops) (m : Mach.t) (pc : int64) (insn : Insn.t) : unit =
       wr rd (Iss.Alu.extend_amo w raw);
       m.pc <- next
   | Csr (op, rd, rs1, addr) ->
-      wr rd (Isa.csr_rmw m.csr op ~rd ~rs1 ~rs1_value:(rg rs1) addr);
-      if addr = Csr.satp || addr = Csr.mstatus || addr = Csr.sstatus then
-        Mach.sync_translation m;
+      wr rd (csr m op ~rd ~rs1 addr);
       m.pc <- next
   | Ecall -> Isa.ecall m.csr
   | Ebreak -> raise (Trap.Exception (Trap.Breakpoint, pc))
@@ -216,10 +188,14 @@ let exec (fp : fp_ops) (m : Mach.t) (pc : int64) (insn : Insn.t) : unit =
   | Sret ->
       m.pc <- Isa.sret m.csr;
       Mach.sync_priv m
-  | Wfi | Fence | Fence_i -> m.pc <- next
+  | Wfi | Fence -> m.pc <- next
+  | Fence_i ->
+      m.code_epoch <- m.code_epoch + 1;
+      m.pc <- next
   | Sfence_vma (_, _) ->
       Isa.sfence_vma m.csr;
       Mach.sync_translation m;
+      m.code_epoch <- m.code_epoch + 1;
       m.pc <- next
   | Fld (frd, rs1, imm) ->
       fwr frd (load m (Int64.add (rg rs1) imm) 8);
@@ -281,27 +257,14 @@ let exec (fp : fp_ops) (m : Mach.t) (pc : int64) (insn : Insn.t) : unit =
       m.pc <- next
   | Illegal _ -> raise (Trap.Exception (Trap.Illegal_instruction, 0L))
 
-(* Fetch and decode the instruction at [?at] (default m.pc). *)
+(* Fetch and decode the instruction at [?at] (default m.pc); a fetch
+   outside DRAM is an access fault. *)
 let fetch_decode ?at (m : Mach.t) : Insn.t =
   let va = match at with Some pc -> pc | None -> m.Mach.pc in
   let mem = m.Mach.plat.Platform.mem in
-  if not m.Mach.paging then begin
-    if Memory.in_range mem va then
-      Decode.decode_int (Memory.read_u32 mem va)
-    else raise (Trap.Exception (Trap.Fetch_access, va))
-  end
-  else begin
-    let pa = Mach.tlb_lookup m Mach.tlb_fetch va in
-    if pa <> Int64.min_int then Decode.decode_int (Memory.read_u32 mem pa)
-    else begin
-      let pa = Iss.Mmu.translate m.plat m.csr va Pte.Fetch in
-      if Memory.in_range mem pa then begin
-        Mach.tlb_fill m Mach.tlb_fetch va pa;
-        Decode.decode_int (Memory.read_u32 mem pa)
-      end
-      else raise (Trap.Exception (Trap.Fetch_access, va))
-    end
-  end
+  let pa = Mach.translate m Pte.Fetch va in
+  if Memory.in_range mem pa then Decode.decode_int (Memory.read_u32 mem pa)
+  else raise (Trap.Exception (Trap.Fetch_access, va))
 
 (* One full step with trap handling. *)
 let step (fp : fp_ops) (m : Mach.t) : unit =

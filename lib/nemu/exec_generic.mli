@@ -31,8 +31,16 @@ val load : Mach.t -> int64 -> int -> int64
 val store : Mach.t -> int64 -> int -> int64 -> unit
 
 val exec : fp_ops -> Mach.t -> int64 -> Insn.t -> unit
-(** Execute one decoded instruction at a pc; updates [Mach.pc].
+(** Execute one decoded instruction at a pc; updates [Mach.pc].  The
+    one place system instructions run: fence.i, sfence.vma and satp
+    writes move {!Mach.field-code_epoch} here.
     @raise Trap.Exception for traps (callers perform trap entry). *)
+
+val csr : Mach.t -> Insn.csr_op -> rd:int -> rs1:int -> int -> int64
+(** [csr m op ~rd ~rs1 addr]: a CSR instruction's read-modify-write
+    ({!Riscv.Isa.csr_rmw}), returning the old value, with the host-TLB
+    re-sync and the code-epoch move a satp or status write needs.
+    {!exec}'s [Csr] arm; the NEMU REF calls it to report the read. *)
 
 val fetch_decode : ?at:int64 -> Mach.t -> Insn.t
 (** Fetch and decode at [?at] (default [Mach.pc]) without touching

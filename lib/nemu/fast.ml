@@ -38,8 +38,9 @@
    block's body is stepped partially ([run_partial]) through the
    unfused per-instruction view.
 
-   When a privilege's table reaches capacity, every table is flushed
-   whole, as on a system event: no chain can then point at a dropped
+   Every table is flushed whole when the machine's code epoch has
+   moved (fence.i, sfence.vma, satp writes) and when a privilege's
+   table reaches capacity: no chain can then point at a dropped
    entry. *)
 
 open Riscv
@@ -88,6 +89,7 @@ type t = {
   capacity : int;
   mutable patch : entry option;
   mutable patch_slot : patch_slot;
+  mutable epoch : int; (* the code epoch the tables were filled in *)
   mutable flushes : int;
   mutable slow_lookups : int;
   mutable compiled : int;
@@ -133,6 +135,7 @@ let create ?(capacity = 16384) (m : Mach.t) : t =
     capacity;
     patch = None;
     patch_slot = Patch_none;
+    epoch = m.Mach.code_epoch;
     flushes = 0;
     slow_lookups = 0;
     compiled = 0;
@@ -159,8 +162,7 @@ let[@inline] retarget (t : t) =
    the machine's (restored) privilege and clear any pending patch from
    the previous run's final dispatch.  Callers that restored guest
    memory are responsible for flushing instead when the previous run
-   saw any flush event (fence.i / sfence / satp write) -- see
-   {!Engine.warm_run}. *)
+   moved the code epoch -- see {!Engine.warm_run}. *)
 let rewind (t : t) = retarget t
 
 let flush (t : t) =
@@ -168,6 +170,7 @@ let flush (t : t) =
   t.cache <- t.caches.(priv_ix t.m.Mach.csr.Csr.priv);
   t.patch <- None;
   t.patch_slot <- Patch_none;
+  t.epoch <- t.m.Mach.code_epoch;
   t.flushes <- t.flushes + 1
 
 (* --- straight-line routines ------------------------------------------
@@ -860,16 +863,10 @@ let build_terminal (t : t) (e : entry) (pc : int64) (insn : Insn.t) : exec_fn =
     (try Exec_generic.exec Exec_generic.host_fp m pc insn
      with Trap.Exception (exc, tval) -> Mach.take_trap m exc tval ~epc:pc);
     m.Mach.instret <- m.Mach.instret + 1;
-    (* system events: a privilege change redirects to that privilege's
-       own cache (no flush); anything that can remap the pcs the
-       caches are keyed on (sfence.vma, satp writes) or rewrite code
-       (fence.i) invalidates everything *)
-    (if m.Mach.csr.Csr.priv <> before_priv then retarget t
-     else
-       match insn with
-       | Insn.Sfence_vma _ | Insn.Fence_i -> flush t
-       | Insn.Csr (_, _, _, a) when a = Csr.satp -> flush t
-       | _ -> ());
+    (* a privilege change redirects to that privilege's own cache; a
+       moved code epoch flushes every cache at the slow-path lookup
+       this terminal returns to *)
+    if m.Mach.csr.Csr.priv <> before_priv then retarget t;
     t.patch <- None;
     t.patch_slot <- Patch_none;
     None
@@ -1262,7 +1259,8 @@ let rec lookup_or_compile (t : t) : entry option =
   if not t.m.Mach.running then None
   else begin
     t.slow_lookups <- t.slow_lookups + 1;
-    if Hashtbl.length t.cache >= t.capacity then flush t;
+    if t.epoch <> t.m.Mach.code_epoch || Hashtbl.length t.cache >= t.capacity
+    then flush t;
     let pc = t.m.Mach.pc in
     match Hashtbl.find_opt t.cache pc with
     | Some entry ->

@@ -25,9 +25,9 @@
     by virtual pc, which maps to different code under different
     privileges): traps and mret/sret just redirect the active table,
     so syscall-heavy guests keep their compiled working set.  All
-    tables are flushed together on events that can remap or rewrite
-    code (sfence.vma, satp writes, fence.i), and when a table reaches
-    capacity.
+    tables are flushed together when the machine's
+    {!Mach.field-code_epoch} has moved (sfence.vma, satp writes,
+    fence.i), and when a table reaches capacity.
 
     BBV profiling (§III-D3, [Checkpoint.Bbv]) turns jump folding off,
     so each superblock ends in at most one control-flow edge; each
@@ -79,6 +79,7 @@ type t = {
   capacity : int;
   mutable patch : entry option;
   mutable patch_slot : patch_slot;
+  mutable epoch : int;  (** the code epoch the tables were filled in *)
   mutable flushes : int;
   mutable slow_lookups : int;
   mutable compiled : int;
@@ -114,9 +115,8 @@ val rewind : t -> unit
     table for the machine's current privilege and clears any pending
     chain patch.  Only sound when guest code is unchanged since the
     blocks were compiled; callers that restored memory must [flush]
-    instead whenever the previous run performed any flush event
-    (compare {!type:t}'s [flushes] counter across runs, as
-    [Engine.warm_run] does). *)
+    instead whenever the previous run moved the machine's
+    {!Mach.field-code_epoch}, as [Engine.warm_run] does. *)
 
 val run : t -> max_insns:int -> int
 (** Run to machine exit or the instruction budget; returns

@@ -14,16 +14,23 @@
    barrier -- the single largest cost in the interpreter hot loop.
 
    [Mach] also hosts the engines' *host TLB*: three direct-mapped
-   VPN -> physical-page-base caches (fetch/load/store) consulted by
-   [Exec_generic] before falling back to the full [Iss.Mmu.translate]
-   Sv39 walk.  Only DRAM-backed translations are cached; a naturally
-   aligned access of <= 8 bytes never crosses a 4 KiB page, so
-   page-base + offset is always valid.  The TLB -- together with the
-   cached [paging] flag -- is invalidated on every event that can
-   change translations: trap entry/return (privilege change),
-   sfence.vma, and CSR writes to satp/mstatus/sstatus.  Engines must
-   therefore enter traps via {!take_trap}/{!take_irq} rather than
-   calling [Trap.take_exception] directly. *)
+   VPN -> physical-page-base caches (fetch/load/store), and the one
+   translate every engine calls ({!translate}): a hit is one array
+   read, a miss runs the full [Iss.Mmu.translate] Sv39 walk.  Only
+   DRAM-backed translations are cached; a naturally aligned access of
+   <= 8 bytes never crosses a 4 KiB page, so page-base + offset is
+   always valid.  The TLB -- together with the cached [paging] flag --
+   is invalidated on every event that can change translations: trap
+   entry/return (privilege change), sfence.vma, and CSR writes to
+   satp/mstatus/sstatus.  Engines must therefore enter traps via
+   {!take_trap}/{!take_irq} rather than calling [Trap.take_exception]
+   directly.
+
+   [code_epoch] is when cached code goes stale: fence.i, sfence.vma
+   and satp writes move it ([Exec_generic.exec], where every engine
+   runs system instructions), and each engine's cache of decoded code
+   drops its contents once the epoch has moved past the one it was
+   filled in. *)
 
 open Riscv
 
@@ -39,6 +46,7 @@ type t = {
   mutable reservation : int64 option;
   mutable instret : int;
   mutable running : bool;
+  mutable code_epoch : int;
   (* host TLB + cached translation-active flag *)
   mutable paging : bool;
   mutable tlb_off : int; (* active privilege's region: 0 = U, 3 x size = S *)
@@ -52,10 +60,8 @@ let tlb_bits = 9
 
 let tlb_size = 1 lsl tlb_bits
 
-(* kind indices into the TLB arrays *)
-let tlb_fetch = 0
-let tlb_load = 1
-let tlb_store = 2
+(* an access kind's index into the TLB arrays *)
+let[@inline] tlb_kind = function Pte.Fetch -> 0 | Pte.Load -> 1 | Pte.Store -> 2
 
 let tlb_flush t =
   Array.fill t.tlb_tags 0 (Array.length t.tlb_tags) (-1L)
@@ -78,6 +84,7 @@ let create ?(dram_size = 64 * 1024 * 1024) ?(hartid = 0) () =
     reservation = None;
     instret = 0;
     running = true;
+    code_epoch = 0;
     paging = false;
     tlb_off = 0;
     tlb_tags = Array.make (2 * 3 * tlb_size) (-1L);
@@ -96,15 +103,12 @@ let exited t = Platform.exited t.plat
 
 let exit_code t = Platform.exit_code t.plat
 
-let paging_on t =
-  Pte.satp_mode t.csr.Csr.reg_satp = 8 && t.csr.Csr.priv <> Csr.M
-
 (* The TLB is partitioned by privilege (permissions differ: PTE.U
    pages are U-only without SUM), so a plain privilege switch only has
    to retarget the active region -- no flush.  M-mode never consults
    the TLB ([paging] is false there; MPRV is not modelled). *)
 let[@inline] sync_priv t =
-  t.paging <- paging_on t;
+  t.paging <- Pte.translation_active t.csr;
   t.tlb_off <- (if t.csr.Csr.priv = Csr.S then 3 * tlb_size else 0)
 
 (* Recompute the cached translation context and drop the host TLB
@@ -133,8 +137,24 @@ let[@inline] tlb_fill t kind va pa =
   Array.unsafe_set t.tlb_tags idx vpn;
   Array.unsafe_set t.tlb_base idx (Int64.logand pa (Int64.lognot 0xFFFL))
 
-let translate t va (access : Pte.access) =
-  if t.paging then Iss.Mmu.translate t.plat t.csr va access else va
+(* [translate] under paging: the host TLB for [access], and on a miss
+   the Sv39 walk, whose translation is cached when it lands in DRAM.
+   Not inlined: its result is boxed once, here, rather than unboxed at
+   each call site and boxed again for every use. *)
+let translate_paged t (access : Pte.access) va =
+  let kind = tlb_kind access in
+  let pa = tlb_lookup t kind va in
+  if pa <> Int64.min_int then pa
+  else begin
+    let pa = Iss.Mmu.translate t.plat t.csr va access in
+    if Memory.in_range t.plat.Platform.mem pa then tlb_fill t kind va pa;
+    pa
+  end
+
+(* The physical address of [va]: [va] itself without paging.
+   @raise Trap.Exception with the walk's page fault. *)
+let[@inline] translate t access va =
+  if t.paging then translate_paged t access va else va
 
 let take_trap t exc tval ~epc =
   t.pc <- Trap.take_exception t.csr exc tval ~epc;

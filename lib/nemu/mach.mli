@@ -12,13 +12,18 @@
 
     [Mach] also hosts the engines' host TLB: direct-mapped
     VPN->page-base caches (one per access kind, partitioned by
-    privilege) consulted before the full Sv39 walk.  Plain privilege
-    switches (trap entry/return) go through
+    privilege) behind the one {!translate} every engine calls.  Plain
+    privilege switches (trap entry/return) go through
     {!take_trap}/{!take_irq}/{!sync_priv}, which just retarget the
     active partition; events that can remap pages or change
     permissions (sfence.vma, satp/mstatus/sstatus writes) must go
     through {!sync_translation}, which also flushes, so the TLB and
-    the cached {!field-paging} flag stay coherent. *)
+    the cached {!field-paging} flag stay coherent.
+
+    {!field-code_epoch} says when cached code goes stale: fence.i,
+    sfence.vma and satp writes move it (in {!Exec_generic.exec}), and
+    every engine's cache of decoded code drops its contents once the
+    epoch has moved. *)
 
 open Riscv
 
@@ -34,8 +39,12 @@ type t = {
   mutable reservation : int64 option;
   mutable instret : int;
   mutable running : bool;
+  mutable code_epoch : int;
+      (** moved by fence.i, sfence.vma and satp writes; a code cache
+          filled in an earlier epoch is stale *)
   mutable paging : bool;
-      (** cached [paging_on]; kept in sync by {!sync_priv} *)
+      (** cached {!Riscv.Pte.translation_active}; kept in sync by
+          {!sync_priv} *)
   mutable tlb_off : int;
       (** active privilege's TLB partition offset (0 = U, 3 x size = S) *)
   tlb_tags : int64 array;
@@ -56,26 +65,14 @@ val exited : t -> bool
 
 val exit_code : t -> int option
 
-val paging_on : t -> bool
-(** Recomputed from the CSR file (slow); engines read the cached
-    [paging] field instead. *)
-
-val translate : t -> int64 -> Pte.access -> int64
-
 (** {1 Host TLB} *)
 
-val tlb_fetch : int
-val tlb_load : int
-val tlb_store : int
-
-val tlb_lookup : t -> int -> int64 -> int64
-(** [tlb_lookup t kind va] is the physical address, or [Int64.min_int]
-    on a miss. *)
-
-val tlb_fill : t -> int -> int64 -> int64 -> unit
-(** [tlb_fill t kind va pa].  Only fill with DRAM-backed [pa]. *)
-
-val tlb_flush : t -> unit
+val translate : t -> Pte.access -> int64 -> int64
+(** [translate t access va] is [va]'s physical address: [va] itself
+    without paging, else the host TLB's entry for [access], and on a
+    miss {!Iss.Mmu.translate}, whose result is cached when it lands in
+    DRAM.
+    @raise Trap.Exception with the walk's page fault. *)
 
 val sync_priv : t -> unit
 (** Recompute the cached [paging] flag and retarget the TLB partition

@@ -3,7 +3,9 @@
    micro-operations, cached by block start address, and executed by a
    second-level dispatch loop that re-extracts operands from the
    bytecode cells -- the double dispatch is what makes TCI slower than
-   a direct threaded interpreter (§III-D2). *)
+   a direct threaded interpreter (§III-D2).  Translated blocks are
+   dropped when the machine's code epoch moves (fence.i, sfence.vma,
+   satp writes); the instruction that moves it ends its block. *)
 
 open Riscv
 
@@ -81,10 +83,11 @@ type block = {
 
 type t = {
   blocks : (int64, block) Hashtbl.t;
+  mutable epoch : int; (* the code epoch the blocks were translated in *)
   mutable translated_blocks : int;
 }
 
-let create () = { blocks = Hashtbl.create 1024; translated_blocks = 0 }
+let create () = { blocks = Hashtbl.create 1024; epoch = 0; translated_blocks = 0 }
 
 let max_block_insns = 64
 
@@ -200,6 +203,7 @@ let exec_block (m : Mach.t) (b : block) : int =
   let n = Array.length code / stride in
   let executed = ref 0 in
   let tmp_a = ref 0L and tmp_b = ref 0L and tmp_c = ref 0L in
+  let epoch = m.Mach.code_epoch in
   let rec go i pc =
     if i >= n then m.Mach.pc <- pc
     else begin
@@ -300,7 +304,8 @@ let exec_block (m : Mach.t) (b : block) : int =
         let insn = b.fallbacks.(sub) in
         m.Mach.pc <- imms.(ix);
         Exec_generic.exec Exec_generic.host_fp m imms.(ix) insn;
-        if Insn.is_control_flow insn then ()
+        (* a moved code epoch leaves the rest of the block stale *)
+        if Insn.is_control_flow insn || m.Mach.code_epoch <> epoch then ()
         else go (i + 1) (Int64.add pc 4L)
       end
       else
@@ -319,6 +324,10 @@ let run (m : Mach.t) ~max_insns : int =
   let start = m.Mach.instret in
   while m.Mach.running && m.Mach.instret - start < max_insns do
     let pc = m.Mach.pc in
+    if t.epoch <> m.Mach.code_epoch then begin
+      Hashtbl.reset t.blocks;
+      t.epoch <- m.Mach.code_epoch
+    end;
     (match Hashtbl.find_opt t.blocks pc with
     | Some b -> m.Mach.instret <- m.Mach.instret + exec_block m b
     | None -> (

@@ -5,7 +5,8 @@
     start address, and executed by a second-level dispatch loop that
     re-extracts operands from the bytecode cells -- the double
     dispatch that makes TCI slower than a direct threaded interpreter
-    (paper §III-D2). *)
+    (paper §III-D2).  Blocks are dropped when the machine's
+    {!Mach.field-code_epoch} moves. *)
 
 val name : string
 
@@ -13,6 +14,7 @@ type block
 
 type t = {
   blocks : (int64, block) Hashtbl.t;
+  mutable epoch : int;  (** the code epoch the blocks were translated in *)
   mutable translated_blocks : int;
 }
 

@@ -21,9 +21,10 @@
    Patching is uop-cache-safe: every block records the physical code
    pages it was fetched from, and [patch_mem] -- the Global-Memory
    rule's write path -- invalidates any block compiled from a written
-   page (plus the active cursor) before touching memory.  fence.i,
-   sfence.vma and satp writes flush the whole block cache, exactly
-   like the autonomous engine's uop-cache flushes. *)
+   page (plus the active cursor) before touching memory.  The whole
+   block cache is dropped when the machine's code epoch has moved
+   (fence.i, sfence.vma, satp writes), as every engine's code cache
+   is. *)
 
 open Riscv
 
@@ -68,6 +69,7 @@ type t = {
   mutable cur : block;
   mutable cur_ix : int;
   mutable cur_pc : int64; (* = b_pc + 4*cur_ix, min_int when invalid *)
+  mutable epoch : int; (* the code epoch the blocks were compiled in *)
   mutable forced : forced option;
   mutable force_sc_fail : bool;
   mutable instret : int;
@@ -102,6 +104,7 @@ let create ?dram_size ?(hartid = 0) () =
     cur = no_block;
     cur_ix = 0;
     cur_pc = Int64.min_int;
+    epoch = 0;
     forced = None;
     force_sc_fail = false;
     instret = 0;
@@ -150,6 +153,7 @@ let flush_blocks t =
   t.cur <- no_block;
   t.cur_ix <- 0;
   t.cur_pc <- Int64.min_int;
+  t.epoch <- t.m.Mach.code_epoch;
   t.flushes <- t.flushes + 1
 
 let page_of pa = Int64.logand pa (Int64.lognot 0xFFFL)
@@ -198,21 +202,9 @@ let patch_mem t ~paddr ~size ~value =
 (* Fetch translation through the host TLB; a fetch outside DRAM is an
    access fault. *)
 let fetch_word (m : Mach.t) va : int * int64 =
-  let mem = m.Mach.plat.Platform.mem in
-  let read pa =
-    Isa.check_dram m.Mach.plat pa Trap.Fetch_access ~vaddr:va;
-    Memory.read_u32 mem pa
-  in
-  if not m.Mach.paging then (read va, va)
-  else begin
-    let pa = Mach.tlb_lookup m Mach.tlb_fetch va in
-    if pa <> Int64.min_int then (read pa, pa)
-    else begin
-      let pa = Iss.Mmu.translate m.Mach.plat m.Mach.csr va Pte.Fetch in
-      if Memory.in_range mem pa then Mach.tlb_fill m Mach.tlb_fetch va pa;
-      (read pa, pa)
-    end
-  end
+  let pa = Mach.translate m Pte.Fetch va in
+  Isa.check_dram m.Mach.plat pa Trap.Fetch_access ~vaddr:va;
+  (Memory.read_u32 m.Mach.plat.Platform.mem pa, pa)
 
 (* Only instructions that change the translation / privilege context
    (or trap unconditionally) end a block.  Branches and jumps do NOT:
@@ -352,25 +344,6 @@ let lookup_or_compile t vpc : block =
 
 (* --- instrumented execution ------------------------------------------- *)
 
-(* The physical address of [vaddr] through the host TLB [tlb]; a miss
-   walks the page table and caches the translation when it lands in
-   DRAM. *)
-let translate (m : Mach.t) tlb access vaddr =
-  if not m.Mach.paging then vaddr
-  else begin
-    let pa = Mach.tlb_lookup m tlb vaddr in
-    if pa <> Int64.min_int then pa
-    else begin
-      let pa = Iss.Mmu.translate m.Mach.plat m.Mach.csr vaddr access in
-      if Memory.in_range m.Mach.plat.Platform.mem pa then
-        Mach.tlb_fill m tlb vaddr pa;
-      pa
-    end
-  end
-
-let translate_store (m : Mach.t) vaddr =
-  translate m Mach.tlb_store Pte.Store vaddr
-
 (* Loads and stores mirror [Exec_generic.load]/[store] and report the
    full access (vaddr, paddr, size, value) into the step's commit; a
    load returns the value read. *)
@@ -378,7 +351,7 @@ let ref_load (t : t) vaddr size : int64 =
   Isa.check_aligned vaddr size Trap.Load_misaligned;
   let m = t.m in
   let mem = m.Mach.plat.Platform.mem in
-  let pa = translate m Mach.tlb_load Pte.Load vaddr in
+  let pa = Mach.translate m Pte.Load vaddr in
   let value =
     if Memory.in_range mem pa then Memory.read_bytes_le mem pa size
     else
@@ -394,7 +367,7 @@ let ref_store (t : t) vaddr size v =
   Isa.check_aligned vaddr size Trap.Store_misaligned;
   let m = t.m in
   let mem = m.Mach.plat.Platform.mem in
-  let pa = translate_store m vaddr in
+  let pa = Mach.translate m Pte.Store vaddr in
   if Memory.in_range mem pa then begin
     (* a guest store into a compiled code page must drop the block
        (made visible at the next fence.i, but dropping now is always
@@ -444,7 +417,7 @@ let exec_commit (t : t) pc ~next (insn : Insn.t) =
   | Insn.Lr (w, rd, rs1) ->
       let size = Iss.Alu.amo_size w and vaddr = Mach.get_reg m rs1 in
       Isa.check_aligned vaddr size Trap.Load_misaligned;
-      let pa = translate m Mach.tlb_load Pte.Load vaddr in
+      let pa = Mach.translate m Pte.Load vaddr in
       Isa.check_dram m.Mach.plat pa Trap.Load_access ~vaddr;
       let v = Memory.read_bytes_le m.Mach.plat.Platform.mem pa size in
       Iss.Interp.report_load t.report ~vaddr ~paddr:pa ~size ~value:v;
@@ -454,7 +427,7 @@ let exec_commit (t : t) pc ~next (insn : Insn.t) =
   | Insn.Sc (w, rd, rs1, rs2) ->
       let size = Iss.Alu.amo_size w and vaddr = Mach.get_reg m rs1 in
       Isa.check_aligned vaddr size Trap.Store_misaligned;
-      let pa = translate_store m vaddr in
+      let pa = Mach.translate m Pte.Store vaddr in
       let reserved =
         match m.Mach.reservation with Some r -> Int64.equal r pa | None -> false
       in
@@ -472,7 +445,7 @@ let exec_commit (t : t) pc ~next (insn : Insn.t) =
   | Insn.Amo (op, w, rd, rs1, rs2) ->
       let size = Iss.Alu.amo_size w and vaddr = Mach.get_reg m rs1 in
       Isa.check_aligned vaddr size Trap.Store_misaligned;
-      let pa = translate_store m vaddr in
+      let pa = Mach.translate m Pte.Store vaddr in
       Isa.check_dram m.Mach.plat pa Trap.Store_access ~vaddr;
       let v = Memory.read_bytes_le m.Mach.plat.Platform.mem pa size in
       Iss.Interp.report_load t.report ~vaddr ~paddr:pa ~size ~value:v;
@@ -498,21 +471,10 @@ let exec_commit (t : t) pc ~next (insn : Insn.t) =
         Platform.is_mmio m.Mach.plat
           t.report.Iss.Interp.store_acc.Iss.Interp.paddr
   | Insn.Csr (op, rd, rs1, addr) ->
-      let old_v =
-        Isa.csr_rmw m.Mach.csr op ~rd ~rs1 ~rs1_value:(Mach.get_reg m rs1)
-          addr
-      in
+      let old_v = Exec_generic.csr m op ~rd ~rs1 addr in
       Mach.set_reg m rd old_v;
-      if addr = Csr.satp || addr = Csr.mstatus || addr = Csr.sstatus then begin
-        Mach.sync_translation m;
-        (* the code mapping may have changed under the block cache *)
-        if addr = Csr.satp then flush_blocks t
-      end;
       m.Mach.pc <- next;
       c.Iss.Interp.csr_read <- Some (addr, old_v)
-  | Insn.Sfence_vma (_, _) | Insn.Fence_i ->
-      Exec_generic.exec Exec_generic.host_fp m pc insn;
-      flush_blocks t
   | _ -> Exec_generic.exec Exec_generic.host_fp m pc insn
 
 (* --- step-to-commit ---------------------------------------------------- *)
@@ -586,6 +548,7 @@ let step (t : t) : Iss.Interp.step_result =
         r.Iss.Interp.committed
     | None ->
         (try
+           if t.epoch <> m.Mach.code_epoch then flush_blocks t;
            if not (Int64.equal t.cur_pc pc) then begin
              let b = lookup_or_compile t pc in
              t.cur <- b;

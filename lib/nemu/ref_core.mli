@@ -12,8 +12,8 @@
 
     Patching is uop-cache-safe: blocks record their physical code
     pages, and {!patch_mem} invalidates every block compiled from a
-    written page before the write lands; fence.i / sfence.vma / satp
-    writes flush the whole block cache. *)
+    written page before the write lands; the whole block cache is
+    dropped once the machine's {!Mach.field-code_epoch} has moved. *)
 
 open Riscv
 
@@ -25,6 +25,7 @@ type t = {
   mutable cur : block;
   mutable cur_ix : int;
   mutable cur_pc : int64;
+  mutable epoch : int;  (** the code epoch the blocks were compiled in *)
   mutable forced : forced option;
   mutable force_sc_fail : bool;
   mutable instret : int;
@@ -112,5 +113,3 @@ val run : ?max_insns:int -> t -> int
 val diff_against : t -> Arch_state.t -> string option
 (** First difference between the DUT architectural state and this
     REF, in the {!Riscv.Arch_state.diff} message format. *)
-
-val flush_blocks : t -> unit

@@ -3,7 +3,8 @@
    re-decode, unlike NEMU's trace-organised cache), generic dispatch on
    the decoded AST, and SoftFloat arithmetic for floating point --
    which is why this engine, like Spike, is slower on FP-heavy
-   workloads (§III-D2). *)
+   workloads (§III-D2).  The cache is emptied when the machine's code
+   epoch moves (fence.i, sfence.vma, satp writes). *)
 
 let name = "spike-like"
 
@@ -11,6 +12,7 @@ type t = {
   tags : int64 array; (* -1L = invalid *)
   insns : Riscv.Insn.t array;
   size : int; (* power of two *)
+  mutable epoch : int; (* the code epoch the cache was filled in *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -21,12 +23,17 @@ let create ?(size = 16384) () =
     tags = Array.make size (-1L);
     insns = Array.make size (Riscv.Insn.Illegal 0l);
     size;
+    epoch = 0;
     hits = 0;
     misses = 0;
   }
 
 let step (c : t) (m : Mach.t) : unit =
   let pc = m.Mach.pc in
+  if c.epoch <> m.Mach.code_epoch then begin
+    Array.fill c.tags 0 c.size (-1L);
+    c.epoch <- m.Mach.code_epoch
+  end;
   (try
      let idx = Int64.to_int (Int64.shift_right_logical pc 2) land (c.size - 1) in
      let insn =

@@ -3,7 +3,8 @@
     re-decode, unlike NEMU's trace-organised cache), generic dispatch
     on the decoded AST, and SoftFloat arithmetic -- which is why this
     engine, like Spike, is much slower on FP-heavy workloads
-    (paper §III-D2). *)
+    (paper §III-D2).  The cache is emptied when the machine's
+    {!Mach.field-code_epoch} moves. *)
 
 val name : string
 
@@ -11,6 +12,7 @@ type t = {
   tags : int64 array;
   insns : Riscv.Insn.t array;
   size : int;
+  mutable epoch : int;  (** the code epoch the cache was filled in *)
   mutable hits : int;
   mutable misses : int;
 }

@@ -1,10 +1,8 @@
-(* Sv39 page-table entry and virtual-address field helpers, shared by
-   the reference model's walker, the DUT's hardware page-table walker,
-   and the micro-kernel workload that builds page tables. *)
+(* Sv39 page-table entries and the one Sv39 walk, shared by the
+   reference models, the DUT's hardware page-table walker, and the
+   micro-kernel workloads that build page tables. *)
 
 let page_shift = 12
-
-let page_size = 1 lsl page_shift
 
 let levels = 3
 
@@ -28,12 +26,6 @@ let writable pte = flag pte w
 
 let executable pte = flag pte x
 
-let user pte = flag pte u
-
-let accessed pte = flag pte a
-
-let dirty pte = flag pte d
-
 let is_leaf pte = readable pte || writable pte || executable pte
 
 let ppn pte =
@@ -52,8 +44,6 @@ let vpn va level =
        (Int64.shift_right_logical va (page_shift + (9 * level)))
        0x1FFL)
 
-let page_offset va = Int64.to_int (Int64.logand va 0xFFFL)
-
 (* Sv39 requires va bits 63..39 to equal bit 38. *)
 let va_canonical va =
   let top = Int64.shift_right va 38 in
@@ -63,9 +53,12 @@ let satp_mode satp = Csr.get_field satp 60 4
 
 let satp_ppn satp = Int64.logand satp 0xFFFFFFFFFFFL
 
-let satp_asid satp = Csr.get_field satp 44 16
-
 let root_of_satp satp = pa_of_ppn (satp_ppn satp)
+
+(* Paging applies outside M-mode when satp selects Sv39 (MPRV is not
+   modelled). *)
+let[@inline] translation_active (csr : Csr.t) =
+  csr.Csr.priv <> Csr.M && satp_mode csr.Csr.reg_satp = 8
 
 (* --- the access rules both walkers apply --------------------------------- *)
 
@@ -97,6 +90,56 @@ let leaf_permits (csr : Csr.t) ~flags access =
       (not (has flags u))
       || (Csr.get_bit csr.Csr.reg_mstatus Csr.st_sum && access <> Fetch)
   | Csr.M -> true
+
+(* --- the Sv39 walk --------------------------------------------------- *)
+
+(* A walk's outcome in one int, so a walk returns no block: the leaf's
+   4 KiB-level ppn above its eight flag bits, or [walk_fault]. *)
+let walk_fault = -1
+
+let[@inline] leaf_ppn leaf = leaf lsr 8
+
+let[@inline] leaf_flags leaf = leaf land 0xFF
+
+let[@inline] leaf_pa leaf va =
+  Int64.logor
+    (Int64.shift_left (Int64.of_int (leaf_ppn leaf)) page_shift)
+    (Int64.logand va 0xFFFL)
+
+(* One level: the PTE for [va] in the table at physical address
+   [table].  A PTE outside [mem] (DRAM), an invalid PTE, the reserved
+   W-without-R encoding, a pointer below level 0 and a misaligned
+   superpage all fault.  A superpage leaf yields the 4 KiB page inside
+   it that holds [va].  A/D bits are neither hardware-updated nor
+   required (software sets them when installing a page): a hardware
+   update would make the REF and the DUT write PTE memory at different
+   times and turn PTE loads into spurious DiffTest mismatches. *)
+let rec walk_level read src mem va level table =
+  let pte_pa = Int64.of_int (table + (8 * vpn va level)) in
+  if not (Memory.in_range mem pte_pa) then walk_fault
+  else begin
+    let pte = read src pte_pa in
+    if (not (valid pte)) || ((not (readable pte)) && writable pte) then
+      walk_fault
+    else if is_leaf pte then begin
+      let ppn = Int64.to_int (ppn pte) in
+      let below = (1 lsl (9 * level)) - 1 in
+      if ppn land below <> 0 then walk_fault
+      else
+        let va_ppn = Int64.to_int (Int64.shift_right_logical va page_shift) in
+        ((ppn lor (va_ppn land below)) lsl 8) lor (Int64.to_int pte land 0xFF)
+    end
+    else if level = 0 then walk_fault
+    else
+      walk_level read src mem va (level - 1)
+        (Int64.to_int (pa_of_ppn (ppn pte)))
+  end
+
+let walk read src mem ~satp va =
+  if not (va_canonical va) then walk_fault
+  else
+    walk_level read src mem va (levels - 1)
+      (Int64.to_int (root_of_satp satp))
 
 let make_satp ~mode ~asid ~root_pa =
   Int64.logor

@@ -1,16 +1,8 @@
-(** Sv39 page-table entry and virtual-address helpers, shared by the
-    reference model's walker, the DUT's hardware walker, and the
-    micro-kernel workload that builds page tables.  The access type,
-    its page-fault cause and the leaf permission check are defined
-    here once for both walkers. *)
-
-val page_shift : int
-(** log2 of the page size (12). *)
-
-val page_size : int
-
-val levels : int
-(** Sv39 has a 3-level tree. *)
+(** Sv39 page-table entries and the one Sv39 walk, shared by the
+    reference models, the DUT's hardware walker, and the micro-kernel
+    workloads that build page tables.  The walk, the access type, its
+    page-fault cause and the leaf permission check are defined here
+    once for every executor. *)
 
 (** Permission/status bit positions within a PTE. *)
 
@@ -23,35 +15,11 @@ val g : int
 val a : int
 val d : int
 
-val valid : int64 -> bool
-val readable : int64 -> bool
-val writable : int64 -> bool
-val executable : int64 -> bool
-val user : int64 -> bool
-val accessed : int64 -> bool
-val dirty : int64 -> bool
-
-val is_leaf : int64 -> bool
-(** A PTE with any of R/W/X set maps a page; otherwise it points to
-    the next table level. *)
-
-val ppn : int64 -> int64
-(** Physical page number field of a PTE. *)
-
 val pa_of_ppn : int64 -> int64
 
 val make : pa:int64 -> int list -> int64
 (** [make ~pa flags] builds a PTE pointing at [pa] with the given flag
     bit positions set. *)
-
-val vpn : int64 -> int -> int
-(** [vpn va level] is the 9-bit table index of [va] at [level]
-    (0 = leaf level). *)
-
-val page_offset : int64 -> int
-
-val va_canonical : int64 -> bool
-(** Sv39 requires bits 63..39 of a virtual address to equal bit 38. *)
 
 (** {1 Access rules} *)
 
@@ -65,11 +33,31 @@ val leaf_permits : Csr.t -> flags:int -> access -> bool
     [access] at the CSR file's privilege, honouring mstatus.SUM and
     mstatus.MXR. *)
 
-val satp_mode : int64 -> int
-(** 0 = bare, 8 = Sv39. *)
+(** {1 The Sv39 walk} *)
 
-val satp_ppn : int64 -> int64
-val satp_asid : int64 -> int
-val root_of_satp : int64 -> int64
+val translation_active : Csr.t -> bool
+(** Paging applies outside M-mode when satp selects Sv39. *)
+
+val walk :
+  ('src -> int64 -> int64) -> 'src -> Memory.t -> satp:int64 -> int64 -> int
+(** [walk read src mem ~satp va] walks [va]'s page table from satp's
+    root, reading each PTE with [read src pte_pa].  A non-canonical
+    [va], a PTE outside [mem], an invalid PTE, W without R and a
+    misaligned superpage are faults; the leaf's permissions are the
+    caller's to check ({!leaf_permits}).  The result is one int: the
+    4 KiB-level ppn of the page holding [va] and the leaf's flag bits
+    ({!leaf_ppn}, {!leaf_flags}, {!leaf_pa}), or {!walk_fault}. *)
+
+val walk_fault : int
+
+val leaf_ppn : int -> int
+(** The 4 KiB-level physical page number of a walk's leaf. *)
+
+val leaf_flags : int -> int
+(** The leaf PTE's low eight flag bits. *)
+
+val leaf_pa : int -> int64 -> int64
+(** [leaf_pa leaf va]: the physical address of [va] through [leaf]. *)
+
 
 val make_satp : mode:int -> asid:int -> root_pa:int64 -> int64

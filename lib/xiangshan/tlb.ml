@@ -12,11 +12,6 @@
 
 open Riscv
 
-type mapping = {
-  ppn : int64; (* 4K-granular physical page number *)
-  pte_flags : int64; (* leaf PTE bits for permission checks *)
-}
-
 module Cow = Riscv.Cow
 
 (* One TLB level, flat: slot [i] across four copy-on-write tables, so
@@ -141,44 +136,12 @@ let corrupt_data_ppn (t : t) : int =
 
 let tables (t : t) = arr_tables t.itlb @ arr_tables t.dtlb @ arr_tables t.stlb
 
-(* Hardware walk via the cache port; returns the 4K mapping or a fault,
-   plus accumulated latency. *)
-let walk (t : t) (csr : Csr.t) (va : int64) : (mapping, unit) result * int =
-  t.walks <- t.walks + 1;
-  if not (Pte.va_canonical va) then (Error (), 4)
-  else begin
-    let lat = ref 4 (* walker occupancy *) in
-    let rec step level table_pa =
-      if level < 0 then Error ()
-      else begin
-        let pte_pa = Int64.add table_pa (Int64.of_int (8 * Pte.vpn va level)) in
-        let pte, l = Softmem.Cache.read t.ptw_port ~addr:pte_pa ~size:8 in
-        lat := !lat + l;
-        if not (Pte.valid pte) then Error ()
-        else if (not (Pte.readable pte)) && Pte.writable pte then Error ()
-        else if Pte.is_leaf pte then begin
-          let ppn = Pte.ppn pte in
-          if
-            level > 0
-            && Int64.logand ppn (Int64.of_int ((1 lsl (9 * level)) - 1)) <> 0L
-          then Error ()
-          else begin
-            (* form the 4K-level ppn for this va *)
-            let low_vpns =
-              match level with
-              | 0 -> 0L
-              | 1 -> Int64.of_int (Pte.vpn va 0)
-              | _ -> Int64.of_int ((Pte.vpn va 1 lsl 9) lor Pte.vpn va 0)
-            in
-            Ok { ppn = Int64.add ppn low_vpns; pte_flags = pte }
-          end
-        end
-        else step (level - 1) (Pte.pa_of_ppn (Pte.ppn pte))
-      end
-    in
-    let r = step (Pte.levels - 1) (Pte.root_of_satp csr.Csr.reg_satp) in
-    (r, !lat)
-  end
+(* The walker reads each PTE through its cache port and adds the
+   port's latency to [latency]. *)
+let read_pte t pte_pa =
+  let pte, lat = Softmem.Cache.read t.ptw_port ~addr:pte_pa ~size:8 in
+  t.latency <- t.latency + lat;
+  pte
 
 let[@inline] paddr t = Bytes.get_int64_ne t.pa 0
 
@@ -215,15 +178,19 @@ let translate_paged (t : t) (csr : Csr.t) (va : int64) (access : Pte.access) =
           ~flags:(Cow.get t.stlb.flags s)
       end
       else begin
-        let r, wl = walk t csr va in
+        t.walks <- t.walks + 1;
+        t.latency <- 4 (* walker occupancy *);
+        let leaf =
+          Pte.walk read_pte t t.ptw_port.Softmem.Cache.backing
+            ~satp:csr.Csr.reg_satp va
+        in
         (* invalid PTEs are allowed to be cached (Figure 3) *)
         let ppn, flags =
-          match r with
-          | Ok m -> (Int64.to_int m.ppn, Int64.to_int m.pte_flags land 0xFF)
-          | Error () -> (fault, 0)
+          if leaf = Pte.walk_fault then (fault, 0)
+          else (Pte.leaf_ppn leaf, Pte.leaf_flags leaf)
         in
         ignore (arr_insert t.stlb vpn ~ppn ~flags);
-        lat := 2 + wl;
+        lat := 2 + t.latency;
         arr_insert l1 vpn ~ppn ~flags
       end
     end
@@ -245,6 +212,5 @@ let translate_paged (t : t) (csr : Csr.t) (va : int64) (access : Pte.access) =
    it boxes no address. *)
 let[@inline] translate (t : t) (csr : Csr.t) (va : int64) (access : Pte.access)
     =
-  if csr.Csr.priv = Csr.M || Pte.satp_mode csr.Csr.reg_satp <> 8 then
-    translated t ~lat:0 va
+  if not (Pte.translation_active csr) then translated t ~lat:0 va
   else translate_paged t csr va access

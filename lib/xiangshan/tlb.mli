@@ -7,8 +7,6 @@
     sfence.vma.  Together these reproduce the speculative page-fault
     behaviour of the paper's Figure 3. *)
 
-type mapping = { ppn : int64; pte_flags : int64 }
-
 (** One TLB level, flat: slot [i] across four copy-on-write tables. *)
 type tlb_array = {
   size : int;
@@ -54,13 +52,12 @@ val corrupt_data_ppn : t -> int
     entry.  Returns the number of entries newly corrupted. *)
 
 val translate : t -> Riscv.Csr.t -> int64 -> Riscv.Pte.access -> unit
-(** Translate a virtual address under the *committed* CSR state, with
-    {!Riscv.Pte.leaf_permits} on the leaf, and report the outcome into [faulted], [exc], [latency] (0 on an L1
-    TLB hit and in bare or M mode) and the physical address
-    ({!paddr}).  Allocates nothing unless it walks the page table. *)
+(** Translate a virtual address under the *committed* CSR state: on a
+    TLB miss, {!Riscv.Pte.walk} through the PTW cache port.  Checks
+    {!Riscv.Pte.leaf_permits} on the leaf and reports the outcome into
+    [faulted], [exc], [latency] (0 on an L1 TLB hit and in bare or M
+    mode) and the physical address ({!paddr}).  Allocates nothing
+    unless it walks the page table. *)
 
 val paddr : t -> int64
 (** The last successful {!translate}'s physical address. *)
-
-val walk : t -> Riscv.Csr.t -> int64 -> (mapping, unit) result * int
-(** The raw hardware walk (exposed for tests). *)

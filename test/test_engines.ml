@@ -281,6 +281,23 @@ let test_selfmod_fencei () =
   check_same_arch "self-modifying store + fence.i" ref_m
     (nemu_superblock selfmod_fencei_program)
 
+(* The same program on every engine of Figure 8 and the ISS: each one's
+   code cache (NEMU's superblocks, Spike-like's decode cache,
+   QEMU-TCI-like's translated blocks) must drop the stale addi when
+   fence.i moves the code epoch, so every engine exits 120 after the
+   same instruction count. *)
+let test_selfmod_fencei_all_engines () =
+  let n_ref, code_ref, _ = iss_reference selfmod_fencei_program in
+  Alcotest.(check (option int)) "ISS exit" (Some 120) code_ref;
+  Alcotest.(check int) "ISS instructions" 139 n_ref;
+  List.iter
+    (fun kind ->
+      let n, code, _ = run_engine kind selfmod_fencei_program in
+      let name = Nemu.Engine.name kind in
+      Alcotest.(check (option int)) (name ^ " exit") (Some 120) code;
+      Alcotest.(check int) (name ^ " instructions") n_ref n)
+    Nemu.Engine.all
+
 (* Indirect jumps: a call site alternating between two callees through
    a register, so the jalr terminal and the callees' rets resolve a
    changing target through the hash list on every call. *)
@@ -483,6 +500,8 @@ let tests =
         test_exact_budget_stops;
       Alcotest.test_case "superblock: self-modifying store + fence.i" `Quick
         test_selfmod_fencei;
+      Alcotest.test_case "self-modifying store + fence.i on every engine"
+        `Quick test_selfmod_fencei_all_engines;
       Alcotest.test_case "superblock: indirect calls" `Quick
         test_indirect_calls;
       Alcotest.test_case "superblock vs step: suite at an exact budget" `Slow

@@ -154,6 +154,113 @@ let test_translate_allocates_nothing () =
         va );
     ]
 
+(* --- one walk, one answer ----------------------------------------------
+
+   Each PTE case goes through the ISS's walk over physical memory
+   ([Iss.Mmu.translate]), NEMU's host-TLB translate ([Nemu.Mach]) and
+   the DUT's TLB and walker ([Xiangshan.Tlb]), all reading the same
+   page tables: each must give the same physical address or the same
+   page-fault cause. *)
+
+type answer = Pa of int64 | Fault of int
+
+let pp_answer ppf = function
+  | Pa pa -> Format.fprintf ppf "pa 0x%Lx" pa
+  | Fault cause -> Format.fprintf ppf "fault %d" cause
+
+let answer = Alcotest.testable pp_answer ( = )
+
+let dram = Platform.dram_base
+let at off = Int64.add dram (Int64.of_int off)
+
+(* root -> l1 -> l0 tables; the case's writes come after, so they may
+   replace any of these pointers *)
+let root = at 0x10000
+let l1 = at 0x11000
+let l0 = at 0x12000
+let data = at 0x20000
+
+let pointer pa = Pte.make ~pa [ Pte.v ]
+let leaf pa flags = Pte.make ~pa (Pte.v :: Pte.a :: Pte.d :: flags)
+
+(* va 0x4000_0000 is root slot 1, l1 slot 0, l0 slot 0 *)
+let va4k = 0x4000_0123L
+
+(* (case, PTE writes, privilege, mstatus.SUM, access, va, answer) *)
+let walk_cases =
+  let rw = [ Pte.r; Pte.w ] in
+  [
+    ("4 KiB page", [ (l0, leaf data rw) ], Csr.S, false, Pte.Load, va4k,
+      Pa (Int64.add data 0x123L));
+    ( "aligned 2 MiB superpage",
+      [ (l1, leaf (at 0x200000) rw) ],
+      Csr.S, false, Pte.Store, 0x4001_2345L, Pa (at 0x212345) );
+    ( "aligned 1 GiB superpage",
+      [ (Int64.add root 8L, leaf dram rw) ],
+      Csr.S, false, Pte.Load, 0x4012_3456L, Pa (at 0x123456) );
+    ( "non-canonical va", [ (l0, leaf data rw) ], Csr.S, false, Pte.Load,
+      0x0100_0000_4000_0000L, Fault 13 );
+    ( "invalid PTE",
+      [ (l0, Pte.make ~pa:data [ Pte.r; Pte.w; Pte.a; Pte.d ]) ],
+      Csr.S, false, Pte.Load, va4k, Fault 13 );
+    ( "W without R", [ (l0, leaf data [ Pte.w ]) ], Csr.S, false, Pte.Store,
+      va4k, Fault 15 );
+    ( "misaligned 2 MiB superpage", [ (l1, leaf (at 0x201000) rw) ], Csr.S,
+      false, Pte.Load, va4k, Fault 13 );
+    ( "misaligned 1 GiB superpage",
+      [ (Int64.add root 8L, leaf (at 0x200000) rw) ],
+      Csr.S, false, Pte.Load, va4k, Fault 13 );
+    ( "U page from S without SUM", [ (l0, leaf data (Pte.u :: rw)) ], Csr.S,
+      false, Pte.Load, va4k, Fault 13 );
+    ( "U page from S with SUM", [ (l0, leaf data (Pte.u :: rw)) ], Csr.S,
+      true, Pte.Load, va4k, Pa (Int64.add data 0x123L) );
+    ( "fetch from a non-X page", [ (l0, leaf data rw) ], Csr.S, false,
+      Pte.Fetch, va4k, Fault 12 );
+    ( "next-level table outside DRAM",
+      [ (Int64.add root 8L, pointer 0x1000_0000L) ],
+      Csr.S, false, Pte.Load, va4k, Fault 13 );
+  ]
+
+let test_one_walk_one_answer () =
+  List.iter
+    (fun (name, writes, priv, sum, access, va, expect) ->
+      let m = Nemu.Mach.create ~dram_size:(1 lsl 22) () in
+      let mem = m.Nemu.Mach.plat.Platform.mem in
+      let csr = m.Nemu.Mach.csr in
+      List.iter
+        (fun (pa, pte) -> Memory.write_u64 mem pa pte)
+        ([ (Int64.add root 8L, pointer l1); (l1, pointer l0) ] @ writes);
+      csr.Csr.priv <- priv;
+      csr.Csr.reg_satp <- Pte.make_satp ~mode:8 ~asid:0 ~root_pa:root;
+      csr.Csr.reg_mstatus <- Csr.set_bit csr.Csr.reg_mstatus Csr.st_sum sum;
+      Nemu.Mach.sync_translation m;
+      let of_trap f =
+        match f () with
+        | pa -> Pa pa
+        | exception Trap.Exception (exc, _) -> Fault (Trap.exc_code exc)
+      in
+      let iss =
+        of_trap (fun () -> Iss.Mmu.translate m.Nemu.Mach.plat csr va access)
+      in
+      let nemu = of_trap (fun () -> Nemu.Mach.translate m access va) in
+      let port =
+        Softmem.Cache.create ~name:"ptw" ~size_bytes:4096 ~ways:4
+          ~line_shift:6 ~hit_latency:2 ~backing:mem ()
+      in
+      Softmem.Cache.set_dram port
+        (Softmem.Dram.create (Softmem.Dram.Fixed_amat 50));
+      let tlb = Xiangshan.Tlb.create Xiangshan.Config.yqh ~ptw_port:port in
+      Xiangshan.Tlb.translate tlb csr va access;
+      let dut =
+        if tlb.Xiangshan.Tlb.faulted then
+          Fault (Trap.exc_code tlb.Xiangshan.Tlb.exc)
+        else Pa (Xiangshan.Tlb.paddr tlb)
+      in
+      Alcotest.check answer (name ^ ": ISS") expect iss;
+      Alcotest.check answer (name ^ ": NEMU") expect nemu;
+      Alcotest.check answer (name ^ ": DUT") expect dut)
+    walk_cases
+
 let tests =
   [
     Alcotest.test_case "walk, map and TLB hit" `Quick test_translate_and_cache;
@@ -165,4 +272,6 @@ let tests =
     Alcotest.test_case "non-canonical address" `Quick test_non_canonical;
     Alcotest.test_case "translate allocates nothing" `Quick
       test_translate_allocates_nothing;
+    Alcotest.test_case "one walk, one answer: ISS, NEMU and DUT" `Quick
+      test_one_walk_one_answer;
   ]
