@@ -254,6 +254,15 @@ let decode word =
     insn
   end
 
+(* Trap entry for the step at [pc], committed under [insn], the
+   instruction that trapped (a fetch fault decoded none). *)
+let trap_commit r st ~pc ~insn exc tval =
+  let next_pc = Trap.take_exception st.Arch_state.csr exc tval ~epc:pc in
+  Arch_state.set_pc st next_pc;
+  begin_commit r ~pc ~insn;
+  r.commit.next_pc <- next_pc;
+  r.commit.trap <- Some { exc; tval }
+
 let rec step (t : t) : step_result =
   if exited t then Exited
   else begin
@@ -301,22 +310,21 @@ let rec step (t : t) : step_result =
             r.committed
         | Some (Force_interrupt _) | Some Force_sc_failure | None -> (
             (* fetch / decode / execute *)
-            (try
+            (match
                let fetch_pa = Mmu.translate t.plat csr pc Pte.Fetch in
                Isa.check_dram t.plat fetch_pa Trap.Fetch_access ~vaddr:pc;
-               let insn =
-                 decode (Memory.read_u32 t.plat.Platform.mem fetch_pa)
-               in
-               begin_commit r ~pc ~insn;
-               let next_pc = exec t pc insn in
-               c.next_pc <- next_pc;
-               Arch_state.set_pc st next_pc
-             with Trap.Exception (exc, tval) ->
-               let next_pc = Trap.take_exception csr exc tval ~epc:pc in
-               Arch_state.set_pc st next_pc;
-               begin_commit r ~pc ~insn:(Insn.Illegal 0l);
-               c.next_pc <- next_pc;
-               c.trap <- Some { exc; tval });
+               decode (Memory.read_u32 t.plat.Platform.mem fetch_pa)
+             with
+            | exception Trap.Exception (exc, tval) ->
+                trap_commit r st ~pc ~insn:(Insn.Illegal 0l) exc tval
+            | insn -> (
+                begin_commit r ~pc ~insn;
+                match exec t pc insn with
+                | next_pc ->
+                    c.next_pc <- next_pc;
+                    Arch_state.set_pc st next_pc
+                | exception Trap.Exception (exc, tval) ->
+                    trap_commit r st ~pc ~insn exc tval));
             retire t csr;
             r.committed))
   end

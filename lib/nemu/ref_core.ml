@@ -522,6 +522,16 @@ let advance t b ix straight =
 
 let nop = Insn.Op_imm (Insn.ADD, 0, 0, 0L)
 
+(* Trap entry for the step at [pc], committed under [insn], the
+   instruction that trapped (a fetch fault decoded none). *)
+let trap_commit t ~pc ~insn exc tval =
+  let m = t.m and r = t.report in
+  Mach.take_trap m exc tval ~epc:pc;
+  invalidate_cursor t;
+  Iss.Interp.begin_commit r ~pc ~insn;
+  r.Iss.Interp.commit.Iss.Interp.next_pc <- m.Mach.pc;
+  r.Iss.Interp.commit.Iss.Interp.trap <- Some { Iss.Interp.exc; tval }
+
 let step (t : t) : Iss.Interp.step_result =
   if exited t then Iss.Interp.Exited
   else begin
@@ -547,42 +557,44 @@ let step (t : t) : Iss.Interp.step_result =
         c.Iss.Interp.trap <- Some { Iss.Interp.exc; tval };
         r.Iss.Interp.committed
     | None ->
-        (try
+        (match
            if t.epoch <> m.Mach.code_epoch then flush_blocks t;
            if not (Int64.equal t.cur_pc pc) then begin
              let b = lookup_or_compile t pc in
              t.cur <- b;
              t.cur_ix <- 0;
              t.cur_pc <- pc
-           end;
-           let b = t.cur in
-           let ix = t.cur_ix in
-           let insn = Array.unsafe_get b.b_insns ix in
-           let straight = Array.unsafe_get b.b_pcs (ix + 1) in
-           Iss.Interp.begin_commit r ~pc ~insn;
-           match Array.unsafe_get b.b_ops ix with
-           | O_straight f ->
-               f ();
-               m.Mach.pc <- straight;
-               advance t b ix straight;
-               c.Iss.Interp.next_pc <- straight
-           | O_jump g ->
-               let next = g pc in
-               m.Mach.pc <- next;
-               if Int64.equal next straight then advance t b ix straight
-               else invalidate_cursor t;
-               c.Iss.Interp.next_pc <- next
-           | O_slow ->
-               exec_commit t pc ~next:straight insn;
-               if Int64.equal m.Mach.pc straight then advance t b ix straight
-               else invalidate_cursor t;
-               c.Iss.Interp.next_pc <- m.Mach.pc
-         with Trap.Exception (exc, tval) ->
-           Mach.take_trap m exc tval ~epc:pc;
-           invalidate_cursor t;
-           Iss.Interp.begin_commit r ~pc ~insn:(Insn.Illegal 0l);
-           c.Iss.Interp.next_pc <- m.Mach.pc;
-           c.Iss.Interp.trap <- Some { Iss.Interp.exc; tval });
+           end
+         with
+        | exception Trap.Exception (exc, tval) ->
+            trap_commit t ~pc ~insn:(Insn.Illegal 0l) exc tval
+        | () -> (
+            let b = t.cur in
+            let ix = t.cur_ix in
+            let insn = Array.unsafe_get b.b_insns ix in
+            let straight = Array.unsafe_get b.b_pcs (ix + 1) in
+            Iss.Interp.begin_commit r ~pc ~insn;
+            try
+              match Array.unsafe_get b.b_ops ix with
+              | O_straight f ->
+                  f ();
+                  m.Mach.pc <- straight;
+                  advance t b ix straight;
+                  c.Iss.Interp.next_pc <- straight
+              | O_jump g ->
+                  let next = g pc in
+                  m.Mach.pc <- next;
+                  if Int64.equal next straight then advance t b ix straight
+                  else invalidate_cursor t;
+                  c.Iss.Interp.next_pc <- next
+              | O_slow ->
+                  exec_commit t pc ~next:straight insn;
+                  if Int64.equal m.Mach.pc straight then
+                    advance t b ix straight
+                  else invalidate_cursor t;
+                  c.Iss.Interp.next_pc <- m.Mach.pc
+            with Trap.Exception (exc, tval) ->
+              trap_commit t ~pc ~insn exc tval));
         retire t;
         r.Iss.Interp.committed
   end

@@ -140,7 +140,7 @@ let cases =
       Xiangshan.Config.nh_single,
       (fun () -> Workloads.Vm_kernel.program ~scale:2 ()),
       5_000_000,
-      "32aba8aa6c3754cd6a8d37cac97f8c4b",
+      "686896a6adee9b7d7b4c1cfd2baba962",
       8614 );
     ( "NH timer_interrupts",
       Xiangshan.Config.nh_single,
@@ -152,7 +152,7 @@ let cases =
       Xiangshan.Config.nh_single,
       (fun () -> Workloads.User_mode.program ~scale:2 ()),
       5_000_000,
-      "caf2bb1ecc96a2e2512aba3662618524",
+      "6a6d3c73dad7ec5f4cc85b752ec15bb2",
       8910 );
   ]
 
