@@ -87,7 +87,8 @@ type t = {
   mutable translated_blocks : int;
 }
 
-let create () = { blocks = Hashtbl.create 1024; epoch = 0; translated_blocks = 0 }
+let create () =
+  { blocks = Hashtbl.create 1024; epoch = 0; translated_blocks = 0 }
 
 let max_block_insns = 64
 
