@@ -82,6 +82,15 @@ awk '/^let /{ fn = $2; next }
   END { if (n != 1) { print n + 0 " calls of compare_state, wanted 1"; bad = 1 }; exit bad }' \
   lib/core/difftest.ml
 
+echo "== one counter mechanism: Core.perf fields, named once in Core.counter_snapshot =="
+if grep -rn 'Perf_counter' lib/ bin/ bench/ examples/ test/; then
+  echo "Perf_counter is gone: a core counter is a plain field of Core.perf"; exit 1
+fi
+if grep -rnF -e '"commit.width_' -e '"stall.dispatch.' lib/ bin/ bench/ examples/ \
+    | grep -v '^lib/xiangshan/core.ml:'; then
+  echo "core counter named outside lib/xiangshan/core.ml (Core.counter_snapshot names them)"; exit 1
+fi
+
 echo "== tests =="
 dune runtest
 

@@ -97,10 +97,7 @@ type t = {
   scoreboard : Softmem.Scoreboard.t;
   mutable status : status;
   mutable commits_checked : int;
-  mutable debug_log : (int * string) list; (* debug mode only *)
-  mutable debug : bool;
   last_commit_cycle : int array; (* per-hart watchdog *)
-  mutable commit_timeout : int;
   (* store accounting *)
   pending_stores : store_ring array; (* per hart *)
   early_drains : pending_store list array;
@@ -110,7 +107,6 @@ type t = {
          have no store probe.  Cleared at the end of a tick that
          parked one. *)
   mutable parked : bool; (* [park] ran this tick *)
-  mutable store_timeout : int;
   compared_epoch : int array;
       (* per hart, the DUT's [Arch_state.epoch] at its last state
          compare; -1 (never an epoch) forces the next one *)
@@ -133,12 +129,6 @@ let fail_now (t : t) ~hart ~pc ?(probe = "") ~rule msg =
           f_commits = t.commits_checked;
           f_probe = probe;
         }
-
-(* Callers test [t.debug] first, so fast mode formats nothing. *)
-let log t fmt =
-  Printf.ksprintf
-    (fun s -> t.debug_log <- (t.soc.Xiangshan.Soc.now, s) :: t.debug_log)
-    fmt
 
 (* Park a drain until this cycle's commit probes are processed. *)
 let park (t : t) hart (d : Xiangshan.Probe.store_drain) =
@@ -269,14 +259,10 @@ let create ?rules ?(ref_kind = Ref_model.Iss)
       scoreboard;
       status = Running;
       commits_checked = 0;
-      debug_log = [];
-      debug = false;
       last_commit_cycle = Array.make n 0;
-      commit_timeout = 20_000;
       pending_stores = Array.init n (fun _ -> ring_create 16);
       early_drains = Array.make n [];
       parked = false;
-      store_timeout = 10_000;
       compared_epoch = Array.make n (-1);
     }
   in
@@ -312,10 +298,7 @@ let apply_post t ~hart (p : Xiangshan.Probe.commit) (c : Ref_model.commit) =
     | Some f -> (
         match f t.ctx ~hart p c with
         | Rule.Pass -> ()
-        | Rule.Patched ->
-            r.Rule.fires <- r.Rule.fires + 1;
-            if t.debug then
-              log t "rule %s patched REF at pc=0x%Lx" r.Rule.name p.p_pc
+        | Rule.Patched -> r.Rule.fires <- r.Rule.fires + 1
         | Rule.Fail msg ->
             r.Rule.fires <- r.Rule.fires + 1;
             fail_now t ~hart ~pc:p.p_pc ~probe:(Rule.describe_probe p)
@@ -399,6 +382,12 @@ let check_scoreboard t =
 let running t =
   match t.status with Running -> true | Finished _ | Failed _ -> false
 
+(* Cycles without a commit before the hang watchdog fires, and cycles
+   a committed store may sit undrained before "store-drain-timeout"
+   fires. *)
+let commit_timeout = 20_000
+let store_timeout = 10_000
+
 (* Hang watchdog: a hart that stops committing is hung -- the bug
    class commit-diffing cannot see.  The failure carries the
    retirement stall site from the probes. *)
@@ -406,7 +395,7 @@ let check_hangs t =
   let soc = t.soc in
   for hart = 0 to Array.length t.last_commit_cycle - 1 do
     if
-      soc.Xiangshan.Soc.now - t.last_commit_cycle.(hart) > t.commit_timeout
+      soc.Xiangshan.Soc.now - t.last_commit_cycle.(hart) > commit_timeout
       && not (Xiangshan.Soc.exited soc)
     then
       fail_now t ~hart
@@ -414,7 +403,7 @@ let check_hangs t =
         ~rule:"hang-watchdog"
         (Printf.sprintf
            "hart %d committed nothing for %d cycles; stall site: %s" hart
-           t.commit_timeout
+           commit_timeout
            (Xiangshan.Core.stall_site soc.Xiangshan.Soc.cores.(hart)))
   done
 
@@ -428,7 +417,7 @@ let check_store_drains t =
       let h = q.head in
       let committed = q.cycle.(h) in
       if
-        soc.Xiangshan.Soc.now - committed > t.store_timeout
+        soc.Xiangshan.Soc.now - committed > store_timeout
         && not (Xiangshan.Soc.exited soc)
       then
         fail_now t ~hart
@@ -508,16 +497,8 @@ let rule_fire_counts t =
     (fun (a, _) (b, _) -> String.compare a b)
     (List.map (fun (r : Rule.t) -> (r.Rule.name, r.Rule.fires)) t.rules)
 
-let set_commit_timeout t n = t.commit_timeout <- n
-
-let set_store_timeout t n = t.store_timeout <- n
-
 let compare_next_tick t =
   Array.fill t.compared_epoch 0 (Array.length t.compared_epoch) (-1)
-
-let enable_debug t = t.debug <- true
-
-let debug_log t = List.rev t.debug_log
 
 (* --- accessors (the record is abstract outside this module) ----------- *)
 

@@ -86,19 +86,3 @@ val commits_checked : t -> int
 val rule_fire_counts : t -> (string * int) list
 (** Fire count per rule, sorted by rule name (deterministic across
     rule-list order and REF backends). *)
-
-(** {1 Tuning and debug} *)
-
-val set_commit_timeout : t -> int -> unit
-(** Cycles without a commit before the hang watchdog fires
-    (default 20_000). *)
-
-val set_store_timeout : t -> int -> unit
-(** Cycles a committed store may sit undrained before
-    ["store-drain-timeout"] fires (default 10_000). *)
-
-val enable_debug : t -> unit
-(** Record rule-patch events into the debug log (used on the LightSSS
-    replay instance). *)
-
-val debug_log : t -> (int * string) list

@@ -16,7 +16,6 @@ type debug_report = {
   replay_cycles : int;
   db : Archdb.t;
   overlaps : Archdb.overlap list; (* §IV-C race signature *)
-  drains_near_failure : Xiangshan.Probe.store_drain list;
   snapshots_taken : int;
   snapshot_seconds : float;
   replay_traces : Perf.Pipetrace.t array;
@@ -153,7 +152,7 @@ let run_collect ?(snapshot_interval = 2000) ?(max_cycles = 20_000_000)
     | Difftest.Failed first_failure ->
         let db = Archdb.create () in
         (* restore the older snapshot (if one was taken) and replay it
-           in debug mode: ArchDB + debug log on the replayed instance *)
+           in debug mode: ArchDB on the replayed instance *)
         let replay_from_cycle, replay_cycles, replay_failure, replay_traces =
           match Lightsss.replay_point mgr with
           | None -> (0, 0, None, [||])
@@ -161,7 +160,6 @@ let run_collect ?(snapshot_interval = 2000) ?(max_cycles = 20_000_000)
               let dt' = restore_shared dt snap in
               let soc' = Difftest.soc dt' in
               Archdb.attach db soc';
-              Difftest.enable_debug dt';
               let replay_start = soc'.Xiangshan.Soc.now in
               let status =
                 drive ~max_cycles:((2 * snapshot_interval) + 10_000) dt'
@@ -192,11 +190,6 @@ let run_collect ?(snapshot_interval = 2000) ?(max_cycles = 20_000_000)
             replay_cycles;
             db;
             overlaps = Archdb.acquire_probe_overlaps db ~window:60;
-            drains_near_failure =
-              (match replay_failure with
-              | Some f when f.Rule.f_pc <> 0L ->
-                  Archdb.drains_for_line db ~addr:f.Rule.f_pc
-              | Some _ | None -> []);
             snapshots_taken = mgr.Lightsss.snapshots_taken;
             snapshot_seconds = mgr.Lightsss.total_snapshot_seconds;
             replay_traces;

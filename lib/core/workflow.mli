@@ -17,7 +17,6 @@ type debug_report = {
   replay_cycles : int;
   db : Archdb.t; (** full recording of the region of interest *)
   overlaps : Archdb.overlap list; (** the §IV-C race signature *)
-  drains_near_failure : Xiangshan.Probe.store_drain list;
   snapshots_taken : int;
   snapshot_seconds : float;
   replay_traces : Perf.Pipetrace.t array;

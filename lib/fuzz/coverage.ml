@@ -3,8 +3,8 @@
    A cell is a named event class ("NH/flush.mispredict",
    "YQH/l1d.mshr_saturated", ...); its value is the deepest log2
    magnitude bucket ever observed for that event.  The per-event hot
-   path lives in the core's allocation-free counter registry -- this
-   map only folds final counter snapshots, once per run, so the merge
+   path is a plain counter field bumped in place -- this map only
+   folds final counter snapshots, once per run, so the merge
    lattice (pointwise max over buckets) can afford a hashtable.
 
    The lattice makes merging commutative, associative and idempotent:

@@ -13,9 +13,9 @@
     Maps form a lattice under pointwise bucket max: {!merge_into} is
     commutative, associative and idempotent, which is what lets pool
     workers' maps merge in any order and a journal resume replay into
-    the identical map.  The per-event hot path is the core's
-    allocation-free counter registry; this map folds one final
-    snapshot per run. *)
+    the identical map.  The per-event hot path is a plain
+    counter field bumped in place; this map folds one final snapshot
+    per run. *)
 
 type t
 

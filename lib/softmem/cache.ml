@@ -47,7 +47,7 @@ and t = {
   (* fault injection for the permission-scoreboard rules: grant Trunk
      without probing the other sharers first *)
   mutable bug_skip_probe : bool;
-  poisoned : (int64, Bytes.t) Hashtbl.t;
+  poisoned : (int, Bytes.t) Hashtbl.t; (* by line index *)
   (* statistics *)
   mutable s_accesses : int;
   mutable s_misses : int;
@@ -71,9 +71,12 @@ let branch = Perm.rank Perm.Branch
 
 let line_bytes t = 1 lsl t.line_shift
 
-let[@inline] line_addr t addr = Int64.shift_right_logical addr t.line_shift
+(* A line index [la] is an [int]: a physical address has at most 56
+   bits (Sv39), so its line index always fits and no access boxes one. *)
+let[@inline] line_addr t addr =
+  Int64.to_int (Int64.shift_right_logical addr t.line_shift)
 
-let base_of_la t la = Int64.shift_left la t.line_shift
+let base_of_la t la = Int64.shift_left (Int64.of_int la) t.line_shift
 
 let create ~name ~size_bytes ~ways ~line_shift ~hit_latency ~backing () =
   let line_b = 1 lsl line_shift in
@@ -126,18 +129,15 @@ let rec iter_tree node f =
 let emit t xact ~child ~la =
   t.sink { Event.cycle = t.now; node = t.name; child; xact; addr = base_of_la t la }
 
-(* A line index always fits in an [int]: it is a 64-bit address
-   shifted right by [line_shift] >= 1. *)
-let set_index t la = Int64.to_int la mod t.sets
+let set_index t la = la mod t.sets
 
 (* The slot holding [la], or -1.  Loops over local refs rather than a
    local recursive function, which would allocate a closure per call. *)
 let lookup t la : int =
-  let tag = Int64.to_int la in
   let i = ref (set_index t la * t.ways) in
   let stop = !i + t.ways in
   while
-    !i < stop && not (Cow.get t.tags !i = tag && Cow.get t.perms !i <> nothing)
+    !i < stop && not (Cow.get t.tags !i = la && Cow.get t.perms !i <> nothing)
   do
     incr i
   done;
@@ -163,9 +163,8 @@ let victim t la : int =
 let corrupt_lines (t : t) ~max : int =
   let n = ref 0 in
   for slot = 0 to (t.sets * t.ways) - 1 do
-    let tag = Cow.get t.tags slot in
-    let la = Int64.of_int tag in
-    if !n < max && tag >= 0 && Cow.get t.perms slot <> nothing
+    let la = Cow.get t.tags slot in
+    if !n < max && la >= 0 && Cow.get t.perms slot <> nothing
        && not (Hashtbl.mem t.poisoned la)
     then begin
       let buf = Bytes.create (line_bytes t) in
@@ -280,7 +279,7 @@ let rec ensure (t : t) ~la ~(want : Perm.t) : int =
     let v = victim t la in
     if Cow.get t.perms v <> nothing then begin
       t.s_evictions <- t.s_evictions + 1;
-      let old = Int64.of_int (Cow.get t.tags v) in
+      let old = Cow.get t.tags v in
       (* inclusive eviction: purge the subtree, tell the parent *)
       Array.iteri
         (fun i c ->
@@ -291,7 +290,7 @@ let rec ensure (t : t) ~la ~(want : Perm.t) : int =
     end;
     let pl = acquire_from_parent t ~la ~want in
     let until = t.now + t.hit_latency + pl in
-    Cow.set t.tags v (Int64.to_int la);
+    Cow.set t.tags v la;
     Cow.set t.perms v (Perm.rank want);
     Cow.set t.sharers v 0;
     Cow.set t.owners v (-1);
@@ -337,11 +336,9 @@ and acquire (p : t) ~la ~want ~child : int =
   Cow.set p.sharers line (Cow.get p.sharers line lor (1 lsl child));
   emit p (Perm.Grant want) ~child ~la;
   (* the buggy grant path: serve poisoned data to the child *)
-  (if Hashtbl.mem p.poisoned la then
-     match Hashtbl.find_opt p.poisoned la with
-     | Some buf ->
-         Hashtbl.replace p.children.(child).poisoned la (Bytes.copy buf)
-     | None -> ());
+  (match Hashtbl.find_opt p.poisoned la with
+  | Some buf -> Hashtbl.replace p.children.(child).poisoned la (Bytes.copy buf)
+  | None -> ());
   self_lat + !probe_lat
 
 (* ---- core-facing interface (called on an L1 node) ------------------- *)
@@ -404,8 +401,6 @@ let tables (t : t) =
         n.inflight_until :: n.last_use :: n.owners :: n.sharers :: n.perms
         :: n.tags :: !acc);
   List.rev !acc
-
-let tick (t : t) = t.now <- t.now + 1
 
 let set_now (t : t) n = t.now <- n
 

@@ -43,7 +43,7 @@ and t = {
           captures the stale line image *)
   mutable bug_skip_probe : bool;
       (** scoreboard injection: grant Trunk without probing sharers *)
-  poisoned : (int64, Bytes.t) Hashtbl.t;
+  poisoned : (int, Bytes.t) Hashtbl.t;  (** by line index *)
   mutable s_accesses : int;
   mutable s_misses : int;
   mutable s_refills : int;
@@ -99,19 +99,8 @@ val corrupt_lines : t -> max:int -> int
     (bit-flipped payload, as if a Grant went bad).  Reads consult the
     poison; a write to the line heals it.  Returns the count. *)
 
-(** {1 Internal protocol steps (exposed for tests)} *)
-
-val probe : t -> la:int64 -> to_perm:Perm.t -> int
-
-val ensure : t -> la:int64 -> want:Perm.t -> int
-
-val acquire : t -> la:int64 -> want:Perm.t -> child:int -> int
-
-val line_addr : t -> int64 -> int64
-
-val tick : t -> unit
-
 val set_now : t -> int -> unit
+(** Advance the node's clock (the owner SoC sets it every cycle). *)
 
 type stats = {
   accesses : int;

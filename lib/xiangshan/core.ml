@@ -233,6 +233,27 @@ type perf = {
   ready_hist : int array; (* Figure 15: cycles with N ready insns *)
   mutable p_dispatched : int;
   mutable p_hi_prio : int; (* PUBS high-priority uops dispatched *)
+  p_td : int array; (* cycles per top-down bucket, by Perf.Topdown.index *)
+  (* dispatch stalls, charged to the first scarce resource *)
+  mutable p_stall_rob_full : int;
+  mutable p_stall_iq_full : int;
+  mutable p_stall_lq_full : int;
+  mutable p_stall_sq_full : int;
+  mutable p_stall_freelist_int : int;
+  mutable p_stall_freelist_fp : int;
+  mutable p_stall_sb_full : int; (* commit blocked on a full store buffer *)
+  mutable p_fetch_bubbles : int;
+  mutable p_icache_misses : int;
+  mutable p_walked_uops : int;
+  p_commit_width : int array; (* cycles committing 0..8+ uops *)
+  (* edge-style coverage probes (fed to the fuzzer's coverage map) *)
+  p_walk_depth : int array; (* per-flush ROB walk depth, log2 buckets *)
+  mutable p_flush_misp : int;
+  mutable p_flush_trap : int;
+  mutable p_flush_serial : int;
+  mutable p_sc_success : int;
+  mutable p_sc_failures : int;
+  mutable p_tlb_walk_flush : int;
 }
 
 let make_perf () =
@@ -250,32 +271,26 @@ let make_perf () =
     ready_hist = Array.make 17 0;
     p_dispatched = 0;
     p_hi_prio = 0;
+    p_td = Array.make Perf.Topdown.n_buckets 0;
+    p_stall_rob_full = 0;
+    p_stall_iq_full = 0;
+    p_stall_lq_full = 0;
+    p_stall_sq_full = 0;
+    p_stall_freelist_int = 0;
+    p_stall_freelist_fp = 0;
+    p_stall_sb_full = 0;
+    p_fetch_bubbles = 0;
+    p_icache_misses = 0;
+    p_walked_uops = 0;
+    p_commit_width = Array.make 9 0;
+    p_walk_depth = Array.make 5 0;
+    p_flush_misp = 0;
+    p_flush_trap = 0;
+    p_flush_serial = 0;
+    p_sc_success = 0;
+    p_sc_failures = 0;
+    p_tlb_walk_flush = 0;
   }
-
-(* Dense Perf_counter handles, resolved once at [create] so the
-   per-cycle hot paths are plain array stores. *)
-type ids = {
-  i_td : Perf.Perf_counter.id array; (* indexed by Perf.Topdown.index *)
-  i_disp_rob_full : Perf.Perf_counter.id;
-  i_disp_iq_full : Perf.Perf_counter.id;
-  i_disp_lq_full : Perf.Perf_counter.id;
-  i_disp_sq_full : Perf.Perf_counter.id;
-  i_disp_freelist_int : Perf.Perf_counter.id;
-  i_disp_freelist_fp : Perf.Perf_counter.id;
-  i_commit_sb_full : Perf.Perf_counter.id;
-  i_fetch_bubble : Perf.Perf_counter.id;
-  i_icache_miss : Perf.Perf_counter.id;
-  i_rob_walk : Perf.Perf_counter.id;
-  i_commit_w : Perf.Perf_counter.id array; (* commit width 0..8+ *)
-  (* edge-style coverage probes (fed to the fuzzer's coverage map) *)
-  i_walk_depth : Perf.Perf_counter.id array; (* per-flush ROB walk depth, log2 buckets *)
-  i_flush_misp : Perf.Perf_counter.id;
-  i_flush_trap : Perf.Perf_counter.id;
-  i_flush_serial : Perf.Perf_counter.id;
-  i_sc_success : Perf.Perf_counter.id;
-  i_sc_fail : Perf.Perf_counter.id;
-  i_tlb_walk_flush : Perf.Perf_counter.id;
-}
 
 (* Phase-1 evaluation order.  [Default_order] runs the unit planners
    in a fixed order; [Shuffle seed] runs them in a fresh seeded
@@ -303,8 +318,6 @@ type t = {
       (* one commit probe per commit slot, refilled every cycle *)
   mutable n_slots : int; (* slots.(0 .. n_slots-1) hold this cycle's commits *)
   perf : perf;
-  ctrs : Perf.Perf_counter.t; (* named counter registry (observation only) *)
-  ids : ids;
   def_table : int array; (* arch int reg -> seq of last producer *)
   mutable now : int;
   mutable seq : int; (* next uop sequence number *)
@@ -339,65 +352,6 @@ type t = {
      flush-recovery window *)
   mutable tlb_walk_seen : int;
 }
-
-let make_ids () =
-  let ctrs = Perf.Perf_counter.create ~capacity:64 () in
-  let reg = Perf.Perf_counter.register ctrs in
-  (* bind in sequence: record-field expressions evaluate in an
-     unspecified order, but the registration order is what to_alist
-     (and every counter dump) presents *)
-  let i_td =
-    Array.of_list
-      (List.map (fun b -> reg (Perf.Topdown.counter_name b)) Perf.Topdown.all)
-  in
-  let i_disp_rob_full = reg "stall.dispatch.rob_full" in
-  let i_disp_iq_full = reg "stall.dispatch.iq_full" in
-  let i_disp_lq_full = reg "stall.dispatch.lq_full" in
-  let i_disp_sq_full = reg "stall.dispatch.sq_full" in
-  let i_disp_freelist_int = reg "stall.dispatch.freelist_int" in
-  let i_disp_freelist_fp = reg "stall.dispatch.freelist_fp" in
-  let i_commit_sb_full = reg "stall.commit.sb_full" in
-  let i_fetch_bubble = reg "frontend.fetch_bubbles" in
-  let i_icache_miss = reg "frontend.icache_misses" in
-  let i_rob_walk = reg "rob.walked_uops" in
-  let i_commit_w =
-    Array.init 9 (fun w -> reg (Printf.sprintf "commit.width_%d" w))
-  in
-  (* edge probes: these exist for microarchitectural *coverage* --
-     each is an event class the fuzzer wants to know was reached, not
-     a performance account.  Incremented at the effect boundary
-     (flush/commit/apply), so they cost nothing on untaken paths. *)
-  let i_walk_depth =
-    Array.init 5 (fun b -> reg (Printf.sprintf "rob.walk_depth_b%d" b))
-  in
-  let i_flush_misp = reg "flush.mispredict" in
-  let i_flush_trap = reg "flush.trap" in
-  let i_flush_serial = reg "flush.serialize" in
-  let i_sc_success = reg "commit.sc_success" in
-  let i_sc_fail = reg "commit.sc_failures" in
-  let i_tlb_walk_flush = reg "tlb.walk_during_flush" in
-  ( ctrs,
-    {
-      i_td;
-      i_disp_rob_full;
-      i_disp_iq_full;
-      i_disp_lq_full;
-      i_disp_sq_full;
-      i_disp_freelist_int;
-      i_disp_freelist_fp;
-      i_commit_sb_full;
-      i_fetch_bubble;
-      i_icache_miss;
-      i_rob_walk;
-      i_commit_w;
-      i_walk_depth;
-      i_flush_misp;
-      i_flush_trap;
-      i_flush_serial;
-      i_sc_success;
-      i_sc_fail;
-      i_tlb_walk_flush;
-    } )
 
 (* Dispatch routes by exec class through a table built once per core:
    for each class, the accepting IQs in configuration order. *)
@@ -444,7 +398,6 @@ let create ?(phase_order = Default_order) (cfg : Config.t) ~hartid
   let arch = Arch_state.create ~hartid () in
   arch.Arch_state.csr.Csr.time_source <-
     (fun () -> Platform.Clint.mtime plat.Platform.clint);
-  let ctrs, ids = make_ids () in
   let rob = Rob.create ~size:cfg.rob_size in
   let uops = rob.Rob.uops in
   let rec t =
@@ -470,8 +423,6 @@ let create ?(phase_order = Default_order) (cfg : Config.t) ~hartid
       slots = Array.init cfg.decode_width (fun _ -> Probe.make_slot ~hartid);
       n_slots = 0;
       perf = make_perf ();
-      ctrs;
-      ids;
       def_table = Array.make 32 (-1);
       now = 0;
       seq = 0;
@@ -525,14 +476,14 @@ let flush ?(cause = `Other) t ~after ~target =
   t.perf.p_flushes <- t.perf.p_flushes + 1;
   t.flushed_at <- t.now;
   (match cause with
-  | `Misp -> Perf.Perf_counter.incr t.ctrs t.ids.i_flush_misp
-  | `Trap -> Perf.Perf_counter.incr t.ctrs t.ids.i_flush_trap
-  | `Serial -> Perf.Perf_counter.incr t.ctrs t.ids.i_flush_serial
+  | `Misp -> t.perf.p_flush_misp <- t.perf.p_flush_misp + 1
+  | `Trap -> t.perf.p_flush_trap <- t.perf.p_flush_trap + 1
+  | `Serial -> t.perf.p_flush_serial <- t.perf.p_flush_serial + 1
   | `Other -> ());
   let old_tail = Rob.squash_younger t.rob ~after in
   let new_tail = t.rob.Rob.tail in
   let depth = old_tail - new_tail in
-  Perf.Perf_counter.add t.ctrs t.ids.i_rob_walk depth;
+  t.perf.p_walked_uops <- t.perf.p_walked_uops + depth;
   if depth > 0 then begin
     (* log2 depth buckets: 1, 2-3, 4-7, 8-15, 16+ *)
     let b =
@@ -542,7 +493,7 @@ let flush ?(cause = `Other) t ~after ~target =
       else if depth >= 2 then 1
       else 0
     in
-    Perf.Perf_counter.incr t.ctrs t.ids.i_walk_depth.(b)
+    t.perf.p_walk_depth.(b) <- t.perf.p_walk_depth.(b) + 1
   end;
   (* youngest first, for the trace and for rename rollback *)
   (match t.tracer with
@@ -655,7 +606,7 @@ let fetch_start_bundle t =
     else begin
       let icache_lat = Softmem.Cache.fetch t.l1i ~addr:pa0 in
       if icache_lat > t.l1i.Softmem.Cache.hit_latency then begin
-        Perf.Perf_counter.incr t.ctrs t.ids.i_icache_miss;
+        t.perf.p_icache_misses <- t.perf.p_icache_misses + 1;
         t.icache_stall_until <-
           max t.icache_stall_until (t.now + tlb_lat + icache_lat)
       end;
@@ -965,14 +916,14 @@ let apply_dispatch t (eff : dispatch_eff) =
         | None -> ()
       end
     done;
+    let p = t.perf in
     match eff.dp_stall with
-    | Some Rob_full -> Perf.Perf_counter.incr t.ctrs t.ids.i_disp_rob_full
-    | Some Iq_full -> Perf.Perf_counter.incr t.ctrs t.ids.i_disp_iq_full
-    | Some Lq_full -> Perf.Perf_counter.incr t.ctrs t.ids.i_disp_lq_full
-    | Some Sq_full -> Perf.Perf_counter.incr t.ctrs t.ids.i_disp_sq_full
-    | Some Freelist_int ->
-        Perf.Perf_counter.incr t.ctrs t.ids.i_disp_freelist_int
-    | Some Freelist_fp -> Perf.Perf_counter.incr t.ctrs t.ids.i_disp_freelist_fp
+    | Some Rob_full -> p.p_stall_rob_full <- p.p_stall_rob_full + 1
+    | Some Iq_full -> p.p_stall_iq_full <- p.p_stall_iq_full + 1
+    | Some Lq_full -> p.p_stall_lq_full <- p.p_stall_lq_full + 1
+    | Some Sq_full -> p.p_stall_sq_full <- p.p_stall_sq_full + 1
+    | Some Freelist_int -> p.p_stall_freelist_int <- p.p_stall_freelist_int + 1
+    | Some Freelist_fp -> p.p_stall_freelist_fp <- p.p_stall_freelist_fp + 1
     | None -> ()
   end;
   (* reset the plan buffer; a planned uop that was not dispatched
@@ -1371,8 +1322,8 @@ let emit_probe t r ~pc ~next_pc ~trap =
   and faulted = Uop.flag u r Uop.b_faulted in
   (match insn with
   | Insn.Sc _ when trap = None ->
-      Perf.Perf_counter.incr t.ctrs
-        (if sc_failed then t.ids.i_sc_fail else t.ids.i_sc_success)
+      if sc_failed then t.perf.p_sc_failures <- t.perf.p_sc_failures + 1
+      else t.perf.p_sc_success <- t.perf.p_sc_success + 1
   | _ -> ());
   let p = next_slot t ~pc ~insn ~next_pc ~trap ~interrupt:None in
   let has_load =
@@ -1488,7 +1439,7 @@ let apply_commit t (eff : commit_eff) =
                 end
                 else begin
                   if Lsu.sb_full t.lsu then begin
-                    Perf.Perf_counter.incr t.ctrs t.ids.i_commit_sb_full;
+                    t.perf.p_stall_sb_full <- t.perf.p_stall_sb_full + 1;
                     raise Stop_commit
                   end;
                   Lsu.commit_store t.lsu seq
@@ -1601,7 +1552,8 @@ let attribute_topdown t ~committed =
         | _ ->
             if state = Uop.waiting then Topdown.Core_dep else Topdown.Core_exec
   in
-  Perf_counter.incr t.ctrs t.ids.i_td.(Topdown.index bucket)
+  let i = Topdown.index bucket in
+  t.perf.p_td.(i) <- t.perf.p_td.(i) + 1
 
 let planners = [| step_commit; step_issue; step_drain; step_dispatch; step_fetch |]
 
@@ -1653,21 +1605,22 @@ let apply t (e : effects) =
   let uops_before = t.perf.p_uops in
   apply_commit t e.ef_commit;
   let committed = t.perf.p_uops - uops_before in
-  Perf.Perf_counter.incr t.ctrs t.ids.i_commit_w.(min committed 8);
+  let w = min committed 8 in
+  t.perf.p_commit_width.(w) <- t.perf.p_commit_width.(w) + 1;
   attribute_topdown t ~committed;
   apply_issue t e.ef_issue;
   if e.ef_drain.de_fire then
     Lsu.drain t.lsu ~now:t.now ~on_drain:t.on_drain;
   if t.ring.fq_len = 0 then
-    Perf.Perf_counter.incr t.ctrs t.ids.i_fetch_bubble;
+    t.perf.p_fetch_bubbles <- t.perf.p_fetch_bubbles + 1;
   apply_dispatch t e.ef_dispatch;
   apply_fetch t e.ef_fetch;
   (* edge probe: PTW walks performed while a flush-recovery window is
      open (stale-translation refetch territory, the Figure 3 class) *)
   let walks = t.tlb.Tlb.walks in
   if t.now <= t.recover_until && walks > t.tlb_walk_seen then
-    Perf.Perf_counter.add t.ctrs t.ids.i_tlb_walk_flush
-      (walks - t.tlb_walk_seen);
+    t.perf.p_tlb_walk_flush <-
+      t.perf.p_tlb_walk_flush + (walks - t.tlb_walk_seen);
   t.tlb_walk_seen <- walks
 
 let cycle t = apply t (step t)
@@ -1678,13 +1631,19 @@ let ipc t =
 
 let set_tracer t tr = t.tracer <- tr
 
-(* Merge every counter source into one named snapshot: the registry
-   (top-down buckets, stall reasons, histograms), the legacy perf
-   block, and the per-structure stats kept by the BPU/LSU/TLB/caches.
-   This is the interchange format consumed by [Perf.Topdown],
-   [Archdb.record_counters] and the CLI/bench reporters. *)
+let commit_width_names = Array.init 9 (Printf.sprintf "commit.width_%d")
+let walk_depth_names = Array.init 5 (Printf.sprintf "rob.walk_depth_b%d")
+
+(* The one place that names counters: the core's own [perf] fields and
+   the stats the BPU, LSU, TLB and caches keep, as (name, value) pairs
+   in a fixed order.  This is the interchange format consumed by
+   [Perf.Topdown], [Archdb.record_counters], the fuzzer's coverage map
+   and the CLI/bench reporters. *)
 let counter_snapshot t : (string * int) list =
   let p = t.perf and b = t.bpu and l = t.lsu and tlb = t.tlb in
+  let named names a =
+    List.init (Array.length a) (fun i -> (names.(i), a.(i)))
+  in
   let cache prefix c =
     let s = Softmem.Cache.stats c in
     [
@@ -1696,44 +1655,71 @@ let counter_snapshot t : (string * int) list =
       (prefix ^ ".mshr_saturated", s.Softmem.Cache.mshr_saturated);
     ]
   in
-  Perf.Perf_counter.to_alist t.ctrs
-  @ [
-      ("core.cycles", p.p_cycles);
-      ("core.instrs", p.p_instrs);
-      ("core.uops", p.p_uops);
-      ("core.fused", p.p_fused);
-      ("core.moves_eliminated", p.p_moves_eliminated);
-      ("core.loads", p.p_loads);
-      ("core.stores", p.p_stores);
-      ("core.traps", p.p_traps);
-      ("core.interrupts", p.p_interrupts);
-      ("core.flushes", p.p_flushes);
-      ("core.dispatched", p.p_dispatched);
-      ("core.hi_prio", p.p_hi_prio);
-      ("bpu.lookups", b.Bpu.lookups);
-      ("bpu.cond_branches", b.Bpu.cond_branches);
-      ("bpu.mispredicts", b.Bpu.mispredicts);
-      ("bpu.misp_branch", b.Bpu.misp_branch);
-      ("bpu.misp_jal", b.Bpu.misp_jal);
-      ("bpu.misp_jalr", b.Bpu.misp_jalr);
-      ("bpu.misp_ret", b.Bpu.misp_ret);
-      ("bpu.tage_provided", b.Bpu.tage_provided);
-      ("bpu.bimodal_provided", b.Bpu.bimodal_provided);
-      ("bpu.ras_pushes", b.Bpu.ras_pushes);
-      ("bpu.ras_pops", b.Bpu.ras_pops);
-      ("bpu.ras_overflows", b.Bpu.ras_overflows);
-      ("bpu.ras_underflows", b.Bpu.ras_underflows);
-      ("lsu.forward_hits", l.Lsu.forwards);
-      ("lsu.forward_blocked", l.Lsu.blocked_loads);
-      ("lsu.forward_misses", l.Lsu.forward_misses);
-      ("lsu.sb_drains", l.Lsu.drains);
-      ("tlb.walks", tlb.Tlb.walks);
-      ("tlb.itlb_misses", tlb.Tlb.itlb_misses);
-      ("tlb.dtlb_misses", tlb.Tlb.dtlb_misses);
-      ("tlb.stlb_hits", tlb.Tlb.stlb_hits);
-      ("tlb.cached_fault_hits", tlb.Tlb.cached_fault_hits);
+  List.concat
+    [
+      List.map
+        (fun bk ->
+          (Perf.Topdown.counter_name bk, p.p_td.(Perf.Topdown.index bk)))
+        Perf.Topdown.all;
+      [
+        ("stall.dispatch.rob_full", p.p_stall_rob_full);
+        ("stall.dispatch.iq_full", p.p_stall_iq_full);
+        ("stall.dispatch.lq_full", p.p_stall_lq_full);
+        ("stall.dispatch.sq_full", p.p_stall_sq_full);
+        ("stall.dispatch.freelist_int", p.p_stall_freelist_int);
+        ("stall.dispatch.freelist_fp", p.p_stall_freelist_fp);
+        ("stall.commit.sb_full", p.p_stall_sb_full);
+        ("frontend.fetch_bubbles", p.p_fetch_bubbles);
+        ("frontend.icache_misses", p.p_icache_misses);
+        ("rob.walked_uops", p.p_walked_uops);
+      ];
+      named commit_width_names p.p_commit_width;
+      named walk_depth_names p.p_walk_depth;
+      [
+        ("flush.mispredict", p.p_flush_misp);
+        ("flush.trap", p.p_flush_trap);
+        ("flush.serialize", p.p_flush_serial);
+        ("commit.sc_success", p.p_sc_success);
+        ("commit.sc_failures", p.p_sc_failures);
+        ("tlb.walk_during_flush", p.p_tlb_walk_flush);
+        ("core.cycles", p.p_cycles);
+        ("core.instrs", p.p_instrs);
+        ("core.uops", p.p_uops);
+        ("core.fused", p.p_fused);
+        ("core.moves_eliminated", p.p_moves_eliminated);
+        ("core.loads", p.p_loads);
+        ("core.stores", p.p_stores);
+        ("core.traps", p.p_traps);
+        ("core.interrupts", p.p_interrupts);
+        ("core.flushes", p.p_flushes);
+        ("core.dispatched", p.p_dispatched);
+        ("core.hi_prio", p.p_hi_prio);
+        ("bpu.lookups", b.Bpu.lookups);
+        ("bpu.cond_branches", b.Bpu.cond_branches);
+        ("bpu.mispredicts", b.Bpu.mispredicts);
+        ("bpu.misp_branch", b.Bpu.misp_branch);
+        ("bpu.misp_jal", b.Bpu.misp_jal);
+        ("bpu.misp_jalr", b.Bpu.misp_jalr);
+        ("bpu.misp_ret", b.Bpu.misp_ret);
+        ("bpu.tage_provided", b.Bpu.tage_provided);
+        ("bpu.bimodal_provided", b.Bpu.bimodal_provided);
+        ("bpu.ras_pushes", b.Bpu.ras_pushes);
+        ("bpu.ras_pops", b.Bpu.ras_pops);
+        ("bpu.ras_overflows", b.Bpu.ras_overflows);
+        ("bpu.ras_underflows", b.Bpu.ras_underflows);
+        ("lsu.forward_hits", l.Lsu.forwards);
+        ("lsu.forward_blocked", l.Lsu.blocked_loads);
+        ("lsu.forward_misses", l.Lsu.forward_misses);
+        ("lsu.sb_drains", l.Lsu.drains);
+        ("tlb.walks", tlb.Tlb.walks);
+        ("tlb.itlb_misses", tlb.Tlb.itlb_misses);
+        ("tlb.dtlb_misses", tlb.Tlb.dtlb_misses);
+        ("tlb.stlb_hits", tlb.Tlb.stlb_hits);
+        ("tlb.cached_fault_hits", tlb.Tlb.cached_fault_hits);
+      ];
+      cache "l1i" t.l1i;
+      cache "l1d" t.l1d;
     ]
-  @ cache "l1i" t.l1i @ cache "l1d" t.l1d
 
 (* Where is commit stuck?  Snapshot of the retirement bottleneck for
    the hang watchdog's failure report.  Occupancies come from the same

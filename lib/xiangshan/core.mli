@@ -100,8 +100,12 @@ type effects = {
   ef_fetch : fetch_eff;
 }
 
-(** Performance counters, including the Figure 15 ready-instruction
-    histogram and the PUBS high-priority accounting. *)
+(** The core's own counters, plain fields bumped in place on the hot
+    paths: the Figure 15 ready-instruction histogram, the PUBS
+    high-priority accounting, the per-cycle top-down attribution and
+    the stall, frontend, ROB, commit and coverage-probe counts.
+    {!counter_snapshot} is the one place that names them (DESIGN.md
+    "Counter taxonomy"). *)
 type perf = {
   mutable p_cycles : int;
   mutable p_instrs : int;
@@ -116,11 +120,26 @@ type perf = {
   ready_hist : int array;
   mutable p_dispatched : int;
   mutable p_hi_prio : int;
+  p_td : int array;  (** cycles per top-down bucket, by [Perf.Topdown.index] *)
+  mutable p_stall_rob_full : int;
+  mutable p_stall_iq_full : int;
+  mutable p_stall_lq_full : int;
+  mutable p_stall_sq_full : int;
+  mutable p_stall_freelist_int : int;
+  mutable p_stall_freelist_fp : int;
+  mutable p_stall_sb_full : int;
+  mutable p_fetch_bubbles : int;
+  mutable p_icache_misses : int;
+  mutable p_walked_uops : int;
+  p_commit_width : int array;  (** cycles committing 0..8+ uops *)
+  p_walk_depth : int array;  (** per-flush ROB walk depth, log2 buckets *)
+  mutable p_flush_misp : int;
+  mutable p_flush_trap : int;
+  mutable p_flush_serial : int;
+  mutable p_sc_success : int;
+  mutable p_sc_failures : int;
+  mutable p_tlb_walk_flush : int;
 }
-
-(** Dense handles into the counter registry, resolved at [create] so
-    the per-cycle instrumentation is a plain array store. *)
-type ids
 
 (** Phase-1 evaluation order.  [Default_order] runs the unit planners
     in the canonical fixed order; [Shuffle seed] runs them in a fresh
@@ -153,11 +172,7 @@ type t = {
   mutable n_slots : int;
       (** [slots.(0 .. n_slots - 1)] hold the commits of the last
           [apply], in retirement order *)
-  perf : perf;
-  ctrs : Perf.Perf_counter.t;
-      (** named counter registry; pure observation, never consulted by
-          the pipeline *)
-  ids : ids;
+  perf : perf;  (** pure observation, never consulted by the pipeline *)
   def_table : int array;
   mutable now : int;
   mutable seq : int;
@@ -246,11 +261,12 @@ val ipc : t -> float
 val set_tracer : t -> Perf.Pipetrace.t option -> unit
 
 val counter_snapshot : t -> (string * int) list
-(** Every counter the core maintains, as (name, value) pairs: the
-    registry (top-down buckets [td.*], stall attribution [stall.*],
-    frontend/ROB/commit histograms), the legacy perf block [core.*],
-    and the per-structure stats [bpu.* lsu.* tlb.* l1i.* l1d.*].
-    Suitable for [Perf.Topdown.of_counters]. *)
+(** Every counter the core maintains, as (name, value) pairs in a
+    fixed order: the {!perf} fields (top-down buckets [td.*], stall
+    attribution [stall.*], frontend/ROB/commit histograms, the flush,
+    SC and TLB edge probes, and [core.*]), then the per-structure stats
+    [bpu.* lsu.* tlb.* l1i.* l1d.*].  The only place counters are
+    named; suitable for [Perf.Topdown.of_counters]. *)
 
 val stall_site : t -> string
 (** One-line snapshot of the retirement bottleneck (ROB head uop and

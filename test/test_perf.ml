@@ -1,4 +1,4 @@
-(* lib/perf: counter registry, top-down CPI stacks, pipeline tracing.
+(* lib/perf: counter snapshots, top-down CPI stacks, pipeline tracing.
 
    The load-bearing invariants: the CPI stack sums exactly to the
    measured cycle count on every suite workload (each cycle is
@@ -9,32 +9,60 @@
    of it is pure observation -- verdicts are bit-identical with perf
    instrumentation on or off. *)
 
-(* --- the counter registry itself ------------------------------------- *)
+(* --- the counter names ------------------------------------------------ *)
 
-let test_registry () =
-  let t = Perf.Perf_counter.create ~capacity:2 () in
-  let a = Perf.Perf_counter.register t "a" in
-  let b = Perf.Perf_counter.register t "b" in
-  (* third registration forces the backing arrays to grow *)
-  let c = Perf.Perf_counter.register t "c" in
-  Perf.Perf_counter.incr t a;
-  Perf.Perf_counter.add t b 41;
-  Perf.Perf_counter.incr t b;
-  Alcotest.(check int) "incr" 1 (Perf.Perf_counter.get t a);
-  Alcotest.(check int) "add" 42 (Perf.Perf_counter.get t b);
-  Alcotest.(check int) "fresh counter is zero" 0 (Perf.Perf_counter.get t c);
-  Alcotest.(check (option int)) "find" (Some 42) (Perf.Perf_counter.find t "b");
-  Alcotest.(check (option int)) "find missing" None
-    (Perf.Perf_counter.find t "zzz");
-  Alcotest.(check (list (pair string int)))
-    "to_alist in registration order"
-    [ ("a", 1); ("b", 42); ("c", 0) ]
-    (Perf.Perf_counter.to_alist t);
-  Alcotest.check_raises "duplicate registration rejected"
-    (Invalid_argument "Perf_counter.register: duplicate \"a\"") (fun () ->
-      ignore (Perf.Perf_counter.register t "a"));
-  Perf.Perf_counter.reset t;
-  Alcotest.(check int) "reset" 0 (Perf.Perf_counter.get t b)
+(* [Core.counter_snapshot] is the one place counters are named.  Its
+   names and their order reach the --perf report, campaign and fuzz
+   JSON, the coverage map, top-down stacks and ArchDB, so both are
+   pinned here (test_golden sorts names before hashing and cannot see
+   the order). *)
+let snapshot_names =
+  [
+    "td.base"; "td.frontend_icache"; "td.frontend_fetch";
+    "td.badspec_mispredict"; "td.badspec_flush"; "td.mem_load";
+    "td.mem_store"; "td.core_exec"; "td.core_dep";
+    "stall.dispatch.rob_full"; "stall.dispatch.iq_full";
+    "stall.dispatch.lq_full"; "stall.dispatch.sq_full";
+    "stall.dispatch.freelist_int"; "stall.dispatch.freelist_fp";
+    "stall.commit.sb_full";
+    "frontend.fetch_bubbles"; "frontend.icache_misses";
+    "rob.walked_uops";
+    "commit.width_0"; "commit.width_1"; "commit.width_2";
+    "commit.width_3"; "commit.width_4"; "commit.width_5";
+    "commit.width_6"; "commit.width_7"; "commit.width_8";
+    "rob.walk_depth_b0"; "rob.walk_depth_b1"; "rob.walk_depth_b2";
+    "rob.walk_depth_b3"; "rob.walk_depth_b4";
+    "flush.mispredict"; "flush.trap"; "flush.serialize";
+    "commit.sc_success"; "commit.sc_failures"; "tlb.walk_during_flush";
+    "core.cycles"; "core.instrs"; "core.uops"; "core.fused";
+    "core.moves_eliminated"; "core.loads"; "core.stores"; "core.traps";
+    "core.interrupts"; "core.flushes"; "core.dispatched"; "core.hi_prio";
+    "bpu.lookups"; "bpu.cond_branches"; "bpu.mispredicts";
+    "bpu.misp_branch"; "bpu.misp_jal"; "bpu.misp_jalr"; "bpu.misp_ret";
+    "bpu.tage_provided"; "bpu.bimodal_provided"; "bpu.ras_pushes";
+    "bpu.ras_pops"; "bpu.ras_overflows"; "bpu.ras_underflows";
+    "lsu.forward_hits"; "lsu.forward_blocked"; "lsu.forward_misses";
+    "lsu.sb_drains";
+    "tlb.walks"; "tlb.itlb_misses"; "tlb.dtlb_misses"; "tlb.stlb_hits";
+    "tlb.cached_fault_hits";
+    "l1i.accesses"; "l1i.misses"; "l1i.refills"; "l1i.probes";
+    "l1i.evictions"; "l1i.mshr_saturated";
+    "l1d.accesses"; "l1d.misses"; "l1d.refills"; "l1d.probes";
+    "l1d.evictions"; "l1d.mshr_saturated";
+  ]
+
+let test_snapshot_names () =
+  List.iter
+    (fun (label, cfg) ->
+      let soc = Xiangshan.Soc.create cfg in
+      let names = List.map fst (Xiangshan.Soc.counter_snapshot soc ~hartid:0) in
+      Alcotest.(check (list string)) (label ^ ": names in order") snapshot_names
+        names;
+      Alcotest.(check int)
+        (label ^ ": names are unique")
+        (List.length names)
+        (List.length (List.sort_uniq String.compare names)))
+    [ ("YQH", Xiangshan.Config.yqh); ("NH hart 0", Xiangshan.Config.nh) ]
 
 let test_of_counters_missing () =
   match Perf.Topdown.of_counters [ ("core.cycles", 10) ] with
@@ -213,7 +241,8 @@ let test_archdb_final_counters () =
 
 let tests =
   [
-    Alcotest.test_case "counter registry" `Quick test_registry;
+    Alcotest.test_case "counter snapshot names, in order" `Quick
+      test_snapshot_names;
     Alcotest.test_case "of_counters rejects incomplete snapshots" `Quick
       test_of_counters_missing;
     Alcotest.test_case "CPI stack sums to cycles on the whole suite" `Slow
